@@ -45,10 +45,12 @@
 //!   as JSON;
 //! - `--snapshot <path> --snapshot-at <slot>` captures the `Init`
 //!   engine state at a slot (strategy `init-only`) into a replayable
-//!   snapshot file;
+//!   snapshot file, which records the SINR parameters and the channel
+//!   (`--fade`) with the instance recipe;
 //! - `--replay-from <path>` resumes a snapshot file under `--engine`
 //!   and verifies the tail fingerprint bit-for-bit against the
-//!   original run's;
+//!   original run's; the instance, parameters and channel all come
+//!   from the file;
 //! - `--diff-engine <backend>` runs `--engine` and the named backend
 //!   with tracing on and reports the first divergence (slot, node,
 //!   event kind, field, both values) — or certifies there is none.
@@ -65,9 +67,7 @@ use sinr_bench::workloads::Family;
 use sinr_connectivity::repair::{repair_after_failures, PriorStructure};
 use sinr_connectivity::selector::MeanSamplingSelector;
 use sinr_connectivity::tvc::TvcConfig;
-use sinr_connectivity::{
-    connect_opts, ChannelModel, EngineBackend, EngineOptions, RepackMode, Strategy,
-};
+use sinr_connectivity::{connect_with, ChannelModel, EngineBackend, RepackMode, Strategy};
 use sinr_phy::{feasibility, SinrParams};
 
 struct Args {
@@ -92,17 +92,6 @@ struct Args {
     snapshot_at: Option<u64>,
     replay_from: Option<PathBuf>,
     diff_engine: Option<EngineBackend>,
-}
-
-impl Args {
-    /// The engine-facing knobs (backend + channel model) every pipeline
-    /// construction site shares.
-    fn engine_opts(&self) -> EngineOptions {
-        EngineOptions {
-            backend: self.engine,
-            channel: self.channel,
-        }
-    }
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -289,13 +278,6 @@ fn parse_args() -> Result<Args, String> {
     if snapshot.is_some() != snapshot_at.is_some() {
         return Err("--snapshot and --snapshot-at go together: both or neither".into());
     }
-    if fade.is_some() && (snapshot.is_some() || replay_from.is_some()) {
-        return Err(
-            "--fade is not recorded in snapshot files; the snapshot/replay modes \
-             run the geometric channel"
-                .into(),
-        );
-    }
     if n == 0 {
         return Err("--n must be at least 1".into());
     }
@@ -365,7 +347,7 @@ fn main() {
         }
     };
 
-    let params = SinrParams::default();
+    let params = SinrParams::default().with_channel(args.channel);
 
     #[cfg(not(feature = "profile"))]
     if args.profile {
@@ -486,13 +468,7 @@ fn main() {
         sinr_sim::profile::start();
     }
 
-    let result = match connect_opts(
-        &params,
-        &instance,
-        args.strategy,
-        args.seed,
-        args.engine_opts(),
-    ) {
+    let result = match connect_with(&params, &instance, args.strategy, args.seed, args.engine) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("connectivity failed: {e}");
@@ -529,12 +505,11 @@ fn main() {
     println!("schedule: {} slots", result.schedule_len);
     println!("runtime:  {} slots", result.runtime_slots);
 
-    match feasibility::validate_schedule_with_model(
+    match feasibility::validate_schedule(
         &params,
         &instance,
         &result.aggregation_schedule,
         &result.power,
-        args.channel,
     ) {
         Ok(()) => println!("validated: every slot SINR-feasible"),
         Err(e) => {
@@ -583,7 +558,7 @@ fn run_serve(args: &Args, params: &SinrParams) {
         join_rate: args.join_rate,
         events: args.serve_events,
         detect: sinr_connectivity::DetectConfig {
-            engine: args.engine_opts(),
+            backend: args.engine,
             ..ServeConfig::default().detect
         },
         repack: args.repack,
@@ -680,7 +655,7 @@ fn run_churn_demo(
     let cfg = TvcConfig {
         repack: args.repack,
         init: sinr_connectivity::init::InitConfig {
-            engine: args.engine_opts(),
+            backend: args.engine,
             ..Default::default()
         },
         ..Default::default()
@@ -726,13 +701,7 @@ fn run_churn_demo(
             rep.repack.protocol_slots, rep.repack.cascade_escalations,
         );
     }
-    match feasibility::validate_schedule_with_model(
-        params,
-        &rep.instance,
-        &rep.schedule,
-        &rep.power,
-        args.channel,
-    ) {
+    match feasibility::validate_schedule(params, &rep.instance, &rep.schedule, &rep.power) {
         Ok(()) => println!(
             "repaired: every slot SINR-feasible ({} slots)",
             rep.schedule.num_slots()
@@ -761,20 +730,13 @@ fn run_ensemble(args: &Args, params: &SinrParams) {
     let driver = Ensemble::new(args.threads);
     let results = driver.run_trials(args.seed, 0, args.seeds, |inst_seed, algo_seed| {
         let instance = args.family.instance(args.n, inst_seed);
-        let result = connect_opts(
-            params,
-            &instance,
-            args.strategy,
-            algo_seed,
-            args.engine_opts(),
-        )
-        .unwrap_or_else(|e| panic!("instance seed {inst_seed:#x}: connectivity failed: {e}"));
-        feasibility::validate_schedule_with_model(
+        let result = connect_with(params, &instance, args.strategy, algo_seed, args.engine)
+            .unwrap_or_else(|e| panic!("instance seed {inst_seed:#x}: connectivity failed: {e}"));
+        feasibility::validate_schedule(
             params,
             &instance,
             &result.aggregation_schedule,
             &result.power,
-            args.channel,
         )
         .unwrap_or_else(|e| panic!("instance seed {inst_seed:#x}: validation failed: {e}"));
         (
@@ -827,7 +789,7 @@ fn run_snapshot(args: &Args, params: &SinrParams, path: &std::path::Path, at: u6
     }
     let instance = args.family.instance(args.n, args.seed);
     let cfg = InitConfig {
-        engine: args.engine_opts(),
+        backend: args.engine,
         ..Default::default()
     };
     let replay = match run_init_with_snapshot(params, &instance, &cfg, args.seed, at) {
@@ -907,7 +869,7 @@ fn run_replay(args: &Args, path: &std::path::Path) {
     };
     let instance = family.instance(file.n, file.seed);
     let cfg = InitConfig {
-        engine: args.engine_opts(),
+        backend: args.engine,
         ..Default::default()
     };
     println!(
@@ -952,11 +914,7 @@ fn run_diff(args: &Args, params: &SinrParams, other: EngineBackend) {
     let instance = args.family.instance(args.n, args.seed);
     let traced_run = |backend: EngineBackend| -> trace::TraceLog {
         trace::start(trace::DEFAULT_CAPACITY);
-        let opts = EngineOptions {
-            backend,
-            channel: args.channel,
-        };
-        let result = connect_opts(params, &instance, args.strategy, args.seed, opts);
+        let result = connect_with(params, &instance, args.strategy, args.seed, backend);
         let log = trace::stop();
         if let Err(e) = result {
             eprintln!("connectivity failed under {}: {e}", backend.label());

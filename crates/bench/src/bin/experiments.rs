@@ -23,8 +23,8 @@
 //! the capability sizes). `--repack full|incremental|distributed`
 //! picks the re-packer whose locality columns the dynamic experiments
 //! report (E13 runs and parity-checks every mode regardless; the flag
-//! selects the reported one). `--fade <sigma_db>` switches every
-//! simulated pipeline to the shadowed channel model (fade streams
+//! selects the reported one). `--fade <sigma_db>` puts every
+//! experiment's `SinrParams` on the shadowed channel (fade streams
 //! seeded from `--seed`); the default geometric channel reproduces the
 //! committed snapshots bit for bit. `--json <path>` additionally writes every executed
 //! experiment's tables as one machine-readable JSON document — the

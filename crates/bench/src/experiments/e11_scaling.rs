@@ -210,7 +210,7 @@ pub fn push_profile_rows(
 
 /// Runs E11, reporting per-slot cost, speedups, crossover and parity.
 pub fn run(opts: &ExpOptions) -> Vec<Table> {
-    let params = SinrParams::default();
+    let params = opts.params();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut t = Table::new(

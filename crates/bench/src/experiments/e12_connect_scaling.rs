@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use sinr_baselines::mst::{centroid_root, mst_bitree};
 use sinr_connectivity::{connect_with, ConnectivityResult, Strategy};
-use sinr_phy::{PowerAssignment, SinrParams};
+use sinr_phy::PowerAssignment;
 
 #[cfg(feature = "profile")]
 use super::e11_scaling::{profile_table, push_profile_rows};
@@ -95,7 +95,7 @@ fn fingerprint(r: &ConnectivityResult) -> u64 {
 /// Runs E12: per-phase wall-clock of the full pipeline, serial vs
 /// parallel engine, with a fingerprint parity gate per size.
 pub fn run(opts: &ExpOptions) -> Vec<Table> {
-    let params = SinrParams::default();
+    let params = opts.params();
     let family = Family::UniformSquare;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 

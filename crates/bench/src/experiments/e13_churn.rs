@@ -300,7 +300,7 @@ fn run_trial(
 
 /// Runs E13.
 pub fn run(opts: &ExpOptions) -> Vec<Table> {
-    let params = SinrParams::default();
+    let params = opts.params();
     let seeds = opts.ensemble_seeds();
     let driver = Ensemble::from_opts(opts);
 

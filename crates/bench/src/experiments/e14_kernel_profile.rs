@@ -70,7 +70,7 @@ fn soup_senders(
 
 /// Runs E14: per-kernel, per-phase cost of one representative slot.
 pub fn run(opts: &ExpOptions) -> Vec<Table> {
-    let params = SinrParams::default();
+    let params = opts.params();
 
     let mut t = Table::new(
         "E14: kernel phase profile (SoA field build + certified decode, one soup slot)",

@@ -13,7 +13,6 @@
 //! ladder shares the worker pool.
 
 use sinr_connectivity::init::run_init;
-use sinr_phy::SinrParams;
 
 use crate::ensemble::Ensemble;
 use crate::stats::Stats;
@@ -23,7 +22,7 @@ use crate::ExpOptions;
 
 /// Runs E1 and returns tables E1a and E1b.
 pub fn run(opts: &ExpOptions) -> Vec<Table> {
-    let params = SinrParams::default();
+    let params = opts.params();
     let cfg = opts.init_config();
     let seeds = opts.ensemble_seeds();
     let driver = Ensemble::from_opts(opts);

@@ -8,7 +8,7 @@
 
 use sinr_connectivity::selector::MeanSamplingSelector;
 use sinr_connectivity::tvc::{tree_via_capacity, TvcConfig};
-use sinr_phy::{upsilon, SinrParams};
+use sinr_phy::upsilon;
 
 use crate::ensemble::Ensemble;
 use crate::stats::Stats;
@@ -18,7 +18,7 @@ use crate::ExpOptions;
 
 /// Runs E5.
 pub fn run(opts: &ExpOptions) -> Vec<Table> {
-    let params = SinrParams::default();
+    let params = opts.params();
     let seeds = opts.ensemble_seeds();
     let driver = Ensemble::from_opts(opts);
 

@@ -36,7 +36,7 @@ enum Method {
 
 /// Runs E7.
 pub fn run(opts: &ExpOptions) -> Vec<Table> {
-    let params = SinrParams::default();
+    let params = opts.params();
     let n = if opts.quick { 64 } else { 192 };
     let seeds = opts.ensemble_seeds();
     let driver = Ensemble::from_opts(opts);

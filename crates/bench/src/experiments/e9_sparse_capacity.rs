@@ -16,7 +16,7 @@ use sinr_baselines::first_fit::{first_fit_schedule, FirstFitOrder};
 use sinr_connectivity::power_control::PowerControlConfig;
 use sinr_links::{independence, sparsity, Link, LinkSet};
 use sinr_phy::affectance::AffectanceCalc;
-use sinr_phy::{PowerAssignment, SinrParams};
+use sinr_phy::PowerAssignment;
 
 use crate::ensemble::Ensemble;
 use crate::stats::Stats;
@@ -34,7 +34,7 @@ fn mst_links(inst: &sinr_geom::Instance) -> LinkSet {
 
 /// Runs E9.
 pub fn run(opts: &ExpOptions) -> Vec<Table> {
-    let params = SinrParams::default();
+    let params = opts.params();
     let seeds = opts.ensemble_seeds();
     let driver = Ensemble::from_opts(opts);
 

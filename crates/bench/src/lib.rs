@@ -53,7 +53,8 @@ pub mod table;
 pub mod workloads;
 
 use sinr_connectivity::init::InitConfig;
-pub use sinr_connectivity::{ChannelModel, EngineBackend, EngineOptions, RepackMode, Shadowing};
+pub use sinr_connectivity::{ChannelModel, EngineBackend, RepackMode, Shadowing};
+use sinr_phy::SinrParams;
 
 /// Shared experiment options.
 #[derive(Clone, Copy, Debug)]
@@ -86,9 +87,10 @@ pub struct ExpOptions {
     /// its parity asserts; this picks which one the `repacked frac` /
     /// `pack ms` columns report.
     pub repack: RepackMode,
-    /// Channel model for every simulated pipeline (`--fade <sigma_db>`
-    /// on the runners selects a shadowed channel; the default Geometric
-    /// model reproduces the historical outputs bit for bit).
+    /// Channel of every experiment's [`SinrParams`] (`--fade
+    /// <sigma_db>` on the runners selects a shadowed channel; the
+    /// default Geometric channel reproduces the historical outputs bit
+    /// for bit).
     pub channel: ChannelModel,
 }
 
@@ -141,19 +143,15 @@ impl ExpOptions {
         }
     }
 
-    /// The selected engine-facing knobs (backend + channel model).
-    pub fn engine_options(&self) -> EngineOptions {
-        EngineOptions {
-            backend: self.backend,
-            channel: self.channel,
-        }
+    /// The workspace-default model constants on the selected channel.
+    pub fn params(&self) -> SinrParams {
+        SinrParams::default().with_channel(self.channel)
     }
 
-    /// An [`InitConfig`] honoring the selected engine backend and
-    /// channel model.
+    /// An [`InitConfig`] honoring the selected engine backend.
     pub fn init_config(&self) -> InitConfig {
         InitConfig {
-            engine: self.engine_options(),
+            backend: self.backend,
             ..Default::default()
         }
     }

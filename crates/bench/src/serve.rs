@@ -809,9 +809,7 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint(), "repeated run diverged");
         let naive = ServeConfig {
             detect: DetectConfig {
-                engine: sinr_connectivity::EngineOptions::with_backend(
-                    sinr_connectivity::EngineBackend::Naive,
-                ),
+                backend: sinr_connectivity::EngineBackend::Naive,
                 ..cfg.detect
             },
             ..cfg

@@ -3,7 +3,7 @@
 use sinr_geom::Instance;
 use sinr_links::{BiTree, LinkSet, Schedule};
 use sinr_phy::{PowerAssignment, SinrParams};
-use sinr_sim::{EngineBackend, EngineOptions};
+use sinr_sim::EngineBackend;
 
 use crate::contention::ContentionConfig;
 use crate::init::{run_init, InitConfig};
@@ -116,11 +116,11 @@ pub fn connect(
 
 /// [`connect`] with an explicit simulation-engine backend.
 ///
-/// The two backends are bit-identical in every observable output (the
+/// The backends are bit-identical in every observable output (the
 /// determinism parity gate in `tests/determinism.rs` enforces it);
 /// `Naive` exists so regressions and benchmarks can reproduce the
 /// all-pairs reference from the command line (`connect --engine
-/// naive`).
+/// naive`). The pipeline runs under the channel `params` carries.
 pub fn connect_with(
     params: &SinrParams,
     instance: &Instance,
@@ -128,28 +128,8 @@ pub fn connect_with(
     seed: u64,
     backend: EngineBackend,
 ) -> Result<ConnectivityResult> {
-    connect_opts(
-        params,
-        instance,
-        strategy,
-        seed,
-        EngineOptions::with_backend(backend),
-    )
-}
-
-/// [`connect`] with explicit [`EngineOptions`] — backend plus channel
-/// model. The Geometric channel reproduces [`connect_with`] bit for
-/// bit; a Shadowed channel runs the same pipeline under deterministic
-/// per-link log-normal fades.
-pub fn connect_opts(
-    params: &SinrParams,
-    instance: &Instance,
-    strategy: Strategy,
-    seed: u64,
-    engine: EngineOptions,
-) -> Result<ConnectivityResult> {
     let init_cfg = InitConfig {
-        engine,
+        backend,
         ..Default::default()
     };
     match strategy {
@@ -176,7 +156,7 @@ pub fn connect_opts(
                 instance,
                 &links,
                 &ContentionConfig {
-                    engine,
+                    backend,
                     ..Default::default()
                 },
                 seed.wrapping_add(0x51ed),

@@ -21,7 +21,7 @@ use std::collections::{HashMap, HashSet};
 use sinr_geom::NodeId;
 use sinr_links::Link;
 use sinr_phy::field::{FieldBuffers, FieldScratch, InterferenceField};
-use sinr_phy::{ChannelModel, PowerAssignment, SinrParams};
+use sinr_phy::{PowerAssignment, SinrParams};
 
 use crate::init::InitOutcome;
 use crate::Result;
@@ -39,7 +39,8 @@ pub struct CleanupReport {
     pub slots_used: usize,
 }
 
-/// Runs the reconciliation sweep over an [`InitOutcome`].
+/// Runs the reconciliation sweep over an [`InitOutcome`], replaying the
+/// channel `params` carries.
 ///
 /// Returns the per-holder confirmed children alongside the report; a
 /// correct sweep confirms exactly the authoritative child sets.
@@ -51,22 +52,6 @@ pub struct CleanupReport {
 pub fn reconcile_strays(
     params: &SinrParams,
     instance: &sinr_geom::Instance,
-    outcome: &InitOutcome,
-) -> Result<(HashMap<NodeId, HashSet<NodeId>>, CleanupReport)> {
-    reconcile_strays_with_model(params, instance, ChannelModel::Geometric, outcome)
-}
-
-/// [`reconcile_strays`] under an explicit [`ChannelModel`] — the sweep
-/// replays the same faded channel the run used; bit-identical to
-/// [`reconcile_strays`] under [`ChannelModel::Geometric`].
-///
-/// # Errors
-///
-/// As [`reconcile_strays`].
-pub fn reconcile_strays_with_model(
-    params: &SinrParams,
-    instance: &sinr_geom::Instance,
-    model: ChannelModel,
     outcome: &InitOutcome,
 ) -> Result<(HashMap<NodeId, HashSet<NodeId>>, CleanupReport)> {
     let power: PowerAssignment = outcome.run.power_assignment();
@@ -121,13 +106,8 @@ pub fn reconcile_strays_with_model(
         for &l in &links {
             tx.push((l.sender, power.power_of(l, instance, params)?));
         }
-        let field = InterferenceField::build_with_model(
-            params,
-            model,
-            instance,
-            &tx,
-            std::mem::take(&mut buffers),
-        );
+        let field =
+            InterferenceField::build_with(params, instance, &tx, std::mem::take(&mut buffers));
         for &(u, _) in &tx {
             busy[u] = true;
         }

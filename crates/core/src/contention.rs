@@ -32,7 +32,7 @@ use rand::Rng;
 use sinr_geom::{Instance, NodeId};
 use sinr_links::{Link, LinkSet, Schedule};
 use sinr_phy::{PowerAssignment, SinrParams};
-use sinr_sim::{Action, Engine, EngineOptions, Protocol, Reception, SlotOutcome};
+use sinr_sim::{Action, Engine, EngineBackend, Protocol, Reception, SlotOutcome};
 
 use crate::{CoreError, Result};
 
@@ -45,10 +45,10 @@ pub struct ContentionConfig {
     pub sweep_len: Option<u32>,
     /// Safety cap on slot-pairs before giving up.
     pub max_pairs: u64,
-    /// Engine-facing knobs shared by every driver config: backend (all
-    /// bit-identical; `Naive` exists for parity testing and benchmarks)
-    /// and propagation model.
-    pub engine: EngineOptions,
+    /// Channel-resolution backend of the simulation engine (all
+    /// backends are bit-identical; `Naive` exists for parity testing
+    /// and benchmarks).
+    pub backend: EngineBackend,
 }
 
 impl Default for ContentionConfig {
@@ -56,7 +56,7 @@ impl Default for ContentionConfig {
         ContentionConfig {
             sweep_len: None,
             max_pairs: 200_000,
-            engine: EngineOptions::default(),
+            backend: EngineBackend::default(),
         }
     }
 }
@@ -228,10 +228,10 @@ pub fn schedule_distributed(
 
     // Precompute data and ack powers; fail fast on missing/bad powers.
     let mut per_node: HashMap<NodeId, HashMap<Link, f64>> = HashMap::new();
-    let channel = cfg.engine.channel;
     for l in links.iter() {
         let p_data = power.power_of(l, instance, params)?;
-        let floor = channel.noise_floor_power(params, l.length(instance), l.sender, l.receiver);
+        let floor = params.noise_floor_power(l.length(instance))
+            / params.channel().fade(l.sender, l.receiver);
         if p_data <= floor {
             return Err(CoreError::Phy(sinr_phy::PhyError::PowerBelowNoiseFloor {
                 link: l,
@@ -255,7 +255,7 @@ pub fn schedule_distributed(
         .unwrap_or_else(|| (instance.len().max(2) as f64).log2().ceil() as u32 + 1)
         .max(1);
 
-    let mut engine = Engine::with_options(
+    let mut engine = Engine::with_backend(
         params,
         instance,
         |id| {
@@ -272,7 +272,7 @@ pub fn schedule_distributed(
             }
         },
         seed,
-        cfg.engine,
+        cfg.backend,
     );
 
     engine.run_until(2 * cfg.max_pairs, |nodes| {

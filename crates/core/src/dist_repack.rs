@@ -64,7 +64,7 @@ use std::time::Instant;
 use sinr_geom::Instance;
 use sinr_links::{InTree, Link, LinkSet, Schedule, ScheduleDelta};
 use sinr_phy::feasibility::{self, SlotAuditor};
-use sinr_phy::{ChannelModel, PowerAssignment, SinrParams};
+use sinr_phy::{PowerAssignment, SinrParams};
 
 use crate::repack::{RepackMode, RepackOutcome, RepackStats};
 use crate::selector::resolve_probe_slot;
@@ -85,12 +85,10 @@ struct DistSlot<'a> {
 impl<'a> DistSlot<'a> {
     /// Runs one probe/ack round for `link` against this slot. On
     /// success the link stays resident.
-    #[allow(clippy::too_many_arguments)]
     fn try_claim(
         &mut self,
         params: &'a SinrParams,
         instance: &'a Instance,
-        model: ChannelModel,
         tree: &InTree,
         link: Link,
         (pw_fwd, pw_dual): (f64, f64),
@@ -118,7 +116,7 @@ impl<'a> DistSlot<'a> {
             .extend(self.residents.iter().map(|&(l, pf, _)| (l.sender, pf)));
         round.tx.push((link.sender, pw_fwd));
         let probe = [(link, pw_fwd)];
-        if resolve_probe_slot(params, instance, model, &round.tx, &probe, 1.0).is_empty() {
+        if resolve_probe_slot(params, instance, &round.tx, &probe, 1.0).is_empty() {
             return false;
         }
         round.tx.clear();
@@ -127,7 +125,7 @@ impl<'a> DistSlot<'a> {
             .extend(self.residents.iter().map(|&(l, _, pd)| (l.receiver, pd)));
         round.tx.push((link.receiver, pw_dual));
         let ack = [(link.dual(), pw_dual)];
-        if resolve_probe_slot(params, instance, model, &round.tx, &ack, 1.0).is_empty() {
+        if resolve_probe_slot(params, instance, &round.tx, &ack, 1.0).is_empty() {
             return false;
         }
         // Resident NACKs, bit-exact: every resident receiver
@@ -135,16 +133,14 @@ impl<'a> DistSlot<'a> {
         // auditors compute exactly those decisions.
         let (fwd, dual) = self.auditors.get_or_insert_with(|| {
             (
-                SlotAuditor::with_residents_model(
+                SlotAuditor::with_residents(
                     params,
                     instance,
-                    model,
                     self.residents.iter().map(|&(l, pf, _)| (l, pf)),
                 ),
-                SlotAuditor::with_residents_model(
+                SlotAuditor::with_residents(
                     params,
                     instance,
-                    model,
                     self.residents.iter().map(|&(l, _, pd)| (l.dual(), pd)),
                 ),
             )
@@ -189,26 +185,6 @@ struct ProbeRound {
 pub fn repack_distributed(
     params: &SinrParams,
     instance: &Instance,
-    tree: &InTree,
-    power: &PowerAssignment,
-    delta: &ScheduleDelta,
-) -> RepackOutcome {
-    repack_distributed_with_model(
-        params,
-        instance,
-        ChannelModel::Geometric,
-        tree,
-        power,
-        delta,
-    )
-}
-
-/// [`repack_distributed`] under an explicit [`ChannelModel`];
-/// bit-identical to it under [`ChannelModel::Geometric`].
-pub fn repack_distributed_with_model(
-    params: &SinrParams,
-    instance: &Instance,
-    model: ChannelModel,
     tree: &InTree,
     power: &PowerAssignment,
     delta: &ScheduleDelta,
@@ -287,14 +263,8 @@ pub fn repack_distributed_with_model(
         {
             let link = Link::new(u, tree.parent(u).unwrap());
             let alone: LinkSet = std::iter::once(link).collect();
-            if !(feasibility::is_feasible_with_model(params, instance, &alone, power, model)
-                && feasibility::is_feasible_with_model(
-                    params,
-                    instance,
-                    &alone.dual(),
-                    power,
-                    model,
-                ))
+            if !(feasibility::is_feasible(params, instance, &alone, power)
+                && feasibility::is_feasible(params, instance, &alone.dual(), power))
             {
                 unschedulable.push(link);
                 continue;
@@ -324,15 +294,7 @@ pub fn repack_distributed_with_model(
                     slots.push(DistSlot::default());
                 }
                 protocol_slots += 2; // probe + ack
-                if slots[s].try_claim(
-                    params,
-                    instance,
-                    model,
-                    tree,
-                    link,
-                    (pw_fwd, pw_dual),
-                    &mut round,
-                ) {
+                if slots[s].try_claim(params, instance, tree, link, (pw_fwd, pw_dual), &mut round) {
                     break;
                 }
                 s += 1;

@@ -37,7 +37,7 @@ use rand::Rng;
 use sinr_geom::{Instance, NodeId};
 use sinr_links::{BiTree, InTree, Link, Schedule};
 use sinr_phy::{PowerAssignment, SinrParams};
-use sinr_sim::{Action, Engine, EngineOptions, Protocol, Reception, SlotOutcome};
+use sinr_sim::{Action, Engine, EngineBackend, Protocol, Reception, SlotOutcome};
 
 use crate::{CoreError, Result};
 
@@ -52,11 +52,10 @@ pub struct InitConfig {
     pub accept_shorter: bool,
     /// Extra repetitions of the top length class before giving up.
     pub extra_rounds_cap: u32,
-    /// Engine-facing knobs shared by every driver config: the
-    /// channel-resolution backend (all backends are bit-identical;
-    /// `Naive` exists for parity testing and benchmarks) and the
-    /// propagation model.
-    pub engine: EngineOptions,
+    /// Channel-resolution backend of the simulation engine (all
+    /// backends are bit-identical; `Naive` exists for parity testing
+    /// and benchmarks).
+    pub backend: EngineBackend,
 }
 
 impl Default for InitConfig {
@@ -66,7 +65,7 @@ impl Default for InitConfig {
             lambda1: 4.0,
             accept_shorter: true,
             extra_rounds_cap: 256,
-            engine: EngineOptions::default(),
+            backend: EngineBackend::default(),
         }
     }
 }
@@ -86,7 +85,7 @@ impl InitConfig {
             lambda1: 80.0 / (p * p),
             accept_shorter: false,
             extra_rounds_cap: 0,
-            engine: EngineOptions::default(),
+            backend: EngineBackend::default(),
         }
     }
 
@@ -368,7 +367,7 @@ pub fn run_init_on(
         Prepared::Trivial(run) => return Ok(*run),
         Prepared::Ready(setup) => setup,
     };
-    let mut engine = setup.build_engine(params, instance, active_mask, cfg.engine, seed);
+    let mut engine = setup.build_engine(params, instance, active_mask, cfg.backend, seed);
     engine.run_until(setup.max_slots, one_active);
     harvest(&engine, &setup)
 }
@@ -452,7 +451,7 @@ fn prepare_init(
         // Extra rounds repeat the top class.
         let class = (r0 + 1).min(num_classes);
         let hi = 2f64.powi(class as i32);
-        round_powers.push(cfg.engine.channel.min_power_for_length(params, hi));
+        round_powers.push(params.min_power_for_length(hi));
         round_windows.push((hi / 2.0, hi));
     }
     let shared = Arc::new(Shared {
@@ -476,15 +475,15 @@ impl InitSetup {
         params: &'a SinrParams,
         instance: &'a Instance,
         active_mask: &[bool],
-        options: EngineOptions,
+        backend: EngineBackend,
         seed: u64,
     ) -> Engine<'a, InitNode> {
-        Engine::with_options(
+        Engine::with_backend(
             params,
             instance,
             |id| InitNode::new(Arc::clone(&self.shared), active_mask[id]),
             seed,
-            options,
+            backend,
         )
     }
 }
@@ -755,7 +754,7 @@ pub fn run_init_with_snapshot(
         }
         Prepared::Ready(setup) => setup,
     };
-    let mut engine = setup.build_engine(params, instance, &mask, cfg.engine, seed);
+    let mut engine = setup.build_engine(params, instance, &mask, cfg.backend, seed);
     engine.run_until(snapshot_at.min(setup.max_slots), one_active);
     let snapshot =
         (engine.slot() == snapshot_at && !one_active(engine.nodes())).then(|| engine.snapshot());
@@ -796,11 +795,9 @@ pub fn resume_init(
         }
         Prepared::Ready(setup) => setup,
     };
-    let mut engine: Engine<'_, InitNode> =
-        Engine::restore_with_options(params, instance, snapshot, cfg.engine).map_err(|e| {
-            CoreError::Snapshot {
-                detail: e.to_string(),
-            }
+    let mut engine: Engine<'_, InitNode> = Engine::restore(params, instance, snapshot, cfg.backend)
+        .map_err(|e| CoreError::Snapshot {
+            detail: e.to_string(),
         })?;
     if engine.slot() > setup.max_slots {
         return Err(CoreError::Snapshot {
@@ -989,7 +986,7 @@ mod tests {
             sinr_sim::EngineBackend::Naive,
         ] {
             let resumed_cfg = InitConfig {
-                engine: EngineOptions::with_backend(backend),
+                backend,
                 ..cfg.clone()
             };
             let (outcome, tail) = resume_init(&p, &inst, &resumed_cfg, &snap).unwrap();

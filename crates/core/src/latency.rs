@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use sinr_geom::{Instance, NodeId};
 use sinr_links::{BiTree, Link};
 use sinr_phy::field::InterferenceField;
-use sinr_phy::{ChannelModel, PowerAssignment, SinrParams};
+use sinr_phy::{PowerAssignment, SinrParams};
 
 use crate::{CoreError, Result};
 
@@ -71,22 +71,6 @@ pub fn simulate_convergecast(
     bitree: &BiTree,
     power: &PowerAssignment,
 ) -> Result<ConvergecastCheck> {
-    simulate_convergecast_with_model(params, instance, ChannelModel::Geometric, bitree, power)
-}
-
-/// [`simulate_convergecast`] under an explicit [`ChannelModel`];
-/// bit-identical to it under [`ChannelModel::Geometric`].
-///
-/// # Errors
-///
-/// As [`simulate_convergecast`].
-pub fn simulate_convergecast_with_model(
-    params: &SinrParams,
-    instance: &Instance,
-    model: ChannelModel,
-    bitree: &BiTree,
-    power: &PowerAssignment,
-) -> Result<ConvergecastCheck> {
     let n = instance.len();
     let mut holding: Vec<NodeId> = (0..n).collect();
     let mut all_delivered = true;
@@ -96,8 +80,7 @@ pub fn simulate_convergecast_with_model(
     for slot_links in &slots {
         let links: Vec<Link> = slot_links.iter().collect();
         let tx = slot_transmitters(params, instance, &links, power)?;
-        let field =
-            InterferenceField::build_with_model(params, model, instance, &tx, Default::default());
+        let field = InterferenceField::build(params, instance, &tx);
         for &(u, _) in &tx {
             busy[u] = true;
         }
@@ -142,22 +125,6 @@ pub fn simulate_broadcast(
     bitree: &BiTree,
     power: &PowerAssignment,
 ) -> Result<BroadcastCheck> {
-    simulate_broadcast_with_model(params, instance, ChannelModel::Geometric, bitree, power)
-}
-
-/// [`simulate_broadcast`] under an explicit [`ChannelModel`];
-/// bit-identical to it under [`ChannelModel::Geometric`].
-///
-/// # Errors
-///
-/// As [`simulate_broadcast`].
-pub fn simulate_broadcast_with_model(
-    params: &SinrParams,
-    instance: &Instance,
-    model: ChannelModel,
-    bitree: &BiTree,
-    power: &PowerAssignment,
-) -> Result<BroadcastCheck> {
     let n = instance.len();
     let mut has_token = vec![false; n];
     has_token[bitree.tree().root()] = true;
@@ -168,8 +135,7 @@ pub fn simulate_broadcast_with_model(
     for slot_links in &slots {
         let links: Vec<Link> = slot_links.iter().collect();
         let tx = slot_transmitters(params, instance, &links, power)?;
-        let field =
-            InterferenceField::build_with_model(params, model, instance, &tx, Default::default());
+        let field = InterferenceField::build(params, instance, &tx);
         for &(u, _) in &tx {
             busy[u] = true;
         }
@@ -213,23 +179,7 @@ pub fn audit_bitree(
     bitree: &BiTree,
     power: &PowerAssignment,
 ) -> Result<(ConvergecastCheck, BroadcastCheck)> {
-    audit_bitree_with_model(params, instance, ChannelModel::Geometric, bitree, power)
-}
-
-/// [`audit_bitree`] under an explicit [`ChannelModel`]; bit-identical
-/// to it under [`ChannelModel::Geometric`].
-///
-/// # Errors
-///
-/// As [`audit_bitree`].
-pub fn audit_bitree_with_model(
-    params: &SinrParams,
-    instance: &Instance,
-    model: ChannelModel,
-    bitree: &BiTree,
-    power: &PowerAssignment,
-) -> Result<(ConvergecastCheck, BroadcastCheck)> {
-    let up = simulate_convergecast_with_model(params, instance, model, bitree, power)?;
+    let up = simulate_convergecast(params, instance, bitree, power)?;
     if !up.all_delivered || up.root_aggregate != instance.len() - 1 {
         return Err(CoreError::ConvergenceFailure {
             phase: "bi-tree audit (convergecast)",
@@ -241,7 +191,7 @@ pub fn audit_bitree_with_model(
             ),
         });
     }
-    let down = simulate_broadcast_with_model(params, instance, model, bitree, power)?;
+    let down = simulate_broadcast(params, instance, bitree, power)?;
     if !down.all_reached {
         return Err(CoreError::ConvergenceFailure {
             phase: "bi-tree audit (broadcast)",

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 
 use sinr_geom::Instance;
 use sinr_links::{Link, LinkSet};
-use sinr_phy::{feasibility, ChannelModel, PowerAssignment, SinrParams};
+use sinr_phy::{feasibility, PowerAssignment, SinrParams};
 
 use crate::{CoreError, Result};
 
@@ -63,7 +63,9 @@ pub struct PowerControlOutcome {
     pub eta_slots: u64,
 }
 
-/// Runs the Foschini–Miljanic iteration on `links`.
+/// Runs the Foschini–Miljanic iteration on `links`. The gain matrix the
+/// iteration relaxes against carries the channel's per-link fades, so
+/// the fixed point is feasible under the channel `params` carries.
 ///
 /// # Errors
 ///
@@ -75,24 +77,6 @@ pub struct PowerControlOutcome {
 pub fn foschini_miljanic(
     params: &SinrParams,
     instance: &Instance,
-    links: &LinkSet,
-    cfg: &PowerControlConfig,
-) -> Result<PowerControlOutcome> {
-    foschini_miljanic_with_model(params, instance, ChannelModel::Geometric, links, cfg)
-}
-
-/// [`foschini_miljanic`] under an explicit [`ChannelModel`]: the gain
-/// matrix the iteration relaxes against carries the per-link fades, so
-/// the fixed point is feasible under the faded channel. Bit-identical
-/// to [`foschini_miljanic`] under [`ChannelModel::Geometric`].
-///
-/// # Errors
-///
-/// As [`foschini_miljanic`].
-pub fn foschini_miljanic_with_model(
-    params: &SinrParams,
-    instance: &Instance,
-    model: ChannelModel,
     links: &LinkSet,
     cfg: &PowerControlConfig,
 ) -> Result<PowerControlOutcome> {
@@ -120,6 +104,7 @@ pub fn foschini_miljanic_with_model(
     let target = cfg.margin * params.beta();
     let alpha = params.alpha();
     let noise = params.noise();
+    let channel = params.channel();
 
     // Structural prerequisites for simultaneous feasibility with β ≥ 1:
     // distinct senders, distinct receivers, no node in both roles.
@@ -144,32 +129,21 @@ pub fn foschini_miljanic_with_model(
         .collect();
     let mut powers = start.clone();
 
-    // Precompute cross gains g[i][j] = gain(sender_j → receiver_i); the
-    // Geometric arm is the legacy `d^{-α}` expression verbatim, the
-    // Shadowed arm carries the per-link fade.
+    // Precompute cross gains g[i][j] = gain(sender_j → receiver_i),
+    // each `d^{-α}` times the pair's fade.
     let n = v.len();
     let mut gain = vec![vec![0.0f64; n]; n];
     for i in 0..n {
         for j in 0..n {
             if i != j {
                 let d = instance.distance(v[j].sender, v[i].receiver);
-                gain[i][j] = match &model {
-                    ChannelModel::Geometric => d.powf(-alpha),
-                    ChannelModel::Shadowed(s) => {
-                        d.powf(-alpha) * s.fade(v[j].sender, v[i].receiver)
-                    }
-                };
+                gain[i][j] = d.powf(-alpha) * channel.fade(v[j].sender, v[i].receiver);
             }
         }
     }
     let self_gain: Vec<f64> = v
         .iter()
-        .map(|l| match &model {
-            ChannelModel::Geometric => l.length(instance).powf(-alpha),
-            ChannelModel::Shadowed(s) => {
-                l.length(instance).powf(-alpha) * s.fade(l.sender, l.receiver)
-            }
-        })
+        .map(|l| l.length(instance).powf(-alpha) * channel.fade(l.sender, l.receiver))
         .collect();
 
     let mut iters = 0;
@@ -227,27 +201,15 @@ pub fn make_feasible(
     links: &LinkSet,
     cfg: &PowerControlConfig,
 ) -> MakeFeasibleOutcome {
-    make_feasible_with_model(params, instance, ChannelModel::Geometric, links, cfg)
-}
-
-/// [`make_feasible`] under an explicit [`ChannelModel`]; bit-identical
-/// to [`make_feasible`] under [`ChannelModel::Geometric`].
-pub fn make_feasible_with_model(
-    params: &SinrParams,
-    instance: &Instance,
-    model: ChannelModel,
-    links: &LinkSet,
-    cfg: &PowerControlConfig,
-) -> MakeFeasibleOutcome {
     let mut current = links.clone();
     let mut dropped = Vec::new();
     let mut eta_total = 0u64;
     loop {
-        if let Ok(out) = foschini_miljanic_with_model(params, instance, model, &current, cfg) {
+        if let Ok(out) = foschini_miljanic(params, instance, &current, cfg) {
             eta_total += out.eta_slots;
             // Defensive re-validation through the public checker.
             let pa = PowerAssignment::explicit(out.powers.clone()).expect("FM powers are positive");
-            if feasibility::is_feasible_with_model(params, instance, &current, &pa, model) {
+            if feasibility::is_feasible(params, instance, &current, &pa) {
                 return MakeFeasibleOutcome {
                     links: current,
                     powers: out.powers,

@@ -64,7 +64,7 @@ use sinr_geom::{Instance, NodeId};
 use sinr_links::{InTree, Link, LinkSet, Schedule, ScheduleDelta};
 use sinr_phy::feasibility::{self, SlotAuditor};
 use sinr_phy::field::{FieldBuffers, InterferenceField};
-use sinr_phy::{packing, ChannelModel, PowerAssignment, SinrParams};
+use sinr_phy::{packing, PowerAssignment, SinrParams};
 
 /// Which re-packer the dynamic pipelines run after merging a churn
 /// delta into the tree.
@@ -210,33 +210,8 @@ pub fn repack_tree(
     delta: &ScheduleDelta,
     mode: RepackMode,
 ) -> RepackOutcome {
-    repack_tree_with_model(
-        params,
-        instance,
-        ChannelModel::Geometric,
-        tree,
-        power,
-        delta,
-        mode,
-    )
-}
-
-/// [`repack_tree`] under an explicit [`ChannelModel`] — every probe,
-/// pre-filter and audit consults the faded gains; bit-identical to
-/// [`repack_tree`] under [`ChannelModel::Geometric`].
-pub fn repack_tree_with_model(
-    params: &SinrParams,
-    instance: &Instance,
-    model: ChannelModel,
-    tree: &InTree,
-    power: &PowerAssignment,
-    delta: &ScheduleDelta,
-    mode: RepackMode,
-) -> RepackOutcome {
     if mode == RepackMode::Distributed {
-        return crate::dist_repack::repack_distributed_with_model(
-            params, instance, model, tree, power, delta,
-        );
+        return crate::dist_repack::repack_distributed(params, instance, tree, power, delta);
     }
     let start = Instant::now();
     let n = tree.len();
@@ -249,8 +224,7 @@ pub fn repack_tree_with_model(
     let previous_slots = delta.previous_slots();
 
     if mode == RepackMode::Full {
-        let (schedule, unschedulable) =
-            packing::pack_tree_ordered_with_model(params, instance, model, tree, power);
+        let (schedule, unschedulable) = packing::pack_tree_ordered(params, instance, tree, power);
         let classes: BTreeSet<u32> = schedule
             .links()
             .iter()
@@ -348,8 +322,8 @@ pub fn repack_tree_with_model(
         }
         let link = Link::new(u, p);
         let alone: LinkSet = std::iter::once(link).collect();
-        if !(feasibility::is_feasible_with_model(params, instance, &alone, power, model)
-            && feasibility::is_feasible_with_model(params, instance, &alone.dual(), power, model))
+        if !(feasibility::is_feasible(params, instance, &alone, power)
+            && feasibility::is_feasible(params, instance, &alone.dual(), power))
         {
             unschedulable.push(link);
             continue;
@@ -371,15 +345,7 @@ pub fn repack_tree_with_model(
             } else {
                 &[]
             };
-            if slots[s].try_place(
-                params,
-                instance,
-                model,
-                res,
-                link,
-                (pw_fwd, pw_dual),
-                &mut arena,
-            ) {
+            if slots[s].try_place(params, instance, res, link, (pw_fwd, pw_dual), &mut arena) {
                 schedule.assign(link, s);
                 if s < previous_slots {
                     touched[s] = true;
@@ -459,7 +425,6 @@ impl<'a> SlotState<'a> {
         &mut self,
         params: &'a SinrParams,
         instance: &'a Instance,
-        model: ChannelModel,
         residents: &[(Link, f64, f64)],
         link: Link,
         (pw_fwd, pw_dual): (f64, f64),
@@ -488,16 +453,14 @@ impl<'a> SlotState<'a> {
                     let fwd_buf = arena.take_buffers();
                     let dual_buf = arena.take_buffers();
                     self.fields.insert((
-                        InterferenceField::build_with_model(
+                        InterferenceField::build_with(
                             params,
-                            model,
                             instance,
                             &arena.senders_fwd,
                             fwd_buf,
                         ),
-                        InterferenceField::build_with_model(
+                        InterferenceField::build_with(
                             params,
-                            model,
                             instance,
                             &arena.senders_dual,
                             dual_buf,
@@ -513,16 +476,14 @@ impl<'a> SlotState<'a> {
         }
         if self.auditors.is_none() {
             self.auditors = Some((
-                SlotAuditor::with_residents_model(
+                SlotAuditor::with_residents(
                     params,
                     instance,
-                    model,
                     residents.iter().map(|&(l, pf, _)| (l, pf)),
                 ),
-                SlotAuditor::with_residents_model(
+                SlotAuditor::with_residents(
                     params,
                     instance,
-                    model,
                     residents.iter().map(|&(l, _, pd)| (l.dual(), pd)),
                 ),
             ));

@@ -29,7 +29,7 @@ use sinr_links::{Link, LinkSet};
 use sinr_phy::field::InterferenceField;
 use sinr_phy::{upsilon, ChannelModel, PowerAssignment, SinrParams};
 
-use crate::power_control::{make_feasible_with_model, PowerControlConfig};
+use crate::power_control::{make_feasible, PowerControlConfig};
 use crate::{CoreError, Result};
 
 /// The subset a selector chose, with the powers that make it feasible
@@ -50,7 +50,10 @@ pub struct SelectorOutcome {
 /// Algorithm 1).
 pub trait SubsetSelector: std::fmt::Debug {
     /// Selects a feasible subset of `candidates` (aggregation links
-    /// between currently-active nodes).
+    /// between currently-active nodes) under the channel `model`.
+    /// [`tree_via_capacity`](crate::tvc::tree_via_capacity) passes
+    /// `params.channel()`; the in-tree selectors run on
+    /// `params.with_channel(model)`.
     ///
     /// # Errors
     ///
@@ -87,19 +90,12 @@ pub trait SubsetSelector: std::fmt::Debug {
 pub(crate) fn resolve_probe_slot(
     params: &SinrParams,
     instance: &Instance,
-    model: ChannelModel,
     transmitters: &[(NodeId, f64)],
     probes: &[(Link, f64)],
     threshold: f64,
 ) -> Vec<Link> {
     let tx_nodes: HashSet<NodeId> = transmitters.iter().map(|&(u, _)| u).collect();
-    let field = InterferenceField::build_with_model(
-        params,
-        model,
-        instance,
-        transmitters,
-        Default::default(),
-    );
+    let field = InterferenceField::build(params, instance, transmitters);
     let mut ok = Vec::new();
     for &(link, power) in probes {
         if tx_nodes.contains(&link.receiver) {
@@ -177,6 +173,7 @@ impl SubsetSelector for MeanSamplingSelector {
         candidates: &LinkSet,
         rng: &mut StdRng,
     ) -> Result<SelectorOutcome> {
+        let params = &params.with_channel(model);
         if !(self.config.gamma1 > 0.0 && self.config.gamma1.is_finite()) {
             return Err(CoreError::InvalidConfig {
                 name: "gamma1",
@@ -193,7 +190,7 @@ impl SubsetSelector for MeanSamplingSelector {
         let ups = upsilon(instance.len(), instance.delta());
         let q = (1.0 / (4.0 * self.config.gamma1 * ups)).clamp(self.config.min_prob.min(1.0), 1.0);
 
-        let power = PowerAssignment::mean_with_margin_model(params, &model, instance.delta());
+        let power = PowerAssignment::mean_with_margin(params, instance.delta());
 
         // Data slot: sampled senders transmit under mean power.
         let sampled: Vec<Link> = candidates.iter().filter(|_| rng.gen_bool(q)).collect();
@@ -203,7 +200,7 @@ impl SubsetSelector for MeanSamplingSelector {
             .collect::<Result<_>>()?;
         let tx_a: Vec<(NodeId, f64)> = data_probes.iter().map(|&(l, p)| (l.sender, p)).collect();
         // Success = decodable, i.e. affectance ≤ 1 (§5 equivalence).
-        let q_tilde = resolve_probe_slot(params, instance, model, &tx_a, &data_probes, 1.0);
+        let q_tilde = resolve_probe_slot(params, instance, &tx_a, &data_probes, 1.0);
 
         // Ack slot: receivers of the successful links answer over duals.
         let ack_probes: Vec<(Link, f64)> = q_tilde
@@ -211,7 +208,7 @@ impl SubsetSelector for MeanSamplingSelector {
             .map(|&l| Ok((l.dual(), power.power_of(l.dual(), instance, params)?)))
             .collect::<Result<_>>()?;
         let tx_b: Vec<(NodeId, f64)> = ack_probes.iter().map(|&(l, p)| (l.sender, p)).collect();
-        let acked_duals = resolve_probe_slot(params, instance, model, &tx_b, &ack_probes, 1.0);
+        let acked_duals = resolve_probe_slot(params, instance, &tx_b, &ack_probes, 1.0);
 
         let chosen: LinkSet = acked_duals.iter().map(|d| d.dual()).collect();
         // Both directions succeeded simultaneously under mean power (data
@@ -300,6 +297,7 @@ impl SubsetSelector for DistrCapSelector {
         candidates: &LinkSet,
         rng: &mut StdRng,
     ) -> Result<SelectorOutcome> {
+        let params = &params.with_channel(model);
         let cfg = self.config;
         if !(cfg.tau > 0.0 && cfg.tau <= 1.0) {
             return Err(CoreError::InvalidConfig {
@@ -327,7 +325,7 @@ impl SubsetSelector for DistrCapSelector {
             });
         }
 
-        let linear = PowerAssignment::linear_with_margin_model(params, &model);
+        let linear = PowerAssignment::linear_with_margin(params);
         let lin_power = |l: Link| linear.power_of(l, instance, params);
 
         let mut selected = LinkSet::new();
@@ -368,8 +366,7 @@ impl SubsetSelector for DistrCapSelector {
                     .map(|&l| Ok((l, lin_power(l)?)))
                     .collect::<Result<_>>()?;
                 tx_a.extend(probes_a.iter().map(|&(l, p)| (l.sender, p)));
-                let q_tilde =
-                    resolve_probe_slot(params, instance, model, &tx_a, &probes_a, cfg.tau / 4.0);
+                let q_tilde = resolve_probe_slot(params, instance, &tx_a, &probes_a, cfg.tau / 4.0);
 
                 // Slot B: duals of T' and (sub-sampled) duals of Q̃, at
                 // the tightened threshold γ₂τ/4.
@@ -393,7 +390,6 @@ impl SubsetSelector for DistrCapSelector {
                 let ok_duals = resolve_probe_slot(
                     params,
                     instance,
-                    model,
                     &tx_b,
                     &probes_b,
                     cfg.gamma2 * cfg.tau / 4.0,
@@ -414,12 +410,10 @@ impl SubsetSelector for DistrCapSelector {
         // direction: Lemma 18), so Foschini–Miljanic converges on both.
         // The dropping fallback never fires with the default thresholds
         // (tracked in `total_dropped`).
-        let fm_fwd =
-            make_feasible_with_model(params, instance, model, &selected, &cfg.power_control);
+        let fm_fwd = make_feasible(params, instance, &selected, &cfg.power_control);
         self.total_dropped += fm_fwd.dropped.len();
         let mut chosen = fm_fwd.links;
-        let fm_dual =
-            make_feasible_with_model(params, instance, model, &chosen.dual(), &cfg.power_control);
+        let fm_dual = make_feasible(params, instance, &chosen.dual(), &cfg.power_control);
         self.total_dropped += fm_dual.dropped.len();
         if !fm_dual.dropped.is_empty() {
             // A link whose dual cannot be powered leaves the selection;
@@ -489,8 +483,7 @@ mod tests {
             let calc = AffectanceCalc::new(&p, &inst);
             let tx_nodes: HashSet<NodeId> = tx.iter().map(|&(u, _)| u).collect();
             for threshold in [0.2, 1.0] {
-                let fast =
-                    resolve_probe_slot(&p, &inst, ChannelModel::Geometric, &tx, &probes, threshold);
+                let fast = resolve_probe_slot(&p, &inst, &tx, &probes, threshold);
                 let mut reference = Vec::new();
                 for &(link, pw) in &probes {
                     if tx_nodes.contains(&link.receiver) {

@@ -13,6 +13,10 @@
 //! individual term is clipped). The affectance of a link's own sender on
 //! the link is 0 by convention.
 //!
+//! Every gain is `path_gain(d) · fade` under the channel the parameters
+//! carry; with unit fades the expressions below reduce bit for bit to
+//! the paper's geometric forms.
+//!
 //! [`AffectanceCalc`] bundles the parameters and instance so call sites
 //! stay readable; the *noiseless* variants replace `c(u,v)` by `β`,
 //! which is the distance-only form used by the amenability function
@@ -21,7 +25,7 @@
 use sinr_geom::{Instance, NodeId};
 use sinr_links::{Link, LinkSet};
 
-use crate::{ChannelModel, PhyError, PowerAssignment, Result, SinrParams};
+use crate::{PhyError, Result, SinrParams};
 
 /// Affectance and SINR computations over one instance.
 ///
@@ -48,34 +52,19 @@ use crate::{ChannelModel, PhyError, PowerAssignment, Result, SinrParams};
 pub struct AffectanceCalc<'a> {
     params: &'a SinrParams,
     instance: &'a Instance,
-    model: ChannelModel,
 }
 
 impl<'a> AffectanceCalc<'a> {
-    /// Creates a calculator for `instance` under `params` on the clean
-    /// geometric channel (the paper's model; bit-identical legacy
-    /// behavior).
+    /// Creates a calculator for `instance` under `params` (and the
+    /// channel they carry).
     pub fn new(params: &'a SinrParams, instance: &'a Instance) -> Self {
-        AffectanceCalc {
-            params,
-            instance,
-            model: ChannelModel::Geometric,
-        }
+        AffectanceCalc { params, instance }
     }
 
-    /// Creates a calculator whose gains go through `model`. With
-    /// [`ChannelModel::Geometric`] this is exactly [`new`](Self::new).
-    pub fn with_model(params: &'a SinrParams, instance: &'a Instance, model: ChannelModel) -> Self {
-        AffectanceCalc {
-            params,
-            instance,
-            model,
-        }
-    }
-
-    /// The channel model this calculator computes gains under.
-    pub fn model(&self) -> ChannelModel {
-        self.model
+    /// The channel fade of the pair `{u, v}`.
+    #[inline]
+    fn fade(&self, u: NodeId, v: NodeId) -> f64 {
+        self.params.channel().fade(u, v)
     }
 
     /// The noise factor `c(u, v) = β / (1 − βN / (P_u·g(u,v)))`, which
@@ -88,9 +77,7 @@ impl<'a> AffectanceCalc<'a> {
     /// (the link cannot succeed even without interference).
     pub fn noise_factor(&self, link: Link, link_power: f64) -> Result<f64> {
         let d = link.length(self.instance);
-        let floor = self
-            .model
-            .noise_floor_power(self.params, d, link.sender, link.receiver);
+        let floor = self.params.noise_floor_power(d) / self.fade(link.sender, link.receiver);
         if link_power <= floor {
             return Err(PhyError::PowerBelowNoiseFloor {
                 link,
@@ -142,33 +129,13 @@ impl<'a> AffectanceCalc<'a> {
             // Interferer co-located with the receiver: unbounded term.
             return clip;
         }
-        let raw = match &self.model {
-            ChannelModel::Geometric => {
-                c * (w_power / link_power) * (d_uv / d_wv).powf(self.params.alpha())
-            }
-            // General gains: the distance ratio picks up the fade ratio
-            // `f(w,v) / f(u,v)` of the interfering and signal paths.
-            ChannelModel::Shadowed(s) => {
-                c * ((w_power * s.fade(w, link.receiver))
-                    / (link_power * s.fade(link.sender, link.receiver)))
-                    * (d_uv / d_wv).powf(self.params.alpha())
-            }
-        };
+        // The distance ratio picks up the fade ratio `f(w,v) / f(u,v)`
+        // of the interfering and signal paths.
+        let raw = c
+            * ((w_power * self.fade(w, link.receiver))
+                / (link_power * self.fade(link.sender, link.receiver)))
+            * (d_uv / d_wv).powf(self.params.alpha());
         raw.min(clip)
-    }
-
-    /// Affectance of link `from` on link `on`: `a_ℓ(ℓ') = a_{S(ℓ)}(ℓ')`.
-    ///
-    /// Paper-notation convenience with no hot-path callers since the
-    /// replay loops moved onto `field::InterferenceField` (DESIGN.md
-    /// §8.3); kept as the §5 reference surface for tests and
-    /// diagnostics.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PhyError::PowerBelowNoiseFloor`].
-    pub fn of_link(&self, from: Link, from_power: f64, on: Link, on_power: f64) -> Result<f64> {
-        self.of_sender(from.sender, from_power, on, on_power)
     }
 
     /// Total affectance `a_S(ℓ)` of a set of transmitting senders on a
@@ -187,69 +154,20 @@ impl<'a> AffectanceCalc<'a> {
         let d_uv = link.length(self.instance);
         let clip = 1.0 + self.params.epsilon();
         let alpha = self.params.alpha();
+        let denom = link_power * self.fade(link.sender, link.receiver);
         let mut total = 0.0;
-        match &self.model {
-            ChannelModel::Geometric => {
-                for &(w, pw) in senders {
-                    if w == link.sender {
-                        continue;
-                    }
-                    let d_wv = self.instance.distance(w, link.receiver);
-                    total += if d_wv == 0.0 {
-                        // Interferer co-located with the receiver: unbounded.
-                        clip
-                    } else {
-                        (c * (pw / link_power) * (d_uv / d_wv).powf(alpha)).min(clip)
-                    };
-                }
+        for &(w, pw) in senders {
+            if w == link.sender {
+                continue;
             }
-            ChannelModel::Shadowed(s) => {
-                // Loop-invariant signal-path fade, mirroring the hoisted
-                // geometric form above.
-                let denom = link_power * s.fade(link.sender, link.receiver);
-                for &(w, pw) in senders {
-                    if w == link.sender {
-                        continue;
-                    }
-                    let d_wv = self.instance.distance(w, link.receiver);
-                    total += if d_wv == 0.0 {
-                        clip
-                    } else {
-                        (c * ((pw * s.fade(w, link.receiver)) / denom) * (d_uv / d_wv).powf(alpha))
-                            .min(clip)
-                    };
-                }
-            }
-        }
-        Ok(total)
-    }
-
-    /// Total affectance `a_X(Y) = Σ_{ℓ' ∈ Y} a_{S(X)}(ℓ')` between two
-    /// link sets under a power assignment (§5).
-    ///
-    /// Deliberately all-pairs (`O(|X|·|Y|)`): it is the §5 reference
-    /// quantity for tests and one-shot diagnostics, with no hot-path
-    /// callers — thresholded set decisions on hot paths go through
-    /// `field::InterferenceField` / `feasibility::SlotAuditor`
-    /// (DESIGN.md §7–8).
-    ///
-    /// # Errors
-    ///
-    /// Propagates power-lookup and noise-floor errors.
-    pub fn set_on_set(
-        &self,
-        from: &LinkSet,
-        onto: &LinkSet,
-        power: &PowerAssignment,
-    ) -> Result<f64> {
-        let senders: Vec<(NodeId, f64)> = from
-            .iter()
-            .map(|l| Ok((l.sender, power.power_of(l, self.instance, self.params)?)))
-            .collect::<Result<_>>()?;
-        let mut total = 0.0;
-        for l in onto.iter() {
-            let pl = power.power_of(l, self.instance, self.params)?;
-            total += self.sum_on(&senders, l, pl)?;
+            let d_wv = self.instance.distance(w, link.receiver);
+            total += if d_wv == 0.0 {
+                // Interferer co-located with the receiver: unbounded.
+                clip
+            } else {
+                (c * ((pw * self.fade(w, link.receiver)) / denom) * (d_uv / d_wv).powf(alpha))
+                    .min(clip)
+            };
         }
         Ok(total)
     }
@@ -261,39 +179,19 @@ impl<'a> AffectanceCalc<'a> {
     /// feasibility checker) must handle a transmitting receiver.
     pub fn sinr(&self, link: Link, link_power: f64, interferers: &[(NodeId, f64)]) -> f64 {
         let d = link.length(self.instance);
-        match &self.model {
-            ChannelModel::Geometric => {
-                let signal = link_power * self.params.path_gain(d);
-                let mut interference = 0.0;
-                for &(w, pw) in interferers {
-                    if w == link.sender {
-                        continue;
-                    }
-                    let dwv = self.instance.distance(w, link.receiver);
-                    if dwv == 0.0 {
-                        return 0.0;
-                    }
-                    interference += pw * self.params.path_gain(dwv);
-                }
-                signal / (self.params.noise() + interference)
+        let signal = link_power * self.params.path_gain(d) * self.fade(link.sender, link.receiver);
+        let mut interference = 0.0;
+        for &(w, pw) in interferers {
+            if w == link.sender {
+                continue;
             }
-            ChannelModel::Shadowed(s) => {
-                let signal =
-                    link_power * self.params.path_gain(d) * s.fade(link.sender, link.receiver);
-                let mut interference = 0.0;
-                for &(w, pw) in interferers {
-                    if w == link.sender {
-                        continue;
-                    }
-                    let dwv = self.instance.distance(w, link.receiver);
-                    if dwv == 0.0 {
-                        return 0.0;
-                    }
-                    interference += pw * self.params.path_gain(dwv) * s.fade(w, link.receiver);
-                }
-                signal / (self.params.noise() + interference)
+            let dwv = self.instance.distance(w, link.receiver);
+            if dwv == 0.0 {
+                return 0.0;
             }
+            interference += pw * self.params.path_gain(dwv) * self.fade(w, link.receiver);
         }
+        signal / (self.params.noise() + interference)
     }
 
     /// The amenability term of Appendix B / \[14\]:
@@ -424,21 +322,6 @@ mod tests {
         // Node 1 (the receiver) also "transmitting".
         let sinr = calc.sinr(link, 100.0, &[(1, 1.0)]);
         assert_eq!(sinr, 0.0);
-    }
-
-    #[test]
-    fn set_on_set_sums() {
-        let (params, inst) = setup();
-        let calc = AffectanceCalc::new(&params, &inst);
-        let x = LinkSet::from_links(vec![Link::new(0, 1)]).unwrap();
-        let y = LinkSet::from_links(vec![Link::new(2, 3)]).unwrap();
-        let power = PowerAssignment::uniform_with_margin(&params, inst.delta());
-        let a_xy = calc.set_on_set(&x, &y, &power).unwrap();
-        assert!(a_xy > 0.0);
-        // Self-affectance of a set on itself excludes own senders but
-        // includes cross terms; with a single link it is 0.
-        let self_x = calc.set_on_set(&x, &x, &power).unwrap();
-        assert_eq!(self_x, 0.0);
     }
 
     #[test]

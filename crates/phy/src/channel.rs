@@ -1,12 +1,20 @@
 //! The channel model: who attenuates a transmission, and by how much.
 //!
-//! Every gain the physical layer computes goes through a
-//! [`ChannelModel`]. The paper's clean geometric SINR model is the
-//! [`ChannelModel::Geometric`] member — a pure distance power law,
-//! delegating to [`SinrParams::path_gain`] so existing outputs stay
-//! bit-identical. [`ChannelModel::Shadowed`] layers a deterministic
-//! per-link log-normal fade (truncated at `±clamp_db`) on top of the
-//! power law, the "log-normal shadowing" extension of Mao–Anderson.
+//! Every gain the physical layer computes is `path_gain(d) · fade`,
+//! with the fade read from the [`ChannelModel`] that
+//! [`SinrParams::channel`](crate::SinrParams::channel) carries. The
+//! paper's clean geometric SINR model is [`ChannelModel::Geometric`],
+//! whose every fade is exactly `1.0`. [`ChannelModel::Shadowed`] draws a
+//! deterministic per-link log-normal fade (truncated at `±clamp_db`),
+//! the "log-normal shadowing" extension of Mao–Anderson.
+//!
+//! # One expression per quantity
+//!
+//! The physical layer computes each quantity with one expression that
+//! multiplies or divides by the fade. IEEE-754 `x · 1.0` and `x / 1.0`
+//! return `x` bit for bit for every non-NaN `x`, and Rust never fuses a
+//! multiply into an FMA, so under `Geometric` each expression returns
+//! the bits of the plain power-law expression (DESIGN.md §15).
 //!
 //! # Determinism
 //!
@@ -25,15 +33,15 @@
 //!
 //! # Certification
 //!
-//! Truncating the fade at `±clamp_db` gives the **global gain range**
-//! `[fade_lo, fade_hi]` that [`gain_bounds`](ChannelModel::gain_bounds)
+//! Truncating the fade at `±clamp_db` gives the **global fade range**
+//! `[fade_lo, fade_hi]` that [`fade_bounds`](ChannelModel::fade_bounds)
 //! exposes; the interference field's far-field certificates multiply
 //! their distance-only bounds by `fade_hi`, widening only the
 //! certificate — never an exact fallback value (DESIGN.md §15).
 
 use sinr_geom::NodeId;
 
-use crate::{PhyError, Result, SinrParams};
+use crate::{PhyError, Result};
 
 /// SplitMix64 finalizer-based stream splitting — the exact mixer
 /// `sinr_bench::ensemble::stream_seed` and `sinr_sim::faults` use,
@@ -134,14 +142,12 @@ impl Shadowing {
 /// The channel model every gain computation routes through.
 ///
 /// An enum, not a trait object: the determinism contract (DESIGN.md §9)
-/// forbids dynamic dispatch whose vtable order could vary, and the hot
-/// loops want the `Geometric` branch to compile down to exactly the
-/// pre-API code.
+/// forbids dynamic dispatch whose vtable order could vary.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub enum ChannelModel {
     /// The paper's clean model: gain is the pure distance power law
-    /// `d^{-α}` ([`SinrParams::path_gain`]). All legacy entry points
-    /// use this member; its outputs are bit-identical to theirs.
+    /// `d^{-α}` ([`SinrParams::path_gain`](crate::SinrParams::path_gain)),
+    /// every fade exactly `1.0`.
     #[default]
     Geometric,
     /// Power law times a deterministic per-link log-normal fade.
@@ -158,15 +164,14 @@ impl ChannelModel {
         Ok(ChannelModel::Shadowed(Shadowing::new(seed, sigma_db)?))
     }
 
-    /// Whether this is the clean geometric model (the branch the hot
-    /// paths use to keep legacy expressions verbatim).
+    /// Whether this is the clean geometric model.
     #[inline]
     pub fn is_geometric(&self) -> bool {
         matches!(self, ChannelModel::Geometric)
     }
 
-    /// The fade multiplier of the unordered pair `{u, v}` (1 under
-    /// [`Geometric`](ChannelModel::Geometric)).
+    /// The fade multiplier of the unordered pair `{u, v}` (exactly 1
+    /// under [`Geometric`](ChannelModel::Geometric)).
     #[inline]
     pub fn fade(&self, u: NodeId, v: NodeId) -> f64 {
         match self {
@@ -181,49 +186,6 @@ impl ChannelModel {
         match self {
             ChannelModel::Geometric => (1.0, 1.0),
             ChannelModel::Shadowed(s) => s.fade_bounds(),
-        }
-    }
-
-    /// The gain of the link `u → v` over distance `d`:
-    /// `path_gain(d) · fade(u, v)`.
-    ///
-    /// Under `Geometric` this **is** `params.path_gain(d)` — same
-    /// expression, same bits.
-    #[inline]
-    pub fn gain(&self, params: &SinrParams, d: f64, u: NodeId, v: NodeId) -> f64 {
-        match self {
-            ChannelModel::Geometric => params.path_gain(d),
-            ChannelModel::Shadowed(s) => params.path_gain(d) * s.fade(u, v),
-        }
-    }
-
-    /// The range `[lo, hi]` containing the gain of **any** link whose
-    /// distance lies in `[d_lo, d_hi]` — the certified-field interface:
-    /// far-field bounds consume `hi`, never a per-link value.
-    pub fn gain_bounds(&self, params: &SinrParams, d_lo: f64, d_hi: f64) -> (f64, f64) {
-        let (f_lo, f_hi) = self.fade_bounds();
-        (params.path_gain(d_hi) * f_lo, params.path_gain(d_lo) * f_hi)
-    }
-
-    /// The minimum power for a link of length `len` under the
-    /// worst-case fade: [`SinrParams::min_power_for_length`] divided by
-    /// the deepest fade, so the §5 noise-factor requirement holds for
-    /// every realization. Bit-identical to the params method under
-    /// `Geometric`.
-    pub fn min_power_for_length(&self, params: &SinrParams, len: f64) -> f64 {
-        match self {
-            ChannelModel::Geometric => params.min_power_for_length(len),
-            ChannelModel::Shadowed(s) => params.min_power_for_length(len) / s.fade_bounds().0,
-        }
-    }
-
-    /// The exact noise floor of the link `u → v` of length `len`:
-    /// `βN / gain(u, v)`. Bit-identical to
-    /// [`SinrParams::noise_floor_power`] under `Geometric`.
-    pub fn noise_floor_power(&self, params: &SinrParams, len: f64, u: NodeId, v: NodeId) -> f64 {
-        match self {
-            ChannelModel::Geometric => params.noise_floor_power(len),
-            ChannelModel::Shadowed(s) => params.noise_floor_power(len) / s.fade(u, v),
         }
     }
 
@@ -279,58 +241,27 @@ mod tests {
     }
 
     #[test]
-    fn geometric_member_is_bit_identical_to_params() {
-        let p = SinrParams::default();
+    fn geometric_fades_are_exactly_one() {
         let m = ChannelModel::Geometric;
-        for d in [0.5, 1.0, 3.7, 128.0] {
-            assert_eq!(m.gain(&p, d, 0, 1).to_bits(), p.path_gain(d).to_bits());
-            assert_eq!(
-                m.min_power_for_length(&p, d).to_bits(),
-                p.min_power_for_length(d).to_bits()
-            );
-            assert_eq!(
-                m.noise_floor_power(&p, d, 0, 1).to_bits(),
-                p.noise_floor_power(d).to_bits()
-            );
-            assert_eq!(m.fade(0, 1), 1.0);
-            assert_eq!(m.fade_bounds(), (1.0, 1.0));
-        }
+        assert_eq!(m.fade(0, 1).to_bits(), 1f64.to_bits());
+        assert_eq!(m.fade_bounds(), (1.0, 1.0));
         assert!(m.is_geometric());
         assert!(!ChannelModel::shadowed(0, 3.0).unwrap().is_geometric());
     }
 
     #[test]
-    fn gain_bounds_contain_every_gain_in_the_distance_range() {
-        let p = SinrParams::default();
-        for model in [
-            ChannelModel::Geometric,
-            ChannelModel::shadowed(3, 6.0).unwrap(),
-        ] {
-            let (d_lo, d_hi) = (2.0, 9.0);
-            let (g_lo, g_hi) = model.gain_bounds(&p, d_lo, d_hi);
-            for i in 0..50usize {
-                let d = d_lo + (d_hi - d_lo) * (i as f64) / 49.0;
-                for (u, v) in [(0, 1), (5, 17), (30, 2)] {
-                    let g = model.gain(&p, d, u, v);
-                    assert!(
-                        g >= g_lo && g <= g_hi,
-                        "{model:?}: gain {g} ∉ [{g_lo}, {g_hi}]"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn shadowed_min_power_clears_the_deepest_fade() {
-        let p = SinrParams::default();
+        let geometric = crate::SinrParams::default();
         let m = ChannelModel::shadowed(9, 6.0).unwrap();
+        let p = geometric.with_channel(m);
         for len in [1.0, 4.0, 32.0] {
-            let power = m.min_power_for_length(&p, len);
+            let power = p.min_power_for_length(len);
+            assert!(power > geometric.min_power_for_length(len));
             // Even at the deepest fade the noise factor stays ≤ 2β:
             // P · g ≥ 2βN for every pair.
             for (u, v) in [(0, 1), (7, 8), (100, 3)] {
-                assert!(power * m.gain(&p, len, u, v) >= 2.0 * p.beta() * p.noise() * 0.999_999);
+                let gain = p.path_gain(len) * m.fade(u, v);
+                assert!(power * gain >= 2.0 * p.beta() * p.noise() * 0.999_999);
             }
         }
     }

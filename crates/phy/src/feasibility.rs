@@ -16,7 +16,7 @@ use sinr_geom::{Instance, NodeId};
 use sinr_links::{Link, LinkSet, Schedule};
 
 use crate::affectance::AffectanceCalc;
-use crate::{ChannelModel, PhyError, PowerAssignment, SinrParams};
+use crate::{PhyError, PowerAssignment, SinrParams};
 
 /// Why a link failed within its slot.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -90,19 +90,7 @@ pub fn check(
     links: &LinkSet,
     power: &PowerAssignment,
 ) -> FeasibilityReport {
-    check_with_model(params, instance, links, power, ChannelModel::Geometric)
-}
-
-/// [`check`] under an explicit [`ChannelModel`]; the Geometric model is
-/// bit-identical to [`check`].
-pub fn check_with_model(
-    params: &SinrParams,
-    instance: &Instance,
-    links: &LinkSet,
-    power: &PowerAssignment,
-    model: ChannelModel,
-) -> FeasibilityReport {
-    let calc = AffectanceCalc::with_model(params, instance, model);
+    let calc = AffectanceCalc::new(params, instance);
     let mut report = FeasibilityReport {
         checked: links.len(),
         ..Default::default()
@@ -153,7 +141,8 @@ pub fn check_with_model(
             });
             continue;
         }
-        if p_l <= model.noise_floor_power(params, l.length(instance), l.sender, l.receiver) {
+        let fade = params.channel().fade(l.sender, l.receiver);
+        if p_l <= params.noise_floor_power(l.length(instance)) / fade {
             report.violations.push(Violation {
                 link: l,
                 sinr: 0.0,
@@ -185,17 +174,6 @@ pub fn is_feasible(
     check(params, instance, links, power).is_feasible()
 }
 
-/// Shorthand for `check_with_model(..).is_feasible()`.
-pub fn is_feasible_with_model(
-    params: &SinrParams,
-    instance: &Instance,
-    links: &LinkSet,
-    power: &PowerAssignment,
-    model: ChannelModel,
-) -> bool {
-    check_with_model(params, instance, links, power, model).is_feasible()
-}
-
 /// Validates that every slot of `schedule` is feasible under `power`.
 ///
 /// # Errors
@@ -207,23 +185,8 @@ pub fn validate_schedule(
     schedule: &Schedule,
     power: &PowerAssignment,
 ) -> Result<(), PhyError> {
-    validate_schedule_with_model(params, instance, schedule, power, ChannelModel::Geometric)
-}
-
-/// [`validate_schedule`] under an explicit [`ChannelModel`].
-///
-/// # Errors
-///
-/// Returns [`PhyError::InfeasibleSlot`] for the first offending slot.
-pub fn validate_schedule_with_model(
-    params: &SinrParams,
-    instance: &Instance,
-    schedule: &Schedule,
-    power: &PowerAssignment,
-    model: ChannelModel,
-) -> Result<(), PhyError> {
     for (slot, links) in schedule.slots().iter().enumerate() {
-        let report = check_with_model(params, instance, links, power, model);
+        let report = check(params, instance, links, power);
         if let Some(v) = report.violations.first() {
             return Err(PhyError::InfeasibleSlot {
                 slot,
@@ -257,7 +220,6 @@ pub fn validate_schedule_with_model(
 pub struct SlotAuditor<'a> {
     params: &'a SinrParams,
     instance: &'a Instance,
-    model: ChannelModel,
     links: Vec<Link>,
     /// Per-link transmit power (resolved by the caller).
     powers: Vec<f64>,
@@ -281,18 +243,11 @@ pub struct SlotAuditor<'a> {
 }
 
 impl<'a> SlotAuditor<'a> {
-    /// Creates an empty auditor for one slot (Geometric channel,
-    /// bit-identical legacy behavior).
+    /// Creates an empty auditor for one slot.
     pub fn new(params: &'a SinrParams, instance: &'a Instance) -> Self {
-        SlotAuditor::with_model(params, instance, ChannelModel::Geometric)
-    }
-
-    /// Creates an empty auditor under an explicit [`ChannelModel`].
-    pub fn with_model(params: &'a SinrParams, instance: &'a Instance, model: ChannelModel) -> Self {
         SlotAuditor {
             params,
             instance,
-            model,
             links: Vec::new(),
             powers: Vec::new(),
             signals: Vec::new(),
@@ -324,21 +279,6 @@ impl<'a> SlotAuditor<'a> {
         auditor
     }
 
-    /// [`with_residents`](Self::with_residents) under an explicit
-    /// [`ChannelModel`].
-    pub fn with_residents_model<I: IntoIterator<Item = (Link, f64)>>(
-        params: &'a SinrParams,
-        instance: &'a Instance,
-        model: ChannelModel,
-        residents: I,
-    ) -> Self {
-        let mut auditor = SlotAuditor::with_model(params, instance, model);
-        for (link, power) in residents {
-            auditor.push(link, power);
-        }
-        auditor
-    }
-
     /// Number of links currently in the slot.
     pub fn len(&self) -> usize {
         self.links.len()
@@ -362,55 +302,29 @@ impl<'a> SlotAuditor<'a> {
         snapshot.extend_from_slice(&self.interference);
         self.undo.push(snapshot);
         let len = link.length(self.instance);
-        let mut acc = 0.0;
-        match &self.model {
-            ChannelModel::Geometric => {
-                // New sender's term lands on every resident receiver…
-                for (i, l) in self.links.iter().enumerate() {
-                    if link.sender != l.sender {
-                        let d = self.instance.distance(link.sender, l.receiver);
-                        self.interference[i] += power * self.params.path_gain(d);
-                    }
-                }
-                // …and the new link accumulates every resident sender's
-                // term, left to right, exactly as the naive sum would.
-                for (l, &p) in self.links.iter().zip(&self.powers) {
-                    if l.sender != link.sender {
-                        let d = self.instance.distance(l.sender, link.receiver);
-                        acc += p * self.params.path_gain(d);
-                    }
-                }
-            }
-            ChannelModel::Shadowed(s) => {
-                for (i, l) in self.links.iter().enumerate() {
-                    if link.sender != l.sender {
-                        let d = self.instance.distance(link.sender, l.receiver);
-                        self.interference[i] +=
-                            power * self.params.path_gain(d) * s.fade(link.sender, l.receiver);
-                    }
-                }
-                for (l, &p) in self.links.iter().zip(&self.powers) {
-                    if l.sender != link.sender {
-                        let d = self.instance.distance(l.sender, link.receiver);
-                        acc += p * self.params.path_gain(d) * s.fade(l.sender, link.receiver);
-                    }
-                }
+        let channel = self.params.channel();
+        // New sender's term lands on every resident receiver…
+        for (i, l) in self.links.iter().enumerate() {
+            if link.sender != l.sender {
+                let d = self.instance.distance(link.sender, l.receiver);
+                self.interference[i] +=
+                    power * self.params.path_gain(d) * channel.fade(link.sender, l.receiver);
             }
         }
+        // …and the new link accumulates every resident sender's term,
+        // left to right, exactly as the naive sum would.
+        let mut acc = 0.0;
+        for (l, &p) in self.links.iter().zip(&self.powers) {
+            if l.sender != link.sender {
+                let d = self.instance.distance(l.sender, link.receiver);
+                acc += p * self.params.path_gain(d) * channel.fade(l.sender, link.receiver);
+            }
+        }
+        let fade = channel.fade(link.sender, link.receiver);
         self.links.push(link);
         self.powers.push(power);
-        self.signals.push(match &self.model {
-            ChannelModel::Geometric => power * self.params.path_gain(len),
-            ChannelModel::Shadowed(s) => {
-                power * self.params.path_gain(len) * s.fade(link.sender, link.receiver)
-            }
-        });
-        self.floors.push(self.model.noise_floor_power(
-            self.params,
-            len,
-            link.sender,
-            link.receiver,
-        ));
+        self.signals.push(power * self.params.path_gain(len) * fade);
+        self.floors.push(self.params.noise_floor_power(len) / fade);
         self.interference.push(acc);
         *self.sender_counts.entry(link.sender).or_insert(0) += 1;
     }
@@ -494,20 +408,6 @@ pub fn measured_affectance(
     transmitters: &[(NodeId, f64)],
 ) -> Option<f64> {
     AffectanceCalc::new(params, instance)
-        .sum_on(transmitters, link, link_power)
-        .ok()
-}
-
-/// [`measured_affectance`] under an explicit [`ChannelModel`].
-pub fn measured_affectance_with(
-    params: &SinrParams,
-    instance: &Instance,
-    model: ChannelModel,
-    link: Link,
-    link_power: f64,
-    transmitters: &[(NodeId, f64)],
-) -> Option<f64> {
-    AffectanceCalc::with_model(params, instance, model)
         .sum_on(transmitters, link, link_power)
         .ok()
 }

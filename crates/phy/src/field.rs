@@ -34,7 +34,7 @@ use sinr_geom::{Instance, NodeId, Point, WeightedCellGrid};
 use sinr_links::Link;
 
 use crate::affectance::AffectanceCalc;
-use crate::{ChannelModel, Result, SinrParams};
+use crate::{Result, SinrParams};
 
 /// Relative guard factor applied to every certified bound.
 ///
@@ -72,21 +72,7 @@ pub fn decode_best_exact(
     v: NodeId,
     senders: &[(NodeId, f64)],
 ) -> Option<(NodeId, f64, f64)> {
-    decode_best_exact_with_model(params, ChannelModel::Geometric, instance, v, senders)
-}
-
-/// [`decode_best_exact`] under an arbitrary [`ChannelModel`] — the
-/// reference decode semantics with every gain routed through the model.
-/// With [`ChannelModel::Geometric`] this **is** `decode_best_exact`,
-/// bit for bit.
-pub fn decode_best_exact_with_model(
-    params: &SinrParams,
-    model: ChannelModel,
-    instance: &Instance,
-    v: NodeId,
-    senders: &[(NodeId, f64)],
-) -> Option<(NodeId, f64, f64)> {
-    let calc = AffectanceCalc::with_model(params, instance, model);
+    let calc = AffectanceCalc::new(params, instance);
     let mut best: Option<(NodeId, f64, f64)> = None;
     for &(u, pu) in senders {
         debug_assert_ne!(u, v, "listeners never appear among transmitters");
@@ -263,13 +249,13 @@ enum CandState {
 /// is built for exactly that access pattern.
 #[derive(Debug)]
 pub struct InterferenceField<'a> {
+    /// The model constants and the channel every gain — near-field
+    /// term, far-field certificate, and exact fallback — goes through.
+    /// The far-field bounds multiply by the channel's `fade_hi`: a
+    /// truncated fade only ever *widens* the certificate, never an
+    /// exact value.
     params: &'a SinrParams,
     instance: &'a Instance,
-    /// The channel model every gain — near-field term, far-field
-    /// certificate, and exact fallback — routes through. The far-field
-    /// bounds consume the model's `gain_bounds`: a truncated fade only
-    /// ever *widens* the certificate by `fade_hi`, never an exact value.
-    model: ChannelModel,
     /// Insertion-ordered `(sender, power)` pairs — the canonical naive
     /// summation order for exact fallbacks.
     senders: Vec<(NodeId, f64)>,
@@ -328,19 +314,6 @@ impl<'a> InterferenceField<'a> {
         senders: &[(NodeId, f64)],
         buffers: FieldBuffers,
     ) -> Self {
-        Self::build_with_model(params, ChannelModel::Geometric, instance, senders, buffers)
-    }
-
-    /// [`build_with`](Self::build_with) under an arbitrary
-    /// [`ChannelModel`]. With [`ChannelModel::Geometric`] this is
-    /// exactly `build_with` (the legacy constructors delegate here).
-    pub fn build_with_model(
-        params: &'a SinrParams,
-        model: ChannelModel,
-        instance: &'a Instance,
-        senders: &[(NodeId, f64)],
-        buffers: FieldBuffers,
-    ) -> Self {
         debug_assert!(
             senders
                 .iter()
@@ -356,7 +329,7 @@ impl<'a> InterferenceField<'a> {
         // O(MAX_CELLS_PER_AXIS) regardless of where a query lands.
         let span = instance.delta().max(1.0);
         let max_power = senders.iter().fold(0.0f64, |m, &(_, p)| m.max(p));
-        let radius = Self::decode_radius_for(params, &model, max_power);
+        let radius = Self::decode_radius_for(params, max_power);
         let cell = if radius.is_finite() && radius > 0.0 {
             radius.clamp(span / MAX_CELLS_PER_AXIS, span)
         } else {
@@ -377,17 +350,10 @@ impl<'a> InterferenceField<'a> {
         InterferenceField {
             params,
             instance,
-            model,
             senders: sender_buf,
             grid,
             max_power,
         }
-    }
-
-    /// The channel model this field certifies under.
-    #[inline]
-    pub fn model(&self) -> ChannelModel {
-        self.model
     }
 
     /// Dismantles the field, recovering its allocations for the next
@@ -455,15 +421,11 @@ impl<'a> InterferenceField<'a> {
     /// handful of float roundings between the real-arithmetic bound and
     /// the engine's computed `S/N`. Infinite when `N = 0`.
     ///
-    /// Under a fading model the best realizable gain at distance `d` is
-    /// `path_gain(d) · fade_hi` ([`ChannelModel::gain_bounds`]), so the
-    /// cutoff uses the effective power `P · fade_hi` — a wider radius,
-    /// never a narrower one.
-    fn decode_radius_for(params: &SinrParams, model: &ChannelModel, power: f64) -> f64 {
-        let power = match model {
-            ChannelModel::Geometric => power,
-            ChannelModel::Shadowed(s) => power * s.fade_bounds().1,
-        };
+    /// Under a fading channel the best realizable gain at distance `d`
+    /// is `path_gain(d) · fade_hi`, so the cutoff uses the effective
+    /// power `P · fade_hi` — a wider radius, never a narrower one.
+    fn decode_radius_for(params: &SinrParams, power: f64) -> f64 {
+        let power = power * params.channel().fade_bounds().1;
         if params.noise() > 0.0 && power > 0.0 {
             (power * (1.0 + RADIUS_CUSHION) / (params.beta() * params.noise()))
                 .powf(1.0 / params.alpha())
@@ -481,13 +443,13 @@ impl<'a> InterferenceField<'a> {
     /// which surviving slot groupings a churn delta can possibly
     /// disturb.
     pub fn decode_radius(&self) -> f64 {
-        Self::decode_radius_for(self.params, &self.model, self.max_power)
+        Self::decode_radius_for(self.params, self.max_power)
     }
 
-    /// The model-aware exact decode over this field's senders, in
-    /// canonical order — the fallback every certified path defers to.
+    /// The exact decode over this field's senders, in canonical order —
+    /// the fallback every certified path defers to.
     fn decode_exact(&self, v: NodeId) -> Option<(NodeId, f64, f64)> {
-        decode_best_exact_with_model(self.params, self.model, self.instance, v, &self.senders)
+        decode_best_exact(self.params, self.instance, v, &self.senders)
     }
 
     /// Which transmitter, if any, listener `v` decodes — bit-identical
@@ -508,7 +470,7 @@ impl<'a> InterferenceField<'a> {
             return None;
         }
         scratch.stats.queries += 1;
-        let radius = Self::decode_radius_for(self.params, &self.model, self.max_power);
+        let radius = Self::decode_radius_for(self.params, self.max_power);
         if self.senders.len() <= SMALL_SLOT || !radius.is_finite() {
             scratch.stats.small_exact += 1;
             let t0 = scratch.clock();
@@ -518,6 +480,7 @@ impl<'a> InterferenceField<'a> {
         }
         let noise = self.params.noise();
         let beta = self.params.beta();
+        let channel = self.params.channel();
         let pos_v = self.instance.position(v);
 
         // Candidate decodable senders. Everyone outside `radius` is
@@ -541,12 +504,7 @@ impl<'a> InterferenceField<'a> {
             self.grid
                 .for_each_member_near(pos_v, radius, |u, _, power| {
                     let d = self.instance.distance(u, v);
-                    let signal = match &self.model {
-                        ChannelModel::Geometric => power * self.params.path_gain(d),
-                        ChannelModel::Shadowed(s) => {
-                            power * self.params.path_gain(d) * s.fade(u, v)
-                        }
-                    };
+                    let signal = power * self.params.path_gain(d) * channel.fade(u, v);
                     if signal / noise >= beta {
                         cand_ids.push(u);
                         cand_powers.push(power);
@@ -572,51 +530,34 @@ impl<'a> InterferenceField<'a> {
         let mut cells_seen = 0usize;
         let mut undecided = scratch.cand_states.len();
         let max_ring = self.grid.max_ring_from(pos_v);
+        let fade_hi = channel.fade_bounds().1;
         let mut ring = 0i64;
         while ring <= max_ring {
             scratch.stats.rings += 1;
-            cells_seen += self
-                .grid
-                .for_each_ring_cell(pos_v, ring, |cv| match &self.model {
-                    ChannelModel::Geometric => {
-                        let (xs, ys, ws) = (cv.xs(), cv.ys(), cv.ws());
-                        for i in 0..ws.len() {
-                            acc += ws[i]
-                                * self
-                                    .params
-                                    .path_gain(pos_v.distance(Point::new(xs[i], ys[i])));
-                            seen_w += ws[i];
-                        }
-                    }
-                    ChannelModel::Shadowed(s) => {
-                        let (ids, xs, ys, ws) = (cv.ids(), cv.xs(), cv.ys(), cv.ws());
-                        for i in 0..ws.len() {
-                            acc += ws[i]
-                                * self
-                                    .params
-                                    .path_gain(pos_v.distance(Point::new(xs[i], ys[i])))
-                                * s.fade(ids[i], v);
-                            seen_w += ws[i];
-                        }
-                    }
-                });
+            cells_seen += self.grid.for_each_ring_cell(pos_v, ring, |cv| {
+                let (ids, xs, ys, ws) = (cv.ids(), cv.xs(), cv.ys(), cv.ws());
+                for i in 0..ws.len() {
+                    acc += ws[i]
+                        * self
+                            .params
+                            .path_gain(pos_v.distance(Point::new(xs[i], ys[i])))
+                        * channel.fade(ids[i], v);
+                    seen_w += ws[i];
+                }
+            });
             let all_seen = cells_seen == occupied;
             // Every unvisited sender is beyond `ring · cell` (ring
             // geometry), so its term is below `weight · gain(ring·cell)`
-            // — times the best realizable fade under a fading model
-            // (per-link gain ranges: the certificate widens, exact
-            // values never change).
+            // times the best realizable fade (per-link gain ranges: the
+            // certificate widens, exact values never change).
             let far = if all_seen {
                 0.0
             } else {
                 let min_d = ring as f64 * cell;
                 if min_d > 0.0 {
-                    let base = ((total_w - seen_w).max(0.0) + GUARD * total_w)
-                        * self.params.path_gain(min_d);
-                    match &self.model {
-                        ChannelModel::Geometric => base,
-                        ChannelModel::Shadowed(s) => base * s.fade_bounds().1,
-                    }
+                    ((total_w - seen_w).max(0.0) + GUARD * total_w)
+                        * self.params.path_gain(min_d)
+                        * fade_hi
                 } else {
                     f64::INFINITY
                 }
@@ -678,7 +619,7 @@ impl<'a> InterferenceField<'a> {
         // Report the canonical value: the naive-order sum for the one
         // certified winner (β ≥ 1 with N > 0 makes it unique).
         let t0 = scratch.clock();
-        let calc = AffectanceCalc::with_model(self.params, self.instance, self.model);
+        let calc = AffectanceCalc::new(self.params, self.instance);
         let sinr = calc.sinr(Link::new(winner_u, v), winner_power, &self.senders);
         FieldScratch::lap(t0, &mut scratch.times.fallback);
         if sinr >= beta {
@@ -712,7 +653,7 @@ impl<'a> InterferenceField<'a> {
         link_power: f64,
         threshold: f64,
     ) -> Result<Option<bool>> {
-        let calc = AffectanceCalc::with_model(self.params, self.instance, self.model);
+        let calc = AffectanceCalc::new(self.params, self.instance);
         if self.senders.len() <= SMALL_SLOT {
             return Ok(Some(
                 calc.sum_on(&self.senders, link, link_power)? <= threshold,
@@ -723,17 +664,13 @@ impl<'a> InterferenceField<'a> {
         // Raw (unclipped) affectance of a sender at distance d is
         // `coeff · p · gain(d)`; clipping only lowers terms, so the raw
         // form upper-bounds the far field while enumerated terms use
-        // the exact clipped expression. Under shadowing the interferer
-        // fades are unknown until enumerated, so the certificate folds
-        // the fade ceiling into the coefficient (widening only).
+        // the exact clipped expression. The interferer fades are unknown
+        // until enumerated, so the certificate folds the fade ceiling
+        // into the coefficient (widening only).
+        let channel = self.params.channel();
         let d_uv = link.length(self.instance);
-        let coeff = match &self.model {
-            ChannelModel::Geometric => c * d_uv.powf(self.params.alpha()) / link_power,
-            ChannelModel::Shadowed(s) => {
-                c * d_uv.powf(self.params.alpha()) * s.fade_bounds().1
-                    / (link_power * s.fade(link.sender, link.receiver))
-            }
-        };
+        let coeff = c * d_uv.powf(self.params.alpha()) * channel.fade_bounds().1
+            / (link_power * channel.fade(link.sender, link.receiver));
 
         let total_w = self.grid.total_weight();
         let cell = self.grid.cell_size();
@@ -799,17 +736,12 @@ impl<'a> InterferenceField<'a> {
             return self.sinr_exact(link, link_power) >= threshold;
         }
         let noise = self.params.noise();
+        let channel = self.params.channel();
         let pos_v = self.instance.position(link.receiver);
-        let signal = match &self.model {
-            ChannelModel::Geometric => {
-                link_power * self.params.path_gain(link.length(self.instance))
-            }
-            ChannelModel::Shadowed(s) => {
-                link_power
-                    * self.params.path_gain(link.length(self.instance))
-                    * s.fade(link.sender, link.receiver)
-            }
-        };
+        let signal = link_power
+            * self.params.path_gain(link.length(self.instance))
+            * channel.fade(link.sender, link.receiver);
+        let fade_hi = channel.fade_bounds().1;
 
         let total_w = self.grid.total_weight();
         let cell = self.grid.cell_size();
@@ -820,51 +752,32 @@ impl<'a> InterferenceField<'a> {
         let max_ring = self.grid.max_ring_from(pos_v);
         let mut ring = 0i64;
         while ring <= max_ring {
-            cells_seen += self
-                .grid
-                .for_each_ring_cell(pos_v, ring, |cv| match &self.model {
-                    ChannelModel::Geometric => {
-                        let (ids, xs, ys, ws) = (cv.ids(), cv.xs(), cv.ys(), cv.ws());
-                        for i in 0..ws.len() {
-                            if ids[i] != link.sender {
-                                // An interferer co-located with the receiver
-                                // drives `acc` to infinity; the certification
-                                // below then never fires and the exact
-                                // fallback reproduces the canonical 0-SINR.
-                                acc += ws[i]
-                                    * self
-                                        .params
-                                        .path_gain(pos_v.distance(Point::new(xs[i], ys[i])));
-                            }
-                            seen_w += ws[i];
-                        }
+            cells_seen += self.grid.for_each_ring_cell(pos_v, ring, |cv| {
+                let (ids, xs, ys, ws) = (cv.ids(), cv.xs(), cv.ys(), cv.ws());
+                for i in 0..ws.len() {
+                    if ids[i] != link.sender {
+                        // An interferer co-located with the receiver
+                        // drives `acc` to infinity; the certification
+                        // below then never fires and the exact
+                        // fallback reproduces the canonical 0-SINR.
+                        acc += ws[i]
+                            * self
+                                .params
+                                .path_gain(pos_v.distance(Point::new(xs[i], ys[i])))
+                            * channel.fade(ids[i], link.receiver);
                     }
-                    ChannelModel::Shadowed(s) => {
-                        let (ids, xs, ys, ws) = (cv.ids(), cv.xs(), cv.ys(), cv.ws());
-                        for i in 0..ws.len() {
-                            if ids[i] != link.sender {
-                                acc += ws[i]
-                                    * self
-                                        .params
-                                        .path_gain(pos_v.distance(Point::new(xs[i], ys[i])))
-                                    * s.fade(ids[i], link.receiver);
-                            }
-                            seen_w += ws[i];
-                        }
-                    }
-                });
+                    seen_w += ws[i];
+                }
+            });
             let all_seen = cells_seen == occupied;
             let far = if all_seen {
                 0.0
             } else {
                 let min_d = ring as f64 * cell;
                 if min_d > 0.0 {
-                    let base = ((total_w - seen_w).max(0.0) + GUARD * total_w)
-                        * self.params.path_gain(min_d);
-                    match &self.model {
-                        ChannelModel::Geometric => base,
-                        ChannelModel::Shadowed(s) => base * s.fade_bounds().1,
-                    }
+                    ((total_w - seen_w).max(0.0) + GUARD * total_w)
+                        * self.params.path_gain(min_d)
+                        * fade_hi
                 } else {
                     f64::INFINITY
                 }
@@ -897,21 +810,13 @@ impl<'a> InterferenceField<'a> {
     ///
     /// Propagates the noise-floor error.
     pub fn sum_on_exact(&self, link: Link, link_power: f64) -> Result<f64> {
-        AffectanceCalc::with_model(self.params, self.instance, self.model).sum_on(
-            &self.senders,
-            link,
-            link_power,
-        )
+        AffectanceCalc::new(self.params, self.instance).sum_on(&self.senders, link, link_power)
     }
 
     /// The exact SINR of `link` against this field's senders, in
     /// canonical order — bit-identical to [`AffectanceCalc::sinr`].
     pub fn sinr_exact(&self, link: Link, link_power: f64) -> f64 {
-        AffectanceCalc::with_model(self.params, self.instance, self.model).sinr(
-            link,
-            link_power,
-            &self.senders,
-        )
+        AffectanceCalc::new(self.params, self.instance).sinr(link, link_power, &self.senders)
     }
 }
 

@@ -12,15 +12,15 @@
 //! - [`feasibility`] — per-slot feasibility of link sets, including the
 //!   half-duplex rule, whole-schedule validation, and the incremental
 //!   [`feasibility::SlotAuditor`] used by the packers;
-//! - [`channel`] — the [`ChannelModel`] every gain computation routes
-//!   through: the paper's geometric power law (bit-identical to the
-//!   legacy `SinrParams` path), plus deterministic log-normal
-//!   [`Shadowing`] whose truncated per-link fades give the certified
-//!   field a finite gain range (DESIGN.md §15);
+//! - [`channel`] — the [`ChannelModel`] that [`SinrParams`] carries and
+//!   every gain multiplies in: the paper's geometric power law (every
+//!   fade exactly 1), plus deterministic log-normal [`Shadowing`] whose
+//!   truncated per-link fades give the certified field a finite gain
+//!   range (DESIGN.md §15);
 //! - [`field`] — the spatially-indexed interference field: certified
 //!   thresholded queries over a grid-bucketed transmitter set,
 //!   bit-identical to the naive all-pairs path (DESIGN.md §7), with
-//!   far-field bounds widened by the model's `gain_bounds`;
+//!   far-field bounds widened by the channel's largest fade;
 //! - [`upsilon`] — the oblivious-power cost ratio
 //!   `Υ = O(log log Δ + log n)`.
 //!

@@ -1,8 +1,9 @@
 //! SINR model parameters.
 
-use crate::{PhyError, Result};
+use crate::{ChannelModel, PhyError, Result};
 
-/// The constants of the SINR model (Eqn 1 of the paper).
+/// The constants of the SINR model (Eqn 1 of the paper), plus the
+/// channel that scales each link's gain.
 ///
 /// A transmission from `u` to `v` succeeds iff
 ///
@@ -17,7 +18,10 @@ use crate::{PhyError, Result};
 ///   assumes this for its acknowledgment protocol);
 /// - `noise` — ambient noise `N ≥ 0`;
 /// - `epsilon` — the clip constant of thresholded affectance (§5),
-///   "some arbitrary fixed constant (say 0.1)".
+///   "some arbitrary fixed constant (say 0.1)";
+/// - `channel` — the [`ChannelModel`] whose per-pair fade multiplies
+///   the power law `d^{-α}`. The default, [`ChannelModel::Geometric`],
+///   is the paper's clean model: every fade is exactly `1.0`.
 ///
 /// # Example
 ///
@@ -29,35 +33,18 @@ use crate::{PhyError, Result};
 /// # Ok::<(), sinr_phy::PhyError>(())
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
-// Serde support lives in `crate::serde_impls` (feature `serde`), via
-// the `(α, β, N, ε)` tuple conversions below: deserialization
-// re-validates the parameter domains.
+// Serde support lives in `crate::serde_impls` (feature `serde`):
+// deserialization re-validates the parameter domains and the channel.
 pub struct SinrParams {
     alpha: f64,
     beta: f64,
     noise: f64,
     epsilon: f64,
-}
-
-impl From<SinrParams> for (f64, f64, f64, f64) {
-    /// Extracts `(α, β, N, ε)`.
-    fn from(p: SinrParams) -> Self {
-        (p.alpha, p.beta, p.noise, p.epsilon)
-    }
-}
-
-impl TryFrom<(f64, f64, f64, f64)> for SinrParams {
-    type Error = PhyError;
-
-    /// Validating conversion ([`SinrParams::new`]): deserialized
-    /// parameters re-run domain validation.
-    fn try_from((alpha, beta, noise, epsilon): (f64, f64, f64, f64)) -> Result<Self> {
-        SinrParams::new(alpha, beta, noise, epsilon)
-    }
+    channel: ChannelModel,
 }
 
 impl SinrParams {
-    /// Creates and validates a parameter set.
+    /// Creates and validates a parameter set on the geometric channel.
     ///
     /// # Errors
     ///
@@ -93,7 +80,20 @@ impl SinrParams {
             beta,
             noise,
             epsilon,
+            channel: ChannelModel::Geometric,
         })
+    }
+
+    /// The same parameters on `channel`.
+    #[must_use]
+    pub fn with_channel(self, channel: ChannelModel) -> Self {
+        SinrParams { channel, ..self }
+    }
+
+    /// The channel every gain of this model goes through.
+    #[inline]
+    pub fn channel(&self) -> ChannelModel {
+        self.channel
     }
 
     /// Path-loss exponent `α`.
@@ -121,6 +121,7 @@ impl SinrParams {
     }
 
     /// Signal attenuation over distance `d`: `d^{-α}` (∞ at `d = 0`).
+    /// A link's gain is this times its [`fade`](ChannelModel::fade).
     #[inline]
     pub fn path_gain(&self, d: f64) -> f64 {
         d.powf(-self.alpha)
@@ -133,17 +134,23 @@ impl SinrParams {
     ///
     /// With zero noise any positive power works; we return `len^α` so
     /// the value stays usable as a uniform-power default.
+    ///
+    /// The power is divided by the channel's deepest fade, so the
+    /// requirement holds for every pair; the geometric channel divides
+    /// by exactly `1.0`.
     pub fn min_power_for_length(&self, len: f64) -> f64 {
         let base = len.powf(self.alpha);
-        if self.noise == 0.0 {
+        let power = if self.noise == 0.0 {
             base
         } else {
             2.0 * self.beta * self.noise * base
-        }
+        };
+        power / self.channel.fade_bounds().0
     }
 
     /// The hard noise floor below which a link of length `len` cannot
-    /// succeed even alone: `βN·len^α` (exclusive bound).
+    /// succeed even alone: `βN·len^α` (exclusive bound) at unit fade. A
+    /// faded link's floor is this divided by its fade.
     pub fn noise_floor_power(&self, len: f64) -> f64 {
         self.beta * self.noise * len.powf(self.alpha)
     }
@@ -157,6 +164,7 @@ impl Default for SinrParams {
             beta: 2.0,
             noise: 1.0,
             epsilon: 0.1,
+            channel: ChannelModel::Geometric,
         }
     }
 }

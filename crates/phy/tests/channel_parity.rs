@@ -1,16 +1,18 @@
-//! ChannelModel parity gates (DESIGN.md §15).
+//! Channel parity gates (DESIGN.md §15).
 //!
-//! The gain-path redesign's contract has two halves:
+//! The channel lives in `SinrParams`, and every gain is one expression
+//! that multiplies by the pair's fade. The contract has two halves:
 //!
-//! 1. **Geometric is the legacy power law, bit for bit.** Every
-//!    model-routed quantity (`gain`, `min_power_for_length`,
-//!    `noise_floor_power`, the field's decode) must reproduce the
-//!    pre-redesign `SinrParams` expressions exactly — not approximately
-//!    — so the committed fingerprints and `BENCH_*.json` snapshots
-//!    survive the refactor untouched.
-//! 2. **Certification only widens.** Under any model, the field's
-//!    certified decode must equal the exact naive-order reference
-//!    ([`decode_best_exact_with_model`]): the fade-widened far-field
+//! 1. **The geometric channel is the plain power law, bit for bit.**
+//!    This file carries its own reference, written with the geometric
+//!    expressions (`p · d^{-α}`, summed in naive order, no fade
+//!    anywhere). The field decode, `sinr_at_least`, `sum_on_at_most`,
+//!    the `SlotAuditor`'s decisions and `AffectanceCalc::{sinr, sum_on}`
+//!    must reproduce it exactly — not approximately — so the unit fade
+//!    provably changes no committed fingerprint or `BENCH_*.json`.
+//! 2. **Certification only widens.** Under a shadowed channel, the
+//!    field's certified decode must equal the exact naive-order
+//!    reference ([`decode_best_exact`]): the fade-widened far-field
 //!    bounds may cost certainty (forcing fallbacks), never correctness
 //!    (flipping a decision).
 //!
@@ -20,17 +22,14 @@
 use proptest::prelude::*;
 use sinr_geom::{gen, Instance, NodeId};
 use sinr_links::Link;
-use sinr_phy::field::{decode_best_exact, decode_best_exact_with_model, InterferenceField};
+use sinr_phy::affectance::AffectanceCalc;
+use sinr_phy::feasibility::SlotAuditor;
+use sinr_phy::field::{decode_best_exact, InterferenceField};
 use sinr_phy::{ChannelModel, PowerAssignment, Shadowing, SinrParams};
 
-/// Sender set for one slot: every `stride`-th node transmits with the
-/// family's power for its nearest-neighbor uplink.
-fn make_senders(
-    params: &SinrParams,
-    inst: &Instance,
-    tau: usize,
-    stride: usize,
-) -> Vec<(NodeId, f64)> {
+/// One slot: every `stride`-th node transmits over its nearest-neighbor
+/// uplink with the family's power for that link.
+fn make_links(params: &SinrParams, inst: &Instance, tau: usize, stride: usize) -> Vec<(Link, f64)> {
     let power = match tau {
         0 => PowerAssignment::uniform_with_margin(params, inst.delta()),
         1 => PowerAssignment::mean_with_margin(params, inst.delta()),
@@ -41,75 +40,191 @@ fn make_senders(
         .step_by(stride.max(2))
         .filter_map(|u| {
             let (v, _) = grid.nearest_neighbor(u)?;
-            let p = power.power_of(Link::new(u, v), inst, params).ok()?;
-            (p.is_finite() && p > 0.0).then_some((u, p))
+            let link = Link::new(u, v);
+            let p = power.power_of(link, inst, params).ok()?;
+            (p.is_finite() && p > 0.0).then_some((link, p))
         })
         .collect()
+}
+
+fn senders_of(links: &[(Link, f64)]) -> Vec<(NodeId, f64)> {
+    links.iter().map(|&(l, p)| (l.sender, p)).collect()
+}
+
+fn transmitting(inst: &Instance, senders: &[(NodeId, f64)]) -> Vec<bool> {
+    let mut t = vec![false; inst.len()];
+    for &(u, _) in senders {
+        t[u] = true;
+    }
+    t
 }
 
 fn bits(r: Option<(NodeId, f64, f64)>) -> Option<(NodeId, u64, u64)> {
     r.map(|(u, p, s)| (u, p.to_bits(), s.to_bits()))
 }
 
+/// The geometric reference: `P · d^{-α}` gains, naive summation order.
+mod reference {
+    use super::*;
+
+    pub fn sinr(
+        params: &SinrParams,
+        inst: &Instance,
+        link: Link,
+        power: f64,
+        senders: &[(NodeId, f64)],
+    ) -> f64 {
+        let alpha = params.alpha();
+        let signal = power * link.length(inst).powf(-alpha);
+        let mut interference = 0.0;
+        for &(w, pw) in senders {
+            if w == link.sender {
+                continue;
+            }
+            let d = inst.distance(w, link.receiver);
+            if d == 0.0 {
+                return 0.0;
+            }
+            interference += pw * d.powf(-alpha);
+        }
+        signal / (params.noise() + interference)
+    }
+
+    /// `None` when the power does not clear the noise floor.
+    pub fn sum_on(
+        params: &SinrParams,
+        inst: &Instance,
+        link: Link,
+        power: f64,
+        senders: &[(NodeId, f64)],
+    ) -> Option<f64> {
+        let alpha = params.alpha();
+        let d_uv = link.length(inst);
+        let floor = params.beta() * params.noise() * d_uv.powf(alpha);
+        if power <= floor {
+            return None;
+        }
+        let c = params.beta() / (1.0 - floor / power);
+        let clip = 1.0 + params.epsilon();
+        let mut total = 0.0;
+        for &(w, pw) in senders {
+            if w == link.sender {
+                continue;
+            }
+            let d_wv = inst.distance(w, link.receiver);
+            total += if d_wv == 0.0 {
+                clip
+            } else {
+                (c * (pw / power) * (d_uv / d_wv).powf(alpha)).min(clip)
+            };
+        }
+        Some(total)
+    }
+
+    pub fn decode(
+        params: &SinrParams,
+        inst: &Instance,
+        v: NodeId,
+        senders: &[(NodeId, f64)],
+    ) -> Option<(NodeId, f64, f64)> {
+        let mut best: Option<(NodeId, f64, f64)> = None;
+        for &(u, pu) in senders {
+            let s = sinr(params, inst, Link::new(u, v), pu, senders);
+            if s >= params.beta() && best.map_or(true, |(_, _, bs)| s > bs) {
+                best = Some((u, pu, s));
+            }
+        }
+        best
+    }
+
+    /// `feasibility::check(..).is_feasible()` with geometric gains.
+    pub fn feasible(params: &SinrParams, inst: &Instance, links: &[(Link, f64)]) -> bool {
+        let senders = senders_of(links);
+        links.iter().all(|&(l, p)| {
+            let half_duplex = senders.iter().any(|&(w, _)| w == l.receiver);
+            let duplicate = senders.iter().filter(|&&(w, _)| w == l.sender).count() > 1;
+            let floor = params.beta() * params.noise() * l.length(inst).powf(params.alpha());
+            !half_duplex
+                && !duplicate
+                && p > floor
+                && sinr(params, inst, l, p, &senders) >= params.beta() * (1.0 - 1e-12)
+        })
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Half 1: the Geometric member of the enum is the legacy gain
-    /// path to the bit — scalar quantities and the full certified
-    /// field decode, across power families and sender counts.
+    /// Half 1: on the geometric channel every fade-multiplied expression
+    /// returns the plain power-law bits — the certified field queries,
+    /// the incremental auditor and the affectance calculator alike.
     #[test]
-    fn geometric_model_is_legacy_bits(
+    fn geometric_channel_is_the_plain_power_law(
         seed in 0u64..5_000,
         n in 16usize..200,
         tau in 0usize..3,
         stride in 2usize..6,
     ) {
         let params = SinrParams::default();
+        prop_assert!(params.channel().is_geometric());
         let inst = gen::uniform_square(n, 1.5, seed).unwrap();
-        let model = ChannelModel::Geometric;
+        let links = make_links(&params, &inst, tau, stride);
+        let senders = senders_of(&links);
+        prop_assume!(!senders.is_empty());
+        let field = InterferenceField::build(&params, &inst, &senders);
+        let calc = AffectanceCalc::new(&params, &inst);
+        let tx = transmitting(&inst, &senders);
 
-        // Scalar parity on sampled pairs.
-        for u in (0..inst.len()).step_by(5) {
-            let v = (u + 1) % inst.len();
-            let d = inst.distance(u, v);
+        for v in (0..inst.len()).filter(|&v| !tx[v]) {
             prop_assert_eq!(
-                model.gain(&params, d, u, v).to_bits(),
-                params.path_gain(d).to_bits()
-            );
-            prop_assert_eq!(
-                model.min_power_for_length(&params, d).to_bits(),
-                params.min_power_for_length(d).to_bits()
-            );
-            prop_assert_eq!(
-                model.noise_floor_power(&params, d, u, v).to_bits(),
-                params.noise_floor_power(d).to_bits()
+                bits(field.decode_best(v)),
+                bits(reference::decode(&params, &inst, v, &senders)),
+                "listener {} decode", v
             );
         }
 
-        // Field parity: the model-routed build and the legacy build
-        // decode every listener identically, and both equal the exact
-        // reference (certification never flips a decision).
-        let senders = make_senders(&params, &inst, tau, stride);
-        prop_assume!(!senders.is_empty());
-        let legacy = InterferenceField::build(&params, &inst, &senders);
-        let routed =
-            InterferenceField::build_with_model(&params, model, &inst, &senders, Default::default());
-        let transmitting: Vec<bool> = {
-            let mut t = vec![false; inst.len()];
-            for &(u, _) in &senders { t[u] = true; }
-            t
-        };
-        for v in (0..inst.len()).filter(|&v| !transmitting[v]) {
-            let got = routed.decode_best(v);
-            prop_assert_eq!(bits(got), bits(legacy.decode_best(v)));
-            prop_assert_eq!(bits(got), bits(decode_best_exact(&params, &inst, v, &senders)));
+        for &(u, p) in senders.iter().take(12) {
+            for v in (0..inst.len()).filter(|&v| !tx[v]).take(6) {
+                let link = Link::new(u, v);
+                let sinr = reference::sinr(&params, &inst, link, p, &senders);
+                prop_assert_eq!(calc.sinr(link, p, &senders).to_bits(), sinr.to_bits());
+                for thr in [params.beta(), params.beta() * (1.0 - 1e-12), sinr] {
+                    prop_assert_eq!(field.sinr_at_least(link, p, thr), sinr >= thr);
+                }
+                let sum = reference::sum_on(&params, &inst, link, p, &senders);
+                prop_assert_eq!(
+                    calc.sum_on(&senders, link, p).ok().map(f64::to_bits),
+                    sum.map(f64::to_bits)
+                );
+                if let Some(sum) = sum {
+                    for thr in [0.25, 1.0, sum] {
+                        if let Some(decision) = field.sum_on_at_most(link, p, thr).unwrap() {
+                            prop_assert_eq!(decision, sum <= thr);
+                        }
+                    }
+                }
+            }
+        }
+
+        // The auditor's push/probe/pop decisions against the geometric
+        // whole-set check, link by link.
+        let mut auditor = SlotAuditor::new(&params, &inst);
+        let mut resident: Vec<(Link, f64)> = Vec::new();
+        for &(link, p) in &links {
+            let mut probe = resident.clone();
+            probe.push((link, p));
+            let want = reference::feasible(&params, &inst, &probe);
+            prop_assert_eq!(auditor.try_push(link, p), want, "auditor on {:?}", link);
+            if want {
+                resident = probe;
+            }
         }
     }
 
     /// Half 2: under a shadowed channel the certified decode still
     /// equals the exact naive-order reference — the fade-widened
     /// far-field certificates are sound, and `sinr_at_least` agrees
-    /// with the exact SINR comparison on every tree link.
+    /// with the exact SINR comparison.
     #[test]
     fn shadowed_field_decode_matches_exact_reference(
         seed in 0u64..5_000,
@@ -117,31 +232,25 @@ proptest! {
         tau in 0usize..3,
         sigma_tenths in 20u32..100,
     ) {
-        let params = SinrParams::default();
-        let inst = gen::uniform_square(n, 1.5, seed).unwrap();
         let sigma = f64::from(sigma_tenths) / 10.0;
-        let model =
-            ChannelModel::Shadowed(Shadowing::new(seed ^ 0xFADE, sigma).unwrap());
-        let senders = make_senders(&params, &inst, tau, 3);
+        let channel = ChannelModel::Shadowed(Shadowing::new(seed ^ 0xFADE, sigma).unwrap());
+        let params = SinrParams::default().with_channel(channel);
+        let inst = gen::uniform_square(n, 1.5, seed).unwrap();
+        let senders = senders_of(&make_links(&params, &inst, tau, 3));
         prop_assume!(!senders.is_empty());
-        let field =
-            InterferenceField::build_with_model(&params, model, &inst, &senders, Default::default());
-        let transmitting: Vec<bool> = {
-            let mut t = vec![false; inst.len()];
-            for &(u, _) in &senders { t[u] = true; }
-            t
-        };
-        for v in (0..inst.len()).filter(|&v| !transmitting[v]) {
+        let field = InterferenceField::build(&params, &inst, &senders);
+        let tx = transmitting(&inst, &senders);
+        for v in (0..inst.len()).filter(|&v| !tx[v]) {
             prop_assert_eq!(
                 bits(field.decode_best(v)),
-                bits(decode_best_exact_with_model(&params, model, &inst, v, &senders)),
+                bits(decode_best_exact(&params, &inst, v, &senders)),
                 "listener {} diverged from the exact reference", v
             );
         }
         // Threshold queries: certificates may only widen, so the
         // boolean must match the exact comparison everywhere.
         for &(u, p) in senders.iter().take(12) {
-            for v in (0..inst.len()).filter(|&v| !transmitting[v]).take(6) {
+            for v in (0..inst.len()).filter(|&v| !tx[v]).take(6) {
                 let link = Link::new(u, v);
                 prop_assert_eq!(
                     field.sinr_at_least(link, p, params.beta()),

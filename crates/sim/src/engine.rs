@@ -8,10 +8,9 @@ use rand::{Rng, SeedableRng};
 use sinr_geom::{Instance, NodeId};
 use sinr_links::Link;
 use sinr_phy::field::{
-    decode_best_exact_with_model, FieldBuffers, FieldScratch, InterferenceField, PhaseTimes,
-    QueryStats,
+    decode_best_exact, FieldBuffers, FieldScratch, InterferenceField, PhaseTimes, QueryStats,
 };
-use sinr_phy::{feasibility, ChannelModel, SinrParams};
+use sinr_phy::{feasibility, SinrParams};
 
 use crate::faults::FaultPlan;
 use crate::pool::with_pool;
@@ -110,44 +109,6 @@ pub enum EngineBackend {
 /// the work.
 pub const PARALLEL_MIN_NODES: usize = 64;
 
-/// The engine-facing knobs every driver config shares: how the channel
-/// phase is resolved ([`EngineBackend`]) and which propagation model it
-/// resolves ([`ChannelModel`]). One struct instead of per-config copies,
-/// so a new pipeline stage plumbs both with a single field.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct EngineOptions {
-    /// Channel-resolution backend (naive / grid / parallel).
-    pub backend: EngineBackend,
-    /// Propagation model (geometric power law or deterministic
-    /// log-normal shadowing).
-    pub channel: ChannelModel,
-}
-
-impl EngineOptions {
-    /// Options with an explicit backend and the default Geometric
-    /// channel — the drop-in replacement for a bare backend field.
-    pub fn with_backend(backend: EngineBackend) -> Self {
-        EngineOptions {
-            backend,
-            channel: ChannelModel::Geometric,
-        }
-    }
-
-    /// Options with an explicit channel model on the default backend.
-    pub fn with_channel(channel: ChannelModel) -> Self {
-        EngineOptions {
-            backend: EngineBackend::default(),
-            channel,
-        }
-    }
-}
-
-impl From<EngineBackend> for EngineOptions {
-    fn from(backend: EngineBackend) -> Self {
-        EngineOptions::with_backend(backend)
-    }
-}
-
 impl EngineBackend {
     /// Short label (`naive` / `grid` / `parallel`) for CLIs and tables.
     pub fn label(&self) -> &'static str {
@@ -236,7 +197,6 @@ pub struct Engine<'a, P: Protocol> {
     slot: u64,
     stats: EngineStats,
     backend: EngineBackend,
-    channel: ChannelModel,
     scratch: FieldScratch,
     arena: SlotArena<P::Msg>,
     field_stats: QueryStats,
@@ -257,7 +217,8 @@ impl<'a, P: Protocol + std::fmt::Debug> std::fmt::Debug for Engine<'a, P> {
 
 impl<'a, P: Protocol> Engine<'a, P> {
     /// Creates an engine with one protocol state per node, built by
-    /// `make_node`, and per-node RNG streams derived from `seed`.
+    /// `make_node`, and per-node RNG streams derived from `seed`. Gains
+    /// go through the channel `params` carries.
     ///
     /// Uses the default [`EngineBackend::Grid`] channel resolution; use
     /// [`with_backend`](Engine::with_backend) to select explicitly.
@@ -274,28 +235,9 @@ impl<'a, P: Protocol> Engine<'a, P> {
     pub fn with_backend(
         params: &'a SinrParams,
         instance: &'a Instance,
-        make_node: impl FnMut(NodeId) -> P,
-        seed: u64,
-        backend: EngineBackend,
-    ) -> Self {
-        Self::with_options(
-            params,
-            instance,
-            make_node,
-            seed,
-            EngineOptions::with_backend(backend),
-        )
-    }
-
-    /// [`new`](Engine::new) with explicit [`EngineOptions`] — backend
-    /// plus channel model. The Geometric channel is bit-identical to
-    /// the pre-model engine on every backend.
-    pub fn with_options(
-        params: &'a SinrParams,
-        instance: &'a Instance,
         mut make_node: impl FnMut(NodeId) -> P,
         seed: u64,
-        options: EngineOptions,
+        backend: EngineBackend,
     ) -> Self {
         let n = instance.len();
         let mut seeder = StdRng::seed_from_u64(seed);
@@ -310,8 +252,7 @@ impl<'a, P: Protocol> Engine<'a, P> {
             rngs,
             slot: 0,
             stats: EngineStats::default(),
-            backend: options.backend,
-            channel: options.channel,
+            backend,
             scratch: FieldScratch::default(),
             arena: SlotArena::default(),
             field_stats: QueryStats::default(),
@@ -351,12 +292,6 @@ impl<'a, P: Protocol> Engine<'a, P> {
     #[inline]
     pub fn backend(&self) -> EngineBackend {
         self.backend
-    }
-
-    /// The propagation model in use.
-    #[inline]
-    pub fn channel(&self) -> ChannelModel {
-        self.channel
     }
 
     /// The next slot index to execute.
@@ -435,7 +370,7 @@ impl<'a, P: Protocol> Engine<'a, P> {
         let ctx = SlotCtx::build(
             self.params,
             self.instance,
-            (self.backend, self.channel),
+            self.backend,
             slot,
             actions,
             (transmitters, buffers),
@@ -707,7 +642,6 @@ impl<'a, P: Protocol> Engine<'a, P> {
         let params = self.params;
         let instance = self.instance;
         let backend = self.backend;
-        let channel = self.channel;
         let chunk = n.div_ceil(threads);
         // Workers time their own decode phases and return the counters
         // with each chunk; the driving thread merges and records them,
@@ -752,7 +686,7 @@ impl<'a, P: Protocol> Engine<'a, P> {
                     let ctx = Arc::new(SlotCtx::build(
                         params,
                         instance,
-                        (backend, channel),
+                        backend,
                         slot,
                         actions,
                         (transmitters, buffers),
@@ -857,26 +791,6 @@ impl<'a, P: Protocol> Engine<'a, P> {
     where
         P: serde::de::DeserializeOwned,
     {
-        Self::restore_with_options(
-            params,
-            instance,
-            snapshot,
-            EngineOptions::with_backend(backend),
-        )
-    }
-
-    /// [`restore`](Self::restore) with explicit [`EngineOptions`]. The
-    /// channel model, like the backend, is immutable input: a snapshot
-    /// replays bit-identically only under the model it was taken with.
-    pub fn restore_with_options(
-        params: &'a SinrParams,
-        instance: &'a Instance,
-        snapshot: &crate::snapshot::EngineSnapshot,
-        options: EngineOptions,
-    ) -> Result<Self, serde::Error>
-    where
-        P: serde::de::DeserializeOwned,
-    {
         if snapshot.nodes.len() != instance.len() || snapshot.rngs.len() != instance.len() {
             return Err(serde::Error::custom(format!(
                 "snapshot holds {} nodes / {} RNG streams, instance has {}",
@@ -902,8 +816,7 @@ impl<'a, P: Protocol> Engine<'a, P> {
             rngs,
             slot: snapshot.slot,
             stats: snapshot.stats,
-            backend: options.backend,
-            channel: options.channel,
+            backend,
             scratch: FieldScratch::default(),
             arena: SlotArena::default(),
             field_stats: QueryStats::default(),
@@ -926,7 +839,6 @@ type SlotJob<'a, M> = (Arc<SlotCtx<'a, M>>, Vec<SlotOutcome<M>>);
 struct SlotCtx<'a, M> {
     params: &'a SinrParams,
     instance: &'a Instance,
-    channel: ChannelModel,
     actions: Vec<Action<M>>,
     transmitters: Vec<(NodeId, f64)>,
     field: Option<InterferenceField<'a>>,
@@ -959,7 +871,7 @@ impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
     fn build(
         params: &'a SinrParams,
         instance: &'a Instance,
-        (backend, channel): (EngineBackend, ChannelModel),
+        backend: EngineBackend,
         slot: u64,
         actions: Vec<Action<M>>,
         (mut transmitters, buffers): (Vec<(NodeId, f64)>, FieldBuffers),
@@ -982,9 +894,8 @@ impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
             EngineBackend::Naive => (None, Some(buffers)),
             _ if transmitters.is_empty() => (None, Some(buffers)),
             _ => (
-                Some(InterferenceField::build_with_model(
+                Some(InterferenceField::build_with(
                     params,
-                    channel,
                     instance,
                     &transmitters,
                     buffers,
@@ -995,7 +906,6 @@ impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
         SlotCtx {
             params,
             instance,
-            channel,
             actions,
             transmitters,
             field,
@@ -1023,13 +933,7 @@ impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
             Action::Listen => {
                 let decoded = match &self.field {
                     Some(f) => f.decode_best_with(id, scratch),
-                    None => decode_best_exact_with_model(
-                        self.params,
-                        self.channel,
-                        self.instance,
-                        id,
-                        &self.transmitters,
-                    ),
+                    None => decode_best_exact(self.params, self.instance, id, &self.transmitters),
                 };
                 match decoded {
                     Some((from, power, sinr)) => {
@@ -1043,10 +947,9 @@ impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
                             let link = Link::new(from, id);
                             scratch
                                 .time_fallback(|| {
-                                    feasibility::measured_affectance_with(
+                                    feasibility::measured_affectance(
                                         self.params,
                                         self.instance,
-                                        self.channel,
                                         link,
                                         power,
                                         &self.transmitters,

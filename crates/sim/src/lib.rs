@@ -63,8 +63,6 @@ pub mod snapshot;
 #[cfg(feature = "trace")]
 pub mod trace;
 
-pub use engine::{
-    Engine, EngineBackend, EngineOptions, EngineStats, SlotReport, PARALLEL_MIN_NODES,
-};
+pub use engine::{Engine, EngineBackend, EngineStats, SlotReport, PARALLEL_MIN_NODES};
 pub use faults::{FaultEvent, FaultMix, FaultPlan};
 pub use protocol::{Action, Protocol, Reception, SlotOutcome};

@@ -18,8 +18,7 @@
 use std::fmt::Write as _;
 
 use sinr_connect_suite::connectivity::{
-    connect, connect_opts, connect_with, ChannelModel, ConnectivityResult, EngineBackend,
-    EngineOptions, Strategy,
+    connect, connect_with, ChannelModel, ConnectivityResult, EngineBackend, Strategy,
 };
 use sinr_connect_suite::geom::{gen, Instance};
 use sinr_connect_suite::phy::SinrParams;
@@ -127,8 +126,7 @@ fn grid_engine_is_byte_identical_to_naive_on_every_family() {
 /// channel on every strategy × family pair, repeated runs included.
 #[test]
 fn shadowed_channel_is_backend_and_thread_invariant() {
-    let params = SinrParams::default();
-    let channel = ChannelModel::shadowed(0x5AD, 6.0).unwrap();
+    let params = SinrParams::default().with_channel(ChannelModel::shadowed(0x5AD, 6.0).unwrap());
     let backends = [
         EngineBackend::Naive,
         EngineBackend::Grid,
@@ -140,8 +138,7 @@ fn shadowed_channel_is_backend_and_thread_invariant() {
         for strategy in Strategy::ALL {
             let mut want: Option<String> = None;
             for backend in backends {
-                let opts = EngineOptions { backend, channel };
-                let run = connect_opts(&params, &inst, strategy, 123, opts)
+                let run = connect_with(&params, &inst, strategy, 123, backend)
                     .unwrap_or_else(|e| panic!("{family}/{strategy}/{backend:?}: {e}"));
                 let got = fingerprint(&run);
                 match &want {
@@ -166,13 +163,8 @@ fn shadowed_channel_is_seed_sensitive() {
     let params = SinrParams::default();
     let inst = gen::uniform_square(32, 1.5, 23).unwrap();
     let run = |channel: ChannelModel| {
-        let opts = EngineOptions {
-            backend: EngineBackend::Grid,
-            channel,
-        };
-        fingerprint(
-            &connect_opts(&params, &inst, Strategy::TvcArbitrary, 123, opts).expect("connects"),
-        )
+        let params = params.with_channel(channel);
+        fingerprint(&connect(&params, &inst, Strategy::TvcArbitrary, 123).expect("connects"))
     };
     let geometric = run(ChannelModel::Geometric);
     let fade_a = run(ChannelModel::shadowed(1, 6.0).unwrap());
@@ -181,6 +173,70 @@ fn shadowed_channel_is_seed_sensitive() {
     assert_ne!(fade_a, fade_b, "fade streams insensitive to their seed");
     // And each is reproducible: same channel, same bytes.
     assert_eq!(fade_a, run(ChannelModel::shadowed(1, 6.0).unwrap()));
+}
+
+/// FNV-1a over the canonical fingerprint text.
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Pinned outputs of the geometric channel: every strategy on the
+/// `connect` CLI's uniform and clustered instances (n = 64, instance
+/// and algorithm seed 7). The values were recorded before the channel
+/// moved into `SinrParams`, so the unit fade is held to the old bytes —
+/// tree, both schedules and every power bit — not merely to itself.
+#[test]
+fn geometric_connect_fingerprints_are_pinned() {
+    use sinr_bench::workloads::Family;
+    let pinned = [
+        (
+            Family::UniformSquare,
+            Strategy::InitOnly,
+            0xac0a_135f_2f84_2b0d,
+        ),
+        (
+            Family::UniformSquare,
+            Strategy::MeanReschedule,
+            0x935e_2911_2494_c1d5,
+        ),
+        (
+            Family::UniformSquare,
+            Strategy::TvcMean,
+            0x8813_2b47_381b_e4ce,
+        ),
+        (
+            Family::UniformSquare,
+            Strategy::TvcArbitrary,
+            0x7ebb_c03c_7adb_a01c,
+        ),
+        (Family::Clustered, Strategy::InitOnly, 0x7013_abd8_afdc_8b08),
+        (
+            Family::Clustered,
+            Strategy::MeanReschedule,
+            0xb4ac_f505_15d3_1ae1,
+        ),
+        (Family::Clustered, Strategy::TvcMean, 0xc67f_f6fe_1606_cc5b),
+        (
+            Family::Clustered,
+            Strategy::TvcArbitrary,
+            0x0b41_7c4a_2b19_b8cc,
+        ),
+    ];
+    let params = SinrParams::default();
+    for (family, strategy, want) in pinned {
+        let inst = family.instance(64, 7);
+        let run = connect(&params, &inst, strategy, 7)
+            .unwrap_or_else(|e| panic!("{}/{strategy}: {e}", family.label()));
+        let got = fnv(&fingerprint(&run));
+        assert_eq!(
+            got,
+            want,
+            "{}/{strategy}: fingerprint {got:#018x} moved from the pinned {want:#018x}",
+            family.label()
+        );
+    }
 }
 
 /// The default-backed `connect` is the grid engine — and therefore also
@@ -582,7 +638,7 @@ fn fault_detection_is_backend_and_thread_invariant() {
 
     let run = |backend: EngineBackend| {
         let cfg = DetectConfig {
-            engine: backend.into(),
+            backend,
             ..DetectConfig::default()
         };
         detect_failures(&params, &inst, &prior, &plan, &cfg, 23)
@@ -625,7 +681,7 @@ fn fault_serve_loop_is_byte_identical_across_backends() {
         let cfg = ServeConfig {
             events: 6,
             detect: DetectConfig {
-                engine: backend.into(),
+                backend,
                 ..ServeConfig::default().detect
             },
             ..ServeConfig::default()
@@ -671,7 +727,7 @@ fn distributed_repack_serve_loop_is_byte_identical_across_backends() {
             events: 6,
             repack: RepackMode::Distributed,
             detect: DetectConfig {
-                engine: backend.into(),
+                backend,
                 ..ServeConfig::default().detect
             },
             ..ServeConfig::default()

@@ -53,7 +53,7 @@ fn backends_produce_identical_event_streams() {
     let mut logs = Vec::new();
     for backend in [EngineBackend::Naive, EngineBackend::Grid] {
         let cfg = InitConfig {
-            engine: backend.into(),
+            backend,
             ..Default::default()
         };
         trace::start(trace::DEFAULT_CAPACITY);
@@ -181,7 +181,7 @@ fn perturbation_shows_up_in_slot_digests_too() {
 fn snapshot_resumes_to_a_bit_identical_tail_under_another_backend() {
     let instance = gen::uniform_square(30, 1.5, 8).unwrap();
     let grid = InitConfig {
-        engine: EngineBackend::Grid.into(),
+        backend: EngineBackend::Grid,
         ..Default::default()
     };
     let replay = run_init_with_snapshot(&params(), &instance, &grid, 13, 12).unwrap();
@@ -190,7 +190,7 @@ fn snapshot_resumes_to_a_bit_identical_tail_under_another_backend() {
         .expect("slot 12 lies inside the run; a snapshot must exist");
 
     let naive = InitConfig {
-        engine: EngineBackend::Naive.into(),
+        backend: EngineBackend::Naive,
         ..Default::default()
     };
     let (outcome, tail_fnv) = resume_init(&params(), &instance, &naive, &snapshot).unwrap();
@@ -211,7 +211,7 @@ fn traced_serve(backend: EngineBackend) -> (TraceLog, sinr_bench::serve::ServeRe
     let cfg = ServeConfig {
         events: 4,
         detect: DetectConfig {
-            engine: backend.into(),
+            backend,
             ..ServeConfig::default().detect
         },
         ..ServeConfig::default()
