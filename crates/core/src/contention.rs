@@ -231,7 +231,9 @@ pub fn schedule_distributed(
     for l in links.iter() {
         let p_data = power.power_of(l, instance, params)?;
         let floor = params.noise_floor_power(l.length(instance))
-            / params.channel().fade(l.sender, l.receiver);
+            / params
+                .channel()
+                .fade(instance.position(l.sender), instance.position(l.receiver));
         if p_data <= floor {
             return Err(CoreError::Phy(sinr_phy::PhyError::PowerBelowNoiseFloor {
                 link: l,

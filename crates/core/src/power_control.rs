@@ -20,7 +20,7 @@
 
 use std::collections::HashMap;
 
-use sinr_geom::Instance;
+use sinr_geom::{Instance, NodeId};
 use sinr_links::{Link, LinkSet};
 use sinr_phy::{feasibility, PowerAssignment, SinrParams};
 
@@ -105,6 +105,7 @@ pub fn foschini_miljanic(
     let alpha = params.alpha();
     let noise = params.noise();
     let channel = params.channel();
+    let pos = |u: NodeId| instance.position(u);
 
     // Structural prerequisites for simultaneous feasibility with β ≥ 1:
     // distinct senders, distinct receivers, no node in both roles.
@@ -137,13 +138,13 @@ pub fn foschini_miljanic(
         for j in 0..n {
             if i != j {
                 let d = instance.distance(v[j].sender, v[i].receiver);
-                gain[i][j] = d.powf(-alpha) * channel.fade(v[j].sender, v[i].receiver);
+                gain[i][j] = d.powf(-alpha) * channel.fade(pos(v[j].sender), pos(v[i].receiver));
             }
         }
     }
     let self_gain: Vec<f64> = v
         .iter()
-        .map(|l| l.length(instance).powf(-alpha) * channel.fade(l.sender, l.receiver))
+        .map(|l| l.length(instance).powf(-alpha) * channel.fade(pos(l.sender), pos(l.receiver)))
         .collect();
 
     let mut iters = 0;

@@ -254,7 +254,9 @@ pub(crate) fn complete_and_pack(
             link: l,
             power: power.power_of(l, instance, params).unwrap_or(0.0),
             required: params.noise_floor_power(l.length(instance))
-                / params.channel().fade(l.sender, l.receiver),
+                / params
+                    .channel()
+                    .fade(instance.position(l.sender), instance.position(l.receiver)),
         }));
     }
     let bitree = BiTree::new(tree.clone(), out.schedule.clone())?;

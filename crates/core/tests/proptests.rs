@@ -792,3 +792,87 @@ fn adversarial_dense_cascade_equals_pessimistic_closure() {
     feasibility::validate_schedule(&params, &joined, &dual, &power).unwrap();
     sinr_links::BiTree::new(jtree, dist.schedule.clone()).expect("ordering holds");
 }
+
+/// One channel end to end: under shadowing, a repair (which renumbers
+/// the survivors) and then a join must both hand back structures whose
+/// schedules are feasible in both directions and whose delivery audit
+/// passes — judged on the same shadowed channel the pipelines ran on.
+/// Kept groupings skip re-audit (DESIGN.md §10.2), which is only sound
+/// because a link keeps its fade when its endpoints are renumbered.
+#[test]
+fn shadowed_repair_then_join_stays_feasible_and_delivers() {
+    use sinr_connectivity::latency::audit_bitree;
+    use sinr_connectivity::selector::DistrCapSelector;
+    use sinr_phy::ChannelModel;
+
+    let audit = |params: &SinrParams,
+                 inst: &Instance,
+                 schedule: &Schedule,
+                 bitree: &sinr_links::BiTree,
+                 power: &PowerAssignment,
+                 what: &str| {
+        feasibility::validate_schedule(params, inst, schedule, power)
+            .unwrap_or_else(|e| panic!("{what}: aggregation infeasible: {e}"));
+        let dual = schedule.map_links(Link::dual).unwrap();
+        feasibility::validate_schedule(params, inst, &dual, power)
+            .unwrap_or_else(|e| panic!("{what}: dissemination infeasible: {e}"));
+        audit_bitree(params, inst, bitree, power)
+            .unwrap_or_else(|e| panic!("{what}: delivery audit failed: {e}"));
+    };
+    for seed in 1..=3u64 {
+        let params = SinrParams::default().with_channel(ChannelModel::shadowed(seed, 6.0).unwrap());
+        let inst = sinr_geom::gen::uniform_square(64, 1.5, seed).unwrap();
+        let cfg = TvcConfig::default();
+        let built = tree_via_capacity(&params, &inst, &cfg, &mut DistrCapSelector::default(), seed)
+            .unwrap();
+        let parents: Vec<Option<NodeId>> = (0..built.tree.len())
+            .map(|u| built.tree.parent(u))
+            .collect();
+        let prior = PriorStructure {
+            parents: &parents,
+            powers: built.power.as_explicit().unwrap(),
+            schedule: &built.schedule,
+        };
+        let mut sel = MeanSamplingSelector::default();
+        let failed: Vec<usize> = (0..4).map(|i| (seed as usize * 7 + i * 13) % 64).collect();
+        let rep =
+            repair_after_failures(&params, &inst, &prior, &failed, &cfg, &mut sel, seed).unwrap();
+        let what = format!("seed {seed} repair");
+        audit(
+            &params,
+            &rep.instance,
+            &rep.schedule,
+            &rep.bitree,
+            &rep.power,
+            &what,
+        );
+
+        let parents: Vec<Option<NodeId>> =
+            (0..rep.tree.len()).map(|u| rep.tree.parent(u)).collect();
+        let prior = PriorStructure {
+            parents: &parents,
+            powers: rep.power.as_explicit().unwrap(),
+            schedule: &rep.schedule,
+        };
+        let points = join_points(&rep.instance, 2, 1);
+        let joined = join_nodes(
+            &params,
+            &rep.instance,
+            &prior,
+            &points,
+            &cfg,
+            &mut sel,
+            seed,
+        )
+        .unwrap();
+        let what = format!("seed {seed} join");
+        audit(
+            &params,
+            &joined.instance,
+            &joined.schedule,
+            &joined.bitree,
+            &joined.power,
+            &what,
+        );
+    }
+}

@@ -61,10 +61,12 @@ impl<'a> AffectanceCalc<'a> {
         AffectanceCalc { params, instance }
     }
 
-    /// The channel fade of the pair `{u, v}`.
+    /// The channel fade between nodes `u` and `v`.
     #[inline]
     fn fade(&self, u: NodeId, v: NodeId) -> f64 {
-        self.params.channel().fade(u, v)
+        self.params
+            .channel()
+            .fade(self.instance.position(u), self.instance.position(v))
     }
 
     /// The noise factor `c(u, v) = β / (1 − βN / (P_u·g(u,v)))`, which

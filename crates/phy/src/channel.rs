@@ -18,18 +18,26 @@
 //!
 //! # Determinism
 //!
-//! The fade of a link is a **closed-form function** of `(fade seed,
-//! min(u, v), max(u, v))`: two rounds of the same SplitMix64
-//! finalizer-based stream splitting the ensemble driver and the fault
-//! planner use (`sinr_bench::ensemble::stream_seed`, pinned against the
-//! same golden value below), feeding one Box–Muller normal draw. No
-//! sequential RNG state exists, so
+//! The fade of a link is a **closed-form function** of the fade seed
+//! and the link's two end **positions**, ordered by their coordinate
+//! bits: four rounds of the same SplitMix64 finalizer-based stream
+//! splitting the ensemble driver and the fault planner use
+//! (`sinr_bench::ensemble::stream_seed`, pinned against the same golden
+//! value below), feeding one Box–Muller normal draw. No sequential RNG
+//! state exists, so
 //!
 //! - adding or removing links never shifts any other link's fade,
 //! - every engine backend and thread count computes the identical fade
 //!   bit-for-bit, and
-//! - the fade is symmetric (`fade(u, v) = fade(v, u)`): a link and its
+//! - the fade is symmetric (`fade(p, q) = fade(q, p)`): a link and its
 //!   dual see the same shadowing, as common obstacles would cause.
+//!
+//! Shadowing is a property of the terrain between two places, so the
+//! fade is keyed by where the nodes are, not by what they are called.
+//! Node ids are labels: repair renumbers the survivors, and a join
+//! appends new ids. A position-keyed link keeps its fade through both,
+//! which is what lets the re-packer keep a surviving slot grouping
+//! without re-auditing it (DESIGN.md §10.2).
 //!
 //! # Certification
 //!
@@ -39,7 +47,7 @@
 //! their distance-only bounds by `fade_hi`, widening only the
 //! certificate — never an exact fallback value (DESIGN.md §15).
 
-use sinr_geom::NodeId;
+use sinr_geom::Point;
 
 use crate::{PhyError, Result};
 
@@ -66,8 +74,9 @@ const TAG_FADE: u64 = 0x5AD0_0001;
 /// Truncated log-normal shadowing: per-link fades drawn from
 /// hierarchically split SplitMix64 streams.
 ///
-/// `fade(u, v) = 10^{clamp(σ·z(u,v), ±clamp_db) / 10}` where `z(u, v)`
-/// is a standard normal computed in closed form from `(seed, u, v)`.
+/// `fade(p, q) = 10^{clamp(σ·z(p,q), ±clamp_db) / 10}` where `z(p, q)`
+/// is a standard normal computed in closed form from the seed and the
+/// two positions.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Shadowing {
     /// Root of the per-pair fade streams.
@@ -116,10 +125,17 @@ impl Shadowing {
         })
     }
 
-    /// The fade multiplier of the unordered pair `{u, v}`.
-    pub fn fade(&self, u: NodeId, v: NodeId) -> f64 {
-        let (a, b) = if u <= v { (u, v) } else { (v, u) };
-        let pair = stream_seed(stream_seed(self.seed ^ TAG_FADE, a as u64), b as u64);
+    /// The fade multiplier of the unordered pair of positions `{p, q}`.
+    pub fn fade(&self, p: Point, q: Point) -> f64 {
+        let key = |p: Point| [p.x.to_bits(), p.y.to_bits()];
+        let (a, b) = if key(p) <= key(q) {
+            (key(p), key(q))
+        } else {
+            (key(q), key(p))
+        };
+        let pair = [a[0], a[1], b[0], b[1]]
+            .into_iter()
+            .fold(self.seed ^ TAG_FADE, stream_seed);
         // Box–Muller from two split words; `max` keeps `ln` finite so
         // the product below can never be `inf · 0 = NaN`.
         let u1 = unit_f64(stream_seed(pair, 0)).max(f64::MIN_POSITIVE);
@@ -170,13 +186,13 @@ impl ChannelModel {
         matches!(self, ChannelModel::Geometric)
     }
 
-    /// The fade multiplier of the unordered pair `{u, v}` (exactly 1
-    /// under [`Geometric`](ChannelModel::Geometric)).
+    /// The fade multiplier of the unordered pair of positions `{p, q}`
+    /// (exactly 1 under [`Geometric`](ChannelModel::Geometric)).
     #[inline]
-    pub fn fade(&self, u: NodeId, v: NodeId) -> f64 {
+    pub fn fade(&self, p: Point, q: Point) -> f64 {
         match self {
             ChannelModel::Geometric => 1.0,
-            ChannelModel::Shadowed(s) => s.fade(u, v),
+            ChannelModel::Shadowed(s) => s.fade(p, q),
         }
     }
 
@@ -211,16 +227,24 @@ mod tests {
         assert_ne!(stream_seed(1, 0), stream_seed(2, 0));
     }
 
+    /// `n` distinct points on a jittered lattice.
+    fn points(n: usize) -> Vec<Point> {
+        (0..n)
+            .map(|i| Point::new((i % 7) as f64 * 1.5 + 0.25 * i as f64, (i / 7) as f64 * 2.0))
+            .collect()
+    }
+
     #[test]
     fn fade_is_pure_symmetric_and_bounded() {
         let s = Shadowing::new(7, 6.0).unwrap();
         let (lo, hi) = s.fade_bounds();
         assert!(lo < 1.0 && hi > 1.0);
-        for u in 0..40usize {
-            for v in (u + 1)..40usize {
-                let f = s.fade(u, v);
-                assert_eq!(f.to_bits(), s.fade(u, v).to_bits(), "pure");
-                assert_eq!(f.to_bits(), s.fade(v, u).to_bits(), "symmetric");
+        let pts = points(40);
+        for (i, &p) in pts.iter().enumerate() {
+            for &q in &pts[i + 1..] {
+                let f = s.fade(p, q);
+                assert_eq!(f.to_bits(), s.fade(p, q).to_bits(), "pure");
+                assert_eq!(f.to_bits(), s.fade(q, p).to_bits(), "symmetric");
                 assert!(f >= lo && f <= hi, "fade {f} outside [{lo}, {hi}]");
             }
         }
@@ -232,18 +256,51 @@ mod tests {
     fn fades_vary_across_pairs_and_seeds() {
         let a = Shadowing::new(1, 6.0).unwrap();
         let b = Shadowing::new(2, 6.0).unwrap();
-        assert_ne!(a.fade(0, 1).to_bits(), b.fade(0, 1).to_bits());
-        let fades: Vec<u64> = (1..30).map(|v| a.fade(0, v).to_bits()).collect();
+        let pts = points(30);
+        assert_ne!(
+            a.fade(pts[0], pts[1]).to_bits(),
+            b.fade(pts[0], pts[1]).to_bits()
+        );
+        let fades: Vec<u64> = pts[1..]
+            .iter()
+            .map(|&q| a.fade(pts[0], q).to_bits())
+            .collect();
         let mut uniq = fades.clone();
         uniq.sort_unstable();
         uniq.dedup();
         assert!(uniq.len() > 25, "fades should almost never collide");
     }
 
+    /// Fades are keyed by position: relabeling an instance's nodes (as
+    /// repair's renumbering does) leaves every pair's fade bit-identical.
+    #[test]
+    fn relabeling_nodes_keeps_every_fade() {
+        let channel = ChannelModel::shadowed(11, 6.0).unwrap();
+        let original = sinr_geom::Instance::new(points(24)).unwrap();
+        // A permutation of the ids: node `u` becomes `perm[u]`.
+        let perm: Vec<usize> = (0..24).map(|u| (u * 7 + 5) % 24).collect();
+        let mut relabeled_points = vec![Point::new(0.0, 0.0); 24];
+        for (u, &to) in perm.iter().enumerate() {
+            relabeled_points[to] = original.position(u);
+        }
+        let relabeled = sinr_geom::Instance::new(relabeled_points).unwrap();
+        let fade = |inst: &sinr_geom::Instance, u: usize, v: usize| {
+            channel.fade(inst.position(u), inst.position(v)).to_bits()
+        };
+        for u in 0..24 {
+            for v in 0..24 {
+                if u != v {
+                    assert_eq!(fade(&original, u, v), fade(&relabeled, perm[u], perm[v]));
+                }
+            }
+        }
+    }
+
     #[test]
     fn geometric_fades_are_exactly_one() {
         let m = ChannelModel::Geometric;
-        assert_eq!(m.fade(0, 1).to_bits(), 1f64.to_bits());
+        let (p, q) = (Point::new(0.0, 0.0), Point::new(3.0, 4.0));
+        assert_eq!(m.fade(p, q).to_bits(), 1f64.to_bits());
         assert_eq!(m.fade_bounds(), (1.0, 1.0));
         assert!(m.is_geometric());
         assert!(!ChannelModel::shadowed(0, 3.0).unwrap().is_geometric());
@@ -254,13 +311,14 @@ mod tests {
         let geometric = crate::SinrParams::default();
         let m = ChannelModel::shadowed(9, 6.0).unwrap();
         let p = geometric.with_channel(m);
+        let pts = points(12);
         for len in [1.0, 4.0, 32.0] {
             let power = p.min_power_for_length(len);
             assert!(power > geometric.min_power_for_length(len));
             // Even at the deepest fade the noise factor stays ≤ 2β:
             // P · g ≥ 2βN for every pair.
-            for (u, v) in [(0, 1), (7, 8), (100, 3)] {
-                let gain = p.path_gain(len) * m.fade(u, v);
+            for w in pts.windows(2) {
+                let gain = p.path_gain(len) * m.fade(w[0], w[1]);
                 assert!(power * gain >= 2.0 * p.beta() * p.noise() * 0.999_999);
             }
         }

@@ -141,7 +141,9 @@ pub fn check(
             });
             continue;
         }
-        let fade = params.channel().fade(l.sender, l.receiver);
+        let fade = params
+            .channel()
+            .fade(instance.position(l.sender), instance.position(l.receiver));
         if p_l <= params.noise_floor_power(l.length(instance)) / fade {
             report.violations.push(Violation {
                 link: l,
@@ -303,12 +305,14 @@ impl<'a> SlotAuditor<'a> {
         self.undo.push(snapshot);
         let len = link.length(self.instance);
         let channel = self.params.channel();
+        let pos = |u: NodeId| self.instance.position(u);
         // New sender's term lands on every resident receiver…
         for (i, l) in self.links.iter().enumerate() {
             if link.sender != l.sender {
                 let d = self.instance.distance(link.sender, l.receiver);
-                self.interference[i] +=
-                    power * self.params.path_gain(d) * channel.fade(link.sender, l.receiver);
+                self.interference[i] += power
+                    * self.params.path_gain(d)
+                    * channel.fade(pos(link.sender), pos(l.receiver));
             }
         }
         // …and the new link accumulates every resident sender's term,
@@ -317,10 +321,11 @@ impl<'a> SlotAuditor<'a> {
         for (l, &p) in self.links.iter().zip(&self.powers) {
             if l.sender != link.sender {
                 let d = self.instance.distance(l.sender, link.receiver);
-                acc += p * self.params.path_gain(d) * channel.fade(l.sender, link.receiver);
+                acc +=
+                    p * self.params.path_gain(d) * channel.fade(pos(l.sender), pos(link.receiver));
             }
         }
-        let fade = channel.fade(link.sender, link.receiver);
+        let fade = channel.fade(pos(link.sender), pos(link.receiver));
         self.links.push(link);
         self.powers.push(power);
         self.signals.push(power * self.params.path_gain(len) * fade);

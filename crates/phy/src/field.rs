@@ -502,9 +502,9 @@ impl<'a> InterferenceField<'a> {
                 ..
             } = scratch;
             self.grid
-                .for_each_member_near(pos_v, radius, |u, _, power| {
+                .for_each_member_near(pos_v, radius, |u, pos_u, power| {
                     let d = self.instance.distance(u, v);
-                    let signal = power * self.params.path_gain(d) * channel.fade(u, v);
+                    let signal = power * self.params.path_gain(d) * channel.fade(pos_u, pos_v);
                     if signal / noise >= beta {
                         cand_ids.push(u);
                         cand_powers.push(power);
@@ -535,13 +535,12 @@ impl<'a> InterferenceField<'a> {
         while ring <= max_ring {
             scratch.stats.rings += 1;
             cells_seen += self.grid.for_each_ring_cell(pos_v, ring, |cv| {
-                let (ids, xs, ys, ws) = (cv.ids(), cv.xs(), cv.ys(), cv.ws());
+                let (xs, ys, ws) = (cv.xs(), cv.ys(), cv.ws());
                 for i in 0..ws.len() {
+                    let pos_w = Point::new(xs[i], ys[i]);
                     acc += ws[i]
-                        * self
-                            .params
-                            .path_gain(pos_v.distance(Point::new(xs[i], ys[i])))
-                        * channel.fade(ids[i], v);
+                        * self.params.path_gain(pos_v.distance(pos_w))
+                        * channel.fade(pos_w, pos_v);
                     seen_w += ws[i];
                 }
             });
@@ -669,8 +668,9 @@ impl<'a> InterferenceField<'a> {
         // into the coefficient (widening only).
         let channel = self.params.channel();
         let d_uv = link.length(self.instance);
-        let coeff = c * d_uv.powf(self.params.alpha()) * channel.fade_bounds().1
-            / (link_power * channel.fade(link.sender, link.receiver));
+        let fade = channel.fade(self.instance.position(link.sender), pos_v);
+        let coeff =
+            c * d_uv.powf(self.params.alpha()) * channel.fade_bounds().1 / (link_power * fade);
 
         let total_w = self.grid.total_weight();
         let cell = self.grid.cell_size();
@@ -740,7 +740,7 @@ impl<'a> InterferenceField<'a> {
         let pos_v = self.instance.position(link.receiver);
         let signal = link_power
             * self.params.path_gain(link.length(self.instance))
-            * channel.fade(link.sender, link.receiver);
+            * channel.fade(self.instance.position(link.sender), pos_v);
         let fade_hi = channel.fade_bounds().1;
 
         let total_w = self.grid.total_weight();
@@ -760,11 +760,10 @@ impl<'a> InterferenceField<'a> {
                         // drives `acc` to infinity; the certification
                         // below then never fires and the exact
                         // fallback reproduces the canonical 0-SINR.
+                        let pos_w = Point::new(xs[i], ys[i]);
                         acc += ws[i]
-                            * self
-                                .params
-                                .path_gain(pos_v.distance(Point::new(xs[i], ys[i])))
-                            * channel.fade(ids[i], link.receiver);
+                            * self.params.path_gain(pos_v.distance(pos_w))
+                            * channel.fade(pos_w, pos_v);
                     }
                     seen_w += ws[i];
                 }

@@ -263,19 +263,41 @@ proptest! {
 
 /// The fade stream itself: symmetric, seed-sensitive, and stable under
 /// growth of the node set (a fade is a closed-form function of the
-/// unordered pair, so adding nodes or links never shifts a draw).
+/// unordered pair of positions, so adding nodes or links never shifts a
+/// draw).
 #[test]
 fn fades_are_symmetric_seed_sensitive_and_stable() {
     let s = Shadowing::new(7, 6.0).unwrap();
     let other = Shadowing::new(8, 6.0).unwrap();
     let (lo, hi) = s.fade_bounds();
+    let small = gen::uniform_square(40, 1.5, 3).unwrap();
+    let grown = Instance::new(
+        small
+            .iter()
+            .map(|(_, p)| p)
+            .chain(
+                gen::uniform_square(10, 1.5, 4)
+                    .unwrap()
+                    .iter()
+                    .map(|(_, p)| sinr_geom::Point::new(p.x + 1e3, p.y)),
+            )
+            .collect(),
+    )
+    .unwrap();
     let mut differs = false;
     for u in 0..40usize {
         for v in (u + 1)..40 {
-            let f = s.fade(u, v);
-            assert_eq!(f.to_bits(), s.fade(v, u).to_bits(), "fade not symmetric");
+            let (p, q) = (small.position(u), small.position(v));
+            let f = s.fade(p, q);
+            assert_eq!(f.to_bits(), s.fade(q, p).to_bits(), "fade not symmetric");
             assert!(f >= lo && f <= hi, "fade {f} outside certified bounds");
-            differs |= f.to_bits() != other.fade(u, v).to_bits();
+            let (gp, gq) = (grown.position(u), grown.position(v));
+            assert_eq!(
+                f.to_bits(),
+                s.fade(gp, gq).to_bits(),
+                "growth shifted a fade"
+            );
+            differs |= f.to_bits() != other.fade(p, q).to_bits();
         }
     }
     assert!(differs, "fades insensitive to the stream seed");

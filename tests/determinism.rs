@@ -119,9 +119,9 @@ fn grid_engine_is_byte_identical_to_naive_on_every_family() {
 }
 
 /// The shadowed-channel determinism gate (DESIGN.md §15): per-link
-/// log-normal fades are closed-form functions of `(fade seed, pair)`,
-/// drawn from hierarchically split streams — so every backend shares
-/// them **by construction**. Naive, grid and the pooled parallel
+/// log-normal fades are closed-form functions of the fade seed and the
+/// pair's two positions, drawn from hierarchically split streams — so
+/// every backend shares them **by construction**. Naive, grid and the pooled parallel
 /// engine at 1/2/4 threads must be byte-identical under a shadowed
 /// channel on every strategy × family pair, repeated runs included.
 #[test]
