@@ -420,7 +420,6 @@ impl ProbeArena {
 
 impl<'a> SlotState<'a> {
     /// Probes `link` into this slot; on success the link stays resident.
-    #[allow(clippy::too_many_arguments)]
     fn try_place(
         &mut self,
         params: &'a SinrParams,

@@ -126,6 +126,11 @@ impl Shadowing {
     }
 
     /// The fade multiplier of the unordered pair of positions `{p, q}`.
+    ///
+    /// Never inlined: the gain loops call the channel's fade once per
+    /// term, and keeping this body out of them leaves the geometric
+    /// channel's unit-fade path a short branch.
+    #[inline(never)]
     pub fn fade(&self, p: Point, q: Point) -> f64 {
         let key = |p: Point| [p.x.to_bits(), p.y.to_bits()];
         let (a, b) = if key(p) <= key(q) {

@@ -204,6 +204,21 @@ mod tests {
     }
 
     #[test]
+    fn channel_defaults_to_geometric_and_swaps_alone() {
+        let p = SinrParams::default();
+        assert!(p.channel().is_geometric());
+        let channel = ChannelModel::shadowed(3, 6.0).unwrap();
+        let q = p.with_channel(channel);
+        assert_eq!(q.channel(), channel);
+        assert_eq!(
+            (q.alpha(), q.beta(), q.noise(), q.epsilon()),
+            (p.alpha(), p.beta(), p.noise(), p.epsilon())
+        );
+        assert_eq!(q.with_channel(ChannelModel::Geometric), p);
+        assert!(q.min_power_for_length(4.0) > p.min_power_for_length(4.0));
+    }
+
+    #[test]
     fn path_gain_decreases() {
         let p = SinrParams::default();
         assert!(p.path_gain(1.0) > p.path_gain(2.0));

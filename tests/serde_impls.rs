@@ -11,7 +11,7 @@
 
 use sinr_connect_suite::geom::{gen, Aabb, Instance, Point};
 use sinr_connect_suite::links::{InTree, Link, LinkSet, Schedule};
-use sinr_connect_suite::phy::SinrParams;
+use sinr_connect_suite::phy::{ChannelModel, Shadowing, SinrParams};
 
 fn assert_serde<T: serde::Serialize + serde::de::DeserializeOwned>() {}
 
@@ -61,6 +61,29 @@ fn data_types_roundtrip_through_the_data_model() {
     assert_eq!(roundtrip(&params), params);
 }
 
+/// The channel is part of the parameters: a geometric `SinrParams`
+/// keeps its historical `(α, β, N, ε)` encoding, and a shadowed one
+/// appends its `(seed, σ, clamp)` triple and round-trips losslessly —
+/// which is what lets snapshot files record the channel.
+#[test]
+fn shadowed_params_roundtrip_and_geometric_bytes_are_unchanged() {
+    use serde::Serialize;
+
+    let geometric = SinrParams::default();
+    assert_eq!(
+        geometric.to_value(),
+        (3.0f64, 2.0f64, 1.0f64, 0.1f64).to_value(),
+        "the geometric encoding must stay the bare (α, β, N, ε) tuple"
+    );
+
+    let shadowing = Shadowing::with_clamp(u64::MAX - 3, 6.5, 12.0).unwrap();
+    let shadowed = geometric.with_channel(ChannelModel::Shadowed(shadowing));
+    let back = roundtrip(&shadowed);
+    assert_eq!(back, shadowed);
+    assert_eq!(back.channel(), ChannelModel::Shadowed(shadowing));
+    assert_ne!(shadowed.to_value(), geometric.to_value());
+}
+
 /// Deserialization re-validates invariants: payloads describing invalid
 /// structures are rejected, not smuggled past the constructors.
 #[test]
@@ -91,6 +114,21 @@ fn invalid_payloads_are_rejected() {
     // Out-of-domain SINR parameters (α ≤ 2).
     let bad_params = (1.5f64, 2.0f64, 1.0f64, 0.1f64);
     assert!(SinrParams::from_value(&bad_params.to_value()).is_err());
+
+    // A shadowed channel is re-validated too: σ ≤ 0 and a truncation
+    // below σ are rejected, as is a malformed shadowing entry.
+    let shadowed = |shadowing: serde::Value| {
+        let serde::Value::Seq(mut fields) = SinrParams::default().to_value() else {
+            unreachable!("SinrParams serializes as a sequence")
+        };
+        fields.push(shadowing);
+        SinrParams::from_value(&serde::Value::Seq(fields))
+    };
+    assert!(shadowed((7u64, 6.0f64, 18.0f64).to_value()).is_ok());
+    assert!(shadowed((7u64, 0.0f64, 18.0f64).to_value()).is_err());
+    assert!(shadowed((7u64, -6.0f64, 18.0f64).to_value()).is_err());
+    assert!(shadowed((7u64, 6.0f64, 3.0f64).to_value()).is_err());
+    assert!(shadowed((7u64, 6.0f64).to_value()).is_err());
 }
 
 #[test]
