@@ -31,6 +31,7 @@ use rand::Rng;
 
 use sinr_geom::{Instance, NodeId};
 use sinr_links::{Link, LinkSet, Schedule};
+use sinr_phy::affectance::AffectanceCalc;
 use sinr_phy::{PowerAssignment, SinrParams};
 use sinr_sim::{Action, Engine, EngineBackend, Protocol, Reception, SlotOutcome};
 
@@ -228,19 +229,11 @@ pub fn schedule_distributed(
 
     // Precompute data and ack powers; fail fast on missing/bad powers.
     let mut per_node: HashMap<NodeId, HashMap<Link, f64>> = HashMap::new();
+    let calc = AffectanceCalc::new(params, instance);
     for l in links.iter() {
         let p_data = power.power_of(l, instance, params)?;
-        let floor = params.noise_floor_power(l.length(instance))
-            / params
-                .channel()
-                .fade(instance.position(l.sender), instance.position(l.receiver));
-        if p_data <= floor {
-            return Err(CoreError::Phy(sinr_phy::PhyError::PowerBelowNoiseFloor {
-                link: l,
-                power: p_data,
-                required: floor,
-            }));
-        }
+        // Rejects a power at or below the link's noise floor.
+        calc.noise_factor(l, p_data)?;
         // The ack travels the dual link; oblivious powers depend only on
         // the (equal) length. For explicit assignments, fall back to the
         // data power when the dual has no entry.
