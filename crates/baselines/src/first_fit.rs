@@ -72,9 +72,9 @@ pub fn first_fit_schedule(
         FirstFitOrder::AsGiven => links.links().to_vec(),
     };
 
-    // Incremental per-slot auditors: probing a placement is `O(slot)`
-    // and bit-identical to rebuilding the slot set through
-    // `feasibility::check` (the auditor's determinism contract).
+    // Incremental per-slot auditors: a probe settles the placement by
+    // certified intervals, bit-identical to rebuilding the slot set
+    // through `feasibility::check` (the auditor's determinism contract).
     let mut slots: Vec<SlotAuditor<'_>> = Vec::new();
     let mut schedule = Schedule::new();
     let mut unschedulable = Vec::new();
@@ -95,7 +95,8 @@ pub fn first_fit_schedule(
             while slots.len() <= s {
                 slots.push(SlotAuditor::new(params, instance));
             }
-            if slots[s].try_push(link, pw) {
+            if slots[s].probe(link, pw) {
+                slots[s].commit(link, pw);
                 schedule.assign(link, s);
                 continue 'links;
             }

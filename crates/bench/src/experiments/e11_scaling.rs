@@ -34,9 +34,12 @@ use crate::table::{f2, Table};
 use crate::workloads::Family;
 use crate::ExpOptions;
 
-/// Thread count of the parallel rows: the acceptance configuration of
-/// the scale-out experiments (E11/E12).
-pub const PARALLEL_THREADS: usize = 4;
+/// Thread count of the parallel rows of the scale-out experiments
+/// (E11/E12): one worker per core the host exposes, so the parallel
+/// engine is never measured oversubscribed.
+pub fn parallel_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
 
 /// The benchmark protocol: a memoryless contention soup.
 #[derive(Debug)]
@@ -211,7 +214,7 @@ pub fn push_profile_rows(
 /// Runs E11, reporting per-slot cost, speedups, crossover and parity.
 pub fn run(opts: &ExpOptions) -> Vec<Table> {
     let params = opts.params();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = parallel_threads();
 
     let mut t = Table::new(
         "E11: per-slot engine cost, naive vs grid vs parallel interference",
@@ -265,7 +268,7 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
                 power,
                 slots,
                 seed,
-                EngineBackend::Parallel(PARALLEL_THREADS),
+                EngineBackend::Parallel(cores),
             );
             let naive = with_naive
                 .then(|| run_engine(&params, &inst, power, slots, seed, EngineBackend::Naive));

@@ -10,7 +10,7 @@
 //! 2. **mst** — the Euclidean MST (grid-pruned lazy Prim), the backbone
 //!    every centralized baseline from \[11\] schedules;
 //! 3. **pack** — the centralized MST bi-tree first-fit packing
-//!    (`SlotAuditor`-incremental);
+//!    (certified `SlotAuditor` probes);
 //! 4. **connect** — the distributed `Init` pipeline end to end
 //!    (schedule + simulation), once on the serial grid engine and once
 //!    on the pooled parallel engine.
@@ -29,9 +29,9 @@ use sinr_baselines::mst::{centroid_root, mst_bitree};
 use sinr_connectivity::{connect_with, ConnectivityResult, Strategy};
 use sinr_phy::PowerAssignment;
 
+use super::e11_scaling::{parallel_threads, CAPABILITY_MIN_N};
 #[cfg(feature = "profile")]
 use super::e11_scaling::{profile_table, push_profile_rows};
-use super::e11_scaling::{CAPABILITY_MIN_N, PARALLEL_THREADS};
 use crate::table::{f2, Table};
 use crate::workloads::Family;
 use crate::{EngineBackend, ExpOptions};
@@ -97,7 +97,7 @@ fn fingerprint(r: &ConnectivityResult) -> u64 {
 pub fn run(opts: &ExpOptions) -> Vec<Table> {
     let params = opts.params();
     let family = Family::UniformSquare;
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = parallel_threads();
 
     let mut t = Table::new(
         "E12: end-to-end connect scaling, per-phase wall-clock (uniform)",
@@ -142,7 +142,7 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
 
         let engines = [
             ("grid", EngineBackend::Grid),
-            ("parallel", EngineBackend::Parallel(PARALLEL_THREADS)),
+            ("parallel", EngineBackend::Parallel(cores)),
         ];
         let mut results: Vec<(&str, EngineBackend, f64, ConnectivityResult)> = Vec::new();
         for (label, backend) in engines {

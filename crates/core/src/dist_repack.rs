@@ -145,14 +145,13 @@ impl<'a> DistSlot<'a> {
                 ),
             )
         });
-        if fwd.try_push(link, pw_fwd) {
-            if dual.try_push(link.dual(), pw_dual) {
-                self.residents.push((link, pw_fwd, pw_dual));
-                return true;
-            }
-            fwd.pop();
+        if !(fwd.probe(link, pw_fwd) && dual.probe(link.dual(), pw_dual)) {
+            return false;
         }
-        false
+        fwd.commit(link, pw_fwd);
+        dual.commit(link.dual(), pw_dual);
+        self.residents.push((link, pw_fwd, pw_dual));
+        true
     }
 
     /// Evicts the resident link sent by `sender` (an escalation),

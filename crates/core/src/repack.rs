@@ -47,8 +47,9 @@
 //! bidirectional probes with per-node slot floors — except the floors
 //! are pre-seeded from the kept links' slots and each probed slot's
 //! auditors are seeded with its surviving residents
-//! ([`SlotAuditor::with_residents`]). Before paying a slot's `O(k²)`
-//! auditor seeding, a cheap certified pre-filter built from the slot's
+//! ([`SlotAuditor::with_residents`]). Seeding `k` residents commits
+//! each in turn, `O(k²)` certified bound terms in all. Before paying
+//! it, a cheap certified pre-filter built from the slot's
 //! [`InterferenceField`] (the §7 cutoff-radius machinery — see
 //! [`InterferenceField::decode_radius`]) asks whether the probe link
 //! could decode against the residents at all; a certified "no" skips
@@ -433,11 +434,11 @@ impl<'a> SlotState<'a> {
         if self.auditors.is_none() && !residents.is_empty() {
             // Certified pre-filter (§7 cutoff machinery): if the probe
             // link itself cannot decode against the residents in either
-            // direction, the slot rejects without paying the O(k²)
-            // auditor seeding. The field only ever rules *out* — any
-            // pass still runs the full audit below — and is consulted
-            // only until the auditors exist (once they do, probes are
-            // O(k) try_push anyway), so it is never updated afterwards.
+            // direction, the slot rejects without paying the auditor
+            // seeding. The field only ever rules *out* — any pass still
+            // runs the full audit below — and is consulted only until
+            // the auditors exist (once they do, their certified probes
+            // answer instead), so it is never updated afterwards.
             let (fwd_field, dual_field) = match self.fields.as_mut() {
                 Some(pair) => pair,
                 None => {
@@ -494,13 +495,12 @@ impl<'a> SlotState<'a> {
             }
         }
         let (fwd, dual) = self.auditors.as_mut().expect("auditors seeded above");
-        if fwd.try_push(link, pw_fwd) {
-            if dual.try_push(link.dual(), pw_dual) {
-                return true;
-            }
-            fwd.pop();
+        if !(fwd.probe(link, pw_fwd) && dual.probe(link.dual(), pw_dual)) {
+            return false;
         }
-        false
+        fwd.commit(link, pw_fwd);
+        dual.commit(link.dual(), pw_dual);
+        true
     }
 }
 

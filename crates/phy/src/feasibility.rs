@@ -10,12 +10,15 @@
 //! - **single transmission** — a node cannot be the sender of two links
 //!   in one slot (it has one radio).
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::ops::Range;
+use std::sync::{Arc, Mutex, PoisonError};
 
-use sinr_geom::{Instance, NodeId};
+use sinr_geom::{Instance, NodeId, Point};
 use sinr_links::{Link, LinkSet, Schedule};
 
 use crate::affectance::AffectanceCalc;
+use crate::field::{FieldBuffers, InterferenceField, GUARD};
 use crate::{PhyError, PowerAssignment, SinrParams};
 
 /// Why a link failed within its slot.
@@ -178,6 +181,15 @@ pub fn is_feasible(
 
 /// Validates that every slot of `schedule` is feasible under `power`.
 ///
+/// Each slot is settled in near-linear time: its powers are resolved,
+/// the structural rules are checked against one sorted sender list, and
+/// every link's SINR is decided by the slot's certified
+/// [`InterferenceField`], whose threshold decisions equal [`check`]'s
+/// exact comparison bit for bit. Only a slot that fails there, or that
+/// has a missing power or a duplicate sender (which a field cannot
+/// hold), is handed to [`check`], so the reported link and SINR are
+/// `check`'s.
+///
 /// # Errors
 ///
 /// Returns [`PhyError::InfeasibleSlot`] for the first offending slot.
@@ -187,7 +199,11 @@ pub fn validate_schedule(
     schedule: &Schedule,
     power: &PowerAssignment,
 ) -> Result<(), PhyError> {
+    let mut scratch = SlotScratch::default();
     for (slot, links) in schedule.slots().iter().enumerate() {
+        if scratch.passes(params, instance, links, power) {
+            continue;
+        }
         let report = check(params, instance, links, power);
         if let Some(v) = report.violations.first() {
             return Err(PhyError::InfeasibleSlot {
@@ -200,75 +216,297 @@ pub fn validate_schedule(
     Ok(())
 }
 
+/// The reusable buffers of [`validate_schedule`]'s per-slot fast path.
+#[derive(Debug, Default)]
+struct SlotScratch {
+    tx: Vec<(NodeId, f64)>,
+    senders: Vec<NodeId>,
+    buffers: FieldBuffers,
+}
+
+impl SlotScratch {
+    /// Whether `links` is certainly feasible; `false` sends the slot to
+    /// [`check`], which decides it and names the violation.
+    fn passes(
+        &mut self,
+        params: &SinrParams,
+        instance: &Instance,
+        links: &LinkSet,
+        power: &PowerAssignment,
+    ) -> bool {
+        self.tx.clear();
+        for l in links.iter() {
+            match power.power_of(l, instance, params) {
+                Ok(p) => self.tx.push((l.sender, p)),
+                Err(_) => return false,
+            }
+        }
+        self.senders.clear();
+        self.senders.extend(self.tx.iter().map(|&(u, _)| u));
+        self.senders.sort_unstable();
+        if self.senders.windows(2).any(|w| w[0] == w[1]) {
+            return false;
+        }
+        let channel = params.channel();
+        for (l, &(_, p)) in links.iter().zip(&self.tx) {
+            let fade = channel.fade(instance.position(l.sender), instance.position(l.receiver));
+            if self.senders.binary_search(&l.receiver).is_ok()
+                || p <= params.noise_floor_power(l.length(instance)) / fade
+            {
+                return false;
+            }
+        }
+        let threshold = params.beta() * (1.0 - 1e-12);
+        let buffers = std::mem::take(&mut self.buffers);
+        let field = InterferenceField::build_with(params, instance, &self.tx, buffers);
+        let feasible = links
+            .iter()
+            .zip(&self.tx)
+            .all(|(l, &(_, p))| field.sinr_at_least(l, p, threshold));
+        self.buffers = field.into_buffers();
+        feasible
+    }
+}
+
+/// Bits of `d²`'s mantissa that select a bucket within one doubling of
+/// the squared distance: 16 buckets per doubling.
+const BUCKET_BITS: u32 = 4;
+
+/// The gain-bound table covers `d² ∈ [2⁻⁶⁴, 2⁶⁴)`, 128 doublings.
+const BUCKETS: u64 = 128 << BUCKET_BITS;
+
+/// `d².to_bits() >> KEY_SHIFT` keeps the sign, the exponent and the top
+/// [`BUCKET_BITS`] mantissa bits: a bucket key, monotone in `d²`.
+const KEY_SHIFT: u32 = 52 - BUCKET_BITS;
+
+/// The key of the first bucket, `d² = 2⁻⁶⁴` (biased exponent 1023 − 64).
+const FIRST_KEY: u64 = (1023 - 64) << BUCKET_BITS;
+
+/// How many exponents' tables the process keeps at once.
+const CACHED_TABLES: usize = 8;
+
+/// Certified bounds on the path gain `d^{-α}` by squared distance, for
+/// one exponent `α`.
+///
+/// Bucket `b` holds `[lower, upper]` with `lower ≤ d^{-α} ≤ upper` for
+/// every `d²` in the bucket, each end widened by [`GUARD`] so that it
+/// also bounds the rounded `powf` of the exact path. A `d²` outside the
+/// covered range (or an entry that leaves the normal float range) gets
+/// `[0, ∞]`, which no certificate can use, so the decision falls to the
+/// exact path.
+struct GainBounds {
+    alpha: f64,
+    buckets: Box<[[f64; 2]]>,
+}
+
+impl GainBounds {
+    fn new(alpha: f64) -> Self {
+        let edge = |b: u64| f64::from_bits((FIRST_KEY + b) << KEY_SHIFT);
+        // The guard must also dominate the `α·ε` a rounded `sqrt`
+        // contributes to `d^{-α}`; beyond that, certify nothing.
+        let trusted = 64.0 * alpha * f64::EPSILON < GUARD;
+        let buckets = (0..BUCKETS)
+            .map(|b| {
+                let lower = edge(b + 1).powf(-alpha / 2.0) * (1.0 - GUARD);
+                let upper = edge(b).powf(-alpha / 2.0) * (1.0 + GUARD);
+                if trusted && lower.is_normal() && upper.is_normal() {
+                    [lower, upper]
+                } else {
+                    [0.0, f64::INFINITY]
+                }
+            })
+            .collect();
+        GainBounds { alpha, buckets }
+    }
+
+    /// `[lower, upper]` bounds on the gain at squared distance `d2`.
+    #[inline]
+    fn get(&self, d2: f64) -> [f64; 2] {
+        let key = (d2.to_bits() >> KEY_SHIFT).wrapping_sub(FIRST_KEY);
+        if key < BUCKETS {
+            self.buckets[key as usize]
+        } else {
+            [0.0, f64::INFINITY]
+        }
+    }
+
+    /// The shared table for `alpha`, built on first use.
+    fn shared(alpha: f64) -> Arc<GainBounds> {
+        static TABLES: Mutex<Vec<Arc<GainBounds>>> = Mutex::new(Vec::new());
+        // Every update below leaves the list valid (a panic while
+        // building a table happens before it is touched), so a
+        // poisoned lock still guards a usable cache.
+        let mut tables = TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(t) = tables.iter().find(|t| t.alpha.to_bits() == alpha.to_bits()) {
+            return Arc::clone(t);
+        }
+        if tables.len() == CACHED_TABLES {
+            tables.remove(0);
+        }
+        let table = Arc::new(GainBounds::new(alpha));
+        tables.push(Arc::clone(&table));
+        table
+    }
+}
+
+impl std::fmt::Debug for GainBounds {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GainBounds")
+            .field("alpha", &self.alpha)
+            .finish_non_exhaustive()
+    }
+}
+
+/// How a [`SlotAuditor`] settled its decisions: always-on counters
+/// (integer bumps off the certified path).
+///
+/// `resident_exact` and `link_exact` count the receivers whose
+/// certified interval straddled the threshold and were decided by the
+/// exact insertion-order sum instead.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AuditStats {
+    /// Probes answered.
+    pub probes: u64,
+    /// Resident receivers caught up and decided exactly.
+    pub resident_exact: u64,
+    /// Probed links whose own receiver was summed exactly.
+    pub link_exact: u64,
+}
+
+/// What a certified interval says about one receiver.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Verdict {
+    Pass,
+    Fail,
+    Unsure,
+}
+
+/// One link of the slot, with what the auditor knows about the
+/// interference at its receiver.
+#[derive(Clone, Copy, Debug)]
+struct Resident {
+    sender: NodeId,
+    tx: Point,
+    rx: Point,
+    power: f64,
+    /// `P·fade_lo` and `P·fade_hi`: the factors of this sender's
+    /// certified lower and upper bound terms.
+    reach: [f64; 2],
+    /// Received signal `P·gain·fade`, as [`check`] computes it.
+    signal: f64,
+    /// Largest interference bound that certifies the SINR: `I < cap`
+    /// implies `SINR ≥ β·(1 − 1e-12)` with [`GUARD`] to spare.
+    cap: f64,
+    /// Exact sum of the terms of residents `0..done`, in insertion
+    /// order, skipping the link's own sender.
+    exact: f64,
+    done: usize,
+    /// Certified upper bound on the terms of residents `done..`.
+    unsummed: f64,
+}
+
+/// What a successful probe learned, kept so that committing the same
+/// link next reuses it instead of recomputing the bounds. Any commit
+/// consumes it, so the residents it describes are still the current
+/// ones.
+#[derive(Clone, Copy, Debug)]
+struct Staged {
+    link: Link,
+    power_bits: u64,
+    /// The link's own exact interference, when the probe summed it.
+    exact: Option<f64>,
+    /// The link's own certified interference upper bound.
+    upper: f64,
+}
+
 /// An incremental per-slot feasibility auditor: the engine behind the
-/// packers ([`crate::packing`], `sinr-baselines::first_fit`).
+/// packers ([`crate::packing`], `sinr-baselines::first_fit`) and the
+/// re-packers' slot states.
 ///
-/// The naive packers re-ran [`check`] on a cloned link set for every
-/// candidate placement, rebuilding every receiver's interference sum
-/// from scratch — `O(k²)` per probe for a slot of `k` links. The
-/// auditor instead caches, per resident link, the running interference
-/// sum at its receiver; pushing a sender adds one term to each cached
-/// sum (`O(k)`), and a rejected push restores the saved prefix sums
-/// (never subtracts, so floats stay exact).
+/// A packer asks [`probe`](Self::probe) whether a link may join the
+/// slot, which leaves the slot unchanged, and then
+/// [`commit`](Self::commit)s the links it places. A probe settles every
+/// receiver, the new link's own included, by a certified interval:
 ///
-/// **Determinism contract** (DESIGN.md §7): the cached sums are built
-/// by appending terms in link-insertion order, which is exactly the
-/// left-to-right order [`AffectanceCalc::sinr`] uses inside [`check`]
-/// (each link's own sender is skipped in both). Every decision
-/// [`SlotAuditor::is_feasible`] returns is therefore bit-identical to
-/// `check(..).is_feasible()` on the same link sequence — enforced by
-/// the `auditor_matches_check_to_the_bit` test below.
+/// - **pass** when the interval's upper end clears `β·(1 − 1e-12)` with
+///   [`GUARD`](crate::field) to spare;
+/// - **fail** when an exact insertion-order prefix plus lower-bound
+///   terms already falls short. This is exact: a float sum of
+///   non-negative terms never decreases, so the full sum can only be
+///   larger;
+/// - **otherwise** that receiver catches up exactly, term by term in
+///   insertion order, and is decided exactly.
+///
+/// Bound terms come from a squared distance and a small table of gain
+/// bounds per `α` ([`AuditStats`] counts the exact fallbacks), so most
+/// decisions evaluate no `powf`. Each resident keeps its exact prefix
+/// sum and the bound on its not-yet-summed terms, which a commit raises
+/// by the new sender's bound term: `O(k)` memory for a slot of `k`
+/// links. A rejected probe needs nothing rolled back, because a probe
+/// changes nothing a decision depends on.
+///
+/// **Determinism contract** (DESIGN.md §7.4): the exact sums append
+/// terms in link-insertion order, which is exactly the left-to-right
+/// order [`AffectanceCalc::sinr`] uses inside [`check`], and the
+/// certificates only decide what the exact sum would. Every decision is
+/// therefore bit-identical to `check(..).is_feasible()` on the same link
+/// sequence; `check` stays the only oracle.
 #[derive(Clone, Debug)]
 pub struct SlotAuditor<'a> {
     params: &'a SinrParams,
     instance: &'a Instance,
+    gains: Arc<GainBounds>,
+    /// [`check`]'s SINR threshold `β·(1 − 1e-12)`.
+    threshold: f64,
+    /// The channel's global fade range `[fade_lo, fade_hi]`.
+    fades: [f64; 2],
     links: Vec<Link>,
-    /// Per-link transmit power (resolved by the caller).
-    powers: Vec<f64>,
-    /// Per-link received signal `P·gain(len)` (precomputed at push).
-    signals: Vec<f64>,
-    /// Per-link noise floor (precomputed at push).
-    floors: Vec<f64>,
-    /// Per-link cached interference at the receiver, in canonical
-    /// summation order.
-    interference: Vec<f64>,
-    /// Multiset of resident senders, so the structural predicates
-    /// (half-duplex, duplicate sender) are `O(1)` per link instead of a
-    /// rescan of the slot.
-    sender_counts: HashMap<NodeId, u32>,
-    /// Snapshots for [`pop`](SlotAuditor::pop): the interference prefix
-    /// as it was before each push.
-    undo: Vec<Vec<f64>>,
-    /// Retired snapshot buffers, reused so the push→reject→pop cycle of
-    /// a packing probe allocates nothing after warm-up.
-    spare: Vec<Vec<f64>>,
+    residents: Vec<Resident>,
+    /// Resident senders and receivers, sorted, for the structural rules.
+    senders: Vec<NodeId>,
+    receivers: Vec<NodeId>,
+    /// Whether the residents already break a rule that no addition can
+    /// repair (a structural violation or a co-located interferer).
+    doomed: bool,
+    /// The resident that rejected the most recent probe, if any.
+    blocker: usize,
+    staged: Option<Staged>,
+    /// Per resident, the staged link's upper bound term.
+    staged_terms: Vec<f64>,
+    stats: AuditStats,
 }
 
 impl<'a> SlotAuditor<'a> {
     /// Creates an empty auditor for one slot.
     pub fn new(params: &'a SinrParams, instance: &'a Instance) -> Self {
+        let (fade_lo, fade_hi) = params.channel().fade_bounds();
         SlotAuditor {
             params,
             instance,
+            gains: GainBounds::shared(params.alpha()),
+            threshold: params.beta() * (1.0 - 1e-12),
+            fades: [fade_lo, fade_hi],
             links: Vec::new(),
-            powers: Vec::new(),
-            signals: Vec::new(),
-            floors: Vec::new(),
-            interference: Vec::new(),
-            sender_counts: HashMap::new(),
-            undo: Vec::new(),
-            spare: Vec::new(),
+            residents: Vec::new(),
+            senders: Vec::new(),
+            receivers: Vec::new(),
+            doomed: false,
+            blocker: usize::MAX,
+            staged: None,
+            staged_terms: Vec::new(),
+            stats: AuditStats::default(),
         }
     }
 
-    /// An auditor pre-seeded with a slot's resident links, pushed in
-    /// iteration order — the constructor the incremental re-packer
-    /// (`sinr-connectivity::repack`) uses to rebuild a surviving slot's
-    /// probe state without replaying the original packing run. The
-    /// residents are *pushed*, not assumed feasible: a subsequent
-    /// [`is_feasible`](Self::is_feasible) reports on exactly the seeded
-    /// set, and [`try_push`](Self::try_push) probes against it with the
-    /// same bit-exact decisions as an auditor grown link by link.
+    /// An auditor pre-seeded with a slot's resident links, committed in
+    /// iteration order — the constructor the incremental re-packers
+    /// (`sinr-connectivity::{repack, dist_repack}`) use to rebuild a
+    /// surviving slot's probe state without replaying the original
+    /// packing run. The residents are *committed*, not assumed
+    /// feasible: [`is_feasible`](Self::is_feasible) reports on exactly
+    /// the seeded set, and [`probe`](Self::probe) decides against it
+    /// with the same bit-exact decisions as an auditor grown link by
+    /// link.
     pub fn with_residents<I: IntoIterator<Item = (Link, f64)>>(
         params: &'a SinrParams,
         instance: &'a Instance,
@@ -276,7 +514,7 @@ impl<'a> SlotAuditor<'a> {
     ) -> Self {
         let mut auditor = SlotAuditor::new(params, instance);
         for (link, power) in residents {
-            auditor.push(link, power);
+            auditor.commit(link, power);
         }
         auditor
     }
@@ -296,105 +534,242 @@ impl<'a> SlotAuditor<'a> {
         &self.links
     }
 
-    /// Adds `link` transmitting with `power` to the slot, updating all
-    /// cached sums incrementally (`O(len)`).
-    pub fn push(&mut self, link: Link, power: f64) {
-        let mut snapshot = self.spare.pop().unwrap_or_default();
-        snapshot.clear();
-        snapshot.extend_from_slice(&self.interference);
-        self.undo.push(snapshot);
-        let len = link.length(self.instance);
-        let channel = self.params.channel();
-        let pos = |u: NodeId| self.instance.position(u);
-        // New sender's term lands on every resident receiver…
-        for (i, l) in self.links.iter().enumerate() {
-            if link.sender != l.sender {
-                let d = self.instance.distance(link.sender, l.receiver);
-                self.interference[i] += power
-                    * self.params.path_gain(d)
-                    * channel.fade(pos(link.sender), pos(l.receiver));
-            }
-        }
-        // …and the new link accumulates every resident sender's term,
-        // left to right, exactly as the naive sum would.
-        let mut acc = 0.0;
-        for (l, &p) in self.links.iter().zip(&self.powers) {
-            if l.sender != link.sender {
-                let d = self.instance.distance(l.sender, link.receiver);
-                acc +=
-                    p * self.params.path_gain(d) * channel.fade(pos(l.sender), pos(link.receiver));
-            }
-        }
-        let fade = channel.fade(pos(link.sender), pos(link.receiver));
-        self.links.push(link);
-        self.powers.push(power);
-        self.signals.push(power * self.params.path_gain(len) * fade);
-        self.floors.push(self.params.noise_floor_power(len) / fade);
-        self.interference.push(acc);
-        *self.sender_counts.entry(link.sender).or_insert(0) += 1;
+    /// How this auditor's decisions were settled so far.
+    pub fn stats(&self) -> AuditStats {
+        self.stats
     }
 
-    /// Removes the most recently pushed link, restoring the cached sums
-    /// to their exact pre-push bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is empty.
-    pub fn pop(&mut self) {
-        let snapshot = self.undo.pop().expect("pop on empty SlotAuditor");
-        let link = self.links.pop().expect("undo stack matches links");
-        self.powers.pop();
-        self.signals.pop();
-        self.floors.pop();
-        let retired = std::mem::replace(&mut self.interference, snapshot);
-        self.spare.push(retired);
-        let count = self
-            .sender_counts
-            .get_mut(&link.sender)
-            .expect("popped sender is counted");
-        *count -= 1;
-        if *count == 0 {
-            self.sender_counts.remove(&link.sender);
+    /// Whether the slot plus `link` transmitting with `power` would be
+    /// feasible — bit-identical to `check(..).is_feasible()` on the
+    /// resident links followed by `link`. The resident set is left
+    /// unchanged (a probe may only advance residents' exact sums);
+    /// [`commit`](Self::commit) adds the link.
+    pub fn probe(&mut self, link: Link, power: f64) -> bool {
+        self.stats.probes += 1;
+        self.staged = None;
+        if self.doomed || !self.admits(link) {
+            return false;
         }
+        let (new, audible) = self.resident(link, power);
+        if !audible {
+            return false;
+        }
+        let k = self.residents.len();
+        // The resident that rejected the last probe (typically a long,
+        // fragile link) usually rejects the next one too: ask it first.
+        if let Some(r) = self.residents.get(self.blocker) {
+            if self.certify_with(r, &new).0 == Verdict::Fail {
+                return false;
+            }
+        }
+        self.staged_terms.clear();
+        for i in 0..k {
+            let (verdict, term) = self.certify_with(&self.residents[i], &new);
+            self.staged_terms.push(term);
+            let settled = match verdict {
+                Verdict::Pass => true,
+                Verdict::Fail => false,
+                Verdict::Unsure => self.resident_exactly(i, &new),
+            };
+            if !settled {
+                self.blocker = i;
+                return false;
+            }
+        }
+        let (lower, upper) = self.interval_at(new.rx);
+        let exact = match self.certify(&new, lower, upper) {
+            Verdict::Pass => None,
+            Verdict::Fail => return false,
+            Verdict::Unsure => {
+                self.stats.link_exact += 1;
+                match self.exact_sum(&new, 0.0, 0..k) {
+                    Some(sum) if self.passes(&new, sum) => Some(sum),
+                    _ => return false,
+                }
+            }
+        };
+        self.staged = Some(Staged {
+            link,
+            power_bits: power.to_bits(),
+            exact,
+            upper,
+        });
+        true
+    }
+
+    /// Adds `link` transmitting with `power` to the slot, whether or not
+    /// it keeps the slot feasible: `O(len)` bound updates, reusing the
+    /// work of a successful [`probe`](Self::probe) of the same link.
+    pub fn commit(&mut self, link: Link, power: f64) {
+        let k = self.residents.len();
+        let staged = self
+            .staged
+            .take()
+            .filter(|s| s.link == link && s.power_bits == power.to_bits());
+        let (mut new, audible) = self.resident(link, power);
+        if !(audible && self.admits(link)) {
+            self.doomed = true;
+        }
+        match staged {
+            Some(s) => {
+                for (r, &term) in self.residents.iter_mut().zip(&self.staged_terms) {
+                    r.unsummed += term;
+                }
+                match s.exact {
+                    Some(sum) => (new.exact, new.done) = (sum, k),
+                    None => new.unsummed = s.upper,
+                }
+            }
+            None => {
+                new.unsummed = self.interval_at(new.rx).1;
+                let gains = &self.gains;
+                for r in &mut self.residents {
+                    r.unsummed += new.reach[1] * gains.get(new.tx.distance_sq(r.rx))[1];
+                }
+            }
+        }
+        for (sorted, id) in [
+            (&mut self.senders, link.sender),
+            (&mut self.receivers, link.receiver),
+        ] {
+            let at = sorted.partition_point(|&u| u < id);
+            sorted.insert(at, id);
+        }
+        self.links.push(link);
+        self.residents.push(new);
     }
 
     /// Whether the resident set is feasible — bit-identical to
     /// `check(params, instance, &set, power).is_feasible()` for the
     /// same links in the same order under the same powers.
     pub fn is_feasible(&self) -> bool {
-        // Structural rules first, as `check` does: half-duplex,
-        // duplicate senders, noise floor — `O(1)` per link via the
-        // maintained sender multiset, keeping the whole probe `O(k)`.
-        for (i, l) in self.links.iter().enumerate() {
-            if self.sender_counts.get(&l.receiver).copied().unwrap_or(0) > 0 {
-                return false;
-            }
-            if self.sender_counts.get(&l.sender).copied().unwrap_or(0) > 1 {
-                return false;
-            }
-            if self.powers[i] <= self.floors[i] {
-                return false;
-            }
-        }
-        for (i, _) in self.links.iter().enumerate() {
-            let sinr = self.signals[i] / (self.params.noise() + self.interference[i]);
-            if sinr < self.params.beta() * (1.0 - 1e-12) {
-                return false;
-            }
-        }
-        true
+        !self.doomed
+            && self
+                .residents
+                .iter()
+                .all(|r| match self.certify(r, r.exact, r.exact + r.unsummed) {
+                    Verdict::Pass => true,
+                    Verdict::Fail => false,
+                    Verdict::Unsure => self
+                        .exact_sum(r, r.exact, r.done..self.residents.len())
+                        .is_some_and(|sum| self.passes(r, sum)),
+                })
     }
 
-    /// Convenience probe: push, test, and pop on failure. Returns the
-    /// decision; on `true` the link stays resident.
-    pub fn try_push(&mut self, link: Link, power: f64) -> bool {
-        self.push(link, power);
-        if self.is_feasible() {
-            true
+    /// Whether `link` keeps [`check`]'s structural rules against the
+    /// residents: its receiver is not transmitting, and its sender is
+    /// neither transmitting already nor a resident's receiver.
+    fn admits(&self, link: Link) -> bool {
+        self.senders.binary_search(&link.receiver).is_err()
+            && self.senders.binary_search(&link.sender).is_err()
+            && self.receivers.binary_search(&link.sender).is_err()
+    }
+
+    /// A fresh resident record for `link`, with nothing summed yet, and
+    /// whether its power clears [`check`]'s noise floor.
+    fn resident(&self, link: Link, power: f64) -> (Resident, bool) {
+        let (tx, rx) = (
+            self.instance.position(link.sender),
+            self.instance.position(link.receiver),
+        );
+        let len = link.length(self.instance);
+        let fade = self.params.channel().fade(tx, rx);
+        let signal = power * self.params.path_gain(len) * fade;
+        let resident = Resident {
+            sender: link.sender,
+            tx,
+            rx,
+            power,
+            reach: [power * self.fades[0], power * self.fades[1]],
+            signal,
+            cap: (signal * (1.0 - GUARD) / self.threshold - self.params.noise()) / (1.0 + GUARD),
+            exact: 0.0,
+            done: 0,
+            unsummed: 0.0,
+        };
+        // `check` flags `power <= floor`; an incomparable power clears.
+        let floor = self.params.noise_floor_power(len) / fade;
+        let audible = !matches!(
+            power.partial_cmp(&floor),
+            Some(Ordering::Less | Ordering::Equal)
+        );
+        (resident, audible)
+    }
+
+    /// Certified `(lower, upper)` bounds on the interference every
+    /// resident sender puts on a receiver at `rx`. The lower end is a
+    /// left fold of per-term lower bounds in insertion order, so it
+    /// never exceeds the exact fold.
+    fn interval_at(&self, rx: Point) -> (f64, f64) {
+        self.residents.iter().fold((0.0, 0.0), |(lower, upper), r| {
+            let [lo, hi] = self.gains.get(r.tx.distance_sq(rx));
+            (lower + r.reach[0] * lo, upper + r.reach[1] * hi)
+        })
+    }
+
+    /// What the interference interval `[lower, upper]` says about `r`.
+    fn certify(&self, r: &Resident, lower: f64, upper: f64) -> Verdict {
+        if upper < r.cap {
+            Verdict::Pass
+        } else if r.signal / (self.params.noise() + lower) < self.threshold {
+            Verdict::Fail
         } else {
-            self.pop();
-            false
+            Verdict::Unsure
         }
+    }
+
+    /// What resident `r`'s interval says with `new`'s sender added last,
+    /// and that sender's upper bound term at `r`'s receiver.
+    fn certify_with(&self, r: &Resident, new: &Resident) -> (Verdict, f64) {
+        let [lo, hi] = self.gains.get(new.tx.distance_sq(r.rx));
+        let term = new.reach[1] * hi;
+        let lower = r.exact + new.reach[0] * lo;
+        (self.certify(r, lower, r.exact + r.unsummed + term), term)
+    }
+
+    /// [`check`]'s exact comparison for `r` at `interference`. `check`
+    /// flags `SINR < β·(1 − 1e-12)`, so an incomparable (NaN) SINR
+    /// passes.
+    fn passes(&self, r: &Resident, interference: f64) -> bool {
+        let sinr = r.signal / (self.params.noise() + interference);
+        sinr.partial_cmp(&self.threshold) != Some(Ordering::Less)
+    }
+
+    /// Catches resident `i` up exactly and decides it with `new`'s term
+    /// appended last.
+    fn resident_exactly(&mut self, i: usize, new: &Resident) -> bool {
+        self.stats.resident_exact += 1;
+        let k = self.residents.len();
+        let r = self.residents[i];
+        let Some(sum) = self.exact_sum(&r, r.exact, r.done..k) else {
+            // A resident sender sits on this receiver: SINR 0 for good.
+            self.doomed = true;
+            return false;
+        };
+        let r = &mut self.residents[i];
+        (r.exact, r.done, r.unsummed) = (sum, k, 0.0);
+        let r = self.residents[i];
+        self.term(new, r.rx)
+            .is_some_and(|t| self.passes(&r, r.exact + t))
+    }
+
+    /// Folds the exact terms of the residents in `range` onto `acc` at
+    /// `r`'s receiver, skipping `r`'s own sender — the order and the
+    /// skip rule of [`AffectanceCalc::sinr`]. `None` when one of them
+    /// sits on the receiver, which `check` rates SINR 0.
+    fn exact_sum(&self, r: &Resident, acc: f64, range: Range<usize>) -> Option<f64> {
+        self.residents[range]
+            .iter()
+            .filter(|w| w.sender != r.sender)
+            .try_fold(acc, |acc, w| Some(acc + self.term(w, r.rx)?))
+    }
+
+    /// The exact interference term of `w`'s sender at `rx`, as
+    /// [`AffectanceCalc::sinr`] computes it.
+    fn term(&self, w: &Resident, rx: Point) -> Option<f64> {
+        let d = w.tx.distance(rx);
+        (d != 0.0)
+            .then(|| w.power * self.params.path_gain(d) * self.params.channel().fade(w.tx, rx))
     }
 }
 
@@ -537,9 +912,18 @@ mod tests {
         }
     }
 
-    /// The auditor's decision equals `check(..).is_feasible()` on the
-    /// same link sequence, for random push/pop sequences over random
-    /// geometry — the packers rely on this being exact.
+    /// `check`'s verdict on `links` under explicit per-link powers.
+    fn check_links(p: &SinrParams, inst: &Instance, links: &[(Link, f64)]) -> bool {
+        let set = LinkSet::from_links(links.iter().map(|&(l, _)| l)).unwrap();
+        let power = PowerAssignment::explicit(links.iter().copied().collect()).unwrap();
+        check(p, inst, &set, &power).is_feasible()
+    }
+
+    /// The auditor's decisions equal `check(..).is_feasible()` on the
+    /// same link sequence under random seed/probe/commit sequences over
+    /// random geometry — the packers rely on this being exact. Rejected
+    /// links are sometimes committed anyway, so infeasible slots are
+    /// audited too.
     #[test]
     fn auditor_matches_check_to_the_bit() {
         use sinr_geom::gen;
@@ -548,7 +932,7 @@ mod tests {
             let inst = gen::uniform_square(40, 1.5, seed).unwrap();
             let power = PowerAssignment::mean_with_margin(&p, inst.delta());
             // Candidate links: everyone's nearest-neighbor uplink.
-            let candidates: Vec<Link> = (0..inst.len())
+            let candidates: Vec<(Link, f64)> = (0..inst.len())
                 .map(|u| {
                     let v = (0..inst.len())
                         .filter(|&v| v != u)
@@ -558,45 +942,40 @@ mod tests {
                                 .unwrap()
                         })
                         .unwrap();
-                    Link::new(u, v)
+                    let link = Link::new(u, v);
+                    (link, power.power_of(link, &inst, &p).unwrap())
                 })
                 .collect();
 
-            let mut auditor = SlotAuditor::new(&p, &inst);
-            let mut resident: Vec<Link> = Vec::new();
-            for &link in &candidates {
-                let pw = power.power_of(link, &inst, &p).unwrap();
-                // Reference decision on the would-be set, in identical order.
+            let seeded = &candidates[..3];
+            let mut auditor = SlotAuditor::with_residents(&p, &inst, seeded.iter().copied());
+            let mut resident: Vec<(Link, f64)> = seeded.to_vec();
+            for (i, &(link, pw)) in candidates.iter().enumerate().skip(3) {
+                if resident.iter().any(|&(l, _)| l == link) {
+                    continue;
+                }
                 let mut probe = resident.clone();
-                probe.push(link);
-                let set = LinkSet::from_links(probe).unwrap();
-                let naive = check(&p, &inst, &set, &power).is_feasible();
+                probe.push((link, pw));
+                let naive = check_links(&p, &inst, &probe);
                 assert_eq!(
-                    auditor.try_push(link, pw),
+                    auditor.probe(link, pw),
                     naive,
                     "seed {seed}: auditor diverged from check on {link:?}"
                 );
-                if naive {
-                    resident.push(link);
+                assert_eq!(auditor.len(), resident.len(), "a probe changed the slot");
+                if naive || i % 7 == 0 {
+                    auditor.commit(link, pw);
+                    resident = probe;
                 }
+                assert_eq!(auditor.is_feasible(), check_links(&p, &inst, &resident));
             }
-            assert_eq!(auditor.links(), resident.as_slice());
-            assert!(!auditor.is_empty(), "seed {seed}: nothing ever packed");
-
-            // Pop everything; each prefix must still agree with check.
-            while !auditor.is_empty() {
-                auditor.pop();
-                let set = LinkSet::from_links(auditor.links().to_vec()).unwrap();
-                assert_eq!(
-                    auditor.is_feasible(),
-                    set.is_empty() || check(&p, &inst, &set, &power).is_feasible()
-                );
-            }
+            let links: Vec<Link> = resident.iter().map(|&(l, _)| l).collect();
+            assert_eq!(auditor.links(), links.as_slice());
         }
     }
 
-    /// A seeded auditor is indistinguishable from one grown push by
-    /// push: same resident list, same feasibility bits, same probe
+    /// A seeded auditor is indistinguishable from one grown commit by
+    /// commit: same resident list, same feasibility bits, same probe
     /// decisions.
     #[test]
     fn seeded_auditor_matches_incremental_growth() {
@@ -613,14 +992,14 @@ mod tests {
             .collect();
         let mut grown = SlotAuditor::new(&p, &inst);
         for &(l, pw) in &residents {
-            grown.push(l, pw);
+            grown.commit(l, pw);
         }
         let mut seeded = SlotAuditor::with_residents(&p, &inst, residents.iter().copied());
         assert_eq!(grown.links(), seeded.links());
         assert_eq!(grown.is_feasible(), seeded.is_feasible());
         let probe = Link::new(15, 16);
         let pw = power.power_of(probe, &inst, &p).unwrap();
-        assert_eq!(grown.try_push(probe, pw), seeded.try_push(probe, pw));
+        assert_eq!(grown.probe(probe, pw), seeded.probe(probe, pw));
         assert_eq!(grown.links(), seeded.links());
     }
 
@@ -631,20 +1010,86 @@ mod tests {
         let power = PowerAssignment::uniform_with_margin(&p, inst.delta());
         let pw = |l: Link| power.power_of(l, &inst, &p).unwrap();
 
-        // Half-duplex: 0→1 with 1→2.
+        // Half-duplex: 0→1 with 1→2, in both insertion orders.
         let mut a = SlotAuditor::new(&p, &inst);
-        assert!(a.try_push(Link::new(0, 1), pw(Link::new(0, 1))));
-        assert!(!a.try_push(Link::new(1, 2), pw(Link::new(1, 2))));
+        a.commit(Link::new(0, 1), pw(Link::new(0, 1)));
+        assert!(!a.probe(Link::new(1, 2), pw(Link::new(1, 2))));
+        let mut a = SlotAuditor::new(&p, &inst);
+        a.commit(Link::new(1, 2), pw(Link::new(1, 2)));
+        assert!(!a.probe(Link::new(0, 1), pw(Link::new(0, 1))));
         assert_eq!(a.len(), 1);
 
         // Duplicate sender: 0→1 with 0→2.
         let mut b = SlotAuditor::new(&p, &inst);
-        assert!(b.try_push(Link::new(0, 1), pw(Link::new(0, 1))));
-        assert!(!b.try_push(Link::new(0, 2), pw(Link::new(0, 2))));
+        assert!(b.probe(Link::new(0, 1), pw(Link::new(0, 1))));
+        b.commit(Link::new(0, 1), pw(Link::new(0, 1)));
+        assert!(!b.probe(Link::new(0, 2), pw(Link::new(0, 2))));
 
         // Below the noise floor.
         let mut c = SlotAuditor::new(&p, &inst);
-        assert!(!c.try_push(Link::new(0, 2), p.noise_floor_power(2.0) * 0.5));
+        assert!(!c.probe(Link::new(0, 2), p.noise_floor_power(2.0) * 0.5));
+
+        // A structurally broken slot stays broken for every probe.
+        c.commit(Link::new(0, 2), p.noise_floor_power(2.0) * 0.5);
+        assert!(!c.is_feasible());
+        assert!(!c.probe(Link::new(1, 0), pw(Link::new(1, 0))));
+    }
+
+    /// Two mirror-image links whose SINRs sit 1e-12 from the threshold,
+    /// far inside [`GUARD`]: no certificate can settle them, so both the
+    /// resident catch-up and the new link's exact sum must run, on the
+    /// passing side and on the failing side of `β`.
+    #[test]
+    fn grazing_decisions_take_both_exact_paths() {
+        let inst = line_instance(&[0.0, 1.0, 3.0, 4.0]);
+        let (a, b) = (Link::new(0, 1), Link::new(3, 2));
+        let pw = 100.0;
+        let sinr = AffectanceCalc::new(&params(), &inst).sinr(a, pw, &[(0, pw), (3, pw)]);
+        for (beta, feasible) in [(sinr, true), (sinr * (1.0 + 1e-10), false)] {
+            let p = SinrParams::new(3.0, beta, 1.0, 0.1).unwrap();
+            let mut auditor = SlotAuditor::new(&p, &inst);
+            assert!(auditor.probe(a, pw), "a lone link clears β by far");
+            auditor.commit(a, pw);
+            assert_eq!(
+                auditor.stats().resident_exact + auditor.stats().link_exact,
+                0
+            );
+            assert_eq!(auditor.probe(b, pw), feasible, "β = {beta}");
+            assert_eq!(feasible, check_links(&p, &inst, &[(a, pw), (b, pw)]));
+            let stats = auditor.stats();
+            assert_eq!(stats.probes, 2);
+            assert_eq!(stats.resident_exact, 1, "β = {beta}: {stats:?}");
+            assert_eq!(
+                stats.link_exact,
+                u64::from(feasible),
+                "β = {beta}: {stats:?}"
+            );
+            // The probe left the slot as it was.
+            assert_eq!(auditor.links(), &[a]);
+            assert!(auditor.is_feasible());
+        }
+    }
+
+    /// The table's bounds bracket the exact gain on the bucket edges,
+    /// inside buckets, and outside the covered range.
+    #[test]
+    fn gain_bounds_bracket_the_exact_gain() {
+        for alpha in [2.1, 3.0, 4.5] {
+            let table = GainBounds::new(alpha);
+            for d2 in [1e-12f64, 0.3, 1.0, 2.0, 9.0, 9.49, 123.456, 1e9, 1e30] {
+                let gain = d2.sqrt().powf(-alpha);
+                let [lo, hi] = table.get(d2);
+                assert!(
+                    lo <= gain && gain <= hi,
+                    "α {alpha} d² {d2}: {lo} {gain} {hi}"
+                );
+            }
+            assert_eq!(table.get(0.0), [0.0, f64::INFINITY]);
+            assert_eq!(table.get(1e-30), [0.0, f64::INFINITY]);
+            assert_eq!(table.get(1e40), [0.0, f64::INFINITY]);
+        }
+        let shared = GainBounds::shared(3.0);
+        assert!(Arc::ptr_eq(&shared, &GainBounds::shared(3.0)));
     }
 
     #[test]

@@ -43,8 +43,10 @@ use crate::{Result, SinrParams};
 /// 2²⁰` positive terms that error is below `n · 2⁻⁵² < 3·10⁻¹⁰`, so
 /// `10⁻⁷` leaves three orders of magnitude of headroom while only
 /// sending decisions within `~10⁻⁷·β` of the threshold to the exact
-/// fallback.
-const GUARD: f64 = 1e-7;
+/// fallback. The slot auditor's certified intervals
+/// ([`feasibility::SlotAuditor`](crate::feasibility::SlotAuditor)) use
+/// the same guard.
+pub(crate) const GUARD: f64 = 1e-7;
 
 /// Cushion on the decode-radius derivation (see
 /// [`InterferenceField::decode_radius`]).
@@ -244,7 +246,7 @@ enum CandState {
 /// [`add_sender`](Self::add_sender) and
 /// [`remove_sender`](Self::remove_sender) keep the incremental API for
 /// small edits, at `O(senders + cells)` per call (the flat cell index
-/// re-scatters). For the add-probe-rollback inner loop of slot packing use
+/// re-scatters). For the probe-then-commit inner loop of slot packing use
 /// [`feasibility::SlotAuditor`](crate::feasibility::SlotAuditor), which
 /// is built for exactly that access pattern.
 #[derive(Debug)]

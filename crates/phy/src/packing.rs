@@ -12,52 +12,6 @@ use sinr_links::{InTree, Link, LinkSet, Schedule};
 use crate::feasibility::{self, SlotAuditor};
 use crate::{PowerAssignment, SinrParams};
 
-/// Packs `links` (in the given order) greedily: each link goes to the
-/// earliest slot `≥ min_slot(link)` whose occupancy stays feasible.
-///
-/// Slot occupancy is probed through the incremental
-/// [`SlotAuditor`], whose decisions are bit-identical to re-running
-/// [`feasibility::check`] on the rebuilt set, at `O(slot)` instead of
-/// `O(slot²)` per probe.
-///
-/// Returns the schedule and the links that cannot be scheduled even
-/// alone (below the noise floor or missing a power entry) — reported
-/// instead of looping forever.
-pub fn first_fit(
-    params: &SinrParams,
-    instance: &Instance,
-    links: &[Link],
-    power: &PowerAssignment,
-    mut min_slot: impl FnMut(Link) -> usize,
-) -> (Schedule, Vec<Link>) {
-    let mut slots: Vec<SlotAuditor<'_>> = Vec::new();
-    let mut schedule = Schedule::new();
-    let mut unschedulable = Vec::new();
-
-    'links: for &link in links {
-        let alone: LinkSet = std::iter::once(link).collect();
-        if !feasibility::is_feasible(params, instance, &alone, power) {
-            unschedulable.push(link);
-            continue;
-        }
-        let pw = power
-            .power_of(link, instance, params)
-            .expect("alone-feasible link has a power entry");
-        let mut s = min_slot(link);
-        loop {
-            while slots.len() <= s {
-                slots.push(SlotAuditor::new(params, instance));
-            }
-            if slots[s].try_push(link, pw) {
-                schedule.assign(link, s);
-                continue 'links;
-            }
-            s += 1;
-        }
-    }
-    (schedule, unschedulable)
-}
-
 /// Packs a converge-cast tree's aggregation links in leaf-to-root order
 /// with per-node slot floors, producing a schedule that satisfies the
 /// bi-tree ordering property (every link strictly after all links of
@@ -91,9 +45,9 @@ pub fn pack_tree_ordered(
 
     // Pack one link at a time so receiver floors update as we go. Each
     // slot keeps two incremental auditors — the aggregation direction
-    // and its dual — probed in lockstep, which reproduces the old
-    // clone-and-recheck `bidirectional_feasible` decision bit for bit
-    // at `O(slot)` per probe.
+    // and its dual — probed in lockstep and committed together, which
+    // reproduces the clone-and-recheck `bidirectional_feasible`
+    // decision bit for bit.
     let mut slots: Vec<(SlotAuditor<'_>, SlotAuditor<'_>)> = Vec::new();
     let mut schedule = Schedule::new();
     let mut unschedulable = Vec::new();
@@ -118,13 +72,12 @@ pub fn pack_tree_ordered(
                 ));
             }
             let (fwd, dual) = &mut slots[s];
-            if fwd.try_push(link, pw_fwd) {
-                if dual.try_push(link.dual(), pw_dual) {
-                    schedule.assign(link, s);
-                    floor[link.receiver] = floor[link.receiver].max(s + 1);
-                    continue 'links;
-                }
-                fwd.pop();
+            if fwd.probe(link, pw_fwd) && dual.probe(link.dual(), pw_dual) {
+                fwd.commit(link, pw_fwd);
+                dual.commit(link.dual(), pw_dual);
+                schedule.assign(link, s);
+                floor[link.receiver] = floor[link.receiver].max(s + 1);
+                continue 'links;
             }
             s += 1;
         }
@@ -140,23 +93,6 @@ mod tests {
 
     fn params() -> SinrParams {
         SinrParams::default()
-    }
-
-    #[test]
-    fn first_fit_respects_floors() {
-        let p = params();
-        let inst = gen::line(4).unwrap();
-        let power = PowerAssignment::uniform_with_margin(&p, inst.delta());
-        let links = [Link::new(0, 1), Link::new(3, 2)];
-        let (s, bad) = first_fit(&p, &inst, &links, &power, |l| {
-            if l == Link::new(3, 2) {
-                3
-            } else {
-                0
-            }
-        });
-        assert!(bad.is_empty());
-        assert_eq!(s.slot_of(Link::new(3, 2)), Some(3));
     }
 
     #[test]
@@ -177,10 +113,10 @@ mod tests {
     fn unschedulable_links_reported() {
         let p = params();
         let inst = gen::line(3).unwrap();
-        let weak = PowerAssignment::uniform(p.noise_floor_power(2.0) * 0.1);
-        let links = [Link::new(0, 2)];
-        let (s, bad) = first_fit(&p, &inst, &links, &weak, |_| 0);
-        assert_eq!(bad.len(), 1);
+        let tree = InTree::from_parents(vec![None, Some(0), Some(1)]).unwrap();
+        let weak = PowerAssignment::uniform(p.noise_floor_power(1.0) * 0.5);
+        let (s, bad) = pack_tree_ordered(&p, &inst, &tree, &weak);
+        assert_eq!(bad.len(), 2);
         assert!(s.is_empty());
     }
 }

@@ -7,23 +7,25 @@
 //!    This file carries its own reference, written with the geometric
 //!    expressions (`p · d^{-α}`, summed in naive order, no fade
 //!    anywhere). The field decode, `sinr_at_least`, `sum_on_at_most`,
-//!    the `SlotAuditor`'s decisions and `AffectanceCalc::{sinr, sum_on}`
-//!    must reproduce it exactly — not approximately — so the unit fade
-//!    provably changes no committed fingerprint or `BENCH_*.json`.
+//!    the `SlotAuditor`'s probe/commit decisions and
+//!    `AffectanceCalc::{sinr, sum_on}` must reproduce it exactly — not
+//!    approximately — so the unit fade provably changes no committed
+//!    fingerprint or `BENCH_*.json`.
 //! 2. **Certification only widens.** Under a shadowed channel, the
 //!    field's certified decode must equal the exact naive-order
-//!    reference ([`decode_best_exact`]): the fade-widened far-field
-//!    bounds may cost certainty (forcing fallbacks), never correctness
-//!    (flipping a decision).
+//!    reference ([`decode_best_exact`]), and the auditor's decisions
+//!    must equal `feasibility::check`: the fade-widened bounds may cost
+//!    certainty (forcing exact sums), never correctness (flipping a
+//!    decision).
 //!
 //! Both halves sweep the three power families (uniform / mean /
 //! linear) over random geometry via proptest.
 
 use proptest::prelude::*;
 use sinr_geom::{gen, Instance, NodeId};
-use sinr_links::Link;
+use sinr_links::{Link, LinkSet};
 use sinr_phy::affectance::AffectanceCalc;
-use sinr_phy::feasibility::SlotAuditor;
+use sinr_phy::feasibility::{self, SlotAuditor};
 use sinr_phy::field::{decode_best_exact, InterferenceField};
 use sinr_phy::{ChannelModel, PowerAssignment, Shadowing, SinrParams};
 
@@ -152,6 +154,36 @@ mod reference {
     }
 }
 
+/// Runs the auditor through `links` as a random seed/probe/commit
+/// sequence: the first `choice % 4` links seed it, every probe must equal
+/// `feasible` on the residents plus the probed link and leave the slot
+/// unchanged, passing links are committed, and every fifth rejected one
+/// is committed anyway (an infeasible slot must be tracked too).
+fn audit_sequence(
+    params: &SinrParams,
+    inst: &Instance,
+    links: &[(Link, f64)],
+    choice: usize,
+    feasible: impl Fn(&[(Link, f64)]) -> bool,
+) -> Result<(), TestCaseError> {
+    let seeded = (choice % 4).min(links.len());
+    let mut resident: Vec<(Link, f64)> = links[..seeded].to_vec();
+    let mut auditor = SlotAuditor::with_residents(params, inst, resident.iter().copied());
+    for (i, &(link, p)) in links.iter().enumerate().skip(seeded) {
+        let mut probe = resident.clone();
+        probe.push((link, p));
+        let want = feasible(&probe);
+        prop_assert_eq!(auditor.probe(link, p), want, "auditor on {:?}", link);
+        prop_assert_eq!(auditor.len(), resident.len(), "a probe changed the slot");
+        if want || i % 5 == 0 {
+            auditor.commit(link, p);
+            resident = probe;
+            prop_assert_eq!(auditor.is_feasible(), feasible(&resident));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
@@ -206,19 +238,11 @@ proptest! {
             }
         }
 
-        // The auditor's push/probe/pop decisions against the geometric
-        // whole-set check, link by link.
-        let mut auditor = SlotAuditor::new(&params, &inst);
-        let mut resident: Vec<(Link, f64)> = Vec::new();
-        for &(link, p) in &links {
-            let mut probe = resident.clone();
-            probe.push((link, p));
-            let want = reference::feasible(&params, &inst, &probe);
-            prop_assert_eq!(auditor.try_push(link, p), want, "auditor on {:?}", link);
-            if want {
-                resident = probe;
-            }
-        }
+        // The auditor's seed/probe/commit decisions against the
+        // geometric whole-set check, link by link.
+        audit_sequence(&params, &inst, &links, stride, |set| {
+            reference::feasible(&params, &inst, set)
+        })?;
     }
 
     /// Half 2: under a shadowed channel the certified decode still
@@ -247,6 +271,14 @@ proptest! {
                 "listener {} diverged from the exact reference", v
             );
         }
+        // The auditor's certificates widen by the fade range too; its
+        // decisions must still equal `check` under the same channel.
+        let links = make_links(&params, &inst, tau, 3);
+        audit_sequence(&params, &inst, &links, sigma_tenths as usize, |set| {
+            let ls = LinkSet::from_links(set.iter().map(|&(l, _)| l)).unwrap();
+            let power = PowerAssignment::explicit(set.iter().copied().collect()).unwrap();
+            feasibility::check(&params, &inst, &ls, &power).is_feasible()
+        })?;
         // Threshold queries: certificates may only widen, so the
         // boolean must match the exact comparison everywhere.
         for &(u, p) in senders.iter().take(12) {

@@ -21,7 +21,8 @@ use sinr_connect_suite::connectivity::{
     connect, connect_with, ChannelModel, ConnectivityResult, EngineBackend, Strategy,
 };
 use sinr_connect_suite::geom::{gen, Instance};
-use sinr_connect_suite::phy::SinrParams;
+use sinr_connect_suite::links::{InTree, Link, Schedule};
+use sinr_connect_suite::phy::{packing, PowerAssignment, SinrParams};
 
 fn families(seed: u64) -> Vec<(&'static str, Instance)> {
     vec![
@@ -237,6 +238,98 @@ fn geometric_connect_fingerprints_are_pinned() {
             family.label()
         );
     }
+}
+
+/// Canonical byte rendering of a packer's output: every slot assignment
+/// in schedule order, then the links it could not place.
+fn pack_fingerprint(schedule: &Schedule, unschedulable: &[Link]) -> u64 {
+    let mut out = String::new();
+    for (l, s) in schedule.iter() {
+        let _ = writeln!(out, "agg {}->{} @{}", l.sender, l.receiver, s);
+    }
+    for l in unschedulable {
+        let _ = writeln!(out, "unschedulable {}->{}", l.sender, l.receiver);
+    }
+    fnv(&out)
+}
+
+/// The MST toward node 0 and its mean-with-margin powers: the
+/// centralized bi-tree baseline's input, as the packer sees it.
+fn mst_packing_input(params: &SinrParams, inst: &Instance) -> (InTree, PowerAssignment) {
+    let tree = InTree::from_parents(sinr_connect_suite::geom::mst::mst_parent_array(inst, 0))
+        .expect("MST orientation is a valid in-tree");
+    (
+        tree,
+        PowerAssignment::mean_with_margin(params, inst.delta()),
+    )
+}
+
+/// Pinned bytes of the ordered bidirectional packer on three families
+/// and both channel kinds (n = 512, seed 7). The values were recorded
+/// with the eager all-terms slot auditor, so every certified shortcut
+/// the auditor takes is held to the schedule the exact sums produced.
+#[test]
+fn packer_tree_schedules_are_pinned() {
+    use sinr_bench::workloads::Family;
+    let shadowed = ChannelModel::shadowed(7, 6.0).unwrap();
+    let pinned = [
+        (
+            Family::UniformSquare,
+            ChannelModel::Geometric,
+            0xa070_781e_5322_1806,
+        ),
+        (Family::UniformSquare, shadowed, 0xd48b_2a03_16fc_e1b1),
+        (
+            Family::Clustered,
+            ChannelModel::Geometric,
+            0xbddf_a19e_b731_71bf,
+        ),
+        (Family::Clustered, shadowed, 0xf453_7db8_32ab_4bad),
+        (
+            Family::TwoTier,
+            ChannelModel::Geometric,
+            0xcfbf_9800_928e_e8af,
+        ),
+        (Family::TwoTier, shadowed, 0x778b_b7eb_5c98_dcaa),
+    ];
+    for (family, channel, want) in pinned {
+        let params = SinrParams::default().with_channel(channel);
+        let inst = family.instance(512, 7);
+        let (tree, power) = mst_packing_input(&params, &inst);
+        let (schedule, unschedulable) = packing::pack_tree_ordered(&params, &inst, &tree, &power);
+        let got = pack_fingerprint(&schedule, &unschedulable);
+        assert_eq!(
+            got,
+            want,
+            "{}/{}: packer fingerprint {got:#018x} moved from the pinned {want:#018x}",
+            family.label(),
+            channel.label()
+        );
+    }
+}
+
+/// Pinned bytes of the greedy first-fit packer (ascending length, no
+/// slot floors) over the same uniform MST links.
+#[test]
+fn packer_first_fit_schedule_is_pinned() {
+    use sinr_bench::workloads::Family;
+    use sinr_connect_suite::baselines::first_fit::{first_fit_schedule, FirstFitOrder};
+    let params = SinrParams::default();
+    let inst = Family::UniformSquare.instance(512, 7);
+    let (tree, power) = mst_packing_input(&params, &inst);
+    let (schedule, unschedulable) = first_fit_schedule(
+        &params,
+        &inst,
+        &tree.aggregation_links(),
+        &power,
+        FirstFitOrder::AscendingLength,
+        |_| 0,
+    );
+    let got = pack_fingerprint(&schedule, &unschedulable);
+    assert_eq!(
+        got, 0x1e78_2104_8e14_ae55,
+        "first-fit fingerprint {got:#018x} moved"
+    );
 }
 
 /// The default-backed `connect` is the grid engine — and therefore also
