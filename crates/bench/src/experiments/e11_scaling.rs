@@ -9,9 +9,10 @@
 //! rungs at n = 65536 and 131072. The naive path is `O(listeners
 //! × transmitters²)` per slot and is only timed up to n = 2048 — the
 //! projected cost beyond that is minutes per slot; larger sizes
-//! compare the grid engine against the pooled parallel engine
-//! (`Parallel(4)`, whose wall-clock gain requires the host to actually
-//! have cores — the `cores` column records what this machine offered).
+//! compare the grid engine against the pooled parallel engine (one
+//! worker per core, [`parallel_threads`]; its wall-clock gain requires
+//! the host to actually have cores — the `cores` column records what
+//! the machine offered).
 //! Under the `profile` feature the capability rungs additionally emit
 //! an E11c table: the grid run's per-phase breakdown (build / grid /
 //! resolve / merge wall laps plus the field's near-field,

@@ -48,18 +48,18 @@ impl BiTree {
     ///   than a link in its sender's subtree.
     pub fn new(tree: InTree, aggregation: Schedule) -> Result<Self> {
         aggregation.validate_covers(&tree.aggregation_links())?;
+        // Every scheduled link is now some node's uplink: index the
+        // slots by sender.
+        let mut up = vec![0; tree.len()];
+        for (l, s) in aggregation.iter() {
+            up[l.sender] = s;
+        }
         // Ordering: slot(u → parent(u)) > slot(c → u) for every child c.
         // Checking the immediate-child relation suffices by transitivity.
         for u in 0..tree.len() {
-            if let Some(p) = tree.parent(u) {
-                let su = aggregation
-                    .slot_of(Link::new(u, p))
-                    .expect("coverage validated above");
+            if tree.parent(u).is_some() {
                 for &c in tree.children(u) {
-                    let sc = aggregation
-                        .slot_of(Link::new(c, u))
-                        .expect("coverage validated above");
-                    if sc >= su {
+                    if up[c] >= up[u] {
                         return Err(LinkError::OrderingViolation {
                             child: u,
                             descendant: c,
@@ -86,10 +86,24 @@ impl BiTree {
     /// The dissemination schedule: dual links, slots reversed, so links
     /// nearer the root fire earlier (Definition 1).
     pub fn dissemination_schedule(&self) -> Schedule {
-        self.aggregation
-            .reversed()
-            .map_links(Link::dual)
-            .expect("dualizing a valid schedule cannot collide")
+        // Every node's uplink slot, and the occupied range that
+        // `Schedule::reversed` flips the slots within.
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        let mut up = vec![0; self.tree.len()];
+        for (l, s) in self.aggregation.iter() {
+            up[l.sender] = s;
+            (lo, hi) = (lo.min(s), hi.max(s));
+        }
+        // The duals `p → c` ascend as the child lists do in node order,
+        // so the schedule is built from pre-sorted pairs.
+        let tree = &self.tree;
+        let duals = (0..tree.len()).flat_map(|p| {
+            let up = &up;
+            tree.children(p)
+                .iter()
+                .map(move |&c| (Link::new(p, c), lo + hi - up[c]))
+        });
+        Schedule::from_pairs(duals).expect("dualizing a valid schedule cannot collide")
     }
 
     /// Schedule length in slots.
@@ -251,6 +265,15 @@ mod tests {
         // Root-adjacent link fires first in dissemination.
         let first_slot = dis.links_in_slot(0);
         assert!(first_slot.iter().all(|l| l.sender == 0));
+        // Exactly the reversed schedule's duals, also when the occupied
+        // range does not start at slot 0.
+        let shifted =
+            Schedule::from_pairs(bt.aggregation_schedule().iter().map(|(l, s)| (l, s + 3)));
+        let shifted = BiTree::new(bt.tree().clone(), shifted.unwrap()).unwrap();
+        for bt in [bt, shifted] {
+            let expected = bt.aggregation_schedule().reversed().map_links(Link::dual);
+            assert_eq!(bt.dissemination_schedule(), expected.unwrap());
+        }
     }
 
     #[test]

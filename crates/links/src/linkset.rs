@@ -77,6 +77,20 @@ impl LinkSet {
         Ok(set)
     }
 
+    /// A set of `links`, which the caller knows to be distinct, kept in
+    /// their given order. The lookup set is bulk-built in one sort
+    /// instead of one tree insertion per link.
+    pub(crate) fn from_distinct(links: Vec<Link>) -> Self {
+        let seen: BTreeSet<Link> = links.iter().copied().collect();
+        debug_assert_eq!(seen.len(), links.len(), "links are distinct");
+        LinkSet { links, seen }
+    }
+
+    /// The links in ascending order.
+    pub(crate) fn sorted(&self) -> impl Iterator<Item = Link> + '_ {
+        self.seen.iter().copied()
+    }
+
     /// Inserts a link; returns `false` if it was already present.
     pub fn insert(&mut self, link: Link) -> bool {
         if self.seen.insert(link) {

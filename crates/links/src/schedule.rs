@@ -45,15 +45,18 @@ impl Schedule {
     ///
     /// Returns [`LinkError::ScheduleMismatch`] if a link appears twice.
     pub fn from_pairs<I: IntoIterator<Item = (Link, usize)>>(pairs: I) -> Result<Self> {
-        let mut s = Schedule::new();
-        for (l, slot) in pairs {
-            if s.assignment.insert(l, slot).is_some() {
-                return Err(LinkError::ScheduleMismatch {
-                    detail: format!("link {l:?} assigned twice"),
-                });
-            }
+        // Sorted, the pairs expose a repeat as two neighbors and build
+        // the map in bulk rather than by one tree insertion each.
+        let mut pairs: Vec<(Link, usize)> = pairs.into_iter().collect();
+        pairs.sort_unstable_by_key(|&(l, _)| l);
+        if let Some(w) = pairs.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(LinkError::ScheduleMismatch {
+                detail: format!("link {:?} assigned twice", w[0].0),
+            });
         }
-        Ok(s)
+        Ok(Schedule {
+            assignment: pairs.into_iter().collect(),
+        })
     }
 
     /// Assigns (or reassigns) `link` to `slot`.
@@ -101,12 +104,15 @@ impl Schedule {
     /// Slot contents in slot order, one `LinkSet` per slot (empty slots
     /// included so indices line up with slot numbers).
     pub fn slots(&self) -> Vec<LinkSet> {
-        let n = self.num_slots();
-        let mut out = vec![LinkSet::new(); n];
-        for (&l, &s) in &self.assignment {
-            out[s].insert(l);
+        let mut sizes = vec![0; self.num_slots()];
+        for &s in self.assignment.values() {
+            sizes[s] += 1;
         }
-        out
+        let mut out: Vec<Vec<Link>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        for (&l, &s) in &self.assignment {
+            out[s].push(l);
+        }
+        out.into_iter().map(LinkSet::from_distinct).collect()
     }
 
     /// Renumbers slots to remove empty ones, preserving relative order.
@@ -165,6 +171,11 @@ impl Schedule {
     /// Returns [`LinkError::ScheduleMismatch`] naming a missing or extra
     /// link.
     pub fn validate_covers(&self, links: &LinkSet) -> Result<()> {
+        // Both sides iterate in ascending order, so one lockstep walk
+        // settles the common case; the scans below name a mismatch.
+        if self.assignment.keys().copied().eq(links.sorted()) {
+            return Ok(());
+        }
         for l in links.iter() {
             if !self.assignment.contains_key(&l) {
                 return Err(LinkError::ScheduleMismatch {

@@ -30,7 +30,10 @@ use crate::{Link, LinkError, LinkSet, Result};
 // rootedness and acyclicity.
 pub struct InTree {
     parent: Vec<Option<NodeId>>,
-    children: Vec<Vec<NodeId>>,
+    /// Children of every node, concatenated in node order: those of `u`
+    /// are `kids[first[u]..first[u + 1]]`, in ascending id order.
+    first: Vec<usize>,
+    kids: Vec<NodeId>,
     depth: Vec<usize>,
     root: NodeId,
 }
@@ -87,23 +90,37 @@ impl InTree {
         }
         let root = root.ok_or(LinkError::NoRoot)?;
 
-        let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for (u, p) in parent.iter().enumerate() {
-            if let Some(v) = p {
-                children[*v].push(u);
+        // Counting sort of the nodes by parent: after the prefix sums,
+        // `first[v]` ends `v`'s block; placing the nodes in descending
+        // order moves it back to the block's start and leaves every
+        // block ascending.
+        let mut first = vec![0; n + 1];
+        for &v in parent.iter().flatten() {
+            first[v] += 1;
+        }
+        for u in 1..=n {
+            first[u] += first[u - 1];
+        }
+        let mut kids = vec![0; first[n]];
+        for (u, p) in parent.iter().enumerate().rev() {
+            if let Some(v) = *p {
+                first[v] -= 1;
+                kids[first[v]] = u;
             }
         }
 
         // BFS from the root computes depths and proves reachability.
+        // Every node has one parent, so none is queued twice.
         let mut depth = vec![usize::MAX; n];
-        let mut queue = std::collections::VecDeque::from([root]);
         depth[root] = 0;
-        while let Some(u) = queue.pop_front() {
-            for &c in &children[u] {
-                if depth[c] == usize::MAX {
-                    depth[c] = depth[u] + 1;
-                    queue.push_back(c);
-                }
+        let mut queue = Vec::with_capacity(n);
+        queue.push(root);
+        let mut next = 0;
+        while let Some(&u) = queue.get(next) {
+            next += 1;
+            for &c in &kids[first[u]..first[u + 1]] {
+                depth[c] = depth[u] + 1;
+                queue.push(c);
             }
         }
         if let Some(u) = depth.iter().position(|&d| d == usize::MAX) {
@@ -112,7 +129,8 @@ impl InTree {
 
         Ok(InTree {
             parent,
-            children,
+            first,
+            kids,
             depth,
             root,
         })
@@ -153,7 +171,7 @@ impl InTree {
     /// Panics if `u` is out of range.
     #[inline]
     pub fn children(&self, u: NodeId) -> &[NodeId] {
-        &self.children[u]
+        &self.kids[self.first[u]..self.first[u + 1]]
     }
 
     /// Depth of `u` (root has depth 0).
@@ -174,13 +192,14 @@ impl InTree {
     /// The aggregation links `u → parent(u)`, for all non-root `u`,
     /// in ascending node order.
     pub fn aggregation_links(&self) -> LinkSet {
-        let mut set = LinkSet::new();
-        for (u, p) in self.parent.iter().enumerate() {
-            if let Some(v) = p {
-                set.insert(Link::new(u, *v));
-            }
-        }
-        set
+        // One link per sender: distinct by construction.
+        LinkSet::from_distinct(
+            self.parent
+                .iter()
+                .enumerate()
+                .filter_map(|(u, p)| p.map(|v| Link::new(u, v)))
+                .collect(),
+        )
     }
 
     /// The dissemination links `parent(u) → u` (duals of the aggregation
@@ -195,7 +214,7 @@ impl InTree {
         let mut stack = vec![u];
         while let Some(v) = stack.pop() {
             out.push(v);
-            stack.extend(self.children[v].iter().copied());
+            stack.extend(self.children(v).iter().copied());
         }
         out
     }
@@ -330,6 +349,21 @@ mod tests {
         let t = InTree::from_parents(vec![None, Some(0), Some(0), Some(0)]).unwrap();
         assert_eq!(t.children(0), &[1, 2, 3]);
         assert_eq!(t.height(), 1);
+    }
+
+    #[test]
+    fn child_lists_partition_the_nodes_by_parent() {
+        // Root 3; children of 3: {0, 5}, of 0: {1, 4, 6}, of 5: {2}.
+        let parents = vec![Some(3), Some(0), Some(5), None, Some(0), Some(3), Some(0)];
+        let t = InTree::from_parents(parents.clone()).unwrap();
+        for v in 0..parents.len() {
+            let expected: Vec<NodeId> = (0..parents.len())
+                .filter(|&u| parents[u] == Some(v))
+                .collect();
+            assert_eq!(t.children(v), expected.as_slice(), "node {v}");
+        }
+        assert_eq!(t.depth(2), 2);
+        assert_eq!(t.subtree(0), vec![0, 6, 4, 1]);
     }
 
     #[test]

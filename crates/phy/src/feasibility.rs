@@ -125,33 +125,14 @@ pub fn check(
         return report;
     }
 
+    senders.sort_unstable();
     for (i, l) in links.iter().enumerate() {
         let p_l = tx[i].1;
-
-        if senders.contains(&l.receiver) {
+        if let Some(kind) = broken_rule(params, instance, l, p_l, |u| occurrences(&senders, u)) {
             report.violations.push(Violation {
                 link: l,
                 sinr: 0.0,
-                kind: ViolationKind::HalfDuplex,
-            });
-            continue;
-        }
-        if senders.iter().filter(|&&s| s == l.sender).count() > 1 {
-            report.violations.push(Violation {
-                link: l,
-                sinr: 0.0,
-                kind: ViolationKind::DuplicateSender,
-            });
-            continue;
-        }
-        let fade = params
-            .channel()
-            .fade(instance.position(l.sender), instance.position(l.receiver));
-        if p_l <= params.noise_floor_power(l.length(instance)) / fade {
-            report.violations.push(Violation {
-                link: l,
-                sinr: 0.0,
-                kind: ViolationKind::BelowNoiseFloor,
+                kind,
             });
             continue;
         }
@@ -167,6 +148,38 @@ pub fn check(
         }
     }
     report
+}
+
+/// The first of [`check`]'s per-link rules that `link`, sent with
+/// `power`, breaks, in `check`'s order: half-duplex, single
+/// transmission, noise floor. `sending(u)` counts the slot's links that
+/// node `u` sends, `link` included. `None` leaves the link to its SINR.
+fn broken_rule(
+    params: &SinrParams,
+    instance: &Instance,
+    link: Link,
+    power: f64,
+    sending: impl Fn(NodeId) -> usize,
+) -> Option<ViolationKind> {
+    if sending(link.receiver) > 0 {
+        return Some(ViolationKind::HalfDuplex);
+    }
+    if sending(link.sender) > 1 {
+        return Some(ViolationKind::DuplicateSender);
+    }
+    let (tx, rx) = (
+        instance.position(link.sender),
+        instance.position(link.receiver),
+    );
+    let floor = params.noise_floor_power(link.length(instance)) / params.channel().fade(tx, rx);
+    // An incomparable (NaN) power clears the floor.
+    (power <= floor).then_some(ViolationKind::BelowNoiseFloor)
+}
+
+/// How many entries of the sorted `nodes` equal `u`.
+fn occurrences(nodes: &[NodeId], u: NodeId) -> usize {
+    let from = nodes.partition_point(|&v| v < u);
+    nodes[from..].partition_point(|&v| v == u)
 }
 
 /// Shorthand for `check(..).is_feasible()`.
@@ -244,17 +257,12 @@ impl SlotScratch {
         self.senders.clear();
         self.senders.extend(self.tx.iter().map(|&(u, _)| u));
         self.senders.sort_unstable();
-        if self.senders.windows(2).any(|w| w[0] == w[1]) {
+        // Also rules out a repeated sender, which the field cannot hold.
+        let senders = &self.senders;
+        if links.iter().zip(&self.tx).any(|(l, &(_, p))| {
+            broken_rule(params, instance, l, p, |u| occurrences(senders, u)).is_some()
+        }) {
             return false;
-        }
-        let channel = params.channel();
-        for (l, &(_, p)) in links.iter().zip(&self.tx) {
-            let fade = channel.fade(instance.position(l.sender), instance.position(l.receiver));
-            if self.senders.binary_search(&l.receiver).is_ok()
-                || p <= params.noise_floor_power(l.length(instance)) / fade
-            {
-                return false;
-            }
         }
         let threshold = params.beta() * (1.0 - 1e-12);
         let buffers = std::mem::take(&mut self.buffers);
@@ -365,8 +373,6 @@ impl std::fmt::Debug for GainBounds {
 /// exact insertion-order sum instead.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AuditStats {
-    /// Probes answered.
-    pub probes: u64,
     /// Resident receivers caught up and decided exactly.
     pub resident_exact: u64,
     /// Probed links whose own receiver was summed exactly.
@@ -403,20 +409,6 @@ struct Resident {
     done: usize,
     /// Certified upper bound on the terms of residents `done..`.
     unsummed: f64,
-}
-
-/// What a successful probe learned, kept so that committing the same
-/// link next reuses it instead of recomputing the bounds. Any commit
-/// consumes it, so the residents it describes are still the current
-/// ones.
-#[derive(Clone, Copy, Debug)]
-struct Staged {
-    link: Link,
-    power_bits: u64,
-    /// The link's own exact interference, when the probe summed it.
-    exact: Option<f64>,
-    /// The link's own certified interference upper bound.
-    upper: f64,
 }
 
 /// An incremental per-slot feasibility auditor: the engine behind the
@@ -462,17 +454,13 @@ pub struct SlotAuditor<'a> {
     fades: [f64; 2],
     links: Vec<Link>,
     residents: Vec<Resident>,
-    /// Resident senders and receivers, sorted, for the structural rules.
+    /// Resident senders, sorted, for the structural rules.
     senders: Vec<NodeId>,
-    receivers: Vec<NodeId>,
     /// Whether the residents already break a rule that no addition can
     /// repair (a structural violation or a co-located interferer).
     doomed: bool,
     /// The resident that rejected the most recent probe, if any.
     blocker: usize,
-    staged: Option<Staged>,
-    /// Per resident, the staged link's upper bound term.
-    staged_terms: Vec<f64>,
     stats: AuditStats,
 }
 
@@ -489,11 +477,8 @@ impl<'a> SlotAuditor<'a> {
             links: Vec::new(),
             residents: Vec::new(),
             senders: Vec::new(),
-            receivers: Vec::new(),
             doomed: false,
             blocker: usize::MAX,
-            staged: None,
-            staged_terms: Vec::new(),
             stats: AuditStats::default(),
         }
     }
@@ -545,28 +530,20 @@ impl<'a> SlotAuditor<'a> {
     /// unchanged (a probe may only advance residents' exact sums);
     /// [`commit`](Self::commit) adds the link.
     pub fn probe(&mut self, link: Link, power: f64) -> bool {
-        self.stats.probes += 1;
-        self.staged = None;
-        if self.doomed || !self.admits(link) {
+        if self.doomed || !self.admits(link, power) {
             return false;
         }
-        let (new, audible) = self.resident(link, power);
-        if !audible {
-            return false;
-        }
+        let new = self.resident(link, power);
         let k = self.residents.len();
         // The resident that rejected the last probe (typically a long,
         // fragile link) usually rejects the next one too: ask it first.
         if let Some(r) = self.residents.get(self.blocker) {
-            if self.certify_with(r, &new).0 == Verdict::Fail {
+            if self.certify_with(r, &new) == Verdict::Fail {
                 return false;
             }
         }
-        self.staged_terms.clear();
         for i in 0..k {
-            let (verdict, term) = self.certify_with(&self.residents[i], &new);
-            self.staged_terms.push(term);
-            let settled = match verdict {
+            let settled = match self.certify_with(&self.residents[i], &new) {
                 Verdict::Pass => true,
                 Verdict::Fail => false,
                 Verdict::Unsure => self.resident_exactly(i, &new),
@@ -577,64 +554,31 @@ impl<'a> SlotAuditor<'a> {
             }
         }
         let (lower, upper) = self.interval_at(new.rx);
-        let exact = match self.certify(&new, lower, upper) {
-            Verdict::Pass => None,
-            Verdict::Fail => return false,
+        match self.certify(&new, lower, upper) {
+            Verdict::Pass => true,
+            Verdict::Fail => false,
             Verdict::Unsure => {
                 self.stats.link_exact += 1;
-                match self.exact_sum(&new, 0.0, 0..k) {
-                    Some(sum) if self.passes(&new, sum) => Some(sum),
-                    _ => return false,
-                }
+                self.exact_sum(&new, 0.0, 0..k)
+                    .is_some_and(|sum| self.passes(&new, sum))
             }
-        };
-        self.staged = Some(Staged {
-            link,
-            power_bits: power.to_bits(),
-            exact,
-            upper,
-        });
-        true
+        }
     }
 
     /// Adds `link` transmitting with `power` to the slot, whether or not
-    /// it keeps the slot feasible: `O(len)` bound updates, reusing the
-    /// work of a successful [`probe`](Self::probe) of the same link.
+    /// it keeps the slot feasible: `O(len)` bound updates.
     pub fn commit(&mut self, link: Link, power: f64) {
-        let k = self.residents.len();
-        let staged = self
-            .staged
-            .take()
-            .filter(|s| s.link == link && s.power_bits == power.to_bits());
-        let (mut new, audible) = self.resident(link, power);
-        if !(audible && self.admits(link)) {
+        if !self.admits(link, power) {
             self.doomed = true;
         }
-        match staged {
-            Some(s) => {
-                for (r, &term) in self.residents.iter_mut().zip(&self.staged_terms) {
-                    r.unsummed += term;
-                }
-                match s.exact {
-                    Some(sum) => (new.exact, new.done) = (sum, k),
-                    None => new.unsummed = s.upper,
-                }
-            }
-            None => {
-                new.unsummed = self.interval_at(new.rx).1;
-                let gains = &self.gains;
-                for r in &mut self.residents {
-                    r.unsummed += new.reach[1] * gains.get(new.tx.distance_sq(r.rx))[1];
-                }
-            }
+        let mut new = self.resident(link, power);
+        new.unsummed = self.interval_at(new.rx).1;
+        let gains = &self.gains;
+        for r in &mut self.residents {
+            r.unsummed += new.reach[1] * gains.get(new.tx.distance_sq(r.rx))[1];
         }
-        for (sorted, id) in [
-            (&mut self.senders, link.sender),
-            (&mut self.receivers, link.receiver),
-        ] {
-            let at = sorted.partition_point(|&u| u < id);
-            sorted.insert(at, id);
-        }
+        let at = self.senders.partition_point(|&u| u < link.sender);
+        self.senders.insert(at, link.sender);
         self.links.push(link);
         self.residents.push(new);
     }
@@ -656,18 +600,18 @@ impl<'a> SlotAuditor<'a> {
                 })
     }
 
-    /// Whether `link` keeps [`check`]'s structural rules against the
-    /// residents: its receiver is not transmitting, and its sender is
-    /// neither transmitting already nor a resident's receiver.
-    fn admits(&self, link: Link) -> bool {
-        self.senders.binary_search(&link.receiver).is_err()
-            && self.senders.binary_search(&link.sender).is_err()
-            && self.receivers.binary_search(&link.sender).is_err()
+    /// Whether `link`, sent with `power`, keeps [`check`]'s per-link
+    /// rules once it joins the residents. A resident whose receiver is
+    /// `link`'s sender needs no rule here: that sender sits on its
+    /// receiver, which its exact sum rates SINR 0, as `check` rates it
+    /// half-duplex.
+    fn admits(&self, link: Link, power: f64) -> bool {
+        let sending = |u| occurrences(&self.senders, u) + usize::from(u == link.sender);
+        broken_rule(self.params, self.instance, link, power, sending).is_none()
     }
 
-    /// A fresh resident record for `link`, with nothing summed yet, and
-    /// whether its power clears [`check`]'s noise floor.
-    fn resident(&self, link: Link, power: f64) -> (Resident, bool) {
+    /// A fresh resident record for `link`, with nothing summed yet.
+    fn resident(&self, link: Link, power: f64) -> Resident {
         let (tx, rx) = (
             self.instance.position(link.sender),
             self.instance.position(link.receiver),
@@ -675,7 +619,7 @@ impl<'a> SlotAuditor<'a> {
         let len = link.length(self.instance);
         let fade = self.params.channel().fade(tx, rx);
         let signal = power * self.params.path_gain(len) * fade;
-        let resident = Resident {
+        Resident {
             sender: link.sender,
             tx,
             rx,
@@ -686,14 +630,7 @@ impl<'a> SlotAuditor<'a> {
             exact: 0.0,
             done: 0,
             unsummed: 0.0,
-        };
-        // `check` flags `power <= floor`; an incomparable power clears.
-        let floor = self.params.noise_floor_power(len) / fade;
-        let audible = !matches!(
-            power.partial_cmp(&floor),
-            Some(Ordering::Less | Ordering::Equal)
-        );
-        (resident, audible)
+        }
     }
 
     /// Certified `(lower, upper)` bounds on the interference every
@@ -718,13 +655,12 @@ impl<'a> SlotAuditor<'a> {
         }
     }
 
-    /// What resident `r`'s interval says with `new`'s sender added last,
-    /// and that sender's upper bound term at `r`'s receiver.
-    fn certify_with(&self, r: &Resident, new: &Resident) -> (Verdict, f64) {
+    /// What resident `r`'s interval says with `new`'s sender added last.
+    fn certify_with(&self, r: &Resident, new: &Resident) -> Verdict {
         let [lo, hi] = self.gains.get(new.tx.distance_sq(r.rx));
-        let term = new.reach[1] * hi;
         let lower = r.exact + new.reach[0] * lo;
-        (self.certify(r, lower, r.exact + r.unsummed + term), term)
+        let upper = r.exact + r.unsummed + new.reach[1] * hi;
+        self.certify(r, lower, upper)
     }
 
     /// [`check`]'s exact comparison for `r` at `interference`. `check`
@@ -1029,6 +965,19 @@ mod tests {
         let mut c = SlotAuditor::new(&p, &inst);
         assert!(!c.probe(Link::new(0, 2), p.noise_floor_power(2.0) * 0.5));
 
+        // A second link from a busy sender. At β = 1 and powers far
+        // above the noise each link clears its SINR (the exact sums skip
+        // a link's own sender), so only the single-transmission rule
+        // rejects it.
+        let loud = SinrParams::new(3.0, 1.0, 1.0, 0.1).unwrap();
+        let both = [(Link::new(0, 1), 1e16), (Link::new(0, 2), 1e16)];
+        assert!(!check_links(&loud, &inst, &both));
+        let mut d = SlotAuditor::new(&loud, &inst);
+        d.commit(both[0].0, both[0].1);
+        assert!(!d.probe(both[1].0, both[1].1));
+        d.commit(both[1].0, both[1].1);
+        assert!(!d.is_feasible());
+
         // A structurally broken slot stays broken for every probe.
         c.commit(Link::new(0, 2), p.noise_floor_power(2.0) * 0.5);
         assert!(!c.is_feasible());
@@ -1057,7 +1006,6 @@ mod tests {
             assert_eq!(auditor.probe(b, pw), feasible, "β = {beta}");
             assert_eq!(feasible, check_links(&p, &inst, &[(a, pw), (b, pw)]));
             let stats = auditor.stats();
-            assert_eq!(stats.probes, 2);
             assert_eq!(stats.resident_exact, 1, "β = {beta}: {stats:?}");
             assert_eq!(
                 stats.link_exact,
