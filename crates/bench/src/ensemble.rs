@@ -150,7 +150,7 @@ impl Ensemble {
     /// the whole ladder and rows are not barriers), and hand back one
     /// `Vec` of trial results per row, in row and trial order.
     ///
-    /// Experiments with a non-standard split keep using [`map`]
+    /// Experiments with a non-standard split keep using [`map`](Self::map)
     /// directly: E7's *paired* ensemble draws every row's streams from
     /// row 0, and E10 doubles the ensemble of one row block.
     pub fn map_rows<R, F>(

@@ -13,7 +13,8 @@
 //!   undecided.
 //!
 //! Phase wall-clock comes from [`FieldScratch`]'s opt-in timers and
-//! the decode-outcome counters from its always-on [`QueryStats`] — no
+//! the decode-outcome counters from its always-on
+//! [`QueryStats`](sinr_phy::field::QueryStats) — no
 //! cargo feature required, so this experiment (and the committed
 //! `BENCH_PROFILE.json` it regenerates) runs on a default build. The
 //! counter columns (senders, certified/fallback shares, rings per

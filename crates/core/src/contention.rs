@@ -1,8 +1,8 @@
 //! Distributed contention-resolution scheduling of a fixed link set.
 //!
 //! §7 of the paper reschedules the `Init` tree by running "the
-//! distributed algorithm from [15]" (Kesselheim & Vöcking, DISC 2010)
-//! under mean power, which gives an `O(log n)`-approximate schedule [9].
+//! distributed algorithm from \[15\]" (Kesselheim & Vöcking, DISC 2010)
+//! under mean power, which gives an `O(log n)`-approximate schedule \[9\].
 //! We implement the same mechanism class (see DESIGN.md §5.3):
 //!
 //! - every undelivered link's sender transmits its payload in the data

@@ -10,8 +10,8 @@
 //! | §6 `Init` | [`init`] | bi-tree in `O(log Δ · log n)` slots (Thm 2) |
 //! | §7 rescheduling | [`reschedule`], [`contention`] | mean-power schedule, `O(Υ·log³ n)` (Thm 3) |
 //! | §8 `TreeViaCapacity` | [`tvc`] | interleaved build-and-select (Thm 12) |
-//! | §8.1 mean-power selection | [`selector::mean_sampling`] | `O(Υ·log n)` slots (Thm 16) |
-//! | §8.2 `Distr-Cap` | [`selector::distr_cap`] | `O(log n)` slots (Thm 20/21) |
+//! | §8.1 mean-power selection | [`selector::MeanSamplingSelector`] | `O(Υ·log n)` slots (Thm 16) |
+//! | §8.2 `Distr-Cap` | [`selector::DistrCapSelector`] | `O(log n)` slots (Thm 20/21) |
 //! | §8.2.3 power assignment | [`power_control`] | Foschini–Miljanic iteration |
 //! | Def. 1 latency | [`latency`] | converge-cast / broadcast / pairwise checks |
 //!

@@ -2,7 +2,7 @@
 //!
 //! Once `Distr-Cap` has selected a link set that *admits* a feasible
 //! power assignment, the paper invokes a distributed power-control
-//! algorithm as a black box (Lotker et al. [17], Dams et al. [2]) with
+//! algorithm as a black box (Lotker et al. \[17\], Dams et al. \[2\]) with
 //! runtime `η`. We implement the classical **Foschini–Miljanic**
 //! iteration that underlies that literature:
 //!

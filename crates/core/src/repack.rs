@@ -47,24 +47,20 @@
 //! bidirectional probes with per-node slot floors — except the floors
 //! are pre-seeded from the kept links' slots and each probed slot's
 //! auditors are seeded with its surviving residents
-//! ([`SlotAuditor::with_residents`]). Seeding `k` residents commits
-//! each in turn, `O(k²)` certified bound terms in all. Before paying
-//! it, a cheap certified pre-filter built from the slot's
-//! [`InterferenceField`] (the §7 cutoff-radius machinery — see
-//! [`InterferenceField::decode_radius`]) asks whether the probe link
-//! could decode against the residents at all; a certified "no" skips
-//! the slot without constructing its auditors. The filter only ever
-//! *rejects* — every acceptance still runs the full bidirectional
-//! audit, so the result is per-slot feasible in both directions by the
-//! same bit-exact decisions the full packer makes.
+//! ([`SlotAuditor::with_residents`]) the first time a link probes it.
+//! Seeding is `O(k)`: a seeded auditor settles the probed link's own
+//! receiver first and computes its residents' `O(k²)` bounds only if
+//! that passes, so a slot whose residents drown the link costs `O(k)`.
+//! Every placement is the full bidirectional audit, so the result is
+//! per-slot feasible in both directions by the same bit-exact decisions
+//! the full packer makes.
 
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-use sinr_geom::{Instance, NodeId};
+use sinr_geom::Instance;
 use sinr_links::{InTree, Link, LinkSet, Schedule, ScheduleDelta};
 use sinr_phy::feasibility::{self, SlotAuditor};
-use sinr_phy::field::{FieldBuffers, InterferenceField};
 use sinr_phy::{packing, PowerAssignment, SinrParams};
 
 /// Which re-packer the dynamic pipelines run after merging a churn
@@ -285,8 +281,8 @@ pub fn repack_tree(
         }
     }
     // (link, forward power, dual power) per previous slot, in the
-    // schedule's canonical (BTreeMap) order — the auditor/field seeding
-    // order below, hence deterministic.
+    // schedule's canonical (BTreeMap) order — the auditor seeding order
+    // below, hence deterministic.
     let mut residents: Vec<Vec<(Link, f64, f64)>> = vec![Vec::new(); previous_slots];
     let mut kept_in_place = 0usize;
     for (link, s) in delta.kept.iter() {
@@ -312,7 +308,6 @@ pub fn repack_tree(
 
     // ---- 3. re-pack the dirty region, leaf to root ------------------
     let mut slots: Vec<SlotState<'_>> = (0..previous_slots).map(|_| SlotState::default()).collect();
-    let mut arena = ProbeArena::default();
     let mut unschedulable = Vec::new();
     let mut repacked = 0usize;
     let mut classes: BTreeSet<u32> = BTreeSet::new();
@@ -346,7 +341,7 @@ pub fn repack_tree(
             } else {
                 &[]
             };
-            if slots[s].try_place(params, instance, res, link, (pw_fwd, pw_dual), &mut arena) {
+            if slots[s].try_place(params, instance, res, link, (pw_fwd, pw_dual)) {
                 schedule.assign(link, s);
                 if s < previous_slots {
                     touched[s] = true;
@@ -389,34 +384,12 @@ pub fn repack_tree(
     }
 }
 
-/// Lazily materialized probe state of one slot: the certified
-/// interference-field pre-filter (consulted only until the auditors
-/// exist), then the full bidirectional auditors, which are seeded with
-/// the slot's surviving residents on first use and grow in place as
+/// Probe state of one slot: the bidirectional auditors, seeded with
+/// the slot's surviving residents on first use and grown in place as
 /// dirty links land.
-#[derive(Default)]
-struct SlotState<'a> {
-    fields: Option<(InterferenceField<'a>, InterferenceField<'a>)>,
-    auditors: Option<(SlotAuditor<'a>, SlotAuditor<'a>)>,
-}
-
-/// Recycled allocations shared by every slot's pre-filter: the two
-/// transient sender lists and a pool of recovered [`FieldBuffers`].
-/// Each slot's pre-filter fields are transient — dead the moment the
-/// slot's auditors exist — so their grids cycle through here instead of
-/// re-allocating per slot (the repack-side counterpart of the engine's
-/// `SlotArena`, DESIGN.md §12).
 #[derive(Debug, Default)]
-struct ProbeArena {
-    senders_fwd: Vec<(NodeId, f64)>,
-    senders_dual: Vec<(NodeId, f64)>,
-    buffers: Vec<FieldBuffers>,
-}
-
-impl ProbeArena {
-    fn take_buffers(&mut self) -> FieldBuffers {
-        self.buffers.pop().unwrap_or_default()
-    }
+struct SlotState<'a> {
+    auditors: Option<(SlotAuditor<'a>, SlotAuditor<'a>)>,
 }
 
 impl<'a> SlotState<'a> {
@@ -428,54 +401,9 @@ impl<'a> SlotState<'a> {
         residents: &[(Link, f64, f64)],
         link: Link,
         (pw_fwd, pw_dual): (f64, f64),
-        arena: &mut ProbeArena,
     ) -> bool {
-        let threshold = params.beta() * (1.0 - 1e-12);
-        if self.auditors.is_none() && !residents.is_empty() {
-            // Certified pre-filter (§7 cutoff machinery): if the probe
-            // link itself cannot decode against the residents in either
-            // direction, the slot rejects without paying the auditor
-            // seeding. The field only ever rules *out* — any pass still
-            // runs the full audit below — and is consulted only until
-            // the auditors exist (once they do, their certified probes
-            // answer instead), so it is never updated afterwards.
-            let (fwd_field, dual_field) = match self.fields.as_mut() {
-                Some(pair) => pair,
-                None => {
-                    arena.senders_fwd.clear();
-                    arena
-                        .senders_fwd
-                        .extend(residents.iter().map(|&(l, pf, _)| (l.sender, pf)));
-                    arena.senders_dual.clear();
-                    arena
-                        .senders_dual
-                        .extend(residents.iter().map(|&(l, _, pd)| (l.receiver, pd)));
-                    let fwd_buf = arena.take_buffers();
-                    let dual_buf = arena.take_buffers();
-                    self.fields.insert((
-                        InterferenceField::build_with(
-                            params,
-                            instance,
-                            &arena.senders_fwd,
-                            fwd_buf,
-                        ),
-                        InterferenceField::build_with(
-                            params,
-                            instance,
-                            &arena.senders_dual,
-                            dual_buf,
-                        ),
-                    ))
-                }
-            };
-            if !fwd_field.sinr_at_least(link, pw_fwd, threshold)
-                || !dual_field.sinr_at_least(link.dual(), pw_dual, threshold)
-            {
-                return false;
-            }
-        }
-        if self.auditors.is_none() {
-            self.auditors = Some((
+        let (fwd, dual) = self.auditors.get_or_insert_with(|| {
+            (
                 SlotAuditor::with_residents(
                     params,
                     instance,
@@ -486,29 +414,14 @@ impl<'a> SlotState<'a> {
                     instance,
                     residents.iter().map(|&(l, _, pd)| (l.dual(), pd)),
                 ),
-            ));
-            // The pre-filter is dead from here on: the auditors answer
-            // every further probe. Recover its grids for other slots.
-            if let Some((f, d)) = self.fields.take() {
-                arena.buffers.push(f.into_buffers());
-                arena.buffers.push(d.into_buffers());
-            }
-        }
-        let (fwd, dual) = self.auditors.as_mut().expect("auditors seeded above");
+            )
+        });
         if !(fwd.probe(link, pw_fwd) && dual.probe(link.dual(), pw_dual)) {
             return false;
         }
         fwd.commit(link, pw_fwd);
         dual.commit(link.dual(), pw_dual);
         true
-    }
-}
-
-impl std::fmt::Debug for SlotState<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SlotState")
-            .field("seeded", &self.auditors.is_some())
-            .finish()
     }
 }
 

@@ -25,7 +25,7 @@
 //! one fully centralized boundary (re-pack *everything*); the
 //! incremental re-packer narrowed it to the damage neighborhood, and
 //! the distributed re-packer removes it: with
-//! [`RepackMode::Distributed`] even the dirty-region slot assignments
+//! [`RepackMode::Distributed`](crate::RepackMode::Distributed) even the dirty-region slot assignments
 //! are derived by local message rounds — the paper's §9 repair problem
 //! in its remaining form, closed. See DESIGN.md §10/§14.
 //!

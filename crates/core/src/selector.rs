@@ -81,8 +81,8 @@ pub trait SubsetSelector: std::fmt::Debug {
 /// The affectance-threshold decisions go through the spatially-indexed
 /// [`InterferenceField`] (DESIGN.md §7): certified answers short-cut
 /// the all-transmitters sum; threshold-grazing probes fall back to the
-/// exact naive-order sum, so decisions are bit-identical to summing
-/// directly.
+/// exact naive-order sum inside the field, so decisions are
+/// bit-identical to summing directly.
 ///
 /// `pub(crate)`: the distributed re-packer ([`crate::dist_repack`])
 /// runs its claim rounds through this same resolver, so its probes are
@@ -109,11 +109,7 @@ pub(crate) fn resolve_probe_slot(
             });
             continue;
         }
-        let admitted = match field.sum_on_at_most(link, power, threshold) {
-            Ok(Some(decision)) => decision,
-            Ok(None) => matches!(field.sum_on_exact(link, power), Ok(aff) if aff <= threshold),
-            Err(_) => false,
-        };
+        let admitted = matches!(field.sum_on_at_most(link, power, threshold), Ok(true));
         #[cfg(feature = "trace")]
         sinr_sim::trace::emit(sinr_sim::trace::TraceEvent::Probe {
             sender: link.sender,

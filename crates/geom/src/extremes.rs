@@ -104,7 +104,7 @@ pub fn extreme_distances_grid(points: &[Point]) -> Option<Extremes> {
 }
 
 /// The extreme pairwise distances: dispatches to the naive scan below
-/// [`GRID_CUTOFF`] points and to the grid/hull path above it. Both
+/// `GRID_CUTOFF` (256) points and to the grid/hull path above it. Both
 /// paths return identical bits.
 pub fn extreme_distances(points: &[Point]) -> Option<Extremes> {
     if points.len() <= GRID_CUTOFF {

@@ -12,7 +12,7 @@
 //! - [`grid_lattice`] — worst-case-regular deployments;
 //! - [`exponential_chain`] — instances whose `Δ` grows exponentially in
 //!   `n`, used to sweep `log Δ` independently of `n`;
-//! - [`line`] — evenly spaced collinear points (degenerate geometry);
+//! - [`line()`] — evenly spaced collinear points (degenerate geometry);
 //! - [`annulus`] — ring deployments (hollow center);
 //! - [`two_tier`] — a sparse backbone lattice of hubs, each with a
 //!   tight cluster of members (the heterogeneous power-class family);

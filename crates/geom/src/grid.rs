@@ -4,11 +4,10 @@
 //!
 //! - [`GridIndex`] — an immutable index over *all* nodes of an
 //!   [`Instance`], for range queries and nearest-neighbor searches;
-//! - [`WeightedCellGrid`] — a mutable bucket grid over an arbitrary
-//!   subset of nodes with a per-cell aggregate weight, the substrate of
-//!   the interference field in `sinr-phy` (cell-aggregate transmit
-//!   power, ring-ordered cell enumeration for certified far-field
-//!   bounds).
+//! - [`WeightedCellGrid`] — a bucket grid over an arbitrary weighted
+//!   subset of nodes, rebuilt per use, the substrate of the
+//!   interference field in `sinr-phy` (total transmit power,
+//!   ring-ordered cell enumeration for certified far-field bounds).
 
 use std::collections::HashMap;
 
@@ -32,10 +31,9 @@ pub type CellKey = (i64, i64);
 /// let inst = gen::uniform_square(128, 2.0, 7)?;
 /// let grid = GridIndex::build(&inst, 4.0);
 /// let center = inst.position(0);
-/// let mut near = grid.nodes_within(center, 10.0);
-/// near.sort_unstable();
-/// let mut brute = inst.nodes_in_ball(center, 10.0);
-/// brute.sort_unstable();
+/// let mut near = 0;
+/// grid.for_each_within(center, 10.0, |_| near += 1);
+/// let brute = inst.iter().filter(|&(_, p)| p.distance(center) <= 10.0).count();
 /// assert_eq!(near, brute);
 /// # Ok::<(), sinr_geom::GeomError>(())
 /// ```
@@ -96,13 +94,10 @@ impl GridIndex {
         self.cells.len()
     }
 
-    /// All nodes within the closed ball of `radius` around `center`.
-    ///
-    /// Allocates a fresh `Vec` per call, so it is intended for tests and
-    /// one-shot diagnostics only; library code on a hot path (anything
-    /// calling from inside a per-node or per-slot loop) must use
-    /// [`for_each_within`](GridIndex::for_each_within) or
-    /// [`for_each_cell_within`](GridIndex::for_each_cell_within) instead.
+    /// All nodes within the closed ball of `radius` around `center`,
+    /// collected into a fresh `Vec` — the tests' view of
+    /// [`for_each_within`](GridIndex::for_each_within).
+    #[cfg(test)]
     pub fn nodes_within(&self, center: Point, radius: f64) -> Vec<NodeId> {
         let mut out = Vec::new();
         self.for_each_within(center, radius, |id| out.push(id));
@@ -208,8 +203,8 @@ impl GridIndex {
 }
 
 /// A read-only view of one occupied [`WeightedCellGrid`] cell: the
-/// cached aggregate weight plus the member columns as parallel slices
-/// (structure-of-arrays), in insertion order.
+/// member columns as parallel slices (structure-of-arrays), in
+/// insertion order.
 ///
 /// The slice accessors are the hot-loop interface: a ring
 /// accumulation walks `ws()`/`xs()`/`ys()` as contiguous `f64` runs
@@ -217,7 +212,6 @@ impl GridIndex {
 /// them for callers that want tuples.
 #[derive(Clone, Copy, Debug)]
 pub struct CellView<'a> {
-    weight: f64,
     ids: &'a [NodeId],
     xs: &'a [f64],
     ys: &'a [f64],
@@ -225,25 +219,6 @@ pub struct CellView<'a> {
 }
 
 impl<'a> CellView<'a> {
-    /// The aggregate weight of the cell (sum of member weights, in
-    /// insertion order).
-    #[inline]
-    pub fn weight(&self) -> f64 {
-        self.weight
-    }
-
-    /// Number of members in this cell.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether the cell is empty (never true for visited cells).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
     /// Member node ids, in insertion order.
     #[inline]
     pub fn ids(&self) -> &'a [NodeId] {
@@ -288,15 +263,15 @@ const MAX_CELL_INDEX: f64 = (1i64 << 31) as f64;
 /// the coordinate range (the dense table would dwarf the member set).
 const MAX_DENSE_CELLS: u128 = 1 << 24;
 
-/// A mutable bucket grid over weighted points, with per-cell aggregate
-/// weights and ring-ordered cell enumeration.
+/// A bucket grid over weighted points, with ring-ordered cell
+/// enumeration.
 ///
 /// This is the spatial substrate of `sinr-phy`'s interference field: a
-/// slot's transmitters are inserted with their transmit power as the
-/// weight; per-cell aggregates then bound the far-field interference of
-/// every cell not yet enumerated (`remaining weight × gain(min
-/// distance)`), which is what lets the field certify SINR decisions
-/// from a near-field prefix.
+/// slot's transmitters are bucketed with their transmit power as the
+/// weight; the total weight and the weight seen so far then bound the
+/// far-field interference of every cell not yet enumerated (`remaining
+/// weight × gain(min distance)`), which is what lets the field certify
+/// SINR decisions from a near-field prefix.
 ///
 /// # Layout
 ///
@@ -305,44 +280,26 @@ const MAX_DENSE_CELLS: u128 = 1 << 24;
 /// CSR-style `cell_start` table over a *dense* column-major cell
 /// rectangle (the bounding rectangle of occupied keys). Queries do no
 /// hashing: a cell is one index computation and one contiguous slice.
-/// A second set of insertion-ordered staging arrays is the mutation
-/// source of truth; [`rebuild`](WeightedCellGrid::rebuild) scatters it
-/// into the CSR layout with a stable counting sort, so within-cell
-/// member order is exactly insertion order — the iteration-order
-/// contract every accumulated float in `sinr-phy` depends on.
-///
-/// [`rebuild`](WeightedCellGrid::rebuild) is the intended bulk
-/// constructor (one pass to stage, one scatter — linear, and it reuses
-/// every buffer across calls). [`insert`](WeightedCellGrid::insert) /
-/// [`remove`](WeightedCellGrid::remove) keep the incremental API for
-/// small edits and tests, at `O(n + cells)` per call (each re-scatters
-/// the index).
-///
-/// Cell-key bounds grow monotonically: removals never shrink the
-/// scanned rectangle (a stale superset only costs empty probes, never
-/// correctness).
+/// [`rebuild`](WeightedCellGrid::rebuild) is the one way to fill it: it
+/// scatters the members straight into the CSR layout with a stable
+/// counting sort, so within-cell member order is exactly iteration
+/// order — the order every accumulated float in `sinr-phy` depends on —
+/// and it reuses every buffer across calls.
 #[derive(Clone, Debug)]
 pub struct WeightedCellGrid {
     cell: f64,
     total_weight: f64,
     key_min: CellKey,
     key_max: CellKey,
-    /// Dense cell-table extents: `cols` along x, `rows` along y.
-    /// Column-major linearization (`x` major, `y` minor) so the
-    /// rectangular near-scan's inner loop walks contiguous cells.
-    cols: usize,
+    /// Dense cell-table height (cells along y). Column-major
+    /// linearization (`x` major, `y` minor) so the rectangular
+    /// near-scan's inner loop walks contiguous cells.
     rows: usize,
-    /// Insertion-ordered staging columns (mutation source of truth).
-    stage_ids: Vec<NodeId>,
-    stage_xs: Vec<f64>,
-    stage_ys: Vec<f64>,
-    stage_ws: Vec<f64>,
     /// CSR index: member range of linear cell `c` is
     /// `cell_start[c] .. cell_start[c + 1]`.
     cell_start: Vec<u32>,
-    cell_weight: Vec<f64>,
     occupied: usize,
-    /// Cell-grouped member columns (scatter of the staging arrays).
+    /// Cell-grouped member columns.
     ids: Vec<NodeId>,
     xs: Vec<f64>,
     ys: Vec<f64>,
@@ -358,30 +315,22 @@ impl WeightedCellGrid {
     ///
     /// Panics if `cell_size` is not strictly positive and finite.
     pub fn new(cell_size: f64) -> Self {
-        assert!(
-            cell_size.is_finite() && cell_size > 0.0,
-            "cell_size must be positive and finite, got {cell_size}"
-        );
-        WeightedCellGrid {
+        let mut grid = WeightedCellGrid {
             cell: cell_size,
             total_weight: 0.0,
             key_min: (i64::MAX, i64::MAX),
             key_max: (i64::MIN, i64::MIN),
-            cols: 0,
             rows: 0,
-            stage_ids: Vec::new(),
-            stage_xs: Vec::new(),
-            stage_ys: Vec::new(),
-            stage_ws: Vec::new(),
             cell_start: Vec::new(),
-            cell_weight: Vec::new(),
             occupied: 0,
             ids: Vec::new(),
             xs: Vec::new(),
             ys: Vec::new(),
             ws: Vec::new(),
             cursor: Vec::new(),
-        }
+        };
+        grid.rebuild(cell_size, std::iter::empty());
+        grid
     }
 
     /// Cell side length.
@@ -393,13 +342,13 @@ impl WeightedCellGrid {
     /// Number of members currently stored.
     #[inline]
     pub fn len(&self) -> usize {
-        self.stage_ids.len()
+        self.ids.len()
     }
 
     /// Whether the grid is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.stage_ids.is_empty()
+        self.ids.is_empty()
     }
 
     /// Number of non-empty cells.
@@ -408,11 +357,9 @@ impl WeightedCellGrid {
         self.occupied
     }
 
-    /// Sum of all member weights. Insertions accumulate (addition of
-    /// non-negative weights only); removals re-aggregate from scratch
-    /// (never by subtraction, which would not round-trip the float).
-    /// Either way it carries only summation rounding — callers using it
-    /// as a bound must still apply their own guard factor.
+    /// Sum of all member weights, accumulated in iteration order. It
+    /// carries summation rounding, so callers using it as a bound must
+    /// still apply their own guard factor.
     #[inline]
     pub fn total_weight(&self) -> f64 {
         self.total_weight
@@ -458,55 +405,73 @@ impl WeightedCellGrid {
         (self.cell_start[c] as usize, self.cell_start[c + 1] as usize)
     }
 
-    /// Re-derives the dense cell table and CSR arrays from the staging
-    /// columns: grow the key rectangle over all staged keys, count,
-    /// prefix-sum, then stable-scatter — within-cell member order is
-    /// global insertion order restricted to the cell, and each cell's
-    /// aggregate weight accumulates in that same order (bit-compatible
-    /// with a sequence of incremental inserts).
-    fn reindex(&mut self) {
-        for i in 0..self.stage_ids.len() {
-            let k = self.key_of(Point::new(self.stage_xs[i], self.stage_ys[i]));
+    /// Re-keys the grid to `cell_size` and fills it with `members`,
+    /// keeping every buffer's capacity.
+    ///
+    /// Three linear passes over `members`: grow the key rectangle and
+    /// the total weight, count per cell and prefix-sum, then
+    /// stable-scatter. Within-cell member order is iteration order
+    /// restricted to the cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell_size` is not strictly positive and finite.
+    pub fn rebuild<I>(&mut self, cell_size: f64, members: I)
+    where
+        I: IntoIterator<Item = (NodeId, Point, f64)>,
+        I::IntoIter: Clone,
+    {
+        assert!(
+            cell_size.is_finite() && cell_size > 0.0,
+            "cell_size must be positive and finite, got {cell_size}"
+        );
+        let members = members.into_iter();
+        self.cell = cell_size;
+        self.total_weight = 0.0;
+        self.key_min = (i64::MAX, i64::MAX);
+        self.key_max = (i64::MIN, i64::MIN);
+        let mut n = 0usize;
+        for (_, p, w) in members.clone() {
+            let k = self.key_of(p);
             self.key_min = (self.key_min.0.min(k.0), self.key_min.1.min(k.1));
             self.key_max = (self.key_max.0.max(k.0), self.key_max.1.max(k.1));
+            self.total_weight += w;
+            n += 1;
         }
-        if self.key_min.0 > self.key_max.0 {
-            // Nothing ever inserted: keep the zero-extent empty table.
-            self.cols = 0;
+        self.ids.clear();
+        self.xs.clear();
+        self.ys.clear();
+        self.ws.clear();
+        self.cell_start.clear();
+        self.cell_start.push(0);
+        self.occupied = 0;
+        if n == 0 {
+            // Keep the zero-extent empty table.
             self.rows = 0;
-            self.cell_start.clear();
-            self.cell_start.push(0);
-            self.cell_weight.clear();
-            self.occupied = 0;
             return;
         }
         let cols = (self.key_max.0 - self.key_min.0 + 1) as u128;
         let rows = (self.key_max.1 - self.key_min.1 + 1) as u128;
         debug_assert!(
             cols * rows <= MAX_DENSE_CELLS,
-            "degenerate cell size: {} members span a {cols}×{rows} cell rectangle \
+            "degenerate cell size: {n} members span a {cols}×{rows} cell rectangle \
              (cell {}, key rect {:?}..={:?}); the dense layout caps at {MAX_DENSE_CELLS} cells",
-            self.stage_ids.len(),
             self.cell,
             self.key_min,
             self.key_max
         );
-        self.cols = cols as usize;
-        self.rows = rows as usize;
-        let ncells = self.cols * self.rows;
-        let n = self.stage_ids.len();
         debug_assert!(
             n < u32::MAX as usize,
             "member count overflows the u32 CSR index"
         );
+        self.rows = rows as usize;
+        let ncells = cols as usize * self.rows;
 
-        self.cell_start.clear();
         self.cell_start.resize(ncells + 1, 0);
-        for i in 0..n {
-            let c = self.lin(self.key_of(Point::new(self.stage_xs[i], self.stage_ys[i])));
+        for (_, p, _) in members.clone() {
+            let c = self.lin(self.key_of(p));
             self.cell_start[c + 1] += 1;
         }
-        self.occupied = 0;
         for c in 0..ncells {
             if self.cell_start[c + 1] > 0 {
                 self.occupied += 1;
@@ -516,106 +481,19 @@ impl WeightedCellGrid {
 
         self.cursor.clear();
         self.cursor.extend_from_slice(&self.cell_start[..ncells]);
-        self.cell_weight.clear();
-        self.cell_weight.resize(ncells, 0.0);
-        self.ids.clear();
         self.ids.resize(n, 0);
-        self.xs.clear();
         self.xs.resize(n, 0.0);
-        self.ys.clear();
         self.ys.resize(n, 0.0);
-        self.ws.clear();
         self.ws.resize(n, 0.0);
-        for i in 0..n {
-            let (x, y, w) = (self.stage_xs[i], self.stage_ys[i], self.stage_ws[i]);
-            let c = self.lin(self.key_of(Point::new(x, y)));
+        for (id, p, w) in members {
+            let c = self.lin(self.key_of(p));
             let dst = self.cursor[c] as usize;
             self.cursor[c] += 1;
-            self.ids[dst] = self.stage_ids[i];
-            self.xs[dst] = x;
-            self.ys[dst] = y;
+            self.ids[dst] = id;
+            self.xs[dst] = p.x;
+            self.ys[dst] = p.y;
             self.ws[dst] = w;
-            self.cell_weight[c] += w;
         }
-    }
-
-    /// Clears the grid and re-keys it to a new cell size, keeping every
-    /// buffer's capacity — the per-slot reuse entry point of the
-    /// interference field's scratch arena.
-    pub fn reset(&mut self, cell_size: f64) {
-        assert!(
-            cell_size.is_finite() && cell_size > 0.0,
-            "cell_size must be positive and finite, got {cell_size}"
-        );
-        self.cell = cell_size;
-        self.total_weight = 0.0;
-        self.key_min = (i64::MAX, i64::MAX);
-        self.key_max = (i64::MIN, i64::MIN);
-        self.cols = 0;
-        self.rows = 0;
-        self.stage_ids.clear();
-        self.stage_xs.clear();
-        self.stage_ys.clear();
-        self.stage_ws.clear();
-        self.cell_start.clear();
-        self.cell_start.push(0);
-        self.cell_weight.clear();
-        self.occupied = 0;
-        self.ids.clear();
-        self.xs.clear();
-        self.ys.clear();
-        self.ws.clear();
-    }
-
-    /// Bulk-builds the grid contents in one linear pass: stages every
-    /// member in iteration order, then scatters once. Equivalent to
-    /// (and bit-compatible with) a loop of
-    /// [`insert`](WeightedCellGrid::insert) calls, without the per-call
-    /// re-scatter. Appends to any existing members.
-    pub fn rebuild<I: IntoIterator<Item = (NodeId, Point, f64)>>(&mut self, members: I) {
-        for (id, p, w) in members {
-            self.stage_ids.push(id);
-            self.stage_xs.push(p.x);
-            self.stage_ys.push(p.y);
-            self.stage_ws.push(w);
-            self.total_weight += w;
-        }
-        self.reindex();
-    }
-
-    /// Inserts a member, keeping the query index fresh. The aggregate
-    /// accumulates by addition, bit-compatible with the bulk path; the
-    /// re-scatter makes a single insert `O(n + cells)` — batch inserts
-    /// through [`rebuild`](WeightedCellGrid::rebuild) on hot paths.
-    pub fn insert(&mut self, id: NodeId, p: Point, weight: f64) {
-        self.rebuild(std::iter::once((id, p, weight)));
-    }
-
-    /// Removes the most recently inserted member with this id in the
-    /// cell containing `p`; returns whether one was found.
-    /// `O(n + cells)` (re-scatters the index).
-    pub fn remove(&mut self, id: NodeId, p: Point) -> bool {
-        let k = self.key_of(p);
-        if !self.in_rect(k) {
-            return false;
-        }
-        let Some(pos) = (0..self.stage_ids.len()).rev().find(|&i| {
-            self.stage_ids[i] == id
-                && self.key_of(Point::new(self.stage_xs[i], self.stage_ys[i])) == k
-        }) else {
-            return false;
-        };
-        self.stage_ids.remove(pos);
-        self.stage_xs.remove(pos);
-        self.stage_ys.remove(pos);
-        self.stage_ws.remove(pos);
-        self.reindex();
-        // Re-aggregate (never subtract) in deterministic linear cell
-        // order; the old bucket layout summed in hash-map order, which
-        // is why callers must treat this as "exact up to summation
-        // rounding", never as a bit-pinned quantity.
-        self.total_weight = self.cell_weight.iter().sum();
-        true
     }
 
     /// Calls `f` for every member of every cell whose rectangle
@@ -677,7 +555,6 @@ impl WeightedCellGrid {
                 return 0;
             }
             f(CellView {
-                weight: self.cell_weight[c],
                 ids: &self.ids[lo..hi],
                 xs: &self.xs[lo..hi],
                 ys: &self.ys[lo..hi],
@@ -742,6 +619,23 @@ mod tests {
                     assert_eq!(a, b, "seed {seed} radius {radius}");
                 }
             }
+        }
+    }
+
+    proptest::proptest! {
+        /// Grid range queries agree with brute force for arbitrary cell
+        /// sizes.
+        #[test]
+        fn grid_matches_bruteforce(seed in 0u64..100, n in 1usize..60,
+                                   cell in 0.5f64..20.0, radius in 0.0f64..50.0) {
+            let inst = gen::uniform_square(n, 2.0, seed).unwrap();
+            let grid = GridIndex::build(&inst, cell);
+            let center = inst.position(seed as usize % n);
+            let mut a = grid.nodes_within(center, radius);
+            let mut b = inst.nodes_in_ball(center, radius);
+            a.sort_unstable();
+            b.sort_unstable();
+            proptest::prop_assert_eq!(a, b);
         }
     }
 
@@ -810,29 +704,10 @@ mod tests {
     }
 
     #[test]
-    fn weighted_grid_aggregates_and_removal() {
-        let mut g = WeightedCellGrid::new(1.0);
-        assert!(g.is_empty());
-        g.insert(0, Point::new(0.5, 0.5), 2.0);
-        g.insert(1, Point::new(0.6, 0.4), 3.0);
-        g.insert(2, Point::new(5.5, 0.5), 7.0);
-        assert_eq!(g.len(), 3);
-        assert_eq!(g.occupied_cells(), 2);
-        assert!((g.total_weight() - 12.0).abs() < 1e-12);
-
-        assert!(g.remove(1, Point::new(0.6, 0.4)));
-        assert!(!g.remove(1, Point::new(0.6, 0.4)), "already gone");
-        assert_eq!(g.len(), 2);
-        assert!((g.total_weight() - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn weighted_grid_near_is_superset_of_ball() {
         let inst = gen::uniform_square(100, 1.5, 11).unwrap();
         let mut g = WeightedCellGrid::new(2.0);
-        for (id, p) in inst.iter() {
-            g.insert(id, p, 1.0);
-        }
+        g.rebuild(2.0, (0..inst.len()).map(|id| (id, inst.position(id), 1.0)));
         let center = inst.position(0);
         for radius in [1.0, 4.0, 9.0] {
             let mut near = Vec::new();
@@ -848,9 +723,7 @@ mod tests {
         let inst = gen::uniform_square(120, 1.5, 6).unwrap();
         let cell = 1.7;
         let mut g = WeightedCellGrid::new(cell);
-        for (id, p) in inst.iter() {
-            g.insert(id, p, 1.0);
-        }
+        g.rebuild(cell, (0..inst.len()).map(|id| (id, inst.position(id), 1.0)));
         let center = inst.position(7);
         let mut seen = 0usize;
         let mut member_total = 0usize;
@@ -874,57 +747,19 @@ mod tests {
         assert_eq!(member_total, g.len());
     }
 
-    /// The bulk path and a loop of incremental inserts must agree on
-    /// every observable: member order per cell, per-cell aggregate
-    /// bits, total-weight bits, occupied counts.
+    /// Rebuilding a used grid must behave exactly like filling a fresh
+    /// one (no stale rectangle, counts, or members leaking through).
     #[test]
-    fn weighted_grid_rebuild_matches_insert_loop() {
-        let inst = gen::uniform_square(150, 1.5, 13).unwrap();
-        let members: Vec<(NodeId, Point, f64)> = inst
-            .iter()
-            .map(|(id, p)| (id, p, 1.0 + (id as f64) * 0.37))
-            .collect();
-
-        let mut bulk = WeightedCellGrid::new(1.9);
-        bulk.rebuild(members.iter().copied());
-        let mut incremental = WeightedCellGrid::new(1.9);
-        for &(id, p, w) in &members {
-            incremental.insert(id, p, w);
-        }
-
-        assert_eq!(bulk.len(), incremental.len());
-        assert_eq!(bulk.occupied_cells(), incremental.occupied_cells());
-        assert_eq!(
-            bulk.total_weight().to_bits(),
-            incremental.total_weight().to_bits()
-        );
-        let center = inst.position(0);
-        for ring in 0..=bulk.max_ring_from(center) {
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            bulk.for_each_ring_cell(center, ring, |c| {
-                a.push((c.weight().to_bits(), c.members().collect::<Vec<_>>()));
-            });
-            incremental.for_each_ring_cell(center, ring, |c| {
-                b.push((c.weight().to_bits(), c.members().collect::<Vec<_>>()));
-            });
-            assert_eq!(a, b, "ring {ring}");
-        }
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        bulk.for_each_member_near(center, 5.0, |id, p, w| a.push((id, p, w.to_bits())));
-        incremental.for_each_member_near(center, 5.0, |id, p, w| b.push((id, p, w.to_bits())));
-        assert_eq!(a, b);
-    }
-
-    /// Reuse via `reset` must behave exactly like a freshly built grid
-    /// (no stale rectangle, counts, or aggregates leaking through).
-    #[test]
-    fn weighted_grid_reset_reuses_cleanly() {
+    fn weighted_grid_rebuild_reuses_cleanly() {
         let mut g = WeightedCellGrid::new(1.0);
-        g.insert(0, Point::new(100.5, -40.5), 2.0);
-        g.insert(1, Point::new(103.5, -42.5), 4.0);
-        g.reset(2.5);
+        g.rebuild(
+            1.0,
+            [
+                (0, Point::new(100.5, -40.5), 2.0),
+                (1, Point::new(103.5, -42.5), 4.0),
+            ],
+        );
+        g.rebuild(2.5, std::iter::empty());
         assert!(g.is_empty());
         assert_eq!(g.occupied_cells(), 0);
         assert_eq!(g.total_weight(), 0.0);
@@ -932,14 +767,22 @@ mod tests {
         assert_eq!(g.cell_size(), 2.5);
 
         let inst = gen::uniform_square(80, 1.5, 21).unwrap();
-        g.rebuild(inst.iter().map(|(id, p)| (id, p, 1.0)));
+        let members = (0..inst.len()).map(|id| (id, inst.position(id), 1.0 + id as f64 * 0.37));
+        g.rebuild(2.5, members.clone());
         let mut fresh = WeightedCellGrid::new(2.5);
-        fresh.rebuild(inst.iter().map(|(id, p)| (id, p, 1.0)));
+        fresh.rebuild(2.5, members);
         assert_eq!(g.len(), fresh.len());
         assert_eq!(g.occupied_cells(), fresh.occupied_cells());
         assert_eq!(g.total_weight().to_bits(), fresh.total_weight().to_bits());
         let center = inst.position(9);
         assert_eq!(g.max_ring_from(center), fresh.max_ring_from(center));
+        for ring in 0..=g.max_ring_from(center) {
+            let mut a = Vec::new();
+            let mut b = Vec::new();
+            g.for_each_ring_cell(center, ring, |c| a.extend(c.members()));
+            fresh.for_each_ring_cell(center, ring, |c| b.extend(c.members()));
+            assert_eq!(a, b, "ring {ring}");
+        }
     }
 
     /// Satellite: the degenerate-cell guard. Two members one unit apart
@@ -950,8 +793,10 @@ mod tests {
     #[should_panic(expected = "degenerate cell size")]
     fn weighted_grid_rejects_degenerate_cell_rectangle() {
         let mut g = WeightedCellGrid::new(1e-9);
-        g.insert(0, Point::ORIGIN, 1.0);
-        g.insert(1, Point::new(1.0, 1.0), 1.0);
+        g.rebuild(
+            1e-9,
+            [(0, Point::ORIGIN, 1.0), (1, Point::new(1.0, 1.0), 1.0)],
+        );
     }
 
     /// Satellite: cell-index overflow guard at the cast boundary. A
@@ -972,7 +817,7 @@ mod tests {
         // Key ~2³¹ − 2: inside the index guard; single occupied cell
         // keeps the rectangle dense-table small.
         let far = Point::new((1u64 << 31) as f64 - 2.0, 0.0);
-        g.insert(0, far, 1.0);
+        g.rebuild(1.0, [(0, far, 1.0)]);
         assert_eq!(g.len(), 1);
         let mut seen = Vec::new();
         g.for_each_member_near(far, 0.5, |id, _, _| seen.push(id));

@@ -206,12 +206,9 @@ impl Instance {
             .expect("constructed instances contain at least one finite point")
     }
 
-    /// Nodes within the closed ball of the given `center` and `radius`.
-    ///
-    /// Linear scan with a fresh allocation — the brute-force oracle the
-    /// grid tests compare against, intended for tests and one-shot
-    /// diagnostics only (the `nodes_within` rule of DESIGN.md §7.4);
-    /// hot paths use [`GridIndex`](crate::GridIndex) queries.
+    /// Nodes within the closed ball of the given `center` and `radius`:
+    /// the linear-scan oracle the grid tests compare against.
+    #[cfg(test)]
     pub fn nodes_in_ball(&self, center: Point, radius: f64) -> Vec<NodeId> {
         let r2 = radius * radius;
         self.points

@@ -10,8 +10,8 @@
 //!   paper's normalization (minimum pairwise distance 1) and the derived
 //!   quantities `Δ` (max distance) and `log₂ Δ` (number of length classes);
 //! - [`GridIndex`] — a uniform-grid spatial index for range queries;
-//! - [`WeightedCellGrid`] — a mutable bucket grid with per-cell
-//!   aggregate weights and ring enumeration (the substrate of the
+//! - [`WeightedCellGrid`] — a weighted bucket grid, rebuilt in one
+//!   pass per use, with ring enumeration (the substrate of the
 //!   interference field in `sinr-phy`);
 //! - [`gen`] — seeded instance generators (uniform, clustered, grid,
 //!   exponential chain for large `Δ`, line, annulus);

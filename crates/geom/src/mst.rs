@@ -46,7 +46,7 @@ const RING_MARGIN: f64 = 1.0 - 1e-12;
 /// Returns `n − 1` undirected edges (empty for a single-node instance).
 /// Dispatches between the `O(n²)` Prim reference
 /// ([`euclidean_mst_prim`]) for small instances and the grid-pruned
-/// lazy Prim ([`euclidean_mst_grid`]) above [`GRID_CUTOFF`] nodes; the
+/// lazy Prim ([`euclidean_mst_grid`]) above `GRID_CUTOFF` (256) nodes; the
 /// two produce identical edges in identical order, so the dispatch is
 /// unobservable except in wall-clock.
 ///

@@ -1,7 +1,7 @@
 //! Property-based tests for the geometry substrate.
 
 use proptest::prelude::*;
-use sinr_geom::{gen, Aabb, GridIndex, Instance, Point};
+use sinr_geom::{gen, Aabb, Instance, Point};
 
 fn finite_coord() -> impl Strategy<Value = f64> {
     -1e6..1e6f64
@@ -81,20 +81,6 @@ proptest! {
                     "distance {} got class {c} of {classes}", inst.distance(u, v));
             }
         }
-    }
-
-    /// Grid range queries agree with brute force for arbitrary cell sizes.
-    #[test]
-    fn grid_matches_bruteforce(seed in 0u64..100, n in 1usize..60,
-                               cell in 0.5f64..20.0, radius in 0.0f64..50.0) {
-        let inst = gen::uniform_square(n, 2.0, seed).unwrap();
-        let grid = GridIndex::build(&inst, cell);
-        let center = inst.position(seed as usize % n);
-        let mut a = grid.nodes_within(center, radius);
-        let mut b = inst.nodes_in_ball(center, radius);
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
     }
 
     /// The grid MST spans all nodes with n−1 edges and its total weight

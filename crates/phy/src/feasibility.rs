@@ -454,6 +454,8 @@ pub struct SlotAuditor<'a> {
     fades: [f64; 2],
     links: Vec<Link>,
     residents: Vec<Resident>,
+    /// Whether seeding left the residents' `unsummed` bounds unset.
+    unbounded: bool,
     /// Resident senders, sorted, for the structural rules.
     senders: Vec<NodeId>,
     /// Whether the residents already break a rule that no addition can
@@ -476,6 +478,7 @@ impl<'a> SlotAuditor<'a> {
             fades: [fade_lo, fade_hi],
             links: Vec::new(),
             residents: Vec::new(),
+            unbounded: false,
             senders: Vec::new(),
             doomed: false,
             blocker: usize::MAX,
@@ -492,12 +495,17 @@ impl<'a> SlotAuditor<'a> {
     /// the seeded set, and [`probe`](Self::probe) decides against it
     /// with the same bit-exact decisions as an auditor grown link by
     /// link.
+    ///
+    /// Seeding costs `O(k)`: the `O(k²)` resident bounds wait for the
+    /// first probe whose own receiver passes, so a slot that drowns
+    /// every link probed into it never pays them.
     pub fn with_residents<I: IntoIterator<Item = (Link, f64)>>(
         params: &'a SinrParams,
         instance: &'a Instance,
         residents: I,
     ) -> Self {
         let mut auditor = SlotAuditor::new(params, instance);
+        auditor.unbounded = true;
         for (link, power) in residents {
             auditor.commit(link, power);
         }
@@ -534,35 +542,19 @@ impl<'a> SlotAuditor<'a> {
             return false;
         }
         let new = self.resident(link, power);
-        let k = self.residents.len();
-        // The resident that rejected the last probe (typically a long,
-        // fragile link) usually rejects the next one too: ask it first.
-        if let Some(r) = self.residents.get(self.blocker) {
-            if self.certify_with(r, &new) == Verdict::Fail {
+        if self.unbounded {
+            // The new link's own receiver needs no resident bounds:
+            // settle it first, and pay for the bounds only if it passes.
+            if !self.link_passes(&new) {
                 return false;
             }
-        }
-        for i in 0..k {
-            let settled = match self.certify_with(&self.residents[i], &new) {
-                Verdict::Pass => true,
-                Verdict::Fail => false,
-                Verdict::Unsure => self.resident_exactly(i, &new),
-            };
-            if !settled {
-                self.blocker = i;
-                return false;
+            for i in 0..self.residents.len() {
+                self.residents[i].unsummed = self.unsummed_at(i);
             }
+            self.unbounded = false;
+            return self.residents_pass(&new);
         }
-        let (lower, upper) = self.interval_at(new.rx);
-        match self.certify(&new, lower, upper) {
-            Verdict::Pass => true,
-            Verdict::Fail => false,
-            Verdict::Unsure => {
-                self.stats.link_exact += 1;
-                self.exact_sum(&new, 0.0, 0..k)
-                    .is_some_and(|sum| self.passes(&new, sum))
-            }
-        }
+        self.residents_pass(&new) && self.link_passes(&new)
     }
 
     /// Adds `link` transmitting with `power` to the slot, whether or not
@@ -572,10 +564,12 @@ impl<'a> SlotAuditor<'a> {
             self.doomed = true;
         }
         let mut new = self.resident(link, power);
-        new.unsummed = self.interval_at(new.rx).1;
-        let gains = &self.gains;
-        for r in &mut self.residents {
-            r.unsummed += new.reach[1] * gains.get(new.tx.distance_sq(r.rx))[1];
+        if !self.unbounded {
+            new.unsummed = self.interval_at(new.rx).1;
+            let gains = &self.gains;
+            for r in &mut self.residents {
+                r.unsummed += new.reach[1] * gains.get(new.tx.distance_sq(r.rx))[1];
+            }
         }
         let at = self.senders.partition_point(|&u| u < link.sender);
         self.senders.insert(at, link.sender);
@@ -588,16 +582,20 @@ impl<'a> SlotAuditor<'a> {
     /// same links in the same order under the same powers.
     pub fn is_feasible(&self) -> bool {
         !self.doomed
-            && self
-                .residents
-                .iter()
-                .all(|r| match self.certify(r, r.exact, r.exact + r.unsummed) {
+            && self.residents.iter().enumerate().all(|(i, r)| {
+                let unsummed = if self.unbounded {
+                    self.unsummed_at(i)
+                } else {
+                    r.unsummed
+                };
+                match self.certify(r, r.exact, r.exact + unsummed) {
                     Verdict::Pass => true,
                     Verdict::Fail => false,
                     Verdict::Unsure => self
                         .exact_sum(r, r.exact, r.done..self.residents.len())
                         .is_some_and(|sum| self.passes(r, sum)),
-                })
+                }
+            })
     }
 
     /// Whether `link`, sent with `power`, keeps [`check`]'s per-link
@@ -631,6 +629,53 @@ impl<'a> SlotAuditor<'a> {
             done: 0,
             unsummed: 0.0,
         }
+    }
+
+    /// Whether every resident receiver passes with `new`'s sender added.
+    fn residents_pass(&mut self, new: &Resident) -> bool {
+        // The resident that rejected the last probe (typically a long,
+        // fragile link) usually rejects the next one too: ask it first.
+        if let Some(r) = self.residents.get(self.blocker) {
+            if self.certify_with(r, new) == Verdict::Fail {
+                return false;
+            }
+        }
+        for i in 0..self.residents.len() {
+            let settled = match self.certify_with(&self.residents[i], new) {
+                Verdict::Pass => true,
+                Verdict::Fail => false,
+                Verdict::Unsure => self.resident_exactly(i, new),
+            };
+            if !settled {
+                self.blocker = i;
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Whether `new`'s own receiver passes against the residents.
+    fn link_passes(&mut self, new: &Resident) -> bool {
+        let (lower, upper) = self.interval_at(new.rx);
+        match self.certify(new, lower, upper) {
+            Verdict::Pass => true,
+            Verdict::Fail => false,
+            Verdict::Unsure => {
+                self.stats.link_exact += 1;
+                self.exact_sum(new, 0.0, 0..self.residents.len())
+                    .is_some_and(|sum| self.passes(new, sum))
+            }
+        }
+    }
+
+    /// Resident `i`'s bound on every other resident's term, summed in
+    /// insertion order: the bits commits accumulate when bounded.
+    fn unsummed_at(&self, i: usize) -> f64 {
+        let rx = self.residents[i].rx;
+        let others = self.residents.iter().enumerate().filter(|&(j, _)| j != i);
+        others.fold(0.0, |acc, (_, w)| {
+            acc + w.reach[1] * self.gains.get(w.tx.distance_sq(rx))[1]
+        })
     }
 
     /// Certified `(lower, upper)` bounds on the interference every
@@ -933,10 +978,34 @@ mod tests {
         let mut seeded = SlotAuditor::with_residents(&p, &inst, residents.iter().copied());
         assert_eq!(grown.links(), seeded.links());
         assert_eq!(grown.is_feasible(), seeded.is_feasible());
+        // Deferred bounds are the bits the grown auditor accumulated.
+        for (i, r) in grown.residents.iter().enumerate() {
+            assert_eq!(r.unsummed.to_bits(), seeded.unsummed_at(i).to_bits());
+        }
         let probe = Link::new(15, 16);
         let pw = power.power_of(probe, &inst, &p).unwrap();
         assert_eq!(grown.probe(probe, pw), seeded.probe(probe, pw));
         assert_eq!(grown.links(), seeded.links());
+    }
+
+    /// A seeded slot rejects a link its residents drown on that link's
+    /// own receiver, without computing the residents' bounds.
+    #[test]
+    fn seeded_auditor_rejects_a_drowned_link_without_bounds() {
+        let p = params();
+        let inst = line_instance(&[0.0, 1.0, 3.0, 4.0, 30.0, 2.0]);
+        let power = PowerAssignment::uniform_with_margin(&p, inst.delta());
+        let links = [Link::new(0, 1), Link::new(2, 3), Link::new(4, 5)];
+        let all: Vec<(Link, f64)> = links
+            .iter()
+            .map(|&l| (l, power.power_of(l, &inst, &p).unwrap()))
+            .collect();
+        let mut seeded = SlotAuditor::with_residents(&p, &inst, all[..2].iter().copied());
+        let (drowned, pw) = all[2];
+        assert!(seeded.admits(drowned, pw));
+        assert!(!check_links(&p, &inst, &all));
+        assert!(!seeded.probe(drowned, pw));
+        assert!(seeded.unbounded);
     }
 
     #[test]

@@ -230,9 +230,7 @@ proptest! {
                 );
                 if let Some(sum) = sum {
                     for thr in [0.25, 1.0, sum] {
-                        if let Some(decision) = field.sum_on_at_most(link, p, thr).unwrap() {
-                            prop_assert_eq!(decision, sum <= thr);
-                        }
+                        prop_assert_eq!(field.sum_on_at_most(link, p, thr).unwrap(), sum <= thr);
                     }
                 }
             }

@@ -266,7 +266,7 @@ impl<'a, P: Protocol> Engine<'a, P> {
     /// are byte-identical on every backend and at every thread count.
     /// An empty plan is byte-identical to no plan at all. Snapshots do
     /// not capture the plan (it is immutable input, like the instance);
-    /// re-arm after [`restore`](Self::restore).
+    /// re-arm after `restore` (the `serde` feature's snapshot loader).
     ///
     /// # Panics
     ///
@@ -343,7 +343,7 @@ impl<'a, P: Protocol> Engine<'a, P> {
     /// [`run_until`](Self::run_until), [`run_reports`](Self::run_reports)),
     /// where its spawn cost amortizes across slots. Outcomes are
     /// byte-identical either way: the pooled loop shards the very same
-    /// per-node operation sequence ([`SlotCtx::outcome_of`]) across
+    /// per-node operation sequence (`SlotCtx::outcome_of`) across
     /// threads and merges in node order (DESIGN.md §8).
     ///
     /// # Panics
