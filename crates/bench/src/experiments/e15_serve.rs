@@ -4,7 +4,7 @@
 //! E13 measured one-shot churn: inject a batch, recover, stop. This
 //! experiment runs the [`crate::serve`] discrete-event loop instead —
 //! a sustained Poisson trace of crash faults (plus a thinner join
-//! stream) arriving against uniform instances at n = 4096–16384, each
+//! stream) arriving against uniform instances at n = 4096–65536, each
 //! fault batch flowing through the *full* robustness pipeline: the
 //! timeout detector declares the crashed parents from missed
 //! heartbeats, its suspect set is handed verbatim to
@@ -39,7 +39,7 @@ fn ladder(quick: bool) -> &'static [(usize, usize)] {
     if quick {
         &[(512, 10), (1024, 8)]
     } else {
-        &[(4096, 40), (8192, 28), (16384, 16)]
+        &[(4096, 40), (8192, 28), (16384, 16), (65536, 16)]
     }
 }
 

@@ -270,8 +270,8 @@ pub fn schedule_distributed(
         cfg.backend,
     );
 
-    engine.run_until(2 * cfg.max_pairs, |nodes| {
-        nodes.iter().all(|n| n.pending.is_empty())
+    engine.run_until(2 * cfg.max_pairs, |e| {
+        e.nodes().iter().all(|n| n.pending.is_empty())
     });
     let slots_used = engine.slot();
 

@@ -128,19 +128,22 @@ enum HeartbeatMsg {
 /// Per-node heartbeat state. The engine freezes this (and stops
 /// calling it) for crashed nodes, so a dead parent goes silent exactly
 /// as the fault plan dictates.
-#[derive(Clone, Debug)]
+///
+/// A node is awake only on its duty slots — beacons, probes, reports,
+/// phase-B listens and the cycle settle when it has something to
+/// settle — and sleeps until the next one otherwise
+/// ([`HeartbeatNode::sleep`]).
+#[derive(Debug)]
 struct HeartbeatNode {
     parent: Option<NodeId>,
     /// Schedule slot of the uplink `Link(self, parent)`.
     uplink_slot: usize,
     /// Uplink transmit power (phase B reports).
     uplink_power: f64,
-    /// Per schedule slot: beacon power when ≥ 1 child-link is
-    /// scheduled there (max over same-slot down-links), else `None`.
-    beacon_power: Vec<Option<f64>>,
-    /// Per schedule slot: whether a child's uplink lands there (phase
-    /// B listen duty).
-    listen_up: Vec<bool>,
+    /// The schedule slots of this node's child links, ascending, each
+    /// with its beacon power (the max over same-slot down-links): a
+    /// beacon duty in phase A and a listen duty in phase B.
+    child_slots: Vec<(usize, f64)>,
     /// Slots per cycle half (schedule slots).
     half: u64,
     miss_threshold: u32,
@@ -184,6 +187,62 @@ impl HeartbeatNode {
             let _ = node;
         }
     }
+
+    /// The index of schedule slot `s` in `child_slots`, if a child link
+    /// is scheduled there.
+    fn child_slot(&self, s: usize) -> Option<usize> {
+        self.child_slots
+            .binary_search_by_key(&s, |&(slot, _)| slot)
+            .ok()
+    }
+
+    /// Whether the cycle-end settle in `end_slot` would change this
+    /// node's state: a probe to score, or a backoff to count down.
+    fn settles(&self) -> bool {
+        self.probed || self.got_beacon || self.backoff > 0
+    }
+
+    /// The action for a slot this node sleeps through: sleep until its
+    /// next duty slot (the dormancy promise of
+    /// [`Protocol`](sinr_sim::Protocol)).
+    ///
+    /// State changes only on awake slots — receptions need a listen,
+    /// the settle needs a wake — so the duties read off the current
+    /// state hold until the next one: beacons and phase-B listens on
+    /// child slots always; the probe unless backing off; a report when
+    /// one is pending and the parent is not suspect; the settle (a
+    /// cycle's last slot) when [`settles`](Self::settles). A node with
+    /// no duty left retires.
+    fn sleep(&self, slot: u64) -> Action<HeartbeatMsg> {
+        let cycle = 2 * self.half;
+        let within = slot % cycle;
+        if within == cycle - 1 && self.settles() {
+            // This slot's own `end_slot` settles the cycle.
+            return Action::Sleep;
+        }
+        // Duties as cycle positions; each next falls due at its first
+        // occurrence after `within`, in this cycle or the next.
+        let after = |p: u64| if p > within { p } else { p + cycle };
+        let up = self.uplink_slot as u64;
+        let child = self.parent.is_some();
+        let probe = (child && (self.suspected_now || self.backoff == 0)).then_some(up);
+        let report =
+            (child && !self.suspected_now && !self.pending.is_empty()).then_some(self.half + up);
+        let settle = self.settles().then_some(cycle - 1);
+        let next = self
+            .child_slots
+            .iter()
+            .flat_map(|&(s, _)| [s as u64, self.half + s as u64])
+            .chain(probe)
+            .chain(report)
+            .chain(settle)
+            .map(after)
+            .min();
+        match next {
+            Some(p) => Action::SleepUntil(slot - within + p),
+            None => Action::SleepUntil(u64::MAX),
+        }
+    }
 }
 
 impl Protocol for HeartbeatNode {
@@ -200,9 +259,9 @@ impl Protocol for HeartbeatNode {
         if within < self.half {
             // Phase A: beacons down, probe listens up.
             let s = within as usize;
-            if let Some(power) = self.beacon_power[s] {
+            if let Some(i) = self.child_slot(s) {
                 return Action::Transmit {
-                    power,
+                    power: self.child_slots[i].1,
                     msg: HeartbeatMsg::Beacon,
                 };
             }
@@ -214,7 +273,6 @@ impl Protocol for HeartbeatNode {
                     return Action::Listen;
                 }
             }
-            Action::Sleep
         } else {
             // Phase B: reports up, parents listen.
             let s = (within - self.half) as usize;
@@ -228,11 +286,11 @@ impl Protocol for HeartbeatNode {
                     msg: HeartbeatMsg::Report(self.pending.iter().copied().collect()),
                 };
             }
-            if self.listen_up[s] {
+            if self.child_slot(s).is_some() {
                 return Action::Listen;
             }
-            Action::Sleep
         }
+        self.sleep(slot)
     }
 
     fn end_slot(&mut self, node: NodeId, slot: u64, o: SlotOutcome<HeartbeatMsg>, _: &mut StdRng) {
@@ -317,14 +375,14 @@ pub fn detect_failures(
         return Ok(DetectionReport::default());
     }
 
-    // Compile per-node heartbeat duties from the prior structure.
+    // Compile per-node heartbeat duties from the prior structure:
+    // sparse per-node lists, O(n + links) in total.
     let mut templates: Vec<HeartbeatNode> = (0..n)
         .map(|_| HeartbeatNode {
             parent: None,
             uplink_slot: 0,
             uplink_power: 0.0,
-            beacon_power: vec![None; half],
-            listen_up: vec![false; half],
+            child_slots: Vec::new(),
             half: half as u64,
             miss_threshold: cfg.miss_threshold,
             max_backoff_exp: cfg.max_backoff_exp,
@@ -360,17 +418,28 @@ pub fn detect_failures(
         templates[child].parent = Some(*p);
         templates[child].uplink_slot = slot;
         templates[child].uplink_power = up_power;
-        templates[*p].listen_up[slot] = true;
+        templates[*p].child_slots.push((slot, down_power));
+    }
+    for t in &mut templates {
         // Same-slot siblings share one beacon transmission; the
         // strongest down-link power carries it.
-        let entry = &mut templates[*p].beacon_power[slot];
-        *entry = Some(entry.map_or(down_power, |prev: f64| prev.max(down_power)));
+        t.child_slots.sort_unstable_by_key(|&(slot, _)| slot);
+        t.child_slots.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = kept.1.max(later.1);
+            }
+            same
+        });
     }
 
+    // The engine takes the templates over in id order: one copy of the
+    // duties, not two.
+    let mut templates = templates.into_iter();
     let mut engine = Engine::with_backend(
         params,
         instance,
-        |id| templates[id].clone(),
+        |_| templates.next().expect("one template per node"),
         seed,
         cfg.backend,
     );

@@ -34,7 +34,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use sinr_geom::{Instance, NodeId};
+use sinr_geom::{extremes, Instance, NodeId, Point};
 use sinr_links::{BiTree, InTree, Link, Schedule};
 use sinr_phy::{PowerAssignment, SinrParams};
 use sinr_sim::{Action, Engine, EngineBackend, Protocol, Reception, SlotOutcome};
@@ -202,7 +202,8 @@ impl Protocol for InitNode {
 
     fn begin_slot(&mut self, _node: NodeId, slot: u64, rng: &mut StdRng) -> Action<InitMsg> {
         if !self.active {
-            return Action::Sleep;
+            // Connected and masked-out nodes never act again: retire.
+            return Action::SleepUntil(u64::MAX);
         }
         let pair = slot / 2;
         let round = self.shared.round_of_pair(pair);
@@ -375,8 +376,18 @@ pub fn run_init_on(
 /// The stopping criterion of the simulation driver: at most one node
 /// still active. Globally visible to the driver only — nodes never see
 /// it (§6's model).
-fn one_active(nodes: &[InitNode]) -> bool {
-    nodes.iter().filter(|n| n.is_active()).count() <= 1
+///
+/// An active node never declares dormancy, so every active node is
+/// awake and counting the awake list is exact, in `O(awake)`. A node
+/// that connected in the slot just run is still awake (it retires at
+/// its next `begin_slot`), which is why the rule reads states rather
+/// than the length of the awake list.
+fn one_active(engine: &Engine<'_, InitNode>) -> bool {
+    engine
+        .awake_nodes()
+        .filter(|(_, n)| n.is_active())
+        .nth(1)
+        .is_none()
 }
 
 /// Everything `Init` derives from its inputs before the simulation
@@ -433,12 +444,8 @@ fn prepare_init(
 
     // Length classes from the participant diameter (tighter than the
     // full instance when the mask has shrunk).
-    let mut delta = 0.0f64;
-    for (i, &u) in participants.iter().enumerate() {
-        for &v in &participants[i + 1..] {
-            delta = delta.max(instance.distance(u, v));
-        }
-    }
+    let points: Vec<Point> = participants.iter().map(|&u| instance.position(u)).collect();
+    let delta = extremes::diameter(&points);
     // The class of the diameter itself: the top window [2^{r-1}, 2^r)
     // must contain Δ even when Δ is an exact power of two.
     let num_classes = sinr_geom::Instance::length_class_of(delta);
@@ -757,7 +764,7 @@ pub fn run_init_with_snapshot(
     let mut engine = setup.build_engine(params, instance, &mask, cfg.backend, seed);
     engine.run_until(snapshot_at.min(setup.max_slots), one_active);
     let snapshot =
-        (engine.slot() == snapshot_at && !one_active(engine.nodes())).then(|| engine.snapshot());
+        (engine.slot() == snapshot_at && !one_active(&engine)).then(|| engine.snapshot());
     engine.run_until(setup.max_slots - engine.slot(), one_active);
     let tail_fnv = tail_fingerprint(&engine);
     let run = harvest(&engine, &setup)?;

@@ -114,6 +114,33 @@ pub fn extreme_distances(points: &[Point]) -> Option<Extremes> {
     }
 }
 
+/// The maximum pairwise distance `Δ` of a point set alone (`0` for
+/// fewer than two points): the `max` half of [`extreme_distances`],
+/// with the same dispatch — the naive scan up to `GRID_CUTOFF` (256)
+/// points, the hull scan above — and the same bits.
+///
+/// Callers that need the diameter of a subset (e.g. `Init`'s
+/// participants) get it in `O(k log k)` instead of a pairwise scan:
+/// `max √d² = √(max d²)` because `sqrt` is correctly rounded and
+/// monotone, and every path compares [`Point::distance_sq`] values.
+pub fn diameter(points: &[Point]) -> f64 {
+    if points.len() < 2 {
+        return 0.0;
+    }
+    let max = if points.len() <= GRID_CUTOFF {
+        let mut max: f64 = 0.0;
+        for (i, p) in points.iter().enumerate() {
+            for q in &points[i + 1..] {
+                max = max.max(p.distance_sq(*q));
+            }
+        }
+        max
+    } else {
+        diameter_sq_hull(points)
+    };
+    max.sqrt()
+}
+
 /// A minimal dense bucket grid over a point slice, shared by the
 /// closest-pair search here and the MST candidate pruning in
 /// [`crate::mst`]. Cells are addressed row-major; out-of-range rings
@@ -389,6 +416,43 @@ mod tests {
     fn collinear_diameter() {
         let pts: Vec<Point> = gen::line(300).unwrap().into();
         assert_parity(&pts, "line-300");
+    }
+
+    /// Subsets on both sides of the cutoff, and the full set, get the
+    /// bits of the pairwise `Point::distance` scan `Init` once ran.
+    #[test]
+    fn diameter_matches_the_pairwise_scan_on_subsets() {
+        let pairwise = |pts: &[Point]| {
+            let mut max = 0.0f64;
+            for (i, p) in pts.iter().enumerate() {
+                for q in &pts[i + 1..] {
+                    max = max.max(p.distance(*q));
+                }
+            }
+            max
+        };
+        for seed in 0..3u64 {
+            let all: Vec<Point> = gen::uniform_square(600, 1.5, seed).unwrap().into();
+            for k in [2usize, 200, 300] {
+                // A strided partial mask, so the subset spans the square.
+                let stride = all.len() / k;
+                let subset: Vec<Point> = all.iter().step_by(stride).take(k).copied().collect();
+                assert_eq!(subset.len(), k);
+                assert_eq!(
+                    diameter(&subset).to_bits(),
+                    pairwise(&subset).to_bits(),
+                    "seed {seed}, {k} participants"
+                );
+            }
+            assert_eq!(diameter(&all).to_bits(), pairwise(&all).to_bits());
+            assert_eq!(
+                diameter(&all),
+                extreme_distances(&all).unwrap().max,
+                "seed {seed}: the full set's diameter is its Δ"
+            );
+        }
+        assert_eq!(diameter(&[]), 0.0);
+        assert_eq!(diameter(&[Point::ORIGIN]), 0.0);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The slotted simulation engine.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -13,7 +15,7 @@ use sinr_phy::field::{
 use sinr_phy::{feasibility, SinrParams};
 
 use crate::faults::FaultPlan;
-use crate::pool::with_pool;
+use crate::pool::{with_pool, PoolHandle};
 use crate::protocol::{Action, Protocol, Reception, SlotOutcome};
 
 /// Segment timer for the per-slot profiling phases: each
@@ -41,16 +43,21 @@ impl PhaseClock {
     }
 }
 
-/// Recycled per-slot buffers — the engine's slot arena: the action and
-/// outcome vectors, the transmitter list, the interference-field
-/// allocations ([`FieldBuffers`]), and, for the pooled loop, the
-/// per-worker chunk buffers. Everything here is *capacity*, not state:
-/// every slot drains and refills them, so steady-state slots allocate
-/// nothing on the serial path (pinned by the allocation-gate test).
+/// Recycled per-slot buffers — the engine's slot arena: the stepped
+/// node ids with their actions and outcomes, the transmitter list, the
+/// next slot's awake list, the interference-field allocations
+/// ([`FieldBuffers`]), and, for the pooled loop, the per-worker chunk
+/// buffers. Everything here is *capacity*, not state: every slot
+/// drains and refills them, so steady-state slots allocate nothing on
+/// the serial path (pinned by the allocation-gate test).
 struct SlotArena<M> {
+    ids: Vec<NodeId>,
     actions: Vec<Action<M>>,
     transmitters: Vec<(NodeId, f64)>,
     outcomes: Vec<SlotOutcome<M>>,
+    /// The nodes that stay awake into the next slot, drafted by phase 1
+    /// and merged with the calendar's wake-ups after phase 3.
+    next_awake: Vec<NodeId>,
     field_buffers: Option<FieldBuffers>,
     /// Pooled loop only: one outcome buffer per worker, cycled through
     /// the job channel so chunk capacity survives across slots.
@@ -62,9 +69,11 @@ struct SlotArena<M> {
 impl<M> Default for SlotArena<M> {
     fn default() -> Self {
         SlotArena {
+            ids: Vec::new(),
             actions: Vec::new(),
             transmitters: Vec::new(),
             outcomes: Vec::new(),
+            next_awake: Vec::new(),
             field_buffers: None,
             worker_outs: Vec::new(),
             chunks: Vec::new(),
@@ -82,12 +91,14 @@ impl<M> Default for SlotArena<M> {
 /// runs the *same* per-listener resolution as the grid backend, merely
 /// sharding independent listeners across scoped threads with an
 /// ordered merge, so no float operation is reordered (DESIGN.md §8).
-/// The naive backend exists as the reference for parity testing and
-/// benchmarking.
+/// The grid and parallel backends step only the awake nodes of the
+/// wake calendar; the naive backend steps every node and checks each
+/// dormancy promise (see [`Protocol`]). It exists as the reference for
+/// parity testing and benchmarking.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum EngineBackend {
     /// All-pairs channel resolution: `O(listeners × transmitters²)`
-    /// per slot.
+    /// per slot, with every node stepped every slot.
     Naive,
     /// Spatially-indexed resolution through one
     /// [`InterferenceField`] built per slot.
@@ -100,13 +111,14 @@ pub enum EngineBackend {
     /// [`Engine::run_until`], [`Engine::run_reports`]) so its spawn
     /// cost amortizes over the whole run; a lone [`Engine::step`] call
     /// stays serial. Engines below [`PARALLEL_MIN_NODES`] nodes run
-    /// serially regardless — channel round-trips would dominate.
+    /// serially regardless, and so does any slot with fewer awake
+    /// nodes than that — channel round-trips would dominate.
     Parallel(usize),
 }
 
 /// Engines with fewer nodes than this run serially even under
-/// [`EngineBackend::Parallel`] — per-slot job dispatch would dominate
-/// the work.
+/// [`EngineBackend::Parallel`], and so do slots with fewer awake nodes
+/// — per-slot job dispatch would dominate the work.
 pub const PARALLEL_MIN_NODES: usize = 64;
 
 impl EngineBackend {
@@ -183,12 +195,17 @@ pub struct EngineStats {
 /// Owns one [`Protocol`] value and one RNG stream per node; each call to
 /// [`step`](Engine::step) advances global time by one slot:
 ///
-/// 1. every node picks an [`Action`];
+/// 1. every awake node picks an [`Action`];
 /// 2. the channel is resolved: a listener decodes the transmitter with
 ///    the highest SINR at its location if that SINR reaches `β`
 ///    (unique for `β ≥ 1`, `N > 0`); transmitters hear nothing
 ///    (half-duplex);
-/// 3. every node observes its [`SlotOutcome`].
+/// 3. every awake node observes its [`SlotOutcome`].
+///
+/// A node that declares dormancy ([`Action::SleepUntil`]) leaves the
+/// awake list for a deterministic wake calendar keyed by `(wake slot,
+/// node id)` and rejoins the list, in id order, at its wake slot — so
+/// a slot costs `O(awake nodes)`, not `O(n)` (DESIGN.md §8.6).
 pub struct Engine<'a, P: Protocol> {
     params: &'a SinrParams,
     instance: &'a Instance,
@@ -203,6 +220,18 @@ pub struct Engine<'a, P: Protocol> {
     /// Armed fault schedule ([`Engine::arm_faults`]); `None` — the
     /// default — restores the exact pre-fault code paths.
     faults: Option<FaultPlan>,
+    /// Whether the armed plan has a deafness or drop fault, cached at
+    /// arm time so fault-free slots skip the outcome post-pass.
+    reception_faults: bool,
+    /// The armed plan's trace boundaries ([`FaultPlan::boundaries`]).
+    #[cfg(feature = "trace")]
+    fault_boundaries: Vec<(u64, NodeId, &'static str)>,
+    /// The wake calendar: every dormant node with a finite wake slot.
+    /// Retired nodes (`u64::MAX`) and crashed nodes are in neither the
+    /// calendar nor the awake list.
+    calendar: BinaryHeap<Reverse<(u64, NodeId)>>,
+    /// The nodes due in the next slot, ascending id order.
+    awake: Vec<NodeId>,
 }
 
 impl<'a, P: Protocol + std::fmt::Debug> std::fmt::Debug for Engine<'a, P> {
@@ -210,10 +239,22 @@ impl<'a, P: Protocol + std::fmt::Debug> std::fmt::Debug for Engine<'a, P> {
         f.debug_struct("Engine")
             .field("slot", &self.slot)
             .field("nodes", &self.nodes.len())
+            .field("awake", &self.awake.len())
             .field("stats", &self.stats)
             .finish()
     }
 }
+
+/// One pooled job: the shared slot context plus the recycled output
+/// vector the worker fills for its chunk.
+type SlotJob<'a, M> = (Arc<SlotCtx<'a, M>>, Vec<SlotOutcome<M>>);
+
+/// One worker's answer to a [`SlotJob`]: its chunk of outcomes plus
+/// the decode counters and phase times it gathered.
+type SlotChunk<M> = (Vec<SlotOutcome<M>>, QueryStats, PhaseTimes);
+
+/// The pooled loop's dispatch handle.
+type SlotPool<'a, M> = PoolHandle<SlotJob<'a, M>, SlotChunk<M>>;
 
 impl<'a, P: Protocol> Engine<'a, P> {
     /// Creates an engine with one protocol state per node, built by
@@ -245,6 +286,18 @@ impl<'a, P: Protocol> Engine<'a, P> {
         let rngs = (0..n)
             .map(|_| StdRng::seed_from_u64(seeder.gen()))
             .collect();
+        Self::assemble(params, instance, nodes, rngs, backend)
+    }
+
+    /// An engine at slot 0 with every node awake and no plan armed.
+    fn assemble(
+        params: &'a SinrParams,
+        instance: &'a Instance,
+        nodes: Vec<P>,
+        rngs: Vec<StdRng>,
+        backend: EngineBackend,
+    ) -> Self {
+        let n = nodes.len();
         Engine {
             params,
             instance,
@@ -257,6 +310,11 @@ impl<'a, P: Protocol> Engine<'a, P> {
             arena: SlotArena::default(),
             field_stats: QueryStats::default(),
             faults: None,
+            reception_faults: false,
+            #[cfg(feature = "trace")]
+            fault_boundaries: Vec::new(),
+            calendar: BinaryHeap::new(),
+            awake: (0..n).collect(),
         }
     }
 
@@ -279,6 +337,11 @@ impl<'a, P: Protocol> Engine<'a, P> {
             plan.len(),
             self.instance.len()
         );
+        self.reception_faults = plan.any_reception_faults();
+        #[cfg(feature = "trace")]
+        {
+            self.fault_boundaries = plan.boundaries();
+        }
         self.faults = Some(plan);
     }
 
@@ -322,11 +385,16 @@ impl<'a, P: Protocol> Engine<'a, P> {
         &self.nodes
     }
 
-    /// Mutable access to the per-node protocol states (for extracting
-    /// results after a run).
-    #[inline]
-    pub fn nodes_mut(&mut self) -> &mut [P] {
-        &mut self.nodes
+    /// The awake nodes with their protocol states, in ascending id
+    /// order: the nodes due next slot — every node that has not
+    /// declared dormancy ([`Action::SleepUntil`]), retired, or been
+    /// found crashed, plus the calendar's wake-ups for that slot. The
+    /// naive reference steps dormant nodes too but keeps the same
+    /// calendar, so the list is the same on every backend, and a
+    /// stopping rule that reads only awake nodes costs `O(awake)` per
+    /// slot and stays backend-invariant.
+    pub fn awake_nodes(&self) -> impl Iterator<Item = (NodeId, &P)> + '_ {
+        self.awake.iter().map(move |&id| (id, &self.nodes[id]))
     }
 
     /// The simulated instance.
@@ -349,18 +417,27 @@ impl<'a, P: Protocol> Engine<'a, P> {
     /// # Panics
     ///
     /// Panics if a protocol transmits with a non-positive or non-finite
-    /// power (a programming error in the protocol).
+    /// power (a programming error in the protocol). Debug builds of the
+    /// naive backend also panic when a dormant node breaks its
+    /// dormancy promise.
     pub fn step(&mut self) -> SlotReport {
+        self.step_on(None)
+    }
+
+    /// One slot, with the channel phase sharded across `pool` when one
+    /// is given and the slot steps at least [`PARALLEL_MIN_NODES`]
+    /// nodes; smaller slots resolve on the driving thread.
+    fn step_on(&mut self, pool: Option<&SlotPool<'a, P::Msg>>) -> SlotReport {
         let slot = self.slot;
-        let n = self.nodes.len();
         #[cfg(feature = "profile")]
         let mut clock = PhaseClock::start();
 
-        // Phase 1: collect actions into the recycled arena buffer.
+        // Phase 1: collect actions into the recycled arena buffers.
+        let mut ids = std::mem::take(&mut self.arena.ids);
         let mut actions = std::mem::take(&mut self.arena.actions);
+        ids.clear();
         actions.clear();
-        actions.reserve(n);
-        self.collect_actions(slot, &mut actions);
+        self.collect_actions(slot, &mut ids, &mut actions);
         #[cfg(feature = "profile")]
         clock.lap("build");
 
@@ -372,94 +449,215 @@ impl<'a, P: Protocol> Engine<'a, P> {
             self.instance,
             self.backend,
             slot,
-            actions,
+            (ids, actions),
             (transmitters, buffers),
             (P::MEASURES_SINR, P::MEASURES_AFFECTANCE),
         );
         #[cfg(feature = "profile")]
         clock.lap("grid");
-        let mut scratch = std::mem::take(&mut self.scratch);
-        #[cfg(feature = "profile")]
-        scratch.enable_timing(crate::profile::is_active());
-        scratch.skip_canonical_sinr(!P::MEASURES_SINR);
         let mut outcomes = std::mem::take(&mut self.arena.outcomes);
         outcomes.clear();
-        outcomes.reserve(n);
-        for id in 0..n {
-            outcomes.push(ctx.outcome_of(id, &mut scratch));
-        }
-        let stats = std::mem::take(&mut scratch.stats);
-        let times = std::mem::take(&mut scratch.times);
-        self.scratch = scratch;
-        #[cfg(feature = "profile")]
-        clock.lap("resolve");
-        self.absorb_field_stats(stats, times);
 
         // Phase 3: report outcomes, then return every buffer to the
         // arena so the next slot allocates nothing.
-        let report = self.finish_slot(&ctx, &mut outcomes);
-        let (actions, transmitters, buffers) = ctx.recycle();
-        self.arena.actions = actions;
-        self.arena.transmitters = transmitters;
+        let (report, ctx) = match pool {
+            Some(pool) if ctx.ids.len() >= PARALLEL_MIN_NODES => {
+                let ctx = Arc::new(ctx);
+                self.resolve_pooled(pool, &ctx, &mut outcomes);
+                #[cfg(feature = "profile")]
+                clock.lap("resolve");
+                let report = self.finish_slot(&ctx, &mut outcomes);
+                // Every worker has returned its chunk, so this is the
+                // last Arc. If a clone somehow lingers, skip recycling;
+                // the next slot re-allocates and correctness is
+                // unaffected.
+                (report, Arc::try_unwrap(ctx).ok())
+            }
+            _ => {
+                self.resolve_serial(&ctx, &mut outcomes);
+                #[cfg(feature = "profile")]
+                clock.lap("resolve");
+                (self.finish_slot(&ctx, &mut outcomes), Some(ctx))
+            }
+        };
         self.arena.outcomes = outcomes;
-        self.arena.field_buffers = Some(buffers);
+        if let Some(ctx) = ctx {
+            let (ids, actions, transmitters, buffers) = ctx.recycle();
+            self.arena.ids = ids;
+            self.arena.actions = actions;
+            self.arena.transmitters = transmitters;
+            self.arena.field_buffers = Some(buffers);
+        }
         #[cfg(feature = "profile")]
         clock.lap("merge");
         report
     }
 
-    /// Phase 1, shared by the serial and pooled loops: every live node
-    /// picks its action. With a fault plan armed, crashed nodes sleep
-    /// with their protocol state and RNG stream frozen (no
-    /// `begin_slot` call, no draw), and active power degrades scale
-    /// the chosen transmit power *before* the channel context is
-    /// built — so every backend resolves the same faulted slot.
-    fn collect_actions(&mut self, slot: u64, actions: &mut Vec<Action<P::Msg>>) {
-        let Some(plan) = &self.faults else {
-            for (id, (node, rng)) in self.nodes.iter_mut().zip(self.rngs.iter_mut()).enumerate() {
-                actions.push(node.begin_slot(id, slot, rng));
-            }
-            return;
+    /// Phase 1, shared by the serial and pooled loops: every stepped
+    /// node picks its action, and the next slot's awake list is
+    /// drafted.
+    ///
+    /// The calendar-driven backends step the awake list. The naive
+    /// reference steps every live node and, in debug builds, checks the
+    /// dormancy promise on each dormant one. Either way the calendar
+    /// follows only the awake nodes' actions, so it is the same on
+    /// every backend.
+    ///
+    /// With a fault plan armed, a crashed node is dropped from the
+    /// awake list when it is next due: it sleeps with its protocol
+    /// state and RNG stream frozen (no `begin_slot` call, no draw).
+    /// Active power degrades scale the chosen transmit power *before*
+    /// the channel context is built — so every backend resolves the
+    /// same faulted slot.
+    fn collect_actions(
+        &mut self,
+        slot: u64,
+        ids: &mut Vec<NodeId>,
+        actions: &mut Vec<Action<P::Msg>>,
+    ) {
+        #[cfg(feature = "trace")]
+        self.emit_fault_boundaries(slot);
+        let naive = self.backend == EngineBackend::Naive;
+        let mut next = std::mem::take(&mut self.arena.next_awake);
+        next.clear();
+        let candidates = if naive {
+            self.nodes.len()
+        } else {
+            self.awake.len()
         };
-        for (id, (node, rng)) in self.nodes.iter_mut().zip(self.rngs.iter_mut()).enumerate() {
-            if plan.crashed(id, slot) {
-                #[cfg(feature = "trace")]
-                if plan.crash_boundary(id, slot) && crate::trace::is_active() {
-                    crate::trace::emit(crate::trace::TraceEvent::FaultInjected {
-                        slot,
-                        node: id,
-                        kind: "crash-stop",
-                    });
-                }
-                actions.push(Action::Sleep);
-                continue;
-            }
-            #[cfg(feature = "trace")]
-            if crate::trace::is_active() {
-                if plan.deaf_boundary(id, slot) {
-                    crate::trace::emit(crate::trace::TraceEvent::FaultInjected {
-                        slot,
-                        node: id,
-                        kind: "deafness",
-                    });
-                }
-                if plan.degrade_boundary(id, slot) {
-                    crate::trace::emit(crate::trace::TraceEvent::FaultInjected {
-                        slot,
-                        node: id,
-                        kind: "power-degrade",
-                    });
+        ids.reserve(candidates);
+        actions.reserve(candidates);
+        let mut cursor = 0;
+        for i in 0..candidates {
+            // The naive loop walks every id and finds the awake ones by
+            // a merge against the (sorted) awake list.
+            let (id, is_awake) = if naive {
+                let hit = self.awake.get(cursor) == Some(&i);
+                cursor += usize::from(hit);
+                (i, hit)
+            } else {
+                (self.awake[i], true)
+            };
+            if let Some(plan) = &self.faults {
+                if plan.crashed(id, slot) {
+                    continue;
                 }
             }
-            let mut action = node.begin_slot(id, slot, rng);
-            if let Action::Transmit { power, .. } = &mut action {
+            let rng = &mut self.rngs[id];
+            #[cfg(debug_assertions)]
+            let before = (!is_awake).then(|| rng.clone());
+            let mut action = self.nodes[id].begin_slot(id, slot, rng);
+            let mut stays = is_awake;
+            if let Action::SleepUntil(wake) = action {
+                if is_awake && wake > slot + 1 {
+                    if wake != u64::MAX {
+                        self.calendar.push(Reverse((wake, id)));
+                    }
+                    stays = false;
+                    if !naive {
+                        continue;
+                    }
+                }
+                action = Action::Sleep;
+            }
+            // A dormant node's action still counts under naive: a
+            // broken promise that slips past this check changes the
+            // slot and shows up as a naive-vs-grid divergence.
+            #[cfg(debug_assertions)]
+            assert!(
+                is_awake
+                    || (matches!(action, Action::Sleep) && before.as_ref() == Some(&self.rngs[id])),
+                "node {id} broke its dormancy promise in slot {slot}: \
+                 a dormant begin_slot must sleep without drawing"
+            );
+            if let (Action::Transmit { power, .. }, Some(plan)) = (&mut action, &self.faults) {
                 let factor = plan.power_factor(id, slot);
                 if factor != 1.0 {
                     *power *= factor;
                 }
             }
+            if stays {
+                next.push(id);
+            }
+            ids.push(id);
             actions.push(action);
         }
+        self.arena.next_awake = next;
+    }
+
+    /// Emits the armed plan's fault boundaries for `slot` while a
+    /// recorder is active — for awake and dormant nodes alike, in node
+    /// order, before any protocol callback.
+    #[cfg(feature = "trace")]
+    fn emit_fault_boundaries(&self, slot: u64) {
+        if !crate::trace::is_active() {
+            return;
+        }
+        let first = self.fault_boundaries.partition_point(|b| b.0 < slot);
+        for &(_, node, kind) in self.fault_boundaries[first..]
+            .iter()
+            .take_while(|b| b.0 == slot)
+        {
+            crate::trace::emit(crate::trace::TraceEvent::FaultInjected { slot, node, kind });
+        }
+    }
+
+    /// Phase 2 on the driving thread.
+    fn resolve_serial(
+        &mut self,
+        ctx: &SlotCtx<'a, P::Msg>,
+        outcomes: &mut Vec<SlotOutcome<P::Msg>>,
+    ) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        #[cfg(feature = "profile")]
+        scratch.enable_timing(crate::profile::is_active());
+        scratch.skip_canonical_sinr(!P::MEASURES_SINR);
+        outcomes.reserve(ctx.ids.len());
+        for k in 0..ctx.ids.len() {
+            outcomes.push(ctx.outcome_of(k, &mut scratch));
+        }
+        let stats = std::mem::take(&mut scratch.stats);
+        let times = std::mem::take(&mut scratch.times);
+        self.scratch = scratch;
+        self.absorb_field_stats(stats, times);
+    }
+
+    /// Phase 2 across the pool: broadcast the slot context to every
+    /// worker, then merge the outcome chunks in node order.
+    fn resolve_pooled(
+        &mut self,
+        pool: &SlotPool<'a, P::Msg>,
+        ctx: &Arc<SlotCtx<'a, P::Msg>>,
+        outcomes: &mut Vec<SlotOutcome<P::Msg>>,
+    ) {
+        let threads = pool.threads();
+        let mut worker_outs = std::mem::take(&mut self.arena.worker_outs);
+        worker_outs.resize_with(threads, Vec::new);
+        for (w, out) in worker_outs.drain(..).enumerate() {
+            pool.send(w, (Arc::clone(ctx), out));
+        }
+        let mut chunks = std::mem::take(&mut self.arena.chunks);
+        chunks.clear();
+        chunks.resize_with(threads, || None);
+        let mut slot_stats = QueryStats::default();
+        let mut slot_times = PhaseTimes::default();
+        for _ in 0..threads {
+            let (w, (out, stats, times)) = pool.recv();
+            slot_stats.merge(&stats);
+            slot_times.merge(&times);
+            chunks[w] = Some(out);
+        }
+        outcomes.reserve(ctx.ids.len());
+        for c in chunks.iter_mut() {
+            let mut out = c.take().expect("every worker reports each slot");
+            // `append` drains `out` but keeps its capacity for the next
+            // slot's job.
+            outcomes.append(&mut out);
+            worker_outs.push(out);
+        }
+        self.arena.worker_outs = worker_outs;
+        self.arena.chunks = chunks;
+        self.absorb_field_stats(slot_stats, slot_times);
     }
 
     /// Merges one slot's decode-path counters into the cumulative
@@ -494,23 +692,22 @@ impl<'a, P: Protocol> Engine<'a, P> {
         // digested or reported: a deaf or dropping listener's decode
         // resolves to `Idle` on the driving thread, identically on
         // every backend (the workers resolved the physical channel;
-        // whether the *node* hears it is the plan's call).
-        if let Some(plan) = &self.faults {
-            if plan.any_reception_faults() {
-                for (id, outcome) in outcomes.iter_mut().enumerate() {
-                    if matches!(outcome, SlotOutcome::Received(_))
-                        && (plan.deaf(id, slot) || plan.drops_reception(id, slot))
-                    {
-                        #[cfg(feature = "trace")]
-                        if crate::trace::is_active() {
-                            crate::trace::emit(crate::trace::TraceEvent::FaultInjected {
-                                slot,
-                                node: id,
-                                kind: "reception-drop",
-                            });
-                        }
-                        *outcome = SlotOutcome::Idle;
+        // whether the *node* hears it is the plan's call). Only awake
+        // listeners receive, so only they are checked.
+        if let (true, Some(plan)) = (self.reception_faults, &self.faults) {
+            for (&id, outcome) in ctx.ids.iter().zip(outcomes.iter_mut()) {
+                if matches!(outcome, SlotOutcome::Received(_))
+                    && (plan.deaf(id, slot) || plan.drops_reception(id, slot))
+                {
+                    #[cfg(feature = "trace")]
+                    if crate::trace::is_active() {
+                        crate::trace::emit(crate::trace::TraceEvent::FaultInjected {
+                            slot,
+                            node: id,
+                            kind: "reception-drop",
+                        });
                     }
+                    *outcome = SlotOutcome::Idle;
                 }
             }
         }
@@ -526,65 +723,125 @@ impl<'a, P: Protocol> Engine<'a, P> {
                 _ => {}
             }
         }
-        // Strictly observational: everything recorded here was computed
-        // above regardless, so the traced and untraced runs are
-        // byte-identical (the trace gates pin this).
         #[cfg(feature = "trace")]
-        if crate::trace::is_active() {
-            use crate::snapshot::Fnv1a;
-            use crate::trace::TraceEvent;
-            for &(node, power) in &ctx.transmitters {
-                crate::trace::emit(TraceEvent::Transmit {
-                    slot,
-                    node,
-                    power: power.to_bits(),
-                });
-            }
-            let mut fnv = Fnv1a::default();
-            for (node, outcome) in outcomes.iter().enumerate() {
-                match outcome {
-                    SlotOutcome::Received(r) => {
-                        crate::trace::emit(TraceEvent::Receive {
-                            slot,
-                            node,
-                            from: r.from,
-                            sinr: r.sinr.to_bits(),
-                            affectance: r.affectance.to_bits(),
-                        });
-                        fnv.write_u64(1);
-                        fnv.write_u64(r.from as u64);
-                        fnv.write_u64(r.distance.to_bits());
-                        fnv.write_u64(r.sinr.to_bits());
-                        fnv.write_u64(r.affectance.to_bits());
-                    }
-                    SlotOutcome::Idle => fnv.write_u64(2),
-                    SlotOutcome::Transmitted => fnv.write_u64(3),
-                    SlotOutcome::Slept => fnv.write_u64(4),
-                }
-            }
-            crate::trace::emit(TraceEvent::SlotDigest {
-                slot,
-                transmissions: report.transmissions as u32,
-                receptions: report.receptions as u32,
-                idle: report.idle_listeners as u32,
-                outcomes_fnv: fnv.finish(),
-            });
-        }
-        for (id, outcome) in outcomes.drain(..).enumerate() {
-            // Crashed nodes observe nothing: protocol state and RNG
-            // stream stay frozen at their pre-crash values.
-            if let Some(plan) = &self.faults {
-                if plan.crashed(id, slot) {
-                    continue;
-                }
-            }
+        self.trace_slot(ctx, outcomes, &report);
+        // The naive reference checks that a dormant node's `end_slot`
+        // draws nothing: a stepped node is dormant when it does not
+        // stay awake into the next slot.
+        #[cfg(debug_assertions)]
+        let check_dormant = self.backend == EngineBackend::Naive;
+        #[cfg(debug_assertions)]
+        let mut cursor = 0;
+        for (&id, outcome) in ctx.ids.iter().zip(outcomes.drain(..)) {
+            #[cfg(debug_assertions)]
+            let before = if check_dormant {
+                let stays = self.arena.next_awake.get(cursor) == Some(&id);
+                cursor += usize::from(stays);
+                (!stays).then(|| self.rngs[id].clone())
+            } else {
+                None
+            };
             self.nodes[id].end_slot(id, slot, outcome, &mut self.rngs[id]);
+            #[cfg(debug_assertions)]
+            assert!(
+                before.map_or(true, |rng| rng == self.rngs[id]),
+                "node {id} broke its dormancy promise in slot {slot}: \
+                 a dormant end_slot must not draw"
+            );
         }
+        self.wake_due(slot + 1);
         self.slot += 1;
         self.stats.slots += 1;
         self.stats.transmissions += report.transmissions as u64;
         self.stats.receptions += report.receptions as u64;
         report
+    }
+
+    /// Records one slot's transmit / receive events and its digest while
+    /// a recorder is active. Strictly observational: everything recorded
+    /// here was computed regardless, so the traced and untraced runs are
+    /// byte-identical (the trace gates pin this). The digest folds every
+    /// node's outcome in id order, a `Slept` token for each node the
+    /// slot did not step — `O(n)`, but only while tracing.
+    #[cfg(feature = "trace")]
+    fn trace_slot(
+        &self,
+        ctx: &SlotCtx<'a, P::Msg>,
+        outcomes: &[SlotOutcome<P::Msg>],
+        report: &SlotReport,
+    ) {
+        use crate::snapshot::Fnv1a;
+        use crate::trace::TraceEvent;
+        if !crate::trace::is_active() {
+            return;
+        }
+        let slot = self.slot;
+        for &(node, power) in &ctx.transmitters {
+            crate::trace::emit(TraceEvent::Transmit {
+                slot,
+                node,
+                power: power.to_bits(),
+            });
+        }
+        let mut fnv = Fnv1a::default();
+        let mut stepped = ctx.ids.iter().zip(outcomes).peekable();
+        for node in 0..self.nodes.len() {
+            let Some((_, outcome)) = stepped.next_if(|&(&id, _)| id == node) else {
+                fnv.write_u64(4);
+                continue;
+            };
+            match outcome {
+                SlotOutcome::Received(r) => {
+                    crate::trace::emit(TraceEvent::Receive {
+                        slot,
+                        node,
+                        from: r.from,
+                        sinr: r.sinr.to_bits(),
+                        affectance: r.affectance.to_bits(),
+                    });
+                    fnv.write_u64(1);
+                    fnv.write_u64(r.from as u64);
+                    fnv.write_u64(r.distance.to_bits());
+                    fnv.write_u64(r.sinr.to_bits());
+                    fnv.write_u64(r.affectance.to_bits());
+                }
+                SlotOutcome::Idle => fnv.write_u64(2),
+                SlotOutcome::Transmitted => fnv.write_u64(3),
+                SlotOutcome::Slept => fnv.write_u64(4),
+            }
+        }
+        crate::trace::emit(TraceEvent::SlotDigest {
+            slot,
+            transmissions: report.transmissions as u32,
+            receptions: report.receptions as u32,
+            idle: report.idle_listeners as u32,
+            outcomes_fnv: fnv.finish(),
+        });
+    }
+
+    /// Builds the awake list for `slot`: the nodes that stayed awake
+    /// through the slot just finished, merged in id order with the
+    /// calendar entries due at `slot`.
+    fn wake_due(&mut self, slot: u64) {
+        let stays = std::mem::take(&mut self.arena.next_awake);
+        self.awake.clear();
+        let mut stays_iter = stays.iter().copied().peekable();
+        while let Some(&Reverse((wake, id))) = self.calendar.peek() {
+            if wake > slot {
+                break;
+            }
+            // Entries are pushed more than one slot ahead and popped the
+            // slot before they fall due, so every popped entry is due
+            // exactly now and the pops come in ascending id order.
+            debug_assert_eq!(wake, slot, "calendar entry for node {id} went stale");
+            self.calendar.pop();
+            while let Some(v) = stays_iter.next_if(|&v| v < id) {
+                self.awake.push(v);
+            }
+            self.awake.push(id);
+        }
+        self.awake.extend(stays_iter);
+        self.arena.next_awake = stays;
     }
 
     /// Runs `slots` slots unconditionally.
@@ -594,7 +851,11 @@ impl<'a, P: Protocol> Engine<'a, P> {
 
     /// Runs until `done` returns true (checked after each slot) or
     /// `max_slots` have executed; returns the number of slots executed.
-    pub fn run_until(&mut self, max_slots: u64, mut done: impl FnMut(&[P]) -> bool) -> u64 {
+    ///
+    /// `done` sees the whole engine: a rule that reads only
+    /// [`awake_nodes`](Self::awake_nodes) costs `O(awake)` per slot,
+    /// one that scans [`nodes`](Self::nodes) costs `O(n)`.
+    pub fn run_until(&mut self, max_slots: u64, mut done: impl FnMut(&Self) -> bool) -> u64 {
         self.run_loop(max_slots, &mut done, &mut |_| {})
     }
 
@@ -611,18 +872,18 @@ impl<'a, P: Protocol> Engine<'a, P> {
     /// The shared batch loop. Serial backends (and small engines) step
     /// one slot at a time; the parallel backend keeps a
     /// [`with_pool`](crate::pool::with_pool) worker pool alive across
-    /// the whole run, broadcasting each slot's immutable [`SlotCtx`]
-    /// to every worker and merging the outcome chunks in node order.
-    /// Protocol state and RNG streams never leave this thread, so the
-    /// observable behavior — every float bit included — is the serial
-    /// loop's. A worker panic travels back through the pool's result
-    /// channel and resumes here with its original payload (a panicking
-    /// protocol `Clone` fails the run loudly instead of deadlocking
-    /// the dispatcher).
+    /// the whole run, broadcasting each large slot's immutable
+    /// [`SlotCtx`] to every worker and merging the outcome chunks in
+    /// node order. Protocol state and RNG streams never leave this
+    /// thread, so the observable behavior — every float bit included —
+    /// is the serial loop's. A worker panic travels back through the
+    /// pool's result channel and resumes here with its original payload
+    /// (a panicking protocol `Clone` fails the run loudly instead of
+    /// deadlocking the dispatcher).
     fn run_loop(
         &mut self,
         max_slots: u64,
-        done: &mut dyn FnMut(&[P]) -> bool,
+        done: &mut dyn FnMut(&Self) -> bool,
         on_report: &mut dyn FnMut(SlotReport),
     ) -> u64 {
         let n = self.nodes.len();
@@ -632,17 +893,13 @@ impl<'a, P: Protocol> Engine<'a, P> {
             while self.slot - start < max_slots {
                 let report = self.step();
                 on_report(report);
-                if done(&self.nodes) {
+                if done(self) {
                     break;
                 }
             }
             return self.slot - start;
         }
 
-        let params = self.params;
-        let instance = self.instance;
-        let backend = self.backend;
-        let chunk = n.div_ceil(threads);
         // Workers time their own decode phases and return the counters
         // with each chunk; the driving thread merges and records them,
         // so a profiled parallel run reports CPU time across the pool.
@@ -658,13 +915,16 @@ impl<'a, P: Protocol> Engine<'a, P> {
                 scratch.skip_canonical_sinr(!P::MEASURES_SINR);
                 scratch
             },
-            |w, scratch, (ctx, mut out): SlotJob<'a, P::Msg>| {
-                let base = w * chunk;
-                let len = chunk.min(n.saturating_sub(base));
+            move |w, scratch, (ctx, mut out): SlotJob<'a, P::Msg>| {
+                // The shard is a contiguous run of the stepped list.
+                let len = ctx.ids.len();
+                let chunk = len.div_ceil(threads);
+                let base = (w * chunk).min(len);
+                let end = (base + chunk).min(len);
                 out.clear();
-                out.reserve(len);
-                for id in base..base + len {
-                    out.push(ctx.outcome_of(id, scratch));
+                out.reserve(end - base);
+                for k in base..end {
+                    out.push(ctx.outcome_of(k, scratch));
                 }
                 let stats = std::mem::take(&mut scratch.stats);
                 let times = std::mem::take(&mut scratch.times);
@@ -672,75 +932,9 @@ impl<'a, P: Protocol> Engine<'a, P> {
             },
             |pool| {
                 while self.slot - start < max_slots {
-                    #[cfg(feature = "profile")]
-                    let mut clock = PhaseClock::start();
-                    let slot = self.slot;
-                    let mut actions = std::mem::take(&mut self.arena.actions);
-                    actions.clear();
-                    actions.reserve(n);
-                    self.collect_actions(slot, &mut actions);
-                    #[cfg(feature = "profile")]
-                    clock.lap("build");
-                    let transmitters = std::mem::take(&mut self.arena.transmitters);
-                    let buffers = self.arena.field_buffers.take().unwrap_or_default();
-                    let ctx = Arc::new(SlotCtx::build(
-                        params,
-                        instance,
-                        backend,
-                        slot,
-                        actions,
-                        (transmitters, buffers),
-                        (P::MEASURES_SINR, P::MEASURES_AFFECTANCE),
-                    ));
-                    #[cfg(feature = "profile")]
-                    clock.lap("grid");
-                    let mut worker_outs = std::mem::take(&mut self.arena.worker_outs);
-                    worker_outs.resize_with(threads, Vec::new);
-                    for (w, out) in worker_outs.drain(..).enumerate() {
-                        pool.send(w, (Arc::clone(&ctx), out));
-                    }
-                    let mut chunks = std::mem::take(&mut self.arena.chunks);
-                    chunks.clear();
-                    chunks.resize_with(threads, || None);
-                    let mut slot_stats = QueryStats::default();
-                    let mut slot_times = PhaseTimes::default();
-                    for _ in 0..threads {
-                        let (w, (out, stats, times)) = pool.recv();
-                        slot_stats.merge(&stats);
-                        slot_times.merge(&times);
-                        chunks[w] = Some(out);
-                    }
-                    let mut outcomes = std::mem::take(&mut self.arena.outcomes);
-                    outcomes.clear();
-                    outcomes.reserve(n);
-                    for c in chunks.iter_mut() {
-                        let mut out = c.take().expect("every worker reports each slot");
-                        // `append` drains `out` but keeps its capacity
-                        // for the next slot's job.
-                        outcomes.append(&mut out);
-                        worker_outs.push(out);
-                    }
-                    #[cfg(feature = "profile")]
-                    clock.lap("resolve");
-                    self.absorb_field_stats(slot_stats, slot_times);
-                    let report = self.finish_slot(&ctx, &mut outcomes);
-                    self.arena.outcomes = outcomes;
-                    self.arena.worker_outs = worker_outs;
-                    self.arena.chunks = chunks;
-                    // Every worker has returned its chunk, so this is
-                    // the last Arc — recover the slot buffers. If a
-                    // clone somehow lingers, skip recycling; the next
-                    // slot re-allocates and correctness is unaffected.
-                    if let Ok(ctx) = Arc::try_unwrap(ctx) {
-                        let (actions, transmitters, buffers) = ctx.recycle();
-                        self.arena.actions = actions;
-                        self.arena.transmitters = transmitters;
-                        self.arena.field_buffers = Some(buffers);
-                    }
-                    #[cfg(feature = "profile")]
-                    clock.lap("merge");
+                    let report = self.step_on(Some(pool));
                     on_report(report);
-                    if done(&self.nodes) {
+                    if done(self) {
                         break;
                     }
                 }
@@ -758,7 +952,8 @@ impl<'a, P: Protocol> Engine<'a, P> {
     ///
     /// Restoring the snapshot with [`restore`](Self::restore) and the
     /// same immutable inputs resumes a run whose remaining slots are
-    /// bit-identical to the uninterrupted original.
+    /// bit-identical to the uninterrupted original. The wake calendar
+    /// is derived state and is not captured.
     pub fn snapshot(&self) -> crate::snapshot::EngineSnapshot
     where
         P: serde::Serialize,
@@ -777,6 +972,10 @@ impl<'a, P: Protocol> Engine<'a, P> {
     /// the same bytes, so a snapshot taken under `Grid` replays
     /// identically under `Parallel` — a property the trace gates use to
     /// cross-check backends from a common mid-run state.
+    ///
+    /// The restored engine wakes every node for its first slot, and
+    /// each dormant node declares its hint again (the dormancy promise
+    /// makes that slot a no-op for it), which rebuilds the calendar.
     ///
     /// # Errors
     ///
@@ -809,36 +1008,27 @@ impl<'a, P: Protocol> Engine<'a, P> {
             .iter()
             .map(<StdRng as serde::Deserialize>::from_value)
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Engine {
-            params,
-            instance,
-            nodes,
-            rngs,
-            slot: snapshot.slot,
-            stats: snapshot.stats,
-            backend,
-            scratch: FieldScratch::default(),
-            arena: SlotArena::default(),
-            field_stats: QueryStats::default(),
-            faults: None,
-        })
+        let mut engine = Self::assemble(params, instance, nodes, rngs, backend);
+        engine.slot = snapshot.slot;
+        engine.stats = snapshot.stats;
+        Ok(engine)
     }
 }
 
-/// One pooled job: the shared slot context plus the recycled output
-/// vector the worker fills for its chunk.
-type SlotJob<'a, M> = (Arc<SlotCtx<'a, M>>, Vec<SlotOutcome<M>>);
-
-/// One slot's immutable channel context: every node's action, the
-/// transmitter set in canonical (node-id) order, and — for the grid
-/// backends — the slot's [`InterferenceField`]. The pooled loop shares
-/// it read-only across workers via [`Arc`]; [`SlotCtx::outcome_of`] is
-/// the *single* per-node resolution sequence both the serial and the
-/// pooled loop execute, which is what makes their outputs
-/// byte-identical by construction.
+/// One slot's immutable channel context: the stepped nodes in
+/// ascending id order with their actions, the transmitter set in the
+/// same canonical order, and — for the grid backends — the slot's
+/// [`InterferenceField`]. The pooled loop shares it read-only across
+/// workers via [`Arc`]; [`SlotCtx::outcome_of`] is the *single*
+/// per-node resolution sequence both the serial and the pooled loop
+/// execute, which is what makes their outputs byte-identical by
+/// construction.
 struct SlotCtx<'a, M> {
     params: &'a SinrParams,
     instance: &'a Instance,
+    /// The stepped node ids, ascending.
+    ids: Vec<NodeId>,
+    /// `actions[k]` is node `ids[k]`'s action.
     actions: Vec<Action<M>>,
     transmitters: Vec<(NodeId, f64)>,
     field: Option<InterferenceField<'a>>,
@@ -873,23 +1063,20 @@ impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
         instance: &'a Instance,
         backend: EngineBackend,
         slot: u64,
-        actions: Vec<Action<M>>,
+        (ids, actions): (Vec<NodeId>, Vec<Action<M>>),
         (mut transmitters, buffers): (Vec<(NodeId, f64)>, FieldBuffers),
         (measure_sinr, measure_affectance): (bool, bool),
     ) -> Self {
-        for (id, a) in actions.iter().enumerate() {
+        transmitters.clear();
+        for (&id, a) in ids.iter().zip(&actions) {
             if let Action::Transmit { power, .. } = a {
                 assert!(
                     power.is_finite() && *power > 0.0,
                     "node {id} transmitted with invalid power {power} in slot {slot}"
                 );
+                transmitters.push((id, *power));
             }
         }
-        transmitters.clear();
-        transmitters.extend(actions.iter().enumerate().filter_map(|(id, a)| match a {
-            Action::Transmit { power, .. } => Some((id, *power)),
-            _ => None,
-        }));
         let (field, spare) = match backend {
             EngineBackend::Naive => (None, Some(buffers)),
             _ if transmitters.is_empty() => (None, Some(buffers)),
@@ -906,6 +1093,7 @@ impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
         SlotCtx {
             params,
             instance,
+            ids,
             actions,
             transmitters,
             field,
@@ -917,19 +1105,28 @@ impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
 
     /// Dismantles the context, recovering every recyclable allocation
     /// for the next slot's [`build`](Self::build).
-    fn recycle(self) -> (Vec<Action<M>>, Vec<(NodeId, f64)>, FieldBuffers) {
+    #[allow(clippy::type_complexity)]
+    fn recycle(
+        self,
+    ) -> (
+        Vec<NodeId>,
+        Vec<Action<M>>,
+        Vec<(NodeId, f64)>,
+        FieldBuffers,
+    ) {
         let buffers = match self.field {
             Some(f) => f.into_buffers(),
             None => self.spare.unwrap_or_default(),
         };
-        (self.actions, self.transmitters, buffers)
+        (self.ids, self.actions, self.transmitters, buffers)
     }
 
-    /// Resolves one node's outcome for this slot.
-    fn outcome_of(&self, id: NodeId, scratch: &mut FieldScratch) -> SlotOutcome<M> {
-        match &self.actions[id] {
+    /// Resolves the outcome of the `k`-th stepped node for this slot.
+    fn outcome_of(&self, k: usize, scratch: &mut FieldScratch) -> SlotOutcome<M> {
+        let id = self.ids[k];
+        match &self.actions[k] {
             Action::Transmit { .. } => SlotOutcome::Transmitted,
-            Action::Sleep => SlotOutcome::Slept,
+            Action::Sleep | Action::SleepUntil(_) => SlotOutcome::Slept,
             Action::Listen => {
                 let decoded = match &self.field {
                     Some(f) => f.decode_best_with(id, scratch),
@@ -959,8 +1156,8 @@ impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
                         } else {
                             f64::NAN
                         };
-                        let msg = match &self.actions[from] {
-                            Action::Transmit { msg, .. } => msg.clone(),
+                        let msg = match self.ids.binary_search(&from).map(|j| &self.actions[j]) {
+                            Ok(Action::Transmit { msg, .. }) => msg.clone(),
                             _ => unreachable!("decoded node is a transmitter"),
                         };
                         SlotOutcome::Received(Reception {
@@ -1350,7 +1547,7 @@ mod tests {
             },
             1,
         );
-        let executed = engine.run_until(100, |nodes| nodes.iter().skip(1).all(|n| n.decoded >= 3));
+        let executed = engine.run_until(100, |e| e.nodes().iter().skip(1).all(|n| n.decoded >= 3));
         assert_eq!(executed, 3);
         assert_eq!(engine.slot(), 3);
     }
@@ -1892,5 +2089,297 @@ mod tests {
         let mut engine =
             Engine::with_backend(&params, &inst, |_| Shout, 0, EngineBackend::Parallel(2));
         engine.run(1);
+    }
+
+    /// A protocol that sleeps three ways: plain `Sleep`, `SleepUntil`
+    /// (a declared nap, sometimes only one slot long) and retirement
+    /// (`u64::MAX`). Its RNG draws (on awake begins and idle ends) and
+    /// logs make every callback the engine makes or skips observable.
+    /// Nodes 0–2 follow a script so that faults provably land on
+    /// dormant nodes.
+    #[derive(Debug, Default, Clone, PartialEq)]
+    struct Drowsy {
+        log: Vec<(u64, NodeId, u64)>,
+        idles: u64,
+        /// Dormant before this slot; `u64::MAX` = retired.
+        wake: u64,
+        /// XOR of every idle-end draw.
+        draws: u64,
+    }
+
+    impl Protocol for Drowsy {
+        type Msg = ();
+        fn begin_slot(&mut self, node: NodeId, slot: u64, rng: &mut StdRng) -> Action<()> {
+            let listen_or_nap = |from: u64, until: u64| {
+                if (from..until).contains(&slot) {
+                    Action::SleepUntil(until)
+                } else {
+                    Action::Listen
+                }
+            };
+            match node {
+                // Dormant 3..20; crashes at 10, found crashed at 20.
+                0 => return listen_or_nap(3, 20),
+                // Dormant 2..15; deaf 5..18, from inside its nap.
+                1 => return listen_or_nap(2, 15),
+                // Dormant 4..9; its power degrades from 6.
+                2 if (4..9).contains(&slot) => return Action::SleepUntil(9),
+                2 => {
+                    return Action::Transmit {
+                        power: 900.0,
+                        msg: (),
+                    }
+                }
+                _ => {}
+            }
+            if slot < self.wake {
+                return Action::SleepUntil(self.wake);
+            }
+            match rng.gen_range(0..10u32) {
+                0..=2 => Action::Transmit {
+                    power: 900.0,
+                    msg: (),
+                },
+                3..=5 => Action::Listen,
+                6 => Action::Sleep,
+                7 | 8 => {
+                    self.wake = slot + 1 + rng.gen_range(0..5u64);
+                    Action::SleepUntil(self.wake)
+                }
+                _ if slot > 10 => {
+                    self.wake = u64::MAX;
+                    Action::SleepUntil(u64::MAX)
+                }
+                _ => Action::Listen,
+            }
+        }
+        fn end_slot(&mut self, _: NodeId, slot: u64, o: SlotOutcome<()>, rng: &mut StdRng) {
+            match o {
+                SlotOutcome::Received(r) => self.log.push((slot, r.from, r.sinr.to_bits())),
+                SlotOutcome::Idle => {
+                    self.idles += 1;
+                    self.draws ^= rng.gen::<u64>();
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[cfg(feature = "serde")]
+    impl serde::Serialize for Drowsy {
+        fn to_value(&self) -> serde::Value {
+            (self.log.clone(), self.idles, self.wake, self.draws).to_value()
+        }
+    }
+
+    #[cfg(feature = "serde")]
+    impl serde::Deserialize for Drowsy {
+        fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+            let (log, idles, wake, draws) = serde::Deserialize::from_value(value)?;
+            Ok(Drowsy {
+                log,
+                idles,
+                wake,
+                draws,
+            })
+        }
+    }
+
+    fn drowsy_plan(n: usize) -> crate::faults::FaultPlan {
+        use crate::faults::{FaultEvent, FaultMix, FaultPlan};
+        let mut plan = FaultPlan::random(
+            n,
+            0xD0_5E,
+            &FaultMix {
+                crash: 0.1,
+                deafness: 0.15,
+                drop: 0.15,
+                degrade: 0.1,
+                horizon: 30,
+            },
+        );
+        plan.push(0, FaultEvent::CrashStop { at: 10 });
+        plan.push(1, FaultEvent::TransientDeafness { from: 5, until: 18 });
+        plan.push(
+            2,
+            FaultEvent::PowerDegrade {
+                factor: 0.5,
+                from: 6,
+            },
+        );
+        plan
+    }
+
+    /// Everything a dormancy run exposes: reports, stats, protocol
+    /// states, RNG positions and the awake list.
+    type DrowsyRun = (
+        Vec<SlotReport>,
+        EngineStats,
+        Vec<Drowsy>,
+        Vec<StdRng>,
+        Vec<NodeId>,
+    );
+
+    fn drowsy_run(inst: &Instance, backend: EngineBackend) -> DrowsyRun {
+        let params = SinrParams::default();
+        let mut e = Engine::with_backend(&params, inst, |_| Drowsy::default(), 13, backend);
+        e.arm_faults(drowsy_plan(inst.len()));
+        let reports = e.run_reports(40);
+        let awake = e.awake_nodes().map(|(id, _)| id).collect();
+        (
+            reports,
+            e.stats(),
+            e.nodes().to_vec(),
+            e.rngs.clone(),
+            awake,
+        )
+    }
+
+    /// The calendar gate: naive steps every node every slot, grid and
+    /// the pool step only the awake list, and all of them agree on
+    /// every observable — with crashes, deafness and degrades landing
+    /// on dormant nodes.
+    #[test]
+    fn wake_calendar_matches_all_node_stepping() {
+        // 160 nodes: most slots keep more than PARALLEL_MIN_NODES awake,
+        // so the pool resolves them; quiet slots fall back to serial.
+        let inst = gen::uniform_square(160, 1.5, 31).unwrap();
+        let naive = drowsy_run(&inst, EngineBackend::Naive);
+        let states = &naive.2;
+        assert!(
+            states.iter().any(|d| d.wake == u64::MAX),
+            "some nodes retire"
+        );
+        assert!(
+            naive.0.iter().any(|r| r.receptions > 0),
+            "the workload decodes"
+        );
+        assert!(!naive.4.contains(&0), "node 0 crashed while dormant");
+        assert!(
+            states[1]
+                .log
+                .iter()
+                .all(|&(slot, _, _)| !(2..18).contains(&slot)),
+            "node 1 heard nothing while dormant or deaf"
+        );
+        for backend in [
+            EngineBackend::Grid,
+            EngineBackend::Parallel(1),
+            EngineBackend::Parallel(2),
+            EngineBackend::Parallel(4),
+        ] {
+            assert_eq!(naive, drowsy_run(&inst, backend), "{backend:?} diverged");
+        }
+    }
+
+    /// Under tracing, every backend emits the same event stream: fault
+    /// boundaries of dormant nodes included, and a slot digest that
+    /// folds the sleepers' tokens.
+    #[cfg(feature = "trace")]
+    #[test]
+    fn wake_calendar_trace_matches_all_node_stepping() {
+        use crate::trace::{self, TraceEvent};
+        let inst = gen::uniform_square(160, 1.5, 31).unwrap();
+        let traced = |backend| {
+            trace::start(1 << 16);
+            let run = drowsy_run(&inst, backend);
+            let log = trace::stop();
+            assert_eq!(log.dropped, 0);
+            (run, log.events)
+        };
+        let (naive_run, naive) = traced(EngineBackend::Naive);
+        assert_eq!(
+            naive_run,
+            drowsy_run(&inst, EngineBackend::Naive),
+            "tracing is observational"
+        );
+        for (slot, node, kind) in [
+            (10, 0, "crash-stop"),
+            (5, 1, "deafness"),
+            (6, 2, "power-degrade"),
+        ] {
+            assert!(
+                naive.contains(&TraceEvent::FaultInjected { slot, node, kind }),
+                "{kind} of dormant node {node} at slot {slot} is reported"
+            );
+        }
+        for backend in [
+            EngineBackend::Grid,
+            EngineBackend::Parallel(1),
+            EngineBackend::Parallel(2),
+            EngineBackend::Parallel(4),
+        ] {
+            let (run, events) = traced(backend);
+            assert_eq!(naive_run, run, "{backend:?}: traced run diverged");
+            assert_eq!(naive, events, "{backend:?}: event stream diverged");
+        }
+    }
+
+    /// A snapshot taken while nodes are dormant or retired resumes
+    /// bit-identically: `restore` wakes every node for one slot and each
+    /// declares its hint again.
+    #[cfg(feature = "serde")]
+    #[test]
+    fn snapshot_of_dormant_nodes_resumes_bit_identically() {
+        let params = SinrParams::default();
+        let inst = gen::uniform_square(120, 1.5, 32).unwrap();
+        let mut original = Engine::with_backend(
+            &params,
+            &inst,
+            |_| Drowsy::default(),
+            5,
+            EngineBackend::Grid,
+        );
+        original.run(16);
+        assert!(
+            original.awake_nodes().count() < inst.len(),
+            "the snapshot must catch dormant nodes"
+        );
+        let snap = original.snapshot();
+        original.run(20);
+        for backend in [
+            EngineBackend::Naive,
+            EngineBackend::Grid,
+            EngineBackend::Parallel(2),
+        ] {
+            let mut resumed: Engine<'_, Drowsy> =
+                Engine::restore(&params, &inst, &snap, backend).unwrap();
+            resumed.run(20);
+            assert_eq!(original.stats(), resumed.stats(), "{backend:?}");
+            assert_eq!(original.nodes(), resumed.nodes(), "{backend:?}");
+            assert_eq!(original.rngs, resumed.rngs, "{backend:?}");
+            assert!(
+                original
+                    .awake_nodes()
+                    .map(|(id, _)| id)
+                    .eq(resumed.awake_nodes().map(|(id, _)| id)),
+                "{backend:?}: the calendar re-derives"
+            );
+        }
+    }
+
+    /// The naive reference checks every dormancy promise in debug
+    /// builds: a node that declares a nap and then listens is caught
+    /// in the slot it breaks the promise.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "broke its dormancy promise in slot 2")]
+    fn naive_catches_a_broken_dormancy_promise() {
+        #[derive(Debug)]
+        struct Liar;
+        impl Protocol for Liar {
+            type Msg = ();
+            fn begin_slot(&mut self, _: NodeId, slot: u64, _: &mut StdRng) -> Action<()> {
+                match slot {
+                    0 => Action::SleepUntil(5),
+                    1 => Action::Sleep,
+                    _ => Action::Listen,
+                }
+            }
+            fn end_slot(&mut self, _: NodeId, _: u64, _: SlotOutcome<()>, _: &mut StdRng) {}
+        }
+        let params = SinrParams::default();
+        let inst = gen::line(3).unwrap();
+        Engine::with_backend(&params, &inst, |_| Liar, 0, EngineBackend::Naive).run(4);
     }
 }

@@ -308,6 +308,45 @@ impl FaultPlan {
             .any(|f| f.deaf_until > f.deaf_from || f.drop_prob > 0.0)
     }
 
+    /// Every fault onset the trace reports as `FaultInjected`, as
+    /// `(slot, node, kind)` sorted by `(slot, node)`. It applies the
+    /// per-slot rule of the all-node loop — a crash-stop at its
+    /// boundary; otherwise, unless the node is dead, deafness and then
+    /// power-degrade at theirs — at the only slots where a boundary can
+    /// fall. The engine emits a slot's entries before any protocol
+    /// callback, for awake and dormant nodes alike, so the stream does
+    /// not depend on which nodes it steps.
+    #[cfg(feature = "trace")]
+    pub(crate) fn boundaries(&self) -> Vec<(u64, NodeId, &'static str)> {
+        let mut out = Vec::new();
+        for (node, f) in self.nodes.iter().enumerate() {
+            let mut slots: Vec<u64> = f
+                .crash_at
+                .into_iter()
+                .chain([f.deaf_from, f.degrade_from])
+                .collect();
+            slots.sort_unstable();
+            slots.dedup();
+            for slot in slots {
+                if self.crashed(node, slot) {
+                    if self.crash_boundary(node, slot) {
+                        out.push((slot, node, "crash-stop"));
+                    }
+                    continue;
+                }
+                if self.deaf_boundary(node, slot) {
+                    out.push((slot, node, "deafness"));
+                }
+                if self.degrade_boundary(node, slot) {
+                    out.push((slot, node, "power-degrade"));
+                }
+            }
+        }
+        // Stable: keeps each node's order within a slot.
+        out.sort_by_key(|&(slot, node, _)| (slot, node));
+        out
+    }
+
     /// The slot `node` crashes at, if a crash is scheduled.
     pub fn crash_slot(&self, node: NodeId) -> Option<u64> {
         self.nodes[node].crash_at

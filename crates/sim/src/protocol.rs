@@ -17,6 +17,12 @@ pub enum Action<M> {
     Listen,
     /// Do nothing this slot (inactive nodes).
     Sleep,
+    /// Do nothing this slot and every slot before the given one: a
+    /// dormancy declaration under [`Protocol`]'s dormancy promise. The
+    /// engine stops calling the node until that slot; `u64::MAX`
+    /// retires it for good. A wake slot no later than the next slot
+    /// means plain [`Sleep`](Action::Sleep).
+    SleepUntil(u64),
 }
 
 /// A successfully decoded message, as seen by the receiver.
@@ -58,12 +64,39 @@ pub enum SlotOutcome<M> {
 
 /// A per-node state machine driven by the [`Engine`](crate::Engine).
 ///
-/// One value of the implementing type exists per node; the engine calls
-/// [`begin_slot`](Protocol::begin_slot) on every node, resolves the
-/// channel, then calls [`end_slot`](Protocol::end_slot) with each node's
-/// outcome. The `rng` argument is the node's private deterministic
-/// stream — protocols must draw randomness only from it so whole runs
-/// are reproducible from the engine seed.
+/// One value of the implementing type exists per node; each slot the
+/// engine calls [`begin_slot`](Protocol::begin_slot) on every awake
+/// node, resolves the channel, then calls
+/// [`end_slot`](Protocol::end_slot) with each awake node's outcome.
+/// The `rng` argument is the node's private deterministic stream —
+/// protocols must draw randomness only from it so whole runs are
+/// reproducible from the engine seed.
+///
+/// # The dormancy promise
+///
+/// A node that returns [`Action::SleepUntil(s)`](Action::SleepUntil)
+/// from `begin_slot` in slot `t` promises, for every slot `t'` with
+/// `t ≤ t' < s`:
+///
+/// - `end_slot(t', Slept)` would change nothing and draw nothing —
+///   slot `t`'s own `end_slot` included;
+/// - for `t' > t`, `begin_slot(t')` would return `Sleep` (or another
+///   `SleepUntil`) without changing state or drawing.
+///
+/// The calendar-driven backends ([`Grid`](crate::EngineBackend::Grid),
+/// [`Parallel`](crate::EngineBackend::Parallel)) take the promise at
+/// its word and skip the node until slot `s`, so a slot costs
+/// `O(awake nodes)` instead of `O(n)`. A dormant node's RNG stream is
+/// untouched, as it already is when a node sleeps without drawing;
+/// per-node streams keep every other node's draws where they were.
+/// The [`Naive`](crate::EngineBackend::Naive) reference keeps stepping
+/// every node and, in debug builds, asserts the promise on each
+/// dormant step; a broken promise that slips past the assertion still
+/// shows up as a naive-vs-grid divergence in the parity gates. Plain
+/// [`Sleep`](Action::Sleep) promises nothing beyond the current slot.
+/// A snapshot does not record dormancy: a restored engine wakes every
+/// node for one slot and each declares its hint again, so the hint
+/// must follow from the node's state and the slot alone.
 ///
 /// Payloads must be `Send + Sync` because the engine's
 /// [`Parallel`](crate::EngineBackend::Parallel) backend shares a slot's

@@ -71,15 +71,49 @@ impl Protocol for Rotor {
     fn end_slot(&mut self, _: NodeId, _: u64, _: SlotOutcome<()>, _: &mut StdRng) {}
 }
 
+/// [`Rotor`] that sleeps through its idle phases: each node listens
+/// the slot after it transmits and declares dormancy until its next
+/// transmit slot, so most of every slot's nodes sit in the wake
+/// calendar.
+#[derive(Debug)]
+struct DozyRotor;
+
+impl Protocol for DozyRotor {
+    type Msg = ();
+
+    fn begin_slot(&mut self, node: NodeId, slot: u64, _: &mut StdRng) -> Action<()> {
+        match (node + slot as usize) % 5 {
+            0 => Action::Transmit {
+                power: 600.0,
+                msg: (),
+            },
+            1 => Action::Listen,
+            phase => Action::SleepUntil(slot + (5 - phase) as u64),
+        }
+    }
+
+    fn end_slot(&mut self, _: NodeId, _: u64, _: SlotOutcome<()>, _: &mut StdRng) {}
+}
+
+/// One test for both protocols: the counter is process-wide, so a
+/// second test running on another thread would leak its allocations
+/// into this one's window. [`DozyRotor`] checks that the calendar's
+/// heap and awake lists recycle their capacity too.
 #[test]
 fn steady_state_slots_do_not_allocate() {
     let params = SinrParams::default();
     let inst = gen::uniform_square(256, 1.5, 11).unwrap();
-    let mut engine = Engine::with_backend(&params, &inst, |_| Rotor, 11, EngineBackend::Grid);
+    let engine = Engine::with_backend(&params, &inst, |_| Rotor, 11, EngineBackend::Grid);
+    assert_steady_state_allocation_free(engine);
+    let engine = Engine::with_backend(&params, &inst, |_| DozyRotor, 11, EngineBackend::Grid);
+    assert_steady_state_allocation_free(engine);
+}
 
+fn assert_steady_state_allocation_free<P: Protocol>(mut engine: Engine<'_, P>) {
     // Warm-up: size every arena buffer. The rotation period is 5, so 5
-    // slots see every transmitter-set size the pattern produces.
-    engine.run(5);
+    // slots see every transmitter-set size the pattern produces (and
+    // every calendar occupancy; one more slot for the first wake-ups).
+    engine.run(6);
 
     let before = ALLOCS.load(Ordering::Relaxed);
     let slots = 20;

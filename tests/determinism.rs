@@ -690,6 +690,139 @@ fn incremental_repack_is_deterministic_and_audited() {
     }
 }
 
+/// The wake calendar's largest user: repair and join rerun `Init`
+/// masked to a few orphaned roots or newcomers, so almost every node
+/// of those runs is retired from the first slot. Whether that `Init`
+/// steps every node (naive, the reference) or only the awake list
+/// (grid, and the pool at 1/2/4 threads), the repaired and grown
+/// trees, schedules, power bits and runtime slots must be identical.
+/// 80-node instances sit above `PARALLEL_MIN_NODES`, so the pooled
+/// loop runs, and its quiet slots fall back to the driving thread.
+#[test]
+fn repair_and_join_init_is_backend_and_thread_invariant() {
+    use sinr_connect_suite::connectivity::init::InitConfig;
+    use sinr_connect_suite::connectivity::join::join_nodes;
+    use sinr_connect_suite::connectivity::repair::{repair_after_failures, PriorStructure};
+    use sinr_connect_suite::connectivity::selector::MeanSamplingSelector;
+    use sinr_connect_suite::connectivity::tvc::{tree_via_capacity, TvcConfig};
+    use sinr_connect_suite::geom::Point;
+
+    fn render(
+        out: &mut String,
+        tree: &InTree,
+        schedule: &Schedule,
+        power: &PowerAssignment,
+        slots: u64,
+    ) {
+        let _ = writeln!(out, "runtime_slots={slots}");
+        for u in 0..tree.len() {
+            let _ = writeln!(out, "parent {u} {:?}", tree.parent(u));
+        }
+        for (l, s) in schedule.iter() {
+            let _ = writeln!(out, "agg {}->{} @{}", l.sender, l.receiver, s);
+        }
+        let mut entries: Vec<_> = power.as_explicit().unwrap().iter().collect();
+        entries.sort_by_key(|(l, _)| **l);
+        for (l, p) in entries {
+            let _ = writeln!(out, "pow {}->{} {:016x}", l.sender, l.receiver, p.to_bits());
+        }
+    }
+
+    let params = SinrParams::default();
+    for (family, inst) in [
+        ("uniform", gen::uniform_square(80, 1.5, 41).unwrap()),
+        ("clustered", gen::clustered(5, 16, 1.5, 2.0, 41).unwrap()),
+    ] {
+        let mut sel = MeanSamplingSelector::default();
+        let built = tree_via_capacity(&params, &inst, &TvcConfig::default(), &mut sel, 17).unwrap();
+        let parents: Vec<Option<usize>> = (0..built.tree.len())
+            .map(|u| built.tree.parent(u))
+            .collect();
+        let powers = built.power.as_explicit().unwrap().clone();
+        let prior = PriorStructure {
+            parents: &parents,
+            powers: &powers,
+            schedule: &built.schedule,
+        };
+        // Internal nodes orphan whole subtrees; the newcomers sit just
+        // outside the bounding box, at least distance 1 from everyone.
+        let failed: Vec<usize> = (0..inst.len())
+            .filter(|&u| u != built.tree.root() && !built.tree.children(u).is_empty())
+            .take(3)
+            .collect();
+        let bbox = inst.bounding_box();
+        let newcomers = [
+            Point::new(bbox.max().x + 1.5, bbox.max().y + 1.5),
+            Point::new(bbox.min().x - 1.5, bbox.min().y - 1.5),
+        ];
+
+        let run = |backend: EngineBackend| {
+            let cfg = TvcConfig {
+                init: InitConfig {
+                    backend,
+                    ..InitConfig::default()
+                },
+                ..TvcConfig::default()
+            };
+            let mut sel = MeanSamplingSelector::default();
+            let rep = repair_after_failures(&params, &inst, &prior, &failed, &cfg, &mut sel, 29)
+                .unwrap_or_else(|e| panic!("{family}/{backend:?}: repair failed: {e}"));
+            let mut out = String::new();
+            render(
+                &mut out,
+                &rep.tree,
+                &rep.schedule,
+                &rep.power,
+                rep.runtime_slots,
+            );
+            let rep_parents: Vec<Option<usize>> =
+                (0..rep.tree.len()).map(|u| rep.tree.parent(u)).collect();
+            let rep_powers = rep.power.as_explicit().unwrap().clone();
+            let rep_prior = PriorStructure {
+                parents: &rep_parents,
+                powers: &rep_powers,
+                schedule: &rep.schedule,
+            };
+            let joined = join_nodes(
+                &params,
+                &rep.instance,
+                &rep_prior,
+                &newcomers,
+                &cfg,
+                &mut sel,
+                31,
+            )
+            .unwrap_or_else(|e| panic!("{family}/{backend:?}: join failed: {e}"));
+            render(
+                &mut out,
+                &joined.tree,
+                &joined.schedule,
+                &joined.power,
+                joined.runtime_slots,
+            );
+            out
+        };
+        let naive = run(EngineBackend::Naive);
+        assert!(
+            naive.contains("runtime_slots="),
+            "{family}: the runs simulate"
+        );
+        for backend in [
+            EngineBackend::Grid,
+            EngineBackend::Parallel(1),
+            EngineBackend::Parallel(2),
+            EngineBackend::Parallel(4),
+        ] {
+            let other = run(backend);
+            assert!(
+                naive == other,
+                "{family}: repair/join under {backend:?} diverged from naive\n\
+                 --- naive ---\n{naive}\n--- {backend:?} ---\n{other}"
+            );
+        }
+    }
+}
+
 /// The fault-injection parity gate: the heartbeat detector's full
 /// report — suspects, per-declaration slots, cleared count, relayed
 /// root reports — must be **identical** under every engine backend and
