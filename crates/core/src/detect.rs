@@ -151,9 +151,10 @@ struct HeartbeatNode {
     misses: u32,
     /// Cycles left to skip before the next probe.
     backoff: u64,
-    /// Whether this node listened for its beacon this cycle.
-    probed: bool,
-    got_beacon: bool,
+    /// Whether this node probed for its beacon this cycle and has not
+    /// heard it: the miss the cycle-end settle scores. Hearing the
+    /// beacon settles the probe at once.
+    unanswered_probe: bool,
     /// The parent is currently suspected.
     suspected_now: bool,
     /// First declaration `(suspect, slot)`, kept for latency.
@@ -197,9 +198,9 @@ impl HeartbeatNode {
     }
 
     /// Whether the cycle-end settle in `end_slot` would change this
-    /// node's state: a probe to score, or a backoff to count down.
+    /// node's state: a miss to score, or a backoff to count down.
     fn settles(&self) -> bool {
-        self.probed || self.got_beacon || self.backoff > 0
+        self.unanswered_probe || self.backoff > 0
     }
 
     /// The action for a slot this node sleeps through: sleep until its
@@ -269,7 +270,7 @@ impl Protocol for HeartbeatNode {
                 // Probe unless backing off; a declared child keeps
                 // probing every cycle so recovery can clear it.
                 if self.suspected_now || self.backoff == 0 {
-                    self.probed = true;
+                    self.unanswered_probe = true;
                     return Action::Listen;
                 }
             }
@@ -298,7 +299,7 @@ impl Protocol for HeartbeatNode {
             match r.msg {
                 HeartbeatMsg::Beacon => {
                     if Some(r.from) == self.parent {
-                        self.got_beacon = true;
+                        self.unanswered_probe = false;
                         self.misses = 0;
                         self.backoff = 0;
                         if self.suspected_now {
@@ -318,7 +319,7 @@ impl Protocol for HeartbeatNode {
         // Cycle boundary: settle this cycle's probe.
         let cycle = 2 * self.half;
         if slot % cycle == cycle - 1 {
-            if self.probed && !self.got_beacon {
+            if self.unanswered_probe {
                 self.misses = self.misses.saturating_add(1);
                 if self.suspected_now {
                     // Already declared: keep probing, no backoff.
@@ -328,11 +329,10 @@ impl Protocol for HeartbeatNode {
                     let exp = self.misses.min(self.max_backoff_exp);
                     self.backoff = (1u64 << exp) - 1;
                 }
-            } else if !self.probed && self.backoff > 0 {
+            } else if self.backoff > 0 {
                 self.backoff -= 1;
             }
-            self.probed = false;
-            self.got_beacon = false;
+            self.unanswered_probe = false;
         }
     }
 }
@@ -388,8 +388,7 @@ pub fn detect_failures(
             max_backoff_exp: cfg.max_backoff_exp,
             misses: 0,
             backoff: 0,
-            probed: false,
-            got_beacon: false,
+            unanswered_probe: false,
             suspected_now: false,
             declared: None,
             cleared: 0,

@@ -124,21 +124,11 @@ pub fn extreme_distances(points: &[Point]) -> Option<Extremes> {
 /// `max √d² = √(max d²)` because `sqrt` is correctly rounded and
 /// monotone, and every path compares [`Point::distance_sq`] values.
 pub fn diameter(points: &[Point]) -> f64 {
-    if points.len() < 2 {
-        return 0.0;
-    }
-    let max = if points.len() <= GRID_CUTOFF {
-        let mut max: f64 = 0.0;
-        for (i, p) in points.iter().enumerate() {
-            for q in &points[i + 1..] {
-                max = max.max(p.distance_sq(*q));
-            }
-        }
-        max
+    if points.len() <= GRID_CUTOFF {
+        extreme_distances_naive(points).map_or(0.0, |e| e.max)
     } else {
-        diameter_sq_hull(points)
-    };
-    max.sqrt()
+        diameter_sq_hull(points).sqrt()
+    }
 }
 
 /// A minimal dense bucket grid over a point slice, shared by the
