@@ -118,7 +118,13 @@ pub fn base_structure(
 /// `k` join points inside the deployment area, rejection-sampled to
 /// respect the unit minimum-distance normalization (against existing
 /// nodes and each other). Shared with the E15 service loop.
-pub fn sample_join_points(inst: &Instance, k: usize, seed: u64) -> Vec<Point> {
+///
+/// # Errors
+///
+/// Returns a message when 100 000 draws leave fewer than `k` points:
+/// the area has no room for them at the unit minimum distance (a dense
+/// lattice, or a small instance with many joins).
+pub fn try_sample_join_points(inst: &Instance, k: usize, seed: u64) -> Result<Vec<Point>, String> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9d0e_57ab);
     let bb = inst.bounding_box();
     let (lo, hi) = (bb.min(), bb.max());
@@ -130,7 +136,11 @@ pub fn sample_join_points(inst: &Instance, k: usize, seed: u64) -> Vec<Point> {
     let mut attempts = 0usize;
     while accepted.len() < k {
         attempts += 1;
-        assert!(attempts < 100_000, "join-point sampling starved");
+        if attempts >= 100_000 {
+            return Err(format!(
+                "no room for {k} join points at the unit minimum distance"
+            ));
+        }
         let p = Point::new(
             lo.x + rng.gen::<f64>() * (hi.x - lo.x).max(1.0),
             lo.y + rng.gen::<f64>() * (hi.y - lo.y).max(1.0),
@@ -139,7 +149,17 @@ pub fn sample_join_points(inst: &Instance, k: usize, seed: u64) -> Vec<Point> {
             accepted.push(p);
         }
     }
-    accepted
+    Ok(accepted)
+}
+
+/// [`try_sample_join_points`] for callers whose instances have room,
+/// such as E13's uniform trials and the repository benchmark.
+///
+/// # Panics
+///
+/// Panics where [`try_sample_join_points`] returns an error.
+pub fn sample_join_points(inst: &Instance, k: usize, seed: u64) -> Vec<Point> {
+    try_sample_join_points(inst, k, seed).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// One trial's measurements: the two local modes' stats + full pack
@@ -531,5 +551,16 @@ mod tests {
                 assert!(p.distance(*q) >= 1.0);
             }
         }
+    }
+
+    /// A unit 3×3 lattice leaves no point of its 2×2 area 1.1 away
+    /// from every node: sampling reports it instead of panicking.
+    #[test]
+    fn join_points_report_a_full_area() {
+        let lattice = sinr_geom::gen::grid_lattice(3, 3, 0.0, 0).unwrap();
+        assert_eq!(
+            try_sample_join_points(&lattice, 1, 0),
+            Err("no room for 1 join points at the unit minimum distance".to_string())
+        );
     }
 }

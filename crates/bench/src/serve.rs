@@ -56,7 +56,7 @@ use sinr_phy::{feasibility, SinrParams};
 use sinr_sim::faults::{self, FaultPlan};
 use sinr_sim::FaultEvent;
 
-use crate::experiments::e13_churn::{base_structure, sample_join_points};
+use crate::experiments::e13_churn::{base_structure, try_sample_join_points};
 
 /// Handle to a scheduled plan, usable for cancellation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -621,11 +621,12 @@ fn process_batch(
 
     // Phase 2: the batch's joins attach to the repaired structure.
     if !join_events.is_empty() {
-        let points = sample_join_points(
+        let points = try_sample_join_points(
             &state.inst,
             join_events.len(),
             faults::stream_seed(seed ^ TAG_POINTS, report.batches as u64),
-        );
+        )
+        .map_err(|e| format!("serve: {e}"))?;
         let parents = state.parents();
         let prior = PriorStructure {
             parents: &parents,

@@ -131,6 +131,13 @@ pub fn diameter(points: &[Point]) -> f64 {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Cells visited by [`DenseGrid::for_each_ring_member`] on this
+    /// thread, for the MST's scaling test.
+    pub(crate) static CELL_VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// A minimal dense bucket grid over a point slice, shared by the
 /// closest-pair search here and the MST candidate pruning in
 /// [`crate::mst`]. Cells are addressed row-major; out-of-range rings
@@ -219,6 +226,8 @@ impl DenseGrid {
         let (x0, x1) = ((cx - r).max(0), (cx + r).min(self.cols as i64 - 1));
         let (y0, y1) = ((cy - r).max(0), (cy + r).min(self.rows as i64 - 1));
         let visit = |x: i64, y: i64, f: &mut F| {
+            #[cfg(test)]
+            CELL_VISITS.with(|c| c.set(c.get() + 1));
             for &m in &self.buckets[y as usize * self.cols + x as usize] {
                 f(m);
             }

@@ -10,11 +10,13 @@
 //! - [`euclidean_mst_prim`] — the exact `O(n²)` reference, kept for the
 //!   parity gates and still the faster choice for small instances;
 //! - [`euclidean_mst_grid`] — lazy Prim over a uniform bucket grid:
-//!   each tree vertex holds one candidate edge to its nearest outside
-//!   vertex (found by an expanding Chebyshev-ring search), a heap pops
-//!   the globally best candidate, and stale candidates are recomputed
-//!   lazily. Near-linear on density-bounded instances, which unlocks
-//!   the n = 4096–16384 sweeps of experiment E12.
+//!   each tree vertex holds one heap entry — its nearest outside vertex
+//!   (found by an expanding Chebyshev-ring search that resumes past the
+//!   rings it already found empty), or a lower bound to wait on when
+//!   the rings around it are empty — a heap pops the globally best
+//!   entry, and stale or due entries are searched on lazily. About 70
+//!   cell visits per vertex on uniform instances from n = 4096 to
+//!   65536, which unlocks the capability sweeps of experiment E12.
 //!
 //! [`euclidean_mst`] dispatches on the instance size. The tie-break is
 //! deterministic and mirrors the reference exactly: Prim's strict `<`
@@ -40,6 +42,16 @@ const GRID_CUTOFF: usize = 256;
 /// [`crate::extremes`]): never trust the last ulp of the geometric
 /// lower bound `ring · cell`.
 const RING_MARGIN: f64 = 1.0 - 1e-12;
+
+/// Empty rings a search scans past its resume point before it defers
+/// (see [`euclidean_mst_grid`]). Deferring after 1, 2 or 3 rings was
+/// measured; 2 was fastest or close to it on uniform, clustered and
+/// two-tier instances.
+const DEFER_AFTER: usize = 2;
+
+/// The target of a deferred heap entry: sorts after every real vertex
+/// at the same key, and is never in the tree.
+const DEFERRED: NodeId = NodeId::MAX;
 
 /// Computes the Euclidean minimum spanning tree.
 ///
@@ -118,15 +130,26 @@ pub fn euclidean_mst_prim(instance: &Instance) -> Vec<MstEdge> {
 
 /// Grid-pruned lazy Prim, bit-identical to [`euclidean_mst_prim`].
 ///
-/// Every tree vertex keeps one heap candidate `(d, v, order, t)`: its
-/// nearest outside vertex `v` at distance `d` (ties broken toward the
-/// smallest `v`), tagged with `t`'s tree-insertion order. Because the
-/// outside set only shrinks, a candidate's distance lower-bounds its
-/// owner's true current nearest — so the heap minimum with an
-/// *outside* `v` is exactly the cut-minimal edge Prim would take, and
-/// the lexicographic key reproduces Prim's strict-`<` tie-break (see
-/// module docs). Candidates that went stale (their `v` joined the
-/// tree) are recomputed on pop.
+/// Every tree vertex keeps one heap entry `(d, v, order, t)`, tagged
+/// with `t`'s tree-insertion order: its nearest outside vertex `v` at
+/// distance `d` (ties broken toward the smallest `v`), or a deferred
+/// entry `(lb, DEFERRED)` whose `lb` is a strict lower bound on that
+/// distance. Because the outside set only shrinks, an entry's key
+/// lower-bounds its owner's true current nearest — so the heap minimum
+/// with an *outside* `v` is exactly the cut-minimal edge Prim would
+/// take, and the lexicographic key reproduces Prim's strict-`<`
+/// tie-break (see module docs). A deferred entry pops before any real
+/// candidate its owner could beat or tie, since `lb < d`.
+///
+/// The search is resumable for the same reason: rings once found empty
+/// of outside vertices stay empty, so each tree vertex remembers how
+/// far they reach and resumes there. A search that scans
+/// `DEFER_AFTER` more empty rings stops and pushes a deferred entry
+/// with the bound `(r − 1) · cell` of the first unscanned ring `r`,
+/// so a vertex deep inside the tree waits in the heap instead of
+/// scanning the tree's empty interior. Entries that went stale (their
+/// `v` joined the tree) or came due (deferred) are searched on when
+/// popped.
 pub fn euclidean_mst_grid(instance: &Instance) -> Vec<MstEdge> {
     let n = instance.len();
     if n < 2 {
@@ -139,27 +162,32 @@ pub fn euclidean_mst_grid(instance: &Instance) -> Vec<MstEdge> {
 
     let mut in_tree = vec![false; n];
     let mut t_order = vec![0usize; n];
+    // Rings `0..empty_to[t]` around tree vertex `t` hold no outside
+    // vertex.
+    let mut empty_to = vec![0usize; n];
     let mut edges: Vec<MstEdge> = Vec::with_capacity(n - 1);
     // Min-heap keyed `(distance bits, v, insertion order of t, t)`;
-    // positive finite distances order identically to their IEEE bits.
+    // non-negative finite distances order identically to their IEEE
+    // bits.
     let mut heap: BinaryHeap<Reverse<(u64, NodeId, usize, NodeId)>> = BinaryHeap::new();
 
-    // Nearest vertex still outside the tree, by expanding ring search
-    // over the grid (tree vertices are removed from their buckets, so
-    // every member seen is outside). Tie-break: smallest id.
-    let nearest_outside = |grid: &DenseGrid, t: NodeId| -> Option<(f64, NodeId)> {
+    // Tree vertex `t`'s next heap entry: its nearest vertex still
+    // outside the tree (tree vertices are removed from their buckets,
+    // so every member seen is outside; tie-break: smallest id), or
+    // `(lb, DEFERRED)`, or nothing once every vertex is in the tree.
+    let search = |grid: &DenseGrid, t: NodeId, empty_to: &mut usize| -> Option<(f64, NodeId)> {
         let p = points[t];
+        let start = *empty_to;
         let mut best: Option<(f64, NodeId)> = None;
-        for ring in 0..=grid.max_ring_from(p) {
-            if ring >= 2 {
-                if let Some((bd, _)) = best {
-                    // Unseen members sit beyond `(ring − 1) · cell`:
-                    // once that exceeds the best (with margin), later
-                    // rings can neither improve nor tie it.
-                    if bd < (ring - 1) as f64 * cell * RING_MARGIN {
-                        break;
-                    }
-                }
+        for ring in start..=grid.max_ring_from(p) {
+            // Unseen members sit beyond `(ring − 1) · cell` (with
+            // margin): past the best, later rings can neither improve
+            // nor tie it; with no best yet, it bounds the search.
+            let unseen_beyond = ring.saturating_sub(1) as f64 * cell * RING_MARGIN;
+            match best {
+                Some((bd, _)) if ring >= 2 && bd < unseen_beyond => break,
+                None if ring - start >= DEFER_AFTER => return Some((unseen_beyond, DEFERRED)),
+                _ => {}
             }
             grid.for_each_ring_member(p, ring, |v| {
                 let d = instance.distance(t, v);
@@ -171,24 +199,27 @@ pub fn euclidean_mst_grid(instance: &Instance) -> Vec<MstEdge> {
                     best = Some((d, v));
                 }
             });
+            if best.is_none() {
+                *empty_to = ring + 1;
+            }
         }
         best
     };
 
     in_tree[0] = true;
     grid.remove(0, points[0]);
-    if let Some((d, v)) = nearest_outside(&grid, 0) {
+    if let Some((d, v)) = search(&grid, 0, &mut empty_to[0]) {
         heap.push(Reverse((d.to_bits(), v, 0, 0)));
     }
     let mut next_order = 1usize;
     while edges.len() < n - 1 {
         let Reverse((_, v, _, t)) = heap
             .pop()
-            .expect("complete graph: every tree vertex keeps a live candidate");
-        if in_tree[v] {
-            // Stale candidate: its target joined the tree since it was
-            // computed. Refresh the owner and retry.
-            if let Some((d, w)) = nearest_outside(&grid, t) {
+            .expect("complete graph: every tree vertex keeps a live entry");
+        if v == DEFERRED || in_tree[v] {
+            // A deferred search came due, or the candidate went stale
+            // (its target joined the tree since): search on and retry.
+            if let Some((d, w)) = search(&grid, t, &mut empty_to[t]) {
                 heap.push(Reverse((d.to_bits(), w, t_order[t], t)));
             }
             continue;
@@ -199,11 +230,11 @@ pub fn euclidean_mst_grid(instance: &Instance) -> Vec<MstEdge> {
         next_order += 1;
         grid.remove(v, points[v]);
         // Both `v` (new tree vertex) and `t` (its candidate was just
-        // consumed) need fresh candidates to keep the heap invariant.
-        if let Some((d, w)) = nearest_outside(&grid, v) {
+        // consumed) need fresh entries to keep the heap invariant.
+        if let Some((d, w)) = search(&grid, v, &mut empty_to[v]) {
             heap.push(Reverse((d.to_bits(), w, t_order[v], v)));
         }
-        if let Some((d, w)) = nearest_outside(&grid, t) {
+        if let Some((d, w)) = search(&grid, t, &mut empty_to[t]) {
             heap.push(Reverse((d.to_bits(), w, t_order[t], t)));
         }
     }
@@ -303,6 +334,26 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The grid MST stays near-linear: cell visits per vertex on a
+    /// uniform instance grow by less than 1.5× from n = 4096 to 16384.
+    /// A search that rescans a tree's empty interior grows them about
+    /// 2.5× over the same step.
+    #[test]
+    fn grid_mst_cell_visits_per_vertex_stay_flat() {
+        use crate::extremes::CELL_VISITS;
+        let per_vertex = |n: usize| {
+            let inst = gen::uniform_square(n, 1.5, 4).unwrap();
+            CELL_VISITS.with(|c| c.set(0));
+            assert_eq!(euclidean_mst_grid(&inst).len(), n - 1);
+            CELL_VISITS.with(|c| c.get()) as f64 / n as f64
+        };
+        let (small, large) = (per_vertex(4096), per_vertex(16384));
+        assert!(
+            large < 1.5 * small,
+            "cell visits per vertex grew {small:.1} → {large:.1} from n = 4096 to 16384"
+        );
     }
 
     #[test]

@@ -174,24 +174,37 @@ impl<'a> AffectanceCalc<'a> {
         Ok(total)
     }
 
+    /// The power `P·g(d)·fade` that `link`'s receiver picks up from its
+    /// sender transmitting with `power`.
+    ///
+    /// One expression serves both roles of a received power: it is a
+    /// link's SINR numerator, and the same sender's interference term at
+    /// that receiver when another link is decoded there.
+    /// [`sinr`](Self::sinr) builds both from it, so a cached signal can
+    /// stand in for either, bit for bit.
+    #[inline]
+    pub fn signal(&self, link: Link, power: f64) -> f64 {
+        power
+            * self.params.path_gain(link.length(self.instance))
+            * self.fade(link.sender, link.receiver)
+    }
+
     /// Raw SINR of `link` when its sender transmits with `link_power`
     /// and `interferers` (excluding the sender) transmit simultaneously.
     ///
     /// Does not know about half-duplex: callers (the simulator and the
     /// feasibility checker) must handle a transmitting receiver.
     pub fn sinr(&self, link: Link, link_power: f64, interferers: &[(NodeId, f64)]) -> f64 {
-        let d = link.length(self.instance);
-        let signal = link_power * self.params.path_gain(d) * self.fade(link.sender, link.receiver);
+        let signal = self.signal(link, link_power);
         let mut interference = 0.0;
         for &(w, pw) in interferers {
             if w == link.sender {
                 continue;
             }
-            let dwv = self.instance.distance(w, link.receiver);
-            if dwv == 0.0 {
+            if self.instance.distance(w, link.receiver) == 0.0 {
                 return 0.0;
             }
-            interference += pw * self.params.path_gain(dwv) * self.fade(w, link.receiver);
+            interference += self.signal(Link::new(w, link.receiver), pw);
         }
         signal / (self.params.noise() + interference)
     }

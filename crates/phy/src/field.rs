@@ -30,6 +30,12 @@
 //! sum — is **bit-identical** to the `O(n)`-per-query naive path. The
 //! speedup comes purely from the (overwhelmingly common) queries whose
 //! decisions certify from a small near field.
+//!
+//! Where a decode must be decided exactly — slots of at most 8 senders,
+//! zero noise, and threshold-grazing fallbacks — the field settles each
+//! sender by its own signal first, so an exact decode costs `O(senders)`
+//! gain evaluations, not the `O(senders²)` of the naive reference
+//! [`decode_best_exact`].
 
 use std::time::{Duration, Instant};
 
@@ -54,22 +60,32 @@ pub(crate) const GUARD: f64 = 1e-7;
 /// Cushion on the decode-radius derivation (see `decode_radius_for`).
 const RADIUS_CUSHION: f64 = 1e-9;
 
-/// Below this many transmitters the naive loop is cheaper than any
-/// indexing, so queries skip straight to it.
+/// The ranges the decode radius's rounding argument covers (see
+/// `decode_radius_for`): `βN ≥ fade_hi · REACH_MIN_FLOOR`, radicand
+/// `≤ REACH_MAX_RADICAND`, `α ≤ REACH_MAX_ALPHA`. Outside them the
+/// radius is infinite.
+const REACH_MIN_FLOOR: f64 = 1e-289;
+const REACH_MAX_RADICAND: f64 = 1e301;
+const REACH_MAX_ALPHA: f64 = 1e4;
+
+/// Up to this many transmitters a slot builds no grid: every query is
+/// decided exactly, which is cheaper than any indexing.
 const SMALL_SLOT: usize = 8;
 
 /// The grid never uses cells smaller than `span / MAX_CELLS_PER_AXIS`,
 /// bounding ring scans by a constant number of cell probes.
 const MAX_CELLS_PER_AXIS: f64 = 64.0;
 
-/// The exact decode rule of the simulator, shared by the naive engine
-/// backend and the field's fallback path: the best-SINR transmitter at
+/// The exact decode rule of the simulator: the best-SINR transmitter at
 /// listener `v`, provided its SINR reaches `β`. Returns `(sender,
-/// sender power, sinr)`.
+/// sender power, sinr)`; the first of equal maxima in sender order
+/// wins.
 ///
-/// This is the *reference semantics*: one implementation, used by both
-/// backends, so "bit-identical to the naive path" is equality with this
-/// function by construction.
+/// This is the *reference semantics* and the naive engine backend's
+/// decode: it computes every sender's full SINR, `O(senders²)` gain
+/// terms per listener. The field's exact path reaches the same result
+/// in `O(senders)` (see [`InterferenceField::decode_best_with`]), and
+/// every naive-vs-grid gate compares the two.
 pub fn decode_best_exact(
     params: &SinrParams,
     instance: &Instance,
@@ -138,8 +154,8 @@ pub struct PhaseTimes {
     pub near_field: Duration,
     /// Ring accumulation + certification (`far-field-cert` phase).
     pub far_field_cert: Duration,
-    /// Exact naive sums: fallbacks, small-slot queries, and canonical
-    /// winner recomputes (`fallback` phase).
+    /// Exact decodes (small-slot queries and threshold-grazing
+    /// fallbacks) and canonical winner recomputes (`fallback` phase).
     pub fallback: Duration,
 }
 
@@ -168,6 +184,8 @@ pub struct FieldScratch {
     cand_powers: Vec<f64>,
     cand_signals: Vec<f64>,
     cand_states: Vec<CandState>,
+    /// The exact decode's strongest candidates, as sender indexes.
+    strongest: Vec<usize>,
     /// Decision counters, accumulated until the owner takes them.
     pub stats: QueryStats,
     /// Phase wall-clock, accumulated while timing is enabled.
@@ -261,13 +279,18 @@ pub struct InterferenceField<'a> {
     /// Insertion-ordered `(sender, power)` pairs — the canonical naive
     /// summation order for exact fallbacks.
     senders: Vec<(NodeId, f64)>,
+    /// Each sender's own decode radius `R(P_u)` in small slots; the
+    /// field's `radius` for every sender of a large one.
+    reach: Vec<f64>,
+    /// Empty in small slots: their queries are all exact.
     grid: WeightedCellGrid,
     /// The decode-cutoff radius `R(P_max)` of the strongest sender.
     radius: f64,
 }
 
-/// The reusable allocations of a field: the canonical sender list and
-/// the weighted cell grid's CSR index and member columns.
+/// The reusable allocations of a field: the canonical sender list, the
+/// per-sender decode radii, and the weighted cell grid's CSR index and
+/// member columns.
 ///
 /// [`InterferenceField::build_with`] consumes a set of buffers and
 /// refills them in place; [`InterferenceField::into_buffers`] recovers
@@ -277,6 +300,7 @@ pub struct InterferenceField<'a> {
 #[derive(Debug)]
 pub struct FieldBuffers {
     senders: Vec<(NodeId, f64)>,
+    reach: Vec<f64>,
     grid: WeightedCellGrid,
 }
 
@@ -284,6 +308,7 @@ impl Default for FieldBuffers {
     fn default() -> Self {
         FieldBuffers {
             senders: Vec::new(),
+            reach: Vec::new(),
             // Placeholder cell size; every build re-keys the grid to
             // the slot's decode-radius-derived cell.
             grid: WeightedCellGrid::new(1.0),
@@ -340,20 +365,38 @@ impl<'a> InterferenceField<'a> {
         };
         let FieldBuffers {
             senders: mut sender_buf,
+            mut reach,
             mut grid,
         } = buffers;
         sender_buf.clear();
         sender_buf.extend_from_slice(senders);
-        grid.rebuild(
-            cell,
-            sender_buf
-                .iter()
-                .map(|&(u, p)| (u, instance.position(u), p)),
-        );
+        reach.clear();
+        if senders.len() <= SMALL_SLOT {
+            // No query of a small slot reads the grid (each branches on
+            // `SMALL_SLOT` first), so it stays empty; the per-sender
+            // radii are a handful of `powf`s.
+            reach.extend(
+                senders
+                    .iter()
+                    .map(|&(_, p)| Self::decode_radius_for(params, p)),
+            );
+            grid.rebuild(cell, std::iter::empty());
+        } else {
+            // Only threshold-grazing fallbacks decode exactly here, so
+            // the strongest sender's radius stands in for everyone's.
+            reach.resize(senders.len(), radius);
+            grid.rebuild(
+                cell,
+                sender_buf
+                    .iter()
+                    .map(|&(u, p)| (u, instance.position(u), p)),
+            );
+        }
         InterferenceField {
             params,
             instance,
             senders: sender_buf,
+            reach,
             grid,
             radius,
         }
@@ -364,6 +407,7 @@ impl<'a> InterferenceField<'a> {
     pub fn into_buffers(self) -> FieldBuffers {
         FieldBuffers {
             senders: self.senders,
+            reach: self.reach,
             grid: self.grid,
         }
     }
@@ -380,29 +424,99 @@ impl<'a> InterferenceField<'a> {
         self.senders.is_empty()
     }
 
-    /// The radius beyond which a transmitter with power `power` cannot
-    /// be decoded: `SINR ≤ S/N`, so `S/N < β ⇒ no decode`, which at
-    /// distance `d` reads `d > (P/(βN))^{1/α}`. The cushion absorbs the
-    /// handful of float roundings between the real-arithmetic bound and
-    /// the engine's computed `S/N`. Infinite when `N = 0`.
+    /// The radius `R(P)` beyond which a transmitter with power `P`
+    /// cannot be decoded (DESIGN.md §7.1): `SINR ≤ S/N`, so `S/N < β`
+    /// rules a sender out, which at distance `d` reads
+    /// `d > (P·fade_hi/(βN))^{1/α}`. Under a fading channel `fade_hi`,
+    /// the best fade the channel can realize, widens the radius; it
+    /// never narrows it.
     ///
-    /// Under a fading channel the best realizable gain at distance `d`
-    /// is `path_gain(d) · fade_hi`, so the cutoff uses the effective
-    /// power `P · fade_hi` — a wider radius, never a narrower one.
+    /// The bound holds for the *computed* test: a computed distance
+    /// `d > R` makes the engine's `fl(S)/N` (with `fl(S)` the
+    /// [`AffectanceCalc::signal`] at `d`) fall below `β`. With
+    /// `u = 2⁻⁵³`:
+    ///
+    /// - The radicand `x` takes four roundings plus the cushion's own,
+    ///   `powf` errs by at most one ulp, and the rounded exponent
+    ///   `fl(1/α)` scales `R^α` by at most `x^{±u}`, which is `1 ± 710u`
+    ///   for a normal `x ≤ 10³⁰¹`. So `R^α ≥ x·(1 − (715 + 2α)u)`, and
+    ///   for `α ≤ 10⁴` the real `S` at `d > R` is below
+    ///   `βN·(1 + 3·10⁻¹²)/(1 + c)`; a fade exceeds `fade_hi` by at most
+    ///   its own `powf` ulp.
+    /// - Computing `S` adds one `powf` ulp and two product roundings.
+    ///   Near `βN` every intermediate is normal (`βN ≥ 10⁻²⁸⁹·fade_hi`,
+    ///   `x ≤ 10³⁰¹`); further below, an underflow errs by at most
+    ///   `10⁻²²·βN`. The division by `N` rounds once more.
+    /// - The cushion `c = 10⁻⁹` dwarfs those `≈ 3·10⁻¹²`, so
+    ///   `fl(S)/N < β`.
+    ///
+    /// Outside that range — `N = 0` among it — the radius is infinite:
+    /// nothing is ruled out unseen.
     fn decode_radius_for(params: &SinrParams, power: f64) -> f64 {
-        let power = power * params.channel().fade_bounds().1;
-        if params.noise() > 0.0 && power > 0.0 {
-            (power * (1.0 + RADIUS_CUSHION) / (params.beta() * params.noise()))
-                .powf(1.0 / params.alpha())
+        let fade_hi = params.channel().fade_bounds().1;
+        let power = power * fade_hi;
+        let floor = params.beta() * params.noise();
+        let radicand = power * (1.0 + RADIUS_CUSHION) / floor;
+        let covered = power.is_normal()
+            && floor >= fade_hi * REACH_MIN_FLOOR
+            && radicand.is_normal()
+            && radicand <= REACH_MAX_RADICAND
+            && params.alpha() <= REACH_MAX_ALPHA;
+        if covered {
+            radicand.powf(1.0 / params.alpha())
         } else {
             f64::INFINITY
         }
     }
 
-    /// The exact decode over this field's senders, in canonical order —
-    /// the fallback every certified path defers to.
-    fn decode_exact(&self, v: NodeId) -> Option<(NodeId, f64, f64)> {
-        decode_best_exact(self.params, self.instance, v, &self.senders)
+    /// The exact decode at listener `v`, bit-identical to
+    /// [`decode_best_exact`] over this field's senders, in `O(senders)`
+    /// gain evaluations.
+    ///
+    /// Each sender is first settled by its own signal `t_u`, the
+    /// [`AffectanceCalc::signal`] that is both its SINR numerator and
+    /// its interference term at `v`:
+    ///
+    /// - beyond its reach (`decode_radius_for`) it is skipped unseen;
+    /// - otherwise it takes the exact float test `t_u/N ≥ β`.
+    ///   Interference is a sum of non-negative terms, so `N + I ≥ N`,
+    ///   and division is monotone: failing the test rules the sender
+    ///   out.
+    ///
+    /// Of the candidates only the strongest can decode: the canonical
+    /// sum is a left fold of non-negative terms, so it is at least each
+    /// of its terms, and a sender `u` outshone by some `w` has
+    /// `SINR ≤ t_u/t_w < 1 ≤ β`. The strongest candidate (each of them,
+    /// on an exact tie) gets its canonical [`AffectanceCalc::sinr`], and
+    /// the winner is the first strict maximum `≥ β` in sender order.
+    fn decode_exact(&self, v: NodeId, scratch: &mut FieldScratch) -> Option<(NodeId, f64, f64)> {
+        let calc = AffectanceCalc::new(self.params, self.instance);
+        let (noise, beta) = (self.params.noise(), self.params.beta());
+        let strongest = &mut scratch.strongest;
+        strongest.clear();
+        let mut max_signal = 0.0;
+        for (i, (&(u, p), &reach)) in self.senders.iter().zip(&self.reach).enumerate() {
+            if self.instance.distance(u, v) > reach {
+                continue;
+            }
+            let t = calc.signal(Link::new(u, v), p);
+            if t / noise >= beta && t >= max_signal {
+                if t > max_signal {
+                    max_signal = t;
+                    strongest.clear();
+                }
+                strongest.push(i);
+            }
+        }
+        let mut best: Option<(NodeId, f64, f64)> = None;
+        for &i in strongest.iter() {
+            let (u, pu) = self.senders[i];
+            let sinr = calc.sinr(Link::new(u, v), pu, &self.senders);
+            if sinr >= beta && best.map_or(true, |(_, _, bs)| sinr > bs) {
+                best = Some((u, pu, sinr));
+            }
+        }
+        best
     }
 
     /// Which transmitter, if any, listener `v` decodes — bit-identical
@@ -427,7 +541,7 @@ impl<'a> InterferenceField<'a> {
         if self.senders.len() <= SMALL_SLOT || !radius.is_finite() {
             scratch.stats.small_exact += 1;
             let t0 = scratch.clock();
-            let out = self.decode_exact(v);
+            let out = self.decode_exact(v, scratch);
             FieldScratch::lap(t0, &mut scratch.times.fallback);
             return out;
         }
@@ -514,10 +628,10 @@ impl<'a> InterferenceField<'a> {
             }
         }
         if undecided > 0 || yes_count > 1 {
-            // Threshold-grazing query: resolve it the naive way.
+            // Threshold-grazing query: decide it exactly.
             scratch.stats.fallbacks += 1;
             let t0 = scratch.clock();
-            let out = self.decode_exact(v);
+            let out = self.decode_exact(v, scratch);
             FieldScratch::lap(t0, &mut scratch.times.fallback);
             return out;
         }
@@ -547,7 +661,7 @@ impl<'a> InterferenceField<'a> {
             // only mean the guard analysis was violated; stay correct.
             scratch.stats.fallbacks += 1;
             let t0 = scratch.clock();
-            let out = self.decode_exact(v);
+            let out = self.decode_exact(v, scratch);
             FieldScratch::lap(t0, &mut scratch.times.fallback);
             out
         }
@@ -691,6 +805,11 @@ impl<'a> InterferenceField<'a> {
         mut term: impl FnMut(NodeId, Point, f64) -> f64,
         mut settle: impl FnMut(f64, f64) -> Option<T>,
     ) -> Option<T> {
+        debug_assert_eq!(
+            self.grid.len(),
+            self.senders.len(),
+            "small slots build no grid"
+        );
         let total_w = self.grid.total_weight();
         let (mut sum, mut seen_w, mut cells_seen) = (0.0f64, 0.0f64, 0usize);
         for ring in 0..=self.grid.max_ring_from(center) {
@@ -724,6 +843,7 @@ impl<'a> InterferenceField<'a> {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
     use sinr_geom::gen;
 
@@ -827,6 +947,174 @@ mod tests {
                 [945, 0, 945, 0, 1846],
             ]
         );
+    }
+
+    type DecodeBits = Option<(NodeId, u64, u64)>;
+
+    fn bits(d: Option<(NodeId, f64, f64)>) -> DecodeBits {
+        d.map(|(u, p, s)| (u, p.to_bits(), s.to_bits()))
+    }
+
+    /// Decodes every non-transmitting listener through the field and
+    /// checks `(sender, power, sinr)` bits against the O(s²) oracle;
+    /// returns the field's counters and the number of decodes.
+    fn assert_exact_parity(
+        params: &SinrParams,
+        inst: &Instance,
+        senders: &[(NodeId, f64)],
+        what: &str,
+    ) -> (QueryStats, usize) {
+        let field = InterferenceField::build(params, inst, senders);
+        let mut scratch = FieldScratch::default();
+        let mut decodes = 0;
+        for v in 0..inst.len() {
+            if senders.iter().any(|&(u, _)| u == v) {
+                continue;
+            }
+            let naive = decode_best_exact(params, inst, v, senders);
+            assert_eq!(
+                bits(field.decode_best_with(v, &mut scratch)),
+                bits(naive),
+                "{what}: listener {v}"
+            );
+            decodes += usize::from(naive.is_some());
+        }
+        (scratch.stats, decodes)
+    }
+
+    /// The O(s) exact decode equals the O(s²) oracle bit for bit on
+    /// every listener, from the empty slot to one past `SMALL_SLOT`: on
+    /// the geometric and a σ = 6 dB shadowed channel, with zero noise,
+    /// and with powers spread over three orders of magnitude. Every
+    /// small slot is decided exactly.
+    #[test]
+    fn exact_decode_matches_the_quadratic_oracle() {
+        let inst = gen::uniform_square(48, 1.5, 6).unwrap();
+        let geometric = SinrParams::default();
+        let shadowed = geometric.with_channel(crate::ChannelModel::shadowed(3, 6.0).unwrap());
+        let noiseless = SinrParams::new(3.0, 2.0, 0.0, 0.1).unwrap();
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut decodes = 0;
+        for (name, params) in [
+            ("geometric", geometric),
+            ("shadowed", shadowed),
+            ("zero noise", noiseless),
+        ] {
+            let base = params.min_power_for_length(2.5);
+            for s in 0..=SMALL_SLOT + 1 {
+                for trial in 0..6 {
+                    let mut ids: Vec<NodeId> = (0..inst.len()).collect();
+                    ids.shuffle(&mut rng);
+                    let wild = trial % 2 == 1;
+                    let senders: Vec<(NodeId, f64)> = ids[..s]
+                        .iter()
+                        .map(|&u| {
+                            let spread = if wild {
+                                10f64.powf(rng.gen_range(0.0..3.0))
+                            } else {
+                                1.0
+                            };
+                            (u, base * spread)
+                        })
+                        .collect();
+                    let what = format!("{name} s={s} trial {trial}");
+                    let (stats, d) = assert_exact_parity(&params, &inst, &senders, &what);
+                    decodes += d;
+                    if s <= SMALL_SLOT {
+                        assert_eq!(stats.small_exact, stats.queries, "{what}");
+                    }
+                }
+            }
+        }
+        assert!(decodes > 500, "too few decodes to mean much: {decodes}");
+    }
+
+    /// An exact tie: at `β = 1` and zero noise, two equal signals give a
+    /// listener midway between them SINR exactly 1 from both senders.
+    /// Both are strongest; the first in sender order wins, as in the
+    /// oracle.
+    #[test]
+    fn exact_decode_breaks_exact_ties_like_the_oracle() {
+        let params = SinrParams::new(3.0, 1.0, 0.0, 0.1).unwrap();
+        let inst = Instance::new(vec![
+            Point::new(-1.0, 0.0),
+            Point::new(0.0, 0.0),
+            Point::new(1.0, 0.0),
+            Point::new(0.0, 9.0),
+        ])
+        .unwrap();
+        for senders in [[(2, 5.0), (0, 5.0)], [(0, 5.0), (2, 5.0)]] {
+            let first = senders[0].0;
+            assert_eq!(
+                decode_best_exact(&params, &inst, 1, &senders),
+                Some((first, 5.0, 1.0))
+            );
+            assert_exact_parity(&params, &inst, &senders, "tie");
+        }
+    }
+
+    /// Listeners one ulp inside, on, and one ulp outside a sender's
+    /// reach `R(P_u)`: skipped or tested, none of them decodes, and the
+    /// decode matches the oracle. The computed `S/N` just inside sits
+    /// within the cushion of `β`, so the reach is tight, not merely
+    /// safe.
+    #[test]
+    fn exact_decode_at_the_reach_boundary() {
+        for params in [
+            SinrParams::default(),
+            SinrParams::default().with_channel(crate::ChannelModel::shadowed(5, 6.0).unwrap()),
+        ] {
+            let power = params.min_power_for_length(4.0);
+            let reach = InterferenceField::decode_radius_for(&params, power);
+            let below = f64::from_bits(reach.to_bits() - 1);
+            let above = f64::from_bits(reach.to_bits() + 1);
+            // Sender 0 at the origin; listeners 1–3 on the x-axis at
+            // exactly those distances; two more senders off-axis.
+            let points = vec![
+                Point::new(0.0, 0.0),
+                Point::new(below, 0.0),
+                Point::new(reach, 0.0),
+                Point::new(above, 0.0),
+                Point::new(-3.0 * reach, 5.0 * reach),
+                Point::new(2.0 * reach, -7.0 * reach),
+            ];
+            let inst = Instance::new(points).unwrap();
+            assert_eq!(
+                [1, 2, 3].map(|v| inst.distance(0, v)),
+                [below, reach, above],
+                "listeners must straddle the reach to the ulp"
+            );
+            let senders = [(0, power), (4, power * 0.5), (5, power * 2.0)];
+            assert_exact_parity(&params, &inst, &senders, "reach boundary");
+            let calc = AffectanceCalc::new(&params, &inst);
+            let fade_hi = params.channel().fade_bounds().1;
+            let fade = params.channel().fade(inst.position(0), inst.position(1));
+            let snr = calc.signal(Link::new(0, 1), power) / params.noise();
+            assert!(snr < params.beta());
+            // Under shadowing the listener's own fade sits below the
+            // ceiling the reach assumes.
+            assert!(snr * (fade_hi / fade) > params.beta() * (1.0 - 2.0 * RADIUS_CUSHION));
+        }
+    }
+
+    /// Threshold-grazing queries of a large slot take the exact path:
+    /// with `β` set to one listener's exact SINR that listener can
+    /// only fall back, and every decode still matches the oracle.
+    #[test]
+    fn grazing_fallbacks_on_a_large_slot_are_exact() {
+        let inst = gen::uniform_square(240, 1.5, 12).unwrap();
+        let params = SinrParams::default();
+        let senders = random_senders(&inst, 0.08, params.min_power_for_length(2.0), 4);
+        assert!(senders.len() > SMALL_SLOT);
+        let grazed = (0..inst.len())
+            .filter(|v| senders.iter().all(|&(u, _)| u != *v))
+            .find_map(|v| decode_best_exact(&params, &inst, v, &senders))
+            .expect("some listener decodes")
+            .2;
+        let grazing = SinrParams::new(3.0, grazed, params.noise(), params.epsilon()).unwrap();
+        let (stats, decodes) = assert_exact_parity(&grazing, &inst, &senders, "grazing");
+        assert!(stats.fallbacks > 0, "no query fell back: {stats:?}");
+        assert!(decodes > 0);
     }
 
     /// Heterogeneous powers (three orders of magnitude) still certify
