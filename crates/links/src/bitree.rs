@@ -47,12 +47,24 @@ impl BiTree {
     /// - [`LinkError::OrderingViolation`] if a link is scheduled no later
     ///   than a link in its sender's subtree.
     pub fn new(tree: InTree, aggregation: Schedule) -> Result<Self> {
-        aggregation.validate_covers(&tree.aggregation_links())?;
-        // Every scheduled link is now some node's uplink: index the
-        // slots by sender.
+        // One scan indexes the slots by sender while checking that each
+        // scheduled link is its sender's uplink. The links are distinct
+        // and a sender has one uplink, so one per non-root node covers
+        // exactly the tree's aggregation links.
         let mut up = vec![0; tree.len()];
+        let mut uplinks = 0;
         for (l, s) in aggregation.iter() {
+            if l.sender >= tree.len() || tree.parent(l.sender) != Some(l.receiver) {
+                break;
+            }
             up[l.sender] = s;
+            uplinks += 1;
+        }
+        if uplinks != aggregation.len() || uplinks + 1 != tree.len() {
+            // Name the missing or extra link.
+            return Err(aggregation
+                .validate_covers(&tree.aggregation_links())
+                .expect_err("a schedule of exactly the tree's uplinks passes the scan"));
         }
         // Ordering: slot(u → parent(u)) > slot(c → u) for every child c.
         // Checking the immediate-child relation suffices by transitivity.
@@ -97,12 +109,12 @@ impl BiTree {
         // The duals `p → c` ascend as the child lists do in node order,
         // so the schedule is built from pre-sorted pairs.
         let tree = &self.tree;
-        let duals = (0..tree.len()).flat_map(|p| {
-            let up = &up;
-            tree.children(p)
-                .iter()
-                .map(move |&c| (Link::new(p, c), lo + hi - up[c]))
-        });
+        let mut duals = Vec::with_capacity(self.aggregation.len());
+        for p in 0..tree.len() {
+            for &c in tree.children(p) {
+                duals.push((Link::new(p, c), lo + hi - up[c]));
+            }
+        }
         Schedule::from_pairs(duals).expect("dualizing a valid schedule cannot collide")
     }
 
@@ -230,6 +242,28 @@ mod tests {
             BiTree::new(tree, empty),
             Err(LinkError::ScheduleMismatch { .. })
         ));
+    }
+
+    /// A schedule that is not exactly the tree's uplinks is rejected
+    /// with the link it gets wrong: one too many, one reversed, or one
+    /// whose sender is not a node of the tree.
+    #[test]
+    fn rejects_links_outside_the_tree() {
+        let tree = InTree::from_parents(vec![None, Some(0), Some(1)]).unwrap();
+        let up = [(Link::new(2, 1), 0), (Link::new(1, 0), 1)];
+        for (pairs, named) in [
+            (vec![up[0], up[1], (Link::new(2, 0), 2)], "2→0"),
+            (vec![(Link::new(1, 2), 0), up[1]], "2→1"),
+            (vec![up[0], up[1], (Link::new(7, 0), 2)], "7→0"),
+        ] {
+            let schedule = Schedule::from_pairs(pairs).unwrap();
+            match BiTree::new(tree.clone(), schedule) {
+                Err(LinkError::ScheduleMismatch { detail }) => {
+                    assert!(detail.contains(named), "{detail} should name {named}")
+                }
+                other => panic!("expected a schedule mismatch, got {other:?}"),
+            }
+        }
     }
 
     #[test]

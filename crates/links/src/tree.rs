@@ -71,33 +71,30 @@ impl InTree {
     /// - [`LinkError::CycleDetected`] if some node cannot reach the root.
     pub fn from_parents(parent: Vec<Option<NodeId>>) -> Result<Self> {
         let n = parent.len();
+        // Counting sort of the nodes by parent, counted in the checking
+        // pass: after the prefix sums, `first[v]` ends `v`'s block;
+        // placing the nodes in descending order moves it back to the
+        // block's start and leaves every block ascending.
+        let mut first = vec![0; n + 1];
         let mut root = None;
         for (u, p) in parent.iter().enumerate() {
-            match p {
+            match *p {
                 None => match root {
                     None => root = Some(u),
                     Some(first) => return Err(LinkError::MultipleRoots { first, second: u }),
                 },
                 Some(v) => {
-                    if *v >= n {
-                        return Err(LinkError::NodeOutOfRange { node: *v, len: n });
+                    if v >= n {
+                        return Err(LinkError::NodeOutOfRange { node: v, len: n });
                     }
-                    if *v == u {
+                    if v == u {
                         return Err(LinkError::SelfLoop { node: u });
                     }
+                    first[v] += 1;
                 }
             }
         }
         let root = root.ok_or(LinkError::NoRoot)?;
-
-        // Counting sort of the nodes by parent: after the prefix sums,
-        // `first[v]` ends `v`'s block; placing the nodes in descending
-        // order moves it back to the block's start and leaves every
-        // block ascending.
-        let mut first = vec![0; n + 1];
-        for &v in parent.iter().flatten() {
-            first[v] += 1;
-        }
         for u in 1..=n {
             first[u] += first[u - 1];
         }

@@ -111,11 +111,12 @@ pub fn decode_best_exact(
 /// classifies every query exactly once:
 ///
 /// - `small_exact` — skipped indexing entirely (at most 8 senders, or
-///   no finite decode radius);
+///   no finite decode radius) and were decided by the field's exact
+///   `O(senders)` decode (DESIGN.md §7.3);
 /// - `certified` — settled by the certified near field (including the
 ///   canonical recompute of the one certified winner);
-/// - `fallbacks` — threshold-grazing (or guard-violating) queries that
-///   re-ran the full naive sum.
+/// - `fallbacks` — threshold-grazing (or guard-violating) queries,
+///   decided by the same exact decode.
 ///
 /// `rings` counts the rings decode queries walked, the size driver of
 /// the `far-field-cert` profiling phase.
@@ -123,11 +124,11 @@ pub fn decode_best_exact(
 pub struct QueryStats {
     /// Decode queries answered (empty fields excluded).
     pub queries: u64,
-    /// Queries that went straight to the exact naive loop.
+    /// Queries decided by the exact decode without indexing.
     pub small_exact: u64,
     /// Queries settled by the certified near field.
     pub certified: u64,
-    /// Queries that fell back to the full naive computation.
+    /// Threshold-grazing queries decided by the exact decode.
     pub fallbacks: u64,
     /// Chebyshev-ring iterations executed across all queries.
     pub rings: u64,
@@ -279,18 +280,14 @@ pub struct InterferenceField<'a> {
     /// Insertion-ordered `(sender, power)` pairs — the canonical naive
     /// summation order for exact fallbacks.
     senders: Vec<(NodeId, f64)>,
-    /// Each sender's own decode radius `R(P_u)` in small slots; the
-    /// field's `radius` for every sender of a large one.
-    reach: Vec<f64>,
     /// Empty in small slots: their queries are all exact.
     grid: WeightedCellGrid,
     /// The decode-cutoff radius `R(P_max)` of the strongest sender.
     radius: f64,
 }
 
-/// The reusable allocations of a field: the canonical sender list, the
-/// per-sender decode radii, and the weighted cell grid's CSR index and
-/// member columns.
+/// The reusable allocations of a field: the canonical sender list and
+/// the weighted cell grid's CSR index and member columns.
 ///
 /// [`InterferenceField::build_with`] consumes a set of buffers and
 /// refills them in place; [`InterferenceField::into_buffers`] recovers
@@ -300,7 +297,6 @@ pub struct InterferenceField<'a> {
 #[derive(Debug)]
 pub struct FieldBuffers {
     senders: Vec<(NodeId, f64)>,
-    reach: Vec<f64>,
     grid: WeightedCellGrid,
 }
 
@@ -308,7 +304,6 @@ impl Default for FieldBuffers {
     fn default() -> Self {
         FieldBuffers {
             senders: Vec::new(),
-            reach: Vec::new(),
             // Placeholder cell size; every build re-keys the grid to
             // the slot's decode-radius-derived cell.
             grid: WeightedCellGrid::new(1.0),
@@ -365,26 +360,15 @@ impl<'a> InterferenceField<'a> {
         };
         let FieldBuffers {
             senders: mut sender_buf,
-            mut reach,
             mut grid,
         } = buffers;
         sender_buf.clear();
         sender_buf.extend_from_slice(senders);
-        reach.clear();
         if senders.len() <= SMALL_SLOT {
             // No query of a small slot reads the grid (each branches on
-            // `SMALL_SLOT` first), so it stays empty; the per-sender
-            // radii are a handful of `powf`s.
-            reach.extend(
-                senders
-                    .iter()
-                    .map(|&(_, p)| Self::decode_radius_for(params, p)),
-            );
+            // `SMALL_SLOT` first), so it stays empty.
             grid.rebuild(cell, std::iter::empty());
         } else {
-            // Only threshold-grazing fallbacks decode exactly here, so
-            // the strongest sender's radius stands in for everyone's.
-            reach.resize(senders.len(), radius);
             grid.rebuild(
                 cell,
                 sender_buf
@@ -396,7 +380,6 @@ impl<'a> InterferenceField<'a> {
             params,
             instance,
             senders: sender_buf,
-            reach,
             grid,
             radius,
         }
@@ -407,7 +390,6 @@ impl<'a> InterferenceField<'a> {
     pub fn into_buffers(self) -> FieldBuffers {
         FieldBuffers {
             senders: self.senders,
-            reach: self.reach,
             grid: self.grid,
         }
     }
@@ -477,7 +459,10 @@ impl<'a> InterferenceField<'a> {
     /// [`AffectanceCalc::signal`] that is both its SINR numerator and
     /// its interference term at `v`:
     ///
-    /// - beyond its reach (`decode_radius_for`) it is skipped unseen;
+    /// - beyond the field's `radius`, the reach `R(P_max)` of the
+    ///   strongest sender, it is skipped unseen: a weaker sender's
+    ///   computed signal at the same distance is no larger, because
+    ///   every rounding step is monotone;
     /// - otherwise it takes the exact float test `t_u/N ≥ β`.
     ///   Interference is a sum of non-negative terms, so `N + I ≥ N`,
     ///   and division is monotone: failing the test rules the sender
@@ -495,8 +480,8 @@ impl<'a> InterferenceField<'a> {
         let strongest = &mut scratch.strongest;
         strongest.clear();
         let mut max_signal = 0.0;
-        for (i, (&(u, p), &reach)) in self.senders.iter().zip(&self.reach).enumerate() {
-            if self.instance.distance(u, v) > reach {
+        for (i, &(u, p)) in self.senders.iter().enumerate() {
+            if self.instance.distance(u, v) > self.radius {
                 continue;
             }
             let t = calc.signal(Link::new(u, v), p);
@@ -1053,11 +1038,11 @@ mod tests {
         }
     }
 
-    /// Listeners one ulp inside, on, and one ulp outside a sender's
-    /// reach `R(P_u)`: skipped or tested, none of them decodes, and the
-    /// decode matches the oracle. The computed `S/N` just inside sits
-    /// within the cushion of `β`, so the reach is tight, not merely
-    /// safe.
+    /// Listeners one ulp inside, on, and one ulp outside the reach
+    /// `R(P_max)` of the slot's strongest sender: skipped or tested,
+    /// none of them decodes, and the decode matches the oracle. The
+    /// computed `S/N` just inside sits within the cushion of `β`, so the
+    /// reach is tight, not merely safe.
     #[test]
     fn exact_decode_at_the_reach_boundary() {
         for params in [
@@ -1068,8 +1053,9 @@ mod tests {
             let reach = InterferenceField::decode_radius_for(&params, power);
             let below = f64::from_bits(reach.to_bits() - 1);
             let above = f64::from_bits(reach.to_bits() + 1);
-            // Sender 0 at the origin; listeners 1–3 on the x-axis at
-            // exactly those distances; two more senders off-axis.
+            // Sender 0, the strongest, at the origin; listeners 1–3 on
+            // the x-axis at exactly those distances; two weaker senders
+            // off-axis.
             let points = vec![
                 Point::new(0.0, 0.0),
                 Point::new(below, 0.0),
@@ -1084,7 +1070,11 @@ mod tests {
                 [below, reach, above],
                 "listeners must straddle the reach to the ulp"
             );
-            let senders = [(0, power), (4, power * 0.5), (5, power * 2.0)];
+            let senders = [(0, power), (4, power * 0.5), (5, power * 0.25)];
+            assert_eq!(
+                InterferenceField::build(&params, &inst, &senders).radius,
+                reach
+            );
             assert_exact_parity(&params, &inst, &senders, "reach boundary");
             let calc = AffectanceCalc::new(&params, &inst);
             let fade_hi = params.channel().fade_bounds().1;
