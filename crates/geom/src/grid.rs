@@ -7,7 +7,8 @@
 //! - [`WeightedCellGrid`] — a bucket grid over an arbitrary weighted
 //!   subset of nodes, rebuilt per use, the substrate of the
 //!   interference field in `sinr-phy` (total transmit power,
-//!   ring-ordered cell enumeration for certified far-field bounds).
+//!   ring-ordered cell enumeration and an optional summed-area table
+//!   of cell weights for certified far-field bounds).
 
 use std::collections::HashMap;
 
@@ -306,6 +307,10 @@ pub struct WeightedCellGrid {
     ws: Vec<f64>,
     /// Scatter cursors (scratch kept for reuse).
     cursor: Vec<u32>,
+    /// Summed-area table of cell weights, `(cols + 1) × (rows + 1)`
+    /// column-major with a zero first row and column; empty until
+    /// [`build_summed_area`](WeightedCellGrid::build_summed_area).
+    sat: Vec<f64>,
 }
 
 impl WeightedCellGrid {
@@ -328,6 +333,7 @@ impl WeightedCellGrid {
             ys: Vec::new(),
             ws: Vec::new(),
             cursor: Vec::new(),
+            sat: Vec::new(),
         };
         grid.rebuild(cell_size, std::iter::empty());
         grid
@@ -442,6 +448,7 @@ impl WeightedCellGrid {
         self.xs.clear();
         self.ys.clear();
         self.ws.clear();
+        self.sat.clear();
         self.cell_start.clear();
         self.cell_start.push(0);
         self.occupied = 0;
@@ -576,6 +583,71 @@ impl WeightedCellGrid {
             visited += visit((cx + ring, y));
         }
         visited
+    }
+
+    /// Builds the summed-area table behind
+    /// [`square_weight`](WeightedCellGrid::square_weight) over the dense
+    /// cell rectangle, reusing its buffer: `O(cells + members)`. The
+    /// next [`rebuild`](WeightedCellGrid::rebuild) discards it.
+    ///
+    /// Every entry is a left fold of non-negative weights (a cell's
+    /// members in order, then down its column, then across columns),
+    /// so it errs from the exact sum by at most `(m + rows + cols)·2⁻⁵³`
+    /// of the total weight, `m` the most members in one cell.
+    pub fn build_summed_area(&mut self) {
+        self.sat.clear();
+        if self.is_empty() {
+            return;
+        }
+        let rows = self.rows;
+        let cols = (self.cell_start.len() - 1) / rows;
+        let stride = rows + 1;
+        self.sat.resize((cols + 1) * stride, 0.0);
+        for i in 0..cols {
+            let mut column = 0.0;
+            for j in 0..rows {
+                let (lo, hi) = self.seg(i * rows + j);
+                column += self.ws[lo..hi].iter().sum::<f64>();
+                self.sat[(i + 1) * stride + j + 1] = self.sat[i * stride + j + 1] + column;
+            }
+        }
+    }
+
+    /// The total weight of the cells within Chebyshev key distance `k`
+    /// of cell `center` (the square `center ± k`, clipped to the
+    /// occupied-key rectangle; `center` may lie outside it), from four
+    /// lookups in the summed-area table.
+    ///
+    /// Requires [`build_summed_area`](WeightedCellGrid::build_summed_area)
+    /// on a non-empty grid; an empty grid weighs 0. The three
+    /// differences add at most `12·2⁻⁵³` of the total weight to the
+    /// entries' own rounding, so callers using it as a bound must
+    /// still apply their own guard factor.
+    pub fn square_weight(&self, center: CellKey, k: i64) -> f64 {
+        if self.is_empty() {
+            return 0.0;
+        }
+        debug_assert!(
+            !self.sat.is_empty(),
+            "square_weight before build_summed_area"
+        );
+        let x0 = center.0.saturating_sub(k).max(self.key_min.0);
+        let x1 = center.0.saturating_add(k).min(self.key_max.0);
+        let y0 = center.1.saturating_sub(k).max(self.key_min.1);
+        let y1 = center.1.saturating_add(k).min(self.key_max.1);
+        if x0 > x1 || y0 > y1 {
+            return 0.0;
+        }
+        let stride = self.rows + 1;
+        let (i0, i1) = (
+            (x0 - self.key_min.0) as usize * stride,
+            (x1 - self.key_min.0 + 1) as usize * stride,
+        );
+        let (j0, j1) = (
+            (y0 - self.key_min.1) as usize,
+            (y1 - self.key_min.1 + 1) as usize,
+        );
+        self.sat[i1 + j1] - self.sat[i0 + j1] - self.sat[i1 + j0] + self.sat[i0 + j0]
     }
 
     /// The largest ring index around `center` that can contain an
@@ -783,6 +855,61 @@ mod tests {
             fresh.for_each_ring_cell(center, ring, |c| b.extend(c.members()));
             assert_eq!(a, b, "ring {ring}");
         }
+    }
+
+    /// Summed-area square weights equal brute-force cell sums within a
+    /// guard far below the field's: centers inside the key rectangle,
+    /// on and past each edge, and far outside it, with squares clipped
+    /// at every edge, and a rebuild discards the table.
+    #[test]
+    fn square_weights_match_brute_force_cell_sums() {
+        let inst = gen::clustered(5, 40, 1.5, 2.0, 8).unwrap();
+        let cell = 1.3;
+        let mut g = WeightedCellGrid::new(cell);
+        let weight = |id: NodeId| 10f64.powf((id % 7) as f64 * 0.5 - 1.0);
+        let members: Vec<_> = (0..inst.len())
+            .map(|id| (id, inst.position(id), weight(id)))
+            .collect();
+        g.rebuild(cell, members.iter().copied());
+        g.build_summed_area();
+        let guard = 1e-12 * g.total_weight();
+        let (lo, hi) = (g.key_min, g.key_max);
+        let mut centers = vec![lo, hi, (lo.0, hi.1), (hi.0, lo.1)];
+        for dx in [-3, -1, 0, 1, 3] {
+            for dy in [-3, -1, 0, 1, 3] {
+                centers.push((lo.0 + dx, (lo.1 + hi.1) / 2 + dy));
+                centers.push((hi.0 + dx, lo.1 + dy));
+                centers.push(((lo.0 + hi.0) / 2 + dx, hi.1 + dy));
+            }
+        }
+        centers.push((lo.0 - 40, hi.1 + 25));
+        let reach = (hi.0 - lo.0).max(hi.1 - lo.1) + 50;
+        for c in centers {
+            for k in 0..=reach {
+                let brute: f64 = members
+                    .iter()
+                    .filter(|&&(_, p, _)| {
+                        let m = g.key_of(p);
+                        (m.0 - c.0).abs().max((m.1 - c.1).abs()) <= k
+                    })
+                    .map(|&(_, _, w)| w)
+                    .sum();
+                let sat = g.square_weight(c, k);
+                assert!(
+                    (sat - brute).abs() <= guard,
+                    "center {c:?} k {k}: table {sat} vs cells {brute}"
+                );
+            }
+        }
+        assert_eq!(g.square_weight((lo.0 - 40, hi.1 + 25), 3), 0.0);
+        let full = g.square_weight(lo, reach);
+        assert!((full - g.total_weight()).abs() <= guard);
+
+        g.rebuild(cell, members.iter().copied().take(3));
+        assert!(g.sat.is_empty(), "a rebuild must discard the table");
+        g.rebuild(cell, std::iter::empty());
+        g.build_summed_area();
+        assert_eq!(g.square_weight((0, 0), 5), 0.0);
     }
 
     /// Satellite: the degenerate-cell guard. Two members one unit apart

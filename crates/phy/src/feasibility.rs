@@ -293,6 +293,9 @@ const FIRST_KEY: u64 = (1023 - 64) << BUCKET_BITS;
 /// How many exponents' tables the process keeps at once.
 const CACHED_TABLES: usize = 8;
 
+/// How many ring gains `j^{-α}` a [`GainBounds`] keeps: `j < RING_GAINS`.
+const RING_GAINS: usize = 128;
+
 /// Certified bounds on the path gain `d^{-α}` by squared distance, for
 /// one exponent `α`.
 ///
@@ -302,9 +305,14 @@ const CACHED_TABLES: usize = 8;
 /// covered range (or an entry that leaves the normal float range) gets
 /// `[0, ∞]`, which no certificate can use, so the decision falls to the
 /// exact path.
-struct GainBounds {
+///
+/// The same table carries the ring gains `j^{-α}` the interference
+/// field's summed-area far bound multiplies by one `cell^{-α}` per
+/// field (DESIGN.md §7.2).
+pub(crate) struct GainBounds {
     alpha: f64,
     buckets: Box<[[f64; 2]]>,
+    rings: Box<[f64]>,
 }
 
 impl GainBounds {
@@ -324,7 +332,25 @@ impl GainBounds {
                 }
             })
             .collect();
-        GainBounds { alpha, buckets }
+        // `(j·cell)^{-α} = j^{-α}·cell^{-α}`; an entry below the normal
+        // range is raised to it, which only loosens the bound.
+        let rings = (0..RING_GAINS)
+            .map(|j| (j as f64).powf(-alpha).max(f64::MIN_POSITIVE))
+            .collect();
+        GainBounds {
+            alpha,
+            buckets,
+            rings,
+        }
+    }
+
+    /// `j^{-α}` for `j ≥ 1`, from the first [`RING_GAINS`] entries; a
+    /// larger `j` gets the last entry, an upper bound since the gain
+    /// only falls with distance.
+    #[inline]
+    pub(crate) fn ring(&self, j: i64) -> f64 {
+        debug_assert!(j >= 1, "ring gains start at j = 1");
+        self.rings[(j as usize).min(RING_GAINS - 1)]
     }
 
     /// `[lower, upper]` bounds on the gain at squared distance `d2`.
@@ -339,7 +365,7 @@ impl GainBounds {
     }
 
     /// The shared table for `alpha`, built on first use.
-    fn shared(alpha: f64) -> Arc<GainBounds> {
+    pub(crate) fn shared(alpha: f64) -> Arc<GainBounds> {
         static TABLES: Mutex<Vec<Arc<GainBounds>>> = Mutex::new(Vec::new());
         // Every update below leaves the list valid (a panic while
         // building a table happens before it is touched), so a

@@ -24,6 +24,13 @@
 //! falls back to the naive computation, term for term in the naive
 //! order.
 //!
+//! A slot of at least 64 senders also builds two per-slot aggregates
+//! that only prune: a summed-area table of sender power, which charges
+//! each unseen ring its own power at its own inner radius instead of
+//! all of it at the nearest one, and a reach bitmap, which answers a
+//! listener that no sender can reach without a candidate scan
+//! (DESIGN.md §7.1, §7.2).
+//!
 //! The consequence is the determinism contract of DESIGN.md §7: every
 //! decision the field returns — and every `f64` it reports, because
 //! reported values are always computed by the canonical naive-order
@@ -37,12 +44,14 @@
 //! gain evaluations, not the `O(senders²)` of the naive reference
 //! [`decode_best_exact`].
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sinr_geom::{Instance, NodeId, Point, WeightedCellGrid};
+use sinr_geom::{CellKey, Instance, NodeId, Point, WeightedCellGrid};
 use sinr_links::Link;
 
 use crate::affectance::AffectanceCalc;
+use crate::feasibility::GainBounds;
 use crate::{Result, SinrParams};
 
 /// Relative guard factor applied to every certified bound.
@@ -75,6 +84,31 @@ const SMALL_SLOT: usize = 8;
 /// The grid never uses cells smaller than `span / MAX_CELLS_PER_AXIS`,
 /// bounding ring scans by a constant number of cell probes.
 const MAX_CELLS_PER_AXIS: f64 = 64.0;
+
+/// From this many transmitters a slot also builds its per-slot
+/// aggregates: the summed-area table behind the far bound and the
+/// reach bitmap (DESIGN.md §7.1, §7.2). The fields built fresh for one
+/// check (validation, audits, probes) are mostly smaller, and would pay
+/// more to build them than their few queries save.
+const AGGREGATE_SLOT: usize = 64;
+
+/// Rings past the current one that the summed-area far bound charges
+/// one by one; the rest of the unseen power is charged beyond them.
+const LOOKAHEAD: i64 = 8;
+
+/// The reach bitmap has about this many cells per sender, unless the
+/// decode radius is larger than those cells.
+const REACH_CELLS_PER_SENDER: f64 = 64.0;
+
+/// Relative widening of a sender's reach box, covering every rounding
+/// between a coordinate difference and its computed distance (see
+/// `ReachMap::build`).
+const REACH_SLACK: f64 = 1e-12;
+
+/// Below this radius a coordinate difference inside it can underflow
+/// when squared, which the reach bitmap's rounding argument excludes;
+/// no bitmap is built.
+const REACH_MIN_RADIUS: f64 = 1e-150;
 
 /// The exact decode rule of the simulator: the best-SINR transmitter at
 /// listener `v`, provided its SINR reaches `β`. Returns `(sender,
@@ -113,8 +147,9 @@ pub fn decode_best_exact(
 /// - `small_exact` — skipped indexing entirely (at most 8 senders, or
 ///   no finite decode radius) and were decided by the field's exact
 ///   `O(senders)` decode (DESIGN.md §7.3);
-/// - `certified` — settled by the certified near field (including the
-///   canonical recompute of the one certified winner);
+/// - `certified` — settled by the certified near field or the reach
+///   bitmap (including the canonical recompute of the one certified
+///   winner);
 /// - `fallbacks` — threshold-grazing (or guard-violating) queries,
 ///   decided by the same exact decode.
 ///
@@ -126,7 +161,7 @@ pub struct QueryStats {
     pub queries: u64,
     /// Queries decided by the exact decode without indexing.
     pub small_exact: u64,
-    /// Queries settled by the certified near field.
+    /// Queries settled by the certified near field or the reach bitmap.
     pub certified: u64,
     /// Threshold-grazing queries decided by the exact decode.
     pub fallbacks: u64,
@@ -280,14 +315,23 @@ pub struct InterferenceField<'a> {
     /// Insertion-ordered `(sender, power)` pairs — the canonical naive
     /// summation order for exact fallbacks.
     senders: Vec<(NodeId, f64)>,
-    /// Empty in small slots: their queries are all exact.
+    /// Empty in small slots: their queries are all exact. From
+    /// [`AGGREGATE_SLOT`] senders it also holds a summed-area table.
     grid: WeightedCellGrid,
     /// The decode-cutoff radius `R(P_max)` of the strongest sender.
     radius: f64,
+    /// Cells no sender reaches; empty, ruling nothing out, below
+    /// [`AGGREGATE_SLOT`] senders.
+    reach: ReachMap,
+    /// The ring gains `j^{-α}` of the summed-area far bound, and
+    /// `cell^{-α}`; `None` when the slot builds no aggregates.
+    ring_gains: Option<Arc<GainBounds>>,
+    cell_gain: f64,
 }
 
-/// The reusable allocations of a field: the canonical sender list and
-/// the weighted cell grid's CSR index and member columns.
+/// The reusable allocations of a field: the canonical sender list, the
+/// weighted cell grid's CSR index, member columns and summed-area
+/// table, and the reach bitmap.
 ///
 /// [`InterferenceField::build_with`] consumes a set of buffers and
 /// refills them in place; [`InterferenceField::into_buffers`] recovers
@@ -298,6 +342,7 @@ pub struct InterferenceField<'a> {
 pub struct FieldBuffers {
     senders: Vec<(NodeId, f64)>,
     grid: WeightedCellGrid,
+    reach: ReachMap,
 }
 
 impl Default for FieldBuffers {
@@ -307,6 +352,7 @@ impl Default for FieldBuffers {
             // Placeholder cell size; every build re-keys the grid to
             // the slot's decode-radius-derived cell.
             grid: WeightedCellGrid::new(1.0),
+            reach: ReachMap::default(),
         }
     }
 }
@@ -361,6 +407,7 @@ impl<'a> InterferenceField<'a> {
         let FieldBuffers {
             senders: mut sender_buf,
             mut grid,
+            mut reach,
         } = buffers;
         sender_buf.clear();
         sender_buf.extend_from_slice(senders);
@@ -376,12 +423,31 @@ impl<'a> InterferenceField<'a> {
                     .map(|&(u, p)| (u, instance.position(u), p)),
             );
         }
+        reach.bits.clear();
+        let aggregate = senders.len() >= AGGREGATE_SLOT && radius.is_finite();
+        let cell_gain = if aggregate {
+            params.path_gain(cell)
+        } else {
+            f64::NAN
+        };
+        let mut ring_gains = None;
+        if aggregate && cell_gain.is_normal() {
+            grid.build_summed_area();
+            if radius >= REACH_MIN_RADIUS {
+                let positions = sender_buf.iter().map(|&(u, _)| instance.position(u));
+                reach.build(radius, span, senders.len(), positions);
+            }
+            ring_gains = Some(GainBounds::shared(params.alpha()));
+        }
         InterferenceField {
             params,
             instance,
             senders: sender_buf,
             grid,
             radius,
+            reach,
+            ring_gains,
+            cell_gain,
         }
     }
 
@@ -391,6 +457,7 @@ impl<'a> InterferenceField<'a> {
         FieldBuffers {
             senders: self.senders,
             grid: self.grid,
+            reach: self.reach,
         }
     }
 
@@ -534,12 +601,18 @@ impl<'a> InterferenceField<'a> {
         let beta = self.params.beta();
         let channel = self.params.channel();
         let pos_v = self.instance.position(v);
+        if self.reach.rules_out(pos_v) {
+            // Every sender lies beyond `radius`: no candidate, exactly
+            // what the scan below would find.
+            scratch.stats.certified += 1;
+            return None;
+        }
 
         // Candidate decodable senders. Everyone outside `radius` is
-        // certified undecodable (SINR ≤ S/N < β); everyone inside is
-        // tested with the engine's own float expression `S/N ≥ β`, so
-        // the candidate set is exactly the set of senders the naive
-        // loop could possibly accept.
+        // certified undecodable (SINR ≤ S/N < β) and skipped unseen;
+        // everyone inside is tested with the engine's own float
+        // expression `S/N ≥ β`, so the candidate set is exactly the set
+        // of senders the naive loop could possibly accept.
         let t0 = scratch.clock();
         scratch.cand_ids.clear();
         scratch.cand_powers.clear();
@@ -556,6 +629,9 @@ impl<'a> InterferenceField<'a> {
             self.grid
                 .for_each_member_near(pos_v, radius, |u, pos_u, power| {
                     let d = self.instance.distance(u, v);
+                    if d > radius {
+                        return;
+                    }
                     let signal = power * self.params.path_gain(d) * channel.fade(pos_u, pos_v);
                     if signal / noise >= beta {
                         cand_ids.push(u);
@@ -777,11 +853,11 @@ impl<'a> InterferenceField<'a> {
     /// Folds `term(sender, position, power)` of each member onto an
     /// exact sum, ring by Chebyshev ring around `center`. After ring
     /// `r > 0` every unvisited sender lies beyond `r · cell`, so `far`,
-    /// the unseen power (widened by `GUARD` of the total) times
-    /// `gain(r · cell) · scale`, bounds their terms; `scale` caps a term
-    /// per unit of received power. Each finite `far` goes to
-    /// `settle(sum, far)` with `far = 0` once every cell is seen; the
-    /// first verdict is returned. `rings` counts the rings walked.
+    /// the [`far_power`](Self::far_power) bound times `scale`, bounds
+    /// their terms; `scale` caps a term per unit of received power.
+    /// Each finite `far` goes to `settle(sum, far)` with `far = 0` once
+    /// every cell is seen; the first verdict is returned. `rings`
+    /// counts the rings walked.
     fn walk<T>(
         &self,
         center: Point,
@@ -795,9 +871,10 @@ impl<'a> InterferenceField<'a> {
             self.senders.len(),
             "small slots build no grid"
         );
-        let total_w = self.grid.total_weight();
+        let key = self.grid.key_of(center);
+        let max_ring = self.grid.max_ring_from(center);
         let (mut sum, mut seen_w, mut cells_seen) = (0.0f64, 0.0f64, 0usize);
-        for ring in 0..=self.grid.max_ring_from(center) {
+        for ring in 0..=max_ring {
             *rings += 1;
             cells_seen += self.grid.for_each_ring_cell(center, ring, |cv| {
                 for (((&u, &x), &y), &w) in cv.ids().iter().zip(cv.xs()).zip(cv.ys()).zip(cv.ws()) {
@@ -808,11 +885,8 @@ impl<'a> InterferenceField<'a> {
             if cells_seen == self.grid.occupied_cells() {
                 return settle(sum, 0.0);
             }
-            let min_d = ring as f64 * self.grid.cell_size();
-            if min_d > 0.0 {
-                let far = ((total_w - seen_w).max(0.0) + GUARD * total_w)
-                    * self.params.path_gain(min_d)
-                    * scale;
+            if ring > 0 {
+                let far = self.far_power(key, ring, max_ring, seen_w) * scale;
                 if far.is_finite() {
                     if let Some(verdict) = settle(sum, far) {
                         return Some(verdict);
@@ -821,6 +895,144 @@ impl<'a> InterferenceField<'a> {
             }
         }
         None
+    }
+
+    /// A bound on `Σ P_u·g(d_u)` over the senders outside rings
+    /// `0..=ring` around cell `key`, `seen_w` the power of those inside.
+    ///
+    /// Without aggregates it is the one-term bound: all unseen power
+    /// `(P_total − seen_w) + G·P_total` at `g(ring · cell)`. With them,
+    /// each unseen ring `k` up to [`LOOKAHEAD`] rings out is charged its
+    /// own power `W_k = Sq(k) − Sq(k−1)` from the summed-area table at
+    /// `g((k−1) · cell)`, the power beyond them at the last lookahead
+    /// ring's outer edge, and the guard `G·P_total` at `g(ring · cell)`.
+    /// Every gain is `j^{-α}·cell^{-α}`, no larger than `g(ring · cell)`,
+    /// so the bound never exceeds the one-term bound beyond the table's
+    /// rounding, which the guard covers (DESIGN.md §7.2). A lead gain
+    /// below the normal range gives no bound.
+    fn far_power(&self, key: CellKey, ring: i64, max_ring: i64, seen_w: f64) -> f64 {
+        let total_w = self.grid.total_weight();
+        let Some(table) = &self.ring_gains else {
+            let min_d = ring as f64 * self.grid.cell_size();
+            return ((total_w - seen_w).max(0.0) + GUARD * total_w) * self.params.path_gain(min_d);
+        };
+        let gain = |j: i64| table.ring(j) * self.cell_gain;
+        let lead = gain(ring);
+        if !lead.is_normal() {
+            return f64::INFINITY;
+        }
+        let last = (ring + LOOKAHEAD).min(max_ring);
+        let mut inner = self.grid.square_weight(key, ring);
+        let mut far = GUARD * total_w * lead;
+        for k in ring + 1..=last {
+            let square = self.grid.square_weight(key, k);
+            far += (square - inner) * gain(k - 1);
+            inner = square;
+        }
+        if last < max_ring {
+            far += (self.grid.square_weight(key, max_ring) - inner) * gain(last);
+        }
+        far
+    }
+}
+
+/// The reach bitmap (DESIGN.md §7.1): over cells of side
+/// `max(R, span/√(64·senders))`, the cells some sender's box `u ± R′`
+/// touches, `R′` the field's radius `R` slightly widened. A listener in
+/// any other cell has every sender at computed distance `> R`, hence no
+/// decode candidate.
+#[derive(Debug, Default)]
+struct ReachMap {
+    cell: f64,
+    key_min: CellKey,
+    key_max: CellKey,
+    rows: i64,
+    /// Column-major cell bits; empty when no map is built.
+    bits: Vec<u64>,
+}
+
+impl ReachMap {
+    #[inline]
+    fn key(&self, p: Point) -> CellKey {
+        (
+            (p.x / self.cell).floor() as i64,
+            (p.y / self.cell).floor() as i64,
+        )
+    }
+
+    /// The keys of the lower-left and upper-right cells of the box
+    /// `p ± R′`, with `R′ = R + (R + |x| + |y|)·REACH_SLACK`.
+    ///
+    /// Why the box holds every listener `v` at computed distance
+    /// `d ≤ R` from `p`, with `u = 2⁻⁵³`: the computed `d` is at least
+    /// `|fl(x_p − x_v)|·(1 − 2u)` (the square cannot underflow, since
+    /// `R ≥ REACH_MIN_RADIUS`), and that difference is at least the
+    /// real one times `1 − u`, so `|x_p − x_v| ≤ R·(1 + 4u)`. The box's
+    /// own corner `fl(x_p − R′)` errs by at most `u·(|x_p| + R′)`, and
+    /// computing `R′` by `4u` of itself; `REACH_SLACK` dwarfs all of
+    /// it, so `fl(x_p − R′) ≤ x_v ≤ fl(x_p + R′)`, and likewise in `y`.
+    /// Division by the cell and `floor` are monotone, so `v`'s key lies
+    /// between the corners' keys.
+    #[inline]
+    fn corners(&self, radius: f64, p: Point) -> (CellKey, CellKey) {
+        let r = radius + (radius + p.x.abs() + p.y.abs()) * REACH_SLACK;
+        (
+            self.key(Point::new(p.x - r, p.y - r)),
+            self.key(Point::new(p.x + r, p.y + r)),
+        )
+    }
+
+    /// Marks the reach boxes of `count` senders at `positions`. The
+    /// cells number about [`REACH_CELLS_PER_SENDER`] per sender (the
+    /// senders lie within `span` of each other) plus a border of at
+    /// most two cells on each side, and a sender marks at most 4 × 4
+    /// of them.
+    fn build(
+        &mut self,
+        radius: f64,
+        span: f64,
+        count: usize,
+        positions: impl Iterator<Item = Point> + Clone,
+    ) {
+        self.cell = radius.max(span / (REACH_CELLS_PER_SENDER * count as f64).sqrt());
+        let (mut lo, mut hi) = ((i64::MAX, i64::MAX), (i64::MIN, i64::MIN));
+        for p in positions.clone() {
+            let (a, b) = self.corners(radius, p);
+            lo = (lo.0.min(a.0), lo.1.min(a.1));
+            hi = (hi.0.max(b.0), hi.1.max(b.1));
+        }
+        self.key_min = lo;
+        self.key_max = hi;
+        self.rows = hi.1 - lo.1 + 1;
+        self.bits.clear();
+        let cells = (hi.0 - lo.0 + 1) * self.rows;
+        self.bits.resize((cells as usize).div_ceil(64), 0);
+        for p in positions {
+            let (a, b) = self.corners(radius, p);
+            for x in a.0..=b.0 {
+                for y in a.1..=b.1 {
+                    let c = ((x - lo.0) * self.rows + (y - lo.1)) as usize;
+                    self.bits[c / 64] |= 1 << (c % 64);
+                }
+            }
+        }
+    }
+
+    /// Whether no sender's reach box touches `p`'s cell, so every
+    /// sender lies at computed distance `> R` from `p`. False when no
+    /// map is built.
+    #[inline]
+    fn rules_out(&self, p: Point) -> bool {
+        if self.bits.is_empty() {
+            return false;
+        }
+        let (x, y) = self.key(p);
+        let (lo, hi) = (self.key_min, self.key_max);
+        if x < lo.0 || y < lo.1 || x > hi.0 || y > hi.1 {
+            return true;
+        }
+        let c = ((x - lo.0) * self.rows + (y - lo.1)) as usize;
+        self.bits[c / 64] & (1 << (c % 64)) == 0
     }
 }
 
@@ -922,16 +1134,208 @@ mod tests {
             }
         }
         // [queries, small_exact, certified, fallbacks, rings] per slot:
-        // geometric ×16, ×256, then shadowed ×16, ×256.
+        // geometric ×16, ×256, then shadowed ×16, ×256. The slots have
+        // about 80 senders, so the summed-area far bound and the reach
+        // bitmap are on.
         assert_eq!(
             got,
             [
-                [945, 0, 945, 0, 176],
-                [945, 0, 945, 0, 846],
-                [945, 0, 945, 0, 1311],
+                [945, 0, 945, 0, 98],
+                [945, 0, 945, 0, 532],
+                [945, 0, 945, 0, 1287],
                 [945, 0, 945, 0, 1846],
             ]
         );
+    }
+
+    /// Soundness gate for the far bound (DESIGN.md §7.2): at every ring
+    /// `r ≥ 1` a listener's walk reaches with cells still unseen, the
+    /// `far` handed to `settle` is at least the exact sum of the terms
+    /// of the senders outside rings `0..=r`. Uniform and clustered
+    /// instances, the geometric and a σ = 6 dB shadowed channel, equal,
+    /// mean-with-margin and three-decade powers, and 9 to 600 senders,
+    /// so both sides of `AGGREGATE_SLOT`.
+    #[test]
+    fn far_bound_covers_every_unseen_sender() {
+        let geometric = SinrParams::default();
+        let shadowed = geometric.with_channel(crate::ChannelModel::shadowed(7, 6.0).unwrap());
+        let instances = [
+            gen::uniform_square(1200, 1.5, 5).unwrap(),
+            gen::clustered(12, 100, 1.5, 2.0, 5).unwrap(),
+        ];
+        let mut rng = StdRng::seed_from_u64(0xfa4);
+        let (mut rings_checked, mut aggregated) = (0usize, 0usize);
+        for params in [geometric, shadowed] {
+            let channel = params.channel();
+            let fade_hi = channel.fade_bounds().1;
+            for inst in &instances {
+                let nn = sinr_geom::GridIndex::build(inst, 2.0);
+                let mean = crate::PowerAssignment::mean_with_margin(&params, inst.delta());
+                for count in [9, 40, 64, 150, 600] {
+                    for family in 0..3 {
+                        let mut ids: Vec<NodeId> = (0..inst.len()).collect();
+                        ids.shuffle(&mut rng);
+                        let base = params.min_power_for_length(2.0 + 6.0 * rng.gen::<f64>());
+                        let senders: Vec<(NodeId, f64)> = ids[..count]
+                            .iter()
+                            .map(|&u| match family {
+                                0 => (u, base),
+                                1 => {
+                                    let (v, _) = nn.nearest_neighbor(u).unwrap();
+                                    (u, mean.power_of(Link::new(u, v), inst, &params).unwrap())
+                                }
+                                _ => (u, base * 10f64.powf(rng.gen_range(0.0..3.0))),
+                            })
+                            .collect();
+                        let field = InterferenceField::build(&params, inst, &senders);
+                        aggregated += usize::from(field.ring_gains.is_some());
+                        for &v in &ids[count..count + 25] {
+                            let pos_v = inst.position(v);
+                            let term = |pos_w: Point, w: f64| {
+                                w * params.path_gain(pos_v.distance(pos_w))
+                                    * channel.fade(pos_w, pos_v)
+                            };
+                            // Exact unseen sums by ring: `beyond[r]` sums the
+                            // terms of the senders more than `r` rings out.
+                            let key = field.grid.key_of(pos_v);
+                            let ring_of = |u: NodeId| {
+                                let k = field.grid.key_of(inst.position(u));
+                                (k.0 - key.0).abs().max((k.1 - key.1).abs()) as usize
+                            };
+                            let last = senders.iter().map(|&(u, _)| ring_of(u)).max().unwrap();
+                            let mut beyond = vec![0.0f64; last + 1];
+                            for &(u, w) in &senders {
+                                for b in &mut beyond[..ring_of(u)] {
+                                    *b += term(inst.position(u), w);
+                                }
+                            }
+                            let mut fars = Vec::new();
+                            field.walk(
+                                pos_v,
+                                fade_hi,
+                                &mut 0,
+                                |_, pos_w, w| term(pos_w, w),
+                                |_, far| {
+                                    fars.push(far);
+                                    None::<()>
+                                },
+                            );
+                            // One `far` per ring `1..last`, then `0` once every
+                            // cell is seen at ring `last`.
+                            assert_eq!(fars.len(), last.max(1), "a ring skipped its bound");
+                            assert_eq!(fars.pop(), Some(0.0));
+                            for (i, &far) in fars.iter().enumerate() {
+                                let r = i + 1;
+                                assert!(
+                                    far >= beyond[r],
+                                    "{count} senders, family {family}, listener {v}, ring {r}: \
+                                     far {far} < unseen {}",
+                                    beyond[r]
+                                );
+                                rings_checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            aggregated >= 24,
+            "too few slots took the aggregate path: {aggregated}"
+        );
+        assert!(
+            rings_checked > 10_000,
+            "too few rings checked: {rings_checked}"
+        );
+    }
+
+    /// The reach bitmap at its edges, on a slot of 81 senders. The
+    /// strongest sits at the origin of a bitmap cell, so its cell side
+    /// is its reach `R`; listeners lie at `R` and `R ± 1` ulp on both
+    /// axes and the diagonal, on the cell edges at `±R` and `±2R`, and
+    /// beyond the bitmap's extent. Every decode matches
+    /// `decode_best_exact`, every listener with a sender at computed
+    /// distance `≤ R` lies in a marked cell, and the bitmap rules some
+    /// listeners out.
+    #[test]
+    fn reach_bitmap_edges_match_the_oracle() {
+        for params in [
+            SinrParams::default(),
+            SinrParams::default().with_channel(crate::ChannelModel::shadowed(5, 6.0).unwrap()),
+        ] {
+            let power = params.min_power_for_length(4.0);
+            let reach = InterferenceField::decode_radius_for(&params, power);
+            let (down, up) = (
+                |x: f64| f64::from_bits(x.to_bits() - 1),
+                |x: f64| f64::from_bits(x.to_bits() + 1),
+            );
+            let ulps = |x: f64| [down(x), x, up(x)];
+            // The largest diagonal offset whose computed distance is ≤ R.
+            let diagonal = |t: f64| Point::ORIGIN.distance(Point::new(t, t));
+            let mut t = reach / std::f64::consts::SQRT_2;
+            while diagonal(t) > reach {
+                t = down(t);
+            }
+            while diagonal(up(t)) <= reach {
+                t = up(t);
+            }
+            let mut points = vec![Point::ORIGIN];
+            // 80 weaker senders on a lattice 5R–21R out.
+            for i in 0..9 {
+                for j in 0..9 {
+                    if (i, j) != (0, 0) {
+                        let at = |k: i32| (5.0 + 2.0 * k as f64) * reach;
+                        points.push(Point::new(at(i), at(j)));
+                    }
+                }
+            }
+            let senders: Vec<(NodeId, f64)> = (0..points.len())
+                .map(|u| (u, if u == 0 { power } else { power * 0.5 }))
+                .collect();
+            for r in ulps(reach) {
+                points.extend([
+                    Point::new(r, 0.0),
+                    Point::new(-r, 0.0),
+                    Point::new(0.0, r),
+                    Point::new(0.0, -r),
+                ]);
+            }
+            for d in ulps(t) {
+                points.extend([Point::new(d, d), Point::new(-d, -d)]);
+            }
+            for k in [2.0, -2.0] {
+                for x in ulps(k * reach) {
+                    points.extend([Point::new(x, 0.0), Point::new(x, reach), Point::new(0.0, x)]);
+                }
+            }
+            points.extend([
+                Point::new(1.0, 0.5),
+                Point::new(0.5 * reach, 0.25 * reach),
+                Point::new(-19.0 * reach, -19.0 * reach),
+                Point::new(-19.0 * reach, 3.0 * reach),
+            ]);
+            let inst = Instance::new(points).unwrap();
+            let field = InterferenceField::build(&params, &inst, &senders);
+            assert_eq!(field.reach.cell, reach, "the bitmap cell is the reach");
+            let mut ruled_out = 0;
+            for v in senders.len()..inst.len() {
+                let pos_v = inst.position(v);
+                let reached = senders.iter().any(|&(u, _)| inst.distance(u, v) <= reach);
+                let skipped = field.reach.rules_out(pos_v);
+                assert!(
+                    !(reached && skipped),
+                    "listener {v} at {pos_v:?} is reached but ruled out"
+                );
+                ruled_out += usize::from(skipped);
+            }
+            assert!(
+                ruled_out >= 8,
+                "the bitmap ruled out only {ruled_out} listeners"
+            );
+            let (stats, decodes) = assert_exact_parity(&params, &inst, &senders, "reach bitmap");
+            assert_eq!(stats.certified + stats.fallbacks, stats.queries);
+            assert!(decodes >= 1, "the near listeners must decode");
+        }
     }
 
     type DecodeBits = Option<(NodeId, u64, u64)>;

@@ -16,9 +16,14 @@
 //!   observable by `FieldScratch`'s always-on [`QueryStats`] counters;
 //! - the measured affectance of the decoded link, to the bit;
 //!
-//! across all three power families (uniform / mean / linear), random
+//! across four power families (uniform / mean / linear, and `Init`'s
+//! one round power per length class on both channels), random
 //! geometry, and sender counts from the `SMALL_SLOT` boundary up to
-//! n = 4096 (the deterministic large case at the bottom).
+//! n = 4096 (the deterministic large cases at the bottom).
+//!
+//! The reference keeps the one-term far bound, all unseen power at the
+//! ring's inner radius, and no reach bitmap. The field's per-slot
+//! aggregates only prune, so the decision classes must still agree.
 
 use std::collections::HashMap;
 
@@ -135,6 +140,8 @@ impl<'a> BucketField<'a> {
         }
         let noise = self.params.noise();
         let beta = self.params.beta();
+        let channel = self.params.channel();
+        let fade_hi = channel.fade_bounds().1;
         let pos_v = self.instance.position(v);
 
         // Candidate collection: clamped key-rectangle scan, x-outer /
@@ -149,9 +156,9 @@ impl<'a> BucketField<'a> {
                 let Some(bucket) = self.cells.get(&(cx, cy)) else {
                     continue;
                 };
-                for &(u, _, power) in &bucket.members {
+                for &(u, pos_u, power) in &bucket.members {
                     let d = self.instance.distance(u, v);
-                    let signal = power * self.params.path_gain(d);
+                    let signal = power * self.params.path_gain(d) * channel.fade(pos_u, pos_v);
                     if signal / noise >= beta {
                         cand.push((u, power, signal, None));
                     }
@@ -178,7 +185,8 @@ impl<'a> BucketField<'a> {
                     return 0;
                 };
                 for &(_, pos, w) in &bucket.members {
-                    acc += w * self.params.path_gain(pos_v.distance(pos));
+                    acc +=
+                        w * self.params.path_gain(pos_v.distance(pos)) * channel.fade(pos, pos_v);
                     seen_w += w;
                 }
                 1
@@ -201,7 +209,9 @@ impl<'a> BucketField<'a> {
             } else {
                 let min_d = ring as f64 * self.cell;
                 if min_d > 0.0 {
-                    ((total_w - seen_w).max(0.0) + GUARD * total_w) * self.params.path_gain(min_d)
+                    ((total_w - seen_w).max(0.0) + GUARD * total_w)
+                        * self.params.path_gain(min_d)
+                        * fade_hi
                 } else {
                     f64::INFINITY
                 }
@@ -264,6 +274,7 @@ impl<'a> BucketField<'a> {
 }
 
 fn decode_radius_for(params: &SinrParams, power: f64) -> f64 {
+    let power = power * params.channel().fade_bounds().1;
     if params.noise() > 0.0 && power > 0.0 {
         (power * (1.0 + RADIUS_CUSHION) / (params.beta() * params.noise()))
             .powf(1.0 / params.alpha())
@@ -283,7 +294,9 @@ fn make_senders(
     let power = match tau {
         0 => PowerAssignment::uniform_with_margin(params, inst.delta()),
         1 => PowerAssignment::mean_with_margin(params, inst.delta()),
-        _ => PowerAssignment::linear_with_margin(params),
+        2 => PowerAssignment::linear_with_margin(params),
+        // `Init`'s length class `round`: one power, `2βN·2^{round·α}`.
+        round => return round_senders(params, inst, round - 3, stride),
     };
     let grid = sinr_geom::GridIndex::build(inst, (inst.delta() / 8.0).max(1e-6));
     (0..inst.len())
@@ -293,6 +306,21 @@ fn make_senders(
             let p = power.power_of(Link::new(u, v), inst, params).ok()?;
             (p.is_finite() && p > 0.0).then_some((u, p))
         })
+        .collect()
+}
+
+/// Sender set for `Init`'s length class `round`: every `stride`-th node
+/// transmits with the class's one power `2βN·2^{round·α}`.
+fn round_senders(
+    params: &SinrParams,
+    inst: &Instance,
+    round: usize,
+    stride: usize,
+) -> Vec<(NodeId, f64)> {
+    let power = params.min_power_for_length(2f64.powi(round as i32));
+    (0..inst.len())
+        .step_by(stride.max(2))
+        .map(|u| (u, power))
         .collect()
 }
 
@@ -356,15 +384,15 @@ fn assert_parity(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Random geometry × all three power families × sender counts
-    /// straddling the `SMALL_SLOT` boundary: the SoA field and the
-    /// bucket reference agree on every listener's decode bits and
-    /// decision class.
+    /// Random geometry × all four power families (round classes 0–5
+    /// for `Init`'s) × sender counts straddling the `SMALL_SLOT`
+    /// boundary: the SoA field and the bucket reference agree on every
+    /// listener's decode bits and decision class.
     #[test]
     fn soa_field_matches_bucket_reference(
         seed in 0u64..5_000,
         n in 16usize..260,
-        tau in 0usize..3,
+        tau in 0usize..9,
         stride in 2usize..6,
     ) {
         let params = SinrParams::default();
@@ -409,5 +437,33 @@ fn soa_field_matches_bucket_reference_at_4096() {
             .filter(|&v| !transmitting[v])
             .collect();
         assert_parity(&params, &inst, &senders, &listeners);
+    }
+}
+
+/// `Init`'s power family on large slots: one round power `2βN·2^{rα}`
+/// per length class, so the decode radius `R` runs from far below the
+/// grid cell (`≥ span/64`) to past the span, on 128 senders of an
+/// n = 512 instance, under the geometric and a σ = 6 dB shadowed
+/// channel. Slots this large build the field's per-slot aggregates
+/// (summed-area far bound, reach bitmap), which the reference lacks.
+#[test]
+fn init_round_powers_match_bucket_reference_on_large_slots() {
+    let geometric = SinrParams::default();
+    let shadowed = geometric.with_channel(sinr_phy::ChannelModel::shadowed(9, 6.0).unwrap());
+    let inst = gen::uniform_square(512, 1.5, 77).unwrap();
+    let span = inst.delta();
+    let listeners: Vec<NodeId> = (0..inst.len()).filter(|v| v % 4 == 1).collect();
+    for params in [geometric, shadowed] {
+        let radius_of = |round| {
+            let senders = round_senders(&params, &inst, round, 4);
+            assert!(senders.len() >= 64, "the slot must be large");
+            decode_radius_for(&params, senders[0].1)
+        };
+        assert!(radius_of(0) < span / MAX_CELLS_PER_AXIS / 2.0);
+        assert!(radius_of(12) > span);
+        for round in (0..=12).step_by(2) {
+            let senders = round_senders(&params, &inst, round, 4);
+            assert_parity(&params, &inst, &senders, &listeners);
+        }
     }
 }

@@ -98,11 +98,14 @@ impl Protocol for DozyRotor {
 /// One test for both protocols: the counter is process-wide, so a
 /// second test running on another thread would leak its allocations
 /// into this one's window. [`DozyRotor`] checks that the calendar's
-/// heap and awake lists recycle their capacity too.
+/// heap and awake lists recycle their capacity too. Every slot has 80
+/// transmitters, enough for the field to build its per-slot
+/// aggregates (a summed-area table and a reach bitmap, from 64
+/// senders), so their buffers are gated too.
 #[test]
 fn steady_state_slots_do_not_allocate() {
     let params = SinrParams::default();
-    let inst = gen::uniform_square(256, 1.5, 11).unwrap();
+    let inst = gen::uniform_square(400, 1.5, 11).unwrap();
     let engine = Engine::with_backend(&params, &inst, |_| Rotor, 11, EngineBackend::Grid);
     assert_steady_state_allocation_free(engine);
     let engine = Engine::with_backend(&params, &inst, |_| DozyRotor, 11, EngineBackend::Grid);
