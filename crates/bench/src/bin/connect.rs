@@ -55,397 +55,75 @@
 //!   with tracing on and reports the first divergence (slot, node,
 //!   event kind, field, both values) — or certifies there is none.
 
-use std::path::PathBuf;
+use std::path::Path;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use sinr_bench::cli::{self, ConnectArgs, Mode};
 use sinr_bench::ensemble::Ensemble;
+use sinr_bench::serve::{serve, ServeConfig};
 use sinr_bench::stats::Stats;
 use sinr_bench::table::{f2, Table};
-use sinr_bench::workloads::Family;
 use sinr_connectivity::repair::{repair_after_failures, PriorStructure};
 use sinr_connectivity::selector::MeanSamplingSelector;
 use sinr_connectivity::tvc::TvcConfig;
-use sinr_connectivity::{connect_with, ChannelModel, EngineBackend, RepackMode, Strategy};
+use sinr_connectivity::{connect_with, RepackMode};
 use sinr_phy::{feasibility, SinrParams};
 
-struct Args {
-    family: Family,
-    n: usize,
-    strategy: Strategy,
-    seed: u64,
-    engine: EngineBackend,
-    channel: ChannelModel,
-    seeds: u64,
-    threads: usize,
-    churn_kill: usize,
-    repack: RepackMode,
-    serve: bool,
-    fault_rate: f64,
-    join_rate: f64,
-    serve_events: usize,
-    export: Option<PathBuf>,
-    profile: bool,
-    trace: Option<PathBuf>,
-    snapshot: Option<PathBuf>,
-    snapshot_at: Option<u64>,
-    replay_from: Option<PathBuf>,
-    diff_engine: Option<EngineBackend>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut family = Family::UniformSquare;
-    let mut n = 64usize;
-    let mut strategy = Strategy::TvcArbitrary;
-    let mut seed = 0u64;
-    let mut engine = EngineBackend::default();
-    let mut fade: Option<f64> = None;
-    let mut seeds = 1u64;
-    let mut threads = 0usize;
-    let mut churn_kill = 0usize;
-    let mut repack = RepackMode::default();
-    let mut serve = false;
-    let mut fault_rate: Option<f64> = None;
-    let mut join_rate: Option<f64> = None;
-    let mut serve_events: Option<usize> = None;
-    let mut export = None;
-    let mut profile = false;
-    let mut trace = None;
-    let mut snapshot = None;
-    let mut snapshot_at = None;
-    let mut replay_from = None;
-    let mut diff_engine = None;
-
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let key = argv[i].as_str();
-        let val = |i: usize| -> Result<&String, String> {
-            argv.get(i + 1)
-                .ok_or_else(|| format!("missing value for {key}"))
-        };
-        match key {
-            "--family" => {
-                let v = val(i)?;
-                family = Family::from_label(v).ok_or_else(|| {
-                    format!(
-                        "unknown family `{v}` (try uniform|clustered|lattice|\
-                         exp-chain|two-tier|percolation)"
-                    )
-                })?;
-                i += 2;
-            }
-            "--n" => {
-                n = val(i)?.parse().map_err(|e| format!("--n: {e}"))?;
-                i += 2;
-            }
-            "--strategy" => {
-                strategy = match val(i)?.as_str() {
-                    "init-only" => Strategy::InitOnly,
-                    "mean-reschedule" => Strategy::MeanReschedule,
-                    "tvc-mean" => Strategy::TvcMean,
-                    "tvc-arbitrary" => Strategy::TvcArbitrary,
-                    other => return Err(format!("unknown strategy `{other}`")),
-                };
-                i += 2;
-            }
-            "--seed" => {
-                seed = val(i)?.parse().map_err(|e| format!("--seed: {e}"))?;
-                i += 2;
-            }
-            "--engine" => {
-                engine = val(i)?.parse()?;
-                i += 2;
-            }
-            "--fade" => {
-                let s: f64 = val(i)?.parse().map_err(|e| format!("--fade: {e}"))?;
-                if !(s.is_finite() && s > 0.0) {
-                    return Err(format!(
-                        "--fade must be a positive shadowing σ in dB, got {s}"
-                    ));
-                }
-                fade = Some(s);
-                i += 2;
-            }
-            "--seeds" => {
-                seeds = val(i)?.parse().map_err(|e| format!("--seeds: {e}"))?;
-                if seeds == 0 {
-                    return Err("--seeds must be at least 1".into());
-                }
-                i += 2;
-            }
-            "--threads" => {
-                threads = val(i)?.parse().map_err(|e| format!("--threads: {e}"))?;
-                if threads == 0 {
-                    return Err(
-                        "--threads must be at least 1 (omit the flag to auto-size the pool)".into(),
-                    );
-                }
-                i += 2;
-            }
-            "--churn-kill" => {
-                churn_kill = val(i)?.parse().map_err(|e| format!("--churn-kill: {e}"))?;
-                i += 2;
-            }
-            "--repack" => {
-                repack = val(i)?.parse()?;
-                i += 2;
-            }
-            "--serve" => {
-                serve = true;
-                i += 1;
-            }
-            "--fault-rate" => {
-                let r: f64 = val(i)?.parse().map_err(|e| format!("--fault-rate: {e}"))?;
-                if !(r.is_finite() && r >= 0.0) {
-                    return Err(format!(
-                        "--fault-rate must be finite and non-negative, got {r}"
-                    ));
-                }
-                fault_rate = Some(r);
-                i += 2;
-            }
-            "--join-rate" => {
-                let r: f64 = val(i)?.parse().map_err(|e| format!("--join-rate: {e}"))?;
-                if !(r.is_finite() && r >= 0.0) {
-                    return Err(format!(
-                        "--join-rate must be finite and non-negative, got {r}"
-                    ));
-                }
-                join_rate = Some(r);
-                i += 2;
-            }
-            "--serve-events" => {
-                let e: usize = val(i)?
-                    .parse()
-                    .map_err(|e| format!("--serve-events: {e}"))?;
-                if e == 0 {
-                    return Err("--serve-events must be at least 1".into());
-                }
-                serve_events = Some(e);
-                i += 2;
-            }
-            "--export" => {
-                export = Some(PathBuf::from(val(i)?));
-                i += 2;
-            }
-            "--profile" => {
-                profile = true;
-                i += 1;
-            }
-            "--trace" => {
-                trace = Some(PathBuf::from(val(i)?));
-                i += 2;
-            }
-            "--snapshot" => {
-                snapshot = Some(PathBuf::from(val(i)?));
-                i += 2;
-            }
-            "--snapshot-at" => {
-                snapshot_at = Some(val(i)?.parse().map_err(|e| format!("--snapshot-at: {e}"))?);
-                i += 2;
-            }
-            "--replay-from" => {
-                replay_from = Some(PathBuf::from(val(i)?));
-                i += 2;
-            }
-            "--diff-engine" => {
-                diff_engine = Some(val(i)?.parse()?);
-                i += 2;
-            }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: connect --family uniform|clustered|lattice|exp-chain|\
-                            two-tier|percolation \
-                            --n <count> --strategy init-only|mean-reschedule|tvc-mean|\
-                            tvc-arbitrary --seed <u64> [--engine naive|grid|parallel[:N]] \
-                            [--fade <sigma_db>] \
-                            [--seeds <K>] [--threads <T>] [--churn-kill <K>] \
-                            [--repack full|incremental|distributed] \
-                            [--serve [--fault-rate <R>] [--join-rate <R>] \
-                            [--serve-events <E>]] [--export <dir>] \
-                            [--profile] (needs a build with --features profile) \
-                            [--trace <path>] [--snapshot <path> --snapshot-at <slot>] \
-                            [--replay-from <path>] [--diff-engine naive|grid|parallel[:N]] \
-                            (the last four need a build with --features trace)"
-                        .into(),
-                );
-            }
-            other => return Err(format!("unknown flag `{other}` (try --help)")),
-        }
-    }
-    if snapshot.is_some() != snapshot_at.is_some() {
-        return Err("--snapshot and --snapshot-at go together: both or neither".into());
-    }
-    if n == 0 {
-        return Err("--n must be at least 1".into());
-    }
-    if churn_kill > 0 && churn_kill >= n {
-        return Err(format!(
-            "--churn-kill must leave at least one survivor (asked to kill \
-             {churn_kill} of {n} nodes)"
-        ));
-    }
-    if !serve && (fault_rate.is_some() || join_rate.is_some() || serve_events.is_some()) {
-        return Err(
-            "--fault-rate/--join-rate/--serve-events configure the service loop; \
-             add --serve to run it"
-                .into(),
-        );
-    }
-    if serve {
-        if churn_kill > 0 {
-            return Err(
-                "--serve runs sustained churn through the detector; it conflicts with \
-                 the one-shot --churn-kill demo — pick one"
-                    .into(),
-            );
-        }
-        if fault_rate.unwrap_or(5.0) + join_rate.unwrap_or(1.0) <= 0.0 {
-            return Err("--serve needs a positive --fault-rate or --join-rate".into());
-        }
-    }
-    let channel = match fade {
-        // The fade streams derive from the run seed, so two seeds see
-        // independent shadowing realizations (the determinism gate's
-        // seed-sensitivity check relies on this).
-        Some(sigma) => ChannelModel::shadowed(seed, sigma).map_err(|e| format!("--fade: {e}"))?,
-        None => ChannelModel::Geometric,
-    };
-    Ok(Args {
-        family,
-        n,
-        strategy,
-        seed,
-        engine,
-        channel,
-        seeds,
-        threads,
-        churn_kill,
-        repack,
-        serve,
-        fault_rate: fault_rate.unwrap_or(5.0),
-        join_rate: join_rate.unwrap_or(1.0),
-        serve_events: serve_events.unwrap_or(16),
-        export,
-        profile,
-        trace,
-        snapshot,
-        snapshot_at,
-        replay_from,
-        diff_engine,
-    })
-}
-
 fn main() {
-    let args = match parse_args() {
+    let args = match cli::connect(std::env::args_os().skip(1)) {
         Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
+        Err(e) => {
+            eprintln!("{e}");
             std::process::exit(2);
         }
     };
-
     let params = SinrParams::default().with_channel(args.channel);
-
-    #[cfg(not(feature = "profile"))]
-    if args.profile {
-        eprintln!(
-            "this `connect` was built without the `profile` feature; \
-             rebuild with `--features profile` to use --profile"
-        );
-        std::process::exit(2);
+    let outcome = match &args.mode {
+        Mode::Single {
+            churn_kill,
+            export,
+            profile,
+            trace,
+        } => run_single(
+            &args,
+            &params,
+            *churn_kill,
+            export.as_deref(),
+            *profile,
+            trace.as_deref(),
+        ),
+        Mode::Ensemble { seeds, threads } => run_ensemble(&args, &params, *seeds, *threads),
+        Mode::Serve(cfg) => run_serve(&args, &params, cfg),
+        #[cfg(feature = "trace")]
+        Mode::Snapshot { path, at } => run_snapshot(&args, &params, path, *at),
+        #[cfg(feature = "trace")]
+        Mode::Replay { path } => run_replay(&args, path),
+        #[cfg(feature = "trace")]
+        Mode::Diff { other, trace } => run_diff(&args, &params, *other, trace.as_deref()),
+        #[cfg(not(feature = "trace"))]
+        Mode::Snapshot { .. } | Mode::Replay { .. } | Mode::Diff { .. } => {
+            unreachable!("the parser rejects the observability modes without `trace`")
+        }
+    };
+    if let Err(msg) = outcome {
+        eprintln!("{msg}");
+        std::process::exit(1);
     }
+}
 
-    #[cfg(not(feature = "trace"))]
-    if args.trace.is_some()
-        || args.snapshot.is_some()
-        || args.snapshot_at.is_some()
-        || args.replay_from.is_some()
-        || args.diff_engine.is_some()
-    {
-        eprintln!(
-            "this `connect` was built without the `trace` feature; \
-             rebuild with `--features trace` to use the observability flags"
-        );
-        std::process::exit(2);
-    }
-
-    #[cfg(feature = "trace")]
-    {
-        let modes = [
-            args.replay_from.is_some(),
-            args.diff_engine.is_some(),
-            args.snapshot.is_some(),
-        ];
-        if modes.iter().filter(|&&m| m).count() > 1 {
-            eprintln!("--replay-from, --diff-engine and --snapshot are separate modes; pick one");
-            std::process::exit(2);
-        }
-        if modes.iter().any(|&m| m)
-            && (args.seeds > 1
-                || args.churn_kill > 0
-                || args.serve
-                || args.export.is_some()
-                || args.profile)
-        {
-            eprintln!(
-                "the observability modes run on a single instance; \
-                 drop --seeds/--churn-kill/--serve/--export/--profile"
-            );
-            std::process::exit(2);
-        }
-        if let Some(path) = &args.replay_from {
-            run_replay(&args, path);
-            return;
-        }
-        if let Some(other) = args.diff_engine {
-            run_diff(&args, &params, other);
-            return;
-        }
-        if let (Some(path), Some(at)) = (&args.snapshot, args.snapshot_at) {
-            run_snapshot(&args, &params, path, at);
-            return;
-        }
-    }
-
-    if args.serve {
-        if args.seeds > 1 {
-            eprintln!("--serve drives a single instance; drop --seeds to serve");
-            std::process::exit(2);
-        }
-        if args.export.is_some() || args.profile || args.trace.is_some() {
-            eprintln!("--serve is a standalone mode; drop --export/--profile/--trace");
-            std::process::exit(2);
-        }
-        run_serve(&args, &params);
-        return;
-    }
-
-    if args.seeds > 1 {
-        if args.export.is_some() {
-            eprintln!("--export works on a single instance; drop --seeds to export");
-            std::process::exit(2);
-        }
-        if args.churn_kill > 0 {
-            eprintln!(
-                "--churn-kill works on a single instance; drop --seeds to run the churn demo"
-            );
-            std::process::exit(2);
-        }
-        if args.trace.is_some() {
-            eprintln!("--trace records a single instance; drop --seeds to trace");
-            std::process::exit(2);
-        }
-        if args.profile {
-            eprintln!("--profile records a single instance; drop --seeds to profile");
-            std::process::exit(2);
-        }
-        run_ensemble(&args, &params);
-        return;
-    }
-
+/// The plain run: build one instance, validate its schedule, then run
+/// the optional churn demo, export, profile and event log.
+fn run_single(
+    args: &ConnectArgs,
+    params: &SinrParams,
+    churn_kill: usize,
+    export: Option<&Path>,
+    profile: bool,
+    trace: Option<&Path>,
+) -> Result<(), String> {
+    let _ = (profile, trace); // read only where their feature is built in
     let instance = args.family.instance(args.n, args.seed);
     println!(
         "instance: family={} n={} Δ={:.2} classes={} engine={}",
@@ -460,24 +138,19 @@ fn main() {
     }
 
     #[cfg(feature = "trace")]
-    if args.trace.is_some() {
+    if trace.is_some() {
         sinr_sim::trace::start(sinr_sim::trace::DEFAULT_CAPACITY);
     }
     #[cfg(feature = "profile")]
-    if args.profile {
+    if profile {
         sinr_sim::profile::start();
     }
 
-    let result = match connect_with(&params, &instance, args.strategy, args.seed, args.engine) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("connectivity failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let result = connect_with(params, &instance, args.strategy, args.seed, args.engine)
+        .map_err(|e| format!("connectivity failed: {e}"))?;
 
     #[cfg(feature = "profile")]
-    if args.profile {
+    if profile {
         use sinr_bench::experiments::e11_scaling::{profile_table, push_profile_rows};
         let report = sinr_sim::profile::stop();
         let mut t = profile_table("profile: per-phase engine breakdown");
@@ -486,12 +159,10 @@ fn main() {
     }
 
     #[cfg(feature = "trace")]
-    if let Some(path) = &args.trace {
+    if let Some(path) = trace {
         let log = sinr_sim::trace::stop();
-        if let Err(e) = std::fs::write(path, sinr_bench::replay::trace_log_to_json(&log)) {
-            eprintln!("trace write failed: {e}");
-            std::process::exit(1);
-        }
+        std::fs::write(path, sinr_bench::replay::trace_log_to_json(&log))
+            .map_err(|e| format!("trace write failed: {e}"))?;
         println!(
             "trace:    {} event(s) ({} dropped) -> {}",
             log.events.len(),
@@ -505,65 +176,43 @@ fn main() {
     println!("schedule: {} slots", result.schedule_len);
     println!("runtime:  {} slots", result.runtime_slots);
 
-    match feasibility::validate_schedule(
-        &params,
+    feasibility::validate_schedule(
+        params,
         &instance,
         &result.aggregation_schedule,
         &result.power,
-    ) {
-        Ok(()) => println!("validated: every slot SINR-feasible"),
-        Err(e) => {
-            eprintln!("validation failed: {e}");
-            std::process::exit(1);
-        }
+    )
+    .map_err(|e| format!("validation failed: {e}"))?;
+    println!("validated: every slot SINR-feasible");
+
+    if churn_kill > 0 {
+        run_churn_demo(args, params, churn_kill, &instance, &result)?;
     }
 
-    if args.churn_kill > 0 {
-        run_churn_demo(&args, &params, &instance, &result);
-    }
-
-    if let Some(dir) = args.export {
-        if let Err(e) = export_csvs(&dir, &instance, &result) {
-            eprintln!("export failed: {e}");
-            std::process::exit(1);
-        }
+    if let Some(dir) = export {
+        export_csvs(dir, &instance, &result).map_err(|e| format!("export failed: {e}"))?;
         let svg = sinr_links::svg::render(
             &instance,
             Some(&result.tree_links),
             Some(&result.aggregation_schedule),
             &sinr_links::svg::SvgOptions::default(),
         );
-        if let Err(e) = std::fs::write(dir.join("network.svg"), svg) {
-            eprintln!("svg export failed: {e}");
-            std::process::exit(1);
-        }
+        std::fs::write(dir.join("network.svg"), svg)
+            .map_err(|e| format!("svg export failed: {e}"))?;
         println!(
             "exported: {}/{{nodes,links}}.csv + network.svg",
             dir.display()
         );
     }
+    Ok(())
 }
 
 /// The `--serve` mode: run the self-healing service loop — a Poisson
 /// fault/join trace through detect → repair → re-pack with per-recovery
 /// audits (DESIGN.md §13) — and print throughput, the latency
 /// distribution and the backpressure counters.
-fn run_serve(args: &Args, params: &SinrParams) {
-    use sinr_bench::serve::{serve, ServeConfig};
-    use sinr_bench::stats::Stats;
-
+fn run_serve(args: &ConnectArgs, params: &SinrParams, cfg: &ServeConfig) -> Result<(), String> {
     let instance = args.family.instance(args.n, args.seed);
-    let cfg = ServeConfig {
-        fault_rate: args.fault_rate,
-        join_rate: args.join_rate,
-        events: args.serve_events,
-        detect: sinr_connectivity::DetectConfig {
-            backend: args.engine,
-            ..ServeConfig::default().detect
-        },
-        repack: args.repack,
-        ..ServeConfig::default()
-    };
     println!(
         "serve:    family={} n={} engine={} events={} fault-rate={}/1000 \
          join-rate={}/1000 (seed {})",
@@ -575,13 +224,7 @@ fn run_serve(args: &Args, params: &SinrParams) {
         cfg.join_rate,
         args.seed,
     );
-    let rep = match serve(params, &instance, &cfg, args.seed) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("serve failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let rep = serve(params, &instance, cfg, args.seed).map_err(|e| format!("serve failed: {e}"))?;
     let det = Stats::of(&rep.detection_slots);
     let rec = Stats::of(&rep.recovery_slots);
     println!(
@@ -615,17 +258,20 @@ fn run_serve(args: &Args, params: &SinrParams) {
          delivery replay); final n = {}",
         rep.audits, rep.final_n,
     );
+    Ok(())
 }
 
 /// The `--churn-kill K` demo: fail K random nodes after the build,
 /// repair with the selected re-packer, and print the re-pack cost
 /// accounting (the DESIGN.md §10 boundary made visible from the CLI).
+/// Its two checks depend on the built result, so they exit 2 here.
 fn run_churn_demo(
-    args: &Args,
+    args: &ConnectArgs,
     params: &SinrParams,
+    churn_kill: usize,
     instance: &sinr_geom::Instance,
     result: &sinr_connectivity::ConnectivityResult,
-) {
+) -> Result<(), String> {
     let Some(powers) = result.power.as_explicit() else {
         eprintln!(
             "--churn-kill needs explicit per-link powers; use a tvc-* strategy \
@@ -634,7 +280,7 @@ fn run_churn_demo(
         );
         std::process::exit(2);
     };
-    if args.churn_kill >= instance.len() {
+    if churn_kill >= instance.len() {
         eprintln!("--churn-kill must leave at least one survivor");
         std::process::exit(2);
     }
@@ -645,7 +291,7 @@ fn run_churn_demo(
     }
     let mut ids: Vec<usize> = (0..instance.len()).collect();
     ids.shuffle(&mut StdRng::seed_from_u64(args.seed ^ 0xC4C4_C4C4));
-    let failed: Vec<usize> = ids.into_iter().take(args.churn_kill).collect();
+    let failed: Vec<usize> = ids.into_iter().take(churn_kill).collect();
 
     let prior = PriorStructure {
         parents: &parents,
@@ -661,7 +307,7 @@ fn run_churn_demo(
         ..Default::default()
     };
     let mut sel = MeanSamplingSelector::default();
-    let rep = match repair_after_failures(
+    let rep = repair_after_failures(
         params,
         instance,
         &prior,
@@ -669,13 +315,8 @@ fn run_churn_demo(
         &cfg,
         &mut sel,
         args.seed.wrapping_add(0x5e1f),
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("churn repair failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    )
+    .map_err(|e| format!("churn repair failed: {e}"))?;
     println!(
         "churn:    killed {} node(s); kept {} links, re-attached {} for {} orphan(s)",
         failed.len(),
@@ -701,50 +342,53 @@ fn run_churn_demo(
             rep.repack.protocol_slots, rep.repack.cascade_escalations,
         );
     }
-    match feasibility::validate_schedule(params, &rep.instance, &rep.schedule, &rep.power) {
-        Ok(()) => println!(
-            "repaired: every slot SINR-feasible ({} slots)",
-            rep.schedule.num_slots()
-        ),
-        Err(e) => {
-            eprintln!("repaired schedule validation failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    feasibility::validate_schedule(params, &rep.instance, &rep.schedule, &rep.power)
+        .map_err(|e| format!("repaired schedule validation failed: {e}"))?;
+    println!(
+        "repaired: every slot SINR-feasible ({} slots)",
+        rep.schedule.num_slots()
+    );
+    Ok(())
 }
 
 /// The `--seeds K` path: K independent trials through the ensemble
 /// driver, every schedule validated, metrics reported as `mean ±95% CI`
 /// with the ensemble extremes.
-fn run_ensemble(args: &Args, params: &SinrParams) {
+fn run_ensemble(
+    args: &ConnectArgs,
+    params: &SinrParams,
+    seeds: u64,
+    threads: usize,
+) -> Result<(), String> {
     println!(
         "ensemble: family={} n={} strategy={} engine={} seeds={} (base seed {})",
         args.family.label(),
         args.n,
         args.strategy.label(),
         args.engine.label(),
-        args.seeds,
+        seeds,
         args.seed,
     );
 
-    let driver = Ensemble::new(args.threads);
-    let results = driver.run_trials(args.seed, 0, args.seeds, |inst_seed, algo_seed| {
+    let driver = Ensemble::new(threads);
+    let results = driver.run_trials(args.seed, 0, seeds, |inst_seed, algo_seed| {
         let instance = args.family.instance(args.n, inst_seed);
         let result = connect_with(params, &instance, args.strategy, algo_seed, args.engine)
-            .unwrap_or_else(|e| panic!("instance seed {inst_seed:#x}: connectivity failed: {e}"));
+            .map_err(|e| format!("instance seed {inst_seed:#x}: connectivity failed: {e}"))?;
         feasibility::validate_schedule(
             params,
             &instance,
             &result.aggregation_schedule,
             &result.power,
         )
-        .unwrap_or_else(|e| panic!("instance seed {inst_seed:#x}: validation failed: {e}"));
-        (
+        .map_err(|e| format!("instance seed {inst_seed:#x}: validation failed: {e}"))?;
+        Ok((
             result.tree_links.len() as f64,
             result.schedule_len as f64,
             result.runtime_slots as f64,
-        )
+        ))
     });
+    let results = results.into_iter().collect::<Result<Vec<_>, String>>()?;
 
     let mut t = Table::new(
         format!(
@@ -752,7 +396,7 @@ fn run_ensemble(args: &Args, params: &SinrParams) {
             args.strategy.label(),
             args.family.label(),
             args.n,
-            args.seeds
+            seeds
         ),
         "",
         &["metric", "mean ±95% CI", "min", "max"],
@@ -768,10 +412,8 @@ fn run_ensemble(args: &Args, params: &SinrParams) {
         t.push_row(vec![name.into(), s.cell(), f2(s.min), f2(s.max)]);
     }
     print!("{}", t.render());
-    println!(
-        "validated: every slot SINR-feasible on all {} seeds",
-        args.seeds
-    );
+    println!("validated: every slot SINR-feasible on all {seeds} seeds");
+    Ok(())
 }
 
 /// The `--snapshot <path> --snapshot-at <slot>` mode: run `Init`
@@ -779,26 +421,22 @@ fn run_ensemble(args: &Args, params: &SinrParams) {
 /// slot, and write a replayable snapshot file carrying the final-state
 /// fingerprint a later `--replay-from` must reproduce.
 #[cfg(feature = "trace")]
-fn run_snapshot(args: &Args, params: &SinrParams, path: &std::path::Path, at: u64) {
+fn run_snapshot(
+    args: &ConnectArgs,
+    params: &SinrParams,
+    path: &Path,
+    at: u64,
+) -> Result<(), String> {
     use sinr_bench::replay::SnapshotFile;
     use sinr_connectivity::init::{run_init_with_snapshot, InitConfig};
 
-    if args.strategy != Strategy::InitOnly {
-        eprintln!("--snapshot captures the `Init` engine; use --strategy init-only");
-        std::process::exit(2);
-    }
     let instance = args.family.instance(args.n, args.seed);
     let cfg = InitConfig {
         backend: args.engine,
         ..Default::default()
     };
-    let replay = match run_init_with_snapshot(params, &instance, &cfg, args.seed, at) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("init failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let replay = run_init_with_snapshot(params, &instance, &cfg, args.seed, at)
+        .map_err(|e| format!("init failed: {e}"))?;
     println!(
         "init:     family={} n={} seed={} engine={}: {} slots, tail fingerprint {:016x}",
         args.family.label(),
@@ -808,16 +446,15 @@ fn run_snapshot(args: &Args, params: &SinrParams, path: &std::path::Path, at: u6
         replay.outcome.run.slots_used,
         replay.tail_fnv,
     );
-    let Some(state) = replay.snapshot else {
-        eprintln!(
+    let state = replay.snapshot.ok_or_else(|| {
+        format!(
             "no snapshot: the run was already over at slot {at} \
              (it used {} slots); pick an earlier --snapshot-at",
             replay.outcome.run.slots_used
-        );
-        std::process::exit(1);
-    };
+        )
+    })?;
     let file = SnapshotFile {
-        family: args.family.label().into(),
+        family: args.family,
         n: args.n,
         seed: args.seed,
         engine: args.engine.label().into(),
@@ -826,11 +463,9 @@ fn run_snapshot(args: &Args, params: &SinrParams, path: &std::path::Path, at: u6
         params: serde::Serialize::to_value(params),
         state,
     };
-    if let Err(e) = std::fs::write(path, file.to_json()) {
-        eprintln!("snapshot write failed: {e}");
-        std::process::exit(1);
-    }
+    std::fs::write(path, file.to_json()).map_err(|e| format!("snapshot write failed: {e}"))?;
     println!("snapshot: slot-{at} engine state -> {}", path.display());
+    Ok(())
 }
 
 /// The `--replay-from <path>` mode: regenerate the instance from the
@@ -838,69 +473,43 @@ fn run_snapshot(args: &Args, params: &SinrParams, path: &std::path::Path, at: u6
 /// `--engine`, and verify the resumed run's tail fingerprint
 /// bit-for-bit against the original's.
 #[cfg(feature = "trace")]
-fn run_replay(args: &Args, path: &std::path::Path) {
+fn run_replay(args: &ConnectArgs, path: &Path) -> Result<(), String> {
     use sinr_bench::replay::SnapshotFile;
     use sinr_connectivity::init::{resume_init, InitConfig};
 
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    };
-    let file = match SnapshotFile::parse(&text) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{}: {e}", path.display());
-            std::process::exit(1);
-        }
-    };
-    let Some(family) = Family::from_label(&file.family) else {
-        eprintln!("snapshot names unknown family `{}`", file.family);
-        std::process::exit(1);
-    };
-    let params: SinrParams = match serde::Deserialize::from_value(&file.params) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("snapshot carries bad SINR parameters: {e}");
-            std::process::exit(1);
-        }
-    };
-    let instance = family.instance(file.n, file.seed);
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let file = SnapshotFile::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    let params: SinrParams = serde::Deserialize::from_value(&file.params)
+        .map_err(|e| format!("snapshot carries bad SINR parameters: {e}"))?;
+    let instance = file.family.instance(file.n, file.seed);
     let cfg = InitConfig {
         backend: args.engine,
         ..Default::default()
     };
     println!(
         "replay:   family={} n={} seed={} from slot {} (captured under {}, resuming under {})",
-        file.family,
+        file.family.label(),
         file.n,
         file.seed,
         file.snapshot_slot,
         file.engine,
         args.engine.label(),
     );
-    let (outcome, tail_fnv) = match resume_init(&params, &instance, &cfg, &file.state) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("resume failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let (outcome, tail_fnv) = resume_init(&params, &instance, &cfg, &file.state)
+        .map_err(|e| format!("resume failed: {e}"))?;
     println!(
         "resumed:  {} slots total, tail fingerprint {tail_fnv:016x}",
         outcome.run.slots_used
     );
-    if tail_fnv == file.tail_fnv {
-        println!("verdict:  tail fingerprint matches the original run bit-for-bit");
-    } else {
-        eprintln!(
+    if tail_fnv != file.tail_fnv {
+        return Err(format!(
             "verdict:  DIVERGED — original tail {:016x}, replay tail {tail_fnv:016x}",
             file.tail_fnv
-        );
-        std::process::exit(1);
+        ));
     }
+    println!("verdict:  tail fingerprint matches the original run bit-for-bit");
+    Ok(())
 }
 
 /// The `--diff-engine <backend>` mode: run the same strategy twice with
@@ -908,22 +517,25 @@ fn run_replay(args: &Args, path: &std::path::Path) {
 /// and report the first event-stream divergence (slot, node, event
 /// kind, field, both values), or certify there is none.
 #[cfg(feature = "trace")]
-fn run_diff(args: &Args, params: &SinrParams, other: EngineBackend) {
+fn run_diff(
+    args: &ConnectArgs,
+    params: &SinrParams,
+    other: sinr_connectivity::EngineBackend,
+    trace_path: Option<&Path>,
+) -> Result<(), String> {
+    use sinr_connectivity::EngineBackend;
     use sinr_sim::trace;
 
     let instance = args.family.instance(args.n, args.seed);
-    let traced_run = |backend: EngineBackend| -> trace::TraceLog {
+    let traced_run = |backend: EngineBackend| -> Result<trace::TraceLog, String> {
         trace::start(trace::DEFAULT_CAPACITY);
         let result = connect_with(params, &instance, args.strategy, args.seed, backend);
         let log = trace::stop();
-        if let Err(e) = result {
-            eprintln!("connectivity failed under {}: {e}", backend.label());
-            std::process::exit(1);
-        }
-        log
+        result.map_err(|e| format!("connectivity failed under {}: {e}", backend.label()))?;
+        Ok(log)
     };
-    let left = traced_run(args.engine);
-    let right = traced_run(other);
+    let left = traced_run(args.engine)?;
+    let right = traced_run(other)?;
     println!(
         "diff:     {} vs {} ({} on {} n={} seed={}): {} vs {} event(s)",
         args.engine.label(),
@@ -935,11 +547,9 @@ fn run_diff(args: &Args, params: &SinrParams, other: EngineBackend) {
         left.events.len(),
         right.events.len(),
     );
-    if let Some(path) = &args.trace {
-        if let Err(e) = std::fs::write(path, sinr_bench::replay::trace_log_to_json(&left)) {
-            eprintln!("trace write failed: {e}");
-            std::process::exit(1);
-        }
+    if let Some(path) = trace_path {
+        std::fs::write(path, sinr_bench::replay::trace_log_to_json(&left))
+            .map_err(|e| format!("trace write failed: {e}"))?;
         println!(
             "trace:    {} engine's log -> {}",
             args.engine.label(),
@@ -948,15 +558,13 @@ fn run_diff(args: &Args, params: &SinrParams, other: EngineBackend) {
     }
     match trace::first_divergence(&left, &right) {
         None => println!("verdict:  no divergence — the event streams are identical"),
-        Some(d) => {
-            eprintln!("verdict:  {d}");
-            std::process::exit(1);
-        }
+        Some(d) => return Err(format!("verdict:  {d}")),
     }
+    Ok(())
 }
 
 fn export_csvs(
-    dir: &std::path::Path,
+    dir: &Path,
     instance: &sinr_geom::Instance,
     result: &sinr_connectivity::ConnectivityResult,
 ) -> std::io::Result<()> {

@@ -34,136 +34,22 @@ use std::path::PathBuf;
 
 use sinr_bench::experiments::ALL;
 use sinr_bench::table::{experiment_entry_json, experiments_doc_json};
-use sinr_bench::{ChannelModel, EngineBackend, ExpOptions, RepackMode};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    let mut capability = false;
-    let mut seed: u64 = 0xC0FFEE;
-    let mut backend = EngineBackend::default();
-    let mut fade: Option<f64> = None;
-    let mut seeds: u64 = 0;
-    let mut threads: usize = 0;
-    let mut repack = RepackMode::Incremental;
-    let mut json_path: Option<PathBuf> = None;
-    let mut wanted: Vec<&String> = Vec::new();
-
-    // One-pass parse so flag *values* are consumed (a bare `naive` in
-    // experiment position is an error, not a silently dropped token).
-    let mut i = 0;
-    let bail = |msg: String| -> ! {
-        eprintln!("{msg}");
-        std::process::exit(2);
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => {
-                quick = true;
-                i += 1;
-            }
-            "--capability" => {
-                capability = true;
-                i += 1;
-            }
-            "--seed" => {
-                let v = args
-                    .get(i + 1)
-                    .unwrap_or_else(|| bail("missing value for --seed".into()));
-                seed = v.parse().unwrap_or_else(|e| bail(format!("--seed: {e}")));
-                i += 2;
-            }
-            "--engine" => {
-                let v = args
-                    .get(i + 1)
-                    .unwrap_or_else(|| bail("missing value for --engine".into()));
-                backend = v.parse().unwrap_or_else(|e| bail(e));
-                i += 2;
-            }
-            "--fade" => {
-                let v = args
-                    .get(i + 1)
-                    .unwrap_or_else(|| bail("missing value for --fade".into()));
-                let s: f64 = v.parse().unwrap_or_else(|e| bail(format!("--fade: {e}")));
-                if !(s.is_finite() && s > 0.0) {
-                    bail(format!(
-                        "--fade must be a positive shadowing σ in dB, got {s}"
-                    ));
-                }
-                fade = Some(s);
-                i += 2;
-            }
-            "--seeds" => {
-                let v = args
-                    .get(i + 1)
-                    .unwrap_or_else(|| bail("missing value for --seeds".into()));
-                seeds = v.parse().unwrap_or_else(|e| bail(format!("--seeds: {e}")));
-                if seeds == 0 {
-                    bail(
-                        "--seeds must be at least 1 (omit the flag for each experiment's \
-                         default ensemble size)"
-                            .into(),
-                    );
-                }
-                i += 2;
-            }
-            "--threads" => {
-                let v = args
-                    .get(i + 1)
-                    .unwrap_or_else(|| bail("missing value for --threads".into()));
-                threads = v
-                    .parse()
-                    .unwrap_or_else(|e| bail(format!("--threads: {e}")));
-                if threads == 0 {
-                    bail(
-                        "--threads must be at least 1 (omit the flag to auto-size the pool)".into(),
-                    );
-                }
-                i += 2;
-            }
-            "--repack" => {
-                let v = args
-                    .get(i + 1)
-                    .unwrap_or_else(|| bail("missing value for --repack".into()));
-                repack = v.parse().unwrap_or_else(|e| bail(format!("--repack: {e}")));
-                i += 2;
-            }
-            "--json" => {
-                let v = args
-                    .get(i + 1)
-                    .unwrap_or_else(|| bail("missing value for --json".into()));
-                json_path = Some(PathBuf::from(v));
-                i += 2;
-            }
-            flag if flag.starts_with("--") => bail(format!("unknown flag `{flag}`")),
-            _ => {
-                wanted.push(&args[i]);
-                i += 1;
-            }
+    let args = match sinr_bench::cli::experiments(std::env::args_os().skip(1)) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
         }
-    }
-    let channel = match fade {
-        Some(sigma) => {
-            ChannelModel::shadowed(seed, sigma).unwrap_or_else(|e| bail(format!("--fade: {e}")))
-        }
-        None => ChannelModel::Geometric,
     };
-    let opts = ExpOptions {
-        quick,
-        seed,
-        backend,
-        seeds,
-        threads,
-        capability,
-        repack,
-        channel,
-    };
+    let opts = args.opts;
     let out_dir = PathBuf::from("target/experiments");
 
     let mut ran = 0;
     let mut json_entries: Vec<String> = Vec::new();
     for exp in ALL {
-        if !wanted.is_empty() && !wanted.iter().any(|w| w.as_str() == exp.id) {
+        if !args.ids.is_empty() && !args.ids.iter().any(|w| w == exp.id) {
             continue;
         }
         ran += 1;
@@ -183,7 +69,7 @@ fn main() {
         }
         let seconds = start.elapsed().as_secs_f64();
         println!("  [time] {seconds:.1}s");
-        if json_path.is_some() {
+        if args.json.is_some() {
             json_entries.push(experiment_entry_json(exp.id, exp.what, seconds, &tables));
         }
     }
@@ -198,12 +84,12 @@ fn main() {
         std::process::exit(2);
     }
 
-    if let Some(path) = &json_path {
+    if let Some(path) = &args.json {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let doc = experiments_doc_json(
-            seed,
-            quick,
-            backend.label(),
+            opts.seed,
+            opts.quick,
+            opts.backend.label(),
             opts.ensemble_seeds(),
             cores,
             &json_entries,

@@ -249,12 +249,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Copy one UTF-8 scalar (multi-byte safe).
-                let rest = &bytes[*pos..];
-                let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                let c = s.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next `"` or `\`. Both are ASCII,
+                // so the run ends on a char boundary of the input `&str`.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(bytes.len() - *pos);
+                out.push_str(
+                    std::str::from_utf8(&bytes[*pos..*pos + run]).map_err(|e| e.to_string())?,
+                );
+                *pos += run;
             }
         }
     }

@@ -26,8 +26,8 @@
 //! | [`experiments::e16_families`] | DESIGN.md §15: heterogeneous / percolation / shadowed families |
 //!
 //! Run everything with `cargo run -p sinr-bench --bin experiments`
-//! (add `--quick` for CI-sized sweeps); criterion micro-benchmarks live
-//! under `benches/`.
+//! (add `--quick` for CI-sized sweeps). Both binaries, `experiments`
+//! and `connect`, parse their command lines through [`cli`].
 //!
 //! The theorems hold w.h.p. over the random instance, so every
 //! statistical experiment (E1–E10) runs as a multi-seed **ensemble**
@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod cli;
 pub mod ensemble;
 pub mod experiments;
 pub mod json;
@@ -166,43 +167,14 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Maximum of a slice (0 for empty).
-pub fn max(xs: &[f64]) -> f64 {
-    xs.iter().copied().fold(0.0, f64::max)
-}
-
-/// Runs `jobs` in parallel, preserving input order in the output.
-///
-/// A thin wrapper over the ensemble driver with one worker per
-/// available core. The experiments themselves all use
-/// [`ensemble::Ensemble`] directly for `--seeds` / `--threads` control
-/// and `mean ± ci` statistics; this helper remains for ad-hoc
-/// fan-outs.
-pub fn parallel_map<T, R, F>(jobs: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    ensemble::Ensemble::new(0).map(jobs, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn parallel_map_preserves_order() {
-        let jobs: Vec<u64> = (0..50).collect();
-        let out = parallel_map(jobs, |x| x * 2);
-        assert_eq!(out, (0..50).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn stats_helpers() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(max(&[1.0, 5.0, 2.0]), 5.0);
     }
 
     #[test]

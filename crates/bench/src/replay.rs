@@ -17,6 +17,7 @@ use sinr_sim::trace::TraceLog;
 
 use crate::json;
 use crate::table::json_string;
+use crate::workloads::Family;
 
 /// Encodes a shim [`Value`] as tagged JSON (see the module docs).
 pub fn value_to_json(value: &Value) -> String {
@@ -168,9 +169,9 @@ pub fn value_from_json(node: &json::Value) -> Result<Value, String> {
 /// replay against.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SnapshotFile {
-    /// Instance family label (`uniform` / `clustered` / …).
-    pub family: String,
-    /// Requested node count.
+    /// Instance family.
+    pub family: Family,
+    /// Requested node count (at least 1).
     pub n: usize,
     /// Instance + algorithm seed of the original run.
     pub seed: u64,
@@ -199,7 +200,7 @@ impl SnapshotFile {
                 "\"params\":{},\"state\":{}}}\n"
             ),
             json_string(SNAPSHOT_FORMAT),
-            json_string(&self.family),
+            json_string(self.family.label()),
             self.n,
             self.seed,
             json_string(&self.engine),
@@ -215,7 +216,9 @@ impl SnapshotFile {
     /// # Errors
     ///
     /// Returns a description of the first malformed field, including a
-    /// format-marker mismatch for files that are not snapshots at all.
+    /// format-marker mismatch for files that are not snapshots at all,
+    /// an unknown family, `n = 0` and an `n` far above the state's node
+    /// count.
     pub fn parse(input: &str) -> Result<SnapshotFile, String> {
         let doc = json::parse(input)?;
         let str_field = |name: &str| -> Result<&str, String> {
@@ -229,9 +232,12 @@ impl SnapshotFile {
                 "not a snapshot file: format `{format}` (expected `{SNAPSHOT_FORMAT}`)"
             ));
         }
+        let family = str_field("family")?;
+        let family =
+            Family::from_label(family).ok_or_else(|| format!("unknown family `{family}`"))?;
         let n = match doc.get("n") {
-            Some(&json::Value::Number(x)) if x >= 0.0 && x.fract() == 0.0 => x as usize,
-            other => return Err(format!("bad field `n`: {other:?}")),
+            Some(&json::Value::Number(x)) if x >= 1.0 && x.fract() == 0.0 => x as usize,
+            other => return Err(format!("bad field `n` (want an integer ≥ 1): {other:?}")),
         };
         let u64_field = |name: &str, radix: u32| -> Result<u64, String> {
             u64::from_str_radix(str_field(name)?, radix)
@@ -240,8 +246,17 @@ impl SnapshotFile {
         let state_value = value_from_json(doc.get("state").ok_or("missing field `state`")?)?;
         let state = EngineSnapshot::from_value(&state_value)
             .map_err(|e| format!("bad engine state: {e}"))?;
+        // Every family builds about `n` nodes (percolation a random count
+        // near it) and the state holds one entry per node, so a far larger
+        // `n` is corrupt: reject it before it sizes an instance.
+        if n > 2 * state.nodes.len() + 64 {
+            return Err(format!(
+                "field `n` = {n} does not fit the {} nodes of the engine state",
+                state.nodes.len()
+            ));
+        }
         Ok(SnapshotFile {
-            family: str_field("family")?.to_string(),
+            family,
             n,
             seed: u64_field("seed", 10)?,
             engine: str_field("engine")?.to_string(),
@@ -335,7 +350,7 @@ mod tests {
     #[test]
     fn snapshot_file_roundtrips() {
         let file = SnapshotFile {
-            family: "uniform".into(),
+            family: Family::UniformSquare,
             n: 48,
             seed: u64::MAX - 1,
             engine: "grid".into(),

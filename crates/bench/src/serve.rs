@@ -170,7 +170,7 @@ enum EventKind {
 }
 
 /// Configuration of one [`serve`] run.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ServeConfig {
     /// Expected crash arrivals per 1000 slots (Poisson rate).
     pub fault_rate: f64,

@@ -823,10 +823,40 @@ pub fn resume_init(
             detail: "snapshot was taken under a different configuration or instance".into(),
         });
     }
+    check_restored(&engine)?;
     engine.run_until(setup.max_slots - engine.slot(), one_active);
     let tail_fnv = tail_fingerprint(&engine);
     let run = harvest(&engine, &setup)?;
     Ok((assemble_outcome(run)?, tail_fnv))
+}
+
+/// Checks what [`harvest`] relies on in restored nodes: every id names
+/// another node, and every parent comes with a power and an uplink slot
+/// before the snapshot's.
+#[cfg(feature = "serde")]
+fn check_restored(engine: &Engine<'_, InitNode>) -> Result<()> {
+    let n = engine.nodes().len();
+    for (id, node) in engine.nodes().iter().enumerate() {
+        let children = node.optimistic_children.iter().map(|&(c, _)| c);
+        let ids_ok = node
+            .parent
+            .iter()
+            .chain(&node.pending_ack)
+            .copied()
+            .chain(children)
+            .all(|other| other < n && other != id);
+        let uplink_ok = node.parent.is_none()
+            || (node.uplink_power.is_some() && node.uplink_slot.is_some_and(|s| s < engine.slot()));
+        if !(ids_ok && uplink_ok) {
+            return Err(CoreError::Snapshot {
+                detail: format!(
+                    "node {id} of {n} names a node out of range or itself, or has a \
+                     parent without an uplink slot and power"
+                ),
+            });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(feature = "serde")]

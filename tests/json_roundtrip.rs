@@ -3,7 +3,9 @@
 //! titles, expectations and cells draw from a hostile character palette
 //! (control characters, `±`, backslashes, quotes, non-ASCII, and
 //! astral-plane scalars) — must survive `Table::to_json` →
-//! `json::parse` with every field intact.
+//! `json::parse` with every field intact. Truncated and byte-mutated
+//! emitter output must parse or fail, never panic, and a
+//! multi-megabyte snapshot-shaped document must parse in linear time.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -111,5 +113,64 @@ proptest! {
             table.get("title").and_then(Value::as_str),
             Some(title.as_str())
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Truncations and byte substitutions of emitter output end in `Ok`
+    /// or `Err`, never a panic.
+    #[test]
+    fn mutated_emitter_output_never_panics(
+        title in wild_string(),
+        cells in vec((wild_string(), wild_string()), 0..4),
+        cut in 0.0f64..1.0,
+        edits in vec((0.0f64..1.0, 0u8..=255), 0..4),
+    ) {
+        let t = table_from(&title, "exp", &cells);
+        let entry = experiment_entry_json("e0", "fuzz", 1.25, &[t]);
+        let doc = experiments_doc_json(7, true, "grid", 4, 2, &[entry]);
+        let mut bytes = doc.into_bytes();
+        bytes.truncate(((bytes.len() as f64) * cut) as usize + 1);
+        let len = bytes.len();
+        for (at, byte) in edits {
+            bytes[((len as f64) * at) as usize] = byte;
+        }
+        let _ = json::parse(&String::from_utf8_lossy(&bytes));
+    }
+}
+
+/// A snapshot-shaped document — tagged values with 64-bit payloads as
+/// strings, several megabytes of them — round-trips. A reader that
+/// rescans the rest of the document per character takes minutes here.
+#[test]
+fn multi_megabyte_snapshot_shaped_document_round_trips() {
+    let nodes = 60_000u64;
+    let body: Vec<String> = (0..nodes)
+        .map(|i| {
+            format!(
+                "[\"seq\",[[\"u64\",\"{}\"],[\"f64\",\"{:016x}\"],[\"str\",\"é{i}\"]]]",
+                u64::MAX - i,
+                i
+            )
+        })
+        .collect();
+    let doc = format!(
+        "{{\"format\":\"x\",\"state\":[\"seq\",[{}]]}}",
+        body.join(",")
+    );
+    assert!(doc.len() > 4 << 20, "{} bytes", doc.len());
+    let v = json::parse(&doc).expect("parses");
+    let items = v.get("state").and_then(Value::as_array).unwrap()[1]
+        .as_array()
+        .unwrap();
+    assert_eq!(items.len() as u64, nodes);
+    for (i, item) in items.iter().enumerate().step_by(7919) {
+        let fields = item.as_array().unwrap()[1].as_array().unwrap();
+        let text = |k: usize| fields[k].as_array().unwrap()[1].as_str().unwrap();
+        assert_eq!(text(0), (u64::MAX - i as u64).to_string());
+        assert_eq!(text(1), format!("{i:016x}"));
+        assert_eq!(text(2), format!("é{i}"));
     }
 }
