@@ -9,7 +9,8 @@
 
 use sinr_geom::Instance;
 use sinr_links::{Link, LinkSet, Schedule};
-use sinr_phy::feasibility::{self, SlotAuditor};
+use sinr_phy::feasibility::SlotAuditor;
+use sinr_phy::packing::Candidates;
 use sinr_phy::{PowerAssignment, SinrParams};
 
 /// The order in which first-fit processes links.
@@ -75,35 +76,32 @@ pub fn first_fit_schedule(
     // Incremental per-slot auditors: a probe settles the placement by
     // certified intervals, bit-identical to rebuilding the slot set
     // through `feasibility::check` (the auditor's determinism contract).
+    let mut candidates = Candidates::new(params, instance, power);
     let mut slots: Vec<SlotAuditor<'_>> = Vec::new();
-    let mut schedule = Schedule::new();
+    let mut placed = Vec::with_capacity(ordered.len());
     let mut unschedulable = Vec::new();
 
-    'links: for link in ordered {
+    for link in ordered {
         // A link that cannot stand alone can never be placed.
-        let alone: LinkSet = std::iter::once(link).collect();
-        if !feasibility::is_feasible(params, instance, &alone, power) {
+        let Some(candidate) = candidates.one(link) else {
             unschedulable.push(link);
             continue;
-        }
-        let pw = power
-            .power_of(link, instance, params)
-            .expect("alone-feasible link has a power entry");
-        let start = min_slot(link);
-        let mut s = start;
+        };
+        let mut s = min_slot(link);
         loop {
             while slots.len() <= s {
-                slots.push(SlotAuditor::new(params, instance));
+                slots.push(SlotAuditor::new(params));
             }
-            if slots[s].probe(link, pw) {
-                slots[s].commit(link, pw);
-                schedule.assign(link, s);
-                continue 'links;
+            if slots[s].probe(&candidate) {
+                slots[s].commit(&candidate);
+                placed.push((link, s));
+                break;
             }
             s += 1;
         }
     }
 
+    let schedule = Schedule::from_pairs(placed).expect("a set's links are placed once");
     (schedule, unschedulable)
 }
 
@@ -111,6 +109,7 @@ pub fn first_fit_schedule(
 mod tests {
     use super::*;
     use sinr_geom::gen;
+    use sinr_phy::feasibility;
 
     fn params() -> SinrParams {
         SinrParams::default()

@@ -38,7 +38,7 @@ pub fn length_class_schedule(
     instance: &Instance,
     links: &LinkSet,
 ) -> LengthClassOutcome {
-    let mut schedule = Schedule::new();
+    let mut placed = Vec::with_capacity(links.len());
     let mut powers = HashMap::new();
     let mut unschedulable = Vec::new();
     let mut base_slot = 0usize;
@@ -58,7 +58,7 @@ pub fn length_class_schedule(
             |_| 0,
         );
         for (l, s) in class_schedule.iter() {
-            schedule.assign(l, base_slot + s);
+            placed.push((l, base_slot + s));
             powers.insert(
                 l,
                 power
@@ -70,6 +70,7 @@ pub fn length_class_schedule(
         unschedulable.append(&mut bad);
     }
 
+    let mut schedule = Schedule::from_pairs(placed).expect("a set's links are placed once");
     schedule.compact();
     LengthClassOutcome {
         schedule,

@@ -12,10 +12,11 @@
 //! contradictory command line here and its `main` only dispatches. The
 //! rules, checked in this order:
 //!
-//! 1. every value parses and lies in its range (counts that size a
-//!    thread pool or one job per seed are capped);
+//! 1. every value parses and lies in its range (`--n` is at least 1,
+//!    and counts that size an instance, a thread pool, one job per seed
+//!    or one plan per arrival are capped);
 //! 2. `--snapshot` and `--snapshot-at` come together;
-//! 3. `--n` is at least 1 and `--churn-kill` below it;
+//! 3. `--churn-kill` is below `--n`;
 //! 4. `--fault-rate`, `--join-rate` and `--serve-events` need
 //!    `--serve`, and `--serve` needs a positive total rate;
 //! 5. `--profile` needs a build with the `profile` feature, and
@@ -46,6 +47,15 @@ const MAX_THREADS: usize = 1024;
 /// Most seeds one ensemble may run (`--seeds K`): the ensemble driver
 /// allocates one job per seed up front.
 const MAX_SEEDS: u64 = 1 << 20;
+
+/// Most nodes one instance may have (`--n N`): eight times E12's
+/// largest instance (n = 131072). The generators collect every point
+/// up front.
+const MAX_NODES: usize = 1 << 20;
+
+/// Most arrivals one service loop may serve (`--serve-events E`): the
+/// loop queues one plan per arrival up front.
+const MAX_SERVE_EVENTS: usize = 1 << 20;
 
 const CONNECT_USAGE: &str = "usage: connect --family uniform|clustered|lattice|exp-chain|\
     two-tier|percolation --n <count> --strategy init-only|mean-reschedule|tvc-mean|\
@@ -290,7 +300,7 @@ pub fn connect<T: Into<OsString>>(
         let flag = flag.as_str();
         match flag {
             "--family" => family = pick(flag, &value(&mut it, flag)?, &Family::ALL, Family::label)?,
-            "--n" => n = number(flag, &value(&mut it, flag)?)?,
+            "--n" => n = count(flag, &value(&mut it, flag)?, MAX_NODES)?,
             "--strategy" => {
                 strategy = pick(
                     flag,
@@ -304,7 +314,7 @@ pub fn connect<T: Into<OsString>>(
             "--fault-rate" => fault_rate = Some(rate(flag, &value(&mut it, flag)?)?),
             "--join-rate" => join_rate = Some(rate(flag, &value(&mut it, flag)?)?),
             "--serve-events" => {
-                serve_events = Some(count(flag, &value(&mut it, flag)?, usize::MAX)?);
+                serve_events = Some(count(flag, &value(&mut it, flag)?, MAX_SERVE_EVENTS)?);
             }
             "--export" => export = Some(PathBuf::from(value(&mut it, flag)?)),
             "--profile" => profile = true,
@@ -322,9 +332,6 @@ pub fn connect<T: Into<OsString>>(
 
     if snapshot.is_some() != snapshot_at.is_some() {
         return fail("--snapshot and --snapshot-at go together: both or neither");
-    }
-    if n == 0 {
-        return fail("--n must be at least 1");
     }
     if churn_kill >= n {
         return fail(format!(

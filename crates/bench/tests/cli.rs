@@ -59,12 +59,20 @@ const REJECTED: &[(&str, &[&str])] = &[
     ("--bogus", &["--bogus"]),
     ("--help", &["usage: connect"]),
     ("-h", &["usage: connect"]),
-    // Ceilings on counts that size a thread pool or one job per seed.
+    // Ceilings on counts that size an instance, a thread pool, one job
+    // per seed or one plan per arrival.
     (
         "--n 8 --seeds 18446744073709551615 --strategy init-only",
         &["--seeds"],
     ),
     ("--seeds 1048577", &["--seeds"]),
+    ("--n 1048577", &["--n"]),
+    ("--n 18446744073709551615", &["--n"]),
+    ("--serve --serve-events 1048577", &["--serve-events"]),
+    (
+        "--serve --serve-events 18446744073709551615",
+        &["--serve-events"],
+    ),
     ("--threads 1025", &["--threads"]),
     ("--engine parallel:1025", &["--engine"]),
     ("--engine parallel:18446744073709551615", &["--engine"]),
@@ -281,6 +289,15 @@ fn defaults_and_tolerated_flags() {
         (64, 0, "tvc-arbitrary")
     );
     assert_eq!(args.engine, EngineBackend::default());
+    // The ceilings admit E12's largest instance and their own values;
+    // these parse only, nothing runs at that size.
+    for n in [131_072, 1 << 20] {
+        assert_eq!(connect(&format!("--n {n}")).unwrap().n, n);
+    }
+    let Mode::Serve(cfg) = connect("--serve --serve-events 1048576").unwrap().mode else {
+        panic!("--serve parses to the service loop")
+    };
+    assert_eq!(cfg.events, 1 << 20);
     // `--seeds 1` is a single run, and `--threads` only sizes an ensemble.
     assert_eq!(
         connect("--seeds 1 --threads 4 --churn-kill 3")
@@ -408,7 +425,7 @@ proptest! {
     #[test]
     fn token_soup_never_panics(line in token_lines()) {
         if let Ok(a) = cli::connect(line.iter().copied()) {
-            prop_assert!(a.n >= 1, "{line:?}");
+            prop_assert!((1..=1 << 20).contains(&a.n), "{line:?}");
             prop_assert!(bounded(a.engine), "{line:?}");
             match a.mode {
                 Mode::Single { churn_kill, .. } => prop_assert!(churn_kill < a.n, "{line:?}"),
@@ -417,7 +434,8 @@ proptest! {
                     prop_assert!(threads <= 1024, "{line:?}");
                 }
                 Mode::Serve(cfg) => {
-                    prop_assert!(cfg.fault_rate + cfg.join_rate > 0.0 && cfg.events >= 1);
+                    prop_assert!(cfg.fault_rate + cfg.join_rate > 0.0);
+                    prop_assert!((1..=1 << 20).contains(&cfg.events), "{line:?}");
                     prop_assert!(bounded(cfg.detect.backend), "{line:?}");
                 }
                 Mode::Diff { other, .. } => prop_assert!(bounded(other), "{line:?}"),

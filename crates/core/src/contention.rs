@@ -287,12 +287,8 @@ pub fn schedule_distributed(
         });
     }
 
-    let mut schedule = Schedule::new();
-    for node in engine.nodes() {
-        for &(link, data_slot) in &node.delivered {
-            schedule.assign(link, data_slot as usize);
-        }
-    }
+    let delivered = engine.nodes().iter().flat_map(|node| &node.delivered);
+    let mut schedule = Schedule::from_pairs(delivered.map(|&(l, s)| (l, s as usize)))?;
     schedule.compact();
     schedule.validate_covers(links)?;
     Ok(ContentionOutcome {

@@ -62,8 +62,9 @@ use std::collections::BTreeSet;
 use std::time::Instant;
 
 use sinr_geom::Instance;
-use sinr_links::{InTree, Link, LinkSet, Schedule, ScheduleDelta};
-use sinr_phy::feasibility::{self, SlotAuditor};
+use sinr_links::{InTree, Link, Schedule, ScheduleDelta};
+use sinr_phy::feasibility::{Candidate, SlotAuditor};
+use sinr_phy::packing::Candidates;
 use sinr_phy::{PowerAssignment, SinrParams};
 
 use crate::repack::{RepackMode, RepackOutcome, RepackStats};
@@ -83,17 +84,18 @@ struct DistSlot<'a> {
 }
 
 impl<'a> DistSlot<'a> {
-    /// Runs one probe/ack round for `link` against this slot. On
-    /// success the link stays resident.
+    /// Runs one probe/ack round for a link, given as its forward and
+    /// dual candidates, against this slot. On success the link stays
+    /// resident.
     fn try_claim(
         &mut self,
         params: &'a SinrParams,
         instance: &'a Instance,
         tree: &InTree,
-        link: Link,
-        (pw_fwd, pw_dual): (f64, f64),
+        [fwd_link, dual_link]: &[Candidate; 2],
         round: &mut ProbeRound,
     ) -> bool {
+        let (link, pw_fwd, pw_dual) = (fwd_link.link(), fwd_link.power(), dual_link.power());
         // Ordering NACK: a tree-comparable resident refuses the slot
         // outright (Definition 1 forbids sharing with an ancestor or a
         // descendant), before any channel measurement. A sibling
@@ -145,11 +147,11 @@ impl<'a> DistSlot<'a> {
                 ),
             )
         });
-        if !(fwd.probe(link, pw_fwd) && dual.probe(link.dual(), pw_dual)) {
+        if !(fwd.probe(fwd_link) && dual.probe(dual_link)) {
             return false;
         }
-        fwd.commit(link, pw_fwd);
-        dual.commit(link.dual(), pw_dual);
+        fwd.commit(fwd_link);
+        dual.commit(dual_link);
         self.residents.push((link, pw_fwd, pw_dual));
         true
     }
@@ -255,30 +257,20 @@ pub fn repack_distributed(
     let mut escalations = 0usize;
     let mut classes: BTreeSet<u32> = BTreeSet::new();
     let mut round = ProbeRound::default();
+    let mut candidates = Candidates::new(params, instance, power);
     for &u in &order {
         if tree.parent(u).is_none() || !fresh[u] {
             continue;
         }
-        {
-            let link = Link::new(u, tree.parent(u).unwrap());
-            let alone: LinkSet = std::iter::once(link).collect();
-            if !(feasibility::is_feasible(params, instance, &alone, power)
-                && feasibility::is_feasible(params, instance, &alone.dual(), power))
-            {
-                unschedulable.push(link);
-                continue;
-            }
-        }
+        let link = Link::new(u, tree.parent(u).unwrap());
+        let Some(mut pair) = candidates.both(link) else {
+            unschedulable.push(link);
+            continue;
+        };
         let mut current = u;
         loop {
             let p = tree.parent(current).expect("cascade stops at the root");
             let link = Link::new(current, p);
-            let pw_fwd = power
-                .power_of(link, instance, params)
-                .expect("claiming link has a power entry");
-            let pw_dual = power
-                .power_of(link.dual(), instance, params)
-                .expect("claiming dual has a power entry");
             classes.insert(link.length_class(instance));
             // Local floor: one above the highest slot any child holds.
             let floor = tree
@@ -293,7 +285,7 @@ pub fn repack_distributed(
                     slots.push(DistSlot::default());
                 }
                 protocol_slots += 2; // probe + ack
-                if slots[s].try_claim(params, instance, tree, link, (pw_fwd, pw_dual), &mut round) {
+                if slots[s].try_claim(params, instance, tree, &pair, &mut round) {
                     break;
                 }
                 s += 1;
@@ -324,6 +316,13 @@ pub fn repack_distributed(
                 class: sinr_sim::trace::RepackClass::Dirty,
             });
             current = p;
+            let link = Link::new(p, tree.parent(p).expect("escalation stops below the root"));
+            pair = [link, link.dual()].map(|l| {
+                let pw = power
+                    .power_of(l, instance, params)
+                    .expect("claiming link has a power entry");
+                Candidate::new(params, instance, l, pw)
+            });
         }
     }
 
@@ -380,6 +379,7 @@ mod tests {
     use super::*;
     use crate::repack::repack_tree;
     use sinr_geom::gen;
+    use sinr_phy::feasibility;
     use std::collections::HashMap;
 
     fn params() -> SinrParams {

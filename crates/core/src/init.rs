@@ -141,8 +141,10 @@ struct Shared {
 }
 
 impl Shared {
-    fn round_of_pair(&self, pair: u64) -> usize {
-        let r = pair / self.pairs_per_round;
+    /// The round that `slot` belongs to: two slots per pair. Only the
+    /// slots that transmit or receive read it.
+    fn round_of(&self, slot: u64) -> usize {
+        let r = slot / 2 / self.pairs_per_round;
         (r as usize).min(self.num_rounds as usize - 1)
     }
 }
@@ -205,15 +207,13 @@ impl Protocol for InitNode {
             // Connected and masked-out nodes never act again: retire.
             return Action::SleepUntil(u64::MAX);
         }
-        let pair = slot / 2;
-        let round = self.shared.round_of_pair(pair);
         if slot % 2 == 0 {
             // First slot of the pair: choose a role.
             self.pending_ack = None;
             self.is_broadcaster = rng.gen_bool(self.shared.p);
             if self.is_broadcaster {
                 Action::Transmit {
-                    power: self.shared.round_powers[round],
+                    power: self.shared.round_powers[self.shared.round_of(slot)],
                     msg: InitMsg::Broadcast,
                 }
             } else {
@@ -224,7 +224,7 @@ impl Protocol for InitNode {
             Action::Listen
         } else if let Some(target) = self.pending_ack {
             Action::Transmit {
-                power: self.shared.round_powers[round],
+                power: self.shared.round_powers[self.shared.round_of(slot)],
                 msg: InitMsg::Ack { to: target },
             }
         } else {
@@ -242,8 +242,6 @@ impl Protocol for InitNode {
         if !self.active {
             return;
         }
-        let pair = slot / 2;
-        let round = self.shared.round_of_pair(pair);
         match (slot % 2, outcome) {
             (
                 0,
@@ -254,7 +252,7 @@ impl Protocol for InitNode {
                     ..
                 }),
             ) => {
-                let (lo, hi) = self.shared.round_windows[round];
+                let (lo, hi) = self.shared.round_windows[self.shared.round_of(slot)];
                 let in_window = distance < hi && (self.shared.accept_shorter || distance >= lo);
                 if in_window && rng.gen_bool(self.shared.p) {
                     // Optimistically store the link pair (paper: listener
@@ -275,7 +273,7 @@ impl Protocol for InitNode {
                 self.active = false;
                 self.parent = Some(from);
                 self.uplink_slot = Some(slot - 1);
-                self.uplink_power = Some(self.shared.round_powers[round]);
+                self.uplink_power = Some(self.shared.round_powers[self.shared.round_of(slot)]);
             }
             _ => {}
         }
@@ -605,10 +603,7 @@ pub fn run_init(
 /// Builds the tree / schedule / bi-tree of Theorem 2 from a raw run.
 fn assemble_outcome(run: InitRun) -> Result<InitOutcome> {
     let tree = InTree::from_parents(run.parents.clone())?;
-    let mut schedule = Schedule::new();
-    for (&link, &slot) in &run.link_slots {
-        schedule.assign(link, slot as usize);
-    }
+    let mut schedule = Schedule::from_pairs(run.link_slots.iter().map(|(&l, &s)| (l, s as usize)))?;
     schedule.compact();
     let bitree = BiTree::new(tree.clone(), schedule.clone())?;
     Ok(InitOutcome {

@@ -59,9 +59,10 @@ use std::collections::BTreeSet;
 use std::time::Instant;
 
 use sinr_geom::Instance;
-use sinr_links::{InTree, Link, LinkSet, Schedule, ScheduleDelta};
-use sinr_phy::feasibility::{self, SlotAuditor};
-use sinr_phy::{packing, PowerAssignment, SinrParams};
+use sinr_links::{InTree, Link, Schedule, ScheduleDelta};
+use sinr_phy::feasibility::{Candidate, SlotAuditor};
+use sinr_phy::packing::{self, Candidates};
+use sinr_phy::{PowerAssignment, SinrParams};
 
 /// Which re-packer the dynamic pipelines run after merging a churn
 /// delta into the tree.
@@ -272,7 +273,7 @@ pub fn repack_tree(
     }
 
     // ---- 2. keep clean links in place; seed floors & residents ------
-    let mut schedule = Schedule::new();
+    let mut placed = Vec::with_capacity(total_links);
     let mut floor = vec![0usize; n];
     let mut touched = vec![false; previous_slots];
     for &(_, s) in &delta.removed {
@@ -281,7 +282,7 @@ pub fn repack_tree(
         }
     }
     // (link, forward power, dual power) per previous slot, in the
-    // schedule's canonical (BTreeMap) order — the auditor seeding order
+    // schedule's canonical (ascending link) order — the auditor seeding order
     // below, hence deterministic.
     let mut residents: Vec<Vec<(Link, f64, f64)>> = vec![Vec::new(); previous_slots];
     let mut kept_in_place = 0usize;
@@ -300,7 +301,7 @@ pub fn repack_tree(
         let pw_dual = power
             .power_of(link.dual(), instance, params)
             .expect("clean links are powered by classification");
-        schedule.assign(link, s);
+        placed.push((link, s));
         residents[s].push((link, pw_fwd, pw_dual));
         floor[link.receiver] = floor[link.receiver].max(s + 1);
         kept_in_place += 1;
@@ -308,6 +309,7 @@ pub fn repack_tree(
 
     // ---- 3. re-pack the dirty region, leaf to root ------------------
     let mut slots: Vec<SlotState<'_>> = (0..previous_slots).map(|_| SlotState::default()).collect();
+    let mut candidates = Candidates::new(params, instance, power);
     let mut unschedulable = Vec::new();
     let mut repacked = 0usize;
     let mut classes: BTreeSet<u32> = BTreeSet::new();
@@ -317,19 +319,10 @@ pub fn repack_tree(
             continue;
         }
         let link = Link::new(u, p);
-        let alone: LinkSet = std::iter::once(link).collect();
-        if !(feasibility::is_feasible(params, instance, &alone, power)
-            && feasibility::is_feasible(params, instance, &alone.dual(), power))
-        {
+        let Some(pair) = candidates.both(link) else {
             unschedulable.push(link);
             continue;
-        }
-        let pw_fwd = power
-            .power_of(link, instance, params)
-            .expect("alone-feasible link has a power entry");
-        let pw_dual = power
-            .power_of(link.dual(), instance, params)
-            .expect("alone-feasible dual has a power entry");
+        };
         classes.insert(link.length_class(instance));
         let mut s = floor[u];
         loop {
@@ -341,8 +334,8 @@ pub fn repack_tree(
             } else {
                 &[]
             };
-            if slots[s].try_place(params, instance, res, link, (pw_fwd, pw_dual)) {
-                schedule.assign(link, s);
+            if slots[s].try_place(params, instance, res, &pair) {
+                placed.push((link, s));
                 if s < previous_slots {
                     touched[s] = true;
                 }
@@ -355,6 +348,7 @@ pub fn repack_tree(
     }
 
     // ---- 4. compact & account ---------------------------------------
+    let mut schedule = Schedule::from_pairs(placed).expect("each tree link is placed once");
     let fresh_slots = schedule
         .iter()
         .filter(|&(_, s)| s >= previous_slots)
@@ -393,14 +387,14 @@ struct SlotState<'a> {
 }
 
 impl<'a> SlotState<'a> {
-    /// Probes `link` into this slot; on success the link stays resident.
+    /// Probes a link's forward and dual candidates into this slot; on
+    /// success the link stays resident.
     fn try_place(
         &mut self,
         params: &'a SinrParams,
         instance: &'a Instance,
         residents: &[(Link, f64, f64)],
-        link: Link,
-        (pw_fwd, pw_dual): (f64, f64),
+        [fwd_link, dual_link]: &[Candidate; 2],
     ) -> bool {
         let (fwd, dual) = self.auditors.get_or_insert_with(|| {
             (
@@ -416,11 +410,11 @@ impl<'a> SlotState<'a> {
                 ),
             )
         });
-        if !(fwd.probe(link, pw_fwd) && dual.probe(link.dual(), pw_dual)) {
+        if !(fwd.probe(fwd_link) && dual.probe(dual_link)) {
             return false;
         }
-        fwd.commit(link, pw_fwd);
-        dual.commit(link.dual(), pw_dual);
+        fwd.commit(fwd_link);
+        dual.commit(dual_link);
         true
     }
 }
@@ -429,6 +423,7 @@ impl<'a> SlotState<'a> {
 mod tests {
     use super::*;
     use sinr_geom::gen;
+    use sinr_phy::feasibility;
     use std::collections::HashMap;
 
     fn params() -> SinrParams {

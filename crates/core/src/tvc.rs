@@ -279,10 +279,7 @@ pub fn tree_via_capacity(
         vec![None; instance.len()],
     )?;
     let tree = InTree::from_parents(raw.parents)?;
-    let mut schedule = Schedule::new();
-    for (&l, &s) in &raw.slot_of {
-        schedule.assign(l, s);
-    }
+    let mut schedule = Schedule::from_pairs(raw.slot_of.iter().map(|(&l, &s)| (l, s)))?;
     schedule.compact();
     let bitree = BiTree::new(tree.clone(), schedule.clone())?;
     let power = PowerAssignment::explicit(raw.powers)?;

@@ -66,18 +66,16 @@ impl BiTree {
                 .validate_covers(&tree.aggregation_links())
                 .expect_err("a schedule of exactly the tree's uplinks passes the scan"));
         }
-        // Ordering: slot(u → parent(u)) > slot(c → u) for every child c.
-        // Checking the immediate-child relation suffices by transitivity.
-        for u in 0..tree.len() {
-            if tree.parent(u).is_some() {
-                for &c in tree.children(u) {
-                    if up[c] >= up[u] {
-                        return Err(LinkError::OrderingViolation {
-                            child: u,
-                            descendant: c,
-                        });
-                    }
-                }
+        // Ordering: slot(u → parent(u)) > slot(c → u) for every child c
+        // of a non-root u, in order of u, then c. Checking the
+        // immediate-child relation suffices by transitivity.
+        for &c in tree.children_by_parent() {
+            let u = tree.parent(c).expect("a child has a parent");
+            if tree.parent(u).is_some() && up[c] >= up[u] {
+                return Err(LinkError::OrderingViolation {
+                    child: u,
+                    descendant: c,
+                });
             }
         }
         Ok(BiTree { tree, aggregation })
@@ -106,16 +104,20 @@ impl BiTree {
             up[l.sender] = s;
             (lo, hi) = (lo.min(s), hi.max(s));
         }
-        // The duals `p → c` ascend as the child lists do in node order,
-        // so the schedule is built from pre-sorted pairs.
+        // The duals `p → c` ascend as the children do, grouped by
+        // parent: the schedule's own order.
         let tree = &self.tree;
-        let mut duals = Vec::with_capacity(self.aggregation.len());
-        for p in 0..tree.len() {
-            for &c in tree.children(p) {
-                duals.push((Link::new(p, c), lo + hi - up[c]));
-            }
-        }
-        Schedule::from_pairs(duals).expect("dualizing a valid schedule cannot collide")
+        let duals = tree.children_by_parent().iter().map(|&c| {
+            let p = tree.parent(c).expect("a child has a parent");
+            (
+                Link {
+                    sender: p,
+                    receiver: c,
+                },
+                lo + hi - up[c],
+            )
+        });
+        Schedule::from_sorted(duals.collect())
     }
 
     /// Schedule length in slots.

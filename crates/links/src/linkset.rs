@@ -1,6 +1,7 @@
 //! Sets of links with the paper's derived structure.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 use sinr_geom::{Instance, NodeId};
 
@@ -24,12 +25,33 @@ use crate::{Link, LinkError, Result};
 /// assert!(!set.insert(Link::new(0, 1))); // duplicate
 /// assert_eq!(set.len(), 1);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Default)]
 // Serde support lives in `crate::serde_impls` (feature `serde`), via
 // the `Vec<Link>` conversions below.
 pub struct LinkSet {
     links: Vec<Link>,
-    seen: BTreeSet<Link>,
+    /// The links as a lookup set, built on first use: a set that is
+    /// only iterated (a schedule's slots, a tree's links) never pays
+    /// for it.
+    seen: OnceLock<BTreeSet<Link>>,
+}
+
+impl PartialEq for LinkSet {
+    /// The same links in the same order; the lookup set follows.
+    fn eq(&self, other: &Self) -> bool {
+        self.links == other.links
+    }
+}
+
+impl Eq for LinkSet {}
+
+impl std::fmt::Debug for LinkSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LinkSet")
+            .field("links", &self.links)
+            .field("seen", self.seen())
+            .finish()
+    }
 }
 
 impl From<LinkSet> for Vec<Link> {
@@ -78,22 +100,32 @@ impl LinkSet {
     }
 
     /// A set of `links`, which the caller knows to be distinct, kept in
-    /// their given order. The lookup set is bulk-built in one sort
-    /// instead of one tree insertion per link.
+    /// their given order.
     pub(crate) fn from_distinct(links: Vec<Link>) -> Self {
-        let seen: BTreeSet<Link> = links.iter().copied().collect();
-        debug_assert_eq!(seen.len(), links.len(), "links are distinct");
-        LinkSet { links, seen }
+        let set = LinkSet {
+            links,
+            seen: OnceLock::new(),
+        };
+        debug_assert_eq!(set.seen().len(), set.len(), "links are distinct");
+        set
+    }
+
+    /// The lookup set, built in one sort on first use.
+    fn seen(&self) -> &BTreeSet<Link> {
+        self.seen
+            .get_or_init(|| self.links.iter().copied().collect())
     }
 
     /// The links in ascending order.
     pub(crate) fn sorted(&self) -> impl Iterator<Item = Link> + '_ {
-        self.seen.iter().copied()
+        self.seen().iter().copied()
     }
 
     /// Inserts a link; returns `false` if it was already present.
     pub fn insert(&mut self, link: Link) -> bool {
-        if self.seen.insert(link) {
+        self.seen();
+        let seen = self.seen.get_mut().expect("seen() built the lookup set");
+        if seen.insert(link) {
             self.links.push(link);
             true
         } else {
@@ -104,7 +136,7 @@ impl LinkSet {
     /// Whether the set contains `link`.
     #[inline]
     pub fn contains(&self, link: Link) -> bool {
-        self.seen.contains(&link)
+        self.seen().contains(&link)
     }
 
     /// Number of links.
@@ -132,11 +164,8 @@ impl LinkSet {
 
     /// The dual set: every link reversed, same order (§3).
     pub fn dual(&self) -> LinkSet {
-        let mut out = LinkSet::new();
-        for l in &self.links {
-            out.insert(l.dual());
-        }
-        out
+        // Reversal is one-to-one, so the duals are distinct too.
+        LinkSet::from_distinct(self.links.iter().map(|l| l.dual()).collect())
     }
 
     /// Distinct sender nodes.
@@ -245,13 +274,11 @@ impl LinkSet {
 
     /// Retains only the links satisfying the predicate.
     pub fn retain<F: FnMut(Link) -> bool>(&mut self, mut pred: F) {
-        self.links.retain(|&l| {
-            let keep = pred(l);
-            if !keep {
-                self.seen.remove(&l);
-            }
-            keep
-        });
+        let before = self.links.len();
+        self.links.retain(|&l| pred(l));
+        if self.links.len() < before {
+            self.seen.take();
+        }
     }
 }
 

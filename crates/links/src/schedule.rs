@@ -1,6 +1,6 @@
 //! Schedules: partitions of a link set into time slots.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use crate::{Link, LinkError, LinkSet, Result};
 
@@ -29,8 +29,9 @@ use crate::{Link, LinkError, LinkSet, Result};
 // Serde support lives in `crate::serde_impls` (feature `serde`), as a
 // `(link, slot)` pair list through `from_pairs`.
 pub struct Schedule {
-    /// Slot index per link; slots may be sparse until normalized.
-    assignment: BTreeMap<Link, usize>,
+    /// `(link, slot)` per link, in ascending link order, each link once;
+    /// slots may be sparse until normalized.
+    assignment: Vec<(Link, usize)>,
 }
 
 impl Schedule {
@@ -39,34 +40,53 @@ impl Schedule {
         Schedule::default()
     }
 
-    /// Builds a schedule from explicit `(link, slot)` pairs.
+    /// Builds a schedule from explicit `(link, slot)` pairs, in any
+    /// order: the way to build a large schedule.
     ///
     /// # Errors
     ///
     /// Returns [`LinkError::ScheduleMismatch`] if a link appears twice.
     pub fn from_pairs<I: IntoIterator<Item = (Link, usize)>>(pairs: I) -> Result<Self> {
-        // Sorted, the pairs expose a repeat as two neighbors and build
-        // the map in bulk rather than by one tree insertion each.
-        let mut pairs: Vec<(Link, usize)> = pairs.into_iter().collect();
-        pairs.sort_unstable_by_key(|&(l, _)| l);
-        if let Some(w) = pairs.windows(2).find(|w| w[0].0 == w[1].0) {
+        // Sorted, the pairs expose a repeat as two neighbors.
+        let mut assignment: Vec<(Link, usize)> = pairs.into_iter().collect();
+        assignment.sort_unstable_by_key(|&(l, _)| l);
+        if let Some(w) = assignment.windows(2).find(|w| w[0].0 == w[1].0) {
             return Err(LinkError::ScheduleMismatch {
                 detail: format!("link {:?} assigned twice", w[0].0),
             });
         }
-        Ok(Schedule {
-            assignment: pairs.into_iter().collect(),
-        })
+        Ok(Schedule { assignment })
     }
 
-    /// Assigns (or reassigns) `link` to `slot`.
+    /// A schedule of `assignment`, which the caller knows to be in
+    /// ascending link order with each link once.
+    pub(crate) fn from_sorted(assignment: Vec<(Link, usize)>) -> Self {
+        debug_assert!(
+            assignment.windows(2).all(|w| w[0].0 < w[1].0),
+            "ascending distinct links"
+        );
+        Schedule { assignment }
+    }
+
+    /// Where `link` is, or would be inserted, in the assignment.
+    fn find(&self, link: Link) -> std::result::Result<usize, usize> {
+        self.assignment.binary_search_by_key(&link, |&(l, _)| l)
+    }
+
+    /// Assigns (or reassigns) `link` to `slot`. A link that sorts
+    /// before an assigned one moves the later entries up by one, so
+    /// build a large schedule in any other order with
+    /// [`from_pairs`](Self::from_pairs).
     pub fn assign(&mut self, link: Link, slot: usize) {
-        self.assignment.insert(link, slot);
+        match self.find(link) {
+            Ok(i) => self.assignment[i].1 = slot,
+            Err(i) => self.assignment.insert(i, (link, slot)),
+        }
     }
 
     /// The slot of `link`, if scheduled.
     pub fn slot_of(&self, link: Link) -> Option<usize> {
-        self.assignment.get(&link).copied()
+        self.find(link).ok().map(|i| self.assignment[i].1)
     }
 
     /// Number of scheduled links.
@@ -84,32 +104,38 @@ impl Schedule {
     /// Note that intermediate slots may be empty; use
     /// [`Schedule::compact`] to renumber.
     pub fn num_slots(&self) -> usize {
-        self.assignment.values().map(|&s| s + 1).max().unwrap_or(0)
+        self.assignment
+            .iter()
+            .map(|&(_, s)| s + 1)
+            .max()
+            .unwrap_or(0)
     }
 
     /// The links assigned to `slot`.
     pub fn links_in_slot(&self, slot: usize) -> LinkSet {
-        self.assignment
-            .iter()
-            .filter(|&(_, &s)| s == slot)
-            .map(|(&l, _)| l)
-            .collect()
+        LinkSet::from_distinct(
+            self.assignment
+                .iter()
+                .filter(|&&(_, s)| s == slot)
+                .map(|&(l, _)| l)
+                .collect(),
+        )
     }
 
     /// All scheduled links as a set.
     pub fn links(&self) -> LinkSet {
-        self.assignment.keys().copied().collect()
+        LinkSet::from_distinct(self.assignment.iter().map(|&(l, _)| l).collect())
     }
 
     /// Slot contents in slot order, one `LinkSet` per slot (empty slots
     /// included so indices line up with slot numbers).
     pub fn slots(&self) -> Vec<LinkSet> {
         let mut sizes = vec![0; self.num_slots()];
-        for &s in self.assignment.values() {
+        for &(_, s) in &self.assignment {
             sizes[s] += 1;
         }
         let mut out: Vec<Vec<Link>> = sizes.into_iter().map(Vec::with_capacity).collect();
-        for (&l, &s) in &self.assignment {
+        for &(l, s) in &self.assignment {
             out[s].push(l);
         }
         out.into_iter().map(LinkSet::from_distinct).collect()
@@ -120,7 +146,7 @@ impl Schedule {
     pub fn compact(&mut self) -> usize {
         let n = self.num_slots();
         let mut used = vec![false; n];
-        for &s in self.assignment.values() {
+        for &(_, s) in &self.assignment {
             used[s] = true;
         }
         let mut remap = vec![0usize; n];
@@ -131,7 +157,7 @@ impl Schedule {
                 next += 1;
             }
         }
-        for slot in self.assignment.values_mut() {
+        for (_, slot) in &mut self.assignment {
             *slot = remap[*slot];
         }
         n - next
@@ -144,12 +170,13 @@ impl Schedule {
     /// (Definition 1). An involution for every schedule; for compacted
     /// schedules this is the familiar `S − 1 − k`.
     pub fn reversed(&self) -> Schedule {
-        let min = self.assignment.values().copied().min().unwrap_or(0);
-        let max = self.assignment.values().copied().max().unwrap_or(0);
+        let slots = self.assignment.iter().map(|&(_, s)| s);
+        let min = slots.clone().min().unwrap_or(0);
+        let max = slots.max().unwrap_or(0);
         let assignment = self
             .assignment
             .iter()
-            .map(|(&l, &s)| (l, min + max - s))
+            .map(|&(l, s)| (l, min + max - s))
             .collect();
         Schedule { assignment }
     }
@@ -161,7 +188,7 @@ impl Schedule {
     /// Returns [`LinkError::ScheduleMismatch`] if `f` maps two links to
     /// the same link.
     pub fn map_links<F: FnMut(Link) -> Link>(&self, mut f: F) -> Result<Schedule> {
-        Schedule::from_pairs(self.assignment.iter().map(|(&l, &s)| (f(l), s)))
+        Schedule::from_pairs(self.assignment.iter().map(|&(l, s)| (f(l), s)))
     }
 
     /// Checks the schedule covers exactly `links`.
@@ -173,11 +200,11 @@ impl Schedule {
     pub fn validate_covers(&self, links: &LinkSet) -> Result<()> {
         // Both sides iterate in ascending order, so one lockstep walk
         // settles the common case; the scans below name a mismatch.
-        if self.assignment.keys().copied().eq(links.sorted()) {
+        if self.assignment.iter().map(|&(l, _)| l).eq(links.sorted()) {
             return Ok(());
         }
         for l in links.iter() {
-            if !self.assignment.contains_key(&l) {
+            if self.slot_of(l).is_none() {
                 return Err(LinkError::ScheduleMismatch {
                     detail: format!("link {l:?} is not scheduled"),
                 });
@@ -186,8 +213,9 @@ impl Schedule {
         if self.assignment.len() != links.len() {
             let extra = self
                 .assignment
-                .keys()
-                .find(|l| !links.contains(**l))
+                .iter()
+                .map(|&(l, _)| l)
+                .find(|&l| !links.contains(l))
                 .expect("length mismatch implies an extra link");
             return Err(LinkError::ScheduleMismatch {
                 detail: format!("scheduled link {extra:?} is not in the link set"),
@@ -198,7 +226,7 @@ impl Schedule {
 
     /// Iterates over `(link, slot)` pairs in link order.
     pub fn iter(&self) -> impl Iterator<Item = (Link, usize)> + '_ {
-        self.assignment.iter().map(|(&l, &s)| (l, s))
+        self.assignment.iter().copied()
     }
 
     /// The delta view of this schedule under a partial link remap: every
@@ -214,20 +242,26 @@ impl Schedule {
     /// Returns [`LinkError::ScheduleMismatch`] if `f` maps two surviving
     /// links to the same link.
     pub fn delta_map<F: FnMut(Link) -> Option<Link>>(&self, mut f: F) -> Result<ScheduleDelta> {
-        let mut kept = Schedule::new();
+        let mut kept = Vec::with_capacity(self.assignment.len());
         let mut removed = Vec::new();
-        for (&l, &s) in &self.assignment {
+        for &(l, s) in &self.assignment {
             match f(l) {
-                Some(mapped) => {
-                    if kept.assignment.insert(mapped, s).is_some() {
-                        return Err(LinkError::ScheduleMismatch {
-                            detail: format!("two surviving links map to {mapped:?}"),
-                        });
-                    }
-                }
+                Some(mapped) => kept.push((mapped, s)),
                 None => removed.push((l, s)),
             }
         }
+        let kept = Schedule::from_pairs(kept.iter().copied()).map_err(|_| {
+            // Name the first collision in this schedule's link order.
+            let mut seen = BTreeSet::new();
+            let mapped = kept
+                .iter()
+                .map(|&(m, _)| m)
+                .find(|&m| !seen.insert(m))
+                .expect("a repeat exists");
+            LinkError::ScheduleMismatch {
+                detail: format!("two surviving links map to {mapped:?}"),
+            }
+        })?;
         Ok(ScheduleDelta { kept, removed })
     }
 }

@@ -106,18 +106,22 @@ impl InTree {
             }
         }
 
-        // BFS from the root computes depths and proves reachability.
-        // Every node has one parent, so none is queued twice.
-        let mut depth = vec![usize::MAX; n];
-        depth[root] = 0;
+        // BFS from the root proves reachability, each node's children
+        // appended as one slice; every node has one parent, so none is
+        // queued twice. In BFS order a parent's depth is known before
+        // its children's.
         let mut queue = Vec::with_capacity(n);
         queue.push(root);
         let mut next = 0;
         while let Some(&u) = queue.get(next) {
             next += 1;
-            for &c in &kids[first[u]..first[u + 1]] {
-                depth[c] = depth[u] + 1;
-                queue.push(c);
+            queue.extend_from_slice(&kids[first[u]..first[u + 1]]);
+        }
+        let mut depth = vec![usize::MAX; n];
+        depth[root] = 0;
+        for &c in &queue[1..] {
+            if let Some(p) = parent[c] {
+                depth[c] = depth[p] + 1;
             }
         }
         if let Some(u) = depth.iter().position(|&d| d == usize::MAX) {
@@ -169,6 +173,12 @@ impl InTree {
     #[inline]
     pub fn children(&self, u: NodeId) -> &[NodeId] {
         &self.kids[self.first[u]..self.first[u + 1]]
+    }
+
+    /// Every node's children, concatenated in node order: ascending by
+    /// parent, then by id.
+    pub(crate) fn children_by_parent(&self) -> &[NodeId] {
+        &self.kids
     }
 
     /// Depth of `u` (root has depth 0).
@@ -264,11 +274,24 @@ impl InTree {
         (self.depth[u] - self.depth[l]) + (self.depth[v] - self.depth[l])
     }
 
-    /// Nodes in leaf-to-root (reverse BFS) order; every node appears
-    /// after all of its children.
+    /// Nodes in leaf-to-root order: deepest first, ascending ids within
+    /// one depth, so every node appears after all of its children.
     pub fn leaf_to_root_order(&self) -> Vec<NodeId> {
-        let mut order: Vec<NodeId> = (0..self.len()).collect();
-        order.sort_by(|&a, &b| self.depth[b].cmp(&self.depth[a]).then(a.cmp(&b)));
+        // Counting sort into one bucket per depth, deepest first; the
+        // nodes land in ascending id order within their bucket.
+        let height = self.height();
+        let mut start = vec![0; height + 2];
+        for &d in &self.depth {
+            start[height - d + 1] += 1;
+        }
+        for k in 1..start.len() {
+            start[k] += start[k - 1];
+        }
+        let mut order = vec![0; self.len()];
+        for (u, &d) in self.depth.iter().enumerate() {
+            order[start[height - d]] = u;
+            start[height - d] += 1;
+        }
         order
     }
 }

@@ -53,6 +53,10 @@ proptest! {
         }
         prop_assert_eq!(roots, 1);
         let order = tree.leaf_to_root_order();
+        // Deepest first, ascending ids within a depth.
+        let mut sorted: Vec<NodeId> = (0..n).collect();
+        sorted.sort_by_key(|&u| (std::cmp::Reverse(tree.depth(u)), u));
+        prop_assert_eq!(&order, &sorted);
         let pos: std::collections::HashMap<NodeId, usize> =
             order.iter().enumerate().map(|(i, &u)| (u, i)).collect();
         for u in 0..n {

@@ -171,9 +171,16 @@ fn broken_rule(
         instance.position(link.sender),
         instance.position(link.receiver),
     );
-    let floor = params.noise_floor_power(link.length(instance)) / params.channel().fade(tx, rx);
-    // An incomparable (NaN) power clears the floor.
-    (power <= floor).then_some(ViolationKind::BelowNoiseFloor)
+    let fade = params.channel().fade(tx, rx);
+    below_floor(params, link.length(instance), fade, power)
+        .then_some(ViolationKind::BelowNoiseFloor)
+}
+
+/// [`check`]'s noise-floor rule for a link of length `len` and fade
+/// `fade` sent with `power`. An incomparable (NaN) power clears the
+/// floor.
+fn below_floor(params: &SinrParams, len: f64, fade: f64, power: f64) -> bool {
+    power <= params.noise_floor_power(len) / fade
 }
 
 /// How many entries of the sorted `nodes` equal `u`.
@@ -405,6 +412,13 @@ pub struct AuditStats {
     pub link_exact: u64,
 }
 
+impl std::ops::AddAssign for AuditStats {
+    fn add_assign(&mut self, other: AuditStats) {
+        self.resident_exact += other.resident_exact;
+        self.link_exact += other.link_exact;
+    }
+}
+
 /// What a certified interval says about one receiver.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Verdict {
@@ -413,11 +427,15 @@ enum Verdict {
     Unsure,
 }
 
-/// One link of the slot, with what the auditor knows about the
-/// interference at its receiver.
+/// One link direction prepared for a [`SlotAuditor`]: everything a
+/// probe reads about the link that no slot changes, so a packer
+/// computes it once per link rather than once per slot it tries.
+///
+/// A candidate belongs to the parameters and the instance it was built
+/// from; probe and commit it only into auditors over the same pair.
 #[derive(Clone, Copy, Debug)]
-struct Resident {
-    sender: NodeId,
+pub struct Candidate {
+    link: Link,
     tx: Point,
     rx: Point,
     power: f64,
@@ -429,6 +447,56 @@ struct Resident {
     /// Largest interference bound that certifies the SINR: `I < cap`
     /// implies `SINR ≥ β·(1 − 1e-12)` with [`GUARD`] to spare.
     cap: f64,
+    /// Whether the link breaks one of [`check`]'s rules in every slot:
+    /// half-duplex as a self-loop, or the noise floor.
+    broken: bool,
+}
+
+impl Candidate {
+    /// Prepares `link`, sent with `power`, for auditing under `params`.
+    pub fn new(params: &SinrParams, instance: &Instance, link: Link, power: f64) -> Self {
+        let (tx, rx) = (
+            instance.position(link.sender),
+            instance.position(link.receiver),
+        );
+        let len = link.length(instance);
+        let fade = params.channel().fade(tx, rx);
+        let (fade_lo, fade_hi) = params.channel().fade_bounds();
+        let signal = power * params.path_gain(len) * fade;
+        let threshold = params.beta() * (1.0 - 1e-12);
+        Candidate {
+            link,
+            tx,
+            rx,
+            power,
+            reach: [power * fade_lo, power * fade_hi],
+            signal,
+            cap: (signal * (1.0 - GUARD) / threshold - params.noise()) / (1.0 + GUARD),
+            broken: link.sender == link.receiver || below_floor(params, len, fade, power),
+        }
+    }
+
+    /// The link this candidate prepares.
+    pub fn link(&self) -> Link {
+        self.link
+    }
+
+    /// The power the link is sent with.
+    pub fn power(&self) -> f64 {
+        self.power
+    }
+
+    /// What identifies the candidate's terms: its link and power bits.
+    fn key(&self) -> (Link, u64) {
+        (self.link, self.power.to_bits())
+    }
+}
+
+/// One link of the slot, with what the auditor knows about the
+/// interference at its receiver.
+#[derive(Clone, Copy, Debug)]
+struct Resident {
+    link: Candidate,
     /// Exact sum of the terms of residents `0..done`, in insertion
     /// order, skipping the link's own sender.
     exact: f64,
@@ -437,14 +505,28 @@ struct Resident {
     unsummed: f64,
 }
 
+/// What the last passing probe computed, kept for a commit of the same
+/// candidate that follows it directly.
+#[derive(Clone, Debug, Default)]
+struct Probed {
+    /// The probed candidate's key; `None` once anything else happened.
+    key: Option<(Link, u64)>,
+    /// The upper end of the interference interval at its receiver.
+    upper: f64,
+    /// Its upper bound term at every resident receiver, in resident
+    /// order.
+    terms: Vec<f64>,
+}
+
 /// An incremental per-slot feasibility auditor: the engine behind the
 /// packers ([`crate::packing`], `sinr-baselines::first_fit`) and the
 /// re-packers' slot states.
 ///
-/// A packer asks [`probe`](Self::probe) whether a link may join the
-/// slot, which leaves the slot unchanged, and then
-/// [`commit`](Self::commit)s the links it places. A probe settles every
-/// receiver, the new link's own included, by a certified interval:
+/// A packer prepares each link direction once as a [`Candidate`], asks
+/// [`probe`](Self::probe) whether it may join the slot, which leaves the
+/// slot unchanged, and then [`commit`](Self::commit)s the links it
+/// places. A probe settles every receiver, the new link's own included,
+/// by a certified interval:
 ///
 /// - **pass** when the interval's upper end clears `β·(1 − 1e-12)` with
 ///   [`GUARD`](crate::field) to spare;
@@ -460,8 +542,10 @@ struct Resident {
 /// decisions evaluate no `powf`. Each resident keeps its exact prefix
 /// sum and the bound on its not-yet-summed terms, which a commit raises
 /// by the new sender's bound term: `O(k)` memory for a slot of `k`
-/// links. A rejected probe needs nothing rolled back, because a probe
-/// changes nothing a decision depends on.
+/// links. A commit that directly follows its own passing probe takes
+/// those terms, and the new receiver's bound, from the probe instead of
+/// computing them again. A rejected probe needs nothing rolled back,
+/// because a probe changes nothing a decision depends on.
 ///
 /// **Determinism contract** (DESIGN.md §7.4): the exact sums append
 /// terms in link-insertion order, which is exactly the left-to-right
@@ -472,42 +556,39 @@ struct Resident {
 #[derive(Clone, Debug)]
 pub struct SlotAuditor<'a> {
     params: &'a SinrParams,
-    instance: &'a Instance,
     gains: Arc<GainBounds>,
     /// [`check`]'s SINR threshold `β·(1 − 1e-12)`.
     threshold: f64,
-    /// The channel's global fade range `[fade_lo, fade_hi]`.
-    fades: [f64; 2],
     links: Vec<Link>,
     residents: Vec<Resident>,
     /// Whether seeding left the residents' `unsummed` bounds unset.
     unbounded: bool,
-    /// Resident senders, sorted, for the structural rules.
-    senders: Vec<NodeId>,
+    /// Bit `u` is set when node `u` sends a resident: the half-duplex
+    /// and single-transmission rules.
+    sending: Vec<u64>,
     /// Whether the residents already break a rule that no addition can
     /// repair (a structural violation or a co-located interferer).
     doomed: bool,
     /// The resident that rejected the most recent probe, if any.
     blocker: usize,
+    probed: Probed,
     stats: AuditStats,
 }
 
 impl<'a> SlotAuditor<'a> {
     /// Creates an empty auditor for one slot.
-    pub fn new(params: &'a SinrParams, instance: &'a Instance) -> Self {
-        let (fade_lo, fade_hi) = params.channel().fade_bounds();
+    pub fn new(params: &'a SinrParams) -> Self {
         SlotAuditor {
             params,
-            instance,
             gains: GainBounds::shared(params.alpha()),
             threshold: params.beta() * (1.0 - 1e-12),
-            fades: [fade_lo, fade_hi],
             links: Vec::new(),
             residents: Vec::new(),
             unbounded: false,
-            senders: Vec::new(),
+            sending: Vec::new(),
             doomed: false,
             blocker: usize::MAX,
+            probed: Probed::default(),
             stats: AuditStats::default(),
         }
     }
@@ -530,10 +611,10 @@ impl<'a> SlotAuditor<'a> {
         instance: &'a Instance,
         residents: I,
     ) -> Self {
-        let mut auditor = SlotAuditor::new(params, instance);
+        let mut auditor = SlotAuditor::new(params);
         auditor.unbounded = true;
         for (link, power) in residents {
-            auditor.commit(link, power);
+            auditor.commit(&Candidate::new(params, instance, link, power));
         }
         auditor
     }
@@ -558,48 +639,76 @@ impl<'a> SlotAuditor<'a> {
         self.stats
     }
 
-    /// Whether the slot plus `link` transmitting with `power` would be
-    /// feasible — bit-identical to `check(..).is_feasible()` on the
-    /// resident links followed by `link`. The resident set is left
-    /// unchanged (a probe may only advance residents' exact sums);
-    /// [`commit`](Self::commit) adds the link.
-    pub fn probe(&mut self, link: Link, power: f64) -> bool {
-        if self.doomed || !self.admits(link, power) {
+    /// Whether the slot plus the candidate's link would be feasible —
+    /// bit-identical to `check(..).is_feasible()` on the resident links
+    /// followed by that link. The resident set is left unchanged (a
+    /// probe may only advance residents' exact sums);
+    /// [`commit`](Self::commit) adds the link. A probe of an empty slot
+    /// is `check` on the link alone.
+    pub fn probe(&mut self, candidate: &Candidate) -> bool {
+        self.probed.key = None;
+        if self.doomed || !self.admits(candidate) {
             return false;
         }
-        let new = self.resident(link, power);
-        if self.unbounded {
+        let passed = if self.unbounded {
             // The new link's own receiver needs no resident bounds:
             // settle it first, and pay for the bounds only if it passes.
-            if !self.link_passes(&new) {
+            if !self.link_passes(candidate, self.interval_at(candidate.rx)) {
                 return false;
             }
             for i in 0..self.residents.len() {
                 self.residents[i].unsummed = self.unsummed_at(i);
             }
             self.unbounded = false;
-            return self.residents_pass(&new);
+            self.residents_pass(candidate, None)
+        } else {
+            // One pass settles the residents and sums the new receiver's
+            // interval, which is decided once every resident passes.
+            let mut interval = (0.0, 0.0);
+            self.residents_pass(candidate, Some(&mut interval))
+                && self.link_passes(candidate, interval)
+        };
+        if passed {
+            self.probed.key = Some(candidate.key());
         }
-        self.residents_pass(&new) && self.link_passes(&new)
+        passed
     }
 
-    /// Adds `link` transmitting with `power` to the slot, whether or not
-    /// it keeps the slot feasible: `O(len)` bound updates.
-    pub fn commit(&mut self, link: Link, power: f64) {
-        if !self.admits(link, power) {
+    /// Adds the candidate's link to the slot, whether or not it keeps
+    /// the slot feasible: `O(len)` bound updates. Directly after the
+    /// candidate's own passing probe, the updates are that probe's
+    /// terms; otherwise they are computed here, to the same bits.
+    pub fn commit(&mut self, candidate: &Candidate) {
+        let probed = self.probed.key.take() == Some(candidate.key());
+        if !probed && !self.admits(candidate) {
             self.doomed = true;
         }
-        let mut new = self.resident(link, power);
+        let mut new = Resident {
+            link: *candidate,
+            exact: 0.0,
+            done: 0,
+            unsummed: 0.0,
+        };
         if !self.unbounded {
-            new.unsummed = self.interval_at(new.rx).1;
-            let gains = &self.gains;
-            for r in &mut self.residents {
-                r.unsummed += new.reach[1] * gains.get(new.tx.distance_sq(r.rx))[1];
+            if probed {
+                new.unsummed = self.probed.upper;
+                for (r, t) in self.residents.iter_mut().zip(&self.probed.terms) {
+                    r.unsummed += t;
+                }
+            } else {
+                new.unsummed = self.interval_at(candidate.rx).1;
+                for i in 0..self.residents.len() {
+                    let term = self.upper_term(candidate, self.residents[i].link.rx);
+                    self.residents[i].unsummed += term;
+                }
             }
         }
-        let at = self.senders.partition_point(|&u| u < link.sender);
-        self.senders.insert(at, link.sender);
-        self.links.push(link);
+        let (word, bit) = (candidate.link.sender / 64, candidate.link.sender % 64);
+        if self.sending.len() <= word {
+            self.sending.resize(word + 1, 0);
+        }
+        self.sending[word] |= 1 << bit;
+        self.links.push(candidate.link);
         self.residents.push(new);
     }
 
@@ -614,60 +723,57 @@ impl<'a> SlotAuditor<'a> {
                 } else {
                     r.unsummed
                 };
-                match self.certify(r, r.exact, r.exact + unsummed) {
+                match self.certify(&r.link, r.exact, r.exact + unsummed) {
                     Verdict::Pass => true,
                     Verdict::Fail => false,
                     Verdict::Unsure => self
-                        .exact_sum(r, r.exact, r.done..self.residents.len())
-                        .is_some_and(|sum| self.passes(r, sum)),
+                        .exact_sum(&r.link, r.exact, r.done..self.residents.len())
+                        .is_some_and(|sum| self.passes(&r.link, sum)),
                 }
             })
     }
 
-    /// Whether `link`, sent with `power`, keeps [`check`]'s per-link
-    /// rules once it joins the residents. A resident whose receiver is
-    /// `link`'s sender needs no rule here: that sender sits on its
+    /// Whether the candidate's link keeps [`check`]'s per-link rules
+    /// once it joins the residents. A resident whose receiver is that
+    /// link's sender needs no rule here: that sender sits on its
     /// receiver, which its exact sum rates SINR 0, as `check` rates it
     /// half-duplex.
-    fn admits(&self, link: Link, power: f64) -> bool {
-        let sending = |u| occurrences(&self.senders, u) + usize::from(u == link.sender);
-        broken_rule(self.params, self.instance, link, power, sending).is_none()
+    fn admits(&self, candidate: &Candidate) -> bool {
+        !candidate.broken
+            && !self.sends(candidate.link.receiver)
+            && !self.sends(candidate.link.sender)
     }
 
-    /// A fresh resident record for `link`, with nothing summed yet.
-    fn resident(&self, link: Link, power: f64) -> Resident {
-        let (tx, rx) = (
-            self.instance.position(link.sender),
-            self.instance.position(link.receiver),
-        );
-        let len = link.length(self.instance);
-        let fade = self.params.channel().fade(tx, rx);
-        let signal = power * self.params.path_gain(len) * fade;
-        Resident {
-            sender: link.sender,
-            tx,
-            rx,
-            power,
-            reach: [power * self.fades[0], power * self.fades[1]],
-            signal,
-            cap: (signal * (1.0 - GUARD) / self.threshold - self.params.noise()) / (1.0 + GUARD),
-            exact: 0.0,
-            done: 0,
-            unsummed: 0.0,
-        }
+    /// Whether node `u` sends one of the residents.
+    fn sends(&self, u: NodeId) -> bool {
+        self.sending
+            .get(u / 64)
+            .is_some_and(|w| w >> (u % 64) & 1 == 1)
     }
 
-    /// Whether every resident receiver passes with `new`'s sender added.
-    fn residents_pass(&mut self, new: &Resident) -> bool {
+    /// Whether every resident receiver passes with `new`'s sender added;
+    /// records `new`'s bound term at each of them for the commit. With
+    /// an `interval`, the same pass folds the residents' bounds at
+    /// `new`'s own receiver onto it, in [`interval_at`](Self::interval_at)'s
+    /// order.
+    fn residents_pass(&mut self, new: &Candidate, mut interval: Option<&mut (f64, f64)>) -> bool {
         // The resident that rejected the last probe (typically a long,
         // fragile link) usually rejects the next one too: ask it first.
         if let Some(r) = self.residents.get(self.blocker) {
-            if self.certify_with(r, new) == Verdict::Fail {
+            if self.certify_with(r, new).0 == Verdict::Fail {
                 return false;
             }
         }
+        self.probed.terms.clear();
         for i in 0..self.residents.len() {
-            let settled = match self.certify_with(&self.residents[i], new) {
+            let r = &self.residents[i];
+            if let Some((lower, upper)) = interval.as_deref_mut() {
+                let [lo, hi] = self.gains.get(r.link.tx.distance_sq(new.rx));
+                (*lower, *upper) = (*lower + r.link.reach[0] * lo, *upper + r.link.reach[1] * hi);
+            }
+            let (verdict, term) = self.certify_with(r, new);
+            self.probed.terms.push(term);
+            let settled = match verdict {
                 Verdict::Pass => true,
                 Verdict::Fail => false,
                 Verdict::Unsure => self.resident_exactly(i, new),
@@ -680,9 +786,11 @@ impl<'a> SlotAuditor<'a> {
         true
     }
 
-    /// Whether `new`'s own receiver passes against the residents.
-    fn link_passes(&mut self, new: &Resident) -> bool {
-        let (lower, upper) = self.interval_at(new.rx);
+    /// Whether `new`'s own receiver passes against the residents, whose
+    /// interference there lies in `(lower, upper)`; records the upper
+    /// end for the commit.
+    fn link_passes(&mut self, new: &Candidate, (lower, upper): (f64, f64)) -> bool {
+        self.probed.upper = upper;
         match self.certify(new, lower, upper) {
             Verdict::Pass => true,
             Verdict::Fail => false,
@@ -697,11 +805,14 @@ impl<'a> SlotAuditor<'a> {
     /// Resident `i`'s bound on every other resident's term, summed in
     /// insertion order: the bits commits accumulate when bounded.
     fn unsummed_at(&self, i: usize) -> f64 {
-        let rx = self.residents[i].rx;
+        let rx = self.residents[i].link.rx;
         let others = self.residents.iter().enumerate().filter(|&(j, _)| j != i);
-        others.fold(0.0, |acc, (_, w)| {
-            acc + w.reach[1] * self.gains.get(w.tx.distance_sq(rx))[1]
-        })
+        others.fold(0.0, |acc, (_, w)| acc + self.upper_term(&w.link, rx))
+    }
+
+    /// The certified upper bound on `w`'s sender's term at `rx`.
+    fn upper_term(&self, w: &Candidate, rx: Point) -> f64 {
+        w.reach[1] * self.gains.get(w.tx.distance_sq(rx))[1]
     }
 
     /// Certified `(lower, upper)` bounds on the interference every
@@ -710,45 +821,47 @@ impl<'a> SlotAuditor<'a> {
     /// never exceeds the exact fold.
     fn interval_at(&self, rx: Point) -> (f64, f64) {
         self.residents.iter().fold((0.0, 0.0), |(lower, upper), r| {
-            let [lo, hi] = self.gains.get(r.tx.distance_sq(rx));
-            (lower + r.reach[0] * lo, upper + r.reach[1] * hi)
+            let [lo, hi] = self.gains.get(r.link.tx.distance_sq(rx));
+            (lower + r.link.reach[0] * lo, upper + r.link.reach[1] * hi)
         })
     }
 
-    /// What the interference interval `[lower, upper]` says about `r`.
-    fn certify(&self, r: &Resident, lower: f64, upper: f64) -> Verdict {
-        if upper < r.cap {
+    /// What the interference interval `[lower, upper]` says about `c`.
+    fn certify(&self, c: &Candidate, lower: f64, upper: f64) -> Verdict {
+        if upper < c.cap {
             Verdict::Pass
-        } else if r.signal / (self.params.noise() + lower) < self.threshold {
+        } else if c.signal / (self.params.noise() + lower) < self.threshold {
             Verdict::Fail
         } else {
             Verdict::Unsure
         }
     }
 
-    /// What resident `r`'s interval says with `new`'s sender added last.
-    fn certify_with(&self, r: &Resident, new: &Resident) -> Verdict {
-        let [lo, hi] = self.gains.get(new.tx.distance_sq(r.rx));
+    /// What resident `r`'s interval says with `new`'s sender added last,
+    /// and `new`'s upper bound term at `r`'s receiver.
+    fn certify_with(&self, r: &Resident, new: &Candidate) -> (Verdict, f64) {
+        let [lo, hi] = self.gains.get(new.tx.distance_sq(r.link.rx));
+        let term = new.reach[1] * hi;
         let lower = r.exact + new.reach[0] * lo;
-        let upper = r.exact + r.unsummed + new.reach[1] * hi;
-        self.certify(r, lower, upper)
+        let upper = r.exact + r.unsummed + term;
+        (self.certify(&r.link, lower, upper), term)
     }
 
-    /// [`check`]'s exact comparison for `r` at `interference`. `check`
+    /// [`check`]'s exact comparison for `c` at `interference`. `check`
     /// flags `SINR < β·(1 − 1e-12)`, so an incomparable (NaN) SINR
     /// passes.
-    fn passes(&self, r: &Resident, interference: f64) -> bool {
-        let sinr = r.signal / (self.params.noise() + interference);
+    fn passes(&self, c: &Candidate, interference: f64) -> bool {
+        let sinr = c.signal / (self.params.noise() + interference);
         sinr.partial_cmp(&self.threshold) != Some(Ordering::Less)
     }
 
     /// Catches resident `i` up exactly and decides it with `new`'s term
     /// appended last.
-    fn resident_exactly(&mut self, i: usize, new: &Resident) -> bool {
+    fn resident_exactly(&mut self, i: usize, new: &Candidate) -> bool {
         self.stats.resident_exact += 1;
         let k = self.residents.len();
         let r = self.residents[i];
-        let Some(sum) = self.exact_sum(&r, r.exact, r.done..k) else {
+        let Some(sum) = self.exact_sum(&r.link, r.exact, r.done..k) else {
             // A resident sender sits on this receiver: SINR 0 for good.
             self.doomed = true;
             return false;
@@ -756,24 +869,24 @@ impl<'a> SlotAuditor<'a> {
         let r = &mut self.residents[i];
         (r.exact, r.done, r.unsummed) = (sum, k, 0.0);
         let r = self.residents[i];
-        self.term(new, r.rx)
-            .is_some_and(|t| self.passes(&r, r.exact + t))
+        self.term(new, r.link.rx)
+            .is_some_and(|t| self.passes(&r.link, r.exact + t))
     }
 
     /// Folds the exact terms of the residents in `range` onto `acc` at
-    /// `r`'s receiver, skipping `r`'s own sender — the order and the
+    /// `c`'s receiver, skipping `c`'s own sender — the order and the
     /// skip rule of [`AffectanceCalc::sinr`]. `None` when one of them
     /// sits on the receiver, which `check` rates SINR 0.
-    fn exact_sum(&self, r: &Resident, acc: f64, range: Range<usize>) -> Option<f64> {
+    fn exact_sum(&self, c: &Candidate, acc: f64, range: Range<usize>) -> Option<f64> {
         self.residents[range]
             .iter()
-            .filter(|w| w.sender != r.sender)
-            .try_fold(acc, |acc, w| Some(acc + self.term(w, r.rx)?))
+            .filter(|w| w.link.link.sender != c.link.sender)
+            .try_fold(acc, |acc, w| Some(acc + self.term(&w.link, c.rx)?))
     }
 
     /// The exact interference term of `w`'s sender at `rx`, as
     /// [`AffectanceCalc::sinr`] computes it.
-    fn term(&self, w: &Resident, rx: Point) -> Option<f64> {
+    fn term(&self, w: &Candidate, rx: Point) -> Option<f64> {
         let d = w.tx.distance(rx);
         (d != 0.0)
             .then(|| w.power * self.params.path_gain(d) * self.params.channel().fade(w.tx, rx))
@@ -965,13 +1078,13 @@ mod tests {
                 probe.push((link, pw));
                 let naive = check_links(&p, &inst, &probe);
                 assert_eq!(
-                    auditor.probe(link, pw),
+                    auditor.probe(&Candidate::new(&p, &inst, link, pw)),
                     naive,
                     "seed {seed}: auditor diverged from check on {link:?}"
                 );
                 assert_eq!(auditor.len(), resident.len(), "a probe changed the slot");
                 if naive || i % 7 == 0 {
-                    auditor.commit(link, pw);
+                    auditor.commit(&Candidate::new(&p, &inst, link, pw));
                     resident = probe;
                 }
                 assert_eq!(auditor.is_feasible(), check_links(&p, &inst, &resident));
@@ -997,9 +1110,9 @@ mod tests {
                 (l, power.power_of(l, &inst, &p).unwrap())
             })
             .collect();
-        let mut grown = SlotAuditor::new(&p, &inst);
+        let mut grown = SlotAuditor::new(&p);
         for &(l, pw) in &residents {
-            grown.commit(l, pw);
+            grown.commit(&Candidate::new(&p, &inst, l, pw));
         }
         let mut seeded = SlotAuditor::with_residents(&p, &inst, residents.iter().copied());
         assert_eq!(grown.links(), seeded.links());
@@ -1009,9 +1122,57 @@ mod tests {
             assert_eq!(r.unsummed.to_bits(), seeded.unsummed_at(i).to_bits());
         }
         let probe = Link::new(15, 16);
-        let pw = power.power_of(probe, &inst, &p).unwrap();
-        assert_eq!(grown.probe(probe, pw), seeded.probe(probe, pw));
+        let probe = Candidate::new(&p, &inst, probe, power.power_of(probe, &inst, &p).unwrap());
+        assert_eq!(grown.probe(&probe), seeded.probe(&probe));
         assert_eq!(grown.links(), seeded.links());
+    }
+
+    /// A commit takes its terms from the probe it directly follows, and
+    /// only then: probing A, then B, then committing A leaves every
+    /// bound with the bits of a commit that computed its own terms.
+    #[test]
+    fn commit_reuses_only_its_own_probe() {
+        let p = params();
+        // Five unit links, 20 apart: each pair coexists.
+        let xs: Vec<f64> = (0..10).map(|i| f64::from(i / 2 * 20 + i % 2)).collect();
+        let inst = line_instance(&xs);
+        let power = PowerAssignment::uniform_with_margin(&p, 1.0);
+        let cand = |u: usize| {
+            let l = Link::new(u, u + 1);
+            Candidate::new(&p, &inst, l, power.power_of(l, &inst, &p).unwrap())
+        };
+        let seed = [cand(0), cand(4), cand(8)];
+        let (a, b) = (cand(2), cand(6));
+        let unsummed = |x: &SlotAuditor<'_>| -> Vec<u64> {
+            x.residents.iter().map(|r| r.unsummed.to_bits()).collect()
+        };
+        let grow = |ops: &dyn Fn(&mut SlotAuditor<'_>)| {
+            let mut x = SlotAuditor::new(&p);
+            for c in &seed {
+                x.commit(c);
+            }
+            ops(&mut x);
+            x
+        };
+        let fresh = grow(&|x| x.commit(&a));
+        let reused = grow(&|x| {
+            assert!(x.probe(&a));
+            x.commit(&a);
+        });
+        let interleaved = grow(&|x| {
+            assert!(x.probe(&a));
+            x.probe(&b);
+            x.commit(&a);
+        });
+        assert!(fresh.probed.key.is_none() && reused.probed.key.is_none());
+        assert_eq!(unsummed(&reused), unsummed(&fresh));
+        assert_eq!(unsummed(&interleaved), unsummed(&fresh));
+        // B's passing probe left its own terms, which A must not take.
+        let mut x = grow(&|_| {});
+        assert!(x.probe(&a) && x.probe(&b));
+        assert_eq!(x.probed.key, Some(b.key()));
+        x.commit(&a);
+        assert_eq!(unsummed(&x), unsummed(&fresh));
     }
 
     /// A seeded slot rejects a link its residents drown on that link's
@@ -1028,9 +1189,10 @@ mod tests {
             .collect();
         let mut seeded = SlotAuditor::with_residents(&p, &inst, all[..2].iter().copied());
         let (drowned, pw) = all[2];
-        assert!(seeded.admits(drowned, pw));
+        let drowned = Candidate::new(&p, &inst, drowned, pw);
+        assert!(seeded.admits(&drowned));
         assert!(!check_links(&p, &inst, &all));
-        assert!(!seeded.probe(drowned, pw));
+        assert!(!seeded.probe(&drowned));
         assert!(seeded.unbounded);
     }
 
@@ -1039,26 +1201,30 @@ mod tests {
         let p = params();
         let inst = line_instance(&[0.0, 1.0, 2.0]);
         let power = PowerAssignment::uniform_with_margin(&p, inst.delta());
-        let pw = |l: Link| power.power_of(l, &inst, &p).unwrap();
+        let cand = |u, v| {
+            let l = Link::new(u, v);
+            Candidate::new(&p, &inst, l, power.power_of(l, &inst, &p).unwrap())
+        };
 
         // Half-duplex: 0→1 with 1→2, in both insertion orders.
-        let mut a = SlotAuditor::new(&p, &inst);
-        a.commit(Link::new(0, 1), pw(Link::new(0, 1)));
-        assert!(!a.probe(Link::new(1, 2), pw(Link::new(1, 2))));
-        let mut a = SlotAuditor::new(&p, &inst);
-        a.commit(Link::new(1, 2), pw(Link::new(1, 2)));
-        assert!(!a.probe(Link::new(0, 1), pw(Link::new(0, 1))));
+        let mut a = SlotAuditor::new(&p);
+        a.commit(&cand(0, 1));
+        assert!(!a.probe(&cand(1, 2)));
+        let mut a = SlotAuditor::new(&p);
+        a.commit(&cand(1, 2));
+        assert!(!a.probe(&cand(0, 1)));
         assert_eq!(a.len(), 1);
 
         // Duplicate sender: 0→1 with 0→2.
-        let mut b = SlotAuditor::new(&p, &inst);
-        assert!(b.probe(Link::new(0, 1), pw(Link::new(0, 1))));
-        b.commit(Link::new(0, 1), pw(Link::new(0, 1)));
-        assert!(!b.probe(Link::new(0, 2), pw(Link::new(0, 2))));
+        let mut b = SlotAuditor::new(&p);
+        assert!(b.probe(&cand(0, 1)));
+        b.commit(&cand(0, 1));
+        assert!(!b.probe(&cand(0, 2)));
 
         // Below the noise floor.
-        let mut c = SlotAuditor::new(&p, &inst);
-        assert!(!c.probe(Link::new(0, 2), p.noise_floor_power(2.0) * 0.5));
+        let weak = Candidate::new(&p, &inst, Link::new(0, 2), p.noise_floor_power(2.0) * 0.5);
+        let mut c = SlotAuditor::new(&p);
+        assert!(!c.probe(&weak));
 
         // A second link from a busy sender. At β = 1 and powers far
         // above the noise each link clears its SINR (the exact sums skip
@@ -1067,16 +1233,17 @@ mod tests {
         let loud = SinrParams::new(3.0, 1.0, 1.0, 0.1).unwrap();
         let both = [(Link::new(0, 1), 1e16), (Link::new(0, 2), 1e16)];
         assert!(!check_links(&loud, &inst, &both));
-        let mut d = SlotAuditor::new(&loud, &inst);
-        d.commit(both[0].0, both[0].1);
-        assert!(!d.probe(both[1].0, both[1].1));
-        d.commit(both[1].0, both[1].1);
+        let both = both.map(|(l, pw)| Candidate::new(&loud, &inst, l, pw));
+        let mut d = SlotAuditor::new(&loud);
+        d.commit(&both[0]);
+        assert!(!d.probe(&both[1]));
+        d.commit(&both[1]);
         assert!(!d.is_feasible());
 
         // A structurally broken slot stays broken for every probe.
-        c.commit(Link::new(0, 2), p.noise_floor_power(2.0) * 0.5);
+        c.commit(&weak);
         assert!(!c.is_feasible());
-        assert!(!c.probe(Link::new(1, 0), pw(Link::new(1, 0))));
+        assert!(!c.probe(&cand(1, 0)));
     }
 
     /// Two mirror-image links whose SINRs sit 1e-12 from the threshold,
@@ -1091,14 +1258,18 @@ mod tests {
         let sinr = AffectanceCalc::new(&params(), &inst).sinr(a, pw, &[(0, pw), (3, pw)]);
         for (beta, feasible) in [(sinr, true), (sinr * (1.0 + 1e-10), false)] {
             let p = SinrParams::new(3.0, beta, 1.0, 0.1).unwrap();
-            let mut auditor = SlotAuditor::new(&p, &inst);
-            assert!(auditor.probe(a, pw), "a lone link clears β by far");
-            auditor.commit(a, pw);
+            let (ca, cb) = (
+                Candidate::new(&p, &inst, a, pw),
+                Candidate::new(&p, &inst, b, pw),
+            );
+            let mut auditor = SlotAuditor::new(&p);
+            assert!(auditor.probe(&ca), "a lone link clears β by far");
+            auditor.commit(&ca);
             assert_eq!(
                 auditor.stats().resident_exact + auditor.stats().link_exact,
                 0
             );
-            assert_eq!(auditor.probe(b, pw), feasible, "β = {beta}");
+            assert_eq!(auditor.probe(&cb), feasible, "β = {beta}");
             assert_eq!(feasible, check_links(&p, &inst, &[(a, pw), (b, pw)]));
             let stats = auditor.stats();
             assert_eq!(stats.resident_exact, 1, "β = {beta}: {stats:?}");

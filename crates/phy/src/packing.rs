@@ -7,10 +7,53 @@
 //! schedules (children strictly before parents).
 
 use sinr_geom::Instance;
-use sinr_links::{InTree, Link, LinkSet, Schedule};
+use sinr_links::{InTree, Link, Schedule};
 
-use crate::feasibility::{self, SlotAuditor};
+use crate::feasibility::{AuditStats, Candidate, SlotAuditor};
 use crate::{PowerAssignment, SinrParams};
+
+/// Prepares links for the packers: each link direction's
+/// [`Candidate`], kept only when it stands alone, that is, when
+/// `check` passes the link by itself.
+#[derive(Debug)]
+pub struct Candidates<'a> {
+    params: &'a SinrParams,
+    instance: &'a Instance,
+    power: &'a PowerAssignment,
+    /// An empty slot: its probe is `check` on one link.
+    alone: SlotAuditor<'a>,
+}
+
+impl<'a> Candidates<'a> {
+    /// Prepares links sent under `power`.
+    pub fn new(params: &'a SinrParams, instance: &'a Instance, power: &'a PowerAssignment) -> Self {
+        Candidates {
+            params,
+            instance,
+            power,
+            alone: SlotAuditor::new(params),
+        }
+    }
+
+    /// `link`'s candidate, or `None` when `link` cannot stand alone: it
+    /// has no power entry or fails its SINR rules on an empty slot.
+    pub fn one(&mut self, link: Link) -> Option<Candidate> {
+        let power = self.power.power_of(link, self.instance, self.params).ok()?;
+        let candidate = Candidate::new(self.params, self.instance, link, power);
+        self.alone.probe(&candidate).then_some(candidate)
+    }
+
+    /// `link`'s forward and dual candidates, or `None` when either
+    /// direction cannot stand alone.
+    pub fn both(&mut self, link: Link) -> Option<[Candidate; 2]> {
+        Some([self.one(link)?, self.one(link.dual())?])
+    }
+
+    /// How the lone probes were settled so far.
+    pub fn stats(&self) -> AuditStats {
+        self.alone.stats()
+    }
+}
 
 /// Packs a converge-cast tree's aggregation links in leaf-to-root order
 /// with per-node slot floors, producing a schedule that satisfies the
@@ -31,64 +74,65 @@ pub fn pack_tree_ordered(
     tree: &InTree,
     power: &PowerAssignment,
 ) -> (Schedule, Vec<Link>) {
-    let mut floor = vec![0usize; tree.len()];
-    let ordered: Vec<Link> = tree
-        .leaf_to_root_order()
-        .into_iter()
-        .filter_map(|u| tree.parent(u).map(|p| Link::new(u, p)))
-        .collect();
+    let (schedule, unschedulable, _) = pack_tree_audited(params, instance, tree, power);
+    (schedule, unschedulable)
+}
 
-    let bidirectional_feasible = |set: &LinkSet| {
-        feasibility::is_feasible(params, instance, set, power)
-            && feasibility::is_feasible(params, instance, &set.dual(), power)
-    };
+/// [`pack_tree_ordered`], also reporting how its slot auditors settled
+/// their decisions, summed over every slot, both directions and the
+/// lone probes.
+pub fn pack_tree_audited(
+    params: &SinrParams,
+    instance: &Instance,
+    tree: &InTree,
+    power: &PowerAssignment,
+) -> (Schedule, Vec<Link>, AuditStats) {
+    let mut floor = vec![0usize; tree.len()];
+    let mut candidates = Candidates::new(params, instance, power);
 
     // Pack one link at a time so receiver floors update as we go. Each
     // slot keeps two incremental auditors — the aggregation direction
     // and its dual — probed in lockstep and committed together, which
-    // reproduces the clone-and-recheck `bidirectional_feasible`
-    // decision bit for bit.
-    let mut slots: Vec<(SlotAuditor<'_>, SlotAuditor<'_>)> = Vec::new();
-    let mut schedule = Schedule::new();
+    // reproduces `check` on both directions of the slot bit for bit.
+    let mut slots: Vec<[SlotAuditor<'_>; 2]> = Vec::new();
+    let mut placed = Vec::with_capacity(tree.len());
     let mut unschedulable = Vec::new();
-    'links: for link in ordered {
-        let alone: LinkSet = std::iter::once(link).collect();
-        if !bidirectional_feasible(&alone) {
+    for u in tree.leaf_to_root_order() {
+        let Some(p) = tree.parent(u) else { continue };
+        let link = Link::new(u, p);
+        let Some([fwd, dual]) = candidates.both(link) else {
             unschedulable.push(link);
             continue;
-        }
-        let pw_fwd = power
-            .power_of(link, instance, params)
-            .expect("alone-feasible link has a power entry");
-        let pw_dual = power
-            .power_of(link.dual(), instance, params)
-            .expect("alone-feasible dual has a power entry");
-        let mut s = floor[link.sender];
+        };
+        let mut s = floor[u];
         loop {
             while slots.len() <= s {
-                slots.push((
-                    SlotAuditor::new(params, instance),
-                    SlotAuditor::new(params, instance),
-                ));
+                slots.push([SlotAuditor::new(params), SlotAuditor::new(params)]);
             }
-            let (fwd, dual) = &mut slots[s];
-            if fwd.probe(link, pw_fwd) && dual.probe(link.dual(), pw_dual) {
-                fwd.commit(link, pw_fwd);
-                dual.commit(link.dual(), pw_dual);
-                schedule.assign(link, s);
-                floor[link.receiver] = floor[link.receiver].max(s + 1);
-                continue 'links;
+            let [f, d] = &mut slots[s];
+            if f.probe(&fwd) && d.probe(&dual) {
+                f.commit(&fwd);
+                d.commit(&dual);
+                placed.push((link, s));
+                floor[p] = floor[p].max(s + 1);
+                break;
             }
             s += 1;
         }
     }
+    let mut schedule = Schedule::from_pairs(placed).expect("a tree has one uplink per node");
     schedule.compact();
-    (schedule, unschedulable)
+    let mut stats = candidates.stats();
+    for auditor in slots.iter().flatten() {
+        stats += auditor.stats();
+    }
+    (schedule, unschedulable, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::feasibility;
     use sinr_geom::gen;
 
     fn params() -> SinrParams {

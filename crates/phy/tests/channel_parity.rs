@@ -25,7 +25,7 @@ use proptest::prelude::*;
 use sinr_geom::{gen, Instance, NodeId};
 use sinr_links::{Link, LinkSet};
 use sinr_phy::affectance::AffectanceCalc;
-use sinr_phy::feasibility::{self, SlotAuditor};
+use sinr_phy::feasibility::{self, Candidate, SlotAuditor};
 use sinr_phy::field::{decode_best_exact, InterferenceField};
 use sinr_phy::{ChannelModel, PowerAssignment, Shadowing, SinrParams};
 
@@ -173,10 +173,11 @@ fn audit_sequence(
         let mut probe = resident.clone();
         probe.push((link, p));
         let want = feasible(&probe);
-        prop_assert_eq!(auditor.probe(link, p), want, "auditor on {:?}", link);
+        let candidate = Candidate::new(params, inst, link, p);
+        prop_assert_eq!(auditor.probe(&candidate), want, "auditor on {:?}", link);
         prop_assert_eq!(auditor.len(), resident.len(), "a probe changed the slot");
         if want || i % 5 == 0 {
-            auditor.commit(link, p);
+            auditor.commit(&candidate);
             resident = probe;
             prop_assert_eq!(auditor.is_feasible(), feasible(&resident));
         }

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use sinr_geom::{gen, Instance, Point};
 use sinr_links::{InTree, Link, LinkSet, Schedule};
 use sinr_phy::affectance::AffectanceCalc;
-use sinr_phy::feasibility::{AuditStats, SlotAuditor};
+use sinr_phy::feasibility::{AuditStats, Candidate, SlotAuditor};
 use sinr_phy::{feasibility, packing, PhyError, PowerAssignment, SinrParams};
 
 fn arb_params() -> impl Strategy<Value = SinrParams> {
@@ -182,7 +182,7 @@ proptest! {
                 // Unconditional commit (may make the slot infeasible —
                 // the auditor must track that state too).
                 0 => {
-                    auditor.commit(link, pw(link));
+                    auditor.commit(&Candidate::new(&params, &inst, link, pw(link)));
                     resident.push(link);
                 }
                 // Probe, then commit exactly when it passes, as the
@@ -191,15 +191,16 @@ proptest! {
                     let mut probe = resident.clone();
                     probe.push(link);
                     let expect = feasible(&probe);
+                    let candidate = Candidate::new(&params, &inst, link, pw(link));
                     prop_assert_eq!(
-                        auditor.probe(link, pw(link)),
+                        auditor.probe(&candidate),
                         expect,
                         "probe decision diverged from check on {:?}",
                         link
                     );
                     prop_assert_eq!(auditor.links(), resident.as_slice(), "a probe changed the slot");
                     if expect && op != 3 {
-                        auditor.commit(link, pw(link));
+                        auditor.commit(&candidate);
                         resident = probe;
                     }
                 }
@@ -383,7 +384,7 @@ fn slot_auditor_grazing_sweep_takes_exact_paths() {
             let mut auditor =
                 SlotAuditor::with_residents(&params, &inst, links[..4].iter().map(|&l| (l, pw(l))));
             assert_eq!(
-                auditor.probe(links[4], pw(links[4])),
+                auditor.probe(&Candidate::new(&params, &inst, links[4], pw(links[4]))),
                 expect,
                 "seed {seed} window {links:?} at β = {beta}"
             );
@@ -406,4 +407,118 @@ fn slot_auditor_grazing_sweep_takes_exact_paths() {
         total.link_exact > 0,
         "new-link exact path never ran: {total:?}"
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+
+    /// The certified auditor at the packers' slot sizes: the links of
+    /// the largest slot of a packed n = 3072 MST bi-tree (about a hundred
+    /// on the shadowed channel, a few hundred on the geometric one, and
+    /// feasible together), grown link by link or seeded with a prefix,
+    /// interleaved with probes of the tree's other links, on the
+    /// geometric and the shadowed channel. Rejected links are sometimes
+    /// committed anyway, and some commits do not follow their own probe
+    /// (probe A passes, probe B runs, then A is committed), so a term
+    /// one probe left behind cannot reach another link's commit
+    /// unnoticed. Probes and `is_feasible` are held to `check` while
+    /// the slot is small and then at sampled steps, which keeps the
+    /// `O(k²)` oracle affordable.
+    #[test]
+    fn slot_auditor_packer_sized_slots_match_check(
+        seed in 0u64..1_000,
+        shadowed in 0u8..2,
+        seeded in 0usize..200,
+        ops in proptest::collection::vec((0u8..16, 0usize..10_000), 400..500),
+    ) {
+        let channel = if shadowed == 1 {
+            sinr_phy::ChannelModel::shadowed(seed, 6.0).unwrap()
+        } else {
+            sinr_phy::ChannelModel::Geometric
+        };
+        let params = SinrParams::default().with_channel(channel);
+        let inst = gen::uniform_square(3072, 1.5, seed).unwrap();
+        let tree = InTree::from_parents(sinr_geom::mst::mst_parent_array(&inst, 0)).unwrap();
+        let power = PowerAssignment::mean_with_margin(&params, inst.delta());
+        let (schedule, _) = packing::pack_tree_ordered(&params, &inst, &tree, &power);
+        let slots = schedule.slots();
+        let big = slots.iter().max_by_key(|s| s.len()).unwrap().links().to_vec();
+        let others: Vec<Link> = tree
+            .aggregation_links()
+            .iter()
+            .filter(|l| !big.contains(l))
+            .collect();
+        let candidate = |l: Link| Candidate::new(&params, &inst, l, power.power_of(l, &inst, &params).unwrap());
+        let feasible = |links: &[Link]| {
+            let set = LinkSet::from_links(links.to_vec()).unwrap();
+            feasibility::check(&params, &inst, &set, &power).is_feasible()
+        };
+
+        let seeded = seeded.min(big.len() / 2);
+        let mut resident: Vec<Link> = big[..seeded].to_vec();
+        let mut auditor =
+            SlotAuditor::with_residents(&params, &inst, resident.iter().map(|&l| (l, power.power_of(l, &inst, &params).unwrap())));
+        let mut next = seeded;
+        let mut largest = resident.len();
+        for (op, pick) in ops {
+            // Every probe while the slot is small, then one in seven.
+            let sampled = resident.len() < 16 || pick % 7 == 0;
+            let probe = |auditor: &mut SlotAuditor<'_>, resident: &[Link], link: Link| {
+                let got = auditor.probe(&candidate(link));
+                if sampled && !resident.contains(&link) {
+                    let mut with = resident.to_vec();
+                    with.push(link);
+                    assert_eq!(got, feasible(&with), "probe of {link:?} on {} residents", resident.len());
+                }
+                got
+            };
+            let foreign = others[pick % others.len()];
+            match op {
+                // The slot's own links, committed when they pass.
+                0..=9 => {
+                    let Some(&link) = big.get(next) else { continue };
+                    next += 1;
+                    if probe(&mut auditor, &resident, link) {
+                        auditor.commit(&candidate(link));
+                        resident.push(link);
+                    }
+                }
+                // Another link of the tree, committed when it passes, or
+                // (rarely) committed although it was rejected.
+                10..=14 => {
+                    if resident.contains(&foreign) {
+                        continue;
+                    }
+                    let passed = probe(&mut auditor, &resident, foreign);
+                    if passed || (op == 14 && pick % 16 == 0) {
+                        auditor.commit(&candidate(foreign));
+                        resident.push(foreign);
+                    }
+                }
+                // Probe A, probe B (the next link of the slot, which
+                // usually passes and leaves its own terms behind), then
+                // commit A; B stays next in line.
+                _ => {
+                    let (Some(&a), Some(&b)) = (big.get(next), big.get(next + 1)) else {
+                        continue;
+                    };
+                    next += 1;
+                    let passed = probe(&mut auditor, &resident, a);
+                    probe(&mut auditor, &resident, b);
+                    if passed {
+                        auditor.commit(&candidate(a));
+                        resident.push(a);
+                        prop_assert_eq!(auditor.is_feasible(), feasible(&resident));
+                    }
+                }
+            }
+            prop_assert_eq!(auditor.links(), resident.as_slice());
+            if sampled {
+                prop_assert_eq!(auditor.is_feasible(), feasible(&resident));
+            }
+            largest = largest.max(resident.len());
+        }
+        prop_assert!(largest >= 64, "the slot peaked at {} residents", largest);
+        prop_assert_eq!(auditor.is_feasible(), feasible(&resident));
+    }
 }
