@@ -91,6 +91,7 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
             "queries",
             "certified",
             "fallbacks",
+            "straddles",
             "rings/query",
             "µs/query",
         ],
@@ -131,6 +132,7 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
                 stats.queries.to_string(),
                 stats.certified.to_string(),
                 stats.fallbacks.to_string(),
+                stats.straddles.to_string(),
                 f2(stats.rings as f64 / stats.queries.max(1) as f64),
                 f2(decode_s * 1e6 / stats.queries.max(1) as f64),
             ]);

@@ -23,7 +23,7 @@
 //! parity gate in `tests/determinism.rs` and this module's own tests
 //! enforce it. [`extreme_distances`] dispatches on `n`.
 
-use crate::Point;
+use crate::{floor_i64, Point};
 
 /// The extreme pairwise distances of a point set.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -191,8 +191,8 @@ impl DenseGrid {
     /// Row-major bucket index of the cell containing `p`.
     #[inline]
     pub(crate) fn key_of(&self, p: Point) -> usize {
-        let cx = (((p.x - self.min_x) / self.cell).floor() as usize).min(self.cols - 1);
-        let cy = (((p.y - self.min_y) / self.cell).floor() as usize).min(self.rows - 1);
+        let cx = (floor_i64((p.x - self.min_x) / self.cell).max(0) as usize).min(self.cols - 1);
+        let cy = (floor_i64((p.y - self.min_y) / self.cell).max(0) as usize).min(self.rows - 1);
         cy * self.cols + cx
     }
 

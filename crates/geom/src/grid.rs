@@ -17,6 +17,22 @@ use crate::{Instance, NodeId, Point};
 /// Integer key of a grid cell: `(⌊x/cell⌋, ⌊y/cell⌋)`.
 pub type CellKey = (i64, i64);
 
+/// `q.floor() as i64`, bit for bit, without a call to `floor`.
+///
+/// The x86-64 baseline target has no rounding instruction, so
+/// `f64::floor` is a library call; the cell keys compute one per
+/// coordinate. The truncating cast rounds toward zero and saturates,
+/// which is the floor except for a negative non-integer, where it is
+/// one too high: such a `q` has magnitude below `2⁵²`, so its truncation
+/// converts back to `f64` exactly and compares above `q`. A saturated
+/// cast stays put (`i64::MIN` is the floor's saturation too), and NaN
+/// casts to 0 as the floor's cast does.
+#[inline]
+pub fn floor_i64(q: f64) -> i64 {
+    let t = q as i64;
+    t.saturating_sub((t as f64 > q) as i64)
+}
+
 /// A uniform grid over the nodes of an [`Instance`], supporting fast
 /// range (ball) queries.
 ///
@@ -81,7 +97,7 @@ impl GridIndex {
 
     #[inline]
     fn key(p: Point, cell: f64) -> (i64, i64) {
-        ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64)
+        (floor_i64(p.x / cell), floor_i64(p.y / cell))
     }
 
     /// Cell side length.
@@ -379,16 +395,17 @@ impl WeightedCellGrid {
     /// range.
     #[inline]
     pub fn key_of(&self, p: Point) -> CellKey {
-        let kx = (p.x / self.cell).floor();
-        let ky = (p.y / self.cell).floor();
+        let (qx, qy) = (p.x / self.cell, p.y / self.cell);
         debug_assert!(
-            kx.abs() < MAX_CELL_INDEX && ky.abs() < MAX_CELL_INDEX,
-            "cell index overflow: point ({}, {}) with cell size {} needs index ({kx}, {ky})",
+            qx.abs() < MAX_CELL_INDEX && qy.abs() < MAX_CELL_INDEX,
+            "cell index overflow: point ({}, {}) with cell size {} needs index ({}, {})",
             p.x,
             p.y,
-            self.cell
+            self.cell,
+            qx.floor(),
+            qy.floor()
         );
-        (kx as i64, ky as i64)
+        (floor_i64(qx), floor_i64(qy))
     }
 
     /// Linear (column-major) index of an in-rectangle cell key.
@@ -708,6 +725,68 @@ mod tests {
             a.sort_unstable();
             b.sort_unstable();
             proptest::prop_assert_eq!(a, b);
+        }
+    }
+
+    /// `floor_i64` equals `floor() as i64` on every class of input:
+    /// signed zeros, halves, negative non-integers, the neighbours of
+    /// ±2⁵², ±2⁵³ and ±2⁶³, subnormals, NaN and the infinities, then
+    /// a sweep of random bit patterns (every exponent, both signs).
+    #[test]
+    fn floor_i64_matches_floor_cast() {
+        let up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            2.5,
+            -2.5,
+            -1.0,
+            -0.999_999_999,
+            -1e-300,
+            -3.25,
+            -7.75e10,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            -f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MAX,
+            f64::MIN,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for e in [52, 53, 63] {
+            let p = 2f64.powi(e);
+            for x in [down(p), p, up(p), down(-p), -p, up(-p)] {
+                cases.extend([x, x + 0.5, x - 0.5]);
+            }
+        }
+        let mut bits = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..200_000 {
+            bits = bits
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            cases.push(f64::from_bits(bits));
+            // Concentrate half the sweep on magnitudes near the cast's range.
+            cases.push(f64::from_bits(
+                (bits & 0x800f_ffff_ffff_ffff) | ((1000 + bits % 80) << 52),
+            ));
+        }
+        for q in cases {
+            assert_eq!(
+                floor_i64(q),
+                q.floor() as i64,
+                "q = {q:e} ({:#x})",
+                q.to_bits()
+            );
         }
     }
 

@@ -51,7 +51,7 @@ mod serde_impls;
 
 pub use aabb::Aabb;
 pub use error::GeomError;
-pub use grid::{CellKey, CellView, GridIndex, WeightedCellGrid};
+pub use grid::{floor_i64, CellKey, CellView, GridIndex, WeightedCellGrid};
 pub use instance::{Instance, NodeId};
 pub use point::Point;
 

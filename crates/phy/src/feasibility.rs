@@ -12,13 +12,14 @@
 
 use std::cmp::Ordering;
 use std::ops::Range;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use sinr_geom::{Instance, NodeId, Point};
 use sinr_links::{Link, LinkSet, Schedule};
 
 use crate::affectance::AffectanceCalc;
 use crate::field::{FieldBuffers, InterferenceField, GUARD};
+use crate::gain::GainBounds;
 use crate::{PhyError, PowerAssignment, SinrParams};
 
 /// Why a link failed within its slot.
@@ -280,121 +281,6 @@ impl SlotScratch {
             .all(|(l, &(_, p))| field.sinr_at_least(l, p, threshold));
         self.buffers = field.into_buffers();
         feasible
-    }
-}
-
-/// Bits of `d²`'s mantissa that select a bucket within one doubling of
-/// the squared distance: 16 buckets per doubling.
-const BUCKET_BITS: u32 = 4;
-
-/// The gain-bound table covers `d² ∈ [2⁻⁶⁴, 2⁶⁴)`, 128 doublings.
-const BUCKETS: u64 = 128 << BUCKET_BITS;
-
-/// `d².to_bits() >> KEY_SHIFT` keeps the sign, the exponent and the top
-/// [`BUCKET_BITS`] mantissa bits: a bucket key, monotone in `d²`.
-const KEY_SHIFT: u32 = 52 - BUCKET_BITS;
-
-/// The key of the first bucket, `d² = 2⁻⁶⁴` (biased exponent 1023 − 64).
-const FIRST_KEY: u64 = (1023 - 64) << BUCKET_BITS;
-
-/// How many exponents' tables the process keeps at once.
-const CACHED_TABLES: usize = 8;
-
-/// How many ring gains `j^{-α}` a [`GainBounds`] keeps: `j < RING_GAINS`.
-const RING_GAINS: usize = 128;
-
-/// Certified bounds on the path gain `d^{-α}` by squared distance, for
-/// one exponent `α`.
-///
-/// Bucket `b` holds `[lower, upper]` with `lower ≤ d^{-α} ≤ upper` for
-/// every `d²` in the bucket, each end widened by [`GUARD`] so that it
-/// also bounds the rounded `powf` of the exact path. A `d²` outside the
-/// covered range (or an entry that leaves the normal float range) gets
-/// `[0, ∞]`, which no certificate can use, so the decision falls to the
-/// exact path.
-///
-/// The same table carries the ring gains `j^{-α}` the interference
-/// field's summed-area far bound multiplies by one `cell^{-α}` per
-/// field (DESIGN.md §7.2).
-pub(crate) struct GainBounds {
-    alpha: f64,
-    buckets: Box<[[f64; 2]]>,
-    rings: Box<[f64]>,
-}
-
-impl GainBounds {
-    fn new(alpha: f64) -> Self {
-        let edge = |b: u64| f64::from_bits((FIRST_KEY + b) << KEY_SHIFT);
-        // The guard must also dominate the `α·ε` a rounded `sqrt`
-        // contributes to `d^{-α}`; beyond that, certify nothing.
-        let trusted = 64.0 * alpha * f64::EPSILON < GUARD;
-        let buckets = (0..BUCKETS)
-            .map(|b| {
-                let lower = edge(b + 1).powf(-alpha / 2.0) * (1.0 - GUARD);
-                let upper = edge(b).powf(-alpha / 2.0) * (1.0 + GUARD);
-                if trusted && lower.is_normal() && upper.is_normal() {
-                    [lower, upper]
-                } else {
-                    [0.0, f64::INFINITY]
-                }
-            })
-            .collect();
-        // `(j·cell)^{-α} = j^{-α}·cell^{-α}`; an entry below the normal
-        // range is raised to it, which only loosens the bound.
-        let rings = (0..RING_GAINS)
-            .map(|j| (j as f64).powf(-alpha).max(f64::MIN_POSITIVE))
-            .collect();
-        GainBounds {
-            alpha,
-            buckets,
-            rings,
-        }
-    }
-
-    /// `j^{-α}` for `j ≥ 1`, from the first [`RING_GAINS`] entries; a
-    /// larger `j` gets the last entry, an upper bound since the gain
-    /// only falls with distance.
-    #[inline]
-    pub(crate) fn ring(&self, j: i64) -> f64 {
-        debug_assert!(j >= 1, "ring gains start at j = 1");
-        self.rings[(j as usize).min(RING_GAINS - 1)]
-    }
-
-    /// `[lower, upper]` bounds on the gain at squared distance `d2`.
-    #[inline]
-    fn get(&self, d2: f64) -> [f64; 2] {
-        let key = (d2.to_bits() >> KEY_SHIFT).wrapping_sub(FIRST_KEY);
-        if key < BUCKETS {
-            self.buckets[key as usize]
-        } else {
-            [0.0, f64::INFINITY]
-        }
-    }
-
-    /// The shared table for `alpha`, built on first use.
-    pub(crate) fn shared(alpha: f64) -> Arc<GainBounds> {
-        static TABLES: Mutex<Vec<Arc<GainBounds>>> = Mutex::new(Vec::new());
-        // Every update below leaves the list valid (a panic while
-        // building a table happens before it is touched), so a
-        // poisoned lock still guards a usable cache.
-        let mut tables = TABLES.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(t) = tables.iter().find(|t| t.alpha.to_bits() == alpha.to_bits()) {
-            return Arc::clone(t);
-        }
-        if tables.len() == CACHED_TABLES {
-            tables.remove(0);
-        }
-        let table = Arc::new(GainBounds::new(alpha));
-        tables.push(Arc::clone(&table));
-        table
-    }
-}
-
-impl std::fmt::Debug for GainBounds {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GainBounds")
-            .field("alpha", &self.alpha)
-            .finish_non_exhaustive()
     }
 }
 
@@ -1282,28 +1168,6 @@ mod tests {
             assert_eq!(auditor.links(), &[a]);
             assert!(auditor.is_feasible());
         }
-    }
-
-    /// The table's bounds bracket the exact gain on the bucket edges,
-    /// inside buckets, and outside the covered range.
-    #[test]
-    fn gain_bounds_bracket_the_exact_gain() {
-        for alpha in [2.1, 3.0, 4.5] {
-            let table = GainBounds::new(alpha);
-            for d2 in [1e-12f64, 0.3, 1.0, 2.0, 9.0, 9.49, 123.456, 1e9, 1e30] {
-                let gain = d2.sqrt().powf(-alpha);
-                let [lo, hi] = table.get(d2);
-                assert!(
-                    lo <= gain && gain <= hi,
-                    "α {alpha} d² {d2}: {lo} {gain} {hi}"
-                );
-            }
-            assert_eq!(table.get(0.0), [0.0, f64::INFINITY]);
-            assert_eq!(table.get(1e-30), [0.0, f64::INFINITY]);
-            assert_eq!(table.get(1e40), [0.0, f64::INFINITY]);
-        }
-        let shared = GainBounds::shared(3.0);
-        assert!(Arc::ptr_eq(&shared, &GainBounds::shared(3.0)));
     }
 
     #[test]

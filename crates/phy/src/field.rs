@@ -47,11 +47,11 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sinr_geom::{CellKey, Instance, NodeId, Point, WeightedCellGrid};
+use sinr_geom::{floor_i64, CellKey, Instance, NodeId, Point, WeightedCellGrid};
 use sinr_links::Link;
 
 use crate::affectance::AffectanceCalc;
-use crate::feasibility::GainBounds;
+use crate::gain::GainBounds;
 use crate::{Result, SinrParams};
 
 /// Relative guard factor applied to every certified bound.
@@ -81,6 +81,11 @@ const REACH_MAX_ALPHA: f64 = 1e4;
 /// decided exactly, which is cheaper than any indexing.
 const SMALL_SLOT: usize = 8;
 
+/// Relative widening of `R²` below which a walked member may lie inside
+/// the decode radius: `d² > R²·(1 + NEAR_SLACK)`, computed, implies a
+/// computed `√d² > R`, so only members under it pay for the `sqrt`.
+const NEAR_SLACK: f64 = 1e-12;
+
 /// The grid never uses cells smaller than `span / MAX_CELLS_PER_AXIS`,
 /// bounding ring scans by a constant number of cell probes.
 const MAX_CELLS_PER_AXIS: f64 = 64.0;
@@ -95,6 +100,15 @@ const AGGREGATE_SLOT: usize = 64;
 /// Rings past the current one that the summed-area far bound charges
 /// one by one; the rest of the unseen power is charged beyond them.
 const LOOKAHEAD: i64 = 8;
+
+/// The widest channel fade range `fade_hi / fade_lo` for which queries
+/// walk on table bounds first (DESIGN.md §7.2). A member's bound terms
+/// are that range apart: at a range of 4 (σ = 1 dB shadowing) the bound
+/// walks already doubled the rings of a uniform n = 4096 slot's
+/// decodes, and at σ = 6 dB (a range near 4000) they straddle so often
+/// that two walks cost more than one. A wider channel walks exactly at
+/// once.
+const BOUND_FADE_RANGE: f64 = 2.0;
 
 /// The reach bitmap has about this many cells per sender, unless the
 /// decode radius is larger than those cells.
@@ -153,8 +167,13 @@ pub fn decode_best_exact(
 /// - `fallbacks` — threshold-grazing (or guard-violating) queries,
 ///   decided by the same exact decode.
 ///
-/// `rings` counts the rings decode queries walked, the size driver of
-/// the `far-field-cert` profiling phase.
+/// Outside that partition, `straddles` counts the ring walks on table
+/// bounds (DESIGN.md §7.2) that left a query open and were walked
+/// again with exact terms; the re-walk then certifies the query or
+/// sends it to the fallback, exactly as a walk with only exact terms
+/// would. `rings` counts the rings decode queries walked, both walks of
+/// a straddle included: the size driver of the `far-field-cert`
+/// profiling phase.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Decode queries answered (empty fields excluded).
@@ -165,6 +184,8 @@ pub struct QueryStats {
     pub certified: u64,
     /// Threshold-grazing queries decided by the exact decode.
     pub fallbacks: u64,
+    /// Bound walks that straddled and were walked again exactly.
+    pub straddles: u64,
     /// Chebyshev-ring iterations executed across all queries.
     pub rings: u64,
 }
@@ -176,6 +197,7 @@ impl QueryStats {
         self.small_exact += other.small_exact;
         self.certified += other.certified;
         self.fallbacks += other.fallbacks;
+        self.straddles += other.straddles;
         self.rings += other.rings;
     }
 }
@@ -220,6 +242,10 @@ pub struct FieldScratch {
     cand_powers: Vec<f64>,
     cand_signals: Vec<f64>,
     cand_states: Vec<CandState>,
+    /// Every member the candidate scan found inside the decode radius,
+    /// with the exact signal it computed; the walk reuses them.
+    near_ids: Vec<NodeId>,
+    near_signals: Vec<f64>,
     /// The exact decode's strongest candidates, as sender indexes.
     strongest: Vec<usize>,
     /// Decision counters, accumulated until the owner takes them.
@@ -291,6 +317,42 @@ enum CandState {
     Yes,
 }
 
+/// Settles each undecided decode candidate, of signal `s`, whose SINR
+/// clears `β` either way for every interference in the certified
+/// interval around `[lo − s, hi − s + far]`; `Some` once none is left.
+///
+/// `lo` and `hi` bracket the walk's sum at the listener, candidates
+/// included. Both ends take the slack of the upper one, so a larger
+/// `lo` or a smaller `hi` never settles less (DESIGN.md §7.2); with
+/// `lo = hi` it is the one-sum certificate of an exact walk.
+fn settle_candidates(
+    states: &mut [CandState],
+    signals: &[f64],
+    noise: f64,
+    beta: f64,
+    lo: f64,
+    hi: f64,
+    far: f64,
+) -> Option<()> {
+    let mut open = false;
+    for (state, &s) in states.iter_mut().zip(signals) {
+        if *state != CandState::Undecided {
+            continue;
+        }
+        let slack = GUARD * (hi + s);
+        let i_lo = (lo - s - slack).max(0.0);
+        let i_hi = (hi - s + slack + far).max(0.0);
+        if (s / (noise + i_lo)) * (1.0 + GUARD) < beta {
+            *state = CandState::No;
+        } else if (s / (noise + i_hi)) * (1.0 - GUARD) >= beta {
+            *state = CandState::Yes;
+        } else {
+            open = true;
+        }
+    }
+    (!open).then_some(())
+}
+
 /// A slot's transmitter set, spatially indexed for certified
 /// thresholded queries.
 ///
@@ -323,15 +385,23 @@ pub struct InterferenceField<'a> {
     /// Cells no sender reaches; empty, ruling nothing out, below
     /// [`AGGREGATE_SLOT`] senders.
     reach: ReachMap,
-    /// The ring gains `j^{-α}` of the summed-area far bound, and
-    /// `cell^{-α}`; `None` when the slot builds no aggregates.
-    ring_gains: Option<Arc<GainBounds>>,
+    /// The gain bounds of the field's `α`: the bound walk's member
+    /// terms and the summed-area far bound's ring gains `j^{-α}`.
+    gains: Arc<GainBounds>,
+    /// The channel's fade range `[fade_lo, fade_hi]`, the factors of a
+    /// member's lower and upper bound terms.
+    fades: [f64; 2],
+    /// Whether queries walk on table bounds first: the fade range is at
+    /// most [`BOUND_FADE_RANGE`].
+    bounded: bool,
+    /// `cell^{-α}`, normal exactly when the slot built its summed-area
+    /// table; the far bound's ring gains are `j^{-α}·cell^{-α}`.
     cell_gain: f64,
 }
 
 /// The reusable allocations of a field: the canonical sender list, the
 /// weighted cell grid's CSR index, member columns and summed-area
-/// table, and the reach bitmap.
+/// table, the reach bitmap, and the shared gain-bound table.
 ///
 /// [`InterferenceField::build_with`] consumes a set of buffers and
 /// refills them in place; [`InterferenceField::into_buffers`] recovers
@@ -343,6 +413,7 @@ pub struct FieldBuffers {
     senders: Vec<(NodeId, f64)>,
     grid: WeightedCellGrid,
     reach: ReachMap,
+    gains: Option<Arc<GainBounds>>,
 }
 
 impl Default for FieldBuffers {
@@ -353,6 +424,7 @@ impl Default for FieldBuffers {
             // the slot's decode-radius-derived cell.
             grid: WeightedCellGrid::new(1.0),
             reach: ReachMap::default(),
+            gains: None,
         }
     }
 }
@@ -408,6 +480,7 @@ impl<'a> InterferenceField<'a> {
             senders: mut sender_buf,
             mut grid,
             mut reach,
+            gains,
         } = buffers;
         sender_buf.clear();
         sender_buf.extend_from_slice(senders);
@@ -430,15 +503,20 @@ impl<'a> InterferenceField<'a> {
         } else {
             f64::NAN
         };
-        let mut ring_gains = None;
-        if aggregate && cell_gain.is_normal() {
+        if cell_gain.is_normal() {
             grid.build_summed_area();
             if radius >= REACH_MIN_RADIUS {
                 let positions = sender_buf.iter().map(|&(u, _)| instance.position(u));
                 reach.build(radius, span, senders.len(), positions);
             }
-            ring_gains = Some(GainBounds::shared(params.alpha()));
         }
+        let (fade_lo, fade_hi) = params.channel().fade_bounds();
+        // The process shares one table per `α`; a recycled field keeps
+        // its own and looks it up only when `α` changes.
+        let gains = match gains {
+            Some(table) if table.alpha().to_bits() == params.alpha().to_bits() => table,
+            _ => GainBounds::shared(params.alpha()),
+        };
         InterferenceField {
             params,
             instance,
@@ -446,7 +524,9 @@ impl<'a> InterferenceField<'a> {
             grid,
             radius,
             reach,
-            ring_gains,
+            gains,
+            fades: [fade_lo, fade_hi],
+            bounded: fade_hi / fade_lo <= BOUND_FADE_RANGE,
             cell_gain,
         }
     }
@@ -458,6 +538,7 @@ impl<'a> InterferenceField<'a> {
             senders: self.senders,
             grid: self.grid,
             reach: self.reach,
+            gains: Some(self.gains),
         }
     }
 
@@ -612,27 +693,39 @@ impl<'a> InterferenceField<'a> {
         // certified undecodable (SINR ≤ S/N < β) and skipped unseen;
         // everyone inside is tested with the engine's own float
         // expression `S/N ≥ β`, so the candidate set is exactly the set
-        // of senders the naive loop could possibly accept.
+        // of senders the naive loop could possibly accept. A bound
+        // walk's field first tries the upper bound of the signal: the
+        // computed `S` is no larger, so `S_hi/N < β` rules the sender
+        // out without its `powf`, and the walk bounds its term. The
+        // exact signals computed are kept for the walk.
         let t0 = scratch.clock();
         scratch.cand_ids.clear();
         scratch.cand_powers.clear();
         scratch.cand_signals.clear();
         scratch.cand_states.clear();
+        scratch.near_ids.clear();
+        scratch.near_signals.clear();
         {
             let FieldScratch {
                 cand_ids,
                 cand_powers,
                 cand_signals,
                 cand_states,
+                near_ids,
+                near_signals,
                 ..
             } = scratch;
             self.grid
                 .for_each_member_near(pos_v, radius, |u, pos_u, power| {
-                    let d = self.instance.distance(u, v);
-                    if d > radius {
+                    // `Instance::distance(u, v)`, keeping its square.
+                    let d2 = pos_u.distance_sq(pos_v);
+                    let d = d2.sqrt();
+                    if d > radius || self.bounded && self.bound_term(d2, power)[1] / noise < beta {
                         return;
                     }
                     let signal = power * self.params.path_gain(d) * channel.fade(pos_u, pos_v);
+                    near_ids.push(u);
+                    near_signals.push(signal);
                     if signal / noise >= beta {
                         cand_ids.push(u);
                         cand_powers.push(power);
@@ -648,36 +741,50 @@ impl<'a> InterferenceField<'a> {
         }
 
         // The total received interference at `v` (candidates included),
-        // walked until every candidate is certified either way.
+        // walked until every candidate is certified either way: on
+        // bounds first, then, if they straddle, on exact terms for the
+        // candidates still open. A member inside `radius` by the scan's
+        // own test is the scan's signal in both walks, the same bits as
+        // its exact term.
         let t0 = scratch.clock();
-        let mut undecided = scratch.cand_states.len();
-        self.walk(
-            pos_v,
-            channel.fade_bounds().1,
-            &mut scratch.stats.rings,
-            |_, pos_w, w| {
-                w * self.params.path_gain(pos_v.distance(pos_w)) * channel.fade(pos_w, pos_v)
-            },
-            |acc, far| {
-                for (state, &s) in scratch.cand_states.iter_mut().zip(&scratch.cand_signals) {
-                    if *state != CandState::Undecided {
-                        continue;
+        let FieldScratch {
+            cand_signals,
+            cand_states,
+            near_ids,
+            near_signals,
+            stats,
+            ..
+        } = &mut *scratch;
+        let near = |u: NodeId| Some(near_signals[near_ids.iter().position(|&w| w == u)?]);
+        let near_d2 = radius * radius * (1.0 + NEAR_SLACK);
+        let settled = self
+            .settle_walk(
+                pos_v,
+                self.fades[1],
+                stats,
+                self.bounded.then_some(|u: NodeId, pos_w: Point, w: f64| {
+                    let d2 = pos_v.distance_sq(pos_w);
+                    match (d2 <= near_d2 && d2.sqrt() <= radius)
+                        .then(|| near(u))
+                        .flatten()
+                    {
+                        Some(s) => [s, s],
+                        None => self.bound_term(d2, w),
                     }
-                    let base = acc - s;
-                    let slack = GUARD * (acc + s);
-                    let i_lo = (base - slack).max(0.0);
-                    let i_hi = (base + slack + far).max(0.0);
-                    if (s / (noise + i_lo)) * (1.0 + GUARD) < beta {
-                        *state = CandState::No;
-                        undecided -= 1;
-                    } else if (s / (noise + i_hi)) * (1.0 - GUARD) >= beta {
-                        *state = CandState::Yes;
-                        undecided -= 1;
-                    }
-                }
-                (undecided == 0).then_some(())
-            },
-        );
+                }),
+                |u, pos_w, w| {
+                    let d = pos_v.distance(pos_w);
+                    let t = match (d <= radius).then(|| near(u)).flatten() {
+                        Some(s) => s,
+                        None => w * self.params.path_gain(d) * channel.fade(pos_w, pos_v),
+                    };
+                    [t, t]
+                },
+                |lo, hi, far| {
+                    settle_candidates(cand_states, cand_signals, noise, beta, lo, hi, far)
+                },
+            )
+            .is_some();
         FieldScratch::lap(t0, &mut scratch.times.far_field_cert);
 
         let mut yes_count = 0usize;
@@ -688,7 +795,7 @@ impl<'a> InterferenceField<'a> {
                 certified = Some(i);
             }
         }
-        if undecided > 0 || yes_count > 1 {
+        if !settled || yes_count > 1 {
             // Threshold-grazing query: decide it exactly.
             scratch.stats.fallbacks += 1;
             let t0 = scratch.clock();
@@ -749,28 +856,40 @@ impl<'a> InterferenceField<'a> {
             // raw form upper-bounds the far field while visited terms use
             // the exact clipped expression. The interferer fades are
             // unknown until visited, so the certificate folds the fade
-            // ceiling into the coefficient (widening only).
+            // ceiling into the coefficient (widening only), and a bound
+            // term the fade floor.
             let channel = self.params.channel();
             let d_uv = link.length(self.instance);
             let fade = channel.fade(self.instance.position(link.sender), pos_v);
-            let coeff =
-                c * d_uv.powf(self.params.alpha()) * channel.fade_bounds().1 / (link_power * fade);
-            let certified = self.walk(
+            let [fade_lo, fade_hi] = self.fades;
+            let base = c * d_uv.powf(self.params.alpha());
+            let coeff = base * fade_hi / (link_power * fade);
+            let coeff_lo = base * fade_lo / (link_power * fade);
+            let clip = 1.0 + self.params.epsilon();
+            let certified = self.settle_walk(
                 pos_v,
                 coeff,
-                &mut 0,
-                |u, _, w| {
+                &mut QueryStats::default(),
+                (self.bounded && coeff.is_finite()).then_some(|u: NodeId, pos_w: Point, w: f64| {
                     if u == link.sender {
+                        return [0.0; 2];
+                    }
+                    let [lo, hi] = self.gains.lines(pos_v.distance_sq(pos_w));
+                    [(w * coeff_lo * lo).min(clip), (w * coeff * hi).min(clip)]
+                }),
+                |u, _, w| {
+                    let t = if u == link.sender {
                         0.0
                     } else {
                         calc.thresholded_term(c, u, w, link, link_power)
-                    }
+                    };
+                    [t, t]
                 },
-                |acc, far| {
-                    let slack = GUARD * (acc + threshold.abs() + 1.0);
-                    if acc - slack > threshold {
+                |lo, hi, far| {
+                    let slack = GUARD * (hi + threshold.abs() + 1.0);
+                    if lo - slack > threshold {
                         Some(false) // already over, far adds only more
-                    } else if acc + slack + far <= threshold {
+                    } else if hi + slack + far <= threshold {
                         Some(true)
                     } else {
                         None
@@ -795,10 +914,25 @@ impl<'a> InterferenceField<'a> {
     /// SINR (delivery succeeded or not), so the certified near-field
     /// interval settles almost every query and the rare
     /// threshold-grazing one falls back to the exact naive-order sum.
-    /// Callers must handle half-duplex (a transmitting receiver)
-    /// themselves, exactly as with [`AffectanceCalc::sinr`].
+    /// A small slot tries the interval of its senders' table bounds
+    /// before that sum. Callers must handle half-duplex (a transmitting
+    /// receiver) themselves, exactly as with [`AffectanceCalc::sinr`].
     pub fn sinr_at_least(&self, link: Link, link_power: f64, threshold: f64) -> bool {
-        if self.senders.len() <= SMALL_SLOT {
+        self.sinr_verdict(link, link_power, threshold, &mut QueryStats::default())
+    }
+
+    /// [`sinr_at_least`](Self::sinr_at_least), counting the rings and
+    /// the straddles of its walks (a small slot's straddling bound sum
+    /// among them) into `stats`.
+    fn sinr_verdict(
+        &self,
+        link: Link,
+        link_power: f64,
+        threshold: f64,
+        stats: &mut QueryStats,
+    ) -> bool {
+        let small = self.senders.len() <= SMALL_SLOT;
+        if small && !self.bounded {
             return self.sinr_exact(link, link_power) >= threshold;
         }
         let noise = self.params.noise();
@@ -807,36 +941,57 @@ impl<'a> InterferenceField<'a> {
         let signal = link_power
             * self.params.path_gain(link.length(self.instance))
             * channel.fade(self.instance.position(link.sender), pos_v);
-        let certified = self.walk(
-            pos_v,
-            channel.fade_bounds().1,
-            &mut 0,
-            |u, pos_w, w| {
-                if u == link.sender {
-                    0.0
-                } else {
-                    w * self.params.path_gain(pos_v.distance(pos_w)) * channel.fade(pos_w, pos_v)
-                }
-            },
-            |acc, far| {
-                // An interferer co-located with the receiver drives the
-                // sum to infinity; no verdict fires, and the exact
-                // fallback reproduces the canonical 0-SINR.
-                if !acc.is_finite() {
-                    return None;
-                }
-                let slack = GUARD * (acc + signal);
-                let i_lo = (acc - slack).max(0.0);
-                let i_hi = (acc + slack + far).max(0.0);
-                if (signal / (noise + i_lo)) * (1.0 + GUARD) < threshold {
-                    Some(false) // even the optimistic end fails
-                } else if (signal / (noise + i_hi)) * (1.0 - GUARD) >= threshold {
-                    Some(true) // even the pessimistic end passes
-                } else {
-                    None
-                }
-            },
-        );
+        let bound = |u: NodeId, pos_w: Point, w: f64| {
+            if u == link.sender {
+                [0.0; 2]
+            } else {
+                self.bound_term(pos_v.distance_sq(pos_w), w)
+            }
+        };
+        let settle = |lo: f64, hi: f64, far: f64| {
+            // An interferer co-located with the receiver drives the
+            // sum to infinity; no verdict fires, and the exact
+            // fallback reproduces the canonical 0-SINR.
+            if !hi.is_finite() {
+                return None;
+            }
+            let slack = GUARD * (hi + signal);
+            let i_lo = (lo - slack).max(0.0);
+            let i_hi = (hi + slack + far).max(0.0);
+            if (signal / (noise + i_lo)) * (1.0 + GUARD) < threshold {
+                Some(false) // even the optimistic end fails
+            } else if (signal / (noise + i_hi)) * (1.0 - GUARD) >= threshold {
+                Some(true) // even the pessimistic end passes
+            } else {
+                None
+            }
+        };
+        let certified = if small {
+            let (lo, hi) = self.senders.iter().fold((0.0, 0.0), |(lo, hi), &(u, w)| {
+                let [l, h] = bound(u, self.instance.position(u), w);
+                (lo + l, hi + h)
+            });
+            let verdict = settle(lo, hi, 0.0);
+            stats.straddles += u64::from(verdict.is_none());
+            verdict
+        } else {
+            self.settle_walk(
+                pos_v,
+                self.fades[1],
+                stats,
+                self.bounded.then_some(bound),
+                |u, pos_w, w| {
+                    let t = if u == link.sender {
+                        0.0
+                    } else {
+                        w * self.params.path_gain(pos_v.distance(pos_w))
+                            * channel.fade(pos_w, pos_v)
+                    };
+                    [t, t]
+                },
+                settle,
+            )
+        };
         // Threshold-grazing (or degenerate) query: resolve exactly, in
         // the canonical naive order.
         certified.unwrap_or_else(|| self.sinr_exact(link, link_power) >= threshold)
@@ -848,23 +1003,58 @@ impl<'a> InterferenceField<'a> {
         AffectanceCalc::new(self.params, self.instance).sinr(link, link_power, &self.senders)
     }
 
+    /// Table bounds `[w·g_lo·fade_lo, w·g_hi·fade_hi]` on the received
+    /// power `w·g(d)·fade` of a member of power `w` at squared distance
+    /// `d2`, multiplied in the exact term's order, so each end brackets
+    /// the computed exact term (DESIGN.md §7.2).
+    #[inline]
+    fn bound_term(&self, d2: f64, w: f64) -> [f64; 2] {
+        let [lo, hi] = self.gains.lines(d2);
+        [w * lo * self.fades[0], w * hi * self.fades[1]]
+    }
+
+    /// A query's walks: on the `bound` terms first, if given, then, if
+    /// they straddle (counted in `stats`, with the rings of both), on
+    /// the `exact` terms. The exact walk is the one a field without
+    /// bounds runs; a verdict the bounds reach, it reaches too, at the
+    /// same ring (DESIGN.md §7.2).
+    fn settle_walk<T>(
+        &self,
+        center: Point,
+        scale: f64,
+        stats: &mut QueryStats,
+        bound: Option<impl FnMut(NodeId, Point, f64) -> [f64; 2]>,
+        exact: impl FnMut(NodeId, Point, f64) -> [f64; 2],
+        mut settle: impl FnMut(f64, f64, f64) -> Option<T>,
+    ) -> Option<T> {
+        if let Some(bound) = bound {
+            if let Some(verdict) = self.walk(center, scale, &mut stats.rings, bound, &mut settle) {
+                return Some(verdict);
+            }
+            stats.straddles += 1;
+        }
+        self.walk(center, scale, &mut stats.rings, exact, settle)
+    }
+
     /// The one certified ring walk behind every query (DESIGN.md §7.2).
     ///
-    /// Folds `term(sender, position, power)` of each member onto an
-    /// exact sum, ring by Chebyshev ring around `center`. After ring
-    /// `r > 0` every unvisited sender lies beyond `r · cell`, so `far`,
-    /// the [`far_power`](Self::far_power) bound times `scale`, bounds
-    /// their terms; `scale` caps a term per unit of received power.
-    /// Each finite `far` goes to `settle(sum, far)` with `far = 0` once
-    /// every cell is seen; the first verdict is returned. `rings`
+    /// Folds `term(sender, position, power)` of each member, a
+    /// `[lower, upper]` pair, onto two sums, ring by Chebyshev ring
+    /// around `center`: table bounds on a bound walk, the exact term
+    /// twice on an exact one. After ring `r > 0` every unvisited sender
+    /// lies beyond `r · cell`, so `far`, the
+    /// [`far_power`](Self::far_power) bound times `scale`, bounds their
+    /// terms; `scale` caps a term per unit of received power. Each
+    /// finite `far` goes to `settle(lower, upper, far)` with `far = 0`
+    /// once every cell is seen; the first verdict is returned. `rings`
     /// counts the rings walked.
     fn walk<T>(
         &self,
         center: Point,
         scale: f64,
         rings: &mut u64,
-        mut term: impl FnMut(NodeId, Point, f64) -> f64,
-        mut settle: impl FnMut(f64, f64) -> Option<T>,
+        mut term: impl FnMut(NodeId, Point, f64) -> [f64; 2],
+        mut settle: impl FnMut(f64, f64, f64) -> Option<T>,
     ) -> Option<T> {
         debug_assert_eq!(
             self.grid.len(),
@@ -873,22 +1063,26 @@ impl<'a> InterferenceField<'a> {
         );
         let key = self.grid.key_of(center);
         let max_ring = self.grid.max_ring_from(center);
-        let (mut sum, mut seen_w, mut cells_seen) = (0.0f64, 0.0f64, 0usize);
+        let mut squares = Squares::default();
+        let (mut lo, mut hi) = (0.0f64, 0.0f64);
+        let (mut seen_w, mut cells_seen) = (0.0f64, 0usize);
         for ring in 0..=max_ring {
             *rings += 1;
             cells_seen += self.grid.for_each_ring_cell(center, ring, |cv| {
                 for (((&u, &x), &y), &w) in cv.ids().iter().zip(cv.xs()).zip(cv.ys()).zip(cv.ws()) {
-                    sum += term(u, Point::new(x, y), w);
+                    let [l, h] = term(u, Point::new(x, y), w);
+                    lo += l;
+                    hi += h;
                     seen_w += w;
                 }
             });
             if cells_seen == self.grid.occupied_cells() {
-                return settle(sum, 0.0);
+                return settle(lo, hi, 0.0);
             }
             if ring > 0 {
-                let far = self.far_power(key, ring, max_ring, seen_w) * scale;
+                let far = self.far_power(key, ring, max_ring, seen_w, &mut squares) * scale;
                 if far.is_finite() {
-                    if let Some(verdict) = settle(sum, far) {
+                    if let Some(verdict) = settle(lo, hi, far) {
                         return Some(verdict);
                     }
                 }
@@ -909,30 +1103,72 @@ impl<'a> InterferenceField<'a> {
     /// Every gain is `j^{-α}·cell^{-α}`, no larger than `g(ring · cell)`,
     /// so the bound never exceeds the one-term bound beyond the table's
     /// rounding, which the guard covers (DESIGN.md §7.2). A lead gain
-    /// below the normal range gives no bound.
-    fn far_power(&self, key: CellKey, ring: i64, max_ring: i64, seen_w: f64) -> f64 {
+    /// below the normal range gives no bound. A walk asks for its rings
+    /// in order, and `squares` keeps the `Sq(k)` it has looked up.
+    fn far_power(
+        &self,
+        key: CellKey,
+        ring: i64,
+        max_ring: i64,
+        seen_w: f64,
+        squares: &mut Squares,
+    ) -> f64 {
         let total_w = self.grid.total_weight();
-        let Some(table) = &self.ring_gains else {
+        if !self.cell_gain.is_normal() {
             let min_d = ring as f64 * self.grid.cell_size();
             return ((total_w - seen_w).max(0.0) + GUARD * total_w) * self.params.path_gain(min_d);
-        };
-        let gain = |j: i64| table.ring(j) * self.cell_gain;
+        }
+        let gain = |j: i64| self.gains.ring(j) * self.cell_gain;
         let lead = gain(ring);
         if !lead.is_normal() {
             return f64::INFINITY;
         }
         let last = (ring + LOOKAHEAD).min(max_ring);
-        let mut inner = self.grid.square_weight(key, ring);
+        let mut square = |k: i64| squares.get(k, || self.grid.square_weight(key, k));
+        let mut inner = square(ring);
         let mut far = GUARD * total_w * lead;
         for k in ring + 1..=last {
-            let square = self.grid.square_weight(key, k);
-            far += (square - inner) * gain(k - 1);
-            inner = square;
+            let outer = square(k);
+            far += (outer - inner) * gain(k - 1);
+            inner = outer;
         }
         if last < max_ring {
-            far += (self.grid.square_weight(key, max_ring) - inner) * gain(last);
+            let rest = *squares
+                .outermost
+                .get_or_insert_with(|| self.grid.square_weight(key, max_ring));
+            far += (rest - inner) * gain(last);
         }
         far
+    }
+}
+
+/// One walk's summed-area squares `Sq(k)`: a window over the last
+/// `LOOKAHEAD + 1` rings it asked for, and `Sq(max_ring)`, so each
+/// further ring looks up one new square.
+#[derive(Debug, Default)]
+struct Squares {
+    /// `Sq(k)` in slot `k mod (LOOKAHEAD + 1)`, for `k ≤ loaded`.
+    window: [f64; LOOKAHEAD as usize + 1],
+    /// The largest `k` in the window; 0 before the first lookup.
+    loaded: i64,
+    /// `Sq(max_ring)`, once a far bound has read it.
+    outermost: Option<f64>,
+}
+
+impl Squares {
+    /// `Sq(k)`, from the window if `k` is in it, else from `lookup`.
+    /// The window holds the `LOOKAHEAD + 1` largest `k` asked for,
+    /// which are the ones a ring's far bound reads once the walk asks
+    /// for rings in increasing order.
+    #[inline]
+    fn get(&mut self, k: i64, lookup: impl FnOnce() -> f64) -> f64 {
+        let slot = (k % (LOOKAHEAD + 1)) as usize;
+        if k > self.loaded {
+            debug_assert_eq!(k, self.loaded + 1, "rings asked out of order");
+            self.window[slot] = lookup();
+            self.loaded = k;
+        }
+        self.window[slot]
     }
 }
 
@@ -954,10 +1190,7 @@ struct ReachMap {
 impl ReachMap {
     #[inline]
     fn key(&self, p: Point) -> CellKey {
-        (
-            (p.x / self.cell).floor() as i64,
-            (p.y / self.cell).floor() as i64,
-        )
+        (floor_i64(p.x / self.cell), floor_i64(p.y / self.cell))
     }
 
     /// The keys of the lower-left and upper-right cells of the box
@@ -1130,7 +1363,14 @@ mod tests {
                     }
                 }
                 let s = scratch.stats;
-                got.push([s.queries, s.small_exact, s.certified, s.fallbacks, s.rings]);
+                got.push([
+                    s.queries,
+                    s.small_exact,
+                    s.certified,
+                    s.fallbacks,
+                    s.straddles,
+                    s.rings,
+                ]);
             }
         }
         // [queries, small_exact, certified, fallbacks, rings] per slot:
@@ -1140,34 +1380,36 @@ mod tests {
         assert_eq!(
             got,
             [
-                [945, 0, 945, 0, 98],
-                [945, 0, 945, 0, 532],
-                [945, 0, 945, 0, 1287],
-                [945, 0, 945, 0, 1846],
+                [945, 0, 945, 0, 0, 98],
+                [945, 0, 945, 0, 0, 532],
+                [945, 0, 945, 0, 0, 1287],
+                [945, 0, 945, 0, 0, 1846],
             ]
         );
     }
 
-    /// Soundness gate for the far bound (DESIGN.md §7.2): at every ring
-    /// `r ≥ 1` a listener's walk reaches with cells still unseen, the
-    /// `far` handed to `settle` is at least the exact sum of the terms
-    /// of the senders outside rings `0..=r`. Uniform and clustered
+    /// Calls `check(params, instance, field, senders, listener)` for 25
+    /// listeners of each walk test slot: uniform, clustered and lattice
     /// instances, the geometric and a σ = 6 dB shadowed channel, equal,
     /// mean-with-margin and three-decade powers, and 9 to 600 senders,
-    /// so both sides of `AGGREGATE_SLOT`.
-    #[test]
-    fn far_bound_covers_every_unseen_sender() {
+    /// so both sides of `AGGREGATE_SLOT`. Returns how many slots built
+    /// the summed-area table.
+    fn for_each_walk_slot(
+        mut check: impl FnMut(&SinrParams, &Instance, &InterferenceField<'_>, &[(NodeId, f64)], NodeId),
+    ) -> usize {
         let geometric = SinrParams::default();
         let shadowed = geometric.with_channel(crate::ChannelModel::shadowed(7, 6.0).unwrap());
+        // The lattice puts members at integer squared distances, most
+        // of them edges of the gain table's buckets, where its bounds
+        // touch the gain up to their guard.
         let instances = [
             gen::uniform_square(1200, 1.5, 5).unwrap(),
             gen::clustered(12, 100, 1.5, 2.0, 5).unwrap(),
+            gen::grid_lattice(35, 35, 0.0, 5).unwrap(),
         ];
         let mut rng = StdRng::seed_from_u64(0xfa4);
-        let (mut rings_checked, mut aggregated) = (0usize, 0usize);
+        let mut aggregated = 0;
         for params in [geometric, shadowed] {
-            let channel = params.channel();
-            let fade_hi = channel.fade_bounds().1;
             for inst in &instances {
                 let nn = sinr_geom::GridIndex::build(inst, 2.0);
                 let mean = crate::PowerAssignment::mean_with_margin(&params, inst.delta());
@@ -1188,61 +1430,136 @@ mod tests {
                             })
                             .collect();
                         let field = InterferenceField::build(&params, inst, &senders);
-                        aggregated += usize::from(field.ring_gains.is_some());
+                        aggregated += usize::from(field.cell_gain.is_normal());
                         for &v in &ids[count..count + 25] {
-                            let pos_v = inst.position(v);
-                            let term = |pos_w: Point, w: f64| {
-                                w * params.path_gain(pos_v.distance(pos_w))
-                                    * channel.fade(pos_w, pos_v)
-                            };
-                            // Exact unseen sums by ring: `beyond[r]` sums the
-                            // terms of the senders more than `r` rings out.
-                            let key = field.grid.key_of(pos_v);
-                            let ring_of = |u: NodeId| {
-                                let k = field.grid.key_of(inst.position(u));
-                                (k.0 - key.0).abs().max((k.1 - key.1).abs()) as usize
-                            };
-                            let last = senders.iter().map(|&(u, _)| ring_of(u)).max().unwrap();
-                            let mut beyond = vec![0.0f64; last + 1];
-                            for &(u, w) in &senders {
-                                for b in &mut beyond[..ring_of(u)] {
-                                    *b += term(inst.position(u), w);
-                                }
-                            }
-                            let mut fars = Vec::new();
-                            field.walk(
-                                pos_v,
-                                fade_hi,
-                                &mut 0,
-                                |_, pos_w, w| term(pos_w, w),
-                                |_, far| {
-                                    fars.push(far);
-                                    None::<()>
-                                },
-                            );
-                            // One `far` per ring `1..last`, then `0` once every
-                            // cell is seen at ring `last`.
-                            assert_eq!(fars.len(), last.max(1), "a ring skipped its bound");
-                            assert_eq!(fars.pop(), Some(0.0));
-                            for (i, &far) in fars.iter().enumerate() {
-                                let r = i + 1;
-                                assert!(
-                                    far >= beyond[r],
-                                    "{count} senders, family {family}, listener {v}, ring {r}: \
-                                     far {far} < unseen {}",
-                                    beyond[r]
-                                );
-                                rings_checked += 1;
-                            }
+                            check(&params, inst, &field, &senders, v);
                         }
                     }
                 }
             }
         }
+        aggregated
+    }
+
+    /// Soundness gate for the far bound (DESIGN.md §7.2): at every ring
+    /// `r ≥ 1` a listener's walk reaches with cells still unseen, the
+    /// `far` handed to `settle` is at least the exact sum of the terms
+    /// of the senders outside rings `0..=r`, on every slot of
+    /// `for_each_walk_slot`.
+    #[test]
+    fn far_bound_covers_every_unseen_sender() {
+        let mut rings_checked = 0usize;
+        let aggregated = for_each_walk_slot(|params, inst, field, senders, v| {
+            let channel = params.channel();
+            let pos_v = inst.position(v);
+            let term = |pos_w: Point, w: f64| {
+                w * params.path_gain(pos_v.distance(pos_w)) * channel.fade(pos_w, pos_v)
+            };
+            // Exact unseen sums by ring: `beyond[r]` sums the terms of
+            // the senders more than `r` rings out.
+            let key = field.grid.key_of(pos_v);
+            let ring_of = |u: NodeId| {
+                let k = field.grid.key_of(inst.position(u));
+                (k.0 - key.0).abs().max((k.1 - key.1).abs()) as usize
+            };
+            let last = senders.iter().map(|&(u, _)| ring_of(u)).max().unwrap();
+            let mut beyond = vec![0.0f64; last + 1];
+            for &(u, w) in senders {
+                for b in &mut beyond[..ring_of(u)] {
+                    *b += term(inst.position(u), w);
+                }
+            }
+            let mut fars = Vec::new();
+            field.walk(
+                pos_v,
+                field.fades[1],
+                &mut 0,
+                |_, pos_w, w| [term(pos_w, w); 2],
+                |_, _, far| {
+                    fars.push(far);
+                    None::<()>
+                },
+            );
+            // One `far` per ring `1..last`, then `0` once every cell is
+            // seen at ring `last`.
+            assert_eq!(fars.len(), last.max(1), "a ring skipped its bound");
+            assert_eq!(fars.pop(), Some(0.0));
+            for (i, &far) in fars.iter().enumerate() {
+                let r = i + 1;
+                assert!(
+                    far >= beyond[r],
+                    "{} senders, listener {v}, ring {r}: far {far} < unseen {}",
+                    senders.len(),
+                    beyond[r]
+                );
+                rings_checked += 1;
+            }
+        });
         assert!(
             aggregated >= 24,
             "too few slots took the aggregate path: {aggregated}"
         );
+        assert!(
+            rings_checked > 10_000,
+            "too few rings checked: {rings_checked}"
+        );
+    }
+
+    /// The bound walk's soundness gate (DESIGN.md §7.2): on every slot
+    /// of `for_each_walk_slot`, at every ring a listener's walk settles,
+    /// the bound walk's `[lo, hi]` brackets the exact walk's sum of the
+    /// same members in the same ring order, and `hi + far` bounds the
+    /// sum over all senders. The shadowed slots check the fade-range
+    /// factors, which their fields never walk on.
+    #[test]
+    fn bound_walk_brackets_the_exact_walk() {
+        let mut rings_checked = 0usize;
+        for_each_walk_slot(|params, inst, field, _, v| {
+            let channel = params.channel();
+            let pos_v = inst.position(v);
+            let mut exact = Vec::new();
+            field.walk(
+                pos_v,
+                field.fades[1],
+                &mut 0,
+                |_, pos_w, w| {
+                    [w * params.path_gain(pos_v.distance(pos_w)) * channel.fade(pos_w, pos_v); 2]
+                },
+                |acc, _, far| {
+                    exact.push((acc, far));
+                    None::<()>
+                },
+            );
+            let mut bound = Vec::new();
+            field.walk(
+                pos_v,
+                field.fades[1],
+                &mut 0,
+                |_, pos_w, w| field.bound_term(pos_v.distance_sq(pos_w), w),
+                |lo, hi, far| {
+                    bound.push((lo, hi, far));
+                    None::<()>
+                },
+            );
+            assert_eq!(
+                exact.len(),
+                bound.len(),
+                "the two walks visit the same rings"
+            );
+            let total = exact.last().unwrap().0;
+            for (r, (&(acc, far), &(lo, hi, bound_far))) in exact.iter().zip(&bound).enumerate() {
+                assert_eq!(
+                    far.to_bits(),
+                    bound_far.to_bits(),
+                    "ring {r}: far bounds differ"
+                );
+                assert!(
+                    lo <= acc && acc <= hi && total <= hi + far,
+                    "listener {v} ring {r}: [{lo}, {hi}] + {far} misses {acc} of {total}"
+                );
+                rings_checked += 1;
+            }
+        });
         assert!(
             rings_checked > 10_000,
             "too few rings checked: {rings_checked}"
@@ -1492,8 +1809,9 @@ mod tests {
     }
 
     /// Threshold-grazing queries of a large slot take the exact path:
-    /// with `β` set to one listener's exact SINR that listener can
-    /// only fall back, and every decode still matches the oracle.
+    /// with `β` set to one listener's exact SINR that listener's bound
+    /// walk straddles and its exact walk can only fall back, and every
+    /// decode still matches the oracle.
     #[test]
     fn grazing_fallbacks_on_a_large_slot_are_exact() {
         let inst = gen::uniform_square(240, 1.5, 12).unwrap();
@@ -1508,7 +1826,48 @@ mod tests {
         let grazing = SinrParams::new(3.0, grazed, params.noise(), params.epsilon()).unwrap();
         let (stats, decodes) = assert_exact_parity(&grazing, &inst, &senders, "grazing");
         assert!(stats.fallbacks > 0, "no query fell back: {stats:?}");
+        assert!(
+            stats.straddles >= stats.fallbacks,
+            "a fallback skipped its bound walk: {stats:?}"
+        );
         assert!(decodes > 0);
+    }
+
+    /// Forced straddles of `sinr_at_least`: at a threshold equal to a
+    /// link's exact SINR no bound interval can settle the query, so the
+    /// bound walk (or a small slot's bound sum) straddles and the exact
+    /// path decides. Every decision equals `sinr_exact ≥ threshold`, on
+    /// a large and a small slot.
+    #[test]
+    fn forced_straddles_decide_exactly() {
+        let inst = gen::uniform_square(240, 1.5, 12).unwrap();
+        let params = SinrParams::default();
+        let senders = random_senders(&inst, 0.08, params.min_power_for_length(2.0), 4);
+        for slot in [&senders[..], &senders[..4]] {
+            let field = InterferenceField::build(&params, &inst, slot);
+            assert!(field.bounded);
+            let (mut stats, mut queries) = (QueryStats::default(), 0);
+            for v in (0..inst.len()).filter(|v| slot.iter().all(|&(u, _)| u != *v)) {
+                let (link, p) = probe_link(&inst, &params, v);
+                let exact = field.sinr_exact(link, p);
+                for threshold in [exact, params.beta()] {
+                    let verdict = field.sinr_verdict(link, p, threshold, &mut stats);
+                    assert_eq!(
+                        verdict,
+                        exact >= threshold,
+                        "listener {v} threshold {threshold}"
+                    );
+                    queries += 1;
+                }
+            }
+            // Every query at its own SINR straddles; most at `β` do not.
+            assert!(
+                stats.straddles >= queries / 2 && stats.straddles < queries,
+                "{} senders: {} straddles of {queries} queries",
+                slot.len(),
+                stats.straddles
+            );
+        }
     }
 
     /// Heterogeneous powers (three orders of magnitude) still certify

@@ -52,6 +52,7 @@ pub mod channel;
 mod error;
 pub mod feasibility;
 pub mod field;
+mod gain;
 pub mod packing;
 mod params;
 mod power;

@@ -673,6 +673,7 @@ impl<'a, P: Protocol> Engine<'a, P> {
             crate::profile::record("queries", stats.queries as f64);
             crate::profile::record("certified", stats.certified as f64);
             crate::profile::record("fallbacks", stats.fallbacks as f64);
+            crate::profile::record("straddles", stats.straddles as f64);
             crate::profile::record("rings", stats.rings as f64);
         }
         #[cfg(not(feature = "profile"))]
