@@ -16,11 +16,9 @@
 //! naming someone else — in both cases `w` drops the record. One pass,
 //! no false drops, no survivors among strays.
 
-use std::collections::{HashMap, HashSet};
-
 use sinr_geom::NodeId;
 use sinr_links::Link;
-use sinr_phy::field::{FieldBuffers, FieldScratch, InterferenceField};
+use sinr_phy::field::{FieldScratch, InterferenceField};
 use sinr_phy::{PowerAssignment, SinrParams};
 
 use crate::init::InitOutcome;
@@ -42,8 +40,9 @@ pub struct CleanupReport {
 /// Runs the reconciliation sweep over an [`InitOutcome`], replaying the
 /// channel `params` carries.
 ///
-/// Returns the per-holder confirmed children alongside the report; a
-/// correct sweep confirms exactly the authoritative child sets.
+/// Returns each holder's confirmed children, ascending and indexed by
+/// holder id, alongside the report; a correct sweep confirms exactly
+/// the authoritative child sets.
 ///
 /// # Errors
 ///
@@ -53,49 +52,42 @@ pub fn reconcile_strays(
     params: &SinrParams,
     instance: &sinr_geom::Instance,
     outcome: &InitOutcome,
-) -> Result<(HashMap<NodeId, HashSet<NodeId>>, CleanupReport)> {
+) -> Result<(Vec<Vec<NodeId>>, CleanupReport)> {
     let power: PowerAssignment = outcome.run.power_assignment();
 
     // Optimistic state reconstructed from the run: holder → claimed
-    // children. (The simulator's InitNode keeps it privately; the run
-    // exposes counts. For the sweep we rebuild the superset: every
-    // real parent-child pair plus the recorded strays.)
-    let mut optimistic: HashMap<NodeId, HashSet<NodeId>> = HashMap::new();
+    // children, ascending. (The simulator's InitNode keeps it
+    // privately; the run exposes counts. For the sweep we rebuild the
+    // superset: every real parent-child pair plus the recorded strays.)
+    let mut optimistic: Vec<Vec<NodeId>> = vec![Vec::new(); instance.len()];
     for (link, _) in outcome.run.link_slots.iter() {
-        optimistic
-            .entry(link.receiver)
-            .or_default()
-            .insert(link.sender);
+        optimistic[link.receiver].push(link.sender);
     }
+    let real_records = sort_claims(&mut optimistic);
     // Strays are rebuilt as "claims by a non-parent": the run records
     // how many there were; their identity is immaterial to the sweep's
     // correctness proof, so we synthesize the worst case — every node
     // also claims the child of its nearest tree neighbor.
-    let mut synthetic_strays = 0usize;
     for (link, _) in outcome.run.link_slots.iter() {
-        let child = link.sender;
-        let true_parent = link.receiver;
         // The grandparent claims the child too (a plausible overhear).
-        if let Some(gp) = outcome.tree.parent(true_parent) {
-            if optimistic.entry(gp).or_default().insert(child) {
-                synthetic_strays += 1;
-            }
+        if let Some(gp) = outcome.tree.parent(link.receiver) {
+            optimistic[gp].push(link.sender);
         }
     }
-    let records_before: usize = optimistic.values().map(HashSet::len).sum();
+    let records_before = sort_claims(&mut optimistic);
+    let synthetic_strays = records_before - real_records;
 
     // The sweep: replay aggregation slots; child u transmits
     // Confirm{parent}. Holder w keeps (u, w) iff it decodes u naming w.
     // Each slot's decode is exactly the engine's best-SINR rule, so it
-    // is resolved through one InterferenceField per slot (bit-identical
-    // to the historical all-pairs loop — DESIGN.md §7/§8).
-    let mut confirmed: HashMap<NodeId, HashSet<NodeId>> = HashMap::new();
+    // is resolved through one InterferenceField, refilled per slot
+    // (bit-identical to the historical all-pairs loop — DESIGN.md
+    // §7/§8). Holders are independent, so visiting them in id order
+    // decides what any order would.
+    let mut confirmed: Vec<Vec<NodeId>> = vec![Vec::new(); instance.len()];
     let mut busy = vec![false; instance.len()];
     let mut scratch = FieldScratch::default();
-    // Per-slot buffers cycle through the sweep: the field's grid and
-    // sender storage are recovered after each slot, so steady-state
-    // slots reuse capacity instead of re-allocating.
-    let mut buffers = FieldBuffers::default();
+    let mut field = InterferenceField::build(params, instance, &[]);
     let mut links: Vec<Link> = Vec::new();
     let mut tx: Vec<(NodeId, f64)> = Vec::new();
     let slots = outcome.schedule.slots();
@@ -106,36 +98,34 @@ pub fn reconcile_strays(
         for &l in &links {
             tx.push((l.sender, power.power_of(l, instance, params)?));
         }
-        let field =
-            InterferenceField::build_with(params, instance, &tx, std::mem::take(&mut buffers));
+        field.refill(&tx);
         for &(u, _) in &tx {
             busy[u] = true;
         }
         // Which holders decode which confirmations this slot?
-        for (holder, claims) in &optimistic {
+        for (holder, claims) in optimistic.iter().enumerate() {
             // A transmitting holder cannot listen.
-            if busy[*holder] {
+            if claims.is_empty() || busy[holder] {
                 continue;
             }
             // Who does `holder` decode? Best SINR ≥ β among transmitters.
-            if let Some((child, _, _)) = field.decode_best_with(*holder, &mut scratch) {
+            if let Some((child, _, _)) = field.decode_best_with(holder, &mut scratch) {
                 // The decoded message names the child's true parent.
                 let named_parent = outcome
                     .tree
                     .parent(child)
                     .expect("transmitting children have parents");
-                if named_parent == *holder && claims.contains(&child) {
-                    confirmed.entry(*holder).or_default().insert(child);
+                if named_parent == holder && claims.binary_search(&child).is_ok() {
+                    confirmed[holder].push(child);
                 }
             }
         }
         for &(u, _) in &tx {
             busy[u] = false;
         }
-        buffers = field.into_buffers();
     }
 
-    let confirmed_count: usize = confirmed.values().map(HashSet::len).sum();
+    let confirmed_count = sort_claims(&mut confirmed);
     let report = CleanupReport {
         records_before,
         confirmed: confirmed_count,
@@ -144,6 +134,19 @@ pub fn reconcile_strays(
     };
     debug_assert!(report.dropped >= synthetic_strays || records_before == 0);
     Ok((confirmed, report))
+}
+
+/// Sorts each holder's children and drops repeats; returns how many
+/// records are left.
+fn sort_claims(claims: &mut [Vec<NodeId>]) -> usize {
+    claims
+        .iter_mut()
+        .map(|c| {
+            c.sort_unstable();
+            c.dedup();
+            c.len()
+        })
+        .sum()
 }
 
 #[cfg(test)]
@@ -160,12 +163,12 @@ mod tests {
             let out = run_init(&params, &inst, &InitConfig::default(), seed + 50).unwrap();
             let (confirmed, report) = reconcile_strays(&params, &inst, &out).unwrap();
 
-            // Authoritative child sets from the tree.
-            for u in 0..inst.len() {
-                let true_children: HashSet<NodeId> = out.tree.children(u).iter().copied().collect();
-                let got = confirmed.get(&u).cloned().unwrap_or_default();
+            // Authoritative child sets from the tree, ascending.
+            assert_eq!(confirmed.len(), inst.len());
+            for (u, got) in confirmed.iter().enumerate() {
                 assert_eq!(
-                    got, true_children,
+                    got,
+                    out.tree.children(u),
                     "node {u}: sweep must confirm exactly the true children (seed {seed})"
                 );
             }
@@ -182,7 +185,7 @@ mod tests {
         let inst = gen::line(1).unwrap();
         let out = run_init(&params, &inst, &InitConfig::default(), 0).unwrap();
         let (confirmed, report) = reconcile_strays(&params, &inst, &out).unwrap();
-        assert!(confirmed.is_empty());
+        assert!(confirmed.iter().all(Vec::is_empty));
         assert_eq!(report.records_before, 0);
         assert_eq!(report.dropped, 0);
     }

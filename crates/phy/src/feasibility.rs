@@ -18,7 +18,7 @@ use sinr_geom::{Instance, NodeId, Point};
 use sinr_links::{Link, LinkSet, Schedule};
 
 use crate::affectance::AffectanceCalc;
-use crate::field::{FieldBuffers, InterferenceField, GUARD};
+use crate::field::{InterferenceField, GUARD};
 use crate::gain::GainBounds;
 use crate::{PhyError, PowerAssignment, SinrParams};
 
@@ -220,7 +220,7 @@ pub fn validate_schedule(
     schedule: &Schedule,
     power: &PowerAssignment,
 ) -> Result<(), PhyError> {
-    let mut scratch = SlotScratch::default();
+    let mut scratch = SlotScratch::new(params, instance);
     for (slot, links) in schedule.slots().iter().enumerate() {
         if scratch.passes(params, instance, links, power) {
             continue;
@@ -237,15 +237,24 @@ pub fn validate_schedule(
     Ok(())
 }
 
-/// The reusable buffers of [`validate_schedule`]'s per-slot fast path.
-#[derive(Debug, Default)]
-struct SlotScratch {
+/// The reusable buffers of [`validate_schedule`]'s per-slot fast path:
+/// one field, refilled with each slot's senders.
+#[derive(Debug)]
+struct SlotScratch<'a> {
     tx: Vec<(NodeId, f64)>,
     senders: Vec<NodeId>,
-    buffers: FieldBuffers,
+    field: InterferenceField<'a>,
 }
 
-impl SlotScratch {
+impl<'a> SlotScratch<'a> {
+    fn new(params: &'a SinrParams, instance: &'a Instance) -> Self {
+        SlotScratch {
+            tx: Vec::new(),
+            senders: Vec::new(),
+            field: InterferenceField::build(params, instance, &[]),
+        }
+    }
+
     /// Whether `links` is certainly feasible; `false` sends the slot to
     /// [`check`], which decides it and names the violation.
     fn passes(
@@ -273,14 +282,11 @@ impl SlotScratch {
             return false;
         }
         let threshold = params.beta() * (1.0 - 1e-12);
-        let buffers = std::mem::take(&mut self.buffers);
-        let field = InterferenceField::build_with(params, instance, &self.tx, buffers);
-        let feasible = links
+        self.field.refill(&self.tx);
+        links
             .iter()
             .zip(&self.tx)
-            .all(|(l, &(_, p))| field.sinr_at_least(l, p, threshold));
-        self.buffers = field.into_buffers();
-        feasible
+            .all(|(l, &(_, p))| self.field.sinr_at_least(l, p, threshold))
     }
 }
 

@@ -356,13 +356,14 @@ fn settle_candidates(
 /// A slot's transmitter set, spatially indexed for certified
 /// thresholded queries.
 ///
-/// Build one per slot from the active `(sender, power)` set, then
-/// answer decode and affectance-threshold queries. All decisions and
-/// all reported values are bit-identical to the naive all-pairs path
-/// (see module docs).
+/// Build one from a slot's active `(sender, power)` set, then answer
+/// decode and affectance-threshold queries; a caller that resolves
+/// many slots refills the same field with each next set. All decisions
+/// and all reported values are bit-identical to the naive all-pairs
+/// path (see module docs).
 ///
-/// A field is immutable once built. For the probe-then-commit inner
-/// loop of slot packing use
+/// Queries never change a field; only a refill does. For the
+/// probe-then-commit inner loop of slot packing use
 /// [`feasibility::SlotAuditor`](crate::feasibility::SlotAuditor), which
 /// is built for exactly that access pattern.
 #[derive(Debug)]
@@ -386,7 +387,8 @@ pub struct InterferenceField<'a> {
     /// [`AGGREGATE_SLOT`] senders.
     reach: ReachMap,
     /// The gain bounds of the field's `α`: the bound walk's member
-    /// terms and the summed-area far bound's ring gains `j^{-α}`.
+    /// terms and the summed-area far bound's ring gains `j^{-α}`. Like
+    /// `fades` and `bounded`, fixed by `params` for the field's life.
     gains: Arc<GainBounds>,
     /// The channel's fade range `[fade_lo, fade_hi]`, the factors of a
     /// member's lower and upper bound terms.
@@ -399,36 +401,6 @@ pub struct InterferenceField<'a> {
     cell_gain: f64,
 }
 
-/// The reusable allocations of a field: the canonical sender list, the
-/// weighted cell grid's CSR index, member columns and summed-area
-/// table, the reach bitmap, and the shared gain-bound table.
-///
-/// [`InterferenceField::build_with`] consumes a set of buffers and
-/// refills them in place; [`InterferenceField::into_buffers`] recovers
-/// them once the slot is resolved. Cycling one `FieldBuffers` through
-/// that pair keeps the per-slot field construction allocation-free at
-/// steady state (capacities only ever grow to the high-water mark).
-#[derive(Debug)]
-pub struct FieldBuffers {
-    senders: Vec<(NodeId, f64)>,
-    grid: WeightedCellGrid,
-    reach: ReachMap,
-    gains: Option<Arc<GainBounds>>,
-}
-
-impl Default for FieldBuffers {
-    fn default() -> Self {
-        FieldBuffers {
-            senders: Vec::new(),
-            // Placeholder cell size; every build re-keys the grid to
-            // the slot's decode-radius-derived cell.
-            grid: WeightedCellGrid::new(1.0),
-            reach: ReachMap::default(),
-            gains: None,
-        }
-    }
-}
-
 impl<'a> InterferenceField<'a> {
     /// Builds a field over one slot's transmitter set.
     ///
@@ -439,22 +411,42 @@ impl<'a> InterferenceField<'a> {
     /// would break the bit-parity contract (the naive reference skips
     /// *every* entry of the decoded sender's id, while the field
     /// subtracts only one signal term).
+    ///
+    /// The field keeps `params`' gain table and fade range for life; a
+    /// caller that resolves slot after slot over the same parameters
+    /// and instance builds one field and [`refill`](Self::refill)s it.
     pub fn build(
         params: &'a SinrParams,
         instance: &'a Instance,
         senders: &[(NodeId, f64)],
     ) -> Self {
-        Self::build_with(params, instance, senders, FieldBuffers::default())
+        let (fade_lo, fade_hi) = params.channel().fade_bounds();
+        let mut field = InterferenceField {
+            params,
+            instance,
+            senders: Vec::new(),
+            // Placeholder cell size; every refill re-keys the grid to
+            // the slot's decode-radius-derived cell.
+            grid: WeightedCellGrid::new(1.0),
+            radius: 0.0,
+            reach: ReachMap::default(),
+            gains: GainBounds::shared(params.alpha()),
+            fades: [fade_lo, fade_hi],
+            bounded: fade_hi / fade_lo <= BOUND_FADE_RANGE,
+            cell_gain: f64::NAN,
+        };
+        field.refill(senders);
+        field
     }
 
-    /// [`build`](Self::build) recycling a previous field's allocations;
-    /// see [`FieldBuffers`]. Bit-identical to a fresh build.
-    pub fn build_with(
-        params: &'a SinrParams,
-        instance: &'a Instance,
-        senders: &[(NodeId, f64)],
-        buffers: FieldBuffers,
-    ) -> Self {
+    /// Re-points the field at another slot's transmitter set, in place:
+    /// the sender list, the grid, its summed-area table and the reach
+    /// bitmap are rebuilt inside the buffers they already own, so a
+    /// refill allocates nothing once the buffers have grown to the
+    /// largest slot. Every query answers as on a fresh
+    /// [`build`](Self::build) of `senders`, bit for bit, whatever the
+    /// field held before; `senders` obeys `build`'s rules.
+    pub fn refill(&mut self, senders: &[(NodeId, f64)]) {
         debug_assert!(
             senders
                 .iter()
@@ -464,6 +456,7 @@ impl<'a> InterferenceField<'a> {
                 == senders.len(),
             "duplicate sender id in transmitter set"
         );
+        let (params, instance) = (self.params, self.instance);
         // Length scale for cell sizing: the instance diameter `Δ`,
         // cached at construction — O(1), and it bounds every
         // listener↔sender distance, so ring counts stay
@@ -476,27 +469,21 @@ impl<'a> InterferenceField<'a> {
         } else {
             span
         };
-        let FieldBuffers {
-            senders: mut sender_buf,
-            mut grid,
-            mut reach,
-            gains,
-        } = buffers;
-        sender_buf.clear();
-        sender_buf.extend_from_slice(senders);
+        self.senders.clear();
+        self.senders.extend_from_slice(senders);
         if senders.len() <= SMALL_SLOT {
             // No query of a small slot reads the grid (each branches on
             // `SMALL_SLOT` first), so it stays empty.
-            grid.rebuild(cell, std::iter::empty());
+            self.grid.rebuild(cell, std::iter::empty());
         } else {
-            grid.rebuild(
+            self.grid.rebuild(
                 cell,
-                sender_buf
+                self.senders
                     .iter()
                     .map(|&(u, p)| (u, instance.position(u), p)),
             );
         }
-        reach.bits.clear();
+        self.reach.bits.clear();
         let aggregate = senders.len() >= AGGREGATE_SLOT && radius.is_finite();
         let cell_gain = if aggregate {
             params.path_gain(cell)
@@ -504,42 +491,14 @@ impl<'a> InterferenceField<'a> {
             f64::NAN
         };
         if cell_gain.is_normal() {
-            grid.build_summed_area();
+            self.grid.build_summed_area();
             if radius >= REACH_MIN_RADIUS {
-                let positions = sender_buf.iter().map(|&(u, _)| instance.position(u));
-                reach.build(radius, span, senders.len(), positions);
+                let positions = self.senders.iter().map(|&(u, _)| instance.position(u));
+                self.reach.build(radius, span, senders.len(), positions);
             }
         }
-        let (fade_lo, fade_hi) = params.channel().fade_bounds();
-        // The process shares one table per `α`; a recycled field keeps
-        // its own and looks it up only when `α` changes.
-        let gains = match gains {
-            Some(table) if table.alpha().to_bits() == params.alpha().to_bits() => table,
-            _ => GainBounds::shared(params.alpha()),
-        };
-        InterferenceField {
-            params,
-            instance,
-            senders: sender_buf,
-            grid,
-            radius,
-            reach,
-            gains,
-            fades: [fade_lo, fade_hi],
-            bounded: fade_hi / fade_lo <= BOUND_FADE_RANGE,
-            cell_gain,
-        }
-    }
-
-    /// Dismantles the field, recovering its allocations for the next
-    /// [`build_with`](Self::build_with).
-    pub fn into_buffers(self) -> FieldBuffers {
-        FieldBuffers {
-            senders: self.senders,
-            grid: self.grid,
-            reach: self.reach,
-            gains: Some(self.gains),
-        }
+        self.radius = radius;
+        self.cell_gain = cell_gain;
     }
 
     /// Number of transmitters in the field.
@@ -1388,14 +1347,34 @@ mod tests {
         );
     }
 
-    /// Calls `check(params, instance, field, senders, listener)` for 25
-    /// listeners of each walk test slot: uniform, clustered and lattice
-    /// instances, the geometric and a σ = 6 dB shadowed channel, equal,
-    /// mean-with-margin and three-decade powers, and 9 to 600 senders,
-    /// so both sides of `AGGREGATE_SLOT`. Returns how many slots built
-    /// the summed-area table.
+    /// The walk tests' slots: 9 to 600 senders, so both sides of
+    /// `AGGREGATE_SLOT`, in each power family of `for_each_walk_slot`.
+    fn walk_slots() -> Vec<(usize, usize)> {
+        let counts = [9, 40, 64, 150, 600];
+        counts
+            .iter()
+            .flat_map(|&c| (0..3).map(move |f| (c, f)))
+            .collect()
+    }
+
+    /// Calls `check(params, instance, field, senders, listeners)` for
+    /// each `(senders, power family)` of `slots` on uniform, clustered
+    /// and lattice instances under the geometric and a σ = 6 dB
+    /// shadowed channel; `listeners` are the nodes outside the slot, in
+    /// random order. Family 0 gives every sender one power, 1 its
+    /// mean-with-margin power towards its nearest neighbour, 2 powers
+    /// over three decades. Each instance's slots are refilled, in
+    /// order, into one field. Returns how many slots built the
+    /// summed-area table.
     fn for_each_walk_slot(
-        mut check: impl FnMut(&SinrParams, &Instance, &InterferenceField<'_>, &[(NodeId, f64)], NodeId),
+        slots: &[(usize, usize)],
+        mut check: impl FnMut(
+            &SinrParams,
+            &Instance,
+            &InterferenceField<'_>,
+            &[(NodeId, f64)],
+            &[NodeId],
+        ),
     ) -> usize {
         let geometric = SinrParams::default();
         let shadowed = geometric.with_channel(crate::ChannelModel::shadowed(7, 6.0).unwrap());
@@ -1413,28 +1392,25 @@ mod tests {
             for inst in &instances {
                 let nn = sinr_geom::GridIndex::build(inst, 2.0);
                 let mean = crate::PowerAssignment::mean_with_margin(&params, inst.delta());
-                for count in [9, 40, 64, 150, 600] {
-                    for family in 0..3 {
-                        let mut ids: Vec<NodeId> = (0..inst.len()).collect();
-                        ids.shuffle(&mut rng);
-                        let base = params.min_power_for_length(2.0 + 6.0 * rng.gen::<f64>());
-                        let senders: Vec<(NodeId, f64)> = ids[..count]
-                            .iter()
-                            .map(|&u| match family {
-                                0 => (u, base),
-                                1 => {
-                                    let (v, _) = nn.nearest_neighbor(u).unwrap();
-                                    (u, mean.power_of(Link::new(u, v), inst, &params).unwrap())
-                                }
-                                _ => (u, base * 10f64.powf(rng.gen_range(0.0..3.0))),
-                            })
-                            .collect();
-                        let field = InterferenceField::build(&params, inst, &senders);
-                        aggregated += usize::from(field.cell_gain.is_normal());
-                        for &v in &ids[count..count + 25] {
-                            check(&params, inst, &field, &senders, v);
-                        }
-                    }
+                let mut field = InterferenceField::build(&params, inst, &[]);
+                for &(count, family) in slots {
+                    let mut ids: Vec<NodeId> = (0..inst.len()).collect();
+                    ids.shuffle(&mut rng);
+                    let base = params.min_power_for_length(2.0 + 6.0 * rng.gen::<f64>());
+                    let senders: Vec<(NodeId, f64)> = ids[..count]
+                        .iter()
+                        .map(|&u| match family {
+                            0 => (u, base),
+                            1 => {
+                                let (v, _) = nn.nearest_neighbor(u).unwrap();
+                                (u, mean.power_of(Link::new(u, v), inst, &params).unwrap())
+                            }
+                            _ => (u, base * 10f64.powf(rng.gen_range(0.0..3.0))),
+                        })
+                        .collect();
+                    field.refill(&senders);
+                    aggregated += usize::from(field.cell_gain.is_normal());
+                    check(&params, inst, &field, &senders, &ids[count..]);
                 }
             }
         }
@@ -1449,52 +1425,55 @@ mod tests {
     #[test]
     fn far_bound_covers_every_unseen_sender() {
         let mut rings_checked = 0usize;
-        let aggregated = for_each_walk_slot(|params, inst, field, senders, v| {
-            let channel = params.channel();
-            let pos_v = inst.position(v);
-            let term = |pos_w: Point, w: f64| {
-                w * params.path_gain(pos_v.distance(pos_w)) * channel.fade(pos_w, pos_v)
-            };
-            // Exact unseen sums by ring: `beyond[r]` sums the terms of
-            // the senders more than `r` rings out.
-            let key = field.grid.key_of(pos_v);
-            let ring_of = |u: NodeId| {
-                let k = field.grid.key_of(inst.position(u));
-                (k.0 - key.0).abs().max((k.1 - key.1).abs()) as usize
-            };
-            let last = senders.iter().map(|&(u, _)| ring_of(u)).max().unwrap();
-            let mut beyond = vec![0.0f64; last + 1];
-            for &(u, w) in senders {
-                for b in &mut beyond[..ring_of(u)] {
-                    *b += term(inst.position(u), w);
+        let aggregated =
+            for_each_walk_slot(&walk_slots(), |params, inst, field, senders, listeners| {
+                for &v in &listeners[..25] {
+                    let channel = params.channel();
+                    let pos_v = inst.position(v);
+                    let term = |pos_w: Point, w: f64| {
+                        w * params.path_gain(pos_v.distance(pos_w)) * channel.fade(pos_w, pos_v)
+                    };
+                    // Exact unseen sums by ring: `beyond[r]` sums the terms of
+                    // the senders more than `r` rings out.
+                    let key = field.grid.key_of(pos_v);
+                    let ring_of = |u: NodeId| {
+                        let k = field.grid.key_of(inst.position(u));
+                        (k.0 - key.0).abs().max((k.1 - key.1).abs()) as usize
+                    };
+                    let last = senders.iter().map(|&(u, _)| ring_of(u)).max().unwrap();
+                    let mut beyond = vec![0.0f64; last + 1];
+                    for &(u, w) in senders {
+                        for b in &mut beyond[..ring_of(u)] {
+                            *b += term(inst.position(u), w);
+                        }
+                    }
+                    let mut fars = Vec::new();
+                    field.walk(
+                        pos_v,
+                        field.fades[1],
+                        &mut 0,
+                        |_, pos_w, w| [term(pos_w, w); 2],
+                        |_, _, far| {
+                            fars.push(far);
+                            None::<()>
+                        },
+                    );
+                    // One `far` per ring `1..last`, then `0` once every cell is
+                    // seen at ring `last`.
+                    assert_eq!(fars.len(), last.max(1), "a ring skipped its bound");
+                    assert_eq!(fars.pop(), Some(0.0));
+                    for (i, &far) in fars.iter().enumerate() {
+                        let r = i + 1;
+                        assert!(
+                            far >= beyond[r],
+                            "{} senders, listener {v}, ring {r}: far {far} < unseen {}",
+                            senders.len(),
+                            beyond[r]
+                        );
+                        rings_checked += 1;
+                    }
                 }
-            }
-            let mut fars = Vec::new();
-            field.walk(
-                pos_v,
-                field.fades[1],
-                &mut 0,
-                |_, pos_w, w| [term(pos_w, w); 2],
-                |_, _, far| {
-                    fars.push(far);
-                    None::<()>
-                },
-            );
-            // One `far` per ring `1..last`, then `0` once every cell is
-            // seen at ring `last`.
-            assert_eq!(fars.len(), last.max(1), "a ring skipped its bound");
-            assert_eq!(fars.pop(), Some(0.0));
-            for (i, &far) in fars.iter().enumerate() {
-                let r = i + 1;
-                assert!(
-                    far >= beyond[r],
-                    "{} senders, listener {v}, ring {r}: far {far} < unseen {}",
-                    senders.len(),
-                    beyond[r]
-                );
-                rings_checked += 1;
-            }
-        });
+            });
         assert!(
             aggregated >= 24,
             "too few slots took the aggregate path: {aggregated}"
@@ -1514,56 +1493,131 @@ mod tests {
     #[test]
     fn bound_walk_brackets_the_exact_walk() {
         let mut rings_checked = 0usize;
-        for_each_walk_slot(|params, inst, field, _, v| {
-            let channel = params.channel();
-            let pos_v = inst.position(v);
-            let mut exact = Vec::new();
-            field.walk(
-                pos_v,
-                field.fades[1],
-                &mut 0,
-                |_, pos_w, w| {
-                    [w * params.path_gain(pos_v.distance(pos_w)) * channel.fade(pos_w, pos_v); 2]
-                },
-                |acc, _, far| {
-                    exact.push((acc, far));
-                    None::<()>
-                },
-            );
-            let mut bound = Vec::new();
-            field.walk(
-                pos_v,
-                field.fades[1],
-                &mut 0,
-                |_, pos_w, w| field.bound_term(pos_v.distance_sq(pos_w), w),
-                |lo, hi, far| {
-                    bound.push((lo, hi, far));
-                    None::<()>
-                },
-            );
-            assert_eq!(
-                exact.len(),
-                bound.len(),
-                "the two walks visit the same rings"
-            );
-            let total = exact.last().unwrap().0;
-            for (r, (&(acc, far), &(lo, hi, bound_far))) in exact.iter().zip(&bound).enumerate() {
+        for_each_walk_slot(&walk_slots(), |params, inst, field, _, listeners| {
+            for &v in &listeners[..25] {
+                let channel = params.channel();
+                let pos_v = inst.position(v);
+                let mut exact = Vec::new();
+                field.walk(
+                    pos_v,
+                    field.fades[1],
+                    &mut 0,
+                    |_, pos_w, w| {
+                        [w * params.path_gain(pos_v.distance(pos_w)) * channel.fade(pos_w, pos_v);
+                            2]
+                    },
+                    |acc, _, far| {
+                        exact.push((acc, far));
+                        None::<()>
+                    },
+                );
+                let mut bound = Vec::new();
+                field.walk(
+                    pos_v,
+                    field.fades[1],
+                    &mut 0,
+                    |_, pos_w, w| field.bound_term(pos_v.distance_sq(pos_w), w),
+                    |lo, hi, far| {
+                        bound.push((lo, hi, far));
+                        None::<()>
+                    },
+                );
                 assert_eq!(
-                    far.to_bits(),
-                    bound_far.to_bits(),
-                    "ring {r}: far bounds differ"
+                    exact.len(),
+                    bound.len(),
+                    "the two walks visit the same rings"
                 );
-                assert!(
-                    lo <= acc && acc <= hi && total <= hi + far,
-                    "listener {v} ring {r}: [{lo}, {hi}] + {far} misses {acc} of {total}"
-                );
-                rings_checked += 1;
+                let total = exact.last().unwrap().0;
+                for (r, (&(acc, far), &(lo, hi, bound_far))) in exact.iter().zip(&bound).enumerate()
+                {
+                    assert_eq!(
+                        far.to_bits(),
+                        bound_far.to_bits(),
+                        "ring {r}: far bounds differ"
+                    );
+                    assert!(
+                        lo <= acc && acc <= hi && total <= hi + far,
+                        "listener {v} ring {r}: [{lo}, {hi}] + {far} misses {acc} of {total}"
+                    );
+                    rings_checked += 1;
+                }
             }
         });
         assert!(
             rings_checked > 10_000,
             "too few rings checked: {rings_checked}"
         );
+    }
+
+    /// A refilled field answers every query as a fresh build of the
+    /// same senders: each listener's decode (winner, power and SINR
+    /// bits), `sinr_at_least` and `sum_on_at_most` at a certified and
+    /// at a grazing threshold, and the `QueryStats` of the decodes and
+    /// of the SINR walks. The slots run 600 → 3 → 0 → 70 → 9 → 600 → 64
+    /// → 9 senders through one field per instance and channel, across
+    /// `SMALL_SLOT` and `AGGREGATE_SLOT` both ways and between power
+    /// families whose decode radii differ, so a grid, summed-area table
+    /// or reach bitmap left over from an earlier slot would answer some
+    /// query differently. The 9-sender slots build no reach bitmap, and
+    /// some of their listeners decode a sender while the bitmap of the
+    /// slot before would rule them out, so a refill that kept it fails
+    /// here.
+    #[test]
+    fn refill_matches_a_fresh_build() {
+        let slots = [
+            (600, 2),
+            (3, 0),
+            (0, 0),
+            (70, 0),
+            (9, 1),
+            (600, 1),
+            (64, 2),
+            (9, 0),
+        ];
+        let (mut queries, mut decodes, mut straddles) = (0u64, 0usize, 0u64);
+        for_each_walk_slot(&slots, |params, inst, field, senders, listeners| {
+            let fresh = InterferenceField::build(params, inst, senders);
+            let calc = AffectanceCalc::new(params, inst);
+            let (mut got, mut want) = (FieldScratch::default(), FieldScratch::default());
+            let (mut got_walks, mut want_walks) = (QueryStats::default(), QueryStats::default());
+            let n = senders.len();
+            for (i, &v) in listeners[..150].iter().enumerate() {
+                let decoded = fresh.decode_best_with(v, &mut want);
+                assert_eq!(
+                    bits(field.decode_best_with(v, &mut got)),
+                    bits(decoded),
+                    "{n} senders, listener {v}: decode"
+                );
+                decodes += usize::from(decoded.is_some());
+                if i % 3 != 0 {
+                    continue;
+                }
+                let link = Link::new(listeners[i + 1], v);
+                let p = params.min_power_for_length(link.length(inst)) * 4.0;
+                for thr in [params.beta(), fresh.sinr_exact(link, p)] {
+                    assert_eq!(
+                        field.sinr_verdict(link, p, thr, &mut got_walks),
+                        fresh.sinr_verdict(link, p, thr, &mut want_walks),
+                        "{n} senders, listener {v}: sinr ≥ {thr}"
+                    );
+                }
+                let sum = calc.sum_on(senders, link, p).unwrap_or(1.0);
+                for thr in [1.0, sum] {
+                    assert_eq!(
+                        field.sum_on_at_most(link, p, thr).ok(),
+                        fresh.sum_on_at_most(link, p, thr).ok(),
+                        "{n} senders, listener {v}: affectance ≤ {thr}"
+                    );
+                }
+            }
+            assert_eq!(got.stats, want.stats, "{n} senders");
+            assert_eq!(got_walks, want_walks, "{n} senders");
+            queries += got.stats.queries;
+            straddles += got_walks.straddles;
+        });
+        assert!(queries > 5_000, "too few decodes queried: {queries}");
+        assert!(decodes > 1_000, "too few decodes succeeded: {decodes}");
+        assert!(straddles > 500, "too few SINR walks straddled: {straddles}");
     }
 
     /// The reach bitmap at its edges, on a slot of 81 senders. The

@@ -9,9 +9,7 @@ use rand::{Rng, SeedableRng};
 
 use sinr_geom::{Instance, NodeId};
 use sinr_links::Link;
-use sinr_phy::field::{
-    decode_best_exact, FieldBuffers, FieldScratch, InterferenceField, PhaseTimes, QueryStats,
-};
+use sinr_phy::field::{decode_best_exact, FieldScratch, InterferenceField, PhaseTimes, QueryStats};
 use sinr_phy::{feasibility, SinrParams};
 
 use crate::faults::FaultPlan;
@@ -21,44 +19,41 @@ use crate::protocol::{Action, Protocol, Reception, SlotOutcome};
 /// Segment timer for the per-slot profiling phases: each
 /// [`lap`](PhaseClock::lap) records the time since the previous lap
 /// under the given phase name and starts the next segment. Inert (no
-/// `Instant` calls) when no profiling registry is active.
-#[cfg(feature = "profile")]
-struct PhaseClock(Option<std::time::Instant>);
+/// `Instant` calls) when no profiling registry is active, and empty
+/// without the `profile` feature.
+struct PhaseClock {
+    #[cfg(feature = "profile")]
+    t0: Option<std::time::Instant>,
+}
 
-#[cfg(feature = "profile")]
 impl PhaseClock {
     fn start() -> Self {
-        PhaseClock(if crate::profile::is_active() {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        })
+        PhaseClock {
+            #[cfg(feature = "profile")]
+            t0: crate::profile::is_active().then(std::time::Instant::now),
+        }
     }
 
-    fn lap(&mut self, name: &'static str) {
-        if let Some(t0) = self.0 {
-            crate::profile::record(name, t0.elapsed().as_secs_f64());
-            self.0 = Some(std::time::Instant::now());
+    #[inline]
+    fn lap(&mut self, _name: &'static str) {
+        #[cfg(feature = "profile")]
+        if let Some(t0) = self.t0 {
+            crate::profile::record(_name, t0.elapsed().as_secs_f64());
+            self.t0 = Some(std::time::Instant::now());
         }
     }
 }
 
-/// Recycled per-slot buffers — the engine's slot arena: the stepped
-/// node ids with their actions and outcomes, the transmitter list, the
-/// next slot's awake list, the interference-field allocations
-/// ([`FieldBuffers`]), and, for the pooled loop, the per-worker chunk
-/// buffers. Everything here is *capacity*, not state: every slot
-/// drains and refills them, so steady-state slots allocate nothing on
-/// the serial path (pinned by the allocation-gate test).
+/// The engine's per-slot buffers outside its [`SlotCtx`]: the outcome
+/// vector, the next slot's awake list and, for the pooled loop, the
+/// per-worker chunk buffers. Everything here is *capacity*, not state:
+/// every slot drains and refills them, so steady-state slots allocate
+/// nothing on the serial path (pinned by the allocation-gate test).
 struct SlotArena<M> {
-    ids: Vec<NodeId>,
-    actions: Vec<Action<M>>,
-    transmitters: Vec<(NodeId, f64)>,
     outcomes: Vec<SlotOutcome<M>>,
     /// The nodes that stay awake into the next slot, drafted by phase 1
     /// and merged with the calendar's wake-ups after phase 3.
     next_awake: Vec<NodeId>,
-    field_buffers: Option<FieldBuffers>,
     /// Pooled loop only: one outcome buffer per worker, cycled through
     /// the job channel so chunk capacity survives across slots.
     worker_outs: Vec<Vec<SlotOutcome<M>>>,
@@ -69,12 +64,8 @@ struct SlotArena<M> {
 impl<M> Default for SlotArena<M> {
     fn default() -> Self {
         SlotArena {
-            ids: Vec::new(),
-            actions: Vec::new(),
-            transmitters: Vec::new(),
             outcomes: Vec::new(),
             next_awake: Vec::new(),
-            field_buffers: None,
             worker_outs: Vec::new(),
             chunks: Vec::new(),
         }
@@ -101,7 +92,7 @@ pub enum EngineBackend {
     /// per slot, with every node stepped every slot.
     Naive,
     /// Spatially-indexed resolution through one
-    /// [`InterferenceField`] built per slot.
+    /// [`InterferenceField`], refilled each slot.
     #[default]
     Grid,
     /// Grid resolution with each slot's channel phase sharded across
@@ -215,6 +206,11 @@ pub struct Engine<'a, P: Protocol> {
     stats: EngineStats,
     backend: EngineBackend,
     scratch: FieldScratch,
+    /// The slot context, refilled in place every slot (DESIGN.md
+    /// §12.2); boxed so a slot borrows it out of the engine by moving a
+    /// pointer. `None` while a pooled run shares it with the workers,
+    /// and before the first slot.
+    ctx: Option<Box<SlotCtx<'a, P::Msg>>>,
     arena: SlotArena<P::Msg>,
     field_stats: QueryStats,
     /// Armed fault schedule ([`Engine::arm_faults`]); `None` — the
@@ -307,6 +303,7 @@ impl<'a, P: Protocol> Engine<'a, P> {
             stats: EngineStats::default(),
             backend,
             scratch: FieldScratch::default(),
+            ctx: None,
             arena: SlotArena::default(),
             field_stats: QueryStats::default(),
             faults: None,
@@ -421,76 +418,72 @@ impl<'a, P: Protocol> Engine<'a, P> {
     /// naive backend also panic when a dormant node breaks its
     /// dormancy promise.
     pub fn step(&mut self) -> SlotReport {
-        self.step_on(None)
+        let mut clock = PhaseClock::start();
+        let mut ctx = self.ctx.take().unwrap_or_else(|| Box::new(self.new_ctx()));
+        self.fill(&mut ctx, &mut clock);
+        let mut outcomes = std::mem::take(&mut self.arena.outcomes);
+        self.resolve_serial(&ctx, &mut outcomes);
+        clock.lap("resolve");
+        let report = self.finish_slot(&ctx, outcomes);
+        self.ctx = Some(ctx);
+        clock.lap("merge");
+        report
     }
 
-    /// One slot, with the channel phase sharded across `pool` when one
-    /// is given and the slot steps at least [`PARALLEL_MIN_NODES`]
-    /// nodes; smaller slots resolve on the driving thread.
-    fn step_on(&mut self, pool: Option<&SlotPool<'a, P::Msg>>) -> SlotReport {
-        let slot = self.slot;
-        #[cfg(feature = "profile")]
+    /// One slot of a pooled run, on the run's `shared` context: the
+    /// channel phase is sharded across `pool` when the slot steps at
+    /// least [`PARALLEL_MIN_NODES`] nodes; smaller slots resolve on the
+    /// driving thread.
+    fn step_pooled(
+        &mut self,
+        pool: &SlotPool<'a, P::Msg>,
+        shared: &mut Arc<SlotCtx<'a, P::Msg>>,
+    ) -> SlotReport {
         let mut clock = PhaseClock::start();
+        // Every worker reported the last slot and dropped its clone, so
+        // the context is unique again. Were a clone to linger, the slot
+        // would start from a fresh context; none carries state across
+        // slots.
+        let ctx = match Arc::get_mut(shared) {
+            Some(ctx) => ctx,
+            None => {
+                *shared = Arc::new(self.new_ctx());
+                Arc::get_mut(shared).expect("a new context is unshared")
+            }
+        };
+        self.fill(ctx, &mut clock);
+        let mut outcomes = std::mem::take(&mut self.arena.outcomes);
+        if shared.ids.len() >= PARALLEL_MIN_NODES {
+            self.resolve_pooled(pool, shared, &mut outcomes);
+        } else {
+            self.resolve_serial(shared, &mut outcomes);
+        }
+        clock.lap("resolve");
+        let report = self.finish_slot(shared, outcomes);
+        clock.lap("merge");
+        report
+    }
 
-        // Phase 1: collect actions into the recycled arena buffers.
-        let mut ids = std::mem::take(&mut self.arena.ids);
-        let mut actions = std::mem::take(&mut self.arena.actions);
-        ids.clear();
-        actions.clear();
-        self.collect_actions(slot, &mut ids, &mut actions);
-        #[cfg(feature = "profile")]
-        clock.lap("build");
-
-        // Phase 2: resolve the channel.
-        let transmitters = std::mem::take(&mut self.arena.transmitters);
-        let buffers = self.arena.field_buffers.take().unwrap_or_default();
-        let ctx = SlotCtx::build(
+    /// An empty slot context for this engine.
+    fn new_ctx(&self) -> SlotCtx<'a, P::Msg> {
+        SlotCtx::new(
             self.params,
             self.instance,
             self.backend,
-            slot,
-            (ids, actions),
-            (transmitters, buffers),
             (P::MEASURES_SINR, P::MEASURES_AFFECTANCE),
-        );
-        #[cfg(feature = "profile")]
-        clock.lap("grid");
-        let mut outcomes = std::mem::take(&mut self.arena.outcomes);
-        outcomes.clear();
+        )
+    }
 
-        // Phase 3: report outcomes, then return every buffer to the
-        // arena so the next slot allocates nothing.
-        let (report, ctx) = match pool {
-            Some(pool) if ctx.ids.len() >= PARALLEL_MIN_NODES => {
-                let ctx = Arc::new(ctx);
-                self.resolve_pooled(pool, &ctx, &mut outcomes);
-                #[cfg(feature = "profile")]
-                clock.lap("resolve");
-                let report = self.finish_slot(&ctx, &mut outcomes);
-                // Every worker has returned its chunk, so this is the
-                // last Arc. If a clone somehow lingers, skip recycling;
-                // the next slot re-allocates and correctness is
-                // unaffected.
-                (report, Arc::try_unwrap(ctx).ok())
-            }
-            _ => {
-                self.resolve_serial(&ctx, &mut outcomes);
-                #[cfg(feature = "profile")]
-                clock.lap("resolve");
-                (self.finish_slot(&ctx, &mut outcomes), Some(ctx))
-            }
-        };
-        self.arena.outcomes = outcomes;
-        if let Some(ctx) = ctx {
-            let (ids, actions, transmitters, buffers) = ctx.recycle();
-            self.arena.ids = ids;
-            self.arena.actions = actions;
-            self.arena.transmitters = transmitters;
-            self.arena.field_buffers = Some(buffers);
-        }
-        #[cfg(feature = "profile")]
-        clock.lap("merge");
-        report
+    /// Phases 1 and 2 into `ctx`: the stepped nodes' actions, then the
+    /// slot's transmitters and field.
+    fn fill(&mut self, ctx: &mut SlotCtx<'a, P::Msg>, clock: &mut PhaseClock) {
+        let slot = self.slot;
+        ctx.ids.clear();
+        ctx.actions.clear();
+        self.collect_actions(slot, &mut ctx.ids, &mut ctx.actions);
+        clock.lap("build");
+        ctx.refill(slot);
+        clock.lap("grid");
     }
 
     /// Phase 1, shared by the serial and pooled loops: every stepped
@@ -608,17 +601,16 @@ impl<'a, P: Protocol> Engine<'a, P> {
         ctx: &SlotCtx<'a, P::Msg>,
         outcomes: &mut Vec<SlotOutcome<P::Msg>>,
     ) {
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let scratch = &mut self.scratch;
         #[cfg(feature = "profile")]
         scratch.enable_timing(crate::profile::is_active());
         scratch.skip_canonical_sinr(!P::MEASURES_SINR);
         outcomes.reserve(ctx.ids.len());
         for k in 0..ctx.ids.len() {
-            outcomes.push(ctx.outcome_of(k, &mut scratch));
+            outcomes.push(ctx.outcome_of(k, scratch));
         }
         let stats = std::mem::take(&mut scratch.stats);
         let times = std::mem::take(&mut scratch.times);
-        self.scratch = scratch;
         self.absorb_field_stats(stats, times);
     }
 
@@ -682,11 +674,11 @@ impl<'a, P: Protocol> Engine<'a, P> {
     }
 
     /// Phase 3 plus slot bookkeeping, shared by the serial and pooled
-    /// loops.
+    /// loops; `outcomes` goes back to the arena drained.
     fn finish_slot(
         &mut self,
         ctx: &SlotCtx<'a, P::Msg>,
-        outcomes: &mut Vec<SlotOutcome<P::Msg>>,
+        mut outcomes: Vec<SlotOutcome<P::Msg>>,
     ) -> SlotReport {
         let slot = self.slot;
         // Reception faults land here, before outcomes are counted,
@@ -725,7 +717,7 @@ impl<'a, P: Protocol> Engine<'a, P> {
             }
         }
         #[cfg(feature = "trace")]
-        self.trace_slot(ctx, outcomes, &report);
+        self.trace_slot(ctx, &outcomes, &report);
         // The naive reference checks that a dormant node's `end_slot`
         // draws nothing: a stepped node is dormant when it does not
         // stay awake into the next slot.
@@ -750,6 +742,7 @@ impl<'a, P: Protocol> Engine<'a, P> {
                  a dormant end_slot must not draw"
             );
         }
+        self.arena.outcomes = outcomes;
         self.wake_due(slot + 1);
         self.slot += 1;
         self.stats.slots += 1;
@@ -873,14 +866,15 @@ impl<'a, P: Protocol> Engine<'a, P> {
     /// The shared batch loop. Serial backends (and small engines) step
     /// one slot at a time; the parallel backend keeps a
     /// [`with_pool`](crate::pool::with_pool) worker pool alive across
-    /// the whole run, broadcasting each large slot's immutable
-    /// [`SlotCtx`] to every worker and merging the outcome chunks in
-    /// node order. Protocol state and RNG streams never leave this
-    /// thread, so the observable behavior — every float bit included —
-    /// is the serial loop's. A worker panic travels back through the
-    /// pool's result channel and resumes here with its original payload
-    /// (a panicking protocol `Clone` fails the run loudly instead of
-    /// deadlocking the dispatcher).
+    /// the whole run, shares the engine's [`SlotCtx`] with every worker
+    /// through one `Arc` for the run, refilled between slots, and
+    /// merges each large slot's outcome chunks in node order. Protocol
+    /// state and RNG streams never leave this thread, so the observable
+    /// behavior — every float bit included — is the serial loop's. A
+    /// worker panic travels back through the pool's result channel and
+    /// resumes here with its original payload (a panicking protocol
+    /// `Clone` fails the run loudly instead of deadlocking the
+    /// dispatcher).
     fn run_loop(
         &mut self,
         max_slots: u64,
@@ -932,13 +926,17 @@ impl<'a, P: Protocol> Engine<'a, P> {
                 (out, stats, times)
             },
             |pool| {
+                // The workers share the engine's context for the run.
+                let ctx = self.ctx.take().unwrap_or_else(|| Box::new(self.new_ctx()));
+                let mut shared = Arc::new(*ctx);
                 while self.slot - start < max_slots {
-                    let report = self.step_on(Some(pool));
+                    let report = self.step_pooled(pool, &mut shared);
                     on_report(report);
                     if done(self) {
                         break;
                     }
                 }
+                self.ctx = Arc::into_inner(shared).map(Box::new);
             },
         );
         self.slot - start
@@ -1016,14 +1014,16 @@ impl<'a, P: Protocol> Engine<'a, P> {
     }
 }
 
-/// One slot's immutable channel context: the stepped nodes in
-/// ascending id order with their actions, the transmitter set in the
+/// The channel context of the slot being resolved: the stepped nodes
+/// in ascending id order with their actions, the transmitter set in the
 /// same canonical order, and — for the grid backends — the slot's
-/// [`InterferenceField`]. The pooled loop shares it read-only across
-/// workers via [`Arc`]; [`SlotCtx::outcome_of`] is the *single*
-/// per-node resolution sequence both the serial and the pooled loop
-/// execute, which is what makes their outputs byte-identical by
-/// construction.
+/// [`InterferenceField`]. An engine keeps one for its whole life and
+/// [`refill`](Self::refill)s it in place every slot, so a slot moves no
+/// struct and allocates nothing once its buffers have grown (DESIGN.md
+/// §12.2). The pooled loop shares it read-only across workers via
+/// [`Arc`]; [`SlotCtx::outcome_of`] is the *single* per-node resolution
+/// sequence both the serial and the pooled loop execute, which is what
+/// makes their outputs byte-identical by construction.
 struct SlotCtx<'a, M> {
     params: &'a SinrParams,
     instance: &'a Instance,
@@ -1032,11 +1032,10 @@ struct SlotCtx<'a, M> {
     /// `actions[k]` is node `ids[k]`'s action.
     actions: Vec<Action<M>>,
     transmitters: Vec<(NodeId, f64)>,
+    /// The grid backends' field (`None` on the naive backend). It holds
+    /// this slot's transmitters only when there are any: a slot nobody
+    /// transmits in skips the refill and leaves it unread.
     field: Option<InterferenceField<'a>>,
-    /// The recycled field allocations when no field was built this slot
-    /// (naive backend, or nobody transmitted) — carried through so
-    /// [`recycle`](Self::recycle) always hands capacity back.
-    spare: Option<FieldBuffers>,
     /// [`Protocol::MEASURES_SINR`] of the driving protocol: when false,
     /// receptions report `NaN` SINR on *every* backend (the naive and
     /// fallback paths compute it as a byproduct; discarding it here
@@ -1050,76 +1049,50 @@ struct SlotCtx<'a, M> {
 }
 
 impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
-    /// Validates the actions and derives the slot's channel state. The
-    /// `transmitters` vector and `buffers` come from the engine's
-    /// [`SlotArena`] — their *contents* are stale garbage from the
-    /// previous slot; only their capacity matters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a node transmitted with a non-positive or non-finite
-    /// power (a programming error in the protocol).
-    fn build(
+    /// An empty context for an engine on `backend`.
+    fn new(
         params: &'a SinrParams,
         instance: &'a Instance,
         backend: EngineBackend,
-        slot: u64,
-        (ids, actions): (Vec<NodeId>, Vec<Action<M>>),
-        (mut transmitters, buffers): (Vec<(NodeId, f64)>, FieldBuffers),
         (measure_sinr, measure_affectance): (bool, bool),
     ) -> Self {
-        transmitters.clear();
-        for (&id, a) in ids.iter().zip(&actions) {
-            if let Action::Transmit { power, .. } = a {
-                assert!(
-                    power.is_finite() && *power > 0.0,
-                    "node {id} transmitted with invalid power {power} in slot {slot}"
-                );
-                transmitters.push((id, *power));
-            }
-        }
-        let (field, spare) = match backend {
-            EngineBackend::Naive => (None, Some(buffers)),
-            _ if transmitters.is_empty() => (None, Some(buffers)),
-            _ => (
-                Some(InterferenceField::build_with(
-                    params,
-                    instance,
-                    &transmitters,
-                    buffers,
-                )),
-                None,
-            ),
-        };
         SlotCtx {
             params,
             instance,
-            ids,
-            actions,
-            transmitters,
-            field,
-            spare,
+            ids: Vec::new(),
+            actions: Vec::new(),
+            transmitters: Vec::new(),
+            field: (backend != EngineBackend::Naive)
+                .then(|| InterferenceField::build(params, instance, &[])),
             measure_sinr,
             measure_affectance,
         }
     }
 
-    /// Dismantles the context, recovering every recyclable allocation
-    /// for the next slot's [`build`](Self::build).
-    #[allow(clippy::type_complexity)]
-    fn recycle(
-        self,
-    ) -> (
-        Vec<NodeId>,
-        Vec<Action<M>>,
-        Vec<(NodeId, f64)>,
-        FieldBuffers,
-    ) {
-        let buffers = match self.field {
-            Some(f) => f.into_buffers(),
-            None => self.spare.unwrap_or_default(),
-        };
-        (self.ids, self.actions, self.transmitters, buffers)
+    /// Derives the slot's channel state from the actions phase 1 wrote
+    /// into `ids` and `actions`: the transmitter list, then the field,
+    /// when anyone transmits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node transmitted with a non-positive or non-finite
+    /// power (a programming error in the protocol).
+    fn refill(&mut self, slot: u64) {
+        self.transmitters.clear();
+        for (&id, a) in self.ids.iter().zip(&self.actions) {
+            if let Action::Transmit { power, .. } = a {
+                assert!(
+                    power.is_finite() && *power > 0.0,
+                    "node {id} transmitted with invalid power {power} in slot {slot}"
+                );
+                self.transmitters.push((id, *power));
+            }
+        }
+        if let Some(field) = &mut self.field {
+            if !self.transmitters.is_empty() {
+                field.refill(&self.transmitters);
+            }
+        }
     }
 
     /// Resolves the outcome of the `k`-th stepped node for this slot.
@@ -1129,7 +1102,11 @@ impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
             Action::Transmit { .. } => SlotOutcome::Transmitted,
             Action::Sleep | Action::SleepUntil(_) => SlotOutcome::Slept,
             Action::Listen => {
-                let decoded = match &self.field {
+                let field = self
+                    .field
+                    .as_ref()
+                    .filter(|_| !self.transmitters.is_empty());
+                let decoded = match field {
                     Some(f) => f.decode_best_with(id, scratch),
                     None => decode_best_exact(self.params, self.instance, id, &self.transmitters),
                 };
