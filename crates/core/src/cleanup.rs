@@ -17,11 +17,11 @@
 //! no false drops, no survivors among strays.
 
 use sinr_geom::NodeId;
-use sinr_links::Link;
-use sinr_phy::field::{FieldScratch, InterferenceField};
+use sinr_phy::field::FieldScratch;
 use sinr_phy::{PowerAssignment, SinrParams};
 
 use crate::init::InitOutcome;
+use crate::latency::replay;
 use crate::Result;
 
 /// Result of a cleanup sweep.
@@ -46,7 +46,8 @@ pub struct CleanupReport {
 ///
 /// # Errors
 ///
-/// Propagates power-lookup errors (cannot happen for outcomes produced
+/// Propagates power-lookup errors and the replay's error for a node
+/// that sends twice in a slot (neither can happen for outcomes produced
 /// by [`run_init`](crate::init::run_init)).
 pub fn reconcile_strays(
     params: &SinrParams,
@@ -60,7 +61,7 @@ pub fn reconcile_strays(
     // privately; the run exposes counts. For the sweep we rebuild the
     // superset: every real parent-child pair plus the recorded strays.)
     let mut optimistic: Vec<Vec<NodeId>> = vec![Vec::new(); instance.len()];
-    for (link, _) in outcome.run.link_slots.iter() {
+    for (link, _) in outcome.run.formed_links() {
         optimistic[link.receiver].push(link.sender);
     }
     let real_records = sort_claims(&mut optimistic);
@@ -68,7 +69,7 @@ pub fn reconcile_strays(
     // how many there were; their identity is immaterial to the sweep's
     // correctness proof, so we synthesize the worst case — every node
     // also claims the child of its nearest tree neighbor.
-    for (link, _) in outcome.run.link_slots.iter() {
+    for (link, _) in outcome.run.formed_links() {
         // The grandparent claims the child too (a plausible overhear).
         if let Some(gp) = outcome.tree.parent(link.receiver) {
             optimistic[gp].push(link.sender);
@@ -80,32 +81,17 @@ pub fn reconcile_strays(
     // The sweep: replay aggregation slots; child u transmits
     // Confirm{parent}. Holder w keeps (u, w) iff it decodes u naming w.
     // Each slot's decode is exactly the engine's best-SINR rule, so it
-    // is resolved through one InterferenceField, refilled per slot
-    // (bit-identical to the historical all-pairs loop — DESIGN.md
-    // §7/§8). Holders are independent, so visiting them in id order
-    // decides what any order would.
+    // is resolved through the replay's one InterferenceField, refilled
+    // per slot (bit-identical to the historical all-pairs loop —
+    // DESIGN.md §7/§8). Holders are independent, so visiting them in id
+    // order decides what any order would.
     let mut confirmed: Vec<Vec<NodeId>> = vec![Vec::new(); instance.len()];
-    let mut busy = vec![false; instance.len()];
     let mut scratch = FieldScratch::default();
-    let mut field = InterferenceField::build(params, instance, &[]);
-    let mut links: Vec<Link> = Vec::new();
-    let mut tx: Vec<(NodeId, f64)> = Vec::new();
-    let slots = outcome.schedule.slots();
-    for slot_links in &slots {
-        links.clear();
-        links.extend(slot_links.iter());
-        tx.clear();
-        for &l in &links {
-            tx.push((l.sender, power.power_of(l, instance, params)?));
-        }
-        field.refill(&tx);
-        for &(u, _) in &tx {
-            busy[u] = true;
-        }
+    let slots_used = replay(params, instance, &outcome.schedule, &power, |field, _| {
         // Which holders decode which confirmations this slot?
         for (holder, claims) in optimistic.iter().enumerate() {
             // A transmitting holder cannot listen.
-            if claims.is_empty() || busy[holder] {
+            if claims.is_empty() || field.transmits(holder) {
                 continue;
             }
             // Who does `holder` decode? Best SINR ≥ β among transmitters.
@@ -120,17 +106,14 @@ pub fn reconcile_strays(
                 }
             }
         }
-        for &(u, _) in &tx {
-            busy[u] = false;
-        }
-    }
+    })?;
 
     let confirmed_count = sort_claims(&mut confirmed);
     let report = CleanupReport {
         records_before,
         confirmed: confirmed_count,
         dropped: records_before - confirmed_count,
-        slots_used: slots.len(),
+        slots_used,
     };
     debug_assert!(report.dropped >= synthetic_strays || records_before == 0);
     Ok((confirmed, report))

@@ -64,6 +64,7 @@ use std::time::Instant;
 use sinr_geom::Instance;
 use sinr_links::{InTree, Link, Schedule, ScheduleDelta};
 use sinr_phy::feasibility::{Candidate, SlotAuditor};
+use sinr_phy::field::InterferenceField;
 use sinr_phy::packing::Candidates;
 use sinr_phy::{PowerAssignment, SinrParams};
 
@@ -93,7 +94,7 @@ impl<'a> DistSlot<'a> {
         instance: &'a Instance,
         tree: &InTree,
         [fwd_link, dual_link]: &[Candidate; 2],
-        round: &mut ProbeRound,
+        round: &mut ProbeRound<'_>,
     ) -> bool {
         let (link, pw_fwd, pw_dual) = (fwd_link.link(), fwd_link.power(), dual_link.power());
         // Ordering NACK: a tree-comparable resident refuses the slot
@@ -118,7 +119,7 @@ impl<'a> DistSlot<'a> {
             .extend(self.residents.iter().map(|&(l, pf, _)| (l.sender, pf)));
         round.tx.push((link.sender, pw_fwd));
         let probe = [(link, pw_fwd)];
-        if resolve_probe_slot(params, instance, &round.tx, &probe, 1.0).is_empty() {
+        if resolve_probe_slot(&mut round.field, &round.tx, &probe, 1.0).is_empty() {
             return false;
         }
         round.tx.clear();
@@ -127,7 +128,7 @@ impl<'a> DistSlot<'a> {
             .extend(self.residents.iter().map(|&(l, _, pd)| (l.receiver, pd)));
         round.tx.push((link.receiver, pw_dual));
         let ack = [(link.dual(), pw_dual)];
-        if resolve_probe_slot(params, instance, &round.tx, &ack, 1.0).is_empty() {
+        if resolve_probe_slot(&mut round.field, &round.tx, &ack, 1.0).is_empty() {
             return false;
         }
         // Resident NACKs, bit-exact: every resident receiver
@@ -169,10 +170,11 @@ impl<'a> DistSlot<'a> {
     }
 }
 
-/// Recycled transmitter list for the probe rounds.
-#[derive(Default)]
-struct ProbeRound {
+/// The probe rounds' recycled transmitter list and the one field
+/// every round of a run refills.
+struct ProbeRound<'a> {
     tx: Vec<(usize, f64)>,
+    field: InterferenceField<'a>,
 }
 
 /// Re-packs the merged `tree` with the distributed probe/ack protocol.
@@ -256,7 +258,10 @@ pub fn repack_distributed(
     let mut protocol_slots = 0u64;
     let mut escalations = 0usize;
     let mut classes: BTreeSet<u32> = BTreeSet::new();
-    let mut round = ProbeRound::default();
+    let mut round = ProbeRound {
+        tx: Vec::new(),
+        field: InterferenceField::build(params, instance, &[]),
+    };
     let mut candidates = Candidates::new(params, instance, power);
     for &u in &order {
         if tree.parent(u).is_none() || !fresh[u] {

@@ -28,7 +28,6 @@
 //!   remains. The simulation driver checks the globally-visible active
 //!   count only as a stopping criterion; nodes themselves never use it.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -289,11 +288,10 @@ pub struct InitRun {
     pub participants: Vec<NodeId>,
     /// The surviving active node (tree root).
     pub root: NodeId,
-    /// Broadcast-slot timestamp for each aggregation link formed.
-    pub link_slots: HashMap<Link, u64>,
-    /// Uniform power used per aggregation link when it formed (the same
-    /// power was used by its acknowledgment).
-    pub link_powers: HashMap<Link, f64>,
+    /// Per node, its uplink to `parents[u]` as it formed: the
+    /// broadcast-slot timestamp and the round's uniform power (its
+    /// acknowledgment used the same power); `None` where `parents` is.
+    pub uplinks: Vec<Option<(u64, f64)>>,
     /// Total simulated slots.
     pub slots_used: u64,
     /// Rounds executed (including extra repetitions of the top class).
@@ -304,23 +302,26 @@ pub struct InitRun {
 }
 
 impl InitRun {
+    /// Each formed aggregation link (child → parent) with its
+    /// `(timestamp, power)`, in ascending link order.
+    pub(crate) fn formed_links(&self) -> impl Iterator<Item = (Link, (u64, f64))> + '_ {
+        let up = self.parents.iter().zip(&self.uplinks).enumerate();
+        up.filter_map(|(u, (&p, &record))| Some((Link::new(u, p?), record?)))
+    }
+
     /// The aggregation links (child → parent) of the formed tree, in
     /// deterministic (sorted) order.
     pub fn aggregation_links(&self) -> sinr_links::LinkSet {
-        let mut v: Vec<Link> = self.link_slots.keys().copied().collect();
-        v.sort_unstable();
-        v.into_iter().collect()
+        self.formed_links().map(|(l, _)| l).collect()
     }
 
     /// The explicit power assignment covering both directions of every
     /// formed link (ack uses the same round power as its broadcast).
     pub fn power_assignment(&self) -> PowerAssignment {
-        let mut map = HashMap::new();
-        for (&l, &p) in &self.link_powers {
-            map.insert(l, p);
-            map.insert(l.dual(), p);
-        }
-        PowerAssignment::explicit(map).expect("round powers are positive")
+        let both = self
+            .formed_links()
+            .flat_map(|(l, (_, p))| [(l, p), (l.dual(), p)]);
+        PowerAssignment::explicit(both.collect()).expect("round powers are positive")
     }
 }
 
@@ -432,8 +433,7 @@ fn prepare_init(
             parents,
             root: participants[0],
             participants,
-            link_slots: HashMap::new(),
-            link_powers: HashMap::new(),
+            uplinks: vec![None; instance.len()],
             slots_used: 0,
             rounds_used: 0,
             stray_records: 0,
@@ -521,24 +521,18 @@ fn harvest(engine: &Engine<'_, InitNode>, setup: &InitSetup) -> Result<InitRun> 
     let root = actives[0];
 
     let mut parents = vec![None; engine.instance().len()];
-    let mut link_slots = HashMap::new();
-    let mut link_powers = HashMap::new();
+    let mut uplinks = vec![None; engine.instance().len()];
     for (id, node) in engine.nodes().iter().enumerate() {
         if !node.participates {
             continue;
         }
         if let Some(p) = node.parent {
             parents[id] = Some(p);
-            let link = Link::new(id, p);
-            link_slots.insert(
-                link,
+            uplinks[id] = Some((
                 node.uplink_slot.expect("connected nodes have a timestamp"),
-            );
-            link_powers.insert(
-                link,
                 node.uplink_power
                     .expect("connected nodes record their power"),
-            );
+            ));
         }
     }
 
@@ -547,7 +541,7 @@ fn harvest(engine: &Engine<'_, InitNode>, setup: &InitSetup) -> Result<InitRun> 
     for (id, node) in engine.nodes().iter().enumerate() {
         for &(child, bslot) in &node.optimistic_children {
             let confirmed =
-                parents[child] == Some(id) && link_slots.get(&Link::new(child, id)) == Some(&bslot);
+                parents[child] == Some(id) && uplinks[child].is_some_and(|(slot, _)| slot == bslot);
             if !confirmed {
                 stray_records += 1;
             }
@@ -558,8 +552,7 @@ fn harvest(engine: &Engine<'_, InitNode>, setup: &InitSetup) -> Result<InitRun> 
         parents,
         participants: setup.participants.clone(),
         root,
-        link_slots,
-        link_powers,
+        uplinks,
         slots_used,
         rounds_used: ((slots_used / 2).div_ceil(ppr).max(1)) as u32,
         stray_records,
@@ -603,7 +596,7 @@ pub fn run_init(
 /// Builds the tree / schedule / bi-tree of Theorem 2 from a raw run.
 fn assemble_outcome(run: InitRun) -> Result<InitOutcome> {
     let tree = InTree::from_parents(run.parents.clone())?;
-    let mut schedule = Schedule::from_pairs(run.link_slots.iter().map(|(&l, &s)| (l, s as usize)))?;
+    let mut schedule = Schedule::from_pairs(run.formed_links().map(|(l, (s, _))| (l, s as usize)))?;
     schedule.compact();
     let bitree = BiTree::new(tree.clone(), schedule.clone())?;
     Ok(InitOutcome {
@@ -914,7 +907,7 @@ mod tests {
         let inst = gen::line(2).unwrap();
         let out = run_init(&params(), &inst, &InitConfig::default(), 1).unwrap();
         assert_eq!(out.tree.len(), 2);
-        assert_eq!(out.run.link_slots.len(), 1);
+        assert_eq!(out.run.uplinks.iter().flatten().count(), 1);
         assert!(out.run.slots_used > 0);
     }
 
@@ -925,7 +918,7 @@ mod tests {
             let inst = gen::uniform_square(40, 1.5, seed).unwrap();
             let out = run_init(&p, &inst, &InitConfig::default(), seed).unwrap();
             // Spanning: n−1 links, every node reaches the root.
-            assert_eq!(out.run.link_slots.len(), inst.len() - 1);
+            assert_eq!(out.run.uplinks.iter().flatten().count(), inst.len() - 1);
             for u in 0..inst.len() {
                 let path = out.tree.path_to_root(u);
                 assert_eq!(*path.last().unwrap(), out.tree.root());
@@ -966,7 +959,7 @@ mod tests {
             out.run.rounds_used > 1,
             "Δ ≫ 1 needs several length classes"
         );
-        assert_eq!(out.run.link_slots.len(), 9);
+        assert_eq!(out.run.uplinks.iter().flatten().count(), 9);
     }
 
     #[test]

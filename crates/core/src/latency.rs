@@ -8,18 +8,17 @@
 //! end-to-end validation behind experiment E8.
 //!
 //! The replay consumes the channel only through the thresholded
-//! delivery decision `SINR ≥ β`, so each slot is resolved through one
-//! [`InterferenceField`] (certified near-field decision, exact
+//! delivery decision `SINR ≥ β`, so each pass refills one
+//! [`InterferenceField`] per slot (certified near-field decision, exact
 //! naive-order fallback — DESIGN.md §7/§8) instead of the historical
-//! all-pairs affectance sums; decisions are bit-identical and the pass
-//! over a schedule is near-linear in its links.
-
-use std::collections::HashMap;
+//! all-pairs affectance sums, and asks it which nodes transmit;
+//! decisions are bit-identical and the pass over a schedule is
+//! near-linear in its links.
 
 use sinr_geom::{Instance, NodeId};
-use sinr_links::{BiTree, Link};
+use sinr_links::{BiTree, Link, Schedule};
 use sinr_phy::field::InterferenceField;
-use sinr_phy::{PowerAssignment, SinrParams};
+use sinr_phy::{PhyError, PowerAssignment, SinrParams};
 
 use crate::{CoreError, Result};
 
@@ -45,16 +44,47 @@ pub struct BroadcastCheck {
     pub all_reached: bool,
 }
 
-fn slot_transmitters(
+/// Replays one pass of `schedule` against the channel: each slot's
+/// links transmit at their powers, one field is refilled with them, and
+/// `each_slot(field, links)` reads the slot, `links` pairing each link
+/// with its power in slot order. A delivery lands on a receiver that
+/// does not transmit in its slot, so no later link of the slot reads
+/// what it changes, and a caller applies it at once. Returns the pass's
+/// slot count. The stray sweep ([`crate::cleanup`]) replays through
+/// here too.
+///
+/// # Errors
+///
+/// A missing power, or [`PhyError::InfeasibleSlot`] with SINR 0 naming
+/// the first link of a node that sends twice in a slot (it has one
+/// radio).
+pub(crate) fn replay(
     params: &SinrParams,
     instance: &Instance,
-    links: &[Link],
+    schedule: &Schedule,
     power: &PowerAssignment,
-) -> Result<Vec<(NodeId, f64)>> {
-    links
-        .iter()
-        .map(|&l| Ok((l.sender, power.power_of(l, instance, params)?)))
-        .collect()
+    mut each_slot: impl FnMut(&InterferenceField<'_>, &[(Link, f64)]),
+) -> Result<usize> {
+    let mut field = InterferenceField::build(params, instance, &[]);
+    let (mut links, mut tx) = (Vec::new(), Vec::new());
+    let slots = schedule.slots();
+    for (slot, slot_links) in slots.iter().enumerate() {
+        links.clear();
+        tx.clear();
+        for l in slot_links.iter() {
+            let p = power.power_of(l, instance, params)?;
+            links.push((l, p));
+            tx.push((l.sender, p));
+        }
+        if let Err(u) = field.refill(&tx) {
+            let first = links.iter().find(|(l, _)| l.sender == u);
+            let (link, _) = *first.expect("a repeated sender sends a link of its slot");
+            let sinr = 0.0;
+            return Err(PhyError::InfeasibleSlot { slot, link, sinr }.into());
+        }
+        each_slot(&field, &links);
+    }
+    Ok(slots.len())
 }
 
 /// Replays the aggregation schedule: every node starts holding its own
@@ -64,49 +94,30 @@ fn slot_transmitters(
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Phy`] if a link has no power assigned.
+/// Returns [`CoreError::Phy`] if a link has no power assigned, or
+/// [`PhyError::InfeasibleSlot`] with SINR 0 naming the first link of a
+/// node that sends twice in one slot.
 pub fn simulate_convergecast(
     params: &SinrParams,
     instance: &Instance,
     bitree: &BiTree,
     power: &PowerAssignment,
 ) -> Result<ConvergecastCheck> {
-    let n = instance.len();
-    let mut holding: Vec<NodeId> = (0..n).collect();
+    let mut holding: Vec<NodeId> = (0..instance.len()).collect();
     let mut all_delivered = true;
-    let mut busy = vec![false; n];
-
-    let slots = bitree.aggregation_schedule().slots();
-    for slot_links in &slots {
-        let links: Vec<Link> = slot_links.iter().collect();
-        let tx = slot_transmitters(params, instance, &links, power)?;
-        let field = InterferenceField::build(params, instance, &tx);
-        for &(u, _) in &tx {
-            busy[u] = true;
-        }
-        // Compute receptions against the full transmitter set, then
-        // apply merges simultaneously (slot semantics).
-        let mut merges: HashMap<NodeId, NodeId> = HashMap::new();
-        for (i, &l) in links.iter().enumerate() {
-            let delivered =
-                !busy[l.receiver] && field.sinr_at_least(l, tx[i].1, params.beta() * (1.0 - 1e-12));
-            if delivered {
-                let best = merges.entry(l.receiver).or_insert(0);
-                *best = (*best).max(holding[l.sender]);
+    let threshold = params.delivery_threshold();
+    let schedule = bitree.aggregation_schedule();
+    let slots = replay(params, instance, schedule, power, |field, links| {
+        for &(l, p) in links {
+            if !field.transmits(l.receiver) && field.sinr_at_least(l, p, threshold) {
+                holding[l.receiver] = holding[l.receiver].max(holding[l.sender]);
             } else {
                 all_delivered = false;
             }
         }
-        for &(u, _) in &tx {
-            busy[u] = false;
-        }
-        for (receiver, value) in merges {
-            holding[receiver] = holding[receiver].max(value);
-        }
-    }
-
+    })?;
     Ok(ConvergecastCheck {
-        slots: slots.len(),
+        slots,
         all_delivered,
         root_aggregate: holding[bitree.tree().root()],
     })
@@ -118,7 +129,10 @@ pub fn simulate_convergecast(
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Phy`] if a link has no power assigned.
+/// Returns [`CoreError::Phy`] if a link has no power assigned, or
+/// [`PhyError::InfeasibleSlot`] with SINR 0 naming the first link of a
+/// node that sends twice in one slot: a parent whose children share an
+/// aggregation slot, which [`BiTree::new`] does not rule out.
 pub fn simulate_broadcast(
     params: &SinrParams,
     instance: &Instance,
@@ -128,37 +142,21 @@ pub fn simulate_broadcast(
     let n = instance.len();
     let mut has_token = vec![false; n];
     has_token[bitree.tree().root()] = true;
-    let mut busy = vec![false; n];
-
+    let threshold = params.delivery_threshold();
     let schedule = bitree.dissemination_schedule();
-    let slots = schedule.slots();
-    for slot_links in &slots {
-        let links: Vec<Link> = slot_links.iter().collect();
-        let tx = slot_transmitters(params, instance, &links, power)?;
-        let field = InterferenceField::build(params, instance, &tx);
-        for &(u, _) in &tx {
-            busy[u] = true;
-        }
-        let mut granted: Vec<NodeId> = Vec::new();
-        for (i, &l) in links.iter().enumerate() {
+    let slots = replay(params, instance, &schedule, power, |field, links| {
+        for &(l, p) in links {
             if has_token[l.sender]
-                && !busy[l.receiver]
-                && field.sinr_at_least(l, tx[i].1, params.beta() * (1.0 - 1e-12))
+                && !field.transmits(l.receiver)
+                && field.sinr_at_least(l, p, threshold)
             {
-                granted.push(l.receiver);
+                has_token[l.receiver] = true;
             }
         }
-        for &(u, _) in &tx {
-            busy[u] = false;
-        }
-        for v in granted {
-            has_token[v] = true;
-        }
-    }
-
+    })?;
     let reached = has_token.iter().filter(|&&t| t).count();
     Ok(BroadcastCheck {
-        slots: slots.len(),
+        slots,
         reached,
         all_reached: reached == n,
     })
@@ -207,7 +205,12 @@ mod tests {
     use crate::init::{run_init, InitConfig};
     use crate::selector::MeanSamplingSelector;
     use crate::tvc::{tree_via_capacity, TvcConfig};
-    use sinr_geom::gen;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use sinr_geom::{gen, Point};
+    use sinr_links::{InTree, LinkSet};
+    use sinr_phy::affectance::AffectanceCalc;
+    use sinr_phy::ChannelModel;
 
     fn params() -> SinrParams {
         SinrParams::default()
@@ -250,12 +253,178 @@ mod tests {
         assert_eq!(down.reached, 1);
     }
 
+    /// Both replays the way they were written before they shared one
+    /// refilled field: all-pairs `AffectanceCalc::sinr` per link, a busy
+    /// bitmap for half-duplex, and deliveries applied at the end of
+    /// their slot.
+    fn naive_replays(
+        p: &SinrParams,
+        inst: &Instance,
+        bitree: &BiTree,
+        power: &PowerAssignment,
+    ) -> (ConvergecastCheck, BroadcastCheck) {
+        let (n, root) = (inst.len(), bitree.tree().root());
+        let calc = AffectanceCalc::new(p, inst);
+        let mut busy = vec![false; n];
+        let mut deliveries = |links: &LinkSet| -> Vec<(Link, bool)> {
+            let tx: Vec<(NodeId, f64)> = links
+                .iter()
+                .map(|l| (l.sender, power.power_of(l, inst, p).unwrap()))
+                .collect();
+            for &(u, _) in &tx {
+                busy[u] = true;
+            }
+            let out = links
+                .iter()
+                .zip(&tx)
+                .map(|(l, &(_, pw))| {
+                    let ok = !busy[l.receiver] && calc.sinr(l, pw, &tx) >= p.beta() * (1.0 - 1e-12);
+                    (l, ok)
+                })
+                .collect();
+            for &(u, _) in &tx {
+                busy[u] = false;
+            }
+            out
+        };
+        let up_slots = bitree.aggregation_schedule().slots();
+        let mut holding: Vec<NodeId> = (0..n).collect();
+        let mut all_delivered = true;
+        for links in &up_slots {
+            let mut merges = Vec::new();
+            for (l, ok) in deliveries(links) {
+                if ok {
+                    merges.push((l.receiver, holding[l.sender]));
+                } else {
+                    all_delivered = false;
+                }
+            }
+            for (v, held) in merges {
+                holding[v] = holding[v].max(held);
+            }
+        }
+        let down_slots = bitree.dissemination_schedule().slots();
+        let mut has_token = vec![false; n];
+        has_token[root] = true;
+        for links in &down_slots {
+            let granted: Vec<NodeId> = deliveries(links)
+                .into_iter()
+                .filter(|&(l, ok)| ok && has_token[l.sender])
+                .map(|(l, _)| l.receiver)
+                .collect();
+            for v in granted {
+                has_token[v] = true;
+            }
+        }
+        let reached = has_token.iter().filter(|&&t| t).count();
+        (
+            ConvergecastCheck {
+                slots: up_slots.len(),
+                all_delivered,
+                root_aggregate: holding[root],
+            },
+            BroadcastCheck {
+                slots: down_slots.len(),
+                reached,
+                all_reached: reached == n,
+            },
+        )
+    }
+
+    /// The refilled-field replays equal the naive all-pairs replays on
+    /// Init and TVC bi-trees whose powers are partly broken (a share of
+    /// the links, in both directions, ×10⁻² or ×10²: too weak to
+    /// decode, or loud enough to drown their slot mates), on the
+    /// geometric and a σ = 6 dB shadowed channel.
+    #[test]
+    fn replays_match_a_naive_replay_under_broken_powers() {
+        let geometric = params();
+        let shadowed = geometric.with_channel(ChannelModel::shadowed(5, 6.0).unwrap());
+        let mut rng = StdRng::seed_from_u64(0x1a7e);
+        let (mut cases, mut short_up, mut short_down, mut whole) = (0, 0, 0, 0);
+        for p in [geometric, shadowed] {
+            for seed in 0..3u64 {
+                let inst = gen::uniform_square(60, 1.5, seed).unwrap();
+                let init = run_init(&p, &inst, &InitConfig::default(), seed).unwrap();
+                let mut sel = MeanSamplingSelector::default();
+                let tvc = tree_via_capacity(&p, &inst, &TvcConfig::default(), &mut sel, seed);
+                let tvc = tvc.unwrap();
+                let built = [
+                    (init.bitree, init.run.power_assignment()),
+                    (tvc.bitree, tvc.power),
+                ];
+                for (bitree, power) in &built {
+                    let base = power.as_explicit().unwrap();
+                    for share in [0.0, 0.1, 0.3] {
+                        let mut powers = base.clone();
+                        for l in bitree.tree().aggregation_links().iter() {
+                            if rng.gen_bool(share) {
+                                let factor = if rng.gen_bool(0.5) { 1e-2 } else { 1e2 };
+                                for d in [l, l.dual()] {
+                                    *powers.get_mut(&d).unwrap() *= factor;
+                                }
+                            }
+                        }
+                        let power = PowerAssignment::explicit(powers).unwrap();
+                        let up = simulate_convergecast(&p, &inst, bitree, &power).unwrap();
+                        let down = simulate_broadcast(&p, &inst, bitree, &power).unwrap();
+                        assert_eq!(
+                            (up.clone(), down.clone()),
+                            naive_replays(&p, &inst, bitree, &power),
+                            "seed {seed}, share {share}, {:?}",
+                            p.channel()
+                        );
+                        cases += 1;
+                        short_up += usize::from(!up.all_delivered);
+                        short_down += usize::from(!down.all_reached);
+                        whole += usize::from(up.all_delivered && down.all_reached);
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 36);
+        assert!(short_up > 6, "too few broken converge-casts: {short_up}");
+        assert!(short_down > 6, "too few broken broadcasts: {short_down}");
+        assert!(whole >= 12, "unbroken powers must deliver: {whole}");
+    }
+
+    /// Two leaves that share an aggregation slot, which `BiTree::new`
+    /// admits, make their parent send twice in the dissemination slot.
+    /// The broadcast replay reports that slot as `validate_schedule`
+    /// does, in every build, instead of delivering.
+    #[test]
+    fn broadcast_reports_a_parent_sending_twice() {
+        let p = params();
+        let points = vec![
+            Point::new(0.0, 0.0),
+            Point::new(1.0, 0.0),
+            Point::new(-1.0, 0.0),
+        ];
+        let inst = Instance::new(points).unwrap();
+        let tree = InTree::from_parents(vec![None, Some(0), Some(0)]).unwrap();
+        let up = Schedule::from_pairs([(Link::new(1, 0), 0), (Link::new(2, 0), 0)]).unwrap();
+        let bitree = BiTree::new(tree, up).unwrap();
+        let power = PowerAssignment::uniform(1e3);
+        let want = PhyError::InfeasibleSlot {
+            slot: 0,
+            link: Link::new(0, 1),
+            sinr: 0.0,
+        };
+        let down = bitree.dissemination_schedule();
+        let validated = sinr_phy::feasibility::validate_schedule(&p, &inst, &down, &power);
+        assert_eq!(validated, Err(want.clone()));
+        assert_eq!(
+            simulate_broadcast(&p, &inst, &bitree, &power),
+            Err(CoreError::Phy(want))
+        );
+    }
+
     #[test]
     fn missing_power_is_reported() {
         let p = params();
         let inst = gen::uniform_square(20, 1.5, 2).unwrap();
         let out = run_init(&p, &inst, &InitConfig::default(), 1).unwrap();
-        let empty = PowerAssignment::explicit(HashMap::new()).unwrap();
+        let empty = PowerAssignment::explicit(Default::default()).unwrap();
         assert!(matches!(
             simulate_convergecast(&p, &inst, &out.bitree, &empty),
             Err(CoreError::Phy(_))

@@ -19,7 +19,7 @@
 //! `sinr-phy` — exactly what the full simulator would compute, without
 //! protocol state.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -75,8 +75,11 @@ pub trait SubsetSelector: std::fmt::Debug {
 /// Resolves one synchronous slot: which of `probes` succeed given all
 /// `transmitters`, judged by measured affectance against `threshold`.
 ///
-/// A probe fails if its receiver is itself transmitting (half-duplex) or
-/// its measured affectance exceeds `threshold`.
+/// The caller's `field` is refilled with `transmitters`. A probe fails
+/// if its receiver is itself transmitting (half-duplex, which the
+/// field's [`transmits`](InterferenceField::transmits) answers) or its
+/// measured affectance exceeds `threshold`; in a slot where a node
+/// sends twice, which the field refuses, every probe fails.
 ///
 /// The affectance-threshold decisions go through the spatially-indexed
 /// [`InterferenceField`] (DESIGN.md §7): certified answers short-cut
@@ -88,28 +91,19 @@ pub trait SubsetSelector: std::fmt::Debug {
 /// runs its claim rounds through this same resolver, so its probes are
 /// the selectors' probes — one machinery, one trace event stream.
 pub(crate) fn resolve_probe_slot(
-    params: &SinrParams,
-    instance: &Instance,
+    field: &mut InterferenceField<'_>,
     transmitters: &[(NodeId, f64)],
     probes: &[(Link, f64)],
     threshold: f64,
 ) -> Vec<Link> {
-    let tx_nodes: HashSet<NodeId> = transmitters.iter().map(|&(u, _)| u).collect();
-    let field = InterferenceField::build(params, instance, transmitters);
+    let refused = field.refill(transmitters).is_err();
     let mut ok = Vec::new();
     for &(link, power) in probes {
-        if tx_nodes.contains(&link.receiver) {
-            // Half-duplex rejection: a transmitting receiver hears
-            // nothing, so the probe fails before any affectance math.
-            #[cfg(feature = "trace")]
-            sinr_sim::trace::emit(sinr_sim::trace::TraceEvent::Probe {
-                sender: link.sender,
-                receiver: link.receiver,
-                admitted: false,
-            });
-            continue;
-        }
-        let admitted = matches!(field.sum_on_at_most(link, power, threshold), Ok(true));
+        // A transmitting receiver hears nothing, so the probe fails
+        // before any affectance math.
+        let admitted = !refused
+            && !field.transmits(link.receiver)
+            && matches!(field.sum_on_at_most(link, power, threshold), Ok(true));
         #[cfg(feature = "trace")]
         sinr_sim::trace::emit(sinr_sim::trace::TraceEvent::Probe {
             sender: link.sender,
@@ -187,6 +181,7 @@ impl SubsetSelector for MeanSamplingSelector {
         let q = (1.0 / (4.0 * self.config.gamma1 * ups)).clamp(self.config.min_prob.min(1.0), 1.0);
 
         let power = PowerAssignment::mean_with_margin(params, instance.delta());
+        let mut field = InterferenceField::build(params, instance, &[]);
 
         // Data slot: sampled senders transmit under mean power.
         let sampled: Vec<Link> = candidates.iter().filter(|_| rng.gen_bool(q)).collect();
@@ -196,7 +191,7 @@ impl SubsetSelector for MeanSamplingSelector {
             .collect::<Result<_>>()?;
         let tx_a: Vec<(NodeId, f64)> = data_probes.iter().map(|&(l, p)| (l.sender, p)).collect();
         // Success = decodable, i.e. affectance ≤ 1 (§5 equivalence).
-        let q_tilde = resolve_probe_slot(params, instance, &tx_a, &data_probes, 1.0);
+        let q_tilde = resolve_probe_slot(&mut field, &tx_a, &data_probes, 1.0);
 
         // Ack slot: receivers of the successful links answer over duals.
         let ack_probes: Vec<(Link, f64)> = q_tilde
@@ -204,7 +199,7 @@ impl SubsetSelector for MeanSamplingSelector {
             .map(|&l| Ok((l.dual(), power.power_of(l.dual(), instance, params)?)))
             .collect::<Result<_>>()?;
         let tx_b: Vec<(NodeId, f64)> = ack_probes.iter().map(|&(l, p)| (l.sender, p)).collect();
-        let acked_duals = resolve_probe_slot(params, instance, &tx_b, &ack_probes, 1.0);
+        let acked_duals = resolve_probe_slot(&mut field, &tx_b, &ack_probes, 1.0);
 
         let chosen: LinkSet = acked_duals.iter().map(|d| d.dual()).collect();
         // Both directions succeeded simultaneously under mean power (data
@@ -325,8 +320,9 @@ impl SubsetSelector for DistrCapSelector {
         let lin_power = |l: Link| linear.power_of(l, instance, params);
 
         let mut selected = LinkSet::new();
-        let mut used_nodes: HashSet<NodeId> = HashSet::new();
+        let mut used_nodes = vec![false; instance.len()];
         let mut slots: u64 = 0;
+        let mut field = InterferenceField::build(params, instance, &[]);
 
         // Phases: ascending length classes, as produced by Init rounds.
         for (_class, q_set) in candidates.length_classes(instance) {
@@ -335,9 +331,7 @@ impl SubsetSelector for DistrCapSelector {
                 // Links touching a selected node can never be admitted
                 // (the two-direction probes reject them deterministically
                 // — see Lemmas 17/18); skip their probes.
-                remaining.retain(|l| {
-                    !used_nodes.contains(&l.sender) && !used_nodes.contains(&l.receiver)
-                });
+                remaining.retain(|l| !used_nodes[l.sender] && !used_nodes[l.receiver]);
                 if remaining.is_empty() {
                     break;
                 }
@@ -362,7 +356,7 @@ impl SubsetSelector for DistrCapSelector {
                     .map(|&l| Ok((l, lin_power(l)?)))
                     .collect::<Result<_>>()?;
                 tx_a.extend(probes_a.iter().map(|&(l, p)| (l.sender, p)));
-                let q_tilde = resolve_probe_slot(params, instance, &tx_a, &probes_a, cfg.tau / 4.0);
+                let q_tilde = resolve_probe_slot(&mut field, &tx_a, &probes_a, cfg.tau / 4.0);
 
                 // Slot B: duals of T' and (sub-sampled) duals of Q̃, at
                 // the tightened threshold γ₂τ/4.
@@ -383,19 +377,14 @@ impl SubsetSelector for DistrCapSelector {
                     .map(|&l| Ok((l.dual(), lin_power(l.dual())?)))
                     .collect::<Result<_>>()?;
                 tx_b.extend(probes_b.iter().map(|&(l, p)| (l.sender, p)));
-                let ok_duals = resolve_probe_slot(
-                    params,
-                    instance,
-                    &tx_b,
-                    &probes_b,
-                    cfg.gamma2 * cfg.tau / 4.0,
-                );
+                let ok_duals =
+                    resolve_probe_slot(&mut field, &tx_b, &probes_b, cfg.gamma2 * cfg.tau / 4.0);
 
                 for d in ok_duals {
                     let l = d.dual();
                     if selected.insert(l) {
-                        used_nodes.insert(l.sender);
-                        used_nodes.insert(l.receiver);
+                        used_nodes[l.sender] = true;
+                        used_nodes[l.receiver] = true;
                     }
                 }
             }
@@ -414,8 +403,7 @@ impl SubsetSelector for DistrCapSelector {
         if !fm_dual.dropped.is_empty() {
             // A link whose dual cannot be powered leaves the selection;
             // the surviving forward subset stays feasible (monotone).
-            let dual_ok: std::collections::HashSet<Link> = fm_dual.links.iter().collect();
-            chosen.retain(|l| dual_ok.contains(&l.dual()));
+            chosen.retain(|l| fm_dual.links.contains(l.dual()));
         }
         let mut powers = HashMap::new();
         for l in chosen.iter() {
@@ -458,41 +446,51 @@ mod tests {
     /// *both* engine backends, so the end-to-end naive/grid parity gate
     /// cannot see a certification regression here. This test is that
     /// guard: the field-based probe resolution must match the all-pairs
-    /// reference (`AffectanceCalc::sum_on` against the threshold)
-    /// probe-for-probe on realistic slots.
+    /// reference (`AffectanceCalc::sum_on` against the threshold, a
+    /// transmitting receiver rejected) probe-for-probe on realistic
+    /// slots, on the geometric and a σ = 6 dB shadowed channel. As in
+    /// `select`, one field per instance is refilled for every sampled
+    /// slot and threshold.
     #[test]
     fn probe_slot_matches_all_pairs_reference() {
         use sinr_phy::affectance::AffectanceCalc;
-        let p = params();
+        let geometric = params();
+        let shadowed = geometric.with_channel(ChannelModel::shadowed(3, 6.0).unwrap());
         let mut checked = 0;
-        for seed in 0..5u64 {
-            let inst = gen::uniform_square(70, 1.5, seed).unwrap();
-            let candidates = mst_links(&inst);
-            let power = PowerAssignment::mean_with_margin(&p, inst.delta());
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x5e1ec7);
-            let probes: Vec<(Link, f64)> = candidates
-                .iter()
-                .filter(|_| rng.gen_bool(0.5))
-                .map(|l| (l, power.power_of(l, &inst, &p).unwrap()))
-                .collect();
-            let tx: Vec<(NodeId, f64)> = probes.iter().map(|&(l, pw)| (l.sender, pw)).collect();
-            let calc = AffectanceCalc::new(&p, &inst);
-            let tx_nodes: HashSet<NodeId> = tx.iter().map(|&(u, _)| u).collect();
-            for threshold in [0.2, 1.0] {
-                let fast = resolve_probe_slot(&p, &inst, &tx, &probes, threshold);
-                let mut reference = Vec::new();
-                for &(link, pw) in &probes {
-                    if tx_nodes.contains(&link.receiver) {
-                        continue;
-                    }
-                    if let Ok(aff) = calc.sum_on(&tx, link, pw) {
-                        if aff <= threshold {
-                            reference.push(link);
+        for p in [geometric, shadowed] {
+            for seed in 0..5u64 {
+                let inst = gen::uniform_square(70, 1.5, seed).unwrap();
+                let candidates = mst_links(&inst);
+                let power = PowerAssignment::mean_with_margin(&p, inst.delta());
+                let calc = AffectanceCalc::new(&p, &inst);
+                let mut field = InterferenceField::build(&p, &inst, &[]);
+                for sample in 0..5u64 {
+                    let mut rng = StdRng::seed_from_u64(sample ^ 0x5e1ec7);
+                    let probes: Vec<(Link, f64)> = candidates
+                        .iter()
+                        .filter(|_| rng.gen_bool(0.5))
+                        .map(|l| (l, power.power_of(l, &inst, &p).unwrap()))
+                        .collect();
+                    let tx: Vec<(NodeId, f64)> =
+                        probes.iter().map(|&(l, pw)| (l.sender, pw)).collect();
+                    for threshold in [0.2, 1.0] {
+                        let fast = resolve_probe_slot(&mut field, &tx, &probes, threshold);
+                        let mut reference = Vec::new();
+                        for &(link, pw) in &probes {
+                            if tx.iter().any(|&(u, _)| u == link.receiver) {
+                                continue;
+                            }
+                            if let Ok(aff) = calc.sum_on(&tx, link, pw) {
+                                if aff <= threshold {
+                                    reference.push(link);
+                                }
+                            }
                         }
+                        let at = (seed, sample, threshold, p.channel());
+                        assert_eq!(fast, reference, "seed, sample, τ, channel: {at:?}");
+                        checked += reference.len();
                     }
                 }
-                assert_eq!(fast, reference, "seed {seed} τ={threshold}");
-                checked += reference.len();
             }
         }
         assert!(checked > 10, "reference admitted too little: {checked}");

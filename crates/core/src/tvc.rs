@@ -110,7 +110,8 @@ impl TvcOutcome {
 #[derive(Clone, Debug)]
 struct LoopResult {
     parents: Vec<Option<NodeId>>,
-    slot_of: HashMap<Link, usize>,
+    /// Each selected link with its slot: the iteration that chose it.
+    slot_of: Vec<(Link, usize)>,
     /// Powers for the newly selected links, both directions.
     powers: HashMap<Link, f64>,
     iterations: u32,
@@ -139,7 +140,7 @@ fn run_selection_loop(
     let n = instance.len();
     let mut active: Vec<bool> = parents.iter().map(Option::is_none).collect();
     let mut remaining = active.iter().filter(|&&a| a).count();
-    let mut slot_of: HashMap<Link, usize> = HashMap::new();
+    let mut slot_of = Vec::new();
     let mut powers: HashMap<Link, f64> = HashMap::new();
     let mut trace = Vec::new();
     let mut runtime_slots = 0u64;
@@ -217,7 +218,7 @@ fn run_selection_loop(
                 });
             }
             parents[l.sender] = Some(l.receiver);
-            slot_of.insert(l, (iter - 1) as usize);
+            slot_of.push((l, (iter - 1) as usize));
             for dir in [l, l.dual()] {
                 let p = *slot_powers
                     .get(&dir)
@@ -279,7 +280,7 @@ pub fn tree_via_capacity(
         vec![None; instance.len()],
     )?;
     let tree = InTree::from_parents(raw.parents)?;
-    let mut schedule = Schedule::from_pairs(raw.slot_of.iter().map(|(&l, &s)| (l, s)))?;
+    let mut schedule = Schedule::from_pairs(raw.slot_of)?;
     schedule.compact();
     let bitree = BiTree::new(tree.clone(), schedule.clone())?;
     let power = PowerAssignment::explicit(raw.powers)?;

@@ -193,7 +193,8 @@ impl<'a> AffectanceCalc<'a> {
     /// and `interferers` (excluding the sender) transmit simultaneously.
     ///
     /// Does not know about half-duplex: callers (the simulator and the
-    /// feasibility checker) must handle a transmitting receiver.
+    /// feasibility checker) must handle a transmitting receiver, as a
+    /// field's [`transmits`](crate::field::InterferenceField::transmits).
     pub fn sinr(&self, link: Link, link_power: f64, interferers: &[(NodeId, f64)]) -> f64 {
         let signal = self.signal(link, link_power);
         let mut interference = 0.0;

@@ -140,7 +140,7 @@ pub fn check(
 
         let sinr = calc.sinr(l, p_l, &tx);
         report.min_sinr = Some(report.min_sinr.map_or(sinr, |m: f64| m.min(sinr)));
-        if sinr < params.beta() * (1.0 - 1e-12) {
+        if sinr < params.delivery_threshold() {
             report.violations.push(Violation {
                 link: l,
                 sinr,
@@ -202,14 +202,13 @@ pub fn is_feasible(
 
 /// Validates that every slot of `schedule` is feasible under `power`.
 ///
-/// Each slot is settled in near-linear time: its powers are resolved,
-/// the structural rules are checked against one sorted sender list, and
-/// every link's SINR is decided by the slot's certified
-/// [`InterferenceField`], whose threshold decisions equal [`check`]'s
-/// exact comparison bit for bit. Only a slot that fails there, or that
-/// has a missing power or a duplicate sender (which a field cannot
-/// hold), is handed to [`check`], so the reported link and SINR are
-/// `check`'s.
+/// Each slot is settled in near-linear time: its senders, at their
+/// powers, refill one [`InterferenceField`], whose sender bitmap
+/// answers the structural rules and whose certified threshold decisions
+/// equal [`check`]'s exact comparison bit for bit. Only a slot that
+/// fails there, or that has a missing power or a duplicate sender
+/// (which the field refuses), is handed to [`check`], so the reported
+/// link and SINR are `check`'s.
 ///
 /// # Errors
 ///
@@ -220,9 +219,23 @@ pub fn validate_schedule(
     schedule: &Schedule,
     power: &PowerAssignment,
 ) -> Result<(), PhyError> {
-    let mut scratch = SlotScratch::new(params, instance);
+    let mut field = InterferenceField::build(params, instance, &[]);
+    let mut tx = Vec::new();
     for (slot, links) in schedule.slots().iter().enumerate() {
-        if scratch.passes(params, instance, links, power) {
+        tx.clear();
+        let powered = links.iter().try_for_each(|l| {
+            power
+                .power_of(l, instance, params)
+                .map(|p| tx.push((l.sender, p)))
+        });
+        let passes = powered.is_ok()
+            && field.refill(&tx).is_ok()
+            && links.iter().zip(&tx).all(|(l, &(_, p))| {
+                let sending = |u| usize::from(field.transmits(u));
+                broken_rule(params, instance, l, p, sending).is_none()
+                    && field.sinr_at_least(l, p, params.delivery_threshold())
+            });
+        if passes {
             continue;
         }
         let report = check(params, instance, links, power);
@@ -235,59 +248,6 @@ pub fn validate_schedule(
         }
     }
     Ok(())
-}
-
-/// The reusable buffers of [`validate_schedule`]'s per-slot fast path:
-/// one field, refilled with each slot's senders.
-#[derive(Debug)]
-struct SlotScratch<'a> {
-    tx: Vec<(NodeId, f64)>,
-    senders: Vec<NodeId>,
-    field: InterferenceField<'a>,
-}
-
-impl<'a> SlotScratch<'a> {
-    fn new(params: &'a SinrParams, instance: &'a Instance) -> Self {
-        SlotScratch {
-            tx: Vec::new(),
-            senders: Vec::new(),
-            field: InterferenceField::build(params, instance, &[]),
-        }
-    }
-
-    /// Whether `links` is certainly feasible; `false` sends the slot to
-    /// [`check`], which decides it and names the violation.
-    fn passes(
-        &mut self,
-        params: &SinrParams,
-        instance: &Instance,
-        links: &LinkSet,
-        power: &PowerAssignment,
-    ) -> bool {
-        self.tx.clear();
-        for l in links.iter() {
-            match power.power_of(l, instance, params) {
-                Ok(p) => self.tx.push((l.sender, p)),
-                Err(_) => return false,
-            }
-        }
-        self.senders.clear();
-        self.senders.extend(self.tx.iter().map(|&(u, _)| u));
-        self.senders.sort_unstable();
-        // Also rules out a repeated sender, which the field cannot hold.
-        let senders = &self.senders;
-        if links.iter().zip(&self.tx).any(|(l, &(_, p))| {
-            broken_rule(params, instance, l, p, |u| occurrences(senders, u)).is_some()
-        }) {
-            return false;
-        }
-        let threshold = params.beta() * (1.0 - 1e-12);
-        self.field.refill(&self.tx);
-        links
-            .iter()
-            .zip(&self.tx)
-            .all(|(l, &(_, p))| self.field.sinr_at_least(l, p, threshold))
-    }
 }
 
 /// How a [`SlotAuditor`] settled its decisions: always-on counters
@@ -355,7 +315,7 @@ impl Candidate {
         let fade = params.channel().fade(tx, rx);
         let (fade_lo, fade_hi) = params.channel().fade_bounds();
         let signal = power * params.path_gain(len) * fade;
-        let threshold = params.beta() * (1.0 - 1e-12);
+        let threshold = params.delivery_threshold();
         Candidate {
             link,
             tx,
@@ -449,7 +409,7 @@ struct Probed {
 pub struct SlotAuditor<'a> {
     params: &'a SinrParams,
     gains: Arc<GainBounds>,
-    /// [`check`]'s SINR threshold `β·(1 − 1e-12)`.
+    /// [`check`]'s SINR threshold, [`SinrParams::delivery_threshold`].
     threshold: f64,
     links: Vec<Link>,
     residents: Vec<Resident>,
@@ -473,7 +433,7 @@ impl<'a> SlotAuditor<'a> {
         SlotAuditor {
             params,
             gains: GainBounds::shared(params.alpha()),
-            threshold: params.beta() * (1.0 - 1e-12),
+            threshold: params.delivery_threshold(),
             links: Vec::new(),
             residents: Vec::new(),
             unbounded: false,

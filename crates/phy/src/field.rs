@@ -92,9 +92,9 @@ const MAX_CELLS_PER_AXIS: f64 = 64.0;
 
 /// From this many transmitters a slot also builds its per-slot
 /// aggregates: the summed-area table behind the far bound and the
-/// reach bitmap (DESIGN.md §7.1, §7.2). The fields built fresh for one
-/// check (validation, audits, probes) are mostly smaller, and would pay
-/// more to build them than their few queries save.
+/// reach bitmap (DESIGN.md §7.1, §7.2). The one-shot replays'
+/// slots (validation, audits, probes) are mostly smaller and answer a
+/// query per link, too few to pay for them.
 const AGGREGATE_SLOT: usize = 64;
 
 /// Rings past the current one that the summed-area far bound charges
@@ -378,6 +378,8 @@ pub struct InterferenceField<'a> {
     /// Insertion-ordered `(sender, power)` pairs — the canonical naive
     /// summation order for exact fallbacks.
     senders: Vec<(NodeId, f64)>,
+    /// Whether each node, by id, is among `senders`.
+    sending: Vec<bool>,
     /// Empty in small slots: their queries are all exact. From
     /// [`AGGREGATE_SLOT`] senders it also holds a summed-area table.
     grid: WeightedCellGrid,
@@ -415,6 +417,10 @@ impl<'a> InterferenceField<'a> {
     /// The field keeps `params`' gain table and fade range for life; a
     /// caller that resolves slot after slot over the same parameters
     /// and instance builds one field and [`refill`](Self::refill)s it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id repeats; [`refill`](Self::refill) refuses it.
     pub fn build(
         params: &'a SinrParams,
         instance: &'a Instance,
@@ -425,6 +431,7 @@ impl<'a> InterferenceField<'a> {
             params,
             instance,
             senders: Vec::new(),
+            sending: vec![false; instance.len()],
             // Placeholder cell size; every refill re-keys the grid to
             // the slot's decode-radius-derived cell.
             grid: WeightedCellGrid::new(1.0),
@@ -435,27 +442,34 @@ impl<'a> InterferenceField<'a> {
             bounded: fade_hi / fade_lo <= BOUND_FADE_RANGE,
             cell_gain: f64::NAN,
         };
-        field.refill(senders);
+        field.refill(senders).expect("a repeated sender id");
         field
     }
 
     /// Re-points the field at another slot's transmitter set, in place:
-    /// the sender list, the grid, its summed-area table and the reach
-    /// bitmap are rebuilt inside the buffers they already own, so a
-    /// refill allocates nothing once the buffers have grown to the
-    /// largest slot. Every query answers as on a fresh
+    /// the sender list, the sender bitmap behind
+    /// [`transmits`](Self::transmits), the grid, its summed-area table
+    /// and the reach bitmap are rebuilt inside the buffers they already
+    /// own, so a refill allocates nothing once the buffers have grown
+    /// to the largest slot. Every query answers as on a fresh
     /// [`build`](Self::build) of `senders`, bit for bit, whatever the
-    /// field held before; `senders` obeys `build`'s rules.
-    pub fn refill(&mut self, senders: &[(NodeId, f64)]) {
-        debug_assert!(
-            senders
-                .iter()
-                .map(|&(u, _)| u)
-                .collect::<std::collections::HashSet<_>>()
-                .len()
-                == senders.len(),
-            "duplicate sender id in transmitter set"
-        );
+    /// field held before; `senders` is ordered as for `build`.
+    ///
+    /// # Errors
+    ///
+    /// A node has one radio: if an id repeats in `senders`, the field
+    /// is left empty and the first id met again is returned.
+    pub fn refill(&mut self, senders: &[(NodeId, f64)]) -> std::result::Result<(), NodeId> {
+        for &(u, _) in &self.senders {
+            self.sending[u] = false;
+        }
+        self.senders.clear();
+        self.senders.extend_from_slice(senders);
+        let mut mark = |u: NodeId| std::mem::replace(&mut self.sending[u], true);
+        if let Some(&(u, _)) = self.senders.iter().find(|&&(u, _)| mark(u)) {
+            self.refill(&[])?; // empties the field, clearing every bit
+            return Err(u);
+        }
         let (params, instance) = (self.params, self.instance);
         // Length scale for cell sizing: the instance diameter `Δ`,
         // cached at construction — O(1), and it bounds every
@@ -469,8 +483,6 @@ impl<'a> InterferenceField<'a> {
         } else {
             span
         };
-        self.senders.clear();
-        self.senders.extend_from_slice(senders);
         if senders.len() <= SMALL_SLOT {
             // No query of a small slot reads the grid (each branches on
             // `SMALL_SLOT` first), so it stays empty.
@@ -499,6 +511,14 @@ impl<'a> InterferenceField<'a> {
         }
         self.radius = radius;
         self.cell_gain = cell_gain;
+        Ok(())
+    }
+
+    /// Whether node `u` is one of the field's senders: the half-duplex
+    /// rule, which the queries leave to their callers.
+    #[inline]
+    pub fn transmits(&self, u: NodeId) -> bool {
+        self.sending[u]
     }
 
     /// Number of transmitters in the field.
@@ -800,7 +820,9 @@ impl<'a> InterferenceField<'a> {
     ///
     /// The ring walk settles it whenever the near field plus the
     /// far-field bound clear the threshold on both ends; a sum grazing
-    /// the threshold is summed exactly, in canonical order.
+    /// the threshold is summed exactly, in canonical order. A sender at
+    /// the receiver is clipped at `1 + ε`, which need not exceed the
+    /// threshold: callers ask [`transmits`](Self::transmits).
     ///
     /// # Errors
     ///
@@ -868,14 +890,15 @@ impl<'a> InterferenceField<'a> {
     /// senders — bit-identical to comparing the canonical
     /// [`AffectanceCalc::sinr`] value against `threshold`.
     ///
-    /// This is the hook the `latency`/`cleanup` replay loops in
-    /// `sinr-connectivity` consume: they only ever *threshold* the
+    /// This is the hook schedule validation and the `latency` replays
+    /// in `sinr-connectivity` consume: they only ever *threshold* the
     /// SINR (delivery succeeded or not), so the certified near-field
     /// interval settles almost every query and the rare
     /// threshold-grazing one falls back to the exact naive-order sum.
     /// A small slot tries the interval of its senders' table bounds
-    /// before that sum. Callers must handle half-duplex (a transmitting
-    /// receiver) themselves, exactly as with [`AffectanceCalc::sinr`].
+    /// before that sum. Like [`AffectanceCalc::sinr`], it has no
+    /// half-duplex rule: callers ask [`transmits`](Self::transmits)
+    /// whether the receiver sends in the slot.
     pub fn sinr_at_least(&self, link: Link, link_power: f64, threshold: f64) -> bool {
         self.sinr_verdict(link, link_power, threshold, &mut QueryStats::default())
     }
@@ -1364,14 +1387,14 @@ mod tests {
     /// random order. Family 0 gives every sender one power, 1 its
     /// mean-with-margin power towards its nearest neighbour, 2 powers
     /// over three decades. Each instance's slots are refilled, in
-    /// order, into one field. Returns how many slots built the
-    /// summed-area table.
+    /// order, into one field, which `check` may refill again before the
+    /// next slot. Returns how many slots built the summed-area table.
     fn for_each_walk_slot(
         slots: &[(usize, usize)],
         mut check: impl FnMut(
             &SinrParams,
             &Instance,
-            &InterferenceField<'_>,
+            &mut InterferenceField<'_>,
             &[(NodeId, f64)],
             &[NodeId],
         ),
@@ -1408,9 +1431,9 @@ mod tests {
                             _ => (u, base * 10f64.powf(rng.gen_range(0.0..3.0))),
                         })
                         .collect();
-                    field.refill(&senders);
+                    field.refill(&senders).unwrap();
                     aggregated += usize::from(field.cell_gain.is_normal());
-                    check(&params, inst, &field, &senders, &ids[count..]);
+                    check(&params, inst, &mut field, &senders, &ids[count..]);
                 }
             }
         }
@@ -1552,16 +1575,20 @@ mod tests {
     /// A refilled field answers every query as a fresh build of the
     /// same senders: each listener's decode (winner, power and SINR
     /// bits), `sinr_at_least` and `sum_on_at_most` at a certified and
-    /// at a grazing threshold, and the `QueryStats` of the decodes and
-    /// of the SINR walks. The slots run 600 → 3 → 0 → 70 → 9 → 600 → 64
-    /// → 9 senders through one field per instance and channel, across
-    /// `SMALL_SLOT` and `AGGREGATE_SLOT` both ways and between power
-    /// families whose decode radii differ, so a grid, summed-area table
-    /// or reach bitmap left over from an earlier slot would answer some
+    /// at a grazing threshold, the `QueryStats` of the decodes and of
+    /// the SINR walks, and `transmits` for every node. The slots run
+    /// 600 → 3 → 0 → 70 → 9 → 600 → 64 → 9 senders through one field
+    /// per instance and channel, across `SMALL_SLOT` and
+    /// `AGGREGATE_SLOT` both ways and between power families whose
+    /// decode radii differ, so a grid, summed-area table, reach bitmap
+    /// or sender bit left over from an earlier slot would answer some
     /// query differently. The 9-sender slots build no reach bitmap, and
     /// some of their listeners decode a sender while the bitmap of the
     /// slot before would rule them out, so a refill that kept it fails
-    /// here.
+    /// here. After each slot of odd size the field is refilled with the
+    /// slot plus a repeat of one of its senders, which it must refuse,
+    /// left with no sender and no transmitting node; the next slot's
+    /// refill then starts from that empty field.
     #[test]
     fn refill_matches_a_fresh_build() {
         let slots = [
@@ -1574,13 +1601,21 @@ mod tests {
             (64, 2),
             (9, 0),
         ];
-        let (mut queries, mut decodes, mut straddles) = (0u64, 0usize, 0u64);
+        let (mut queries, mut decodes, mut straddles, mut refused) = (0u64, 0usize, 0u64, 0);
         for_each_walk_slot(&slots, |params, inst, field, senders, listeners| {
             let fresh = InterferenceField::build(params, inst, senders);
             let calc = AffectanceCalc::new(params, inst);
             let (mut got, mut want) = (FieldScratch::default(), FieldScratch::default());
             let (mut got_walks, mut want_walks) = (QueryStats::default(), QueryStats::default());
             let n = senders.len();
+            let mut sending = vec![false; inst.len()];
+            for &(u, _) in senders {
+                sending[u] = true;
+            }
+            for (u, &sends) in sending.iter().enumerate() {
+                assert_eq!(field.transmits(u), sends, "{n} senders, node {u}");
+                assert_eq!(fresh.transmits(u), sends, "{n} senders, node {u}");
+            }
             for (i, &v) in listeners[..150].iter().enumerate() {
                 let decoded = fresh.decode_best_with(v, &mut want);
                 assert_eq!(
@@ -1614,10 +1649,33 @@ mod tests {
             assert_eq!(got_walks, want_walks, "{n} senders");
             queries += got.stats.queries;
             straddles += got_walks.straddles;
+            if n % 2 == 1 {
+                let mut repeated = senders.to_vec();
+                repeated.push(senders[n / 2]);
+                assert_eq!(
+                    field.refill(&repeated),
+                    Err(senders[n / 2].0),
+                    "{n} senders"
+                );
+                assert!(
+                    field.is_empty(),
+                    "{n} senders: a refused refill keeps senders"
+                );
+                assert!(
+                    (0..inst.len()).all(|u| !field.transmits(u)),
+                    "{n} senders: a refused refill keeps a sender bit"
+                );
+                assert_eq!(field.decode_best(listeners[0]), None);
+                refused += 1;
+            }
         });
         assert!(queries > 5_000, "too few decodes queried: {queries}");
         assert!(decodes > 1_000, "too few decodes succeeded: {decodes}");
         assert!(straddles > 500, "too few SINR walks straddled: {straddles}");
+        assert_eq!(
+            refused, 18,
+            "three refused refills per instance and channel"
+        );
     }
 
     /// The reach bitmap at its edges, on a slot of 81 senders. The

@@ -108,6 +108,13 @@ impl SinrParams {
         self.beta
     }
 
+    /// The SINR a link must reach when a slot is checked, audited or
+    /// replayed: `β·(1 − 10⁻¹²)`, so the last rounding fails no link.
+    #[inline]
+    pub fn delivery_threshold(&self) -> f64 {
+        self.beta * (1.0 - 1e-12)
+    }
+
     /// Ambient noise `N`.
     #[inline]
     pub fn noise(&self) -> f64 {

@@ -1090,7 +1090,9 @@ impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
         }
         if let Some(field) = &mut self.field {
             if !self.transmitters.is_empty() {
-                field.refill(&self.transmitters);
+                field
+                    .refill(&self.transmitters)
+                    .expect("a stepped node acts once per slot");
             }
         }
     }

@@ -79,7 +79,7 @@ fn init_starved_of_rounds_reports_failure() {
     let mut failures = 0;
     for seed in 0..8 {
         match run_init(&params, &inst, &cfg, seed) {
-            Ok(out) => assert_eq!(out.run.link_slots.len(), inst.len() - 1),
+            Ok(out) => assert_eq!(out.run.uplinks.iter().flatten().count(), inst.len() - 1),
             Err(CoreError::ConvergenceFailure { phase, .. }) => {
                 assert_eq!(phase, "init");
                 failures += 1;
@@ -312,7 +312,7 @@ fn power_of_two_diameter_instances_connect() {
         let inst = gen::line(n).unwrap();
         assert!((inst.delta() - (n as f64 - 1.0)).abs() < 1e-9);
         let out = run_init(&params, &inst, &InitConfig::default(), 7).unwrap();
-        assert_eq!(out.run.link_slots.len(), n - 1, "n={n}");
+        assert_eq!(out.run.uplinks.iter().flatten().count(), n - 1, "n={n}");
     }
 }
 

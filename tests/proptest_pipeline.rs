@@ -19,7 +19,7 @@ proptest! {
         let params = SinrParams::default();
         let inst = gen::uniform_square(n, 1.5, seed).unwrap();
         let out = run_init(&params, &inst, &InitConfig::default(), seed ^ 0xabc).unwrap();
-        prop_assert_eq!(out.run.link_slots.len(), n - 1);
+        prop_assert_eq!(out.run.uplinks.iter().flatten().count(), n - 1);
         let power = out.run.power_assignment();
         prop_assert!(
             feasibility::validate_schedule(&params, &inst, &out.schedule, &power).is_ok()

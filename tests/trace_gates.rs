@@ -43,7 +43,7 @@ fn tracing_is_observational() {
     assert!(!log.events.is_empty(), "a traced run must record events");
     assert_eq!(plain.run.parents, traced.run.parents);
     assert_eq!(plain.run.slots_used, traced.run.slots_used);
-    assert_eq!(plain.run.link_slots, traced.run.link_slots);
+    assert_eq!(plain.run.uplinks, traced.run.uplinks);
     assert_eq!(plain.schedule, traced.schedule);
 }
 
