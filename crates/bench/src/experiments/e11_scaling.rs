@@ -51,12 +51,6 @@ struct Soup {
 
 impl Protocol for Soup {
     type Msg = ();
-    // The soup only counts decodes — it never reads the measured SINR
-    // or affectance, so the engine skips both O(transmitters)
-    // per-reception instruments (the dominant cost of a dense slot at
-    // capability n; decode winners are certificate-decided either way).
-    const MEASURES_AFFECTANCE: bool = false;
-    const MEASURES_SINR: bool = false;
     fn begin_slot(&mut self, _: NodeId, _: u64, rng: &mut StdRng) -> Action<()> {
         if rng.gen_bool(0.1) {
             Action::Transmit {

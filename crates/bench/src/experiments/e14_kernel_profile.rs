@@ -19,9 +19,8 @@
 //! `BENCH_PROFILE.json` it regenerates) runs on a default build. The
 //! counter columns (senders, certified/fallback shares, rings per
 //! query) are deterministic per seed; only the millisecond columns are
-//! measured. The same kernels are micro-benchmarked in
-//! `benches/kernels.rs`; the engine-level view of the same phases is
-//! the E11c/E12b capability breakdown under the `profile` feature.
+//! measured. The engine-level view of the same phases is the E11c/E12b
+//! capability breakdown under the `profile` feature.
 
 use std::time::Instant;
 
@@ -75,10 +74,10 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
 
     let mut t = Table::new(
         "E14: kernel phase profile (SoA field build + certified decode, one soup slot)",
-        "with the canonical winner-SINR recompute on (this kernel view keeps the \
-         instrument), its exact sums (fallback ms) dominate while certification \
-         keeps true fallbacks rare — the engine-level E11c rows show the \
-         instrument-off shape (counter columns are per-seed deterministic, ms \
+        "certification settles nearly every query within about one ring, so \
+         fallbacks stay rare and µs/query stays flat in n; the ring walk \
+         (far-cert ms) is the largest phase — the engine-level E11c rows show the \
+         same phases per slot (counter columns are per-seed deterministic, ms \
          columns measured)",
         &[
             "family",

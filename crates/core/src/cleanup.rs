@@ -95,7 +95,7 @@ pub fn reconcile_strays(
                 continue;
             }
             // Who does `holder` decode? Best SINR ≥ β among transmitters.
-            if let Some((child, _, _)) = field.decode_best_with(holder, &mut scratch) {
+            if let Some(child) = field.decode_best_with(holder, &mut scratch) {
                 // The decoded message names the child's true parent.
                 let named_parent = outcome
                     .tree

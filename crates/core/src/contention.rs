@@ -117,12 +117,6 @@ impl ContentionNode {
 impl Protocol for ContentionNode {
     type Msg = ContentionMsg;
 
-    // Delivery/ack bookkeeping reads only the decoded payload; the
-    // measured SINR and affectance instruments are never consulted, so
-    // the engine skips their per-reception canonical sums.
-    const MEASURES_AFFECTANCE: bool = false;
-    const MEASURES_SINR: bool = false;
-
     fn begin_slot(&mut self, _node: NodeId, slot: u64, rng: &mut StdRng) -> Action<ContentionMsg> {
         if slot % 2 == 0 {
             // Data slot. Ack duty from the previous pair has been

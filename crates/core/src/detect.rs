@@ -248,11 +248,6 @@ impl HeartbeatNode {
 
 impl Protocol for HeartbeatNode {
     type Msg = HeartbeatMsg;
-    // Heartbeats never read the per-reception instruments: decode
-    // winners alone drive the protocol, so the canonical SINR /
-    // affectance recomputes are skipped (cheap slots).
-    const MEASURES_AFFECTANCE: bool = false;
-    const MEASURES_SINR: bool = false;
 
     fn begin_slot(&mut self, _: NodeId, slot: u64, _: &mut StdRng) -> Action<HeartbeatMsg> {
         let cycle = 2 * self.half;

@@ -194,13 +194,6 @@ impl InitNode {
 impl Protocol for InitNode {
     type Msg = InitMsg;
 
-    // Connection decisions use only the sender identity and decoded
-    // distance (the §8.2 location assumption); the measured SINR and
-    // affectance instruments are never read, so the engine skips their
-    // per-reception canonical sums.
-    const MEASURES_AFFECTANCE: bool = false;
-    const MEASURES_SINR: bool = false;
-
     fn begin_slot(&mut self, _node: NodeId, slot: u64, rng: &mut StdRng) -> Action<InitMsg> {
         if !self.active {
             // Connected and masked-out nodes never act again: retire.

@@ -94,9 +94,8 @@ pub(crate) fn replay(
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Phy`] if a link has no power assigned, or
-/// [`PhyError::InfeasibleSlot`] with SINR 0 naming the first link of a
-/// node that sends twice in one slot.
+/// Returns [`CoreError::Phy`] if a link has no power assigned. A node
+/// sends only its uplink, so never twice in a slot.
 pub fn simulate_convergecast(
     params: &SinrParams,
     instance: &Instance,
@@ -129,10 +128,10 @@ pub fn simulate_convergecast(
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Phy`] if a link has no power assigned, or
-/// [`PhyError::InfeasibleSlot`] with SINR 0 naming the first link of a
-/// node that sends twice in one slot: a parent whose children share an
-/// aggregation slot, which [`BiTree::new`] does not rule out.
+/// Returns [`CoreError::Phy`] if a link has no power assigned. A node
+/// never sends twice in a dissemination slot: that would take two
+/// children sharing an aggregation slot, which [`BiTree::new`] rules
+/// out.
 pub fn simulate_broadcast(
     params: &SinrParams,
     instance: &Instance,
@@ -208,7 +207,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sinr_geom::{gen, Point};
-    use sinr_links::{InTree, LinkSet};
+    use sinr_links::LinkSet;
     use sinr_phy::affectance::AffectanceCalc;
     use sinr_phy::ChannelModel;
 
@@ -388,12 +387,11 @@ mod tests {
         assert!(whole >= 12, "unbroken powers must deliver: {whole}");
     }
 
-    /// Two leaves that share an aggregation slot, which `BiTree::new`
-    /// admits, make their parent send twice in the dissemination slot.
-    /// The broadcast replay reports that slot as `validate_schedule`
-    /// does, in every build, instead of delivering.
+    /// A raw schedule whose slot 1 has node 0 send twice is refused by
+    /// the replay as `validate_schedule` refuses it: with SINR 0 on the
+    /// first of the node's links, after reading only slot 0.
     #[test]
-    fn broadcast_reports_a_parent_sending_twice() {
+    fn replay_refuses_a_node_sending_twice() {
         let p = params();
         let points = vec![
             Point::new(0.0, 0.0),
@@ -401,22 +399,26 @@ mod tests {
             Point::new(-1.0, 0.0),
         ];
         let inst = Instance::new(points).unwrap();
-        let tree = InTree::from_parents(vec![None, Some(0), Some(0)]).unwrap();
-        let up = Schedule::from_pairs([(Link::new(1, 0), 0), (Link::new(2, 0), 0)]).unwrap();
-        let bitree = BiTree::new(tree, up).unwrap();
+        let twice = Schedule::from_pairs([
+            (Link::new(1, 0), 0),
+            (Link::new(0, 1), 1),
+            (Link::new(0, 2), 1),
+        ])
+        .unwrap();
         let power = PowerAssignment::uniform(1e3);
         let want = PhyError::InfeasibleSlot {
-            slot: 0,
+            slot: 1,
             link: Link::new(0, 1),
             sinr: 0.0,
         };
-        let down = bitree.dissemination_schedule();
-        let validated = sinr_phy::feasibility::validate_schedule(&p, &inst, &down, &power);
+        let validated = sinr_phy::feasibility::validate_schedule(&p, &inst, &twice, &power);
         assert_eq!(validated, Err(want.clone()));
-        assert_eq!(
-            simulate_broadcast(&p, &inst, &bitree, &power),
-            Err(CoreError::Phy(want))
-        );
+        let mut read = Vec::new();
+        let replayed = replay(&p, &inst, &twice, &power, |_, links| {
+            read.extend(links.iter().map(|&(l, _)| l))
+        });
+        assert_eq!(replayed, Err(CoreError::Phy(want)));
+        assert_eq!(read, [Link::new(1, 0)], "the refused slot is not read");
     }
 
     #[test]

@@ -36,29 +36,34 @@ pub struct BiTree {
 
 impl BiTree {
     /// Creates a bi-tree from a converge-cast tree and an aggregation
-    /// schedule, validating coverage and the ordering property: each
+    /// schedule, validating coverage, the ordering property — each
     /// link `(x, y)` is scheduled strictly after every link involving
-    /// descendants of `x`.
+    /// descendants of `x` — and that no two children of a node share a
+    /// slot, so a node receives once per aggregation slot and sends
+    /// once per dissemination slot.
     ///
     /// # Errors
     ///
     /// - [`LinkError::ScheduleMismatch`] if the schedule does not cover
     ///   exactly the tree's aggregation links;
     /// - [`LinkError::OrderingViolation`] if a link is scheduled no later
-    ///   than a link in its sender's subtree.
+    ///   than a link in its sender's subtree;
+    /// - [`LinkError::SiblingsShareSlot`] if two children of a node are
+    ///   scheduled in the same slot.
     pub fn new(tree: InTree, aggregation: Schedule) -> Result<Self> {
         // One scan indexes the slots by sender while checking that each
         // scheduled link is its sender's uplink. The links are distinct
         // and a sender has one uplink, so one per non-root node covers
         // exactly the tree's aggregation links.
         let mut up = vec![0; tree.len()];
-        let mut uplinks = 0;
+        let (mut uplinks, mut slots) = (0, 0);
         for (l, s) in aggregation.iter() {
             if l.sender >= tree.len() || tree.parent(l.sender) != Some(l.receiver) {
                 break;
             }
             up[l.sender] = s;
             uplinks += 1;
+            slots = slots.max(s + 1);
         }
         if uplinks != aggregation.len() || uplinks + 1 != tree.len() {
             // Name the missing or extra link.
@@ -68,13 +73,22 @@ impl BiTree {
         }
         // Ordering: slot(u → parent(u)) > slot(c → u) for every child c
         // of a non-root u, in order of u, then c. Checking the
-        // immediate-child relation suffices by transitivity.
+        // immediate-child relation suffices by transitivity. A node's
+        // children come together, so the last parent heard in a slot
+        // is `u` exactly when a sibling of `c` took the slot already.
+        let mut heard = vec![usize::MAX; slots];
         for &c in tree.children_by_parent() {
             let u = tree.parent(c).expect("a child has a parent");
             if tree.parent(u).is_some() && up[c] >= up[u] {
                 return Err(LinkError::OrderingViolation {
                     child: u,
                     descendant: c,
+                });
+            }
+            if std::mem::replace(&mut heard[up[c]], u) == u {
+                return Err(LinkError::SiblingsShareSlot {
+                    parent: u,
+                    slot: up[c],
                 });
             }
         }
@@ -281,6 +295,42 @@ mod tests {
                 descendant: 2
             })
         );
+    }
+
+    /// Two leaves of a 3-node star in one slot would make their parent
+    /// send twice in the dissemination slot; a third child elsewhere
+    /// in the slot order does not hide the clash.
+    #[test]
+    fn rejects_siblings_sharing_a_slot() {
+        let star = InTree::from_parents(vec![None, Some(0), Some(0)]).unwrap();
+        let up = Schedule::from_pairs([(Link::new(1, 0), 0), (Link::new(2, 0), 0)]).unwrap();
+        assert_eq!(
+            BiTree::new(star, up),
+            Err(LinkError::SiblingsShareSlot { parent: 0, slot: 0 })
+        );
+        // 0 ← {1, 2, 3}, 1 ← 4: children 1 and 3 of node 0 both in
+        // slot 2, with 2 in slot 0 between them in child order.
+        let tree = InTree::from_parents(vec![None, Some(0), Some(0), Some(0), Some(1)]).unwrap();
+        let up = Schedule::from_pairs([
+            (Link::new(4, 1), 1),
+            (Link::new(1, 0), 2),
+            (Link::new(2, 0), 0),
+            (Link::new(3, 0), 2),
+        ])
+        .unwrap();
+        assert_eq!(
+            BiTree::new(tree.clone(), up),
+            Err(LinkError::SiblingsShareSlot { parent: 0, slot: 2 })
+        );
+        // Cousins may share a slot: 4's parent is 1, 2's is 0.
+        let up = Schedule::from_pairs([
+            (Link::new(4, 1), 0),
+            (Link::new(1, 0), 2),
+            (Link::new(2, 0), 0),
+            (Link::new(3, 0), 1),
+        ])
+        .unwrap();
+        assert!(BiTree::new(tree, up).is_ok());
     }
 
     #[test]

@@ -47,6 +47,15 @@ pub enum LinkError {
         /// The descendant whose link is scheduled at or after the child's.
         descendant: NodeId,
     },
+    /// Two children of one node share an aggregation slot, so the node
+    /// would receive twice in it and send twice in its dissemination
+    /// slot.
+    SiblingsShareSlot {
+        /// The node whose children clash.
+        parent: NodeId,
+        /// The aggregation slot they share.
+        slot: usize,
+    },
 }
 
 impl fmt::Display for LinkError {
@@ -71,6 +80,12 @@ impl fmt::Display for LinkError {
                     f,
                     "aggregation ordering violated: link of {child} scheduled no later than \
                      its descendant {descendant}"
+                )
+            }
+            LinkError::SiblingsShareSlot { parent, slot } => {
+                write!(
+                    f,
+                    "two children of node {parent} share aggregation slot {slot}"
                 )
             }
         }
@@ -101,6 +116,7 @@ mod tests {
                 child: 1,
                 descendant: 2,
             },
+            LinkError::SiblingsShareSlot { parent: 0, slot: 3 },
         ];
         for e in errs {
             assert!(!e.to_string().is_empty());

@@ -745,25 +745,6 @@ impl<'a> SlotAuditor<'a> {
     }
 }
 
-/// The *measured* affectance a receiver observes for a successful
-/// reception: the total thresholded affectance of the other transmitters
-/// on the link. This implements the measurement assumption of §8.2
-/// ("receivers can measure the SINR of a successful link").
-///
-/// Returns `None` when the link power cannot overcome noise (the
-/// measurement is undefined because the link cannot succeed at all).
-pub fn measured_affectance(
-    params: &SinrParams,
-    instance: &Instance,
-    link: Link,
-    link_power: f64,
-    transmitters: &[(NodeId, f64)],
-) -> Option<f64> {
-    AffectanceCalc::new(params, instance)
-        .sum_on(transmitters, link, link_power)
-        .ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1134,19 +1115,5 @@ mod tests {
             assert_eq!(auditor.links(), &[a]);
             assert!(auditor.is_feasible());
         }
-    }
-
-    #[test]
-    fn measured_affectance_matches_success() {
-        let p = params();
-        let inst = line_instance(&[0.0, 1.0, 6.0, 7.0]);
-        let l = Link::new(0, 1);
-        let pw = p.min_power_for_length(1.0) * 2.0;
-        let tx = [(0, pw), (3, pw)];
-        let a = measured_affectance(&p, &inst, l, pw, &tx).unwrap();
-        let calc = AffectanceCalc::new(&p, &inst);
-        let sinr = calc.sinr(l, pw, &tx);
-        // Equivalence: affectance ≤ 1 iff SINR ≥ β (unclipped terms).
-        assert_eq!(a <= 1.0, sinr >= p.beta() * (1.0 - 1e-12));
     }
 }

@@ -32,11 +32,12 @@
 //! (DESIGN.md §7.1, §7.2).
 //!
 //! The consequence is the determinism contract of DESIGN.md §7: every
-//! decision the field returns — and every `f64` it reports, because
-//! reported values are always computed by the canonical naive-order
-//! sum — is **bit-identical** to the `O(n)`-per-query naive path. The
-//! speedup comes purely from the (overwhelmingly common) queries whose
-//! decisions certify from a small near field.
+//! decision the field returns is **bit-identical** to the
+//! `O(n)`-per-query naive path, and so is the one `f64` it reports,
+//! [`sinr_exact`](InterferenceField::sinr_exact), which is the
+//! canonical naive-order sum. The speedup comes purely from the
+//! (overwhelmingly common) queries whose decisions certify from a small
+//! near field.
 //!
 //! Where a decode must be decided exactly — slots of at most 8 senders,
 //! zero noise, and threshold-grazing fallbacks — the field settles each
@@ -125,9 +126,8 @@ const REACH_SLACK: f64 = 1e-12;
 const REACH_MIN_RADIUS: f64 = 1e-150;
 
 /// The exact decode rule of the simulator: the best-SINR transmitter at
-/// listener `v`, provided its SINR reaches `β`. Returns `(sender,
-/// sender power, sinr)`; the first of equal maxima in sender order
-/// wins.
+/// listener `v`, provided its SINR reaches `β`. Returns the sender; the
+/// first of equal maxima in sender order wins.
 ///
 /// This is the *reference semantics* and the naive engine backend's
 /// decode: it computes every sender's full SINR, `O(senders²)` gain
@@ -139,17 +139,17 @@ pub fn decode_best_exact(
     instance: &Instance,
     v: NodeId,
     senders: &[(NodeId, f64)],
-) -> Option<(NodeId, f64, f64)> {
+) -> Option<NodeId> {
     let calc = AffectanceCalc::new(params, instance);
-    let mut best: Option<(NodeId, f64, f64)> = None;
+    let mut best: Option<(NodeId, f64)> = None;
     for &(u, pu) in senders {
         debug_assert_ne!(u, v, "listeners never appear among transmitters");
         let sinr = calc.sinr(Link::new(u, v), pu, senders);
-        if sinr >= params.beta() && best.map_or(true, |(_, _, bs)| sinr > bs) {
-            best = Some((u, pu, sinr));
+        if sinr >= params.beta() && best.map_or(true, |(_, bs)| sinr > bs) {
+            best = Some((u, sinr));
         }
     }
-    best
+    best.map(|(u, _)| u)
 }
 
 /// How decode queries were settled — always-on counters a scratch
@@ -162,10 +162,9 @@ pub fn decode_best_exact(
 ///   no finite decode radius) and were decided by the field's exact
 ///   `O(senders)` decode (DESIGN.md §7.3);
 /// - `certified` — settled by the certified near field or the reach
-///   bitmap (including the canonical recompute of the one certified
-///   winner);
-/// - `fallbacks` — threshold-grazing (or guard-violating) queries,
-///   decided by the same exact decode.
+///   bitmap;
+/// - `fallbacks` — threshold-grazing queries, decided by the same exact
+///   decode.
 ///
 /// Outside that partition, `straddles` counts the ring walks on table
 /// bounds (DESIGN.md §7.2) that left a query open and were walked
@@ -212,8 +211,8 @@ pub struct PhaseTimes {
     pub near_field: Duration,
     /// Ring accumulation + certification (`far-field-cert` phase).
     pub far_field_cert: Duration,
-    /// Exact decodes (small-slot queries and threshold-grazing
-    /// fallbacks) and canonical winner recomputes (`fallback` phase).
+    /// Exact decodes: small-slot queries and threshold-grazing
+    /// fallbacks (`fallback` phase).
     pub fallback: Duration,
 }
 
@@ -239,7 +238,6 @@ impl PhaseTimes {
 #[derive(Debug, Default)]
 pub struct FieldScratch {
     cand_ids: Vec<NodeId>,
-    cand_powers: Vec<f64>,
     cand_signals: Vec<f64>,
     cand_states: Vec<CandState>,
     /// Every member the candidate scan found inside the decode radius,
@@ -253,33 +251,12 @@ pub struct FieldScratch {
     /// Phase wall-clock, accumulated while timing is enabled.
     pub times: PhaseTimes,
     timing: bool,
-    skip_canonical_sinr: bool,
 }
 
 impl FieldScratch {
     /// Turns per-phase `Instant` timing on or off (off by default).
     pub fn enable_timing(&mut self, on: bool) {
         self.timing = on;
-    }
-
-    /// Opts queries through this scratch out of the canonical
-    /// winner-SINR recompute (off by default — recompute runs).
-    ///
-    /// [`decode_best_with`](InterferenceField::decode_best_with)
-    /// normally re-derives the certified winner's SINR with the exact
-    /// naive-order sum — an `O(senders)` pass per decode whose only
-    /// products are the canonically-reportable f64 and a defensive
-    /// re-check of the certificate. Callers that never read the
-    /// reported SINR (the engine, when the driving protocol declares
-    /// `MEASURES_SINR = false`) can skip that pass: the decode
-    /// *decision* and winner are unchanged — they come from the
-    /// certificate, whose guard analysis is conservative — and the
-    /// returned SINR is `NaN`. Fallback and small-slot queries still
-    /// resolve exactly (their winner selection needs the exact sums);
-    /// only the reported value is then due to be discarded by the
-    /// caller.
-    pub fn skip_canonical_sinr(&mut self, skip: bool) {
-        self.skip_canonical_sinr = skip;
     }
 
     #[inline]
@@ -296,17 +273,6 @@ impl FieldScratch {
         if let Some(t0) = t0 {
             *into += t0.elapsed();
         }
-    }
-
-    /// Runs `f`, attributing its wall-clock to the `fallback` phase
-    /// (exact naive sums) when timing is enabled. The engine routes the
-    /// canonical per-reception affectance recompute through this: it is
-    /// exactly such a sum, but lives outside the field's decode path.
-    pub fn time_fallback<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        let t0 = self.clock();
-        let out = f();
-        Self::lap(t0, &mut self.times.fallback);
-        out
     }
 }
 
@@ -359,8 +325,7 @@ fn settle_candidates(
 /// Build one from a slot's active `(sender, power)` set, then answer
 /// decode and affectance-threshold queries; a caller that resolves
 /// many slots refills the same field with each next set. All decisions
-/// and all reported values are bit-identical to the naive all-pairs
-/// path (see module docs).
+/// are bit-identical to the naive all-pairs path (see module docs).
 ///
 /// Queries never change a field; only a refill does. For the
 /// probe-then-commit inner loop of slot packing use
@@ -601,7 +566,7 @@ impl<'a> InterferenceField<'a> {
     /// `SINR ≤ t_u/t_w < 1 ≤ β`. The strongest candidate (each of them,
     /// on an exact tie) gets its canonical [`AffectanceCalc::sinr`], and
     /// the winner is the first strict maximum `≥ β` in sender order.
-    fn decode_exact(&self, v: NodeId, scratch: &mut FieldScratch) -> Option<(NodeId, f64, f64)> {
+    fn decode_exact(&self, v: NodeId, scratch: &mut FieldScratch) -> Option<NodeId> {
         let calc = AffectanceCalc::new(self.params, self.instance);
         let (noise, beta) = (self.params.noise(), self.params.beta());
         let strongest = &mut scratch.strongest;
@@ -620,31 +585,27 @@ impl<'a> InterferenceField<'a> {
                 strongest.push(i);
             }
         }
-        let mut best: Option<(NodeId, f64, f64)> = None;
+        let mut best: Option<(NodeId, f64)> = None;
         for &i in strongest.iter() {
             let (u, pu) = self.senders[i];
             let sinr = calc.sinr(Link::new(u, v), pu, &self.senders);
-            if sinr >= beta && best.map_or(true, |(_, _, bs)| sinr > bs) {
-                best = Some((u, pu, sinr));
+            if sinr >= beta && best.map_or(true, |(_, bs)| sinr > bs) {
+                best = Some((u, sinr));
             }
         }
-        best
+        best.map(|(u, _)| u)
     }
 
-    /// Which transmitter, if any, listener `v` decodes — bit-identical
-    /// to [`decode_best_exact`] over this field's senders.
-    pub fn decode_best(&self, v: NodeId) -> Option<(NodeId, f64, f64)> {
+    /// Which transmitter, if any, listener `v` decodes — the same
+    /// sender as [`decode_best_exact`] over this field's senders.
+    pub fn decode_best(&self, v: NodeId) -> Option<NodeId> {
         let mut scratch = FieldScratch::default();
         self.decode_best_with(v, &mut scratch)
     }
 
     /// [`decode_best`](Self::decode_best) with caller-provided scratch,
     /// allocation-free across repeated queries.
-    pub fn decode_best_with(
-        &self,
-        v: NodeId,
-        scratch: &mut FieldScratch,
-    ) -> Option<(NodeId, f64, f64)> {
+    pub fn decode_best_with(&self, v: NodeId, scratch: &mut FieldScratch) -> Option<NodeId> {
         if self.senders.is_empty() {
             return None;
         }
@@ -679,7 +640,6 @@ impl<'a> InterferenceField<'a> {
         // exact signals computed are kept for the walk.
         let t0 = scratch.clock();
         scratch.cand_ids.clear();
-        scratch.cand_powers.clear();
         scratch.cand_signals.clear();
         scratch.cand_states.clear();
         scratch.near_ids.clear();
@@ -687,7 +647,6 @@ impl<'a> InterferenceField<'a> {
         {
             let FieldScratch {
                 cand_ids,
-                cand_powers,
                 cand_signals,
                 cand_states,
                 near_ids,
@@ -707,7 +666,6 @@ impl<'a> InterferenceField<'a> {
                     near_signals.push(signal);
                     if signal / noise >= beta {
                         cand_ids.push(u);
-                        cand_powers.push(power);
                         cand_signals.push(signal);
                         cand_states.push(CandState::Undecided);
                     }
@@ -782,36 +740,10 @@ impl<'a> InterferenceField<'a> {
             FieldScratch::lap(t0, &mut scratch.times.fallback);
             return out;
         }
-        let Some(winner) = certified else {
-            scratch.stats.certified += 1;
-            return None; // every candidate certified undecodable
-        };
-        let (winner_u, winner_power) = (scratch.cand_ids[winner], scratch.cand_powers[winner]);
-        if scratch.skip_canonical_sinr {
-            // The caller declared the reported SINR unread: trust the
-            // certificate (conservative by GUARD construction) and
-            // skip the O(senders) canonical recompute.
-            scratch.stats.certified += 1;
-            return Some((winner_u, winner_power, f64::NAN));
-        }
-        // Report the canonical value: the naive-order sum for the one
-        // certified winner (β ≥ 1 with N > 0 makes it unique).
-        let t0 = scratch.clock();
-        let calc = AffectanceCalc::new(self.params, self.instance);
-        let sinr = calc.sinr(Link::new(winner_u, v), winner_power, &self.senders);
-        FieldScratch::lap(t0, &mut scratch.times.fallback);
-        if sinr >= beta {
-            scratch.stats.certified += 1;
-            Some((winner_u, winner_power, sinr))
-        } else {
-            // A certified decision contradicted by the exact value can
-            // only mean the guard analysis was violated; stay correct.
-            scratch.stats.fallbacks += 1;
-            let t0 = scratch.clock();
-            let out = self.decode_exact(v, scratch);
-            FieldScratch::lap(t0, &mut scratch.times.fallback);
-            out
-        }
+        // Every candidate certified undecodable, or the one certified
+        // winner (β ≥ 1 with N > 0 makes it unique).
+        scratch.stats.certified += 1;
+        certified.map(|winner| scratch.cand_ids[winner])
     }
 
     /// The decision `a_S(ℓ) ≤ threshold` for this field's sender set on
@@ -1270,8 +1202,8 @@ mod tests {
         out
     }
 
-    /// The core parity property: `decode_best` equals the naive rule,
-    /// bit for bit, on every listener of many random slots.
+    /// The core parity property: `decode_best` picks the naive rule's
+    /// winner on every listener of many random slots.
     #[test]
     fn decode_matches_naive_to_the_bit() {
         let params = SinrParams::default();
@@ -1303,20 +1235,11 @@ mod tests {
                 }
                 let naive = decode_best_exact(&params, &inst, v, &senders);
                 let fast = field.decode_best_with(v, &mut scratch);
-                match (naive, fast) {
-                    (None, None) => {}
-                    (Some((a, pa, sa)), Some((b, pb, sb))) => {
-                        assert_eq!(a, b, "seed {seed} listener {v} decoded wrong sender");
-                        assert_eq!(pa.to_bits(), pb.to_bits());
-                        assert_eq!(
-                            sa.to_bits(),
-                            sb.to_bits(),
-                            "seed {seed} listener {v}: sinr bits differ"
-                        );
-                        decodes += 1;
-                    }
-                    other => panic!("seed {seed} listener {v}: decisions differ: {other:?}"),
-                }
+                assert_eq!(
+                    naive, fast,
+                    "seed {seed} listener {v}: decoded senders differ"
+                );
+                decodes += usize::from(naive.is_some());
             }
         }
         assert!(decodes > 0, "no decode ever happened across all seeds");
@@ -1573,8 +1496,8 @@ mod tests {
     }
 
     /// A refilled field answers every query as a fresh build of the
-    /// same senders: each listener's decode (winner, power and SINR
-    /// bits), `sinr_at_least` and `sum_on_at_most` at a certified and
+    /// same senders: each listener's decoded sender, `sinr_at_least`
+    /// and `sum_on_at_most` at a certified and
     /// at a grazing threshold, the `QueryStats` of the decodes and of
     /// the SINR walks, and `transmits` for every node. The slots run
     /// 600 → 3 → 0 → 70 → 9 → 600 → 64 → 9 senders through one field
@@ -1619,8 +1542,8 @@ mod tests {
             for (i, &v) in listeners[..150].iter().enumerate() {
                 let decoded = fresh.decode_best_with(v, &mut want);
                 assert_eq!(
-                    bits(field.decode_best_with(v, &mut got)),
-                    bits(decoded),
+                    field.decode_best_with(v, &mut got),
+                    decoded,
                     "{n} senders, listener {v}: decode"
                 );
                 decodes += usize::from(decoded.is_some());
@@ -1767,15 +1690,9 @@ mod tests {
         }
     }
 
-    type DecodeBits = Option<(NodeId, u64, u64)>;
-
-    fn bits(d: Option<(NodeId, f64, f64)>) -> DecodeBits {
-        d.map(|(u, p, s)| (u, p.to_bits(), s.to_bits()))
-    }
-
     /// Decodes every non-transmitting listener through the field and
-    /// checks `(sender, power, sinr)` bits against the O(s²) oracle;
-    /// returns the field's counters and the number of decodes.
+    /// checks the decoded sender against the O(s²) oracle; returns the
+    /// field's counters and the number of decodes.
     fn assert_exact_parity(
         params: &SinrParams,
         inst: &Instance,
@@ -1791,8 +1708,8 @@ mod tests {
             }
             let naive = decode_best_exact(params, inst, v, senders);
             assert_eq!(
-                bits(field.decode_best_with(v, &mut scratch)),
-                bits(naive),
+                field.decode_best_with(v, &mut scratch),
+                naive,
                 "{what}: listener {v}"
             );
             decodes += usize::from(naive.is_some());
@@ -1800,8 +1717,8 @@ mod tests {
         (scratch.stats, decodes)
     }
 
-    /// The O(s) exact decode equals the O(s²) oracle bit for bit on
-    /// every listener, from the empty slot to one past `SMALL_SLOT`: on
+    /// The O(s) exact decode picks the O(s²) oracle's winner on every
+    /// listener, from the empty slot to one past `SMALL_SLOT`: on
     /// the geometric and a σ = 6 dB shadowed channel, with zero noise,
     /// and with powers spread over three orders of magnitude. Every
     /// small slot is decided exactly.
@@ -1863,10 +1780,7 @@ mod tests {
         .unwrap();
         for senders in [[(2, 5.0), (0, 5.0)], [(0, 5.0), (2, 5.0)]] {
             let first = senders[0].0;
-            assert_eq!(
-                decode_best_exact(&params, &inst, 1, &senders),
-                Some((first, 5.0, 1.0))
-            );
+            assert_eq!(decode_best_exact(&params, &inst, 1, &senders), Some(first));
             assert_exact_parity(&params, &inst, &senders, "tie");
         }
     }
@@ -1930,11 +1844,15 @@ mod tests {
         let params = SinrParams::default();
         let senders = random_senders(&inst, 0.08, params.min_power_for_length(2.0), 4);
         assert!(senders.len() > SMALL_SLOT);
+        let calc = AffectanceCalc::new(&params, &inst);
         let grazed = (0..inst.len())
             .filter(|v| senders.iter().all(|&(u, _)| u != *v))
-            .find_map(|v| decode_best_exact(&params, &inst, v, &senders))
-            .expect("some listener decodes")
-            .2;
+            .find_map(|v| {
+                let u = decode_best_exact(&params, &inst, v, &senders)?;
+                let &(_, p) = senders.iter().find(|&&(w, _)| w == u)?;
+                Some(calc.sinr(Link::new(u, v), p, &senders))
+            })
+            .expect("some listener decodes");
         let grazing = SinrParams::new(3.0, grazed, params.noise(), params.epsilon()).unwrap();
         let (stats, decodes) = assert_exact_parity(&grazing, &inst, &senders, "grazing");
         assert!(stats.fallbacks > 0, "no query fell back: {stats:?}");
@@ -2002,12 +1920,7 @@ mod tests {
                 continue;
             }
             let naive = decode_best_exact(&params, &inst, v, &senders);
-            let fast = field.decode_best(v);
-            assert_eq!(
-                naive.map(|(u, p, s)| (u, p.to_bits(), s.to_bits())),
-                fast.map(|(u, p, s)| (u, p.to_bits(), s.to_bits())),
-                "listener {v}"
-            );
+            assert_eq!(naive, field.decode_best(v), "listener {v}");
         }
     }
 
@@ -2028,16 +1941,8 @@ mod tests {
                 continue;
             }
             assert_eq!(
-                decode_best_exact(&params, &inst, v, &senders).map(|(u, p, s)| (
-                    u,
-                    p.to_bits(),
-                    s.to_bits()
-                )),
-                field.decode_best_with(v, &mut scratch).map(|(u, p, s)| (
-                    u,
-                    p.to_bits(),
-                    s.to_bits()
-                )),
+                decode_best_exact(&params, &inst, v, &senders),
+                field.decode_best_with(v, &mut scratch),
             );
             let (link, p) = probe_link(&inst, &params, v);
             let sinr = calc.sinr(link, p, &senders);

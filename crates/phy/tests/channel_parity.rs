@@ -61,10 +61,6 @@ fn transmitting(inst: &Instance, senders: &[(NodeId, f64)]) -> Vec<bool> {
     t
 }
 
-fn bits(r: Option<(NodeId, f64, f64)>) -> Option<(NodeId, u64, u64)> {
-    r.map(|(u, p, s)| (u, p.to_bits(), s.to_bits()))
-}
-
 /// The geometric reference: `P · d^{-α}` gains, naive summation order.
 mod reference {
     use super::*;
@@ -128,15 +124,15 @@ mod reference {
         inst: &Instance,
         v: NodeId,
         senders: &[(NodeId, f64)],
-    ) -> Option<(NodeId, f64, f64)> {
-        let mut best: Option<(NodeId, f64, f64)> = None;
+    ) -> Option<NodeId> {
+        let mut best: Option<(NodeId, f64)> = None;
         for &(u, pu) in senders {
             let s = sinr(params, inst, Link::new(u, v), pu, senders);
-            if s >= params.beta() && best.map_or(true, |(_, _, bs)| s > bs) {
-                best = Some((u, pu, s));
+            if s >= params.beta() && best.map_or(true, |(_, bs)| s > bs) {
+                best = Some((u, s));
             }
         }
-        best
+        best.map(|(u, _)| u)
     }
 
     /// `feasibility::check(..).is_feasible()` with geometric gains.
@@ -210,8 +206,8 @@ proptest! {
 
         for v in (0..inst.len()).filter(|&v| !tx[v]) {
             prop_assert_eq!(
-                bits(field.decode_best(v)),
-                bits(reference::decode(&params, &inst, v, &senders)),
+                field.decode_best(v),
+                reference::decode(&params, &inst, v, &senders),
                 "listener {} decode", v
             );
         }
@@ -265,8 +261,8 @@ proptest! {
         let tx = transmitting(&inst, &senders);
         for v in (0..inst.len()).filter(|&v| !tx[v]) {
             prop_assert_eq!(
-                bits(field.decode_best(v)),
-                bits(decode_best_exact(&params, &inst, v, &senders)),
+                field.decode_best(v),
+                decode_best_exact(&params, &inst, v, &senders),
                 "listener {} diverged from the exact reference", v
             );
         }

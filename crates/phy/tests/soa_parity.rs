@@ -7,14 +7,12 @@
 //! same cell-size formula, same clamped near-scan order, same Chebyshev
 //! ring order, same within-cell insertion order — hence bit-identical
 //! accumulation, hence identical certify/fallback *decisions* and
-//! bit-identical decoded `(from, power, sinr)` triples and measured
-//! affectances. This suite re-derives all of that from a hash-map
-//! reference and compares:
+//! identical decoded senders. This suite re-derives all of that from a
+//! hash-map reference and compares:
 //!
-//! - the decoded triple, to the bit;
+//! - the decoded sender, also against `decode_best_exact`;
 //! - the decision class (small-exact / certified / fallback), made
 //!   observable by `FieldScratch`'s always-on [`QueryStats`] counters;
-//! - the measured affectance of the decoded link, to the bit;
 //!
 //! across four power families (uniform / mean / linear, and `Init`'s
 //! one round power per length class on both channels), random
@@ -32,8 +30,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sinr_geom::{gen, Instance, NodeId, Point};
 use sinr_links::Link;
-use sinr_phy::affectance::AffectanceCalc;
-use sinr_phy::feasibility;
 use sinr_phy::field::{decode_best_exact, FieldScratch, InterferenceField};
 use sinr_phy::{PowerAssignment, SinrParams};
 
@@ -129,7 +125,7 @@ impl<'a> BucketField<'a> {
     /// The reference decode: a line-for-line transcription of the
     /// published certified-decode algorithm over the bucket layout,
     /// reporting which class settled the query.
-    fn decode(&self, v: NodeId) -> (DecisionClass, Option<(NodeId, f64, f64)>) {
+    fn decode(&self, v: NodeId) -> (DecisionClass, Option<NodeId>) {
         assert!(!self.senders.is_empty(), "callers feed non-empty fields");
         let radius = decode_radius_for(self.params, self.max_power);
         if self.senders.len() <= SMALL_SLOT || !radius.is_finite() {
@@ -146,7 +142,8 @@ impl<'a> BucketField<'a> {
 
         // Candidate collection: clamped key-rectangle scan, x-outer /
         // y-inner, members in insertion order.
-        let mut cand: Vec<(NodeId, f64, f64, Option<bool>)> = Vec::new();
+        // `(sender, signal, verdict)`.
+        let mut cand: Vec<(NodeId, f64, Option<bool>)> = Vec::new();
         let lo = self.key_of(Point::new(pos_v.x - radius, pos_v.y - radius));
         let hi = self.key_of(Point::new(pos_v.x + radius, pos_v.y + radius));
         let (cx0, cy0) = (lo.0.max(self.key_min.0), lo.1.max(self.key_min.1));
@@ -160,7 +157,7 @@ impl<'a> BucketField<'a> {
                     let d = self.instance.distance(u, v);
                     let signal = power * self.params.path_gain(d) * channel.fade(pos_u, pos_v);
                     if signal / noise >= beta {
-                        cand.push((u, power, signal, None));
+                        cand.push((u, signal, None));
                     }
                 }
             }
@@ -218,19 +215,19 @@ impl<'a> BucketField<'a> {
             };
             if far.is_finite() {
                 for c in cand.iter_mut() {
-                    if c.3.is_some() {
+                    if c.2.is_some() {
                         continue;
                     }
-                    let s = c.2;
+                    let s = c.1;
                     let base = acc - s;
                     let slack = GUARD * (acc + s);
                     let i_lo = (base - slack).max(0.0);
                     let i_hi = (base + slack + far).max(0.0);
                     if (s / (noise + i_lo)) * (1.0 + GUARD) < beta {
-                        c.3 = Some(false);
+                        c.2 = Some(false);
                         undecided -= 1;
                     } else if (s / (noise + i_hi)) * (1.0 - GUARD) >= beta {
-                        c.3 = Some(true);
+                        c.2 = Some(true);
                         undecided -= 1;
                     }
                 }
@@ -244,7 +241,7 @@ impl<'a> BucketField<'a> {
         let yes: Vec<usize> = cand
             .iter()
             .enumerate()
-            .filter(|(_, c)| c.3 == Some(true))
+            .filter(|(_, c)| c.2 == Some(true))
             .map(|(i, _)| i)
             .collect();
         if undecided > 0 || yes.len() > 1 {
@@ -253,23 +250,10 @@ impl<'a> BucketField<'a> {
                 decode_best_exact(self.params, self.instance, v, &self.senders),
             );
         }
-        let Some(&winner) = yes.first() else {
-            return (DecisionClass::Certified, None);
-        };
-        let (winner_u, winner_power) = (cand[winner].0, cand[winner].1);
-        let calc = AffectanceCalc::new(self.params, self.instance);
-        let sinr = calc.sinr(Link::new(winner_u, v), winner_power, &self.senders);
-        if sinr >= beta {
-            (
-                DecisionClass::Certified,
-                Some((winner_u, winner_power, sinr)),
-            )
-        } else {
-            (
-                DecisionClass::Fallback,
-                decode_best_exact(self.params, self.instance, v, &self.senders),
-            )
-        }
+        (
+            DecisionClass::Certified,
+            yes.first().map(|&winner| cand[winner].0),
+        )
     }
 }
 
@@ -324,8 +308,8 @@ fn round_senders(
         .collect()
 }
 
-/// Queries every listener through both fields and cross-checks value
-/// bits, decision classes, and measured-affectance bits.
+/// Queries every listener through both fields and cross-checks decoded
+/// senders and decision classes.
 fn assert_parity(
     params: &SinrParams,
     inst: &Instance,
@@ -353,31 +337,15 @@ fn assert_parity(
         };
 
         let (want_class, want) = reference.decode(v);
-        let bits = |r: Option<(NodeId, f64, f64)>| r.map(|(u, p, s)| (u, p.to_bits(), s.to_bits()));
         assert_eq!(
-            bits(got),
-            bits(want),
+            got, want,
             "listener {v}: SoA decode diverged from the bucket reference"
         );
         assert_eq!(
             got_class, want_class,
             "listener {v}: decision class diverged (decode {got:?})"
         );
-        // Value parity against the naive reference order, plus the
-        // reported affectance of the decoded link, to the bit.
-        assert_eq!(bits(got), bits(decode_best_exact(params, inst, v, senders)));
-        if let Some((from, p, _)) = got {
-            let a_soa =
-                feasibility::measured_affectance(params, inst, Link::new(from, v), p, senders);
-            let (rf, rp, _) = want.unwrap();
-            let a_ref =
-                feasibility::measured_affectance(params, inst, Link::new(rf, v), rp, senders);
-            assert_eq!(
-                a_soa.map(f64::to_bits),
-                a_ref.map(f64::to_bits),
-                "listener {v}: measured affectance diverged"
-            );
-        }
+        assert_eq!(got, decode_best_exact(params, inst, v, senders));
     }
 }
 

@@ -8,9 +8,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use sinr_geom::{Instance, NodeId};
-use sinr_links::Link;
 use sinr_phy::field::{decode_best_exact, FieldScratch, InterferenceField, PhaseTimes, QueryStats};
-use sinr_phy::{feasibility, SinrParams};
+use sinr_phy::SinrParams;
 
 use crate::faults::FaultPlan;
 use crate::pool::{with_pool, PoolHandle};
@@ -75,10 +74,9 @@ impl<M> Default for SlotArena<M> {
 /// How the engine resolves the channel each slot.
 ///
 /// Every backend produces **bit-identical** slot outcomes — decode
-/// decisions, decoded senders, and the reported SINR/affectance floats.
-/// The grid backend only takes a shortcut when the decision is
-/// certified and always reports values from the canonical naive-order
-/// sums (see `sinr_phy::field` and DESIGN.md §7); the parallel backend
+/// decisions, decoded senders and their distances. The grid backend
+/// only takes a shortcut when the decision is certified (see
+/// `sinr_phy::field` and DESIGN.md §7); the parallel backend
 /// runs the *same* per-listener resolution as the grid backend, merely
 /// sharding independent listeners across scoped threads with an
 /// ordered merge, so no float operation is reordered (DESIGN.md §8).
@@ -466,12 +464,7 @@ impl<'a, P: Protocol> Engine<'a, P> {
 
     /// An empty slot context for this engine.
     fn new_ctx(&self) -> SlotCtx<'a, P::Msg> {
-        SlotCtx::new(
-            self.params,
-            self.instance,
-            self.backend,
-            (P::MEASURES_SINR, P::MEASURES_AFFECTANCE),
-        )
+        SlotCtx::new(self.params, self.instance, self.backend)
     }
 
     /// Phases 1 and 2 into `ctx`: the stepped nodes' actions, then the
@@ -604,7 +597,6 @@ impl<'a, P: Protocol> Engine<'a, P> {
         let scratch = &mut self.scratch;
         #[cfg(feature = "profile")]
         scratch.enable_timing(crate::profile::is_active());
-        scratch.skip_canonical_sinr(!P::MEASURES_SINR);
         outcomes.reserve(ctx.ids.len());
         for k in 0..ctx.ids.len() {
             outcomes.push(ctx.outcome_of(k, scratch));
@@ -755,8 +747,9 @@ impl<'a, P: Protocol> Engine<'a, P> {
     /// a recorder is active. Strictly observational: everything recorded
     /// here was computed regardless, so the traced and untraced runs are
     /// byte-identical (the trace gates pin this). The digest folds every
-    /// node's outcome in id order, a `Slept` token for each node the
-    /// slot did not step — `O(n)`, but only while tracing.
+    /// node's outcome in id order, with a transmitter's power and a
+    /// listener's sender and distance, and a `Slept` token for each node
+    /// the slot did not step — `O(n)`, but only while tracing.
     #[cfg(feature = "trace")]
     fn trace_slot(
         &self,
@@ -778,6 +771,8 @@ impl<'a, P: Protocol> Engine<'a, P> {
             });
         }
         let mut fnv = Fnv1a::default();
+        // Transmitters and their outcomes both run in id order.
+        let mut powers = ctx.transmitters.iter().map(|&(_, power)| power);
         let mut stepped = ctx.ids.iter().zip(outcomes).peekable();
         for node in 0..self.nodes.len() {
             let Some((_, outcome)) = stepped.next_if(|&(&id, _)| id == node) else {
@@ -790,17 +785,17 @@ impl<'a, P: Protocol> Engine<'a, P> {
                         slot,
                         node,
                         from: r.from,
-                        sinr: r.sinr.to_bits(),
-                        affectance: r.affectance.to_bits(),
                     });
                     fnv.write_u64(1);
                     fnv.write_u64(r.from as u64);
                     fnv.write_u64(r.distance.to_bits());
-                    fnv.write_u64(r.sinr.to_bits());
-                    fnv.write_u64(r.affectance.to_bits());
                 }
                 SlotOutcome::Idle => fnv.write_u64(2),
-                SlotOutcome::Transmitted => fnv.write_u64(3),
+                SlotOutcome::Transmitted => {
+                    let power = powers.next().expect("every transmitter has a power");
+                    fnv.write_u64(3);
+                    fnv.write_u64(power.to_bits());
+                }
                 SlotOutcome::Slept => fnv.write_u64(4),
             }
         }
@@ -907,7 +902,6 @@ impl<'a, P: Protocol> Engine<'a, P> {
             move |_| {
                 let mut scratch = FieldScratch::default();
                 scratch.enable_timing(profiling);
-                scratch.skip_canonical_sinr(!P::MEASURES_SINR);
                 scratch
             },
             move |w, scratch, (ctx, mut out): SlotJob<'a, P::Msg>| {
@@ -1036,26 +1030,11 @@ struct SlotCtx<'a, M> {
     /// this slot's transmitters only when there are any: a slot nobody
     /// transmits in skips the refill and leaves it unread.
     field: Option<InterferenceField<'a>>,
-    /// [`Protocol::MEASURES_SINR`] of the driving protocol: when false,
-    /// receptions report `NaN` SINR on *every* backend (the naive and
-    /// fallback paths compute it as a byproduct; discarding it here
-    /// keeps the backends byte-identical to the certificate-only grid
-    /// path).
-    measure_sinr: bool,
-    /// [`Protocol::MEASURES_AFFECTANCE`] of the driving protocol: when
-    /// false, receptions skip the per-decode canonical affectance sum
-    /// and report `NaN`.
-    measure_affectance: bool,
 }
 
 impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
     /// An empty context for an engine on `backend`.
-    fn new(
-        params: &'a SinrParams,
-        instance: &'a Instance,
-        backend: EngineBackend,
-        (measure_sinr, measure_affectance): (bool, bool),
-    ) -> Self {
+    fn new(params: &'a SinrParams, instance: &'a Instance, backend: EngineBackend) -> Self {
         SlotCtx {
             params,
             instance,
@@ -1064,8 +1043,6 @@ impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
             transmitters: Vec::new(),
             field: (backend != EngineBackend::Naive)
                 .then(|| InterferenceField::build(params, instance, &[])),
-            measure_sinr,
-            measure_affectance,
         }
     }
 
@@ -1113,29 +1090,7 @@ impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
                     None => decode_best_exact(self.params, self.instance, id, &self.transmitters),
                 };
                 match decoded {
-                    Some((from, power, sinr)) => {
-                        // The canonical per-reception recompute is an
-                        // exact naive sum — `O(transmitters)` per
-                        // decode, the dominant cost of a dense slot —
-                        // so it only runs for protocols that read the
-                        // field; its time belongs to the `fallback`
-                        // phase.
-                        let affectance = if self.measure_affectance {
-                            let link = Link::new(from, id);
-                            scratch
-                                .time_fallback(|| {
-                                    feasibility::measured_affectance(
-                                        self.params,
-                                        self.instance,
-                                        link,
-                                        power,
-                                        &self.transmitters,
-                                    )
-                                })
-                                .unwrap_or(f64::NAN)
-                        } else {
-                            f64::NAN
-                        };
+                    Some(from) => {
                         let msg = match self.ids.binary_search(&from).map(|j| &self.actions[j]) {
                             Ok(Action::Transmit { msg, .. }) => msg.clone(),
                             _ => unreachable!("decoded node is a transmitter"),
@@ -1144,12 +1099,6 @@ impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
                             from,
                             msg,
                             distance: self.instance.distance(from, id),
-                            // NaN-ed uniformly when unmeasured: the
-                            // naive and fallback decodes yield the
-                            // exact value as a byproduct, but reporting
-                            // it only there would break backend parity.
-                            sinr: if self.measure_sinr { sinr } else { f64::NAN },
-                            affectance,
                         })
                     }
                     None => SlotOutcome::Idle,
@@ -1178,13 +1127,14 @@ mod tests {
         fn end_slot(&mut self, _: NodeId, _: u64, _: SlotOutcome<()>, _: &mut StdRng) {}
     }
 
-    /// Node `tx` transmits every slot; others listen and count decodes.
+    /// Node `tx` transmits every slot; others listen, count decodes and
+    /// keep the last sender heard.
     #[derive(Debug)]
     struct OneTx {
         tx: NodeId,
         power: f64,
         decoded: usize,
-        last_sinr: f64,
+        last_from: Option<NodeId>,
     }
     impl Protocol for OneTx {
         type Msg = u64;
@@ -1201,7 +1151,7 @@ mod tests {
         fn end_slot(&mut self, _: NodeId, _: u64, o: SlotOutcome<u64>, _: &mut StdRng) {
             if let SlotOutcome::Received(r) = o {
                 self.decoded += 1;
-                self.last_sinr = r.sinr;
+                self.last_from = Some(r.from);
             }
         }
     }
@@ -1218,7 +1168,7 @@ mod tests {
                 tx: 0,
                 power,
                 decoded: 0,
-                last_sinr: 0.0,
+                last_from: None,
             },
             1,
         );
@@ -1228,7 +1178,7 @@ mod tests {
         for (id, node) in engine.nodes().iter().enumerate() {
             if id != 0 {
                 assert_eq!(node.decoded, 1);
-                assert!(node.last_sinr >= params.beta());
+                assert_eq!(node.last_from, Some(0));
             }
         }
     }
@@ -1303,14 +1253,14 @@ mod tests {
         assert_eq!(report.idle_listeners, 0);
     }
 
-    /// The two backends are observably identical: same reports, same
-    /// protocol states, same Reception floats to the bit.
+    /// The backends are observably identical: same reports, same
+    /// protocol states, same decoded senders and distances to the bit.
     #[test]
     fn backends_are_bit_identical() {
         let params = SinrParams::default();
 
-        /// `(slot, from, distance bits, sinr bits, affectance bits)`.
-        type ReceptionRecord = (u64, NodeId, u64, u64, u64);
+        /// `(slot, from, distance bits)`.
+        type ReceptionRecord = (u64, NodeId, u64);
 
         #[derive(Debug, Default)]
         struct Recorder {
@@ -1330,13 +1280,7 @@ mod tests {
             }
             fn end_slot(&mut self, _: NodeId, slot: u64, o: SlotOutcome<()>, _: &mut StdRng) {
                 if let SlotOutcome::Received(r) = o {
-                    self.receptions.push((
-                        slot,
-                        r.from,
-                        r.distance.to_bits(),
-                        r.sinr.to_bits(),
-                        r.affectance.to_bits(),
-                    ));
+                    self.receptions.push((slot, r.from, r.distance.to_bits()));
                 }
             }
         }
@@ -1523,7 +1467,7 @@ mod tests {
                 tx: 0,
                 power,
                 decoded: 0,
-                last_sinr: 0.0,
+                last_from: None,
             },
             1,
         );
@@ -1533,7 +1477,7 @@ mod tests {
     }
 
     #[test]
-    fn reception_reports_distance_and_affectance() {
+    fn reception_reports_sender_and_distance() {
         let params = SinrParams::default();
         let inst = gen::line(3).unwrap();
         #[derive(Debug, Default)]
@@ -1566,112 +1510,12 @@ mod tests {
             .expect("node 1 decodes node 0");
         assert_eq!(r.from, 0);
         assert_eq!(r.distance, 1.0);
-        // Sole transmitter: zero interference, zero affectance.
-        assert!(r.affectance.abs() < 1e-12);
-        assert!(r.sinr > params.beta());
-    }
-
-    /// A protocol that declares both per-reception instruments unused
-    /// gets `NaN` there and *identical bits everywhere else*: same
-    /// decode winners, same distances, on every backend.
-    #[test]
-    fn instrument_opt_out_skips_only_the_instruments() {
-        #[derive(Debug, Default)]
-        struct Deaf {
-            rec: Option<Reception<()>>,
-        }
-        impl Protocol for Deaf {
-            type Msg = ();
-            const MEASURES_AFFECTANCE: bool = false;
-            const MEASURES_SINR: bool = false;
-            fn begin_slot(&mut self, node: NodeId, _: u64, rng: &mut StdRng) -> Action<()> {
-                if node % 3 == 0 && rng.gen_bool(0.9) {
-                    Action::Transmit {
-                        power: 1e4,
-                        msg: (),
-                    }
-                } else {
-                    Action::Listen
-                }
-            }
-            fn end_slot(&mut self, _: NodeId, _: u64, o: SlotOutcome<()>, _: &mut StdRng) {
-                if let SlotOutcome::Received(r) = o {
-                    self.rec = Some(r);
-                }
-            }
-        }
-        // Measuring twin: same actions (same RNG draws), instrument on.
-        #[derive(Debug, Default)]
-        struct Keen {
-            rec: Option<Reception<()>>,
-        }
-        impl Protocol for Keen {
-            type Msg = ();
-            fn begin_slot(&mut self, node: NodeId, _: u64, rng: &mut StdRng) -> Action<()> {
-                if node % 3 == 0 && rng.gen_bool(0.9) {
-                    Action::Transmit {
-                        power: 1e4,
-                        msg: (),
-                    }
-                } else {
-                    Action::Listen
-                }
-            }
-            fn end_slot(&mut self, _: NodeId, _: u64, o: SlotOutcome<()>, _: &mut StdRng) {
-                if let SlotOutcome::Received(r) = o {
-                    self.rec = Some(r);
-                }
-            }
-        }
-        let params = SinrParams::default();
-        let inst = gen::uniform_square(64, 2.0, 9).unwrap();
-        let mut per_backend: Vec<Vec<Option<(NodeId, u64)>>> = Vec::new();
-        for backend in [
-            EngineBackend::Naive,
-            EngineBackend::Grid,
-            EngineBackend::Parallel(2),
-        ] {
-            let mut deaf = Engine::with_backend(&params, &inst, |_| Deaf::default(), 7, backend);
-            let mut keen = Engine::with_backend(&params, &inst, |_| Keen::default(), 7, backend);
-            deaf.run(4);
-            keen.run(4);
-            per_backend.push(
-                deaf.nodes()
-                    .iter()
-                    .map(|n| n.rec.as_ref().map(|r| (r.from, r.distance.to_bits())))
-                    .collect(),
-            );
-            let mut receptions = 0usize;
-            for (d, k) in deaf.nodes().iter().zip(keen.nodes().iter()) {
-                match (&d.rec, &k.rec) {
-                    (Some(d), Some(k)) => {
-                        receptions += 1;
-                        assert_eq!(d.from, k.from);
-                        assert_eq!(d.distance.to_bits(), k.distance.to_bits());
-                        assert!(d.sinr.is_nan(), "opt-out must report NaN SINR");
-                        assert!(d.affectance.is_nan(), "opt-out must report NaN affectance");
-                        assert!(k.sinr.is_finite(), "measuring twin reports SINR");
-                        assert!(
-                            k.affectance.is_finite(),
-                            "measuring twin reports affectance"
-                        );
-                    }
-                    (None, None) => {}
-                    other => panic!("decode sets diverged: {other:?}"),
-                }
-            }
-            assert!(receptions > 0, "workload produced no receptions");
-        }
-        // Certificate-decided decodes (grid) match the exact naive
-        // winners even with the canonical recompute skipped.
-        assert_eq!(per_backend[0], per_backend[1], "naive vs grid winners");
-        assert_eq!(per_backend[1], per_backend[2], "grid vs parallel winners");
     }
 
     /// Coin-flip recorder used by the fault gates below: every
-    /// observable (actions drawn from the RNG, reception bits, the
-    /// number of `begin_slot` calls) is recorded so freezes and
-    /// suppressions are visible.
+    /// observable (actions drawn from the RNG, receptions as `(slot,
+    /// from, distance bits)`, the number of `begin_slot` calls) is
+    /// recorded so freezes and suppressions are visible.
     #[derive(Debug, Default, Clone, PartialEq)]
     struct FaultProbe {
         begins: u64,
@@ -1693,7 +1537,7 @@ mod tests {
         }
         fn end_slot(&mut self, _: NodeId, slot: u64, o: SlotOutcome<()>, _: &mut StdRng) {
             match o {
-                SlotOutcome::Received(r) => self.log.push((slot, r.from, r.sinr.to_bits())),
+                SlotOutcome::Received(r) => self.log.push((slot, r.from, r.distance.to_bits())),
                 SlotOutcome::Idle => self.idles += 1,
                 _ => {}
             }
@@ -1737,9 +1581,9 @@ mod tests {
         }
     }
 
-    /// The fault-determinism parity gate (the Deaf-vs-Keen pattern of
-    /// the instrument gates): one random fault mix, identical bytes on
-    /// naive / grid / parallel at several thread counts.
+    /// The fault-determinism parity gate: one random fault mix,
+    /// identical bytes on naive / grid / parallel at several thread
+    /// counts.
     #[test]
     fn fault_plan_is_bit_identical_across_backends() {
         use crate::faults::{FaultMix, FaultPlan};
@@ -1854,7 +1698,7 @@ mod tests {
                 tx: 0,
                 power,
                 decoded: 0,
-                last_sinr: 0.0,
+                last_from: None,
             },
             1,
         );
@@ -1907,8 +1751,9 @@ mod tests {
     fn snapshot_restore_resumes_bit_identically() {
         use serde::{Deserialize, Error, Serialize, Value};
 
-        /// Coin-flip transmitter recording reception bits — with
-        /// manual serde so it can ride a snapshot.
+        /// Coin-flip transmitter recording `(slot, from, distance
+        /// bits)` per reception — with manual serde so it can ride a
+        /// snapshot.
         #[derive(Debug, Clone, PartialEq)]
         struct Flip {
             log: Vec<(u64, NodeId, u64)>,
@@ -1927,7 +1772,7 @@ mod tests {
             }
             fn end_slot(&mut self, _: NodeId, slot: u64, o: SlotOutcome<()>, _: &mut StdRng) {
                 if let SlotOutcome::Received(r) = o {
-                    self.log.push((slot, r.from, r.sinr.to_bits()));
+                    self.log.push((slot, r.from, r.distance.to_bits()));
                 }
             }
         }
@@ -1990,7 +1835,7 @@ mod tests {
                     tx: 0,
                     power,
                     decoded: 0,
-                    last_sinr: 0.0,
+                    last_from: None,
                 },
                 seed,
             )
@@ -2135,7 +1980,7 @@ mod tests {
         }
         fn end_slot(&mut self, _: NodeId, slot: u64, o: SlotOutcome<()>, rng: &mut StdRng) {
             match o {
-                SlotOutcome::Received(r) => self.log.push((slot, r.from, r.sinr.to_bits())),
+                SlotOutcome::Received(r) => self.log.push((slot, r.from, r.distance.to_bits())),
                 SlotOutcome::Idle => {
                     self.idles += 1;
                     self.draws ^= rng.gen::<u64>();

@@ -11,8 +11,7 @@
 //!   slot (transmit with a chosen power, listen, or sleep);
 //! - [`Engine`] — advances slots, resolves deliveries via `sinr-phy`,
 //!   hands each listener at most one decoded [`Reception`] (guaranteed
-//!   unique for `β ≥ 1`), and reports measured SINR/affectance to the
-//!   receiver (the measurement assumption of §8.2);
+//!   unique for `β ≥ 1`): the sender, the payload and the distance;
 //! - deterministic per-node RNG streams derived from one seed.
 //!
 //! # Example

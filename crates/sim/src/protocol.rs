@@ -29,8 +29,9 @@ pub enum Action<M> {
 ///
 /// Besides the payload, the receiver learns the sender's identity and —
 /// because messages carry the sender's location in the paper's model —
-/// the distance. The measured SINR and affectance implement the
-/// measurement assumption of §8.2.
+/// the distance. That is all any protocol reads: the measurement
+/// assumption of §8.2, which `Distr-Cap` needs, is answered by its
+/// probe slots' thresholded affectance queries, not per reception.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Reception<M> {
     /// The sender.
@@ -39,13 +40,6 @@ pub struct Reception<M> {
     pub msg: M,
     /// Distance to the sender.
     pub distance: f64,
-    /// Achieved SINR at the receiver, or `NaN` if unmeasured
-    /// ([`Protocol::MEASURES_SINR`] is `false`).
-    pub sinr: f64,
-    /// Total thresholded affectance of the *other* transmitters on the
-    /// implied link, or `NaN` if undefined (sender below noise floor)
-    /// or unmeasured ([`Protocol::MEASURES_AFFECTANCE`] is `false`).
-    pub affectance: f64,
 }
 
 /// What happened to a node during a slot.
@@ -107,37 +101,6 @@ pub trait Protocol {
     /// The message payload type.
     type Msg: Clone + Send + Sync;
 
-    /// Whether the engine measures [`Reception::affectance`] for this
-    /// protocol's receptions.
-    ///
-    /// Measured affectance is the §8.2 instrument: an exact
-    /// `O(transmitters)` canonical-order sum per decoded reception,
-    /// recomputed naively so the reported f64 is bit-identical on
-    /// every backend. That makes it the single most expensive part of
-    /// a dense slot — and protocols that never read the field pay for
-    /// it anyway. Opting out (`false`) sets
-    /// [`Reception::affectance`] — and its bits in the `trace` slot
-    /// digest — to `f64::NAN`; every other observable (decode winners,
-    /// SINR, distances, reports, RNG streams) is unchanged. Defaults
-    /// to `true` so measurement stays on unless a protocol explicitly
-    /// declares it unused.
-    const MEASURES_AFFECTANCE: bool = true;
-
-    /// Whether the engine reports [`Reception::sinr`] for this
-    /// protocol's receptions.
-    ///
-    /// Like the affectance instrument, the reported SINR is pinned to
-    /// the canonical naive-order sum — and on the indexed backends
-    /// that means an `O(transmitters)` exact recompute per certified
-    /// decode, *after* the certificate already settled who decodes.
-    /// Protocols that never read the field can opt out (`false`):
-    /// decode winners, distances, reports and RNG streams are
-    /// unchanged on every backend (winner identity comes from the
-    /// certificate, not the reported value), while
-    /// [`Reception::sinr`] — and its bits in the `trace` slot digest —
-    /// is `f64::NAN`. Defaults to `true`.
-    const MEASURES_SINR: bool = true;
-
     /// Chooses this node's action for slot `slot`.
     fn begin_slot(&mut self, node: NodeId, slot: u64, rng: &mut StdRng) -> Action<Self::Msg>;
 
@@ -169,8 +132,6 @@ mod tests {
             from: 1,
             msg: "x",
             distance: 2.0,
-            sinr: 5.0,
-            affectance: 0.2,
         };
         let o = SlotOutcome::Received(r.clone());
         match o {

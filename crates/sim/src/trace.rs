@@ -55,10 +55,6 @@ pub enum TraceEvent {
         node: usize,
         /// The decoded sender.
         from: usize,
-        /// Achieved SINR bits.
-        sinr: F64Bits,
-        /// Measured affectance bits.
-        affectance: F64Bits,
     },
     /// Per-slot roll-up emitted by the engine after every slot: counts
     /// plus an FNV-1a digest of the full outcome stream, so a
@@ -73,8 +69,9 @@ pub enum TraceEvent {
         receptions: u32,
         /// Listeners that decoded nothing.
         idle: u32,
-        /// FNV-1a digest over every node's outcome (kind, sender,
-        /// reception floats) in node order.
+        /// FNV-1a digest over every node's outcome in node order: its
+        /// kind, a transmitter's power bits, a listener's sender and
+        /// distance bits.
         outcomes_fnv: u64,
     },
     /// A selector probe decision: whether `sender → receiver` was
@@ -212,18 +209,10 @@ impl TraceEvent {
                 ("node", node.to_string()),
                 ("power", render_bits(*power)),
             ],
-            TraceEvent::Receive {
-                slot,
-                node,
-                from,
-                sinr,
-                affectance,
-            } => vec![
+            TraceEvent::Receive { slot, node, from } => vec![
                 ("slot", slot.to_string()),
                 ("node", node.to_string()),
                 ("from", from.to_string()),
-                ("sinr", render_bits(*sinr)),
-                ("affectance", render_bits(*affectance)),
             ],
             TraceEvent::SlotDigest {
                 slot,
@@ -571,13 +560,7 @@ mod tests {
     #[test]
     fn nan_floats_compare_by_bits() {
         let a = TraceLog {
-            events: vec![TraceEvent::Receive {
-                slot: 0,
-                node: 1,
-                from: 2,
-                sinr: 1.0f64.to_bits(),
-                affectance: f64::NAN.to_bits(),
-            }],
+            events: vec![tx(0, 1, f64::NAN)],
             dropped: 0,
         };
         // Same NaN bits: no divergence, unlike `==` on floats.

@@ -4,6 +4,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
 use sinr_geom::{gen, NodeId};
+use sinr_phy::field::decode_best_exact;
 use sinr_phy::SinrParams;
 use sinr_sim::{Action, Engine, Protocol, SlotOutcome};
 
@@ -113,37 +114,57 @@ proptest! {
         }
     }
 
-    /// Reported SINR at receivers is always ≥ β and the reported
-    /// distance matches the instance geometry.
+    /// Every listener's outcome is the exact decode rule over its slot's
+    /// transmitters, which the transmitters record themselves: a
+    /// reception names `decode_best_exact`'s winner at its instance
+    /// distance, and a listener that hears nothing has no winner.
     #[test]
     fn reception_metadata_correct(seed in 0u64..5_000, n in 2usize..20) {
+        const POWER: f64 = 5e3;
+        const SLOTS: u64 = 8;
         #[derive(Debug, Default)]
         struct Meta {
-            checks: Vec<(NodeId, f64, f64)>, // (from, distance, sinr)
+            sent: Vec<u64>,
+            heard: Vec<(u64, NodeId, f64)>, // (slot, from, distance)
         }
         impl Protocol for Meta {
             type Msg = ();
-            fn begin_slot(&mut self, node: NodeId, _: u64, rng: &mut StdRng) -> Action<()> {
+            fn begin_slot(&mut self, node: NodeId, slot: u64, rng: &mut StdRng) -> Action<()> {
                 if node == 0 || rng.gen_bool(0.2) {
-                    Action::Transmit { power: 5e3, msg: () }
+                    self.sent.push(slot);
+                    Action::Transmit { power: POWER, msg: () }
                 } else {
                     Action::Listen
                 }
             }
-            fn end_slot(&mut self, _: NodeId, _: u64, o: SlotOutcome<()>, _: &mut StdRng) {
+            fn end_slot(&mut self, _: NodeId, slot: u64, o: SlotOutcome<()>, _: &mut StdRng) {
                 if let SlotOutcome::Received(r) = o {
-                    self.checks.push((r.from, r.distance, r.sinr));
+                    self.heard.push((slot, r.from, r.distance));
                 }
             }
         }
         let params = SinrParams::default();
         let inst = gen::uniform_square(n, 2.0, seed).unwrap();
         let mut engine = Engine::new(&params, &inst, |_| Meta::default(), seed);
-        engine.run(8);
-        for (id, node) in engine.nodes().iter().enumerate() {
-            for &(from, distance, sinr) in &node.checks {
-                prop_assert!(sinr >= params.beta());
-                prop_assert!((distance - inst.distance(from, id)).abs() < 1e-12);
+        engine.run(SLOTS);
+        let nodes = engine.nodes();
+        for slot in 0..SLOTS {
+            let senders: Vec<(NodeId, f64)> = (0..n)
+                .filter(|&u| nodes[u].sent.contains(&slot))
+                .map(|u| (u, POWER))
+                .collect();
+            for (v, node) in nodes.iter().enumerate() {
+                if node.sent.contains(&slot) {
+                    prop_assert!(node.heard.iter().all(|h| h.0 != slot));
+                    continue;
+                }
+                let heard = node.heard.iter().find(|h| h.0 == slot);
+                let want = decode_best_exact(&params, &inst, v, &senders);
+                prop_assert_eq!(
+                    heard.map(|&(_, from, d)| (from, d.to_bits())),
+                    want.map(|u| (u, inst.distance(u, v).to_bits())),
+                    "slot {} listener {}", slot, v
+                );
             }
         }
     }
