@@ -343,7 +343,10 @@ impl Protocol for HeartbeatNode {
 ///
 /// [`CoreError::InvalidConfig`] if `prior` is inconsistent with the
 /// instance (wrong parent-array length, a tree link missing from the
-/// schedule or the power map) or `cfg.miss_threshold` is zero.
+/// schedule or the power map), `cfg.miss_threshold` is zero, a backoff
+/// pause of `2^exp − 1` cycles overflows `u64` (`exp` reaches 64 when
+/// `miss_threshold > 64` and `max_backoff_exp ≥ 64`), or the run of
+/// `cfg.max_rounds` cycles overflows the slot counter.
 pub fn detect_failures(
     params: &SinrParams,
     instance: &Instance,
@@ -365,10 +368,26 @@ pub fn detect_failures(
             reason: "a zero miss threshold declares instantly",
         });
     }
+    // A backoff follows misses below the threshold, so its exponent
+    // peaks at `min(miss_threshold − 1, max_backoff_exp)`.
+    if cfg.max_backoff_exp.min(cfg.miss_threshold - 1) >= u64::BITS {
+        return Err(CoreError::InvalidConfig {
+            name: "max_backoff_exp",
+            reason: "a backoff of 2^64 or more cycles overflows",
+        });
+    }
     let half = prior.schedule.num_slots();
     if half == 0 || n <= 1 {
         return Ok(DetectionReport::default());
     }
+    let cycle_slots = 2 * half as u64;
+    let slots = cfg
+        .max_rounds
+        .checked_mul(cycle_slots)
+        .ok_or(CoreError::InvalidConfig {
+            name: "max_rounds",
+            reason: "the run's slot count overflows u64",
+        })?;
 
     // Compile per-node heartbeat duties from the prior structure:
     // sparse per-node lists, O(n + links) in total.
@@ -438,7 +457,6 @@ pub fn detect_failures(
         cfg.backend,
     );
     engine.arm_faults(plan.clone());
-    let slots = cfg.max_rounds * 2 * half as u64;
     engine.run(slots);
 
     // Harvest: current suspicions form the kill-set; first
@@ -471,7 +489,7 @@ pub fn detect_failures(
         detections,
         reports_at_root: reports_at_root.into_iter().collect(),
         cleared,
-        cycle_slots: 2 * half as u64,
+        cycle_slots,
         slots_used: slots,
         rounds: cfg.max_rounds,
     })
@@ -681,6 +699,38 @@ mod tests {
         assert!(matches!(
             detect_failures(&params, &inst, &prior, &plan, &zero, 0),
             Err(CoreError::InvalidConfig { .. })
+        ));
+        // The 64th miss would shift by 64 before the 65th declares.
+        let shift = DetectConfig {
+            miss_threshold: 65,
+            max_backoff_exp: 64,
+            ..DetectConfig::default()
+        };
+        assert!(matches!(
+            detect_failures(&params, &inst, &prior, &plan, &shift, 0),
+            Err(CoreError::InvalidConfig {
+                name: "max_backoff_exp",
+                ..
+            })
+        ));
+        // One exponent short of the shift runs.
+        let widest = DetectConfig {
+            miss_threshold: 64,
+            max_backoff_exp: u32::MAX,
+            max_rounds: 1,
+            ..DetectConfig::default()
+        };
+        assert!(detect_failures(&params, &inst, &prior, &plan, &widest, 0).is_ok());
+        let endless = DetectConfig {
+            max_rounds: u64::MAX,
+            ..DetectConfig::default()
+        };
+        assert!(matches!(
+            detect_failures(&params, &inst, &prior, &plan, &endless, 0),
+            Err(CoreError::InvalidConfig {
+                name: "max_rounds",
+                ..
+            })
         ));
         let short: Vec<Option<NodeId>> = parents[..5].to_vec();
         let bad = PriorStructure {

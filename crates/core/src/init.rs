@@ -133,18 +133,20 @@ struct Shared {
     pairs_per_round: u64,
     num_rounds: u32,
     accept_shorter: bool,
-    /// Transmission power per round index (clamped for extra rounds).
+    /// Transmission power per length class; rounds past the top class
+    /// (the extra rounds) repeat its entry.
     round_powers: Vec<f64>,
-    /// `[2^{r-1}, 2^r)` windows per round index.
+    /// `[2^{r-1}, 2^r)` windows per length class.
     round_windows: Vec<(f64, f64)>,
 }
 
 impl Shared {
-    /// The round that `slot` belongs to: two slots per pair. Only the
-    /// slots that transmit or receive read it.
+    /// The table index of the round that `slot` belongs to: two slots
+    /// per pair, and every round past the top class reads the top
+    /// class's entry. Only the slots that transmit or receive read it.
     fn round_of(&self, slot: u64) -> usize {
         let r = slot / 2 / self.pairs_per_round;
-        (r as usize).min(self.num_rounds as usize - 1)
+        (r as usize).min(self.round_powers.len() - 1)
     }
 }
 
@@ -443,15 +445,14 @@ fn prepare_init(
 
     let ppr = pairs_per_round(cfg, participants.len());
     let total_rounds = num_classes + cfg.extra_rounds_cap;
-    let mut round_powers = Vec::with_capacity(total_rounds as usize);
-    let mut round_windows = Vec::with_capacity(total_rounds as usize);
-    for r0 in 0..total_rounds {
-        // Extra rounds repeat the top class.
-        let class = (r0 + 1).min(num_classes);
-        let hi = 2f64.powi(class as i32);
-        round_powers.push(params.min_power_for_length(hi));
-        round_windows.push((hi / 2.0, hi));
-    }
+    // One entry per class; `Shared::round_of` sends the extra rounds to
+    // the top one.
+    let (round_powers, round_windows) = (1..=num_classes)
+        .map(|class| {
+            let hi = 2f64.powi(class as i32);
+            (params.min_power_for_length(hi), (hi / 2.0, hi))
+        })
+        .unzip();
     let shared = Arc::new(Shared {
         p: cfg.p,
         pairs_per_round: ppr,

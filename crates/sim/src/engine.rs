@@ -1,7 +1,8 @@
 //! The slotted simulation engine.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -81,9 +82,11 @@ impl<M> Default for SlotArena<M> {
 /// sharding independent listeners across scoped threads with an
 /// ordered merge, so no float operation is reordered (DESIGN.md §8).
 /// The grid and parallel backends step only the awake nodes of the
-/// wake calendar; the naive backend steps every node and checks each
-/// dormancy promise (see [`Protocol`]). It exists as the reference for
-/// parity testing and benchmarking.
+/// wake calendar, and answer a listener of a transmitter list they have
+/// already decoded from a replay memo instead of the field (DESIGN.md
+/// §8.7); the naive backend steps every node, checks each dormancy
+/// promise (see [`Protocol`]) and decodes every listener. It exists as
+/// the reference for parity testing and benchmarking.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum EngineBackend {
     /// All-pairs channel resolution: `O(listeners × transmitters²)`
@@ -226,6 +229,9 @@ pub struct Engine<'a, P: Protocol> {
     calendar: BinaryHeap<Reverse<(u64, NodeId)>>,
     /// The nodes due in the next slot, ascending id order.
     awake: Vec<NodeId>,
+    /// The grid backends' replay memo (DESIGN.md §8.7); `None` on the
+    /// naive reference. Derived state: snapshots do not capture it.
+    memo: Option<ReplayMemo>,
 }
 
 impl<'a, P: Protocol + std::fmt::Debug> std::fmt::Debug for Engine<'a, P> {
@@ -310,6 +316,7 @@ impl<'a, P: Protocol> Engine<'a, P> {
             fault_boundaries: Vec::new(),
             calendar: BinaryHeap::new(),
             awake: (0..n).collect(),
+            memo: ReplayMemo::for_backend(backend, n),
         }
     }
 
@@ -421,6 +428,7 @@ impl<'a, P: Protocol> Engine<'a, P> {
         self.fill(&mut ctx, &mut clock);
         let mut outcomes = std::mem::take(&mut self.arena.outcomes);
         self.resolve_serial(&ctx, &mut outcomes);
+        self.record_decodes(&ctx, &outcomes);
         clock.lap("resolve");
         let report = self.finish_slot(&ctx, outcomes);
         self.ctx = Some(ctx);
@@ -456,6 +464,7 @@ impl<'a, P: Protocol> Engine<'a, P> {
         } else {
             self.resolve_serial(shared, &mut outcomes);
         }
+        self.record_decodes(shared, &outcomes);
         clock.lap("resolve");
         let report = self.finish_slot(shared, outcomes);
         clock.lap("merge");
@@ -468,15 +477,26 @@ impl<'a, P: Protocol> Engine<'a, P> {
     }
 
     /// Phases 1 and 2 into `ctx`: the stepped nodes' actions, then the
-    /// slot's transmitters and field.
+    /// slot's transmitters, its replayed listeners and its field.
     fn fill(&mut self, ctx: &mut SlotCtx<'a, P::Msg>, clock: &mut PhaseClock) {
         let slot = self.slot;
         ctx.ids.clear();
         ctx.actions.clear();
         self.collect_actions(slot, &mut ctx.ids, &mut ctx.actions);
         clock.lap("build");
-        ctx.refill(slot);
+        ctx.refill(slot, self.memo.as_mut());
         clock.lap("grid");
+    }
+
+    /// Records the slot's physical decodes in the replay memo, under
+    /// the entry `ctx` sighted: every listener the field answered. Runs
+    /// on the driving thread after phase 2 and before
+    /// [`finish_slot`](Self::finish_slot) applies reception faults, so
+    /// a deaf or dropping listener records what the channel delivered.
+    fn record_decodes(&mut self, ctx: &SlotCtx<'a, P::Msg>, outcomes: &[SlotOutcome<P::Msg>]) {
+        if let (Some(entry), Some(memo)) = (ctx.entry, &mut self.memo) {
+            memo.record(entry, &ctx.ids, &ctx.replayed, outcomes);
+        }
     }
 
     /// Phase 1, shared by the serial and pooled loops: every stepped
@@ -603,7 +623,7 @@ impl<'a, P: Protocol> Engine<'a, P> {
         }
         let stats = std::mem::take(&mut scratch.stats);
         let times = std::mem::take(&mut scratch.times);
-        self.absorb_field_stats(stats, times);
+        self.absorb_field_stats(stats, times, &ctx.replayed);
     }
 
     /// Phase 2 across the pool: broadcast the slot context to every
@@ -641,27 +661,35 @@ impl<'a, P: Protocol> Engine<'a, P> {
         }
         self.arena.worker_outs = worker_outs;
         self.arena.chunks = chunks;
-        self.absorb_field_stats(slot_stats, slot_times);
+        self.absorb_field_stats(slot_stats, slot_times, &ctx.replayed);
     }
 
     /// Merges one slot's decode-path counters into the cumulative
     /// [`field_stats`](Self::field_stats) and, when a profiling
     /// registry is active, records the phase times and decision counts
-    /// it captured.
-    fn absorb_field_stats(&mut self, stats: QueryStats, times: PhaseTimes) {
+    /// it captured, with the number of listeners the replay memo
+    /// answered (`replayed`) beside the field's queries.
+    fn absorb_field_stats(
+        &mut self,
+        stats: QueryStats,
+        times: PhaseTimes,
+        replayed: &[Option<Option<NodeId>>],
+    ) {
         #[cfg(feature = "profile")]
         if crate::profile::is_active() {
             crate::profile::record("near-field", times.near_field.as_secs_f64());
             crate::profile::record("far-field-cert", times.far_field_cert.as_secs_f64());
             crate::profile::record("fallback", times.fallback.as_secs_f64());
             crate::profile::record("queries", stats.queries as f64);
+            let answered = replayed.iter().flatten().count();
+            crate::profile::record("replayed", answered as f64);
             crate::profile::record("certified", stats.certified as f64);
             crate::profile::record("fallbacks", stats.fallbacks as f64);
             crate::profile::record("straddles", stats.straddles as f64);
             crate::profile::record("rings", stats.rings as f64);
         }
         #[cfg(not(feature = "profile"))]
-        let _ = &times;
+        let _ = (&times, replayed);
         self.field_stats.merge(&stats);
     }
 
@@ -1010,14 +1038,15 @@ impl<'a, P: Protocol> Engine<'a, P> {
 
 /// The channel context of the slot being resolved: the stepped nodes
 /// in ascending id order with their actions, the transmitter set in the
-/// same canonical order, and — for the grid backends — the slot's
-/// [`InterferenceField`]. An engine keeps one for its whole life and
-/// [`refill`](Self::refill)s it in place every slot, so a slot moves no
-/// struct and allocates nothing once its buffers have grown (DESIGN.md
-/// §12.2). The pooled loop shares it read-only across workers via
-/// [`Arc`]; [`SlotCtx::outcome_of`] is the *single* per-node resolution
-/// sequence both the serial and the pooled loop execute, which is what
-/// makes their outputs byte-identical by construction.
+/// same canonical order, the listeners the replay memo answers and —
+/// for the grid backends — the slot's [`InterferenceField`]. An engine
+/// keeps one for its whole life and [`refill`](Self::refill)s it in
+/// place every slot, so a slot moves no struct and allocates nothing
+/// once its buffers have grown (DESIGN.md §12.2). The pooled loop
+/// shares it read-only across workers via [`Arc`];
+/// [`SlotCtx::outcome_of`] is the *single* per-node resolution sequence
+/// both the serial and the pooled loop execute, which is what makes
+/// their outputs byte-identical by construction.
 struct SlotCtx<'a, M> {
     params: &'a SinrParams,
     instance: &'a Instance,
@@ -1027,9 +1056,19 @@ struct SlotCtx<'a, M> {
     actions: Vec<Action<M>>,
     transmitters: Vec<(NodeId, f64)>,
     /// The grid backends' field (`None` on the naive backend). It holds
-    /// this slot's transmitters only when there are any: a slot nobody
-    /// transmits in skips the refill and leaves it unread.
+    /// this slot's transmitters only when `field_live`.
     field: Option<InterferenceField<'a>>,
+    /// Whether the field was refilled for this slot: some listener
+    /// needs a query. A slot nobody transmits in, nobody listens in, or
+    /// whose listeners the memo answers in full skips the refill.
+    field_live: bool,
+    /// The memo entry the slot's transmitter list sighted, if its
+    /// decodes are to be recorded ([`ReplayMemo::sight`]).
+    entry: Option<u32>,
+    /// Empty, or `replayed[k]` is the memo's answer for node `ids[k]`:
+    /// `Some(decoded sender)` for a recorded listener, `None` for a
+    /// node the field resolves.
+    replayed: Vec<Option<Option<NodeId>>>,
 }
 
 impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
@@ -1043,34 +1082,57 @@ impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
             transmitters: Vec::new(),
             field: (backend != EngineBackend::Naive)
                 .then(|| InterferenceField::build(params, instance, &[])),
+            field_live: false,
+            entry: None,
+            replayed: Vec::new(),
         }
     }
 
     /// Derives the slot's channel state from the actions phase 1 wrote
-    /// into `ids` and `actions`: the transmitter list, then the field,
-    /// when anyone transmits.
+    /// into `ids` and `actions`: the transmitter list, the listeners
+    /// `memo` answers (when the list is one it has recorded), then the
+    /// field, when a listener is left to query.
     ///
     /// # Panics
     ///
     /// Panics if a node transmitted with a non-positive or non-finite
     /// power (a programming error in the protocol).
-    fn refill(&mut self, slot: u64) {
+    fn refill(&mut self, slot: u64, memo: Option<&mut ReplayMemo>) {
         self.transmitters.clear();
+        let mut listeners = 0;
         for (&id, a) in self.ids.iter().zip(&self.actions) {
-            if let Action::Transmit { power, .. } = a {
-                assert!(
-                    power.is_finite() && *power > 0.0,
-                    "node {id} transmitted with invalid power {power} in slot {slot}"
-                );
-                self.transmitters.push((id, *power));
+            match a {
+                Action::Transmit { power, .. } => {
+                    assert!(
+                        power.is_finite() && *power > 0.0,
+                        "node {id} transmitted with invalid power {power} in slot {slot}"
+                    );
+                    self.transmitters.push((id, *power));
+                }
+                Action::Listen => listeners += 1,
+                Action::Sleep | Action::SleepUntil(_) => {}
             }
         }
-        if let Some(field) = &mut self.field {
-            if !self.transmitters.is_empty() {
-                field
-                    .refill(&self.transmitters)
-                    .expect("a stepped node acts once per slot");
+        self.field_live = false;
+        self.entry = None;
+        self.replayed.clear();
+        let Some(field) = &mut self.field else {
+            return;
+        };
+        if self.transmitters.is_empty() || listeners == 0 {
+            return;
+        }
+        if let Some(memo) = memo {
+            self.entry = memo.sight(&self.transmitters);
+            if let Some(entry) = self.entry {
+                listeners -= memo.replay(entry, &self.ids, &self.actions, &mut self.replayed);
             }
+        }
+        if listeners > 0 {
+            field
+                .refill(&self.transmitters)
+                .expect("a stepped node acts once per slot");
+            self.field_live = true;
         }
     }
 
@@ -1081,13 +1143,10 @@ impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
             Action::Transmit { .. } => SlotOutcome::Transmitted,
             Action::Sleep | Action::SleepUntil(_) => SlotOutcome::Slept,
             Action::Listen => {
-                let field = self
-                    .field
-                    .as_ref()
-                    .filter(|_| !self.transmitters.is_empty());
-                let decoded = match field {
-                    Some(f) => f.decode_best_with(id, scratch),
-                    None => decode_best_exact(self.params, self.instance, id, &self.transmitters),
+                let decoded = match (self.replayed.get(k), &self.field) {
+                    (Some(&Some(decoded)), _) => decoded,
+                    (_, Some(f)) if self.field_live => f.decode_best_with(id, scratch),
+                    _ => decode_best_exact(self.params, self.instance, id, &self.transmitters),
                 };
                 match decoded {
                     Some(from) => {
@@ -1105,6 +1164,225 @@ impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
                 }
             }
         }
+    }
+}
+
+/// Stored hashes, stored transmitter pairs and recorded listeners are
+/// each capped at this many per node of the engine (DESIGN.md §8.7).
+/// One heartbeat cycle of the failure detector records at most
+/// `2(n − 1)` listeners, so the memo holds a recording cycle and as
+/// much again before a cap clears it.
+const MEMO_PER_NODE: usize = 4;
+
+/// [`ReplayMemo::index`] value of a list sighted once.
+const SEEN_ONCE: u32 = u32::MAX;
+
+/// [`ReplayMemo::records`] value of a listener that decoded nothing.
+const DECODED_NOTHING: u32 = u32::MAX;
+
+/// The grid backends' replay memo (DESIGN.md §8.7): the decodes of the
+/// transmitter lists the engine has seen before, keyed by the list —
+/// `(id, power bits)` pairs in ascending id, as in
+/// [`SlotCtx::transmitters`].
+///
+/// A decode is a pure function of the parameters, the instance, the
+/// list and the listener (fades are keyed by position; crashes and
+/// power degrades change the list; deafness and drops act after the
+/// decode), so a recorded answer is the field's answer. A list's first
+/// sighting keeps only its 64-bit hash; the second stores the list and
+/// records each listener's decode; every later sighting compares the
+/// stored list in full, so a hash collision cannot alias two lists,
+/// replays the recorded listeners and records the rest. Which slots
+/// replay depends only on the slot sequence, so every counter repeats
+/// exactly.
+struct ReplayMemo {
+    /// Every hashed list: [`SEEN_ONCE`], or the index of its entry.
+    index: HashMap<u64, u32, BuildHasherDefault<MixHasher>>,
+    /// The stored lists, concatenated.
+    lists: Vec<(NodeId, f64)>,
+    /// Entry `e`'s list ends at `ends[e]` and starts where entry
+    /// `e − 1`'s ends.
+    ends: Vec<usize>,
+    /// Recorded decodes keyed by `entry << 32 | listener`: the decoded
+    /// sender, or [`DECODED_NOTHING`].
+    records: HashMap<u64, u32, BuildHasherDefault<MixHasher>>,
+    /// The cap on each of `index`, `lists` and `records`.
+    cap: usize,
+    /// Listeners answered from the memo, over the engine's life.
+    replayed: u64,
+}
+
+impl ReplayMemo {
+    /// The memo of an `n`-node engine on `backend`: none on the naive
+    /// reference, nor where its caps would overflow its `u32` keys.
+    fn for_backend(backend: EngineBackend, n: usize) -> Option<Self> {
+        let cap = MEMO_PER_NODE * n.max(1);
+        (backend != EngineBackend::Naive && cap < u32::MAX as usize).then(|| ReplayMemo {
+            index: HashMap::default(),
+            lists: Vec::new(),
+            ends: Vec::new(),
+            records: HashMap::default(),
+            cap,
+            replayed: 0,
+        })
+    }
+
+    /// Empties the memo; every buffer keeps its capacity.
+    fn clear(&mut self) {
+        self.index.clear();
+        self.lists.clear();
+        self.ends.clear();
+        self.records.clear();
+    }
+
+    /// Entry `entry`'s stored list.
+    fn list(&self, entry: u32) -> &[(NodeId, f64)] {
+        let e = entry as usize;
+        let start = if e == 0 { 0 } else { self.ends[e - 1] };
+        &self.lists[start..self.ends[e]]
+    }
+
+    /// Sights a slot's non-empty transmitter list and returns the entry
+    /// its decodes are recorded under: `None` at a first sighting (only
+    /// the hash is kept) and when the stored list under its hash is
+    /// another one. A second sighting stores the list as a new entry.
+    /// A cap reached on the way clears the memo first, which makes the
+    /// sighting a first one.
+    fn sight(&mut self, list: &[(NodeId, f64)]) -> Option<u32> {
+        let hash = list_hash(list);
+        match self.index.get(&hash).copied() {
+            None => {
+                if self.index.len() >= self.cap {
+                    self.clear();
+                }
+                self.index.insert(hash, SEEN_ONCE);
+                None
+            }
+            Some(SEEN_ONCE) if self.lists.len() + list.len() > self.cap => {
+                self.clear();
+                self.index.insert(hash, SEEN_ONCE);
+                None
+            }
+            Some(SEEN_ONCE) => {
+                let entry = self.ends.len() as u32;
+                self.lists.extend_from_slice(list);
+                self.ends.push(self.lists.len());
+                self.index.insert(hash, entry);
+                Some(entry)
+            }
+            Some(entry) => {
+                let stored = self.list(entry);
+                let same = stored.len() == list.len()
+                    && stored
+                        .iter()
+                        .zip(list)
+                        .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits());
+                same.then_some(entry)
+            }
+        }
+    }
+
+    /// Fills `replayed` with the recorded answers under `entry` for the
+    /// listening nodes of `ids`/`actions`; returns how many it found.
+    fn replay<M>(
+        &mut self,
+        entry: u32,
+        ids: &[NodeId],
+        actions: &[Action<M>],
+        replayed: &mut Vec<Option<Option<NodeId>>>,
+    ) -> usize {
+        replayed.clear();
+        replayed.reserve(ids.len());
+        let mut hits = 0;
+        for (&id, a) in ids.iter().zip(actions) {
+            let answer = match a {
+                Action::Listen => self
+                    .records
+                    .get(&record_key(entry, id))
+                    .map(|&from| (from != DECODED_NOTHING).then_some(from as NodeId)),
+                _ => None,
+            };
+            hits += usize::from(answer.is_some());
+            replayed.push(answer);
+        }
+        self.replayed += hits as u64;
+        hits
+    }
+
+    /// Records under `entry` the decode of every listener of `ids` that
+    /// `replayed` did not answer, read off its physical `outcomes`. A
+    /// record past the cap clears the memo instead.
+    fn record<M>(
+        &mut self,
+        entry: u32,
+        ids: &[NodeId],
+        replayed: &[Option<Option<NodeId>>],
+        outcomes: &[SlotOutcome<M>],
+    ) {
+        for (k, (&id, o)) in ids.iter().zip(outcomes).enumerate() {
+            let from = match o {
+                SlotOutcome::Received(r) => r.from as u32,
+                SlotOutcome::Idle => DECODED_NOTHING,
+                _ => continue,
+            };
+            if matches!(replayed.get(k), Some(Some(_))) {
+                continue;
+            }
+            if self.records.len() >= self.cap {
+                self.clear();
+                return;
+            }
+            self.records.insert(record_key(entry, id), from);
+        }
+    }
+}
+
+/// The [`ReplayMemo::records`] key of `listener` under `entry`.
+fn record_key(entry: u32, listener: NodeId) -> u64 {
+    (u64::from(entry) << 32) | listener as u64
+}
+
+/// The 64-bit hash a transmitter list is first sighted by: every
+/// `(id, power bits)` pair folded in order, then mixed.
+fn list_hash(list: &[(NodeId, f64)]) -> u64 {
+    let mut h = MixHasher(list.len() as u64);
+    for &(id, power) in list {
+        h.write_usize(id);
+        h.write_u64(power.to_bits());
+    }
+    h.finish()
+}
+
+/// A multiply-xor hasher for the memo's keys, which are list hashes
+/// and packed `(entry, listener)` pairs: deterministic, and cheaper
+/// than the default SipHash for keys no adversary picks.
+#[derive(Default)]
+struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    fn finish(&self) -> u64 {
+        // murmur3's finalizer: every input bit reaches the low bits the
+        // table indexes by and the high bits it tags by.
+        let mut k = self.0;
+        k ^= k >> 33;
+        k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        k ^= k >> 33;
+        k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        k ^ (k >> 33)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
     }
 }
 
@@ -1383,6 +1661,7 @@ mod tests {
                 "far-field-cert",
                 "fallback",
                 "queries",
+                "replayed",
                 "certified",
                 "fallbacks",
                 "rings",
@@ -1396,6 +1675,25 @@ mod tests {
                 report.phase("queries").unwrap().total,
                 e.field_stats().queries as f64,
                 "{backend:?}: profiled query count matches the engine counters"
+            );
+
+            // A periodic protocol replays: queries and replays together
+            // answer every listen.
+            let inst = gen::uniform_square(160, 1.5, 31).unwrap();
+            crate::profile::start();
+            let mut e = Engine::with_backend(&params, &inst, |_| Beacons::default(), 4, backend);
+            e.run(4 * BEACON_PERIOD);
+            let report = crate::profile::stop();
+            let total = |phase| report.phase(phase).unwrap().total;
+            let listens: u64 = e.nodes().iter().map(|b| b.listens).sum();
+            assert_eq!(report.phase("replayed").unwrap().count, 4 * BEACON_PERIOD);
+            assert_eq!(total("queries"), e.field_stats().queries as f64);
+            assert_eq!(total("replayed"), e.memo.as_ref().unwrap().replayed as f64);
+            assert!(total("replayed") > 0.0, "{backend:?}: the rotation replays");
+            assert_eq!(
+                total("queries") + total("replayed"),
+                listens as f64,
+                "{backend:?}: every listen is queried or replayed"
             );
         }
     }
@@ -2180,6 +2478,279 @@ mod tests {
                     .eq(resumed.awake_nodes().map(|(id, _)| id)),
                 "{backend:?}: the calendar re-derives"
             );
+        }
+    }
+
+    /// The replay gate's rotation period, in slots.
+    const BEACON_PERIOD: u64 = 8;
+
+    /// The replay gate's protocol, in the heartbeat detector's shape: a
+    /// fixed rotation in which, each slot, the nodes of one role beacon
+    /// and those of six others listen. With 160 nodes (roles are ids
+    /// mod 80) that is 2 beaconers and up to 12 listeners a slot; roles
+    /// 56–79 never act. A listener sits out every third rotation,
+    /// staggered by node, as a backing-off child skips probes, so later
+    /// rotations bring listeners the memo has not recorded yet. Off
+    /// duty, even ids sleep awake (so every slot steps enough nodes for
+    /// the pool) and odd ids nap until their next duty or retire. An
+    /// idle end draws, so RNG positions follow the decodes, and every
+    /// listen is counted: every slot has a live beaconer.
+    #[derive(Debug, Default, Clone, PartialEq)]
+    struct Beacons {
+        log: Vec<(u64, NodeId, u64)>,
+        listens: u64,
+        draws: u64,
+    }
+
+    impl Beacons {
+        /// Node `node`'s duty: its phase in the rotation and whether it
+        /// beacons there (else it listens).
+        fn duty(node: NodeId) -> Option<(u64, bool)> {
+            let role = (node % 80) as u64;
+            (role < 7 * BEACON_PERIOD).then_some((role % BEACON_PERIOD, role < BEACON_PERIOD))
+        }
+    }
+
+    impl Protocol for Beacons {
+        type Msg = ();
+        fn begin_slot(&mut self, node: NodeId, slot: u64, _: &mut StdRng) -> Action<()> {
+            let (rotation, phase) = (slot / BEACON_PERIOD, slot % BEACON_PERIOD);
+            match Self::duty(node) {
+                Some((p, true)) if p == phase => Action::Transmit {
+                    power: 1e5,
+                    msg: (),
+                },
+                Some((p, false)) if p == phase && (rotation + node as u64 / 8) % 3 != 0 => {
+                    self.listens += 1;
+                    Action::Listen
+                }
+                _ if node % 2 == 0 => Action::Sleep,
+                // The next slot of phase `p`, a rotation on if it is now.
+                Some((p, _)) => {
+                    Action::SleepUntil(slot + 1 + (p + BEACON_PERIOD - phase - 1) % BEACON_PERIOD)
+                }
+                None => Action::SleepUntil(u64::MAX),
+            }
+        }
+        fn end_slot(&mut self, _: NodeId, slot: u64, o: SlotOutcome<()>, rng: &mut StdRng) {
+            match o {
+                SlotOutcome::Received(r) => self.log.push((slot, r.from, r.distance.to_bits())),
+                SlotOutcome::Idle => self.draws ^= rng.gen::<u64>(),
+                _ => {}
+            }
+        }
+    }
+
+    /// Crashes beaconer 80 (phase 0) at slot 30 and cuts beaconer 84's
+    /// power (phase 4) to a hundredth from slot 50, two faults that
+    /// change a list; deafens listener 25 (phase 1) over slots 8..12,
+    /// which hold the slot its decode is recorded in, and drops half of
+    /// listener 9's receptions (phase 1), two that act after the
+    /// decode.
+    fn beacon_plan(n: usize) -> crate::faults::FaultPlan {
+        use crate::faults::{FaultEvent, FaultPlan};
+        let mut plan = FaultPlan::new(n, 0xBEAC);
+        plan.push(80, FaultEvent::CrashStop { at: 30 });
+        plan.push(25, FaultEvent::TransientDeafness { from: 8, until: 12 });
+        plan.push(9, FaultEvent::ReceptionDrop { prob: 0.5, from: 0 });
+        plan.push(
+            84,
+            FaultEvent::PowerDegrade {
+                factor: 0.01,
+                from: 50,
+            },
+        );
+        plan
+    }
+
+    /// Everything a replay-gate run exposes: reports, stats, protocol
+    /// states (reception logs with distance bits, listen counts, idle
+    /// draws) and RNG positions.
+    type BeaconRun = (Vec<SlotReport>, EngineStats, Vec<Beacons>, Vec<StdRng>);
+
+    /// Runs [`Beacons`] for 12 rotations under [`beacon_plan`]; also
+    /// returns the field queries and the memo's replayed listeners.
+    fn beacon_run(inst: &Instance, backend: EngineBackend) -> (BeaconRun, u64, u64) {
+        let params = SinrParams::default();
+        let mut e = Engine::with_backend(&params, inst, |_| Beacons::default(), 17, backend);
+        e.arm_faults(beacon_plan(inst.len()));
+        let reports = e.run_reports(12 * BEACON_PERIOD);
+        let replayed = e.memo.as_ref().map_or(0, |m| m.replayed);
+        let run = (reports, e.stats(), e.nodes().to_vec(), e.rngs.clone());
+        (run, e.field_stats().queries, replayed)
+    }
+
+    /// The replay gate: a periodic protocol under crashes, deafness,
+    /// drops and a power degrade gives the same bytes on naive (no
+    /// memo), grid and the pool at 1, 2 and 4 threads, and on grid every
+    /// listen is either a field query or a replay.
+    #[test]
+    fn replayed_slots_match_the_naive_reference() {
+        let inst = gen::uniform_square(160, 1.5, 31).unwrap();
+        let (naive, queries, replayed) = beacon_run(&inst, EngineBackend::Naive);
+        assert_eq!(
+            (queries, replayed),
+            (0, 0),
+            "the naive reference keeps no memo"
+        );
+        let states = &naive.2;
+        let listens: u64 = states.iter().map(|b| b.listens).sum();
+        assert!(
+            states.iter().any(|b| !b.log.is_empty()) && states.iter().any(|b| b.draws != 0),
+            "listeners decode and miss"
+        );
+        assert!(
+            states[25]
+                .log
+                .iter()
+                .all(|&(slot, _, _)| !(8..12).contains(&slot))
+                && states[25].log.iter().any(|&(slot, _, _)| slot >= 12),
+            "the deaf listener hears nothing in its window, and hears after it"
+        );
+        let (grid, queries, replayed) = beacon_run(&inst, EngineBackend::Grid);
+        assert_eq!(naive, grid, "grid diverged");
+        assert_eq!(
+            queries + replayed,
+            listens,
+            "every listen is a field query or a replay"
+        );
+        assert!(
+            replayed > 2 * queries,
+            "most listens replay: {replayed} replayed, {queries} queried"
+        );
+        for backend in [
+            EngineBackend::Parallel(1),
+            EngineBackend::Parallel(2),
+            EngineBackend::Parallel(4),
+        ] {
+            let other = beacon_run(&inst, backend);
+            assert_eq!(naive, other.0, "{backend:?} diverged");
+            assert_eq!(
+                (queries, replayed),
+                (other.1, other.2),
+                "{backend:?} counters"
+            );
+        }
+    }
+
+    /// Under tracing, replayed slots emit the naive reference's event
+    /// stream on every backend.
+    #[cfg(feature = "trace")]
+    #[test]
+    fn replayed_slots_trace_matches_the_naive_reference() {
+        use crate::trace;
+        let inst = gen::uniform_square(160, 1.5, 31).unwrap();
+        let traced = |backend| {
+            trace::start(1 << 16);
+            let (run, _, _) = beacon_run(&inst, backend);
+            let log = trace::stop();
+            assert_eq!(log.dropped, 0);
+            (run, log.events)
+        };
+        let naive = traced(EngineBackend::Naive);
+        assert_eq!(
+            naive.0,
+            beacon_run(&inst, EngineBackend::Naive).0,
+            "tracing is observational"
+        );
+        for backend in [
+            EngineBackend::Grid,
+            EngineBackend::Parallel(1),
+            EngineBackend::Parallel(2),
+            EngineBackend::Parallel(4),
+        ] {
+            let other = traced(backend);
+            assert_eq!(naive.0, other.0, "{backend:?}: traced run diverged");
+            assert_eq!(naive.1, other.1, "{backend:?}: event stream diverged");
+        }
+    }
+
+    /// Every fourth node transmits (or, `crowded`, all but every
+    /// fourth), at a power that changes every `repeats` slots, so each
+    /// transmitter list comes `repeats` times in a row and never again;
+    /// the rest listen.
+    #[derive(Debug, Default, Clone, PartialEq)]
+    struct Drift {
+        repeats: u64,
+        crowded: bool,
+        log: Vec<(u64, NodeId, u64)>,
+    }
+
+    impl Protocol for Drift {
+        type Msg = ();
+        fn begin_slot(&mut self, node: NodeId, slot: u64, _: &mut StdRng) -> Action<()> {
+            let epoch = slot / self.repeats;
+            if ((node as u64 + epoch) % 4 == 0) != self.crowded {
+                Action::Transmit {
+                    power: 600.0 + epoch as f64,
+                    msg: (),
+                }
+            } else {
+                Action::Listen
+            }
+        }
+        fn end_slot(&mut self, _: NodeId, slot: u64, o: SlotOutcome<()>, _: &mut StdRng) {
+            if let SlotOutcome::Received(r) = o {
+                self.log.push((slot, r.from, r.distance.to_bits()));
+            }
+        }
+    }
+
+    /// Lists that never come back fill the memo to its caps and clear
+    /// it, over more slots than the caps: its hashes, stored pairs and
+    /// recorded listeners stay within `MEMO_PER_NODE · n` after every
+    /// slot, and the decodes stay the naive reference's. Lists seen
+    /// once leave only hashes; lists seen thrice store, record and
+    /// replay, and uncapped they would pass the caps many times over.
+    #[test]
+    fn memo_stays_within_its_caps() {
+        let params = SinrParams::default();
+        let inst = gen::uniform_square(16, 1.5, 5).unwrap();
+        let cap = MEMO_PER_NODE * inst.len();
+        let slots = 5 * cap as u64;
+        for (repeats, crowded) in [(1, false), (3, false), (3, true)] {
+            let run = |backend| {
+                let mut e = Engine::with_backend(
+                    &params,
+                    &inst,
+                    |_| Drift {
+                        repeats,
+                        crowded,
+                        log: Vec::new(),
+                    },
+                    3,
+                    backend,
+                );
+                let mut peak = [0; 3];
+                e.run_until(slots, |e| {
+                    if let Some(m) = &e.memo {
+                        for (p, len) in
+                            peak.iter_mut()
+                                .zip([m.index.len(), m.lists.len(), m.records.len()])
+                        {
+                            *p = len.max(*p);
+                        }
+                    }
+                    false
+                });
+                let replayed = e.memo.as_ref().map_or(0, |m| m.replayed);
+                (e.nodes().to_vec(), peak, replayed)
+            };
+            let case = format!("repeats {repeats}, crowded {crowded}");
+            let (naive, _, _) = run(EngineBackend::Naive);
+            let (grid, peak, replayed) = run(EngineBackend::Grid);
+            assert_eq!(naive, grid, "{case}: grid diverged");
+            assert!(
+                peak.iter().all(|&p| p <= cap),
+                "{case}: peak sizes {peak:?} pass the cap {cap}"
+            );
+            // Twelve listeners or twelve pairs per stored list: the
+            // binding cap clears the memo within one list of it.
+            match (repeats, crowded) {
+                (1, _) => assert_eq!((peak, replayed), ([cap, 0, 0], 0), "{case}"),
+                (_, false) => assert!(peak[2] > cap - 12 && replayed > 0, "{case}: {peak:?}"),
+                (_, true) => assert!(peak[1] > cap - 12 && replayed > 0, "{case}: {peak:?}"),
+            }
         }
     }
 

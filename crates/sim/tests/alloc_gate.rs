@@ -3,18 +3,12 @@
 //! The engine keeps one slot context for its life — the stepped ids
 //! and actions, the transmitter list and the interference field, which
 //! is refilled in place — plus a `SlotArena` of outcome and awake-list
-//! buffers, so after warm-up slots have sized every buffer, a
-//! steady-state slot on the serial grid path performs **zero** heap
-//! allocations. This test pins that with a counting global allocator:
-//! it is the hook that keeps "refilled in place" an enforced property
-//! instead of a comment.
-//!
-//! Debug builds are exempted from the zero bound (but still bounded):
-//! `InterferenceField::refill` runs a `debug_assert!` that collects the
-//! sender ids into a `HashSet` to reject duplicates, which allocates a
-//! few times per slot by design. Release builds compile that check
-//! out, and the release gate is the one CI's tier-1 job enforces
-//! (`cargo test --release`).
+//! buffers and a replay memo (DESIGN.md §8.7), so after warm-up slots
+//! have sized every buffer, a steady-state slot on the serial grid path
+//! performs **zero** heap allocations. This test pins that with a
+//! counting global allocator: it is the hook that keeps "refilled in
+//! place" an enforced property instead of a comment. The bound holds in
+//! debug and release builds alike.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -120,28 +114,60 @@ impl Protocol for Blinker {
     fn end_slot(&mut self, _: NodeId, _: u64, _: SlotOutcome<()>, _: &mut StdRng) {}
 }
 
+/// [`Rotor`] with the complement's roles, at a power that grows every
+/// slot: 80 of its 100 nodes transmit, and no transmitter list ever
+/// comes back, so every slot refills the field and only the replay
+/// memo's hash index grows.
+#[derive(Debug)]
+struct Drifter;
+
+impl Protocol for Drifter {
+    type Msg = ();
+
+    fn begin_slot(&mut self, node: NodeId, slot: u64, _: &mut StdRng) -> Action<()> {
+        if (node + slot as usize) % 5 == 0 {
+            Action::Listen
+        } else {
+            Action::Transmit {
+                power: 600.0 + slot as f64,
+                msg: (),
+            }
+        }
+    }
+
+    fn end_slot(&mut self, _: NodeId, _: u64, _: SlotOutcome<()>, _: &mut StdRng) {}
+}
+
 /// One test for every protocol: the counter is process-wide, so a
 /// second test running on another thread would leak its allocations
 /// into this one's window. [`DozyRotor`] checks that the calendar's
-/// heap and awake lists recycle their capacity too, and [`Blinker`]
-/// that a field skipped for a silent slot refills in place. Every
-/// transmitting slot has 80 transmitters, enough for the field to
-/// build its per-slot aggregates (a summed-area table and a reach
-/// bitmap, from 64 senders), so their buffers are gated too.
+/// heap and awake lists recycle their capacity too, [`Blinker`] that a
+/// field skipped for a silent slot refills in place, and [`Drifter`]
+/// that a slot whose list is new refills in place. Every transmitting
+/// slot has 80 transmitters, enough for the field to build its
+/// per-slot aggregates (a summed-area table and a reach bitmap, from 64
+/// senders), so their buffers are gated too.
 #[test]
 fn steady_state_slots_do_not_allocate() {
     let params = SinrParams::default();
     let inst = gen::uniform_square(400, 1.5, 11).unwrap();
-    // Warm-up slots size every buffer. The rotation period is 5, so 5
-    // slots see every transmitter set the pattern produces (and every
-    // calendar occupancy; one more slot for the first wake-ups).
-    // Blinker's period is 10 slots.
+    // Warm-up slots size every buffer. The rotation period is 5: the
+    // first 5 slots see every transmitter set the pattern produces
+    // (and every calendar occupancy; one more slot for the first
+    // wake-ups), and the next 5 record their decodes in the replay
+    // memo, so the window replays. Blinker's period is 10 slots.
     let engine = Engine::with_backend(&params, &inst, |_| Rotor, 11, EngineBackend::Grid);
-    assert_steady_state_allocation_free(engine, 6);
+    assert_steady_state_allocation_free(engine, 11);
     let engine = Engine::with_backend(&params, &inst, |_| DozyRotor, 11, EngineBackend::Grid);
-    assert_steady_state_allocation_free(engine, 6);
+    assert_steady_state_allocation_free(engine, 11);
     let engine = Engine::with_backend(&params, &inst, |_| Blinker, 11, EngineBackend::Grid);
-    assert_steady_state_allocation_free(engine, 10);
+    assert_steady_state_allocation_free(engine, 20);
+    // Drifter's lists never repeat, so its memo keeps one hash a slot
+    // until it reaches its cap of 4 per node and clears, keeping the
+    // capacity: the warm-up runs past that first clear.
+    let small = gen::uniform_square(100, 1.5, 11).unwrap();
+    let engine = Engine::with_backend(&params, &small, |_| Drifter, 11, EngineBackend::Grid);
+    assert_steady_state_allocation_free(engine, 4 * 100 + 1);
 }
 
 fn assert_steady_state_allocation_free<P: Protocol>(mut engine: Engine<'_, P>, warm_up: u64) {
@@ -152,19 +178,9 @@ fn assert_steady_state_allocation_free<P: Protocol>(mut engine: Engine<'_, P>, w
     engine.run(slots);
     let delta = ALLOCS.load(Ordering::Relaxed) - before;
 
-    if cfg!(debug_assertions) {
-        // The duplicate-sender debug_assert builds a HashSet per field
-        // build; allow it a generous handful of allocations per slot.
-        let budget = slots * 16;
-        assert!(
-            delta <= budget,
-            "debug steady state allocated {delta} times in {slots} slots (budget {budget})"
-        );
-    } else {
-        assert_eq!(
-            delta, 0,
-            "release steady state allocated {delta} times in {slots} slots; \
-             a per-slot buffer escaped the slot context or arena"
-        );
-    }
+    assert_eq!(
+        delta, 0,
+        "steady state allocated {delta} times in {slots} slots; \
+         a per-slot buffer escaped the slot context or arena"
+    );
 }
