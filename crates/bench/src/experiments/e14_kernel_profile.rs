@@ -7,10 +7,15 @@
 //! size, and splitting the decode into its phases:
 //!
 //! - **build** — CSR grid construction over the slot's senders;
-//! - **near-field** — candidate scan + exact near-sum accumulation;
+//! - **near-field** — candidate scan, or a small field's flat pass;
 //! - **far-cert** — Chebyshev-ring far-field certification;
 //! - **fallback** — exact re-decodes where the certificate stayed
 //!   undecided.
+//!
+//! Beside the soup ladder, one row per family cuts the n = 1024 soup to
+//! its first 48 senders: a field below 64 senders, which builds no grid
+//! and decides each query in one flat pass on the gain table's bounds,
+//! as the small slots of `TreeViaCapacity` and the service loop do.
 //!
 //! Phase wall-clock comes from [`FieldScratch`]'s opt-in timers and
 //! the decode-outcome counters from its always-on
@@ -77,8 +82,9 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
         "certification settles nearly every query within about one ring, so \
          fallbacks stay rare and µs/query stays flat in n; the ring walk \
          (far-cert ms) is the largest phase — the engine-level E11c rows show the \
-         same phases per slot (counter columns are per-seed deterministic, ms \
-         columns measured)",
+         same phases per slot; the 48-sender rows (the n = 1024 soup cut to its \
+         first 48 senders) take flat passes, timed as near-field, with no ring \
+         (counter columns are per-seed deterministic, ms columns measured)",
         &[
             "family",
             "n",
@@ -101,44 +107,61 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
             let inst = family.instance(n, opts.seed.wrapping_add(n as u64));
             let (senders, listeners) =
                 soup_senders(&params, &inst, opts.seed.wrapping_add(1400 + n as u64));
-
-            let t0 = Instant::now();
-            let field = InterferenceField::build(&params, &inst, &senders);
-            let build_s = t0.elapsed().as_secs_f64();
-
-            let mut scratch = FieldScratch::default();
-            scratch.enable_timing(true);
-            let t1 = Instant::now();
-            for &v in &listeners {
-                field.decode_best_with(v, &mut scratch);
+            t.push_row(profile_row(&params, family, n, &inst, &senders, &listeners));
+            if n == 1024 {
+                let small = &senders[..48];
+                t.push_row(profile_row(&params, family, n, &inst, small, &listeners));
             }
-            let decode_s = t1.elapsed().as_secs_f64();
-
-            let stats = scratch.stats;
-            assert_eq!(
-                stats.queries,
-                stats.small_exact + stats.certified + stats.fallbacks,
-                "E14: decode-outcome counters must partition the queries"
-            );
-            t.push_row(vec![
-                family.label().to_string(),
-                n.to_string(),
-                senders.len().to_string(),
-                f2(build_s * 1e3),
-                f2(scratch.times.near_field.as_secs_f64() * 1e3),
-                f2(scratch.times.far_field_cert.as_secs_f64() * 1e3),
-                f2(scratch.times.fallback.as_secs_f64() * 1e3),
-                stats.queries.to_string(),
-                stats.certified.to_string(),
-                stats.fallbacks.to_string(),
-                stats.straddles.to_string(),
-                f2(stats.rings as f64 / stats.queries.max(1) as f64),
-                f2(decode_s * 1e6 / stats.queries.max(1) as f64),
-            ]);
         }
     }
 
     vec![t]
+}
+
+/// One row for the size-`n` instance `inst`: builds the field over
+/// `senders`, then decodes every one of `listeners` with phase timing
+/// on.
+fn profile_row(
+    params: &SinrParams,
+    family: Family,
+    n: usize,
+    inst: &sinr_geom::Instance,
+    senders: &[(NodeId, f64)],
+    listeners: &[NodeId],
+) -> Vec<String> {
+    let t0 = Instant::now();
+    let field = InterferenceField::build(params, inst, senders);
+    let build_s = t0.elapsed().as_secs_f64();
+
+    let mut scratch = FieldScratch::default();
+    scratch.enable_timing(true);
+    let t1 = Instant::now();
+    for &v in listeners {
+        field.decode_best_with(v, &mut scratch);
+    }
+    let decode_s = t1.elapsed().as_secs_f64();
+
+    let stats = scratch.stats;
+    assert_eq!(
+        stats.queries,
+        stats.small_exact + stats.certified + stats.fallbacks,
+        "E14: decode-outcome counters must partition the queries"
+    );
+    vec![
+        family.label().to_string(),
+        n.to_string(),
+        senders.len().to_string(),
+        f2(build_s * 1e3),
+        f2(scratch.times.near_field.as_secs_f64() * 1e3),
+        f2(scratch.times.far_field_cert.as_secs_f64() * 1e3),
+        f2(scratch.times.fallback.as_secs_f64() * 1e3),
+        stats.queries.to_string(),
+        stats.certified.to_string(),
+        stats.fallbacks.to_string(),
+        stats.straddles.to_string(),
+        f2(stats.rings as f64 / stats.queries.max(1) as f64),
+        f2(decode_s * 1e6 / stats.queries.max(1) as f64),
+    ]
 }
 
 #[cfg(test)]
@@ -154,7 +177,14 @@ mod tests {
         };
         let tables = run(&opts);
         assert_eq!(tables.len(), 1);
-        assert_eq!(tables[0].rows.len(), 2 * ladder(true).len());
+        // The ladder, plus each family's 48-sender row.
+        assert_eq!(tables[0].rows.len(), 2 * (ladder(true).len() + 1));
+        let small: Vec<_> = tables[0].rows.iter().filter(|r| r[2] == "48").collect();
+        assert_eq!(small.len(), 2);
+        for row in small {
+            assert_eq!(row[1], "1024");
+            assert_eq!(row[11], "0.00", "a flat pass walks no ring: {row:?}");
+        }
         for row in &tables[0].rows {
             let queries: u64 = row[7].parse().unwrap();
             let certified: u64 = row[8].parse().unwrap();

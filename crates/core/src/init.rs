@@ -127,7 +127,7 @@ pub enum InitMsg {
 }
 
 /// Static data shared by all node state machines of one run.
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 struct Shared {
     p: f64,
     pairs_per_round: u64,
@@ -147,6 +147,49 @@ impl Shared {
     fn round_of(&self, slot: u64) -> usize {
         let r = slot / 2 / self.pairs_per_round;
         (r as usize).min(self.round_powers.len() - 1)
+    }
+
+    /// The first field in which a restored table differs from the one
+    /// this configuration and instance derive, `derived`, named with
+    /// both values, or both lengths for a table of another size.
+    #[cfg(feature = "serde")]
+    fn first_difference(&self, derived: &Shared) -> Option<String> {
+        fn value<T: PartialEq + std::fmt::Debug>(name: &str, got: &T, want: &T) -> Option<String> {
+            (got != want).then(|| format!("{name} is {got:?}, this configuration derives {want:?}"))
+        }
+        fn table<T: PartialEq + std::fmt::Debug>(
+            name: &str,
+            got: &[T],
+            want: &[T],
+        ) -> Option<String> {
+            if got.len() != want.len() {
+                return Some(format!(
+                    "{name} has {} entries, this configuration derives {}",
+                    got.len(),
+                    want.len()
+                ));
+            }
+            let i = got.iter().zip(want).position(|(g, w)| g != w)?;
+            Some(format!(
+                "{name}[{i}] is {:?}, this configuration derives {:?}",
+                got[i], want[i]
+            ))
+        }
+        // Destructured in full, so a new field cannot be left out.
+        let Shared {
+            p,
+            pairs_per_round,
+            num_rounds,
+            accept_shorter,
+            round_powers,
+            round_windows,
+        } = self;
+        value("p", p, &derived.p)
+            .or_else(|| value("pairs_per_round", pairs_per_round, &derived.pairs_per_round))
+            .or_else(|| value("num_rounds", num_rounds, &derived.num_rounds))
+            .or_else(|| value("accept_shorter", accept_shorter, &derived.accept_shorter))
+            .or_else(|| table("round_powers", round_powers, &derived.round_powers))
+            .or_else(|| table("round_windows", round_windows, &derived.round_windows))
     }
 }
 
@@ -765,9 +808,11 @@ pub fn run_init_with_snapshot(
 ///
 /// # Errors
 ///
-/// [`CoreError::Snapshot`] when the snapshot does not deserialize, was
-/// taken under a different configuration/instance, or claims more slots
-/// than the configuration's budget.
+/// [`CoreError::Snapshot`] when the snapshot does not deserialize, when
+/// its `Init` table differs from the one `cfg` and `instance` derive
+/// here (the message names the first differing field with both values,
+/// or both lengths), or when it claims more slots than the
+/// configuration's budget.
 #[cfg(feature = "serde")]
 pub fn resume_init(
     params: &SinrParams,
@@ -799,10 +844,16 @@ pub fn resume_init(
     }
     // The restored nodes embed the snapshotting run's shared tables;
     // they must match what `cfg` + `instance` re-derive here, or the
-    // resumed tail would silently diverge from the original.
-    if engine.nodes().iter().any(|n| *n.shared != *setup.shared) {
+    // resumed tail would silently diverge from the original. A file of
+    // another build can differ in layout alone, so the message names
+    // the field rather than guess a cause.
+    if let Some(diff) = engine
+        .nodes()
+        .iter()
+        .find_map(|n| n.shared.first_difference(&setup.shared))
+    {
         return Err(CoreError::Snapshot {
-            detail: "snapshot was taken under a different configuration or instance".into(),
+            detail: format!("the snapshot's Init table differs from the one derived here: {diff}"),
         });
     }
     check_restored(&engine)?;
@@ -1042,6 +1093,66 @@ mod tests {
             resume_init(&p, &other_inst, &cfg, &snap),
             Err(CoreError::Snapshot { .. })
         ));
+    }
+
+    /// A snapshot whose `Init` table was edited — a longer per-round
+    /// power table, as a file written before the table held one entry
+    /// per length class, or another `p` — is refused with the first
+    /// differing field and both lengths or values named.
+    #[cfg(feature = "serde")]
+    #[test]
+    fn snapshot_resume_names_the_differing_table_field() {
+        use serde::Value;
+        let p = params();
+        let inst = gen::uniform_square(16, 1.5, 7).unwrap();
+        let cfg = InitConfig::default();
+        let snap = run_init_with_snapshot(&p, &inst, &cfg, 11, 6)
+            .unwrap()
+            .snapshot
+            .unwrap();
+        let edited = |name: &str, edit: &dyn Fn(&mut Value)| {
+            let mut snap = snap.clone();
+            for node in &mut snap.nodes {
+                let Value::Map(entries) = node else {
+                    panic!("a node is a map")
+                };
+                let (_, Value::Map(shared)) =
+                    entries.iter_mut().find(|(k, _)| k == "shared").unwrap()
+                else {
+                    panic!("the table is a map")
+                };
+                edit(&mut shared.iter_mut().find(|(k, _)| k == name).unwrap().1);
+            }
+            match resume_init(&p, &inst, &cfg, &snap) {
+                Err(CoreError::Snapshot { detail }) => detail,
+                other => panic!("edited {name} resumed: {other:?}"),
+            }
+        };
+        let Ok(Prepared::Ready(setup)) = prepare_init(&p, &inst, &[true; 16], &cfg) else {
+            panic!("an n = 16 run is prepared")
+        };
+        let classes = setup.shared.round_powers.len();
+        let detail = edited("round_powers", &|v| {
+            let Value::Seq(powers) = v else {
+                panic!("the powers are a list")
+            };
+            let top = powers.last().unwrap().clone();
+            powers.resize(264, top);
+        });
+        assert!(
+            detail.ends_with(&format!(
+                "round_powers has 264 entries, this configuration derives {classes}"
+            )),
+            "{detail}"
+        );
+        let detail = edited("p", &|v| *v = Value::F64(0.25));
+        assert!(
+            detail.ends_with(&format!(
+                "p is 0.25, this configuration derives {:?}",
+                cfg.p
+            )),
+            "{detail}"
+        );
     }
 
     #[test]

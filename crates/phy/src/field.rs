@@ -8,28 +8,32 @@
 //! affectance is exactly the observation that far-field terms cannot
 //! flip such a decision once the near field has been accounted for.
 //!
-//! [`InterferenceField`] exploits that: a slot's transmitters are
-//! bucketed into a [`WeightedCellGrid`] keyed by cell. Every query —
-//! decode, `SINR ≥ τ`, `a_S(ℓ) ≤ τ` — runs one private ring walk. It
-//! enumerates cells in expanding Chebyshev rings around the receiver,
-//! accumulating the *exact* terms of the visited senders, while the
-//! unvisited remainder is bounded by `remaining_power × gain(ring ·
-//! cell) × scale` — a certified far-field bound, since every unvisited
-//! sender provably lies beyond that distance and `scale` caps a
-//! sender's term per unit of power. A query supplies only its
-//! per-sender term, its `scale` and its verdict on `(sum, far)`. The
-//! decision is accepted only when it holds on **both ends** of the
-//! certified interval (with a guard factor that dominates all float
-//! rounding, including summation-order error); otherwise the query
-//! falls back to the naive computation, term for term in the naive
-//! order.
+//! [`InterferenceField`] exploits that, in two tiers split at 64
+//! senders (DESIGN.md §7.2):
 //!
-//! A slot of at least 64 senders also builds two per-slot aggregates
-//! that only prune: a summed-area table of sender power, which charges
-//! each unseen ring its own power at its own inner radius instead of
-//! all of it at the nearest one, and a reach bitmap, which answers a
-//! listener that no sender can reach without a candidate scan
-//! (DESIGN.md §7.1, §7.2).
+//! - A field of at least 64 senders buckets them into a
+//!   [`WeightedCellGrid`] keyed by cell, and every query — decode,
+//!   `SINR ≥ τ`, `a_S(ℓ) ≤ τ` — runs one private ring walk. It
+//!   enumerates cells in expanding Chebyshev rings around the
+//!   receiver, folding bounds on the terms of the visited senders,
+//!   while the unvisited remainder is bounded by `remaining_power ×
+//!   gain(ring · cell) × scale` — a certified far-field bound, since
+//!   every unvisited sender provably lies beyond that distance and
+//!   `scale` caps a sender's term per unit of power. Such a field also
+//!   builds two per-slot aggregates that only prune: a summed-area
+//!   table of sender power, which charges each unseen ring its own
+//!   power at its own inner radius instead of all of it at the nearest
+//!   one, and a reach bitmap, which answers a listener that no sender
+//!   can reach without a candidate scan (DESIGN.md §7.1).
+//! - A smaller field builds no grid: every query folds the table
+//!   bounds of all its senders in one flat pass, in sender order.
+//!
+//! Either way a query supplies only its per-sender terms and its
+//! verdict on the resulting interval. The decision is accepted only
+//! when it holds on **both ends** of the certified interval (with a
+//! guard factor that dominates all float rounding, including
+//! summation-order error); otherwise the query falls back to the naive
+//! computation, term for term in the naive order.
 //!
 //! The consequence is the determinism contract of DESIGN.md §7: every
 //! decision the field returns is **bit-identical** to the
@@ -39,11 +43,11 @@
 //! (overwhelmingly common) queries whose decisions certify from a small
 //! near field.
 //!
-//! Where a decode must be decided exactly — slots of at most 8 senders,
-//! zero noise, and threshold-grazing fallbacks — the field settles each
-//! sender by its own signal first, so an exact decode costs `O(senders)`
-//! gain evaluations, not the `O(senders²)` of the naive reference
-//! [`decode_best_exact`].
+//! Where a decode must be decided exactly — small fields on a channel
+//! too wide for the bounds or with zero noise, and threshold-grazing
+//! fallbacks — the field settles each sender by its own signal first,
+//! so an exact decode costs `O(senders)` gain evaluations, not the
+//! `O(senders²)` of the naive reference [`decode_best_exact`].
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -78,10 +82,6 @@ const REACH_MIN_FLOOR: f64 = 1e-289;
 const REACH_MAX_RADICAND: f64 = 1e301;
 const REACH_MAX_ALPHA: f64 = 1e4;
 
-/// Up to this many transmitters a slot builds no grid: every query is
-/// decided exactly, which is cheaper than any indexing.
-const SMALL_SLOT: usize = 8;
-
 /// Relative widening of `R²` below which a walked member may lie inside
 /// the decode radius: `d² > R²·(1 + NEAR_SLACK)`, computed, implies a
 /// computed `√d² > R`, so only members under it pay for the `sqrt`.
@@ -91,11 +91,13 @@ const NEAR_SLACK: f64 = 1e-12;
 /// bounding ring scans by a constant number of cell probes.
 const MAX_CELLS_PER_AXIS: f64 = 64.0;
 
-/// From this many transmitters a slot also builds its per-slot
-/// aggregates: the summed-area table behind the far bound and the
-/// reach bitmap (DESIGN.md §7.1, §7.2). The one-shot replays'
-/// slots (validation, audits, probes) are mostly smaller and answer a
-/// query per link, too few to pay for them.
+/// From this many transmitters a slot builds its grid and its per-slot
+/// aggregates, the summed-area table behind the far bound and the reach
+/// bitmap, and its queries walk rings (DESIGN.md §7.1, §7.2). A smaller
+/// slot builds none of them and decides every query in one flat pass
+/// over its senders: the protocols' small slots and the one-shot
+/// replays' (validation, audits, probes), which answer a query per
+/// link, are too small to pay for an index.
 const AGGREGATE_SLOT: usize = 64;
 
 /// Rings past the current one that the summed-area far bound charges
@@ -158,32 +160,33 @@ pub fn decode_best_exact(
 /// The invariant `queries == small_exact + certified + fallbacks`
 /// classifies every query exactly once:
 ///
-/// - `small_exact` — skipped indexing entirely (at most 8 senders, or
-///   no finite decode radius) and were decided by the field's exact
-///   `O(senders)` decode (DESIGN.md §7.3);
-/// - `certified` — settled by the certified near field or the reach
-///   bitmap;
+/// - `small_exact` — decided exactly from the start by the field's
+///   `O(senders)` decode (DESIGN.md §7.3), without bounds: fields with
+///   no finite decode radius (zero noise), and fields below 64 senders
+///   on a channel whose fade range is too wide for table bounds;
+/// - `certified` — settled on bounds: by a field's flat pass, its
+///   certified ring walk or its reach bitmap;
 /// - `fallbacks` — threshold-grazing queries, decided by the same exact
 ///   decode.
 ///
-/// Outside that partition, `straddles` counts the ring walks on table
-/// bounds (DESIGN.md §7.2) that left a query open and were walked
-/// again with exact terms; the re-walk then certifies the query or
+/// Outside that partition, `straddles` counts the passes on table
+/// bounds (DESIGN.md §7.2) that left a query open: a ring walk, which
+/// is walked again with exact terms and then certifies the query or
 /// sends it to the fallback, exactly as a walk with only exact terms
-/// would. `rings` counts the rings decode queries walked, both walks of
-/// a straddle included: the size driver of the `far-field-cert`
-/// profiling phase.
+/// would, or a flat pass, whose query falls back. `rings` counts the
+/// rings decode queries walked, both walks of a straddle included: the
+/// size driver of the `far-field-cert` profiling phase.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Decode queries answered (empty fields excluded).
     pub queries: u64,
-    /// Queries decided by the exact decode without indexing.
+    /// Queries decided by the exact decode without bounds.
     pub small_exact: u64,
-    /// Queries settled by the certified near field or the reach bitmap.
+    /// Queries settled on bounds: flat pass, ring walk or reach bitmap.
     pub certified: u64,
     /// Threshold-grazing queries decided by the exact decode.
     pub fallbacks: u64,
-    /// Bound walks that straddled and were walked again exactly.
+    /// Passes on table bounds that left a query open.
     pub straddles: u64,
     /// Chebyshev-ring iterations executed across all queries.
     pub rings: u64,
@@ -207,12 +210,12 @@ impl QueryStats {
 /// only worth paying for when a profiling registry will consume them.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimes {
-    /// Candidate scans (`near-field` phase).
+    /// Candidate scans and flat passes (`near-field` phase).
     pub near_field: Duration,
     /// Ring accumulation + certification (`far-field-cert` phase).
     pub far_field_cert: Duration,
-    /// Exact decodes: small-slot queries and threshold-grazing
-    /// fallbacks (`fallback` phase).
+    /// Exact decodes: queries decided exactly from the start and
+    /// threshold-grazing fallbacks (`fallback` phase).
     pub fallback: Duration,
 }
 
@@ -238,7 +241,9 @@ impl PhaseTimes {
 #[derive(Debug, Default)]
 pub struct FieldScratch {
     cand_ids: Vec<NodeId>,
-    cand_signals: Vec<f64>,
+    /// Each candidate's signal as `[lower, upper]`: table bounds in a
+    /// flat pass, the exact signal twice in a ring walk.
+    cand_signals: Vec<[f64; 2]>,
     cand_states: Vec<CandState>,
     /// Every member the candidate scan found inside the decode radius,
     /// with the exact signal it computed; the walk reuses them.
@@ -283,17 +288,20 @@ enum CandState {
     Yes,
 }
 
-/// Settles each undecided decode candidate, of signal `s`, whose SINR
-/// clears `β` either way for every interference in the certified
-/// interval around `[lo − s, hi − s + far]`; `Some` once none is left.
+/// Settles each undecided decode candidate, of signal within `[l, h]`,
+/// whose SINR clears `β` either way for every signal in `[l, h]` and
+/// every interference in the certified interval around
+/// `[lo − l, hi − h + far]`; `Some` once none is left.
 ///
-/// `lo` and `hi` bracket the walk's sum at the listener, candidates
-/// included. Both ends take the slack of the upper one, so a larger
-/// `lo` or a smaller `hi` never settles less (DESIGN.md §7.2); with
-/// `lo = hi` it is the one-sum certificate of an exact walk.
+/// `lo` and `hi` bracket the sum at the listener, candidates included,
+/// and each candidate's `[l, h]` is its own term in them. Both ends
+/// take the slack of the upper sum, so a larger `lo` or `l`, or a
+/// smaller `hi` or `h`, never settles less (DESIGN.md §7.2). A ring
+/// walk passes exact signals, `l = h`; with `lo = hi` too it is the
+/// one-sum certificate of an exact walk.
 fn settle_candidates(
     states: &mut [CandState],
-    signals: &[f64],
+    signals: &[[f64; 2]],
     noise: f64,
     beta: f64,
     lo: f64,
@@ -301,16 +309,16 @@ fn settle_candidates(
     far: f64,
 ) -> Option<()> {
     let mut open = false;
-    for (state, &s) in states.iter_mut().zip(signals) {
+    for (state, &[l, h]) in states.iter_mut().zip(signals) {
         if *state != CandState::Undecided {
             continue;
         }
-        let slack = GUARD * (hi + s);
-        let i_lo = (lo - s - slack).max(0.0);
-        let i_hi = (hi - s + slack + far).max(0.0);
-        if (s / (noise + i_lo)) * (1.0 + GUARD) < beta {
+        let slack = GUARD * (hi + h);
+        let i_lo = (lo - l - slack).max(0.0);
+        let i_hi = (hi - h + slack + far).max(0.0);
+        if (h / (noise + i_lo)) * (1.0 + GUARD) < beta {
             *state = CandState::No;
-        } else if (s / (noise + i_hi)) * (1.0 - GUARD) >= beta {
+        } else if (l / (noise + i_hi)) * (1.0 - GUARD) >= beta {
             *state = CandState::Yes;
         } else {
             open = true;
@@ -345,8 +353,9 @@ pub struct InterferenceField<'a> {
     senders: Vec<(NodeId, f64)>,
     /// Whether each node, by id, is among `senders`.
     sending: Vec<bool>,
-    /// Empty in small slots: their queries are all exact. From
-    /// [`AGGREGATE_SLOT`] senders it also holds a summed-area table.
+    /// Empty below [`AGGREGATE_SLOT`] senders, whose queries take one
+    /// flat pass; from it, with a finite radius, it also holds a
+    /// summed-area table.
     grid: WeightedCellGrid,
     /// The decode-cutoff radius `R(P_max)` of the strongest sender.
     radius: f64,
@@ -360,7 +369,7 @@ pub struct InterferenceField<'a> {
     /// The channel's fade range `[fade_lo, fade_hi]`, the factors of a
     /// member's lower and upper bound terms.
     fades: [f64; 2],
-    /// Whether queries walk on table bounds first: the fade range is at
+    /// Whether queries try table bounds first: the fade range is at
     /// most [`BOUND_FADE_RANGE`].
     bounded: bool,
     /// `cell^{-α}`, normal exactly when the slot built its summed-area
@@ -448,21 +457,17 @@ impl<'a> InterferenceField<'a> {
         } else {
             span
         };
-        if senders.len() <= SMALL_SLOT {
-            // No query of a small slot reads the grid (each branches on
-            // `SMALL_SLOT` first), so it stays empty.
-            self.grid.rebuild(cell, std::iter::empty());
-        } else {
-            self.grid.rebuild(
-                cell,
-                self.senders
-                    .iter()
-                    .map(|&(u, p)| (u, instance.position(u), p)),
-            );
-        }
+        // Only a walked field reads its grid: a smaller one's stays
+        // empty, since every query below `AGGREGATE_SLOT` takes its flat
+        // pass or its exact path first.
+        let walked = senders.len() >= AGGREGATE_SLOT;
+        let members = if walked { &self.senders[..] } else { &[] };
+        self.grid.rebuild(
+            cell,
+            members.iter().map(|&(u, p)| (u, instance.position(u), p)),
+        );
         self.reach.bits.clear();
-        let aggregate = senders.len() >= AGGREGATE_SLOT && radius.is_finite();
-        let cell_gain = if aggregate {
+        let cell_gain = if walked && radius.is_finite() {
             params.path_gain(cell)
         } else {
             f64::NAN
@@ -610,23 +615,92 @@ impl<'a> InterferenceField<'a> {
             return None;
         }
         scratch.stats.queries += 1;
-        let radius = self.radius;
-        if self.senders.len() <= SMALL_SLOT || !radius.is_finite() {
+        if !self.radius.is_finite() || self.small_exact() {
             scratch.stats.small_exact += 1;
             let t0 = scratch.clock();
             let out = self.decode_exact(v, scratch);
             FieldScratch::lap(t0, &mut scratch.times.fallback);
             return out;
         }
+        scratch.cand_ids.clear();
+        scratch.cand_signals.clear();
+        scratch.cand_states.clear();
+        let pos_v = self.instance.position(v);
+        let settled = if self.senders.len() >= AGGREGATE_SLOT {
+            self.walk_candidates(pos_v, scratch)
+        } else {
+            self.flat_candidates(pos_v, scratch)
+        };
+        let mut yes_count = 0usize;
+        let mut certified: Option<usize> = None;
+        for (i, state) in scratch.cand_states.iter().enumerate() {
+            if *state == CandState::Yes {
+                yes_count += 1;
+                certified = Some(i);
+            }
+        }
+        if !settled || yes_count > 1 {
+            // Threshold-grazing query: decide it exactly.
+            scratch.stats.fallbacks += 1;
+            let t0 = scratch.clock();
+            let out = self.decode_exact(v, scratch);
+            FieldScratch::lap(t0, &mut scratch.times.fallback);
+            return out;
+        }
+        // No candidate, every candidate certified undecodable, or the
+        // one certified winner (β ≥ 1 with N > 0 makes it unique).
+        scratch.stats.certified += 1;
+        certified.map(|winner| scratch.cand_ids[winner])
+    }
+
+    /// A decode's flat pass, in a field below [`AGGREGATE_SLOT`]
+    /// senders (DESIGN.md §7.2): every sender's table bounds at `pos_v`
+    /// fold onto `[lo, hi]` in sender order. A sender whose upper bound
+    /// `h` clears `βN` becomes a candidate with its bounded signal
+    /// `[l, h]`; any other cannot decode, since its computed signal is
+    /// at most `h`. The candidates settle on interference in
+    /// `[lo − l, hi − h]`, with nothing unseen. Returns whether every
+    /// candidate settled; an infinite `hi` settles none, and a pass that
+    /// leaves one open counts as a straddle. Timed as `near-field`.
+    fn flat_candidates(&self, pos_v: Point, scratch: &mut FieldScratch) -> bool {
+        let (noise, beta) = (self.params.noise(), self.params.beta());
+        let t0 = scratch.clock();
+        let FieldScratch {
+            cand_ids,
+            cand_signals,
+            cand_states,
+            stats,
+            ..
+        } = &mut *scratch;
+        let (lo, hi) = self.fold_bounds(|u, pos_u, w| {
+            let bounds = self.bound_term(pos_v.distance_sq(pos_u), w);
+            if bounds[1] / noise >= beta {
+                cand_ids.push(u);
+                cand_signals.push(bounds);
+                cand_states.push(CandState::Undecided);
+            }
+            bounds
+        });
+        let settled = cand_ids.is_empty()
+            || hi.is_finite()
+                && settle_candidates(cand_states, cand_signals, noise, beta, lo, hi, 0.0).is_some();
+        stats.straddles += u64::from(!settled);
+        FieldScratch::lap(t0, &mut scratch.times.near_field);
+        settled
+    }
+
+    /// A decode's candidate scan and ring walk, in a field of at least
+    /// [`AGGREGATE_SLOT`] senders. Returns whether every candidate
+    /// settled.
+    fn walk_candidates(&self, pos_v: Point, scratch: &mut FieldScratch) -> bool {
+        let radius = self.radius;
         let noise = self.params.noise();
         let beta = self.params.beta();
         let channel = self.params.channel();
-        let pos_v = self.instance.position(v);
         if self.reach.rules_out(pos_v) {
             // Every sender lies beyond `radius`: no candidate, exactly
             // what the scan below would find.
-            scratch.stats.certified += 1;
-            return None;
+            return true;
         }
 
         // Candidate decodable senders. Everyone outside `radius` is
@@ -639,9 +713,6 @@ impl<'a> InterferenceField<'a> {
         // out without its `powf`, and the walk bounds its term. The
         // exact signals computed are kept for the walk.
         let t0 = scratch.clock();
-        scratch.cand_ids.clear();
-        scratch.cand_signals.clear();
-        scratch.cand_states.clear();
         scratch.near_ids.clear();
         scratch.near_signals.clear();
         {
@@ -652,7 +723,7 @@ impl<'a> InterferenceField<'a> {
                 near_ids,
                 near_signals,
                 ..
-            } = scratch;
+            } = &mut *scratch;
             self.grid
                 .for_each_member_near(pos_v, radius, |u, pos_u, power| {
                     // `Instance::distance(u, v)`, keeping its square.
@@ -666,15 +737,14 @@ impl<'a> InterferenceField<'a> {
                     near_signals.push(signal);
                     if signal / noise >= beta {
                         cand_ids.push(u);
-                        cand_signals.push(signal);
+                        cand_signals.push([signal; 2]);
                         cand_states.push(CandState::Undecided);
                     }
                 });
         }
         FieldScratch::lap(t0, &mut scratch.times.near_field);
         if scratch.cand_ids.is_empty() {
-            scratch.stats.certified += 1;
-            return None;
+            return true;
         }
 
         // The total received interference at `v` (candidates included),
@@ -723,45 +793,35 @@ impl<'a> InterferenceField<'a> {
             )
             .is_some();
         FieldScratch::lap(t0, &mut scratch.times.far_field_cert);
+        settled
+    }
 
-        let mut yes_count = 0usize;
-        let mut certified: Option<usize> = None;
-        for (i, state) in scratch.cand_states.iter().enumerate() {
-            if *state == CandState::Yes {
-                yes_count += 1;
-                certified = Some(i);
-            }
-        }
-        if !settled || yes_count > 1 {
-            // Threshold-grazing query: decide it exactly.
-            scratch.stats.fallbacks += 1;
-            let t0 = scratch.clock();
-            let out = self.decode_exact(v, scratch);
-            FieldScratch::lap(t0, &mut scratch.times.fallback);
-            return out;
-        }
-        // Every candidate certified undecodable, or the one certified
-        // winner (β ≥ 1 with N > 0 makes it unique).
-        scratch.stats.certified += 1;
-        certified.map(|winner| scratch.cand_ids[winner])
+    /// Whether a field below [`AGGREGATE_SLOT`] senders decides exactly,
+    /// without bounds: its channel's fade range exceeds
+    /// [`BOUND_FADE_RANGE`], or it has no finite decode radius (zero
+    /// noise among those). Any other such field takes a flat pass.
+    #[inline]
+    fn small_exact(&self) -> bool {
+        self.senders.len() < AGGREGATE_SLOT && !(self.bounded && self.radius.is_finite())
     }
 
     /// The decision `a_S(ℓ) ≤ threshold` for this field's sender set on
     /// `link` — bit-identical to comparing the naive
     /// [`AffectanceCalc::sum_on`] against `threshold`.
     ///
-    /// The ring walk settles it whenever the near field plus the
-    /// far-field bound clear the threshold on both ends; a sum grazing
-    /// the threshold is summed exactly, in canonical order. A sender at
-    /// the receiver is clipped at `1 + ε`, which need not exceed the
-    /// threshold: callers ask [`transmits`](Self::transmits).
+    /// A flat pass or the ring walk settles it whenever the bounds on
+    /// the sum clear the threshold on both ends; a sum grazing the
+    /// threshold, or one of a small field that decides exactly, is
+    /// summed exactly, in canonical order. A sender at the receiver is
+    /// clipped at `1 + ε`, which need not exceed the threshold: callers
+    /// ask [`transmits`](Self::transmits).
     ///
     /// # Errors
     ///
     /// Propagates the noise-floor error from the noise factor.
     pub fn sum_on_at_most(&self, link: Link, link_power: f64, threshold: f64) -> Result<bool> {
         let calc = AffectanceCalc::new(self.params, self.instance);
-        if self.senders.len() > SMALL_SLOT {
+        if !self.small_exact() {
             let c = calc.noise_factor(link, link_power)?;
             let pos_v = self.instance.position(link.receiver);
             // Raw (unclipped) affectance of a sender at distance d is
@@ -779,42 +839,52 @@ impl<'a> InterferenceField<'a> {
             let coeff = base * fade_hi / (link_power * fade);
             let coeff_lo = base * fade_lo / (link_power * fade);
             let clip = 1.0 + self.params.epsilon();
-            let certified = self.settle_walk(
-                pos_v,
-                coeff,
-                &mut QueryStats::default(),
+            let bound =
                 (self.bounded && coeff.is_finite()).then_some(|u: NodeId, pos_w: Point, w: f64| {
                     if u == link.sender {
                         return [0.0; 2];
                     }
                     let [lo, hi] = self.gains.lines(pos_v.distance_sq(pos_w));
                     [(w * coeff_lo * lo).min(clip), (w * coeff * hi).min(clip)]
-                }),
-                |u, _, w| {
-                    let t = if u == link.sender {
-                        0.0
-                    } else {
-                        calc.thresholded_term(c, u, w, link, link_power)
-                    };
-                    [t, t]
-                },
-                |lo, hi, far| {
-                    let slack = GUARD * (hi + threshold.abs() + 1.0);
-                    if lo - slack > threshold {
-                        Some(false) // already over, far adds only more
-                    } else if hi + slack + far <= threshold {
-                        Some(true)
-                    } else {
-                        None
-                    }
-                },
-            );
+                });
+            let settle = |lo: f64, hi: f64, far: f64| {
+                let slack = GUARD * (hi + threshold.abs() + 1.0);
+                if lo - slack > threshold {
+                    Some(false) // already over, far adds only more
+                } else if hi + slack + far <= threshold {
+                    Some(true)
+                } else {
+                    None
+                }
+            };
+            let certified = if self.senders.len() < AGGREGATE_SLOT {
+                bound.and_then(|bound| {
+                    let (lo, hi) = self.fold_bounds(bound);
+                    settle(lo, hi, 0.0)
+                })
+            } else {
+                self.settle_walk(
+                    pos_v,
+                    coeff,
+                    &mut QueryStats::default(),
+                    bound,
+                    |u, _, w| {
+                        let t = if u == link.sender {
+                            0.0
+                        } else {
+                            calc.thresholded_term(c, u, w, link, link_power)
+                        };
+                        [t, t]
+                    },
+                    settle,
+                )
+            };
             if let Some(decision) = certified {
                 return Ok(decision);
             }
         }
-        // Small slot or threshold-grazing sum: decide exactly, in the
-        // canonical naive order.
+        // Exact small field or threshold-grazing sum: decide exactly, in
+        // the canonical naive order.
         Ok(calc.sum_on(&self.senders, link, link_power)? <= threshold)
     }
 
@@ -824,19 +894,18 @@ impl<'a> InterferenceField<'a> {
     ///
     /// This is the hook schedule validation and the `latency` replays
     /// in `sinr-connectivity` consume: they only ever *threshold* the
-    /// SINR (delivery succeeded or not), so the certified near-field
-    /// interval settles almost every query and the rare
+    /// SINR (delivery succeeded or not), so the certified interval of a
+    /// flat pass or a ring walk settles almost every query and the rare
     /// threshold-grazing one falls back to the exact naive-order sum.
-    /// A small slot tries the interval of its senders' table bounds
-    /// before that sum. Like [`AffectanceCalc::sinr`], it has no
-    /// half-duplex rule: callers ask [`transmits`](Self::transmits)
-    /// whether the receiver sends in the slot.
+    /// Like [`AffectanceCalc::sinr`], it has no half-duplex rule:
+    /// callers ask [`transmits`](Self::transmits) whether the receiver
+    /// sends in the slot.
     pub fn sinr_at_least(&self, link: Link, link_power: f64, threshold: f64) -> bool {
         self.sinr_verdict(link, link_power, threshold, &mut QueryStats::default())
     }
 
     /// [`sinr_at_least`](Self::sinr_at_least), counting the rings and
-    /// the straddles of its walks (a small slot's straddling bound sum
+    /// the straddles of its walks (a flat pass's straddling bound sum
     /// among them) into `stats`.
     fn sinr_verdict(
         &self,
@@ -845,8 +914,7 @@ impl<'a> InterferenceField<'a> {
         threshold: f64,
         stats: &mut QueryStats,
     ) -> bool {
-        let small = self.senders.len() <= SMALL_SLOT;
-        if small && !self.bounded {
+        if self.small_exact() {
             return self.sinr_exact(link, link_power) >= threshold;
         }
         let noise = self.params.noise();
@@ -880,11 +948,8 @@ impl<'a> InterferenceField<'a> {
                 None
             }
         };
-        let certified = if small {
-            let (lo, hi) = self.senders.iter().fold((0.0, 0.0), |(lo, hi), &(u, w)| {
-                let [l, h] = bound(u, self.instance.position(u), w);
-                (lo + l, hi + h)
-            });
+        let certified = if self.senders.len() < AGGREGATE_SLOT {
+            let (lo, hi) = self.fold_bounds(bound);
             let verdict = settle(lo, hi, 0.0);
             stats.straddles += u64::from(verdict.is_none());
             verdict
@@ -915,6 +980,17 @@ impl<'a> InterferenceField<'a> {
     /// canonical order — bit-identical to [`AffectanceCalc::sinr`].
     pub fn sinr_exact(&self, link: Link, link_power: f64) -> f64 {
         AffectanceCalc::new(self.params, self.instance).sinr(link, link_power, &self.senders)
+    }
+
+    /// A flat pass: `term(sender, position, power)` of every sender, a
+    /// `[lower, upper]` pair, folded onto two sums in sender order, the
+    /// canonical order of the exact sums (DESIGN.md §7.2).
+    #[inline]
+    fn fold_bounds(&self, mut term: impl FnMut(NodeId, Point, f64) -> [f64; 2]) -> (f64, f64) {
+        self.senders.iter().fold((0.0, 0.0), |(lo, hi), &(u, w)| {
+            let [l, h] = term(u, self.instance.position(u), w);
+            (lo + l, hi + h)
+        })
     }
 
     /// Table bounds `[w·g_lo·fade_lo, w·g_hi·fade_hi]` on the received
@@ -973,7 +1049,7 @@ impl<'a> InterferenceField<'a> {
         debug_assert_eq!(
             self.grid.len(),
             self.senders.len(),
-            "small slots build no grid"
+            "fields below AGGREGATE_SLOT build no grid"
         );
         let key = self.grid.key_of(center);
         let max_ring = self.grid.max_ring_from(center);
@@ -1293,26 +1369,33 @@ mod tests {
         );
     }
 
-    /// The walk tests' slots: 9 to 600 senders, so both sides of
-    /// `AGGREGATE_SLOT`, in each power family of `for_each_walk_slot`.
-    fn walk_slots() -> Vec<(usize, usize)> {
-        let counts = [9, 40, 64, 150, 600];
+    /// `(senders, power family)` for each of `counts` in each power
+    /// family of `for_each_slot`.
+    fn slots_of(counts: &[usize]) -> Vec<(usize, usize)> {
         counts
             .iter()
             .flat_map(|&c| (0..3).map(move |f| (c, f)))
             .collect()
     }
 
+    /// The walk tests' slots: 64 to 600 senders, the fields that walk
+    /// rings. Under zero noise they walk a grid whose cell spans the
+    /// instance, with the one-term far bound.
+    fn walk_slots() -> Vec<(usize, usize)> {
+        slots_of(&[64, 150, 600])
+    }
+
     /// Calls `check(params, instance, field, senders, listeners)` for
     /// each `(senders, power family)` of `slots` on uniform, clustered
-    /// and lattice instances under the geometric and a σ = 6 dB
-    /// shadowed channel; `listeners` are the nodes outside the slot, in
-    /// random order. Family 0 gives every sender one power, 1 its
-    /// mean-with-margin power towards its nearest neighbour, 2 powers
-    /// over three decades. Each instance's slots are refilled, in
-    /// order, into one field, which `check` may refill again before the
-    /// next slot. Returns how many slots built the summed-area table.
-    fn for_each_walk_slot(
+    /// and lattice instances under the geometric channel, a σ = 6 dB
+    /// shadowed one, and zero noise; `listeners` are the nodes outside
+    /// the slot, in random order. Family 0 gives every sender one
+    /// power, 1 its mean-with-margin power towards its nearest
+    /// neighbour, 2 powers over three decades. Each instance's slots
+    /// are refilled, in order, into one field, which `check` may refill
+    /// again before the next slot. Returns how many slots built the
+    /// summed-area table.
+    fn for_each_slot(
         slots: &[(usize, usize)],
         mut check: impl FnMut(
             &SinrParams,
@@ -1324,6 +1407,7 @@ mod tests {
     ) -> usize {
         let geometric = SinrParams::default();
         let shadowed = geometric.with_channel(crate::ChannelModel::shadowed(7, 6.0).unwrap());
+        let noiseless = SinrParams::new(3.0, 2.0, 0.0, 0.1).unwrap();
         // The lattice puts members at integer squared distances, most
         // of them edges of the gain table's buckets, where its bounds
         // touch the gain up to their guard.
@@ -1334,7 +1418,7 @@ mod tests {
         ];
         let mut rng = StdRng::seed_from_u64(0xfa4);
         let mut aggregated = 0;
-        for params in [geometric, shadowed] {
+        for params in [geometric, shadowed, noiseless] {
             for inst in &instances {
                 let nn = sinr_geom::GridIndex::build(inst, 2.0);
                 let mean = crate::PowerAssignment::mean_with_margin(&params, inst.delta());
@@ -1363,63 +1447,83 @@ mod tests {
         aggregated
     }
 
-    /// Soundness gate for the far bound (DESIGN.md §7.2): at every ring
-    /// `r ≥ 1` a listener's walk reaches with cells still unseen, the
-    /// `far` handed to `settle` is at least the exact sum of the terms
-    /// of the senders outside rings `0..=r`, on every slot of
-    /// `for_each_walk_slot`.
+    /// Checks the far bound of `field`'s walks at the first 25
+    /// `listeners`: at every ring `r ≥ 1` a walk reaches with cells
+    /// still unseen, the `far` handed to `settle` is at least the exact
+    /// sum of the terms of the senders outside rings `0..=r`. Returns
+    /// how many rings it checked with a positive unseen sum.
+    fn check_far_bound(
+        params: &SinrParams,
+        inst: &Instance,
+        field: &InterferenceField<'_>,
+        senders: &[(NodeId, f64)],
+        listeners: &[NodeId],
+    ) -> usize {
+        let mut rings_checked = 0;
+        for &v in &listeners[..25] {
+            let channel = params.channel();
+            let pos_v = inst.position(v);
+            let term = |pos_w: Point, w: f64| {
+                w * params.path_gain(pos_v.distance(pos_w)) * channel.fade(pos_w, pos_v)
+            };
+            // Exact unseen sums by ring: `beyond[r]` sums the terms of
+            // the senders more than `r` rings out.
+            let key = field.grid.key_of(pos_v);
+            let ring_of = |u: NodeId| {
+                let k = field.grid.key_of(inst.position(u));
+                (k.0 - key.0).abs().max((k.1 - key.1).abs()) as usize
+            };
+            let last = senders.iter().map(|&(u, _)| ring_of(u)).max().unwrap();
+            let mut beyond = vec![0.0f64; last + 1];
+            for &(u, w) in senders {
+                for b in &mut beyond[..ring_of(u)] {
+                    *b += term(inst.position(u), w);
+                }
+            }
+            let mut fars = Vec::new();
+            field.walk(
+                pos_v,
+                field.fades[1],
+                &mut 0,
+                |_, pos_w, w| [term(pos_w, w); 2],
+                |_, _, far| {
+                    fars.push(far);
+                    None::<()>
+                },
+            );
+            // One `far` per ring `1..last`, then `0` once every cell is
+            // seen at ring `last`.
+            assert_eq!(fars.len(), last.max(1), "a ring skipped its bound");
+            assert_eq!(fars.pop(), Some(0.0));
+            for (i, &far) in fars.iter().enumerate() {
+                let r = i + 1;
+                assert!(
+                    far >= beyond[r],
+                    "{} senders, listener {v}, ring {r}: far {far} < unseen {}",
+                    senders.len(),
+                    beyond[r]
+                );
+                rings_checked += usize::from(beyond[r] > 0.0);
+            }
+        }
+        rings_checked
+    }
+
+    /// Soundness gate for the far bound (DESIGN.md §7.2), on every slot
+    /// of `for_each_slot` (see `check_far_bound`). Its zero-noise
+    /// slots walk a grid of one cell per instance span, which every
+    /// walk has seen in full by ring 1; the one-term far bound of a
+    /// walked field with cells unseen is checked on slots of 64–600
+    /// senders whose cell gain `cell^{-α}` is subnormal: `α = 40` on an
+    /// instance scaled to a span of `3.5·10⁹`, so the grid's cell is
+    /// `span/64` and the terms of senders one to two cells out are
+    /// subnormal but not 0.
     #[test]
     fn far_bound_covers_every_unseen_sender() {
         let mut rings_checked = 0usize;
-        let aggregated =
-            for_each_walk_slot(&walk_slots(), |params, inst, field, senders, listeners| {
-                for &v in &listeners[..25] {
-                    let channel = params.channel();
-                    let pos_v = inst.position(v);
-                    let term = |pos_w: Point, w: f64| {
-                        w * params.path_gain(pos_v.distance(pos_w)) * channel.fade(pos_w, pos_v)
-                    };
-                    // Exact unseen sums by ring: `beyond[r]` sums the terms of
-                    // the senders more than `r` rings out.
-                    let key = field.grid.key_of(pos_v);
-                    let ring_of = |u: NodeId| {
-                        let k = field.grid.key_of(inst.position(u));
-                        (k.0 - key.0).abs().max((k.1 - key.1).abs()) as usize
-                    };
-                    let last = senders.iter().map(|&(u, _)| ring_of(u)).max().unwrap();
-                    let mut beyond = vec![0.0f64; last + 1];
-                    for &(u, w) in senders {
-                        for b in &mut beyond[..ring_of(u)] {
-                            *b += term(inst.position(u), w);
-                        }
-                    }
-                    let mut fars = Vec::new();
-                    field.walk(
-                        pos_v,
-                        field.fades[1],
-                        &mut 0,
-                        |_, pos_w, w| [term(pos_w, w); 2],
-                        |_, _, far| {
-                            fars.push(far);
-                            None::<()>
-                        },
-                    );
-                    // One `far` per ring `1..last`, then `0` once every cell is
-                    // seen at ring `last`.
-                    assert_eq!(fars.len(), last.max(1), "a ring skipped its bound");
-                    assert_eq!(fars.pop(), Some(0.0));
-                    for (i, &far) in fars.iter().enumerate() {
-                        let r = i + 1;
-                        assert!(
-                            far >= beyond[r],
-                            "{} senders, listener {v}, ring {r}: far {far} < unseen {}",
-                            senders.len(),
-                            beyond[r]
-                        );
-                        rings_checked += 1;
-                    }
-                }
-            });
+        let aggregated = for_each_slot(&walk_slots(), |params, inst, field, senders, listeners| {
+            rings_checked += check_far_bound(params, inst, field, senders, listeners);
+        });
         assert!(
             aggregated >= 24,
             "too few slots took the aggregate path: {aggregated}"
@@ -1428,10 +1532,34 @@ mod tests {
             rings_checked > 10_000,
             "too few rings checked: {rings_checked}"
         );
+
+        let steep = SinrParams::new(40.0, 2.0, 1.0, 0.1).unwrap();
+        let unit = gen::uniform_square(1200, 1.5, 5).unwrap();
+        let scale = 3.5e9 / unit.delta();
+        let scaled = (0..unit.len()).map(|u| {
+            let p = unit.position(u);
+            Point::new(p.x * scale, p.y * scale)
+        });
+        let inst = Instance::new(scaled.collect()).unwrap();
+        let mut rng = StdRng::seed_from_u64(0x0e7e);
+        let mut one_term = 0usize;
+        for count in [64, 150, 600] {
+            let mut ids: Vec<NodeId> = (0..inst.len()).collect();
+            ids.shuffle(&mut rng);
+            let base = steep.min_power_for_length(1e7);
+            let senders: Vec<(NodeId, f64)> = ids[..count]
+                .iter()
+                .map(|&u| (u, base * 10f64.powf(rng.gen_range(0.0..3.0))))
+                .collect();
+            let field = InterferenceField::build(&steep, &inst, &senders);
+            assert!(field.radius.is_finite() && !field.cell_gain.is_normal());
+            one_term += check_far_bound(&steep, &inst, &field, &senders, &ids[count..]);
+        }
+        assert!(one_term >= 20, "too few one-term rings checked: {one_term}");
     }
 
     /// The bound walk's soundness gate (DESIGN.md §7.2): on every slot
-    /// of `for_each_walk_slot`, at every ring a listener's walk settles,
+    /// of `for_each_slot`, at every ring a listener's walk settles,
     /// the bound walk's `[lo, hi]` brackets the exact walk's sum of the
     /// same members in the same ring order, and `hi + far` bounds the
     /// sum over all senders. The shadowed slots check the fade-range
@@ -1439,7 +1567,7 @@ mod tests {
     #[test]
     fn bound_walk_brackets_the_exact_walk() {
         let mut rings_checked = 0usize;
-        for_each_walk_slot(&walk_slots(), |params, inst, field, _, listeners| {
+        for_each_slot(&walk_slots(), |params, inst, field, _, listeners| {
             for &v in &listeners[..25] {
                 let channel = params.channel();
                 let pos_v = inst.position(v);
@@ -1495,20 +1623,169 @@ mod tests {
         );
     }
 
+    /// The flat pass's soundness gate (DESIGN.md §7.2): on slots of 1
+    /// to 63 senders of `for_each_slot`, at every listener, the bounds
+    /// folded in sender order bracket the canonical-order exact total,
+    /// `lo ≤ Σ t_u ≤ hi`, and the decode's flat pass makes a candidate
+    /// of every sender whose exact signal clears `βN`, with a bounded
+    /// signal `l ≤ t ≤ h`. The shadowed slots check the fade-range
+    /// factors, which their fields never decide on.
+    #[test]
+    fn flat_pass_brackets_the_exact_sum() {
+        let (mut listeners_checked, mut candidates) = (0usize, 0usize);
+        let counts = [1, 2, 3, 5, 8, 9, 16, 31, 40, 62, 63];
+        for_each_slot(
+            &slots_of(&counts),
+            |params, inst, field, senders, listeners| {
+                let calc = AffectanceCalc::new(params, inst);
+                let (noise, beta) = (params.noise(), params.beta());
+                let mut scratch = FieldScratch::default();
+                for &v in listeners {
+                    let pos_v = inst.position(v);
+                    let exact: Vec<f64> = senders
+                        .iter()
+                        .map(|&(u, w)| calc.signal(Link::new(u, v), w))
+                        .collect();
+                    let total = exact.iter().fold(0.0, |acc, &t| acc + t);
+                    let (lo, hi) = field
+                        .fold_bounds(|_, pos_u, w| field.bound_term(pos_v.distance_sq(pos_u), w));
+                    assert!(
+                        lo <= total && total <= hi,
+                        "{} senders, listener {v}: [{lo}, {hi}] misses {total}",
+                        senders.len()
+                    );
+                    scratch.cand_ids.clear();
+                    scratch.cand_signals.clear();
+                    scratch.cand_states.clear();
+                    field.flat_candidates(pos_v, &mut scratch);
+                    for (i, &(u, _)) in senders.iter().enumerate() {
+                        let t = exact[i];
+                        let at = scratch.cand_ids.iter().position(|&c| c == u);
+                        if t / noise >= beta {
+                            assert!(at.is_some(), "listener {v}: sender {u} is no candidate");
+                        }
+                        if let Some(at) = at {
+                            let [l, h] = scratch.cand_signals[at];
+                            assert!(
+                                l <= t && t <= h,
+                                "listener {v}, sender {u}: [{l}, {h}] misses {t}"
+                            );
+                            candidates += 1;
+                        }
+                    }
+                    listeners_checked += 1;
+                }
+            },
+        );
+        assert!(
+            listeners_checked > 200_000 && candidates > 20_000,
+            "too little checked: {listeners_checked} listeners, {candidates} candidates"
+        );
+    }
+
+    /// The one certificate behind flat passes and ring walks settles a
+    /// candidate only outside its interval: a signal `[l, h]` whose
+    /// ends fall on both sides of `β`, and an exact signal within the
+    /// slack `G·(hi + h)` of it, stay open; clear cases settle either
+    /// way; with `l = h` it is the exact walk's one-sum certificate.
+    #[test]
+    fn certificate_settles_only_outside_its_interval() {
+        let (noise, beta) = (1.0, 2.0);
+        let settle = |[l, h]: [f64; 2], lo: f64, hi: f64| {
+            let mut state = [CandState::Undecided];
+            settle_candidates(&mut state, &[[l, h]], noise, beta, lo, hi, 0.0);
+            state[0]
+        };
+        // A strong candidate over interference `i`: its SINR is
+        // `s/(1 + i)`, the sums `s + i`.
+        let s = 1e6;
+        let at = |sinr: f64| s / sinr - noise;
+        let i = at(beta * 1.01);
+        assert_eq!(settle([s, s], s + i, s + i), CandState::Yes);
+        let i = at(beta * 0.99);
+        assert_eq!(settle([s, s], s + i, s + i), CandState::No);
+        // 3·10⁻⁷ above `β`: inside the slack's `2G·SINR`, so open.
+        let i = at(beta * (1.0 + 3e-7));
+        assert_eq!(settle([s, s], s + i, s + i), CandState::Undecided);
+        // A bounded signal 0.1% either side of the SINR's `β`: open.
+        let i = at(beta);
+        let [l, h] = [s * 0.999, s * 1.001];
+        assert_eq!(settle([l, h], l + i, h + i), CandState::Undecided);
+        // The same interval 1% above `β`: settled, by its low end.
+        let i = at(beta * 1.01);
+        assert_eq!(settle([l, h], l + i, h + i), CandState::Yes);
+        let i = at(beta * 0.99);
+        assert_eq!(settle([l, h], l + i, h + i), CandState::No);
+    }
+
+    /// Listeners 0 to 0.3% inside the noise edge `t/N = β` of a lone
+    /// strong sender, with two faint far ones. The edge lies at distance
+    /// 5, where `d² = 25` is an edge of a gain-table bucket, so the lower
+    /// line sits up to 0.08% below the gain just inside it: where the
+    /// signal clears `β` by less than that, only the bound's upper end
+    /// makes the sender a candidate, and the flat pass must leave it
+    /// open for the exact decode. Every decode matches the oracle.
+    #[test]
+    fn flat_pass_at_the_noise_edge_matches_the_oracle() {
+        let params = SinrParams::default();
+        let power = params.beta() * params.noise() * 125.0;
+        let mut points = vec![
+            Point::ORIGIN,
+            Point::new(-60.0, 40.0),
+            Point::new(55.0, -70.0),
+        ];
+        points.extend((0..=300).map(|k| Point::new(5.0 * (1.0 - 1e-5 * f64::from(k)), 0.0)));
+        let inst = Instance::new(points).unwrap();
+        let senders = [(0, power), (1, power * 0.05), (2, power * 0.05)];
+        let (stats, decodes) = assert_exact_parity(&params, &inst, &senders, "noise edge");
+        assert_eq!(stats.small_exact, 0, "{stats:?}");
+        assert!(
+            stats.fallbacks > 10,
+            "too few straddles at the edge: {stats:?}"
+        );
+        assert!(decodes > 250, "too few decodes: {decodes}");
+    }
+
+    /// An upper sum that overflows settles nothing: a candidate whose
+    /// upper signal is infinite while its lower one clears `β` by far
+    /// would otherwise read `∞ − ∞` as no interference. Here the exact
+    /// SINR of that candidate is about 35, below `β = 100`.
+    #[test]
+    fn flat_pass_refuses_an_infinite_upper_sum() {
+        let params = SinrParams::new(3.0, 100.0, 1e305, 0.1).unwrap();
+        let inst = Instance::new(vec![
+            Point::ORIGIN,
+            Point::new(1.0, 0.0),
+            Point::new(0.0, 1.0),
+        ])
+        .unwrap();
+        let senders = [(1, f64::MAX / (1.0 + 1e-8)), (2, 5e306)];
+        let field = InterferenceField::build(&params, &inst, &senders);
+        assert!(field.radius.is_finite());
+        let [l, h] = field.bound_term(1.0, senders[0].1);
+        assert!(l.is_finite() && h == f64::INFINITY);
+        let mut scratch = FieldScratch::default();
+        assert_eq!(field.decode_best_with(0, &mut scratch), None);
+        assert_eq!(decode_best_exact(&params, &inst, 0, &senders), None);
+        assert_eq!(
+            (scratch.stats.fallbacks, scratch.stats.straddles),
+            (1, 1),
+            "{:?}",
+            scratch.stats
+        );
+    }
+
     /// A refilled field answers every query as a fresh build of the
     /// same senders: each listener's decoded sender, `sinr_at_least`
     /// and `sum_on_at_most` at a certified and
     /// at a grazing threshold, the `QueryStats` of the decodes and of
     /// the SINR walks, and `transmits` for every node. The slots run
-    /// 600 → 3 → 0 → 70 → 9 → 600 → 64 → 9 senders through one field
-    /// per instance and channel, across `SMALL_SLOT` and
-    /// `AGGREGATE_SLOT` both ways and between power families whose
-    /// decode radii differ, so a grid, summed-area table, reach bitmap
-    /// or sender bit left over from an earlier slot would answer some
-    /// query differently. The 9-sender slots build no reach bitmap, and
-    /// some of their listeners decode a sender while the bitmap of the
-    /// slot before would rule them out, so a refill that kept it fails
-    /// here. After each slot of odd size the field is refilled with the
+    /// 600 → 3 → 0 → 70 → 63 → 600 → 64 → 9 senders through one field
+    /// per instance and channel, across `AGGREGATE_SLOT` both ways and
+    /// at its edge, and between power families whose decode radii
+    /// differ, so a grid, summed-area table, reach bitmap or sender bit
+    /// left over from an earlier slot would answer some query
+    /// differently. After each slot of odd size the field is refilled with the
     /// slot plus a repeat of one of its senders, which it must refuse,
     /// left with no sender and no transmitting node; the next slot's
     /// refill then starts from that empty field.
@@ -1519,13 +1796,13 @@ mod tests {
             (3, 0),
             (0, 0),
             (70, 0),
-            (9, 1),
+            (63, 1),
             (600, 1),
             (64, 2),
             (9, 0),
         ];
         let (mut queries, mut decodes, mut straddles, mut refused) = (0u64, 0usize, 0u64, 0);
-        for_each_walk_slot(&slots, |params, inst, field, senders, listeners| {
+        for_each_slot(&slots, |params, inst, field, senders, listeners| {
             let fresh = InterferenceField::build(params, inst, senders);
             let calc = AffectanceCalc::new(params, inst);
             let (mut got, mut want) = (FieldScratch::default(), FieldScratch::default());
@@ -1596,7 +1873,7 @@ mod tests {
         assert!(decodes > 1_000, "too few decodes succeeded: {decodes}");
         assert!(straddles > 500, "too few SINR walks straddled: {straddles}");
         assert_eq!(
-            refused, 18,
+            refused, 27,
             "three refused refills per instance and channel"
         );
     }
@@ -1717,26 +1994,28 @@ mod tests {
         (scratch.stats, decodes)
     }
 
-    /// The O(s) exact decode picks the O(s²) oracle's winner on every
-    /// listener, from the empty slot to one past `SMALL_SLOT`: on
-    /// the geometric and a σ = 6 dB shadowed channel, with zero noise,
-    /// and with powers spread over three orders of magnitude. Every
-    /// small slot is decided exactly.
+    /// The field's decode picks the O(s²) oracle's winner on every
+    /// listener of slots of 0–10, 31, 63, 64 and 65 senders, on both
+    /// sides of `AGGREGATE_SLOT`: on the geometric and a σ = 6 dB
+    /// shadowed channel, with zero noise, and with powers spread over
+    /// three orders of magnitude. Geometric queries are settled on
+    /// bounds or fall back; shadowed queries below `AGGREGATE_SLOT` and
+    /// every zero-noise query are decided exactly from the start.
     #[test]
     fn exact_decode_matches_the_quadratic_oracle() {
-        let inst = gen::uniform_square(48, 1.5, 6).unwrap();
+        let inst = gen::uniform_square(96, 1.5, 6).unwrap();
         let geometric = SinrParams::default();
         let shadowed = geometric.with_channel(crate::ChannelModel::shadowed(3, 6.0).unwrap());
         let noiseless = SinrParams::new(3.0, 2.0, 0.0, 0.1).unwrap();
         let mut rng = StdRng::seed_from_u64(31);
-        let mut decodes = 0;
+        let (mut decodes, mut fallbacks) = (0, 0);
         for (name, params) in [
             ("geometric", geometric),
             ("shadowed", shadowed),
             ("zero noise", noiseless),
         ] {
             let base = params.min_power_for_length(2.5);
-            for s in 0..=SMALL_SLOT + 1 {
+            for s in (0..=10).chain([31, 63, 64, 65]) {
                 for trial in 0..6 {
                     let mut ids: Vec<NodeId> = (0..inst.len()).collect();
                     ids.shuffle(&mut rng);
@@ -1755,13 +2034,18 @@ mod tests {
                     let what = format!("{name} s={s} trial {trial}");
                     let (stats, d) = assert_exact_parity(&params, &inst, &senders, &what);
                     decodes += d;
-                    if s <= SMALL_SLOT {
-                        assert_eq!(stats.small_exact, stats.queries, "{what}");
-                    }
+                    fallbacks += stats.fallbacks;
+                    let exact = match name {
+                        "geometric" => 0,
+                        "shadowed" if s >= AGGREGATE_SLOT => 0,
+                        _ => stats.queries,
+                    };
+                    assert_eq!(stats.small_exact, exact, "{what}: {stats:?}");
                 }
             }
         }
         assert!(decodes > 500, "too few decodes to mean much: {decodes}");
+        assert!(fallbacks > 0, "no query fell back");
     }
 
     /// An exact tie: at `β = 1` and zero noise, two equal signals give a
@@ -1834,45 +2118,49 @@ mod tests {
         }
     }
 
-    /// Threshold-grazing queries of a large slot take the exact path:
-    /// with `β` set to one listener's exact SINR that listener's bound
-    /// walk straddles and its exact walk can only fall back, and every
-    /// decode still matches the oracle.
+    /// Threshold-grazing queries take the exact path in both tiers: with
+    /// `β` set to one listener's exact SINR, that listener's flat pass
+    /// straddles, or its bound walk straddles and its exact walk can
+    /// only fall back, and every decode still matches the oracle.
     #[test]
-    fn grazing_fallbacks_on_a_large_slot_are_exact() {
+    fn grazing_fallbacks_are_exact() {
         let inst = gen::uniform_square(240, 1.5, 12).unwrap();
         let params = SinrParams::default();
-        let senders = random_senders(&inst, 0.08, params.min_power_for_length(2.0), 4);
-        assert!(senders.len() > SMALL_SLOT);
+        let senders = random_senders(&inst, 0.3, params.min_power_for_length(2.0), 4);
+        assert!(senders.len() >= AGGREGATE_SLOT);
         let calc = AffectanceCalc::new(&params, &inst);
-        let grazed = (0..inst.len())
-            .filter(|v| senders.iter().all(|&(u, _)| u != *v))
-            .find_map(|v| {
-                let u = decode_best_exact(&params, &inst, v, &senders)?;
-                let &(_, p) = senders.iter().find(|&&(w, _)| w == u)?;
-                Some(calc.sinr(Link::new(u, v), p, &senders))
-            })
-            .expect("some listener decodes");
-        let grazing = SinrParams::new(3.0, grazed, params.noise(), params.epsilon()).unwrap();
-        let (stats, decodes) = assert_exact_parity(&grazing, &inst, &senders, "grazing");
-        assert!(stats.fallbacks > 0, "no query fell back: {stats:?}");
-        assert!(
-            stats.straddles >= stats.fallbacks,
-            "a fallback skipped its bound walk: {stats:?}"
-        );
-        assert!(decodes > 0);
+        for slot in [&senders[..], &senders[..20]] {
+            let grazed = (0..inst.len())
+                .filter(|v| slot.iter().all(|&(u, _)| u != *v))
+                .find_map(|v| {
+                    let u = decode_best_exact(&params, &inst, v, slot)?;
+                    let &(_, p) = slot.iter().find(|&&(w, _)| w == u)?;
+                    Some(calc.sinr(Link::new(u, v), p, slot))
+                })
+                .expect("some listener decodes");
+            let grazing = SinrParams::new(3.0, grazed, params.noise(), params.epsilon()).unwrap();
+            let what = format!("grazing, {} senders", slot.len());
+            let (stats, decodes) = assert_exact_parity(&grazing, &inst, slot, &what);
+            assert!(stats.fallbacks > 0, "{what}: no query fell back: {stats:?}");
+            assert!(
+                stats.straddles >= stats.fallbacks,
+                "{what}: a fallback skipped its bound pass: {stats:?}"
+            );
+            assert!(decodes > 0, "{what}");
+        }
     }
 
     /// Forced straddles of `sinr_at_least`: at a threshold equal to a
     /// link's exact SINR no bound interval can settle the query, so the
-    /// bound walk (or a small slot's bound sum) straddles and the exact
+    /// bound walk (or a small field's flat pass) straddles and the exact
     /// path decides. Every decision equals `sinr_exact ≥ threshold`, on
-    /// a large and a small slot.
+    /// a walked and a flat field.
     #[test]
     fn forced_straddles_decide_exactly() {
         let inst = gen::uniform_square(240, 1.5, 12).unwrap();
         let params = SinrParams::default();
-        let senders = random_senders(&inst, 0.08, params.min_power_for_length(2.0), 4);
+        let senders = random_senders(&inst, 0.3, params.min_power_for_length(2.0), 4);
+        assert!(senders.len() >= AGGREGATE_SLOT);
         for slot in [&senders[..], &senders[..4]] {
             let field = InterferenceField::build(&params, &inst, slot);
             assert!(field.bounded);
@@ -1925,44 +2213,44 @@ mod tests {
     }
 
     /// Zero noise disables the decode-radius cutoff; every query must
-    /// still equal its exact reference: decode falls back, and the
-    /// threshold queries walk a field whose one cell spans the slot.
+    /// still equal its exact reference. Every decode is exact from the
+    /// start; the threshold queries of a small field are exact too, and
+    /// those of a walked one walk a grid whose one cell spans the slot.
     #[test]
     fn zero_noise_falls_back_exactly() {
         let params = SinrParams::new(3.0, 2.0, 0.0, 0.1).unwrap();
-        let inst = gen::uniform_square(60, 1.5, 1).unwrap();
+        let inst = gen::uniform_square(240, 1.5, 1).unwrap();
         let senders = random_senders(&inst, 0.3, 10.0, 5);
-        let field = InterferenceField::build(&params, &inst, &senders);
+        assert!(senders.len() >= AGGREGATE_SLOT);
         let calc = AffectanceCalc::new(&params, &inst);
-        let tx: std::collections::HashSet<NodeId> = senders.iter().map(|&(u, _)| u).collect();
-        let mut scratch = FieldScratch::default();
-        for v in 0..inst.len() {
-            if tx.contains(&v) {
-                continue;
-            }
-            assert_eq!(
-                decode_best_exact(&params, &inst, v, &senders),
-                field.decode_best_with(v, &mut scratch),
-            );
-            let (link, p) = probe_link(&inst, &params, v);
-            let sinr = calc.sinr(link, p, &senders);
-            let sum = calc.sum_on(&senders, link, p).unwrap();
-            for thr in [params.beta(), 0.5, sinr] {
+        for slot in [&senders[..], &senders[..18]] {
+            let field = InterferenceField::build(&params, &inst, slot);
+            let mut scratch = FieldScratch::default();
+            for v in (0..inst.len()).filter(|&v| !field.transmits(v)) {
                 assert_eq!(
-                    field.sinr_at_least(link, p, thr),
-                    sinr >= thr,
-                    "listener {v}"
+                    decode_best_exact(&params, &inst, v, slot),
+                    field.decode_best_with(v, &mut scratch),
                 );
+                let (link, p) = probe_link(&inst, &params, v);
+                let sinr = calc.sinr(link, p, slot);
+                let sum = calc.sum_on(slot, link, p).unwrap();
+                for thr in [params.beta(), 0.5, sinr] {
+                    assert_eq!(
+                        field.sinr_at_least(link, p, thr),
+                        sinr >= thr,
+                        "listener {v}"
+                    );
+                }
+                for thr in [0.25, 1.0, sum] {
+                    assert_eq!(
+                        field.sum_on_at_most(link, p, thr).unwrap(),
+                        sum <= thr,
+                        "listener {v}"
+                    );
+                }
             }
-            for thr in [0.25, 1.0, sum] {
-                assert_eq!(
-                    field.sum_on_at_most(link, p, thr).unwrap(),
-                    sum <= thr,
-                    "listener {v}"
-                );
-            }
+            assert_eq!(scratch.stats.small_exact, scratch.stats.queries);
         }
-        assert_eq!(scratch.stats.small_exact, scratch.stats.queries);
     }
 
     /// Nearest-neighbor link into each non-transmitting receiver, with
@@ -1981,47 +2269,49 @@ mod tests {
     }
 
     /// Affectance-threshold decisions agree with the exact sum, at
-    /// thresholds the walk certifies and at the grazing `τ = sum`,
-    /// which only the exact fallback can settle.
+    /// thresholds the bounds certify and at the grazing `τ = sum`,
+    /// which only the exact fallback can settle, on a flat and a walked
+    /// field.
     #[test]
     fn sum_threshold_decisions_are_sound() {
         let params = SinrParams::default();
         let inst = gen::uniform_square(150, 1.5, 9).unwrap();
-        let senders = random_senders(&inst, 0.2, params.min_power_for_length(4.0), 21);
-        let field = InterferenceField::build(&params, &inst, &senders);
         let calc = AffectanceCalc::new(&params, &inst);
-        let tx: std::collections::HashSet<NodeId> = senders.iter().map(|&(u, _)| u).collect();
-        let mut checked = 0;
-        for v in 0..inst.len() {
-            if tx.contains(&v) {
-                continue;
+        for frac in [0.2, 0.5] {
+            let senders = random_senders(&inst, frac, params.min_power_for_length(4.0), 21);
+            let field = InterferenceField::build(&params, &inst, &senders);
+            let mut checked = 0;
+            for v in (0..inst.len()).filter(|&v| !field.transmits(v)) {
+                let (link, p) = probe_link(&inst, &params, v);
+                if field.transmits(link.sender) {
+                    continue;
+                }
+                let sum = calc.sum_on(&senders, link, p).unwrap();
+                for threshold in [0.25, 1.0, 4.0, sum] {
+                    assert_eq!(
+                        field.sum_on_at_most(link, p, threshold).unwrap(),
+                        sum <= threshold,
+                        "{} senders, link {link:?} τ={threshold}",
+                        senders.len()
+                    );
+                    checked += 1;
+                }
             }
-            let (link, p) = probe_link(&inst, &params, v);
-            if tx.contains(&link.sender) {
-                continue;
-            }
-            let sum = calc.sum_on(&senders, link, p).unwrap();
-            for threshold in [0.25, 1.0, 4.0, sum] {
-                assert_eq!(
-                    field.sum_on_at_most(link, p, threshold).unwrap(),
-                    sum <= threshold,
-                    "link {link:?} τ={threshold}"
-                );
-                checked += 1;
-            }
+            assert!(checked > 20, "too few decisions: {checked}");
         }
-        assert!(checked > 20, "too few decisions: {checked}");
     }
 
     /// `sinr_at_least` decisions equal the canonical `sinr ≥ thr`
     /// comparison on every listener, threshold and family — including
-    /// the replay loops' exact threshold `β·(1 − 1e-12)`.
+    /// the replay loops' exact threshold `β·(1 − 1e-12)` — on flat and
+    /// walked fields.
     #[test]
     fn sinr_threshold_decisions_match_naive() {
         let params = SinrParams::default();
         for seed in 0..4u64 {
             let inst = gen::uniform_square(180, 1.5, seed).unwrap();
-            let senders = random_senders(&inst, 0.15, params.min_power_for_length(3.0), seed ^ 7);
+            let frac = if seed % 2 == 0 { 0.15 } else { 0.45 };
+            let senders = random_senders(&inst, frac, params.min_power_for_length(3.0), seed ^ 7);
             if senders.is_empty() {
                 continue;
             }
