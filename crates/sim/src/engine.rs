@@ -3,6 +3,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -44,31 +45,102 @@ impl PhaseClock {
     }
 }
 
-/// The engine's per-slot buffers outside its [`SlotCtx`]: the outcome
-/// vector, the next slot's awake list and, for the pooled loop, the
-/// per-worker chunk buffers. Everything here is *capacity*, not state:
-/// every slot drains and refills them, so steady-state slots allocate
-/// nothing on the serial path (pinned by the allocation-gate test).
-struct SlotArena<M> {
-    outcomes: Vec<SlotOutcome<M>>,
+/// The engine's per-slot buffers outside its [`SlotCtx`]: the
+/// listeners' decodes, the next slot's awake list and, for the pooled
+/// loop, the per-worker chunk buffers. Everything here is *capacity*,
+/// not state: every slot drains and refills them, so steady-state slots
+/// allocate nothing on the serial path (pinned by the allocation-gate
+/// test).
+#[derive(Default)]
+struct SlotArena {
+    /// Phase 2's answer for each of the slot's listeners, in
+    /// [`SlotCtx::listeners`] order: the sender it decoded, if any.
+    /// Phase 3 clears the receptions the fault plan suppresses.
+    decoded: Vec<Option<NodeId>>,
     /// The nodes that stay awake into the next slot, drafted by phase 1
     /// and merged with the calendar's wake-ups after phase 3.
     next_awake: Vec<NodeId>,
-    /// Pooled loop only: one outcome buffer per worker, cycled through
+    /// Pooled loop only: one decode buffer per worker, cycled through
     /// the job channel so chunk capacity survives across slots.
-    worker_outs: Vec<Vec<SlotOutcome<M>>>,
+    worker_outs: Vec<Vec<Option<NodeId>>>,
     /// Pooled loop only: the per-slot chunk merge table.
-    chunks: Vec<Option<Vec<SlotOutcome<M>>>>,
+    chunks: Vec<Option<Vec<Option<NodeId>>>>,
 }
 
-impl<M> Default for SlotArena<M> {
-    fn default() -> Self {
-        SlotArena {
-            outcomes: Vec::new(),
-            next_awake: Vec::new(),
-            worker_outs: Vec::new(),
-            chunks: Vec::new(),
+/// The wake calendar's ring covers this many slots, starting at the
+/// next slot it drains; wakes further off wait in its heap.
+const RING_SLOTS: u64 = 256;
+
+/// The end of a calendar bucket's list.
+const NIL: NodeId = NodeId::MAX;
+
+/// The wake calendar (DESIGN.md §8.6): every dormant node with a
+/// finite wake slot. Retired nodes (`u64::MAX`) and crashed nodes are
+/// in neither the calendar nor the awake list.
+///
+/// A wake slot fewer than [`RING_SLOTS`] slots past the next slot
+/// drained goes to that slot's bucket of a ring, an intrusive list
+/// threaded through one link per node, so filing and draining a node
+/// cost `O(1)`; only later wakes go to a min-heap.
+#[derive(Default)]
+struct WakeCalendar {
+    /// `heads[s % RING_SLOTS]`: the node last filed for slot `s`, or
+    /// [`NIL`]. Empty until the first finite nap.
+    heads: Vec<NodeId>,
+    /// `links[id]`: the node filed before `id` in its bucket, or
+    /// [`NIL`]. Empty until the first finite nap, then one per node.
+    links: Vec<NodeId>,
+    /// Wakes [`RING_SLOTS`] or more slots past the next slot drained,
+    /// keyed by `(wake slot, node id)`.
+    far: BinaryHeap<Reverse<(u64, NodeId)>>,
+    /// The nodes due at the slot last drained, ascending id.
+    due: Vec<NodeId>,
+}
+
+impl WakeCalendar {
+    /// Files node `id` of an `n`-node engine, which declared in `slot`
+    /// a nap until `wake`, with `slot + 1 < wake < u64::MAX`.
+    fn file(&mut self, slot: u64, id: NodeId, wake: u64, n: usize) {
+        // The next slot drained is `slot + 1`: the ring's buckets stand
+        // for it and the slots up to `RING_SLOTS − 1` after it.
+        if wake - (slot + 1) < RING_SLOTS {
+            if self.links.is_empty() {
+                self.heads.resize(RING_SLOTS as usize, NIL);
+                self.links.resize(n, NIL);
+            }
+            let bucket = (wake % RING_SLOTS) as usize;
+            self.links[id] = self.heads[bucket];
+            self.heads[bucket] = id;
+        } else {
+            self.far.push(Reverse((wake, id)));
         }
+    }
+
+    /// Takes the nodes due at `slot` out of the calendar, ascending id.
+    /// Slots are drained in turn, each once: a bucket stands for one
+    /// slot at a time.
+    fn drain(&mut self, slot: u64) -> &[NodeId] {
+        self.due.clear();
+        if let Some(head) = self.heads.get_mut((slot % RING_SLOTS) as usize) {
+            let mut id = std::mem::replace(head, NIL);
+            while id != NIL {
+                self.due.push(id);
+                id = self.links[id];
+            }
+        }
+        while let Some(&Reverse((wake, id))) = self.far.peek() {
+            if wake > slot {
+                break;
+            }
+            // Entries go to the heap more than one slot ahead and leave
+            // it at their wake slot, so every popped entry is due now.
+            debug_assert_eq!(wake, slot, "calendar entry for node {id} went stale");
+            self.far.pop();
+            self.due.push(id);
+        }
+        // A bucket lists its nodes newest first, and the heap's follow.
+        self.due.sort_unstable();
+        &self.due
     }
 }
 
@@ -103,14 +175,15 @@ pub enum EngineBackend {
     /// [`Engine::run_until`], [`Engine::run_reports`]) so its spawn
     /// cost amortizes over the whole run; a lone [`Engine::step`] call
     /// stays serial. Engines below [`PARALLEL_MIN_NODES`] nodes run
-    /// serially regardless, and so does any slot with fewer awake
-    /// nodes than that — channel round-trips would dominate.
+    /// serially regardless, and so does any slot with fewer listeners
+    /// than that, or no transmitter — channel round-trips would
+    /// dominate.
     Parallel(usize),
 }
 
 /// Engines with fewer nodes than this run serially even under
-/// [`EngineBackend::Parallel`], and so do slots with fewer awake nodes
-/// — per-slot job dispatch would dominate the work.
+/// [`EngineBackend::Parallel`], and so do slots with fewer listeners —
+/// per-slot job dispatch would dominate the work.
 pub const PARALLEL_MIN_NODES: usize = 64;
 
 impl EngineBackend {
@@ -195,9 +268,9 @@ pub struct EngineStats {
 /// 3. every awake node observes its [`SlotOutcome`].
 ///
 /// A node that declares dormancy ([`Action::SleepUntil`]) leaves the
-/// awake list for a deterministic wake calendar keyed by `(wake slot,
-/// node id)` and rejoins the list, in id order, at its wake slot — so
-/// a slot costs `O(awake nodes)`, not `O(n)` (DESIGN.md §8.6).
+/// awake list for a deterministic wake calendar of per-slot buckets
+/// and rejoins the list, in id order, at its wake slot — so a slot
+/// costs `O(awake nodes)`, not `O(n)` (DESIGN.md §8.6).
 pub struct Engine<'a, P: Protocol> {
     params: &'a SinrParams,
     instance: &'a Instance,
@@ -212,21 +285,18 @@ pub struct Engine<'a, P: Protocol> {
     /// pointer. `None` while a pooled run shares it with the workers,
     /// and before the first slot.
     ctx: Option<Box<SlotCtx<'a, P::Msg>>>,
-    arena: SlotArena<P::Msg>,
+    arena: SlotArena,
     field_stats: QueryStats,
     /// Armed fault schedule ([`Engine::arm_faults`]); `None` — the
     /// default — restores the exact pre-fault code paths.
     faults: Option<FaultPlan>,
     /// Whether the armed plan has a deafness or drop fault, cached at
-    /// arm time so fault-free slots skip the outcome post-pass.
+    /// arm time so fault-free slots skip the reception-fault pass.
     reception_faults: bool,
     /// The armed plan's trace boundaries ([`FaultPlan::boundaries`]).
     #[cfg(feature = "trace")]
     fault_boundaries: Vec<(u64, NodeId, &'static str)>,
-    /// The wake calendar: every dormant node with a finite wake slot.
-    /// Retired nodes (`u64::MAX`) and crashed nodes are in neither the
-    /// calendar nor the awake list.
-    calendar: BinaryHeap<Reverse<(u64, NodeId)>>,
+    calendar: WakeCalendar,
     /// The nodes due in the next slot, ascending id order.
     awake: Vec<NodeId>,
     /// The grid backends' replay memo (DESIGN.md §8.7); `None` on the
@@ -245,16 +315,16 @@ impl<'a, P: Protocol + std::fmt::Debug> std::fmt::Debug for Engine<'a, P> {
     }
 }
 
-/// One pooled job: the shared slot context plus the recycled output
-/// vector the worker fills for its chunk.
-type SlotJob<'a, M> = (Arc<SlotCtx<'a, M>>, Vec<SlotOutcome<M>>);
+/// One pooled job: the shared slot context plus the recycled buffer
+/// the worker fills with its chunk of the listeners' decodes.
+type SlotJob<'a, M> = (Arc<SlotCtx<'a, M>>, Vec<Option<NodeId>>);
 
-/// One worker's answer to a [`SlotJob`]: its chunk of outcomes plus
-/// the decode counters and phase times it gathered.
-type SlotChunk<M> = (Vec<SlotOutcome<M>>, QueryStats, PhaseTimes);
+/// One worker's answer to a [`SlotJob`]: its chunk of decodes plus the
+/// decode counters and phase times it gathered.
+type SlotChunk = (Vec<Option<NodeId>>, QueryStats, PhaseTimes);
 
 /// The pooled loop's dispatch handle.
-type SlotPool<'a, M> = PoolHandle<SlotJob<'a, M>, SlotChunk<M>>;
+type SlotPool<'a, M> = PoolHandle<SlotJob<'a, M>, SlotChunk>;
 
 impl<'a, P: Protocol> Engine<'a, P> {
     /// Creates an engine with one protocol state per node, built by
@@ -314,7 +384,7 @@ impl<'a, P: Protocol> Engine<'a, P> {
             reception_faults: false,
             #[cfg(feature = "trace")]
             fault_boundaries: Vec::new(),
-            calendar: BinaryHeap::new(),
+            calendar: WakeCalendar::default(),
             awake: (0..n).collect(),
             memo: ReplayMemo::for_backend(backend, n),
         }
@@ -413,8 +483,8 @@ impl<'a, P: Protocol> Engine<'a, P> {
     /// [`run_until`](Self::run_until), [`run_reports`](Self::run_reports)),
     /// where its spawn cost amortizes across slots. Outcomes are
     /// byte-identical either way: the pooled loop shards the very same
-    /// per-node operation sequence (`SlotCtx::outcome_of`) across
-    /// threads and merges in node order (DESIGN.md §8).
+    /// per-listener decode (`SlotCtx::decode`) across threads and
+    /// merges in listener order (DESIGN.md §8).
     ///
     /// # Panics
     ///
@@ -426,20 +496,19 @@ impl<'a, P: Protocol> Engine<'a, P> {
         let mut clock = PhaseClock::start();
         let mut ctx = self.ctx.take().unwrap_or_else(|| Box::new(self.new_ctx()));
         self.fill(&mut ctx, &mut clock);
-        let mut outcomes = std::mem::take(&mut self.arena.outcomes);
-        self.resolve_serial(&ctx, &mut outcomes);
-        self.record_decodes(&ctx, &outcomes);
+        self.resolve_serial(&ctx);
+        self.record_decodes(&ctx);
         clock.lap("resolve");
-        let report = self.finish_slot(&ctx, outcomes);
+        let report = self.finish_slot(&ctx);
         self.ctx = Some(ctx);
         clock.lap("merge");
         report
     }
 
     /// One slot of a pooled run, on the run's `shared` context: the
-    /// channel phase is sharded across `pool` when the slot steps at
-    /// least [`PARALLEL_MIN_NODES`] nodes; smaller slots resolve on the
-    /// driving thread.
+    /// channel phase is sharded across `pool` when the slot has a
+    /// transmitter and at least [`PARALLEL_MIN_NODES`] listeners;
+    /// smaller slots resolve on the driving thread.
     fn step_pooled(
         &mut self,
         pool: &SlotPool<'a, P::Msg>,
@@ -458,15 +527,14 @@ impl<'a, P: Protocol> Engine<'a, P> {
             }
         };
         self.fill(ctx, &mut clock);
-        let mut outcomes = std::mem::take(&mut self.arena.outcomes);
-        if shared.ids.len() >= PARALLEL_MIN_NODES {
-            self.resolve_pooled(pool, shared, &mut outcomes);
+        if !shared.transmitters.is_empty() && shared.listeners.len() >= PARALLEL_MIN_NODES {
+            self.resolve_pooled(pool, shared);
         } else {
-            self.resolve_serial(shared, &mut outcomes);
+            self.resolve_serial(shared);
         }
-        self.record_decodes(shared, &outcomes);
+        self.record_decodes(shared);
         clock.lap("resolve");
-        let report = self.finish_slot(shared, outcomes);
+        let report = self.finish_slot(shared);
         clock.lap("merge");
         report
     }
@@ -476,15 +544,12 @@ impl<'a, P: Protocol> Engine<'a, P> {
         SlotCtx::new(self.params, self.instance, self.backend)
     }
 
-    /// Phases 1 and 2 into `ctx`: the stepped nodes' actions, then the
-    /// slot's transmitters, its replayed listeners and its field.
+    /// Phase 1 and the channel set-up into `ctx`: the stepped nodes'
+    /// role lists, then the slot's replayed listeners and its field.
     fn fill(&mut self, ctx: &mut SlotCtx<'a, P::Msg>, clock: &mut PhaseClock) {
-        let slot = self.slot;
-        ctx.ids.clear();
-        ctx.actions.clear();
-        self.collect_actions(slot, &mut ctx.ids, &mut ctx.actions);
+        self.begin_slots(ctx);
         clock.lap("build");
-        ctx.refill(slot, self.memo.as_mut());
+        ctx.refill(self.memo.as_mut());
         clock.lap("grid");
     }
 
@@ -493,15 +558,15 @@ impl<'a, P: Protocol> Engine<'a, P> {
     /// on the driving thread after phase 2 and before
     /// [`finish_slot`](Self::finish_slot) applies reception faults, so
     /// a deaf or dropping listener records what the channel delivered.
-    fn record_decodes(&mut self, ctx: &SlotCtx<'a, P::Msg>, outcomes: &[SlotOutcome<P::Msg>]) {
+    fn record_decodes(&mut self, ctx: &SlotCtx<'a, P::Msg>) {
         if let (Some(entry), Some(memo)) = (ctx.entry, &mut self.memo) {
-            memo.record(entry, &ctx.ids, &ctx.replayed, outcomes);
+            memo.record(entry, &ctx.listeners, &ctx.replayed, &self.arena.decoded);
         }
     }
 
     /// Phase 1, shared by the serial and pooled loops: every stepped
-    /// node picks its action, and the next slot's awake list is
-    /// drafted.
+    /// node picks its action and is sorted into `ctx`'s role lists as
+    /// it steps, and the next slot's awake list is drafted.
     ///
     /// The calendar-driven backends step the awake list. The naive
     /// reference steps every live node and, in debug builds, checks the
@@ -512,27 +577,24 @@ impl<'a, P: Protocol> Engine<'a, P> {
     /// With a fault plan armed, a crashed node is dropped from the
     /// awake list when it is next due: it sleeps with its protocol
     /// state and RNG stream frozen (no `begin_slot` call, no draw).
-    /// Active power degrades scale the chosen transmit power *before*
-    /// the channel context is built — so every backend resolves the
+    /// Active power degrades scale the chosen transmit power before it
+    /// enters the transmitter list — so every backend resolves the
     /// same faulted slot.
-    fn collect_actions(
-        &mut self,
-        slot: u64,
-        ids: &mut Vec<NodeId>,
-        actions: &mut Vec<Action<P::Msg>>,
-    ) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node transmits with a non-positive or non-finite
+    /// power (a programming error in the protocol).
+    fn begin_slots(&mut self, ctx: &mut SlotCtx<'a, P::Msg>) {
+        let slot = self.slot;
         #[cfg(feature = "trace")]
         self.emit_fault_boundaries(slot);
+        let n = self.nodes.len();
         let naive = self.backend == EngineBackend::Naive;
         let mut next = std::mem::take(&mut self.arena.next_awake);
         next.clear();
-        let candidates = if naive {
-            self.nodes.len()
-        } else {
-            self.awake.len()
-        };
-        ids.reserve(candidates);
-        actions.reserve(candidates);
+        ctx.clear();
+        let candidates = if naive { n } else { self.awake.len() };
         let mut cursor = 0;
         for i in 0..candidates {
             // The naive loop walks every id and finds the awake ones by
@@ -557,7 +619,7 @@ impl<'a, P: Protocol> Engine<'a, P> {
             if let Action::SleepUntil(wake) = action {
                 if is_awake && wake > slot + 1 {
                     if wake != u64::MAX {
-                        self.calendar.push(Reverse((wake, id)));
+                        self.calendar.file(slot, id, wake, n);
                     }
                     stays = false;
                     if !naive {
@@ -576,17 +638,33 @@ impl<'a, P: Protocol> Engine<'a, P> {
                 "node {id} broke its dormancy promise in slot {slot}: \
                  a dormant begin_slot must sleep without drawing"
             );
-            if let (Action::Transmit { power, .. }, Some(plan)) = (&mut action, &self.faults) {
-                let factor = plan.power_factor(id, slot);
-                if factor != 1.0 {
-                    *power *= factor;
+            let role = match action {
+                Action::Transmit { mut power, msg } => {
+                    if let Some(plan) = &self.faults {
+                        let factor = plan.power_factor(id, slot);
+                        if factor != 1.0 {
+                            power *= factor;
+                        }
+                    }
+                    assert!(
+                        power.is_finite() && power > 0.0,
+                        "node {id} transmitted with invalid power {power} in slot {slot}"
+                    );
+                    ctx.transmitters.push((id, power));
+                    ctx.msgs.push(msg);
+                    Role::Transmit
                 }
-            }
+                Action::Listen => {
+                    ctx.listeners.push(id);
+                    Role::Listen
+                }
+                Action::Sleep | Action::SleepUntil(_) => Role::Sleep,
+            };
             if stays {
                 next.push(id);
             }
-            ids.push(id);
-            actions.push(action);
+            ctx.ids.push(id);
+            ctx.roles.push(role);
         }
         self.arena.next_awake = next;
     }
@@ -608,18 +686,18 @@ impl<'a, P: Protocol> Engine<'a, P> {
         }
     }
 
-    /// Phase 2 on the driving thread.
-    fn resolve_serial(
-        &mut self,
-        ctx: &SlotCtx<'a, P::Msg>,
-        outcomes: &mut Vec<SlotOutcome<P::Msg>>,
-    ) {
+    /// Phase 2 on the driving thread: every listener's decode, into the
+    /// arena. A slot nobody transmits in decodes nothing.
+    fn resolve_serial(&mut self, ctx: &SlotCtx<'a, P::Msg>) {
         let scratch = &mut self.scratch;
         #[cfg(feature = "profile")]
         scratch.enable_timing(crate::profile::is_active());
-        outcomes.reserve(ctx.ids.len());
-        for k in 0..ctx.ids.len() {
-            outcomes.push(ctx.outcome_of(k, scratch));
+        let decoded = &mut self.arena.decoded;
+        decoded.clear();
+        if ctx.transmitters.is_empty() {
+            decoded.resize(ctx.listeners.len(), None);
+        } else {
+            ctx.decode(0..ctx.listeners.len(), scratch, decoded);
         }
         let stats = std::mem::take(&mut scratch.stats);
         let times = std::mem::take(&mut scratch.times);
@@ -627,13 +705,8 @@ impl<'a, P: Protocol> Engine<'a, P> {
     }
 
     /// Phase 2 across the pool: broadcast the slot context to every
-    /// worker, then merge the outcome chunks in node order.
-    fn resolve_pooled(
-        &mut self,
-        pool: &SlotPool<'a, P::Msg>,
-        ctx: &Arc<SlotCtx<'a, P::Msg>>,
-        outcomes: &mut Vec<SlotOutcome<P::Msg>>,
-    ) {
+    /// worker, then merge the decode chunks in listener order.
+    fn resolve_pooled(&mut self, pool: &SlotPool<'a, P::Msg>, ctx: &Arc<SlotCtx<'a, P::Msg>>) {
         let threads = pool.threads();
         let mut worker_outs = std::mem::take(&mut self.arena.worker_outs);
         worker_outs.resize_with(threads, Vec::new);
@@ -651,12 +724,13 @@ impl<'a, P: Protocol> Engine<'a, P> {
             slot_times.merge(&times);
             chunks[w] = Some(out);
         }
-        outcomes.reserve(ctx.ids.len());
+        let decoded = &mut self.arena.decoded;
+        decoded.clear();
         for c in chunks.iter_mut() {
             let mut out = c.take().expect("every worker reports each slot");
             // `append` drains `out` but keeps its capacity for the next
             // slot's job.
-            outcomes.append(&mut out);
+            decoded.append(&mut out);
             worker_outs.push(out);
         }
         self.arena.worker_outs = worker_outs;
@@ -694,24 +768,19 @@ impl<'a, P: Protocol> Engine<'a, P> {
     }
 
     /// Phase 3 plus slot bookkeeping, shared by the serial and pooled
-    /// loops; `outcomes` goes back to the arena drained.
-    fn finish_slot(
-        &mut self,
-        ctx: &SlotCtx<'a, P::Msg>,
-        mut outcomes: Vec<SlotOutcome<P::Msg>>,
-    ) -> SlotReport {
+    /// loops: reception faults, the report, and each stepped node's
+    /// outcome, built in id order just before its `end_slot`.
+    fn finish_slot(&mut self, ctx: &SlotCtx<'a, P::Msg>) -> SlotReport {
         let slot = self.slot;
-        // Reception faults land here, before outcomes are counted,
-        // digested or reported: a deaf or dropping listener's decode
-        // resolves to `Idle` on the driving thread, identically on
-        // every backend (the workers resolved the physical channel;
-        // whether the *node* hears it is the plan's call). Only awake
-        // listeners receive, so only they are checked.
+        let mut decoded = std::mem::take(&mut self.arena.decoded);
+        // Reception faults land here, before decodes are counted,
+        // digested or delivered: a deaf or dropping listener's decode
+        // is cleared on the driving thread, identically on every
+        // backend (the workers resolved the physical channel; whether
+        // the *node* hears it is the plan's call).
         if let (true, Some(plan)) = (self.reception_faults, &self.faults) {
-            for (&id, outcome) in ctx.ids.iter().zip(outcomes.iter_mut()) {
-                if matches!(outcome, SlotOutcome::Received(_))
-                    && (plan.deaf(id, slot) || plan.drops_reception(id, slot))
-                {
+            for (&id, from) in ctx.listeners.iter().zip(decoded.iter_mut()) {
+                if from.is_some() && (plan.deaf(id, slot) || plan.drops_reception(id, slot)) {
                     #[cfg(feature = "trace")]
                     if crate::trace::is_active() {
                         crate::trace::emit(crate::trace::TraceEvent::FaultInjected {
@@ -720,24 +789,19 @@ impl<'a, P: Protocol> Engine<'a, P> {
                             kind: "reception-drop",
                         });
                     }
-                    *outcome = SlotOutcome::Idle;
+                    *from = None;
                 }
             }
         }
-        let mut report = SlotReport {
+        let receptions = decoded.iter().filter(|from| from.is_some()).count();
+        let report = SlotReport {
             slot,
             transmissions: ctx.transmitters.len(),
-            ..Default::default()
+            receptions,
+            idle_listeners: ctx.listeners.len() - receptions,
         };
-        for outcome in outcomes.iter() {
-            match outcome {
-                SlotOutcome::Received(_) => report.receptions += 1,
-                SlotOutcome::Idle => report.idle_listeners += 1,
-                _ => {}
-            }
-        }
         #[cfg(feature = "trace")]
-        self.trace_slot(ctx, &outcomes, &report);
+        self.trace_slot(ctx, &decoded, &report);
         // The naive reference checks that a dormant node's `end_slot`
         // draws nothing: a stepped node is dormant when it does not
         // stay awake into the next slot.
@@ -745,7 +809,16 @@ impl<'a, P: Protocol> Engine<'a, P> {
         let check_dormant = self.backend == EngineBackend::Naive;
         #[cfg(debug_assertions)]
         let mut cursor = 0;
-        for (&id, outcome) in ctx.ids.iter().zip(outcomes.drain(..)) {
+        let mut heard = decoded.iter().copied();
+        for (&id, &role) in ctx.ids.iter().zip(&ctx.roles) {
+            let outcome = match role {
+                Role::Transmit => SlotOutcome::Transmitted,
+                Role::Sleep => SlotOutcome::Slept,
+                Role::Listen => match heard.next().expect("one decode per listener") {
+                    Some(from) => SlotOutcome::Received(ctx.reception(from, id)),
+                    None => SlotOutcome::Idle,
+                },
+            };
             #[cfg(debug_assertions)]
             let before = if check_dormant {
                 let stays = self.arena.next_awake.get(cursor) == Some(&id);
@@ -762,7 +835,7 @@ impl<'a, P: Protocol> Engine<'a, P> {
                  a dormant end_slot must not draw"
             );
         }
-        self.arena.outcomes = outcomes;
+        self.arena.decoded = decoded;
         self.wake_due(slot + 1);
         self.slot += 1;
         self.stats.slots += 1;
@@ -782,7 +855,7 @@ impl<'a, P: Protocol> Engine<'a, P> {
     fn trace_slot(
         &self,
         ctx: &SlotCtx<'a, P::Msg>,
-        outcomes: &[SlotOutcome<P::Msg>],
+        decoded: &[Option<NodeId>],
         report: &SlotReport,
     ) {
         use crate::snapshot::Fnv1a;
@@ -799,32 +872,31 @@ impl<'a, P: Protocol> Engine<'a, P> {
             });
         }
         let mut fnv = Fnv1a::default();
-        // Transmitters and their outcomes both run in id order.
+        // The stepped nodes and both role lists run in id order.
         let mut powers = ctx.transmitters.iter().map(|&(_, power)| power);
-        let mut stepped = ctx.ids.iter().zip(outcomes).peekable();
+        let mut heard = decoded.iter().copied();
+        let mut stepped = ctx.ids.iter().zip(&ctx.roles).peekable();
         for node in 0..self.nodes.len() {
-            let Some((_, outcome)) = stepped.next_if(|&(&id, _)| id == node) else {
+            let Some((_, role)) = stepped.next_if(|&(&id, _)| id == node) else {
                 fnv.write_u64(4);
                 continue;
             };
-            match outcome {
-                SlotOutcome::Received(r) => {
-                    crate::trace::emit(TraceEvent::Receive {
-                        slot,
-                        node,
-                        from: r.from,
-                    });
-                    fnv.write_u64(1);
-                    fnv.write_u64(r.from as u64);
-                    fnv.write_u64(r.distance.to_bits());
-                }
-                SlotOutcome::Idle => fnv.write_u64(2),
-                SlotOutcome::Transmitted => {
+            match role {
+                Role::Listen => match heard.next().expect("one decode per listener") {
+                    Some(from) => {
+                        crate::trace::emit(TraceEvent::Receive { slot, node, from });
+                        fnv.write_u64(1);
+                        fnv.write_u64(from as u64);
+                        fnv.write_u64(self.instance.distance(from, node).to_bits());
+                    }
+                    None => fnv.write_u64(2),
+                },
+                Role::Transmit => {
                     let power = powers.next().expect("every transmitter has a power");
                     fnv.write_u64(3);
                     fnv.write_u64(power.to_bits());
                 }
-                SlotOutcome::Slept => fnv.write_u64(4),
+                Role::Sleep => fnv.write_u64(4),
             }
         }
         crate::trace::emit(TraceEvent::SlotDigest {
@@ -838,27 +910,24 @@ impl<'a, P: Protocol> Engine<'a, P> {
 
     /// Builds the awake list for `slot`: the nodes that stayed awake
     /// through the slot just finished, merged in id order with the
-    /// calendar entries due at `slot`.
+    /// calendar's wake-ups for `slot`.
     fn wake_due(&mut self, slot: u64) {
-        let stays = std::mem::take(&mut self.arena.next_awake);
+        let due = self.calendar.drain(slot);
+        let stays = &mut self.arena.next_awake;
+        if due.is_empty() {
+            // Phase 1 clears the old list before it drafts the next.
+            std::mem::swap(&mut self.awake, stays);
+            return;
+        }
         self.awake.clear();
         let mut stays_iter = stays.iter().copied().peekable();
-        while let Some(&Reverse((wake, id))) = self.calendar.peek() {
-            if wake > slot {
-                break;
-            }
-            // Entries are pushed more than one slot ahead and popped the
-            // slot before they fall due, so every popped entry is due
-            // exactly now and the pops come in ascending id order.
-            debug_assert_eq!(wake, slot, "calendar entry for node {id} went stale");
-            self.calendar.pop();
+        for &id in due {
             while let Some(v) = stays_iter.next_if(|&v| v < id) {
                 self.awake.push(v);
             }
             self.awake.push(id);
         }
         self.awake.extend(stays_iter);
-        self.arena.next_awake = stays;
     }
 
     /// Runs `slots` slots unconditionally.
@@ -891,13 +960,14 @@ impl<'a, P: Protocol> Engine<'a, P> {
     /// [`with_pool`](crate::pool::with_pool) worker pool alive across
     /// the whole run, shares the engine's [`SlotCtx`] with every worker
     /// through one `Arc` for the run, refilled between slots, and
-    /// merges each large slot's outcome chunks in node order. Protocol
-    /// state and RNG streams never leave this thread, so the observable
-    /// behavior — every float bit included — is the serial loop's. A
-    /// worker panic travels back through the pool's result channel and
-    /// resumes here with its original payload (a panicking protocol
-    /// `Clone` fails the run loudly instead of deadlocking the
-    /// dispatcher).
+    /// merges each large slot's decode chunks in listener order.
+    /// Protocol state, RNG streams and outcomes never leave this
+    /// thread, so the observable behavior — every float bit included —
+    /// is the serial loop's. A panic on either side — a worker's,
+    /// which travels back through the pool's result channel, or this
+    /// thread's own, such as a payload's `Clone` while phase 3 builds
+    /// an outcome — ends the pool and resumes here with its original
+    /// payload instead of deadlocking the dispatcher.
     fn run_loop(
         &mut self,
         max_slots: u64,
@@ -933,16 +1003,13 @@ impl<'a, P: Protocol> Engine<'a, P> {
                 scratch
             },
             move |w, scratch, (ctx, mut out): SlotJob<'a, P::Msg>| {
-                // The shard is a contiguous run of the stepped list.
-                let len = ctx.ids.len();
+                // The shard is a contiguous run of the listener list.
+                let len = ctx.listeners.len();
                 let chunk = len.div_ceil(threads);
                 let base = (w * chunk).min(len);
                 let end = (base + chunk).min(len);
                 out.clear();
-                out.reserve(end - base);
-                for k in base..end {
-                    out.push(ctx.outcome_of(k, scratch));
-                }
+                ctx.decode(base..end, scratch, &mut out);
                 let stats = std::mem::take(&mut scratch.stats);
                 let times = std::mem::take(&mut scratch.times);
                 (out, stats, times)
@@ -1036,25 +1103,38 @@ impl<'a, P: Protocol> Engine<'a, P> {
     }
 }
 
-/// The channel context of the slot being resolved: the stepped nodes
-/// in ascending id order with their actions, the transmitter set in the
-/// same canonical order, the listeners the replay memo answers and —
-/// for the grid backends — the slot's [`InterferenceField`]. An engine
-/// keeps one for its whole life and [`refill`](Self::refill)s it in
-/// place every slot, so a slot moves no struct and allocates nothing
-/// once its buffers have grown (DESIGN.md §12.2). The pooled loop
-/// shares it read-only across workers via [`Arc`];
-/// [`SlotCtx::outcome_of`] is the *single* per-node resolution sequence
-/// both the serial and the pooled loop execute, which is what makes
-/// their outputs byte-identical by construction.
+/// The role a stepped node plays in the slot being resolved.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Role {
+    Transmit,
+    Listen,
+    Sleep,
+}
+
+/// The channel context of the slot being resolved, as role lists: the
+/// stepped nodes in ascending id order with a role each, the
+/// transmitters and the listeners in the same order, the listeners the
+/// replay memo answers and — for the grid backends — the slot's
+/// [`InterferenceField`]. An engine keeps one for its whole life and
+/// refills it in place every slot, so a slot moves no struct and
+/// allocates nothing once its buffers have grown (DESIGN.md §12.2).
+/// The pooled loop shares it read-only across workers via [`Arc`];
+/// [`SlotCtx::decode`] is the *single* per-listener resolution both the
+/// serial and the pooled loop run, which is what makes their outputs
+/// byte-identical by construction.
 struct SlotCtx<'a, M> {
     params: &'a SinrParams,
     instance: &'a Instance,
     /// The stepped node ids, ascending.
     ids: Vec<NodeId>,
-    /// `actions[k]` is node `ids[k]`'s action.
-    actions: Vec<Action<M>>,
+    /// `roles[k]` is node `ids[k]`'s role.
+    roles: Vec<Role>,
+    /// The transmitters, ascending, with the powers they send at.
     transmitters: Vec<(NodeId, f64)>,
+    /// `msgs[t]` is the payload `transmitters[t]` sends.
+    msgs: Vec<M>,
+    /// The listeners, ascending.
+    listeners: Vec<NodeId>,
     /// The grid backends' field (`None` on the naive backend). It holds
     /// this slot's transmitters only when `field_live`.
     field: Option<InterferenceField<'a>>,
@@ -1065,21 +1145,23 @@ struct SlotCtx<'a, M> {
     /// The memo entry the slot's transmitter list sighted, if its
     /// decodes are to be recorded ([`ReplayMemo::sight`]).
     entry: Option<u32>,
-    /// Empty, or `replayed[k]` is the memo's answer for node `ids[k]`:
-    /// `Some(decoded sender)` for a recorded listener, `None` for a
-    /// node the field resolves.
+    /// Empty, or `replayed[j]` is the memo's answer for `listeners[j]`:
+    /// `Some(decoded sender)` for a recorded listener, `None` for one
+    /// the field resolves.
     replayed: Vec<Option<Option<NodeId>>>,
 }
 
-impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
+impl<'a, M: Clone> SlotCtx<'a, M> {
     /// An empty context for an engine on `backend`.
     fn new(params: &'a SinrParams, instance: &'a Instance, backend: EngineBackend) -> Self {
         SlotCtx {
             params,
             instance,
             ids: Vec::new(),
-            actions: Vec::new(),
+            roles: Vec::new(),
             transmitters: Vec::new(),
+            msgs: Vec::new(),
+            listeners: Vec::new(),
             field: (backend != EngineBackend::Naive)
                 .then(|| InterferenceField::build(params, instance, &[])),
             field_live: false,
@@ -1088,47 +1170,37 @@ impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
         }
     }
 
-    /// Derives the slot's channel state from the actions phase 1 wrote
-    /// into `ids` and `actions`: the transmitter list, the listeners
-    /// `memo` answers (when the list is one it has recorded), then the
-    /// field, when a listener is left to query.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a node transmitted with a non-positive or non-finite
-    /// power (a programming error in the protocol).
-    fn refill(&mut self, slot: u64, memo: Option<&mut ReplayMemo>) {
+    /// Empties the role lists for the next slot's phase 1.
+    fn clear(&mut self) {
+        self.ids.clear();
+        self.roles.clear();
         self.transmitters.clear();
-        let mut listeners = 0;
-        for (&id, a) in self.ids.iter().zip(&self.actions) {
-            match a {
-                Action::Transmit { power, .. } => {
-                    assert!(
-                        power.is_finite() && *power > 0.0,
-                        "node {id} transmitted with invalid power {power} in slot {slot}"
-                    );
-                    self.transmitters.push((id, *power));
-                }
-                Action::Listen => listeners += 1,
-                Action::Sleep | Action::SleepUntil(_) => {}
-            }
-        }
+        self.msgs.clear();
+        self.listeners.clear();
+    }
+
+    /// Derives the slot's channel state from the role lists phase 1
+    /// wrote: the listeners `memo` answers (when the transmitter list is
+    /// one it has recorded), then the field, when a listener is left to
+    /// query.
+    fn refill(&mut self, memo: Option<&mut ReplayMemo>) {
         self.field_live = false;
         self.entry = None;
         self.replayed.clear();
         let Some(field) = &mut self.field else {
             return;
         };
-        if self.transmitters.is_empty() || listeners == 0 {
+        if self.transmitters.is_empty() || self.listeners.is_empty() {
             return;
         }
+        let mut unanswered = self.listeners.len();
         if let Some(memo) = memo {
             self.entry = memo.sight(&self.transmitters);
             if let Some(entry) = self.entry {
-                listeners -= memo.replay(entry, &self.ids, &self.actions, &mut self.replayed);
+                unanswered -= memo.replay(entry, &self.listeners, &mut self.replayed);
             }
         }
-        if listeners > 0 {
+        if unanswered > 0 {
             field
                 .refill(&self.transmitters)
                 .expect("a stepped node acts once per slot");
@@ -1136,33 +1208,35 @@ impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
         }
     }
 
-    /// Resolves the outcome of the `k`-th stepped node for this slot.
-    fn outcome_of(&self, k: usize, scratch: &mut FieldScratch) -> SlotOutcome<M> {
-        let id = self.ids[k];
-        match &self.actions[k] {
-            Action::Transmit { .. } => SlotOutcome::Transmitted,
-            Action::Sleep | Action::SleepUntil(_) => SlotOutcome::Slept,
-            Action::Listen => {
-                let decoded = match (self.replayed.get(k), &self.field) {
-                    (Some(&Some(decoded)), _) => decoded,
-                    (_, Some(f)) if self.field_live => f.decode_best_with(id, scratch),
-                    _ => decode_best_exact(self.params, self.instance, id, &self.transmitters),
-                };
-                match decoded {
-                    Some(from) => {
-                        let msg = match self.ids.binary_search(&from).map(|j| &self.actions[j]) {
-                            Ok(Action::Transmit { msg, .. }) => msg.clone(),
-                            _ => unreachable!("decoded node is a transmitter"),
-                        };
-                        SlotOutcome::Received(Reception {
-                            from,
-                            msg,
-                            distance: self.instance.distance(from, id),
-                        })
-                    }
-                    None => SlotOutcome::Idle,
-                }
+    /// Phase 2 for the listeners `range` of [`listeners`](Self::listeners):
+    /// appends each one's decoded sender to `out` — the memo's answer,
+    /// else the live field's, else the exact decode (the naive backend).
+    fn decode(
+        &self,
+        range: Range<usize>,
+        scratch: &mut FieldScratch,
+        out: &mut Vec<Option<NodeId>>,
+    ) {
+        out.extend(range.map(|j| {
+            let id = self.listeners[j];
+            match (self.replayed.get(j), &self.field) {
+                (Some(&Some(decoded)), _) => decoded,
+                (_, Some(f)) if self.field_live => f.decode_best_with(id, scratch),
+                _ => decode_best_exact(self.params, self.instance, id, &self.transmitters),
             }
+        }));
+    }
+
+    /// What `listener` receives from `from`, the transmitter it decoded.
+    fn reception(&self, from: NodeId, listener: NodeId) -> Reception<M> {
+        let t = self
+            .transmitters
+            .binary_search_by_key(&from, |&(id, _)| id)
+            .expect("decoded node is a transmitter");
+        Reception {
+            from,
+            msg: self.msgs[t].clone(),
+            distance: self.instance.distance(from, listener),
         }
     }
 }
@@ -1282,56 +1356,44 @@ impl ReplayMemo {
         }
     }
 
-    /// Fills `replayed` with the recorded answers under `entry` for the
-    /// listening nodes of `ids`/`actions`; returns how many it found.
-    fn replay<M>(
+    /// Fills `replayed` with the recorded answers under `entry` for
+    /// `listeners`; returns how many it found.
+    fn replay(
         &mut self,
         entry: u32,
-        ids: &[NodeId],
-        actions: &[Action<M>],
+        listeners: &[NodeId],
         replayed: &mut Vec<Option<Option<NodeId>>>,
     ) -> usize {
         replayed.clear();
-        replayed.reserve(ids.len());
-        let mut hits = 0;
-        for (&id, a) in ids.iter().zip(actions) {
-            let answer = match a {
-                Action::Listen => self
-                    .records
-                    .get(&record_key(entry, id))
-                    .map(|&from| (from != DECODED_NOTHING).then_some(from as NodeId)),
-                _ => None,
-            };
-            hits += usize::from(answer.is_some());
-            replayed.push(answer);
-        }
+        replayed.extend(listeners.iter().map(|&id| {
+            self.records
+                .get(&record_key(entry, id))
+                .map(|&from| (from != DECODED_NOTHING).then_some(from as NodeId))
+        }));
+        let hits = replayed.iter().flatten().count();
         self.replayed += hits as u64;
         hits
     }
 
-    /// Records under `entry` the decode of every listener of `ids` that
-    /// `replayed` did not answer, read off its physical `outcomes`. A
-    /// record past the cap clears the memo instead.
-    fn record<M>(
+    /// Records under `entry` the physical decode of every one of
+    /// `listeners` that `replayed` did not answer. A record past the cap
+    /// clears the memo instead.
+    fn record(
         &mut self,
         entry: u32,
-        ids: &[NodeId],
+        listeners: &[NodeId],
         replayed: &[Option<Option<NodeId>>],
-        outcomes: &[SlotOutcome<M>],
+        decoded: &[Option<NodeId>],
     ) {
-        for (k, (&id, o)) in ids.iter().zip(outcomes).enumerate() {
-            let from = match o {
-                SlotOutcome::Received(r) => r.from as u32,
-                SlotOutcome::Idle => DECODED_NOTHING,
-                _ => continue,
-            };
-            if matches!(replayed.get(k), Some(Some(_))) {
+        for (j, (&id, from)) in listeners.iter().zip(decoded).enumerate() {
+            if matches!(replayed.get(j), Some(Some(_))) {
                 continue;
             }
             if self.records.len() >= self.cap {
                 self.clear();
                 return;
             }
+            let from = from.map_or(DECODED_NOTHING, |from| from as u32);
             self.records.insert(record_key(entry, id), from);
         }
     }
@@ -1810,32 +1872,41 @@ mod tests {
         assert_eq!(r.distance, 1.0);
     }
 
+    /// A payload that names its sender and its slot.
+    type Stamp = (NodeId, u64);
+
+    /// A logged reception: `(slot, sender, distance bits, payload)`.
+    type Heard = (u64, NodeId, u64, Stamp);
+
     /// Coin-flip recorder used by the fault gates below: every
     /// observable (actions drawn from the RNG, receptions as `(slot,
-    /// from, distance bits)`, the number of `begin_slot` calls) is
-    /// recorded so freezes and suppressions are visible.
+    /// from, distance bits, payload)`, the number of `begin_slot` calls)
+    /// is recorded so freezes and suppressions are visible. A
+    /// transmitter sends its [`Stamp`].
     #[derive(Debug, Default, Clone, PartialEq)]
     struct FaultProbe {
         begins: u64,
-        log: Vec<(u64, NodeId, u64)>,
+        log: Vec<Heard>,
         idles: u64,
     }
     impl Protocol for FaultProbe {
-        type Msg = ();
-        fn begin_slot(&mut self, _: NodeId, _: u64, rng: &mut StdRng) -> Action<()> {
+        type Msg = Stamp;
+        fn begin_slot(&mut self, node: NodeId, slot: u64, rng: &mut StdRng) -> Action<Stamp> {
             self.begins += 1;
             if rng.gen_bool(0.3) {
                 Action::Transmit {
                     power: 900.0,
-                    msg: (),
+                    msg: (node, slot),
                 }
             } else {
                 Action::Listen
             }
         }
-        fn end_slot(&mut self, _: NodeId, slot: u64, o: SlotOutcome<()>, _: &mut StdRng) {
+        fn end_slot(&mut self, _: NodeId, slot: u64, o: SlotOutcome<Stamp>, _: &mut StdRng) {
             match o {
-                SlotOutcome::Received(r) => self.log.push((slot, r.from, r.distance.to_bits())),
+                SlotOutcome::Received(r) => {
+                    self.log.push((slot, r.from, r.distance.to_bits(), r.msg))
+                }
                 SlotOutcome::Idle => self.idles += 1,
                 _ => {}
             }
@@ -1879,15 +1950,12 @@ mod tests {
         }
     }
 
-    /// The fault-determinism parity gate: one random fault mix,
-    /// identical bytes on naive / grid / parallel at several thread
-    /// counts.
-    #[test]
-    fn fault_plan_is_bit_identical_across_backends() {
+    /// The fault gates' random mix of crashes, deafness, drops and
+    /// degrades.
+    fn probe_plan(n: usize) -> crate::faults::FaultPlan {
         use crate::faults::{FaultMix, FaultPlan};
-        let inst = gen::uniform_square(80, 1.5, 22).unwrap();
-        let plan = FaultPlan::random(
-            inst.len(),
+        FaultPlan::random(
+            n,
             0xFA_017,
             &FaultMix {
                 crash: 0.1,
@@ -1896,7 +1964,16 @@ mod tests {
                 degrade: 0.1,
                 horizon: 12,
             },
-        );
+        )
+    }
+
+    /// The fault-determinism parity gate: one random fault mix,
+    /// identical bytes on naive / grid / parallel at several thread
+    /// counts.
+    #[test]
+    fn fault_plan_is_bit_identical_across_backends() {
+        let inst = gen::uniform_square(80, 1.5, 22).unwrap();
+        let plan = probe_plan(inst.len());
         assert!(!plan.is_empty(), "the mix must actually schedule faults");
         let naive = fault_probe_run(&inst, 6, EngineBackend::Naive, Some(plan.clone()));
         for backend in [
@@ -1926,7 +2003,7 @@ mod tests {
         assert_eq!(e.nodes()[1].begins, 3, "crashed after 3 begin_slot calls");
         assert_eq!(e.nodes()[0].begins, 10);
         assert!(
-            e.nodes()[1].log.iter().all(|&(slot, _, _)| slot < 3),
+            e.nodes()[1].log.iter().all(|&(slot, ..)| slot < 3),
             "no receptions observed after the crash"
         );
     }
@@ -2176,9 +2253,11 @@ mod tests {
         )));
     }
 
-    /// A panic on a *worker* thread (here: a message whose `Clone`
-    /// panics while a reception is materialized) must propagate out of
-    /// the pooled loop with its payload — not hang the dispatcher.
+    /// A panic inside a live pool (here: a message whose `Clone` panics
+    /// while phase 3 builds a reception on the driving thread, after
+    /// the workers decoded the slot's 79 listeners) must propagate out
+    /// of the pooled loop with its payload — not hang the dispatcher or
+    /// leave a worker behind.
     #[test]
     #[should_panic(expected = "poison msg cloned")]
     fn worker_panic_propagates_from_parallel_run() {
@@ -2214,12 +2293,33 @@ mod tests {
         engine.run(1);
     }
 
+    /// The scripted naps of [`Drowsy`]: `(node, from, until)` is dormant
+    /// over `from..until`, declared in slot `from`. Node 0 crashes at 10
+    /// and is found crashed at 20; node 1 is deaf over 5..18, from inside
+    /// its nap; node 2's power degrades from 6. Nodes 3–5 nap 255, 256
+    /// and 257 slots, around the edge of the calendar's ring, and node
+    /// 6 naps 3000 slots and crashes at 1000, inside the nap.
+    const DROWSY_NAPS: [(NodeId, u64, u64); 7] = [
+        (0, 3, 20),
+        (1, 2, 15),
+        (2, 4, 9),
+        (3, 4, 4 + 255),
+        (4, 4, 4 + 256),
+        (5, 4, 4 + 257),
+        (6, 5, 5 + 3000),
+    ];
+
+    /// Slots a dormancy run lasts: past the end of the longest nap.
+    const DROWSY_SLOTS: u64 = 3100;
+
     /// A protocol that sleeps three ways: plain `Sleep`, `SleepUntil`
     /// (a declared nap, sometimes only one slot long) and retirement
     /// (`u64::MAX`). Its RNG draws (on awake begins and idle ends) and
     /// logs make every callback the engine makes or skips observable.
-    /// Nodes 0–2 follow a script so that faults provably land on
-    /// dormant nodes.
+    /// The nodes of [`DROWSY_NAPS`] follow a script instead: node 2
+    /// transmits and the others listen outside their nap, so faults
+    /// provably land on dormant nodes and naps cross the calendar's
+    /// ring.
     #[derive(Debug, Default, Clone, PartialEq)]
     struct Drowsy {
         log: Vec<(u64, NodeId, u64)>,
@@ -2230,30 +2330,32 @@ mod tests {
         draws: u64,
     }
 
+    impl Drowsy {
+        /// Whether `node` is in the middle of a nap at `slot`: it
+        /// declared one in an earlier slot, and the nap lasts past
+        /// `slot`. Only the node's latest declaration matters.
+        fn napping(&self, node: NodeId, slot: u64) -> bool {
+            match DROWSY_NAPS.iter().find(|nap| nap.0 == node) {
+                Some(&(_, from, until)) => from < slot && slot < until,
+                None => slot < self.wake,
+            }
+        }
+    }
+
     impl Protocol for Drowsy {
         type Msg = ();
         fn begin_slot(&mut self, node: NodeId, slot: u64, rng: &mut StdRng) -> Action<()> {
-            let listen_or_nap = |from: u64, until: u64| {
-                if (from..until).contains(&slot) {
+            if let Some(&(_, from, until)) = DROWSY_NAPS.iter().find(|nap| nap.0 == node) {
+                return if (from..until).contains(&slot) {
                     Action::SleepUntil(until)
-                } else {
-                    Action::Listen
-                }
-            };
-            match node {
-                // Dormant 3..20; crashes at 10, found crashed at 20.
-                0 => return listen_or_nap(3, 20),
-                // Dormant 2..15; deaf 5..18, from inside its nap.
-                1 => return listen_or_nap(2, 15),
-                // Dormant 4..9; its power degrades from 6.
-                2 if (4..9).contains(&slot) => return Action::SleepUntil(9),
-                2 => {
-                    return Action::Transmit {
+                } else if node == 2 {
+                    Action::Transmit {
                         power: 900.0,
                         msg: (),
                     }
-                }
-                _ => {}
+                } else {
+                    Action::Listen
+                };
             }
             if slot < self.wake {
                 return Action::SleepUntil(self.wake);
@@ -2322,6 +2424,7 @@ mod tests {
             },
         );
         plan.push(0, FaultEvent::CrashStop { at: 10 });
+        plan.push(6, FaultEvent::CrashStop { at: 1000 });
         plan.push(1, FaultEvent::TransientDeafness { from: 5, until: 18 });
         plan.push(
             2,
@@ -2343,11 +2446,34 @@ mod tests {
         Vec<NodeId>,
     );
 
+    /// Runs [`Drowsy`] for [`DROWSY_SLOTS`] slots under
+    /// [`drowsy_plan`], and checks after every slot that the awake list
+    /// is in ascending id order and holds no node in the middle of a
+    /// nap. The calendar is the same on every backend, so only this
+    /// check sees a node woken early: the dormancy promise makes the
+    /// extra step a no-op.
     fn drowsy_run(inst: &Instance, backend: EngineBackend) -> DrowsyRun {
         let params = SinrParams::default();
         let mut e = Engine::with_backend(&params, inst, |_| Drowsy::default(), 13, backend);
         e.arm_faults(drowsy_plan(inst.len()));
-        let reports = e.run_reports(40);
+        let mut reports = Vec::new();
+        let mut check = |e: &Engine<'_, Drowsy>| {
+            let slot = e.slot();
+            let mut last = None;
+            for (id, d) in e.awake_nodes() {
+                assert!(
+                    last < Some(id),
+                    "{backend:?}: awake list out of order at {slot}"
+                );
+                assert!(
+                    !d.napping(id, slot),
+                    "{backend:?}: node {id} woke early at {slot}"
+                );
+                last = Some(id);
+            }
+            false
+        };
+        e.run_loop(DROWSY_SLOTS, &mut check, &mut |r| reports.push(r));
         let awake = e.awake_nodes().map(|(id, _)| id).collect();
         (
             reports,
@@ -2361,37 +2487,51 @@ mod tests {
     /// The calendar gate: naive steps every node every slot, grid and
     /// the pool step only the awake list, and all of them agree on
     /// every observable — with crashes, deafness and degrades landing
-    /// on dormant nodes.
+    /// on dormant nodes, and naps on either side of the calendar ring's
+    /// edge and far past it.
     #[test]
     fn wake_calendar_matches_all_node_stepping() {
-        // 160 nodes: most slots keep more than PARALLEL_MIN_NODES awake,
-        // so the pool resolves them; quiet slots fall back to serial.
-        let inst = gen::uniform_square(160, 1.5, 31).unwrap();
-        let naive = drowsy_run(&inst, EngineBackend::Naive);
-        let states = &naive.2;
-        assert!(
-            states.iter().any(|d| d.wake == u64::MAX),
-            "some nodes retire"
-        );
-        assert!(
-            naive.0.iter().any(|r| r.receptions > 0),
-            "the workload decodes"
-        );
-        assert!(!naive.4.contains(&0), "node 0 crashed while dormant");
-        assert!(
-            states[1]
-                .log
-                .iter()
-                .all(|&(slot, _, _)| !(2..18).contains(&slot)),
-            "node 1 heard nothing while dormant or deaf"
-        );
-        for backend in [
-            EngineBackend::Grid,
-            EngineBackend::Parallel(1),
-            EngineBackend::Parallel(2),
-            EngineBackend::Parallel(4),
-        ] {
-            assert_eq!(naive, drowsy_run(&inst, backend), "{backend:?} diverged");
+        // At 320 nodes the first slots have more than PARALLEL_MIN_NODES
+        // listeners, so the pool resolves them; quieter slots, and all
+        // but a few of 160 nodes', resolve on the driving thread.
+        for n in [160, 320] {
+            let inst = gen::uniform_square(n, 1.5, 31).unwrap();
+            let naive = drowsy_run(&inst, EngineBackend::Naive);
+            let states = &naive.2;
+            assert!(
+                states.iter().any(|d| d.wake == u64::MAX),
+                "some nodes retire"
+            );
+            assert!(
+                naive.0.iter().any(|r| r.receptions > 0),
+                "the workload decodes"
+            );
+            assert!(!naive.4.contains(&0), "node 0 crashed while dormant");
+            assert!(!naive.4.contains(&6), "node 6 crashed inside its long nap");
+            for node in 3..6 {
+                let (_, from, until) = DROWSY_NAPS[node];
+                assert_eq!(
+                    states[node].idles + states[node].log.len() as u64,
+                    DROWSY_SLOTS - (until - from),
+                    "node {node} listens in every slot outside its nap"
+                );
+            }
+            assert!(
+                states[1]
+                    .log
+                    .iter()
+                    .all(|&(slot, _, _)| !(2..18).contains(&slot)),
+                "node 1 heard nothing while dormant or deaf"
+            );
+            for backend in [
+                EngineBackend::Grid,
+                EngineBackend::Parallel(1),
+                EngineBackend::Parallel(2),
+                EngineBackend::Parallel(4),
+            ] {
+                let run = drowsy_run(&inst, backend);
+                assert_eq!(naive, run, "{n} nodes, {backend:?} diverged");
+            }
         }
     }
 
@@ -2402,39 +2542,48 @@ mod tests {
     #[test]
     fn wake_calendar_trace_matches_all_node_stepping() {
         use crate::trace::{self, TraceEvent};
-        let inst = gen::uniform_square(160, 1.5, 31).unwrap();
-        let traced = |backend| {
-            trace::start(1 << 16);
-            let run = drowsy_run(&inst, backend);
-            let log = trace::stop();
-            assert_eq!(log.dropped, 0);
-            (run, log.events)
-        };
-        let (naive_run, naive) = traced(EngineBackend::Naive);
-        assert_eq!(
-            naive_run,
-            drowsy_run(&inst, EngineBackend::Naive),
-            "tracing is observational"
-        );
-        for (slot, node, kind) in [
-            (10, 0, "crash-stop"),
-            (5, 1, "deafness"),
-            (6, 2, "power-degrade"),
-        ] {
-            assert!(
-                naive.contains(&TraceEvent::FaultInjected { slot, node, kind }),
-                "{kind} of dormant node {node} at slot {slot} is reported"
+        for n in [160, 320] {
+            let inst = gen::uniform_square(n, 1.5, 31).unwrap();
+            let traced = |backend| {
+                trace::start(1 << 16);
+                let run = drowsy_run(&inst, backend);
+                let log = trace::stop();
+                assert_eq!(log.dropped, 0);
+                (run, log.events)
+            };
+            let (naive_run, naive) = traced(EngineBackend::Naive);
+            assert_eq!(
+                naive_run,
+                drowsy_run(&inst, EngineBackend::Naive),
+                "tracing is observational"
             );
-        }
-        for backend in [
-            EngineBackend::Grid,
-            EngineBackend::Parallel(1),
-            EngineBackend::Parallel(2),
-            EngineBackend::Parallel(4),
-        ] {
-            let (run, events) = traced(backend);
-            assert_eq!(naive_run, run, "{backend:?}: traced run diverged");
-            assert_eq!(naive, events, "{backend:?}: event stream diverged");
+            for (slot, node, kind) in [
+                (10, 0, "crash-stop"),
+                (5, 1, "deafness"),
+                (6, 2, "power-degrade"),
+                (1000, 6, "crash-stop"),
+            ] {
+                assert!(
+                    naive.contains(&TraceEvent::FaultInjected { slot, node, kind }),
+                    "{kind} of dormant node {node} at slot {slot} is reported"
+                );
+            }
+            for backend in [
+                EngineBackend::Grid,
+                EngineBackend::Parallel(1),
+                EngineBackend::Parallel(2),
+                EngineBackend::Parallel(4),
+            ] {
+                let (run, events) = traced(backend);
+                assert_eq!(
+                    naive_run, run,
+                    "{n} nodes, {backend:?}: traced run diverged"
+                );
+                assert_eq!(
+                    naive, events,
+                    "{n} nodes, {backend:?}: event stream diverged"
+                );
+            }
         }
     }
 
@@ -2494,10 +2643,11 @@ mod tests {
     /// duty, even ids sleep awake (so every slot steps enough nodes for
     /// the pool) and odd ids nap until their next duty or retire. An
     /// idle end draws, so RNG positions follow the decodes, and every
-    /// listen is counted: every slot has a live beaconer.
+    /// listen is counted: every slot has a live beaconer. A beacon is
+    /// its sender's [`Stamp`].
     #[derive(Debug, Default, Clone, PartialEq)]
     struct Beacons {
-        log: Vec<(u64, NodeId, u64)>,
+        log: Vec<Heard>,
         listens: u64,
         draws: u64,
     }
@@ -2512,13 +2662,13 @@ mod tests {
     }
 
     impl Protocol for Beacons {
-        type Msg = ();
-        fn begin_slot(&mut self, node: NodeId, slot: u64, _: &mut StdRng) -> Action<()> {
+        type Msg = Stamp;
+        fn begin_slot(&mut self, node: NodeId, slot: u64, _: &mut StdRng) -> Action<Stamp> {
             let (rotation, phase) = (slot / BEACON_PERIOD, slot % BEACON_PERIOD);
             match Self::duty(node) {
                 Some((p, true)) if p == phase => Action::Transmit {
                     power: 1e5,
-                    msg: (),
+                    msg: (node, slot),
                 },
                 Some((p, false)) if p == phase && (rotation + node as u64 / 8) % 3 != 0 => {
                     self.listens += 1;
@@ -2532,9 +2682,11 @@ mod tests {
                 None => Action::SleepUntil(u64::MAX),
             }
         }
-        fn end_slot(&mut self, _: NodeId, slot: u64, o: SlotOutcome<()>, rng: &mut StdRng) {
+        fn end_slot(&mut self, _: NodeId, slot: u64, o: SlotOutcome<Stamp>, rng: &mut StdRng) {
             match o {
-                SlotOutcome::Received(r) => self.log.push((slot, r.from, r.distance.to_bits())),
+                SlotOutcome::Received(r) => {
+                    self.log.push((slot, r.from, r.distance.to_bits(), r.msg))
+                }
                 SlotOutcome::Idle => self.draws ^= rng.gen::<u64>(),
                 _ => {}
             }
@@ -2564,8 +2716,8 @@ mod tests {
     }
 
     /// Everything a replay-gate run exposes: reports, stats, protocol
-    /// states (reception logs with distance bits, listen counts, idle
-    /// draws) and RNG positions.
+    /// states (reception logs with distance bits and payloads, listen
+    /// counts, idle draws) and RNG positions.
     type BeaconRun = (Vec<SlotReport>, EngineStats, Vec<Beacons>, Vec<StdRng>);
 
     /// Runs [`Beacons`] for 12 rotations under [`beacon_plan`]; also
@@ -2603,8 +2755,8 @@ mod tests {
             states[25]
                 .log
                 .iter()
-                .all(|&(slot, _, _)| !(8..12).contains(&slot))
-                && states[25].log.iter().any(|&(slot, _, _)| slot >= 12),
+                .all(|&(slot, ..)| !(8..12).contains(&slot))
+                && states[25].log.iter().any(|&(slot, ..)| slot >= 12),
             "the deaf listener hears nothing in its window, and hears after it"
         );
         let (grid, queries, replayed) = beacon_run(&inst, EngineBackend::Grid);
@@ -2662,6 +2814,65 @@ mod tests {
             let other = traced(backend);
             assert_eq!(naive.0, other.0, "{backend:?}: traced run diverged");
             assert_eq!(naive.1, other.1, "{backend:?}: event stream diverged");
+        }
+    }
+
+    /// The payload gate. A reception's payload is looked up through its
+    /// decoded sender, and it must be the [`Stamp`] that sender sent in
+    /// that slot, on naive, grid and the pool at 1, 2 and 4 threads:
+    /// for the replay gate's beacons, whose listeners the memo answers
+    /// and two of which are deafened or drop receptions, and for the
+    /// fault probe under its random fault mix. The beacons also run on
+    /// 1600 nodes, whose slots have some 80 listeners, and the probe on
+    /// 160, so the pool shards slots the memo answers and slots with
+    /// reception faults; there every backend must match naive.
+    #[test]
+    fn receptions_carry_their_senders_payloads() {
+        let stamped = |logs: Vec<&Vec<Heard>>, case: &str| {
+            let heard: Vec<&Heard> = logs.into_iter().flatten().collect();
+            assert!(!heard.is_empty(), "{case}: nobody heard anything");
+            for &&(slot, from, _, msg) in &heard {
+                assert_eq!(msg, (from, slot), "{case}: a reception in slot {slot}");
+            }
+        };
+        for n in [160, 1600] {
+            let inst = gen::uniform_square(n, 1.5, 31).unwrap();
+            let (naive, _, _) = beacon_run(&inst, EngineBackend::Naive);
+            for backend in [
+                EngineBackend::Naive,
+                EngineBackend::Grid,
+                EngineBackend::Parallel(1),
+                EngineBackend::Parallel(2),
+                EngineBackend::Parallel(4),
+            ] {
+                let (run, _, replayed) = beacon_run(&inst, backend);
+                let case = format!("{n} beacons, {backend:?}");
+                assert_eq!(naive, run, "{case}: diverged");
+                assert_eq!(replayed > 0, backend != EngineBackend::Naive, "{case}");
+                let states = &run.2;
+                // Twenty beaconers a slot jam them at 1600 nodes.
+                assert!(
+                    n > 160 || (!states[9].log.is_empty() && !states[25].log.is_empty()),
+                    "{case}: the dropping and the deafened listener hear beacons"
+                );
+                stamped(states.iter().map(|b| &b.log).collect(), &case);
+            }
+        }
+        for n in [80, 160] {
+            let inst = gen::uniform_square(n, 1.5, 22).unwrap();
+            let naive = fault_probe_run(&inst, 6, EngineBackend::Naive, Some(probe_plan(n)));
+            for backend in [
+                EngineBackend::Naive,
+                EngineBackend::Grid,
+                EngineBackend::Parallel(1),
+                EngineBackend::Parallel(2),
+                EngineBackend::Parallel(4),
+            ] {
+                let run = fault_probe_run(&inst, 6, backend, Some(probe_plan(n)));
+                let case = format!("{n} probes, {backend:?}");
+                assert_eq!(naive, run, "{case}: diverged");
+                stamped(run.2.iter().map(|p| &p.log).collect(), &case);
+            }
         }
     }
 

@@ -94,9 +94,11 @@ pub enum SlotOutcome<M> {
 ///
 /// Payloads must be `Send + Sync` because the engine's
 /// [`Parallel`](crate::EngineBackend::Parallel) backend shares a slot's
-/// action set read-only with its worker pool and merges the resolved
-/// outcomes back; protocol state itself never leaves the engine's
-/// thread, so outcomes are byte-identical at any thread count.
+/// context — its transmitters with their payloads among it — read-only
+/// with its worker pool, which sends back only each listener's decoded
+/// sender. Payloads are cloned, outcomes built and protocol state
+/// touched on the engine's thread alone, so outcomes are
+/// byte-identical at any thread count.
 pub trait Protocol {
     /// The message payload type.
     type Msg: Clone + Send + Sync;

@@ -1,9 +1,11 @@
 //! Allocation gate for the per-slot hot path (DESIGN.md §12.2).
 //!
-//! The engine keeps one slot context for its life — the stepped ids
-//! and actions, the transmitter list and the interference field, which
-//! is refilled in place — plus a `SlotArena` of outcome and awake-list
-//! buffers and a replay memo (DESIGN.md §8.7), so after warm-up slots
+//! The engine keeps one slot context for its life — the role lists
+//! (stepped ids with their roles, transmitters with their payloads,
+//! listeners, the memo's answers) and the interference field, which is
+//! refilled in place — plus a `SlotArena` of decode and awake-list
+//! buffers, a wake calendar whose ring links each node once (DESIGN.md
+//! §8.6) and a replay memo (DESIGN.md §8.7), so after warm-up slots
 //! have sized every buffer, a steady-state slot on the serial grid path
 //! performs **zero** heap allocations. This test pins that with a
 //! counting global allocator: it is the hook that keeps "refilled in
@@ -141,7 +143,7 @@ impl Protocol for Drifter {
 /// One test for every protocol: the counter is process-wide, so a
 /// second test running on another thread would leak its allocations
 /// into this one's window. [`DozyRotor`] checks that the calendar's
-/// heap and awake lists recycle their capacity too, [`Blinker`] that a
+/// ring and the awake lists recycle their capacity too, [`Blinker`] that a
 /// field skipped for a silent slot refills in place, and [`Drifter`]
 /// that a slot whose list is new refills in place. Every transmitting
 /// slot has 80 transmitters, enough for the field to build its
